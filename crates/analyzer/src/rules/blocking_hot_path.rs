@@ -18,12 +18,18 @@ use crate::findings::Finding;
 use crate::rules::BLOCKING_HOT_PATH;
 use crate::source::SourceFile;
 
-/// Hot-path entry points, as `(file, fn name)` pairs: the reactor's
-/// event loop and poll dispatch, and the worker pool's run loop.
+/// Hot-path entry points, as `(file, fn name)` pairs: the I/O layer's
+/// event loop and poll dispatch, and the worker pool's run loop. The
+/// layer reaches a handler only through a generic `Handler::execute`
+/// call, which name resolution binds to the same-crate daemon; the
+/// router's handler is therefore listed itself — its cached-`Client`
+/// forward is a worker-side wait the reactor never reaches
+/// (`may_inline` is `false`).
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    ("crates/server/src/server.rs", "run"),
-    ("crates/server/src/server.rs", "worker_loop"),
+    ("crates/server/src/net.rs", "run"),
+    ("crates/server/src/net.rs", "worker_loop"),
     ("crates/server/src/epoll.rs", "wait"),
+    ("crates/router/src/tier.rs", "execute"),
 ];
 
 /// Module prefixes the serving tier never calls back into: client
@@ -163,7 +169,7 @@ mod tests {
     fn fsync_reachable_from_the_event_loop_is_flagged() {
         let findings = run(&[
             (
-                "crates/server/src/server.rs",
+                "crates/server/src/net.rs",
                 "fn run(&mut self) { self.handle(); }\nfn handle(&mut self) { persist(); }",
             ),
             (
@@ -179,7 +185,7 @@ mod tests {
     #[test]
     fn unreachable_blocking_calls_are_not_flagged() {
         let findings = run(&[
-            ("crates/server/src/server.rs", "fn run(&mut self) {}"),
+            ("crates/server/src/net.rs", "fn run(&mut self) {}"),
             (
                 "crates/reconfig/src/store.rs",
                 "fn persist() { file.sync_all().unwrap(); }",
@@ -191,7 +197,7 @@ mod tests {
     #[test]
     fn sleep_and_unbounded_recv_in_run_loops_are_flagged() {
         let findings = run(&[(
-            "crates/server/src/server.rs",
+            "crates/server/src/net.rs",
             "fn worker_loop(rx: &Receiver<u8>) { \
                while let Ok(_x) = rx.recv() { std::thread::sleep(d); } \
                let _soon = rx.recv_timeout(d); }",
@@ -202,7 +208,7 @@ mod tests {
     #[test]
     fn deadline_bounded_calls_are_clean() {
         let findings = run(&[(
-            "crates/server/src/server.rs",
+            "crates/server/src/net.rs",
             "fn run(&mut self) { let s = TcpStream::connect_timeout(&addr, d); drop(s); }",
         )]);
         assert!(findings.is_empty(), "{findings:#?}");

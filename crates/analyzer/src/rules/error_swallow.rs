@@ -204,12 +204,12 @@ mod tests {
     #[test]
     fn let_discard_elsewhere_is_tolerated_unless_fsync() {
         assert!(run(
-            "crates/server/src/server.rs",
+            "crates/server/src/net.rs",
             "fn f(w: &TcpStream) { let _ = w.write(&[1]); }",
         )
         .is_empty());
         let findings = run(
-            "crates/server/src/server.rs",
+            "crates/server/src/net.rs",
             "fn f(file: &File) { let _ = file.sync_all(); }",
         );
         assert_eq!(findings.len(), 1, "{findings:#?}");

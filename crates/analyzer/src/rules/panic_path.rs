@@ -17,10 +17,12 @@ use crate::lexer::TokKind;
 use crate::rules::PANIC_PATH;
 use crate::source::SourceFile;
 
-/// Files the rule applies to, relative to the workspace root: the
-/// daemon's request path and the service/evaluation core it calls into.
-pub const SCOPE: [&str; 7] = [
+/// Files the rule applies to, relative to the workspace root: the I/O
+/// layer, the daemon's request path, and the service/evaluation core it
+/// calls into.
+pub const SCOPE: [&str; 8] = [
     "crates/server/src/lib.rs",
+    "crates/server/src/net.rs",
     "crates/server/src/protocol.rs",
     "crates/server/src/server.rs",
     "crates/server/src/client.rs",
@@ -113,7 +115,7 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Finding> {
-        check(&SourceFile::parse("crates/server/src/server.rs", src))
+        check(&SourceFile::parse("crates/server/src/net.rs", src))
     }
 
     #[test]

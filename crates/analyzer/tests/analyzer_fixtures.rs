@@ -29,7 +29,7 @@ fn clean_fixture_has_no_findings_under_every_rule() {
         "clean fixture must be clean: {:#?}",
         report.findings
     );
-    assert_eq!(report.files_scanned, 12);
+    assert_eq!(report.files_scanned, 13);
 }
 
 #[test]
@@ -149,11 +149,12 @@ fn lock_inversion_fixture_counts_are_exact() {
 fn blocking_fixture_counts_are_exact() {
     let report = run(fixture("blocking"), &[rules::BLOCKING_HOT_PATH]);
     let by_rule = report.counts_by_rule();
-    // The reactor sleep and the fsync two calls deep are findings; the
-    // worker's idle park is waived in place.
+    // The reactor sleep, the fsync two calls deep and the router
+    // handler's deadline-less dial are findings; the worker's idle park
+    // is waived in place.
     assert_eq!(
         by_rule.get(rules::BLOCKING_HOT_PATH).copied(),
-        Some((2, 1)),
+        Some((3, 1)),
         "{:#?}",
         report.findings
     );
@@ -163,6 +164,14 @@ fn blocking_fixture_counts_are_exact() {
         report
             .unwaived()
             .any(|f| f.message.contains("run -> step -> persist")),
+        "{:#?}",
+        report.findings
+    );
+    // The router handler is an entry point in its own right.
+    assert!(
+        report
+            .unwaived()
+            .any(|f| f.message.contains("execute -> forward")),
         "{:#?}",
         report.findings
     );

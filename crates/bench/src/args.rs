@@ -10,12 +10,6 @@ pub struct ExpArgs {
     pub runs: Option<usize>,
     /// Base RNG seed.
     pub seed: u64,
-    /// Regression-gate mode: compare the fresh result against the
-    /// committed baseline artifact instead of overwriting it.
-    pub check: bool,
-    /// Allowed regression for `--check`, in percent. `None` defers to
-    /// `CBES_PERF_GATE_TOLERANCE_PCT`, then the built-in default.
-    pub tolerance: Option<f64>,
 }
 
 impl Default for ExpArgs {
@@ -24,8 +18,6 @@ impl Default for ExpArgs {
             full: false,
             runs: None,
             seed: 42,
-            check: false,
-            tolerance: None,
         }
     }
 }
@@ -38,17 +30,6 @@ impl ExpArgs {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => out.full = true,
-                "--check" => out.check = true,
-                "--tolerance" => {
-                    let v = it.next().ok_or("--tolerance needs a value (percent)")?;
-                    let pct: f64 = v
-                        .parse()
-                        .map_err(|_| format!("bad --tolerance value `{v}`"))?;
-                    if !pct.is_finite() || pct < 0.0 {
-                        return Err(format!("bad --tolerance value `{v}`"));
-                    }
-                    out.tolerance = Some(pct);
-                }
                 "--runs" => {
                     let v = it.next().ok_or("--runs needs a value")?;
                     out.runs = Some(v.parse().map_err(|_| format!("bad --runs value `{v}`"))?);
@@ -58,9 +39,7 @@ impl ExpArgs {
                     out.seed = v.parse().map_err(|_| format!("bad --seed value `{v}`"))?;
                 }
                 "--help" | "-h" => {
-                    return Err("usage: <exp> [--full] [--runs N] [--seed S] \
-                         [--check] [--tolerance PCT]"
-                        .to_string())
+                    return Err("usage: <exp> [--full] [--runs N] [--seed S]".to_string())
                 }
                 other => return Err(format!("unknown argument `{other}`")),
             }
@@ -110,18 +89,6 @@ mod tests {
         assert_eq!(a.reps(5, 100), 100);
         let b = parse(&["--runs", "17"]).unwrap();
         assert_eq!(b.reps(5, 100), 17);
-    }
-
-    #[test]
-    fn check_mode_and_tolerance() {
-        let a = parse(&["--check"]).unwrap();
-        assert!(a.check);
-        assert_eq!(a.tolerance, None);
-        let b = parse(&["--check", "--tolerance", "7.5"]).unwrap();
-        assert_eq!(b.tolerance, Some(7.5));
-        assert!(parse(&["--tolerance"]).is_err());
-        assert!(parse(&["--tolerance", "x"]).is_err());
-        assert!(parse(&["--tolerance", "-3"]).is_err());
     }
 
     #[test]

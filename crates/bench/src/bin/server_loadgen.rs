@@ -18,19 +18,13 @@
 //!
 //! ```text
 //! cargo run --release --bin server_loadgen \
-//!     [--full] [--runs REQS_PER_CLIENT] [--seed S] [--check] [--tolerance PCT]
+//!     [--full] [--runs REQS_PER_CLIENT] [--seed S]
 //! ```
-//!
-//! `--check` turns the run into a CI regression gate: the fresh
-//! throughput is compared against the committed
-//! `BENCH_server_loadgen.json` (which is left untouched) and the
-//! process exits non-zero if it regressed more than the tolerance
-//! (`--tolerance`, else `CBES_PERF_GATE_TOLERANCE_PCT`, else 15%).
 //!
 //! Env: `CBES_LOADGEN_CLIENTS` (default 1), `CBES_LOADGEN_DEPTH`
 //! (pipeline window per client, default 16), `CBES_LOADGEN_P99_BUDGET_MS`
 //! (default 15.0), `CBES_LOADGEN_TRACE` (`1` stamps a trace context on
-//! every request so the gate measures the traced wire path).
+//! every request so the run measures the traced wire path).
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbes_bench::args::ExpArgs;
-use cbes_bench::{perf_gate, save_json};
+use cbes_bench::save_json;
 use cbes_cluster::{presets, NodeId};
 use cbes_core::mapping::Mapping;
 use cbes_core::monitor::ForecastKind;
@@ -142,7 +136,7 @@ fn main() {
     // whole window; replies stream back through a buffered reader.
     //
     // `CBES_LOADGEN_TRACE=1` stamps every envelope with a trace
-    // context, so the run (and the `--check` gate) measures the traced
+    // context, so the run measures the traced
     // wire path: decode of the trace suffix plus a rooted server span
     // per request.
     let traced = std::env::var("CBES_LOADGEN_TRACE").ok().as_deref() == Some("1");
@@ -346,29 +340,25 @@ fn main() {
             "pass": ok,
         }),
     );
-    // Headline numbers at the repo root, where CI publishes them. In
-    // `--check` mode the committed file IS the baseline under test, so
-    // it is read-only there.
-    if !args.check {
-        let bench = serde_json::json!({
-            "bench": "server_loadgen",
-            "req_per_s": req_per_s,
-            "latency_us": {
-                "p50": p50.as_secs_f64() * 1e6,
-                "p95": p95.as_secs_f64() * 1e6,
-                "p99": p99.as_secs_f64() * 1e6,
-            },
-        });
-        match serde_json::to_string_pretty(&bench) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write("BENCH_server_loadgen.json", s) {
-                    eprintln!("warning: cannot write BENCH_server_loadgen.json: {e}");
-                } else {
-                    println!("[artifact] BENCH_server_loadgen.json");
-                }
+    // Headline numbers at the repo root, where CI publishes them.
+    let bench = serde_json::json!({
+        "bench": "server_loadgen",
+        "req_per_s": req_per_s,
+        "latency_us": {
+            "p50": p50.as_secs_f64() * 1e6,
+            "p95": p95.as_secs_f64() * 1e6,
+            "p99": p99.as_secs_f64() * 1e6,
+        },
+    });
+    match serde_json::to_string_pretty(&bench) {
+        Ok(s) => {
+            if let Err(e) = std::fs::write("BENCH_server_loadgen.json", s) {
+                eprintln!("warning: cannot write BENCH_server_loadgen.json: {e}");
+            } else {
+                println!("[artifact] BENCH_server_loadgen.json");
             }
-            Err(e) => eprintln!("warning: cannot serialise bench summary: {e}"),
         }
+        Err(e) => eprintln!("warning: cannot serialise bench summary: {e}"),
     }
 
     if !ok {
@@ -382,40 +372,4 @@ fn main() {
         "\nPASS: sustained {req_per_s:.0} req/s with zero dropped replies, \
          p99 {p99_ms:.2} ms within the {p99_budget_ms:.1} ms budget"
     );
-
-    // Regression gate (`--check`): the fresh run must hold the line
-    // against the committed baseline.
-    if args.check {
-        let baseline_path = "BENCH_server_loadgen.json";
-        let tolerance = perf_gate::tolerance_pct(args.tolerance);
-        match perf_gate::check_throughput(baseline_path, req_per_s, tolerance) {
-            Ok(verdict) => println!("CHECK OK: {verdict}"),
-            Err(msg) => {
-                // A bare "regressed by N%" hides the numbers the fix
-                // needs; print both sides of the comparison in full.
-                eprintln!("CHECK FAIL: {msg}");
-                let p99_us = p99.as_secs_f64() * 1e6;
-                match perf_gate::read_baseline(baseline_path) {
-                    Ok(baseline) => {
-                        let baseline_p99 = baseline
-                            .p99_us
-                            .map(|v| format!("{v:.1} us"))
-                            .unwrap_or_else(|| "n/a".to_string());
-                        eprintln!(
-                            "  committed baseline: {:>10.0} req/s, p99 {baseline_p99}",
-                            baseline.req_per_s
-                        );
-                        eprintln!(
-                            "  measured:           {req_per_s:>10.0} req/s, p99 {p99_us:.1} us"
-                        );
-                    }
-                    Err(e) => eprintln!(
-                        "  measured {req_per_s:.0} req/s, p99 {p99_us:.1} us \
-                         (baseline unreadable: {e})"
-                    ),
-                }
-                std::process::exit(1);
-            }
-        }
-    }
 }

@@ -20,156 +20,6 @@ pub mod stats;
 pub mod table;
 pub mod zones;
 
-/// CI perf-regression gate: compare a fresh throughput measurement
-/// against the committed `BENCH_<name>.json` baseline.
-pub mod perf_gate {
-    /// Default allowed regression, percent. Override per run with
-    /// `--tolerance` or the `CBES_PERF_GATE_TOLERANCE_PCT` env var.
-    pub const DEFAULT_TOLERANCE_PCT: f64 = 15.0;
-
-    /// The effective tolerance: explicit flag, else env, else default.
-    pub fn tolerance_pct(flag: Option<f64>) -> f64 {
-        flag.or_else(|| {
-            std::env::var("CBES_PERF_GATE_TOLERANCE_PCT")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|v: &f64| v.is_finite() && *v >= 0.0)
-        })
-        .unwrap_or(DEFAULT_TOLERANCE_PCT)
-    }
-
-    /// The committed `BENCH_<name>.json` headline, as read back for
-    /// gating and for failure diagnostics.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct Baseline {
-        /// Committed sustained throughput, requests per second.
-        pub req_per_s: f64,
-        /// Committed `latency_us.p99`, if the artifact recorded one
-        /// (older baselines may predate the latency block).
-        pub p99_us: Option<f64>,
-    }
-
-    /// Read the committed baseline artifact at `path`. `Err` names the
-    /// problem (missing file, invalid JSON, or no positive `req_per_s`).
-    pub fn read_baseline(path: &str) -> Result<Baseline, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-        let value: serde_json::Value = serde_json::from_str(&text)
-            .map_err(|e| format!("baseline {path} is not valid JSON: {e}"))?;
-        let req_per_s = value
-            .get("req_per_s")
-            .and_then(|v| v.as_f64())
-            .filter(|v| v.is_finite() && *v > 0.0)
-            .ok_or_else(|| format!("baseline {path} has no positive `req_per_s` field"))?;
-        let p99_us = value
-            .get("latency_us")
-            .and_then(|l| l.get("p99"))
-            .and_then(|v| v.as_f64())
-            .filter(|v| v.is_finite() && *v > 0.0);
-        Ok(Baseline { req_per_s, p99_us })
-    }
-
-    /// Compare `fresh_req_per_s` against the `req_per_s` field of the
-    /// baseline artifact at `path`. `Ok` carries a human-readable
-    /// verdict; `Err` carries the failure (missing/garbled baseline, or
-    /// a regression beyond `tolerance_pct`).
-    pub fn check_throughput(
-        path: &str,
-        fresh_req_per_s: f64,
-        tolerance_pct: f64,
-    ) -> Result<String, String> {
-        let baseline = read_baseline(path)?.req_per_s;
-        let delta_pct = (fresh_req_per_s - baseline) / baseline * 100.0;
-        if delta_pct < -tolerance_pct {
-            return Err(format!(
-                "throughput regression: {fresh_req_per_s:.0} req/s is \
-                 {:.1}% below the committed baseline {baseline:.0} req/s \
-                 (tolerance {tolerance_pct:.1}%)",
-                -delta_pct
-            ));
-        }
-        Ok(format!(
-            "throughput {fresh_req_per_s:.0} req/s vs baseline \
-             {baseline:.0} req/s ({delta_pct:+.1}%, tolerance \
-             -{tolerance_pct:.1}%)"
-        ))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn baseline_file(req_per_s: &str) -> std::path::PathBuf {
-            let path = std::env::temp_dir().join(format!(
-                "cbes-perf-gate-{}-{req_per_s}.json",
-                std::process::id()
-            ));
-            std::fs::write(
-                &path,
-                format!("{{\"bench\":\"x\",\"req_per_s\":{req_per_s}}}"),
-            )
-            .unwrap();
-            path
-        }
-
-        #[test]
-        fn within_tolerance_passes_and_beyond_fails() {
-            let path = baseline_file("10000.0");
-            let p = path.to_str().unwrap();
-            // 10% down on a 15% tolerance: pass.
-            let verdict = check_throughput(p, 9_000.0, 15.0).unwrap();
-            assert!(verdict.contains("-10.0%"), "{verdict}");
-            // Improvements always pass.
-            assert!(check_throughput(p, 20_000.0, 15.0).is_ok());
-            // 20% down: fail, message names both numbers.
-            let err = check_throughput(p, 8_000.0, 15.0).unwrap_err();
-            assert!(err.contains("regression"), "{err}");
-            assert!(err.contains("10000"), "{err}");
-            std::fs::remove_file(path).ok();
-        }
-
-        #[test]
-        fn read_baseline_surfaces_p99_when_present() {
-            let path = std::env::temp_dir()
-                .join(format!("cbes-perf-gate-p99-{}.json", std::process::id()));
-            std::fs::write(
-                &path,
-                "{\"bench\":\"x\",\"req_per_s\":12500.0,\
-                 \"latency_us\":{\"p50\":900.0,\"p99\":2400.0}}",
-            )
-            .unwrap();
-            let b = read_baseline(path.to_str().unwrap()).unwrap();
-            assert_eq!(b.req_per_s, 12_500.0);
-            assert_eq!(b.p99_us, Some(2_400.0));
-            std::fs::remove_file(&path).ok();
-            // A baseline without the latency block still reads cleanly.
-            let bare = baseline_file("11000.0");
-            let b = read_baseline(bare.to_str().unwrap()).unwrap();
-            assert_eq!(b.p99_us, None);
-            std::fs::remove_file(bare).ok();
-        }
-
-        #[test]
-        fn garbled_baselines_are_errors_not_passes() {
-            let missing = check_throughput("/nonexistent/b.json", 1.0, 15.0);
-            assert!(missing.unwrap_err().contains("cannot read"));
-            let path = baseline_file("0.0");
-            let err = check_throughput(path.to_str().unwrap(), 1.0, 15.0).unwrap_err();
-            assert!(err.contains("req_per_s"), "{err}");
-            std::fs::remove_file(path).ok();
-        }
-
-        #[test]
-        fn tolerance_resolution_prefers_the_flag() {
-            assert_eq!(tolerance_pct(Some(7.0)), 7.0);
-            // No flag, no env (the test env does not set it): default.
-            if std::env::var("CBES_PERF_GATE_TOLERANCE_PCT").is_err() {
-                assert_eq!(tolerance_pct(None), DEFAULT_TOLERANCE_PCT);
-            }
-        }
-    }
-}
-
 /// Write an experiment artifact as pretty JSON under `results/`.
 ///
 /// Errors are reported but non-fatal: the printed table is the primary

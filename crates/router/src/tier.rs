@@ -11,8 +11,6 @@
 //! one in-flight sweep — the heartbeat publishes the measured bound as
 //! the `router.replication_lag_epochs` gauge.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -23,14 +21,15 @@ use crate::plan::{mode_of, ForwardMode};
 use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
 use cbes_obs::{names, MetricsSnapshot, Registry};
+use cbes_server::net::{self, encode_line, Control, Handler, NetHandle};
 use cbes_server::protocol::{
-    encode, error_kind, route_key_hash, Request, RequestEnvelope, Response, ResponseEnvelope,
-    SpanSnapshot, StatsReport,
+    decode_request, error_kind, route_key_hash, Request, Response, ResponseEnvelope, SpanSnapshot,
+    StatsReport,
 };
-use cbes_server::{Client, ClientError};
+use cbes_server::{Client, ClientError, ServerConfig};
 
-/// How often blocked tier threads re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// How often the sleeping heartbeat re-checks the shutdown flag.
+const HEARTBEAT_SLICE: Duration = Duration::from_millis(50);
 
 /// Configuration for [`RouterServer::start`].
 #[derive(Debug, Clone)]
@@ -69,7 +68,7 @@ pub fn heartbeat_loop(membership: &Arc<Membership>, shutdown: &AtomicBool) {
         // Sleep in small slices so shutdown is prompt.
         let mut left = interval;
         while !left.is_zero() && !shutdown.load(Ordering::Acquire) {
-            let slice = left.min(POLL_INTERVAL);
+            let slice = left.min(HEARTBEAT_SLICE);
             std::thread::sleep(slice);
             left = left.saturating_sub(slice);
         }
@@ -153,46 +152,54 @@ pub fn observe_tier(
     }))
 }
 
-/// The routing proxy daemon: binds a socket, heartbeats its seeds, and
-/// answers the CBES wire protocol by forwarding per
-/// [`crate::plan::FORWARD_MODES`].
+/// The routing proxy daemon: the [`cbes_server::net`] I/O layer's second
+/// handler. It heartbeats its seeds and answers the CBES wire protocol
+/// by forwarding per [`crate::plan::FORWARD_MODES`], with the daemon's
+/// own front-door bounds (frame cap, strike budget, bounded admission,
+/// per-request deadline, graceful drain) at their
+/// [`ServerConfig::default`] values.
 pub struct RouterServer;
 
 impl RouterServer {
     /// Bind `config.addr`, start the heartbeat, and serve until shut
     /// down.
     pub fn start(config: TierConfig) -> std::io::Result<RouterTierHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        let membership = Membership::new(config.seeds.clone(), config.membership.clone());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let heartbeat = spawn_heartbeat(membership.clone(), shutdown.clone());
-        let acceptor = {
-            let membership = membership.clone();
-            let shutdown = shutdown.clone();
-            std::thread::spawn(move || accept_loop(&listener, &membership, &shutdown))
+        let limits = ServerConfig {
+            addr: config.addr,
+            ..ServerConfig::default()
         };
+        // The layer's `server.*` counters stay in a registry of the
+        // router's own: in the global one an in-process tier's `Metrics`
+        // replies would count the router's connections as a daemon's.
+        let membership = Membership::new(config.seeds, config.membership);
+        let net = net::start(&limits, &Arc::new(Registry::new()), |control| {
+            Ok(Router {
+                ring: HashRing::new(membership.len()),
+                membership: membership.clone(),
+                net: control.clone(),
+            })
+        })?;
+        let heartbeat = spawn_heartbeat(membership.clone(), net.control().shutdown_flag());
         Ok(RouterTierHandle {
-            addr,
+            net,
             membership,
-            shutdown,
-            threads: vec![heartbeat, acceptor],
+            heartbeat,
         })
     }
 }
 
 /// Running-router handle: address, membership, shutdown trigger.
+/// Dropping it un-joined stops the threads without waiting.
 pub struct RouterTierHandle {
-    addr: SocketAddr,
+    net: NetHandle,
     membership: Arc<Membership>,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    heartbeat: JoinHandle<()>,
 }
 
 impl RouterTierHandle {
     /// The address the router actually bound.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    pub fn addr(&self) -> std::net::SocketAddr {
+        self.net.control().addr()
     }
 
     /// The router's membership table.
@@ -202,19 +209,14 @@ impl RouterTierHandle {
 
     /// Trigger shutdown without waiting.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Wake the acceptor out of its blocking accept(). Unconditional:
-        // a wire-level Shutdown flips the flag from inside dispatch()
-        // without a wake, so the swap state cannot gate the connect.
-        let _ = TcpStream::connect(self.addr);
+        self.net.control().shutdown();
     }
 
     /// Wait until the router drains — a wire-level `Shutdown` or a
     /// local [`Self::shutdown`] — and its threads exit.
     pub fn join(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.net.join();
+        let _ = self.heartbeat.join();
     }
 
     /// Trigger shutdown and wait for the router's threads to exit.
@@ -224,342 +226,316 @@ impl RouterTierHandle {
     }
 }
 
-impl Drop for RouterTierHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// The router as a [`Handler`].
+struct Router {
+    membership: Arc<Membership>,
+    /// Placement over the seed list, which is fixed at start.
+    ring: HashRing,
+    net: Arc<Control>,
 }
 
-fn accept_loop(listener: &TcpListener, membership: &Arc<Membership>, shutdown: &Arc<AtomicBool>) {
-    let self_addr = match listener.local_addr() {
-        Ok(a) => a,
-        Err(_) => return,
-    };
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let membership = membership.clone();
-                let shutdown = shutdown.clone();
-                std::thread::spawn(move || {
-                    handle_connection(stream, &membership, &shutdown, self_addr)
-                });
-            }
-            Err(_) => {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-        }
-    }
-}
+impl Handler for Router {
+    /// One cached connection per backend, indexed like the seed list
+    /// and used by [`ForwardMode::Hash`] only. Forwarding waits on a
+    /// peer, so nothing runs on the reactor (`may_inline` stays `false`).
+    type Worker = Vec<Option<Client>>;
 
-fn handle_connection(
-    stream: TcpStream,
-    membership: &Arc<Membership>,
-    shutdown: &Arc<AtomicBool>,
-    self_addr: SocketAddr,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let reader_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(reader_stream);
-    let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
-    'conn: loop {
-        line.clear();
-        loop {
-            if shutdown.load(Ordering::Acquire) {
-                break 'conn;
+    fn worker(&self) -> Self::Worker {
+        (0..self.membership.len()).map(|_| None).collect()
+    }
+
+    fn execute(&self, backends: &mut Self::Worker, line: &str) -> (Vec<u8>, bool) {
+        let envelope = match decode_request(line) {
+            Ok(envelope) => envelope,
+            Err(e) => {
+                let response = Response::error(error_kind::BAD_REQUEST, e.to_string());
+                return (encode_line(&ResponseEnvelope { id: 0, response }), true);
             }
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    if line.trim().is_empty() {
-                        break 'conn;
-                    }
-                    break;
-                }
-                Ok(_) => break,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => break 'conn,
-            }
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let reply = match serde_json::from_str::<RequestEnvelope>(trimmed) {
-            Ok(env) => {
-                // A traced envelope joins the caller's trace here, and —
-                // because `Client::request` stamps outgoing envelopes
-                // from the live trace context — every hop this dispatch
-                // forwards carries the same trace id with the router's
-                // span as the remote parent.
-                let _span = (env.trace_id != 0).then(|| {
-                    Registry::global().spans().span_rooted(
-                        names::SPAN_ROUTER_FORWARD,
-                        env.trace_id,
-                        env.parent_span,
-                    )
-                });
-                ResponseEnvelope {
-                    id: env.id,
-                    response: dispatch(membership, shutdown, self_addr, env.request),
-                }
-            }
-            Err(e) => ResponseEnvelope {
-                id: 0,
-                response: Response::error(error_kind::BAD_REQUEST, e.to_string()),
-            },
         };
-        let mut out = encode(&reply);
-        out.push('\n');
-        if writer.write_all(out.as_bytes()).is_err() || writer.flush().is_err() {
-            break;
-        }
+        // A traced envelope joins the caller's trace here, and —
+        // because `Client::request` stamps outgoing envelopes from the
+        // live trace context — every hop this dispatch forwards carries
+        // the same trace id with the router's span as the remote parent.
+        let _span = (envelope.trace_id != 0).then(|| {
+            Registry::global().spans().span_rooted(
+                names::SPAN_ROUTER_FORWARD,
+                envelope.trace_id,
+                envelope.parent_span,
+            )
+        });
+        let id = envelope.id;
+        let response = self.dispatch(backends, envelope.request);
+        (encode_line(&ResponseEnvelope { id, response }), false)
     }
 }
 
 /// Forward `request` to `addr` verbatim and relay the raw response
-/// (error replies included — the proxy does not rewrite them).
-fn forward(addr: &str, timeout: Duration, request: &Request) -> Result<Response, ClientError> {
-    let mut client = Client::connect_timeout(addr, timeout)?;
-    client.request(request.clone()).map(|env| env.response)
+/// (error replies included — the proxy does not rewrite them), over the
+/// connection cached in `slot`, dialled on first use; `&mut None` dials
+/// per forward. Only replay-safe evaluations may pass a kept slot: a
+/// backend that restarted leaves a dead socket behind, so an I/O error
+/// on a *reused* connection drops it and re-dials once before the
+/// candidate counts as failed. A missed deadline is the backend being
+/// slow, not the socket being stale, and is not replayed.
+fn forward(
+    slot: &mut Option<Client>,
+    addr: &str,
+    timeout: Duration,
+    request: &Request,
+) -> Result<Response, ClientError> {
+    let mut reused = slot.is_some();
+    loop {
+        if slot.is_none() {
+            *slot = Some(Client::connect_timeout(addr, timeout)?);
+        }
+        let client = slot.as_mut().expect("dialled above");
+        let error = match client.request(request.clone()) {
+            Ok(envelope) => return Ok(envelope.response),
+            Err(e) => e,
+        };
+        // Unusable either way: a late reply would desynchronise it.
+        *slot = None;
+        let stale = matches!(&error, ClientError::Io(io) if !matches!(
+            io.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ));
+        if !(reused && stale) {
+            return Err(error);
+        }
+        reused = false;
+    }
 }
 
-/// Answer one request per its forwarding mode.
-fn dispatch(
-    membership: &Arc<Membership>,
-    shutdown: &Arc<AtomicBool>,
-    self_addr: SocketAddr,
-    request: Request,
-) -> Response {
-    let timeout = membership.config().probe_timeout;
-    match mode_of(request.action_index()) {
-        ForwardMode::Hash => {
-            let app = match &request {
-                Request::Compare { app, .. }
-                | Request::BestOf { app, .. }
-                | Request::Schedule { app, .. }
-                | Request::Batch { app, .. } => app.clone(),
-                _ => String::new(),
-            };
-            let hash = route_key_hash(&membership.config().cluster, &app);
-            let ring = HashRing::new(membership.len());
-            let candidates = ring.candidates(hash, membership.config().replicas + 1);
-            let mut last: Option<Response> = None;
-            for (slot, &i) in candidates.iter().enumerate() {
-                if membership.health(i) == cbes_core::health::NodeHealth::Down {
-                    continue;
-                }
-                let addr = match membership.addrs().get(i) {
-                    Some(a) => a.as_str(),
-                    None => continue,
+impl Router {
+    /// Answer one request per its forwarding mode.
+    fn dispatch(&self, backends: &mut [Option<Client>], request: Request) -> Response {
+        let membership = &self.membership;
+        let timeout = membership.config().probe_timeout;
+        match mode_of(request.action_index()) {
+            ForwardMode::Hash => {
+                let app = match &request {
+                    Request::Compare { app, .. }
+                    | Request::BestOf { app, .. }
+                    | Request::Schedule { app, .. }
+                    | Request::Batch { app, .. } => app.clone(),
+                    _ => String::new(),
                 };
-                match forward(addr, timeout, &request) {
-                    Ok(Response::Error {
-                        kind,
-                        message,
-                        retry_after_ms,
-                    }) if kind == error_kind::SHUTTING_DOWN => {
-                        last = Some(Response::Error {
+                let hash = route_key_hash(&membership.config().cluster, &app);
+                let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
+                let mut last: Option<Response> = None;
+                for (slot, &i) in candidates.iter().enumerate() {
+                    if membership.health(i) == cbes_core::health::NodeHealth::Down {
+                        continue;
+                    }
+                    let (Some(addr), Some(cached)) =
+                        (membership.addrs().get(i), backends.get_mut(i))
+                    else {
+                        continue;
+                    };
+                    match forward(cached, addr, timeout, &request) {
+                        Ok(Response::Error {
                             kind,
                             message,
                             retry_after_ms,
-                        });
-                    }
-                    Ok(response) => {
-                        if slot == 0 {
-                            membership.count_routed(i);
-                        } else {
-                            membership.count_failed_over(i);
+                        }) if kind == error_kind::SHUTTING_DOWN => {
+                            last = Some(Response::Error {
+                                kind,
+                                message,
+                                retry_after_ms,
+                            });
                         }
-                        return response;
+                        Ok(response) => {
+                            if slot == 0 {
+                                membership.count_routed(i);
+                            } else {
+                                membership.count_failed_over(i);
+                            }
+                            return response;
+                        }
+                        Err(_) => {}
                     }
-                    Err(_) => {}
                 }
+                last.unwrap_or_else(|| {
+                    if self.net.is_shutting_down() {
+                        // The tier is going away under this request.
+                        Response::shed(error_kind::SHUTTING_DOWN, "router is draining", 0)
+                    } else {
+                        Response::error(error_kind::SERVICE, "no usable instance owns this key")
+                    }
+                })
             }
-            last.unwrap_or_else(|| {
-                Response::error(error_kind::SERVICE, "no usable instance owns this key")
-            })
-        }
-        ForwardMode::Leader => match request {
-            Request::ObserveLoad { load } => match observe_tier(membership, &load, &[]) {
-                Ok(epoch) => Response::LoadObserved { epoch },
-                Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
-            },
-            Request::ObservePartial { load, silent } => {
-                match observe_tier(membership, &load, &silent) {
+            ForwardMode::Leader => match request {
+                Request::ObserveLoad { load } => match observe_tier(membership, &load, &[]) {
                     Ok(epoch) => Response::LoadObserved { epoch },
                     Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
+                },
+                Request::ObservePartial { load, silent } => {
+                    match observe_tier(membership, &load, &silent) {
+                        Ok(epoch) => Response::LoadObserved { epoch },
+                        Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
+                    }
+                }
+                _ => Response::error(error_kind::BAD_REQUEST, "leader mode covers observations"),
+            },
+            ForwardMode::Merge => {
+                let mut stats: Vec<StatsReport> = Vec::new();
+                let mut metrics: Option<MetricsSnapshot> = None;
+                let mut traces: Vec<SpanSnapshot> = Vec::new();
+                let mut lifecycle: Vec<cbes_reconfig::InstanceStatus> = Vec::new();
+                let mut answered = false;
+                for i in membership.usable() {
+                    let addr = match membership.addrs().get(i) {
+                        Some(a) => a.as_str(),
+                        None => continue,
+                    };
+                    match forward(&mut None, addr, timeout, &request) {
+                        Ok(Response::Stats { stats: s }) => {
+                            membership.count_forwarded(i);
+                            stats.push(s);
+                        }
+                        Ok(Response::Metrics { metrics: m }) => {
+                            membership.count_forwarded(i);
+                            match metrics.as_mut() {
+                                Some(merged) => merged.merge(&m),
+                                None => metrics = Some(m),
+                            }
+                        }
+                        Ok(Response::Traces { spans, .. }) => {
+                            membership.count_forwarded(i);
+                            answered = true;
+                            traces.extend(spans);
+                        }
+                        Ok(Response::ArtifactStatus { status }) => {
+                            membership.count_forwarded(i);
+                            answered = true;
+                            lifecycle.extend(status.instances);
+                        }
+                        _ => {}
+                    }
+                }
+                if matches!(request, Request::ArtifactStatus) {
+                    if !answered {
+                        return Response::error(error_kind::SERVICE, "no usable instance answered");
+                    }
+                    lifecycle.sort_by(|a, b| a.addr.cmp(&b.addr));
+                    return Response::ArtifactStatus {
+                        status: cbes_reconfig::StatusReport {
+                            instances: lifecycle,
+                        },
+                    };
+                }
+                if let Request::Trace { trace_id } = request {
+                    if !answered {
+                        return Response::error(error_kind::SERVICE, "no usable instance answered");
+                    }
+                    // The router's own forwarding spans are part of the
+                    // trace too — without them the tier-wide view has no
+                    // root connecting the per-instance fragments.
+                    traces.extend(
+                        Registry::global()
+                            .spans()
+                            .of_trace(trace_id)
+                            .into_iter()
+                            .map(SpanSnapshot::from),
+                    );
+                    traces.sort_by_key(|a| (a.start_us, a.id));
+                    // Instances sharing one process (in-proc tests) also
+                    // share the global span ring; drop exact duplicates.
+                    traces.dedup();
+                    return Response::Traces {
+                        trace_id,
+                        spans: traces,
+                    };
+                }
+                if let Some(metrics) = metrics {
+                    return Response::Metrics { metrics };
+                }
+                match merge_stats(stats) {
+                    Some(stats) => Response::Stats { stats },
+                    None => Response::error(error_kind::SERVICE, "no usable instance answered"),
                 }
             }
-            _ => Response::error(error_kind::BAD_REQUEST, "leader mode covers observations"),
-        },
-        ForwardMode::Merge => {
-            let mut stats: Vec<StatsReport> = Vec::new();
-            let mut metrics: Option<MetricsSnapshot> = None;
-            let mut traces: Vec<SpanSnapshot> = Vec::new();
-            let mut lifecycle: Vec<cbes_reconfig::InstanceStatus> = Vec::new();
-            let mut answered = false;
-            for i in membership.usable() {
-                let addr = match membership.addrs().get(i) {
-                    Some(a) => a.as_str(),
-                    None => continue,
-                };
-                match forward(addr, timeout, &request) {
-                    Ok(Response::Stats { stats: s }) => {
+            ForwardMode::Broadcast => {
+                if matches!(
+                    request,
+                    Request::Stage { .. }
+                        | Request::Apply
+                        | Request::Accept
+                        | Request::Rollback { .. }
+                ) {
+                    return broadcast_artifact(membership, timeout, &request);
+                }
+                if matches!(request, Request::Shutdown) {
+                    // Draining the tier drains the router too. Its own
+                    // drain starts first, so a request that finds every
+                    // instance already gone is told `shutting_down`.
+                    self.net.shutdown();
+                }
+                let mut ok: Option<Response> = None;
+                for i in membership.usable() {
+                    let addr = match membership.addrs().get(i) {
+                        Some(a) => a.as_str(),
+                        None => continue,
+                    };
+                    if let Ok(response) = forward(&mut None, addr, timeout, &request) {
                         membership.count_forwarded(i);
-                        stats.push(s);
-                    }
-                    Ok(Response::Metrics { metrics: m }) => {
-                        membership.count_forwarded(i);
-                        match metrics.as_mut() {
-                            Some(merged) => merged.merge(&m),
-                            None => metrics = Some(m),
+                        if !matches!(response, Response::Error { .. }) && ok.is_none() {
+                            ok = Some(response);
                         }
                     }
-                    Ok(Response::Traces { spans, .. }) => {
-                        membership.count_forwarded(i);
-                        answered = true;
-                        traces.extend(spans);
-                    }
-                    Ok(Response::ArtifactStatus { status }) => {
-                        membership.count_forwarded(i);
-                        answered = true;
-                        lifecycle.extend(status.instances);
-                    }
-                    _ => {}
                 }
-            }
-            if matches!(request, Request::ArtifactStatus) {
-                if !answered {
-                    return Response::error(error_kind::SERVICE, "no usable instance answered");
+                if matches!(request, Request::Shutdown) {
+                    return Response::ShuttingDown;
                 }
-                lifecycle.sort_by(|a, b| a.addr.cmp(&b.addr));
-                return Response::ArtifactStatus {
-                    status: cbes_reconfig::StatusReport {
-                        instances: lifecycle,
-                    },
-                };
-            }
-            if let Request::Trace { trace_id } = request {
-                if !answered {
-                    return Response::error(error_kind::SERVICE, "no usable instance answered");
-                }
-                // The router's own forwarding spans are part of the
-                // trace too — without them the tier-wide view has no
-                // root connecting the per-instance fragments.
-                traces.extend(
-                    Registry::global()
-                        .spans()
-                        .of_trace(trace_id)
-                        .into_iter()
-                        .map(SpanSnapshot::from),
-                );
-                traces.sort_by_key(|a| (a.start_us, a.id));
-                // Instances sharing one process (in-proc tests) also
-                // share the global span ring; drop exact duplicates.
-                traces.dedup();
-                return Response::Traces {
-                    trace_id,
-                    spans: traces,
-                };
-            }
-            if let Some(metrics) = metrics {
-                return Response::Metrics { metrics };
-            }
-            match merge_stats(stats) {
-                Some(stats) => Response::Stats { stats },
-                None => Response::error(error_kind::SERVICE, "no usable instance answered"),
-            }
-        }
-        ForwardMode::Broadcast => {
-            if matches!(
-                request,
-                Request::Stage { .. } | Request::Apply | Request::Accept | Request::Rollback { .. }
-            ) {
-                return broadcast_artifact(membership, timeout, &request);
-            }
-            let mut ok: Option<Response> = None;
-            for i in membership.usable() {
-                let addr = match membership.addrs().get(i) {
-                    Some(a) => a.as_str(),
-                    None => continue,
-                };
-                if let Ok(response) = forward(addr, timeout, &request) {
-                    membership.count_forwarded(i);
-                    if !matches!(response, Response::Error { .. }) && ok.is_none() {
-                        ok = Some(response);
+                if matches!(request, Request::DumpFlight) {
+                    // The router is part of the tier: dump its own recorder
+                    // alongside the instances'. The first instance reply is
+                    // relayed; the router's own dump answers only when no
+                    // instance could.
+                    let registry = Registry::global();
+                    let dumped = registry.flight().dump("on_demand", registry.spans());
+                    if let Ok((path, events)) = dumped {
+                        registry.counter(names::FLIGHT_DUMPS).incr();
+                        if ok.is_none() {
+                            ok = Some(Response::FlightDumped {
+                                path: path.display().to_string(),
+                                events: events as u64,
+                            });
+                        }
                     }
                 }
+                ok.unwrap_or_else(|| {
+                    Response::error(error_kind::SERVICE, "no usable instance accepted")
+                })
             }
-            if matches!(request, Request::Shutdown) {
-                // Draining the tier drains the router too; the loopback
-                // connect wakes the acceptor out of its blocking accept.
-                shutdown.store(true, Ordering::Release);
-                let _ = TcpStream::connect(self_addr);
-                return Response::ShuttingDown;
-            }
-            if matches!(request, Request::DumpFlight) {
-                // The router is part of the tier: dump its own recorder
-                // alongside the instances'. The first instance reply is
-                // relayed; the router's own dump answers only when no
-                // instance could.
-                let registry = Registry::global();
-                let dumped = registry.flight().dump("on_demand", registry.spans());
-                if let Ok((path, events)) = dumped {
-                    registry.counter(names::FLIGHT_DUMPS).incr();
-                    if ok.is_none() {
-                        ok = Some(Response::FlightDumped {
-                            path: path.display().to_string(),
-                            events: events as u64,
-                        });
+            ForwardMode::Local => match request {
+                Request::Route { cluster, app } => {
+                    let hash = route_key_hash(&cluster, &app);
+                    let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
+                    let report = membership.report();
+                    let mut infos = candidates
+                        .iter()
+                        .filter_map(|&i| report.instances.get(i).cloned());
+                    match infos.next() {
+                        Some(primary) => Response::Routed {
+                            hash,
+                            primary,
+                            replicas: infos.collect(),
+                        },
+                        None => {
+                            Response::error(error_kind::SERVICE, "the tier has no seeded instances")
+                        }
                     }
                 }
-            }
-            ok.unwrap_or_else(|| {
-                Response::error(error_kind::SERVICE, "no usable instance accepted")
-            })
-        }
-        ForwardMode::Local => match request {
-            Request::Route { cluster, app } => {
-                let hash = route_key_hash(&cluster, &app);
-                let ring = HashRing::new(membership.len());
-                let candidates = ring.candidates(hash, membership.config().replicas + 1);
-                let report = membership.report();
-                let mut infos = candidates
-                    .iter()
-                    .filter_map(|&i| report.instances.get(i).cloned());
-                match infos.next() {
-                    Some(primary) => Response::Routed {
-                        hash,
-                        primary,
-                        replicas: infos.collect(),
-                    },
-                    None => {
-                        Response::error(error_kind::SERVICE, "the tier has no seeded instances")
-                    }
-                }
-            }
-            Request::Membership => Response::Membership {
-                membership: membership.report(),
+                Request::Membership => Response::Membership {
+                    membership: membership.report(),
+                },
+                _ => Response::error(
+                    error_kind::BAD_REQUEST,
+                    "local mode covers route/membership",
+                ),
             },
-            _ => Response::error(
-                error_kind::BAD_REQUEST,
-                "local mode covers route/membership",
-            ),
-        },
+        }
     }
 }
 
@@ -589,7 +565,7 @@ fn broadcast_artifact(
             None => continue,
         };
         attempted += 1;
-        match forward(addr, timeout, request) {
+        match forward(&mut None, addr, timeout, request) {
             Ok(Response::Error { message, .. }) => {
                 failures.push(format!("{addr}: {message}"));
             }

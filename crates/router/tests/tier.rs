@@ -2,6 +2,8 @@
 //! membership table, routing client, and replication loop.
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,8 +17,9 @@ use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
 use cbes_router::membership::{Membership, MembershipConfig};
 use cbes_router::tier::{observe_tier, probe_instances, RouterServer, TierConfig};
-use cbes_router::RoutingClient;
-use cbes_server::{Client, RetryPolicy, Server, ServerConfig, ServerHandle};
+use cbes_router::{RouterTierHandle, RoutingClient};
+use cbes_server::protocol::{encode, error_kind, Request, RequestEnvelope, Response};
+use cbes_server::{Client, ResponseEnvelope, RetryPolicy, Server, ServerConfig, ServerHandle};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 fn profile(name: &str) -> AppProfile {
@@ -384,4 +387,207 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
     }
     router.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&state_root);
+}
+
+/// A router over `seeds` whose heartbeat sweeps once at start and then
+/// stays out of the test's way.
+fn quiet_router(seeds: Vec<String>) -> RouterTierHandle {
+    let expected = seeds.len();
+    let router = RouterServer::start(TierConfig {
+        addr: "127.0.0.1:0".to_string(),
+        seeds,
+        membership: MembershipConfig {
+            cluster: "demo".to_string(),
+            heartbeat: Duration::from_secs(3600),
+            ..MembershipConfig::default()
+        },
+    })
+    .expect("router binds loopback");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while router.membership().report().heartbeats == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "heartbeat never swept"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(router.membership().counts(), (expected, 0, 0));
+    router
+}
+
+fn raw_connection(router: &RouterTierHandle) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(router.addr()).expect("router listens");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("socket option");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+/// The next reply line, or `None` once the router closed the connection.
+fn next_reply(reader: &mut BufReader<TcpStream>) -> Option<ResponseEnvelope> {
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(0) => None,
+        Ok(_) => Some(serde_json::from_str(line.trim()).expect("a typed reply envelope")),
+        // A drop with unread input behind it surfaces as a reset.
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => None,
+        Err(e) => panic!("no reply from the router: {e}"),
+    }
+}
+
+fn error_kind_of(reply: &ResponseEnvelope) -> &str {
+    match &reply.response {
+        Response::Error { kind, .. } => kind,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+#[test]
+fn router_caps_frames_and_survives_an_unterminated_line() {
+    let router = quiet_router(Vec::new());
+    let (mut stream, mut reader) = raw_connection(&router);
+    // 1 MiB with no newline: refused as soon as it passes the cap, not
+    // buffered until one arrives.
+    stream.write_all(&vec![b'x'; 1 << 20]).expect("write");
+    let reply = next_reply(&mut reader).expect("a typed refusal");
+    assert_eq!(reply.id, 0);
+    assert_eq!(error_kind_of(&reply), error_kind::FRAME_TOO_LARGE);
+    // The rest of the monster frame is discarded up to its newline and
+    // the connection keeps serving.
+    let mut tail = b"tail\n".to_vec();
+    tail.extend_from_slice(encode(&RequestEnvelope::new(7, Request::Membership)).as_bytes());
+    tail.push(b'\n');
+    stream.write_all(&tail).expect("write");
+    let reply = next_reply(&mut reader).expect("the connection survived");
+    assert_eq!(reply.id, 7);
+    assert!(matches!(reply.response, Response::Membership { .. }));
+    router.shutdown_and_join();
+}
+
+#[test]
+fn router_drops_a_connection_that_spends_its_strike_budget() {
+    let router = quiet_router(Vec::new());
+    let (mut stream, mut reader) = raw_connection(&router);
+    let budget = ServerConfig::default().max_consecutive_errors;
+    for _ in 0..budget {
+        stream.write_all(b"{not json\n").expect("write");
+        let reply = next_reply(&mut reader).expect("each strike is answered");
+        assert_eq!(reply.id, 0);
+        assert_eq!(error_kind_of(&reply), error_kind::BAD_REQUEST);
+    }
+    assert!(
+        next_reply(&mut reader).is_none(),
+        "the router hangs up after {budget} consecutive malformed frames"
+    );
+    router.shutdown_and_join();
+}
+
+#[test]
+fn wire_shutdown_answers_a_pipelined_window_in_full() {
+    let instances: Vec<ServerHandle> = (0..2).map(|_| start_instance()).collect();
+    let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
+    let mut control =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    control
+        .register_profile(profile("app"))
+        .expect("broadcast registration");
+
+    const WINDOW: u64 = 48;
+    let (mut stream, mut reader) = raw_connection(&router);
+    let window: String = (1..=WINDOW)
+        .map(|id| {
+            let request = Request::Compare {
+                app: "app".to_string(),
+                mappings: vec![mapping(&[0, 1])],
+            };
+            encode(&RequestEnvelope::new(id, request)) + "\n"
+        })
+        .collect();
+    stream.write_all(window.as_bytes()).expect("write");
+    // The window is in flight; the tier is told to drain from elsewhere.
+    control.shutdown().expect("broadcast shutdown");
+    // Drain sheds come from the reactor and may overtake replies still
+    // being computed, so the window is matched by id, not by position.
+    let mut answered = Vec::new();
+    for nth in 1..=WINDOW {
+        let reply = next_reply(&mut reader)
+            .unwrap_or_else(|| panic!("window truncated: reply {nth} of {WINDOW} never arrived"));
+        match &reply.response {
+            Response::Predictions { predictions, .. } => assert_eq!(predictions.len(), 1),
+            Response::Error { kind, .. } => assert_eq!(kind, error_kind::SHUTTING_DOWN),
+            other => panic!("unexpected reply {other:?}"),
+        }
+        answered.push(reply.id);
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, (1..=WINDOW).collect::<Vec<_>>());
+    for h in instances {
+        h.join();
+    }
+    router.join();
+}
+
+#[test]
+fn restarted_backend_is_redialled_without_a_failover() {
+    let services: Vec<Arc<CbesService>> = (0..2)
+        .map(|_| {
+            Arc::new(CbesService::self_calibrated(
+                Arc::new(two_switch_demo()),
+                ForecastKind::LastValue,
+            ))
+        })
+        .collect();
+    let serve = |service: &Arc<CbesService>, addr: String| {
+        let config = ServerConfig {
+            addr,
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        Server::start(service.clone(), config).expect("loopback bind succeeds")
+    };
+    let mut instances: Vec<Option<ServerHandle>> = services
+        .iter()
+        .map(|s| Some(serve(s, "127.0.0.1:0".to_string())))
+        .collect();
+    let seeds: Vec<String> = instances
+        .iter()
+        .flatten()
+        .map(|h| h.addr().to_string())
+        .collect();
+    let router = quiet_router(seeds.clone());
+    let mut c =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    c.register_profile(profile("app"))
+        .expect("broadcast registration");
+    let (_, primary, replicas) = c.route("demo", "app").expect("local route answer");
+    let first = c
+        .compare("app", &[mapping(&[0, 1])])
+        .expect("routed over a fresh connection");
+
+    // Kill the key's owner and bring it back on the same port (same
+    // service, so the profile is still registered). The router's worker
+    // is left holding a dead socket to it.
+    let dead = instances[primary.index].take().expect("still running");
+    dead.shutdown_and_join();
+    instances[primary.index] = Some(serve(&services[primary.index], primary.addr.clone()));
+
+    let second = c
+        .compare("app", &[mapping(&[0, 1])])
+        .expect("the same router connection still gets an answer");
+    assert_eq!(first, second, "same service, same epoch, same prediction");
+    let report = router.membership().report();
+    assert_eq!(
+        report.instances[primary.index].routed, 2,
+        "the primary answered both, the second over a re-dialled connection"
+    );
+    assert_eq!(
+        report.instances[replicas[0].index].failed_over, 0,
+        "a stale socket is not a failover"
+    );
+
+    router.shutdown_and_join();
+    for h in instances.into_iter().flatten() {
+        h.shutdown_and_join();
+    }
 }

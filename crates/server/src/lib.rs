@@ -7,6 +7,7 @@
 pub mod client;
 #[allow(unsafe_code)]
 pub mod epoll;
+pub mod net;
 pub mod protocol;
 pub(crate) mod reconfig;
 pub mod server;

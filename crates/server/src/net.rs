@@ -1,0 +1,1173 @@
+//! The I/O layer: a readiness-based event loop (one reactor thread over
+//! the [`crate::epoll`] shim) feeding a sharded worker pool, so idle
+//! connections cost a few buffered bytes instead of a thread. It knows
+//! nothing about what a frame means: a [`Handler`] turns one request
+//! line into one reply line, and both the daemon ([`crate::server`])
+//! and the routing proxy (`cbes-router`) are handlers on this layer.
+//!
+//! The reactor owns the non-blocking listener and every connection:
+//! it accepts, reassembles newline-delimited frames from per-connection
+//! read buffers, and runs admission control per complete line. Admitted
+//! lines are `try_send`-ed to the connection's shard queue (connections
+//! pin to `token % workers`, so one connection's replies keep FIFO
+//! order); a full shard answers immediately with a structured
+//! `overloaded` error and the advertised back-off hint. Workers run the
+//! handler off the reactor thread, then push the finished bytes back
+//! over a completion channel and nudge the reactor with a wake byte. A
+//! [`PendingTable`] enforces the per-request deadline: an admitted
+//! request that misses it is answered with a `timeout` error by the
+//! reactor and the worker's late reply is dropped.
+//!
+//! Reply ordering: admitted requests on one connection are answered in
+//! arrival order (same shard, FIFO queue). Reactor-immediate replies —
+//! shed, oversized-frame, timeout — may overtake replies still being
+//! computed, which is why every reply carries the request id.
+//!
+//! Shutdown: [`Control::shutdown`] flips the flag and wakes the
+//! reactor. The reactor stops accepting, answers any newly-read line
+//! with a `shutting_down` shed, drains outstanding completions, flushes
+//! write buffers, and exits once every admitted request is answered;
+//! dropping the shard senders then disconnects the workers. Every
+//! admitted request is answered.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use cbes_obs::{names, Counter, Histogram, Registry};
+use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+
+use crate::epoll::{PollEvent, Poller};
+use crate::protocol::{encode_response, error_kind, Response, ResponseEnvelope};
+use crate::server::ServerConfig;
+
+/// Upper bound on one reactor poll wait: the loop re-checks the
+/// shutdown flag at least this often even with no I/O and no deadlines.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Reactor poll token of the listening socket.
+const LISTENER_TOKEN: u64 = 0;
+/// Reactor poll token of the worker wake channel.
+const WAKE_TOKEN: u64 = 1;
+/// First token handed to an accepted connection.
+const FIRST_CONN_TOKEN: u64 = 2;
+
+/// What the I/O layer serves: one request line in, one reply line out.
+/// Calls are monomorphised per handler; there is no `dyn` dispatch on
+/// the frame path.
+pub trait Handler: Send + Sync + 'static {
+    /// State one executing thread keeps between frames (the router's
+    /// cached backend connections; nothing for the daemon). Built on
+    /// the thread that uses it.
+    type Worker;
+
+    /// Fresh per-thread state.
+    fn worker(&self) -> Self::Worker;
+
+    /// Whether `line` may run on the reactor thread when the whole
+    /// pool is idle. Must be `false` (the default) for anything that
+    /// can block on a disk or a peer, or whose cost the caller controls.
+    fn may_inline(&self, _line: &str) -> bool {
+        false
+    }
+
+    /// Execute one frame: the encoded reply line (newline included)
+    /// and whether it counts as a malformed-frame strike.
+    fn execute(&self, worker: &mut Self::Worker, line: &str) -> (Vec<u8>, bool);
+}
+
+/// One reply envelope as a wire line, newline included.
+pub fn encode_line(envelope: &ResponseEnvelope) -> Vec<u8> {
+    let mut bytes = encode_response(envelope).into_bytes();
+    bytes.push(b'\n');
+    bytes
+}
+
+/// The I/O layer's instruments, registered under the `server.*` names
+/// in whichever registry the owner passes — private per instance, so
+/// several servers (or a router beside its daemons) in one process
+/// never mix counts. Handles are cached `Arc`s: the reactor and
+/// workers update them wait-free. Two `NetMetrics` over one registry
+/// share the same counters.
+pub struct NetMetrics {
+    registry: Arc<Registry>,
+    /// Error replies of any kind (the handler adds its own).
+    pub(crate) errors: Arc<Counter>,
+    /// Requests shed with `overloaded` (the handler adds rate-cap sheds).
+    pub(crate) overloaded: Arc<Counter>,
+    /// Admitted requests answered with `timeout`.
+    pub(crate) timeouts: Arc<Counter>,
+    /// Connections accepted.
+    pub(crate) connections: Arc<Counter>,
+    /// Connections dropped for exhausting their malformed-frame budget.
+    pub(crate) dropped_connections: Arc<Counter>,
+    /// Request lines rejected for exceeding the length cap.
+    oversized_frames: Arc<Counter>,
+    /// Reactor poll returns that carried at least one I/O event.
+    loop_wakeups: Arc<Counter>,
+    /// Microseconds from admission to worker pickup.
+    pub(crate) queue_wait: Arc<Histogram>,
+    /// Flight-recorder dumps written (triggered or on demand).
+    pub(crate) flight_dumps: Arc<Counter>,
+}
+
+impl NetMetrics {
+    /// The layer's instruments in `registry`.
+    pub fn new(registry: &Arc<Registry>) -> Self {
+        NetMetrics {
+            errors: registry.counter(names::SERVER_ERRORS),
+            overloaded: registry.counter(names::SERVER_OVERLOADED),
+            timeouts: registry.counter(names::SERVER_TIMEOUTS),
+            connections: registry.counter(names::SERVER_CONNECTIONS),
+            dropped_connections: registry.counter(names::SERVER_DROPPED_CONNECTIONS),
+            oversized_frames: registry.counter(names::SERVER_OVERSIZED_FRAMES),
+            loop_wakeups: registry.counter(names::SERVER_LOOP_WAKEUPS),
+            queue_wait: registry.histogram(names::SERVER_QUEUE_WAIT_US),
+            flight_dumps: registry.counter(names::FLIGHT_DUMPS),
+            registry: registry.clone(),
+        }
+    }
+
+    /// Count one `overloaded` shed and run the shed-spike flight
+    /// trigger: one event at the threshold crossing and a (debounced)
+    /// dump whenever the last second's shed count sits at or above the
+    /// threshold; below it the cost is one windowed-counter read.
+    pub(crate) fn shed_overloaded(&self) {
+        self.overloaded.incr();
+        self.errors.incr();
+        let spike = shed_spike_threshold();
+        if spike == 0 {
+            return;
+        }
+        let recent = self.overloaded.window(1);
+        if recent < spike {
+            return;
+        }
+        let flight = self.registry.flight();
+        if recent == spike {
+            flight.record(
+                "shed_spike",
+                format!("{recent} requests shed in the last second"),
+                0,
+            );
+        }
+        if flight
+            .auto_dump("shed_spike", self.registry.spans())
+            .is_some()
+        {
+            self.flight_dumps.incr();
+        }
+    }
+}
+
+/// A `u64` tunable read from the environment once per process; unset
+/// or unparsable means `default`.
+pub(crate) fn env_u64(cache: &OnceLock<u64>, name: &str, default: u64) -> u64 {
+    let read = || std::env::var(name).ok().and_then(|v| v.parse().ok());
+    *cache.get_or_init(|| read().unwrap_or(default))
+}
+
+/// Sheds within one second that count as a spike and trip the flight
+/// recorder. `CBES_FLIGHT_SHED_SPIKE` overrides; 0 disables the
+/// trigger entirely.
+fn shed_spike_threshold() -> u64 {
+    static CACHE: OnceLock<u64> = OnceLock::new();
+    env_u64(&CACHE, "CBES_FLIGHT_SHED_SPIKE", 8)
+}
+
+/// One admitted request line travelling to a worker shard.
+struct Job {
+    /// Reactor-assigned sequence; keys the [`PendingTable`] entry.
+    seq: u64,
+    /// The raw frame; the worker parses it off the reactor thread.
+    line: String,
+    /// When the reactor queued this job; queue wait is measured from
+    /// here to worker pickup.
+    admitted: Instant,
+}
+
+/// A finished reply travelling back from a worker to the reactor.
+struct Completion {
+    seq: u64,
+    /// The encoded reply line, newline included.
+    bytes: Vec<u8>,
+    /// True when the reply is a framing strike (`bad_request`).
+    malformed: bool,
+}
+
+/// Best-effort scan for the envelope id without a full parse, so shed
+/// and timeout replies can echo it. The wire encoding always leads with
+/// `{"id":N`, but any top-level placement parses; an absent or
+/// unreadable id falls back to 0 (the "unattributable" id).
+fn peek_id(line: &str) -> u64 {
+    let Some(pos) = line.find("\"id\"") else {
+        return 0;
+    };
+    let Some(rest) = line.get(pos + 4..) else {
+        return 0;
+    };
+    let Some(rest) = rest.trim_start().strip_prefix(':') else {
+        return 0;
+    };
+    let digits: String = rest
+        .trim_start()
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    digits.parse().unwrap_or(0)
+}
+
+/// Push one line through admission control: draining servers and full
+/// or disconnected shards shed immediately, everything else queues.
+/// `Ok` is the peeked envelope id, used for a timeout reply should the
+/// deadline pass first; `Err` is the shed reply (boxed: the happy path
+/// should not pay for its size).
+fn try_admit(
+    line: &str,
+    tx: &Sender<Job>,
+    seq: u64,
+    draining: bool,
+    metrics: &NetMetrics,
+    shed_retry_after_ms: u64,
+) -> Result<u64, Box<ResponseEnvelope>> {
+    let id = peek_id(line);
+    let shed = |kind, message| {
+        let response = Response::shed(kind, message, shed_retry_after_ms);
+        Box::new(ResponseEnvelope { id, response })
+    };
+    if !draining {
+        let job = Job {
+            seq,
+            line: line.to_string(),
+            admitted: Instant::now(),
+        };
+        match tx.try_send(job) {
+            Ok(()) => return Ok(id),
+            Err(TrySendError::Full(_)) => {
+                metrics.shed_overloaded();
+                return Err(shed(error_kind::OVERLOADED, "admission queue is full"));
+            }
+            // Workers gone: the layer is past draining.
+            Err(TrySendError::Disconnected(_)) => {}
+        }
+    }
+    metrics.errors.incr();
+    Err(shed(error_kind::SHUTTING_DOWN, "server is draining"))
+}
+
+/// One in-flight admitted request. The deadline lives in the table's
+/// heap; the entry itself only needs routing identity.
+struct Pending {
+    token: u64,
+    id: u64,
+}
+
+/// The reactor's deadline ledger for admitted requests: completions
+/// consume entries, expiry turns them into `timeout` replies, and a
+/// closing connection cancels its entries so late replies are dropped.
+struct PendingTable {
+    by_seq: HashMap<u64, Pending>,
+    /// Min-heap of deadlines with lazy deletion: completed or cancelled
+    /// seqs linger here until their deadline pops them.
+    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
+}
+
+impl PendingTable {
+    fn new() -> Self {
+        PendingTable {
+            by_seq: HashMap::new(),
+            deadlines: BinaryHeap::new(),
+        }
+    }
+
+    fn insert(&mut self, seq: u64, token: u64, id: u64, deadline: Instant) {
+        self.by_seq.insert(seq, Pending { token, id });
+        self.deadlines.push(Reverse((deadline, seq)));
+    }
+
+    /// Claim the entry for a finished request; `None` means it already
+    /// timed out (or its connection went away) and the reply must be
+    /// dropped — it was answered once.
+    fn complete(&mut self, seq: u64) -> Option<Pending> {
+        let p = self.by_seq.remove(&seq);
+        if self.by_seq.is_empty() {
+            // No live entries: drop the lazily-deleted heap backlog.
+            self.deadlines.clear();
+        }
+        p
+    }
+
+    /// The earliest deadline, for sizing the poll wait. May be stale
+    /// (a completed entry) — that only causes one early wakeup.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.deadlines.peek().map(|Reverse((d, _))| *d)
+    }
+
+    /// Pop every entry whose deadline has passed.
+    fn expire(&mut self, now: Instant) -> Vec<Pending> {
+        let mut due = Vec::new();
+        while let Some(Reverse((deadline, seq))) = self.deadlines.peek().copied() {
+            if deadline > now {
+                break;
+            }
+            self.deadlines.pop();
+            if let Some(p) = self.by_seq.remove(&seq) {
+                due.push(p);
+            }
+        }
+        due
+    }
+
+    /// Cancel every entry belonging to a closed connection.
+    fn drop_conn(&mut self, token: u64) {
+        self.by_seq.retain(|_, p| p.token != token);
+        if self.by_seq.is_empty() {
+            self.deadlines.clear();
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.by_seq.is_empty()
+    }
+}
+
+/// One frame-reassembly outcome from a chunk of connection bytes.
+enum FrameEvent {
+    /// A complete line (newline stripped).
+    Line(Vec<u8>),
+    /// A frame exceeded the length cap; its bytes are being discarded
+    /// up to the next newline.
+    Oversized,
+}
+
+/// Per-connection frame reassembly: accumulates bytes until a newline,
+/// enforcing the length cap so a frame that never ends cannot grow
+/// without bound.
+struct FrameBuf {
+    rbuf: Vec<u8>,
+    /// Discarding an oversized frame's bytes until its newline.
+    discarding: bool,
+}
+
+impl FrameBuf {
+    fn new() -> Self {
+        FrameBuf {
+            rbuf: Vec::new(),
+            discarding: false,
+        }
+    }
+
+    /// Fold `chunk` into the buffer, emitting an event per completed
+    /// (or over-cap) frame, in wire order.
+    fn ingest(&mut self, mut chunk: &[u8], max_line_bytes: usize, out: &mut Vec<FrameEvent>) {
+        loop {
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            if self.discarding {
+                match newline {
+                    Some(i) => {
+                        self.discarding = false;
+                        chunk = chunk.get(i + 1..).unwrap_or(&[]);
+                    }
+                    None => return,
+                }
+                continue;
+            }
+            match newline {
+                Some(i) => {
+                    let head = chunk.get(..i).unwrap_or(&[]);
+                    chunk = chunk.get(i + 1..).unwrap_or(&[]);
+                    if self.rbuf.len() + head.len() > max_line_bytes {
+                        // The frame completed (newline seen), so no
+                        // discard state is needed beyond dropping it.
+                        self.rbuf.clear();
+                        out.push(FrameEvent::Oversized);
+                    } else {
+                        let mut line = std::mem::take(&mut self.rbuf);
+                        line.extend_from_slice(head);
+                        out.push(FrameEvent::Line(line));
+                    }
+                }
+                None => {
+                    if self.rbuf.len() + chunk.len() > max_line_bytes {
+                        self.rbuf.clear();
+                        self.discarding = true;
+                        out.push(FrameEvent::Oversized);
+                    } else {
+                        self.rbuf.extend_from_slice(chunk);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The unterminated tail at EOF, treated as a final frame.
+    fn take_residual(&mut self) -> Option<Vec<u8>> {
+        if self.discarding || self.rbuf.is_empty() {
+            return None;
+        }
+        Some(std::mem::take(&mut self.rbuf))
+    }
+}
+
+/// One live connection owned by the reactor.
+struct Conn {
+    stream: TcpStream,
+    /// Worker shard this connection's requests pin to.
+    shard: usize,
+    frames: FrameBuf,
+    wbuf: Vec<u8>,
+    /// Bytes of `wbuf` already written.
+    wpos: usize,
+    /// Consecutive malformed frames; reset by any well-formed reply,
+    /// fatal past the policy budget.
+    strikes: u32,
+    /// Admitted requests not yet answered.
+    inflight: usize,
+    /// Peer half-closed; finish in-flight replies, then close.
+    eof: bool,
+    /// Close as soon as the write buffer drains (strike budget spent).
+    closing: bool,
+    /// Current poller interest, to skip redundant `modify` calls.
+    interest: (bool, bool),
+}
+
+impl Conn {
+    fn new(stream: TcpStream, shard: usize) -> Self {
+        Conn {
+            stream,
+            shard,
+            frames: FrameBuf::new(),
+            wbuf: Vec::new(),
+            wpos: 0,
+            strikes: 0,
+            inflight: 0,
+            eof: false,
+            closing: false,
+            interest: (true, false),
+        }
+    }
+}
+
+/// What the reactor, the workers, the handler and the owning handle
+/// share about one running layer: the bound address, the load figures a
+/// `Stats` reply reports, and the shutdown trigger.
+pub struct Control {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    /// Write end of the wake channel.
+    wake_tx: TcpStream,
+    /// Receive ends of the shard queues, one per worker.
+    shards: Vec<Receiver<Job>>,
+    /// Per-shard "worker is executing" flags; the reactor only runs a
+    /// frame inline when the target shard is drained *and* idle.
+    busy: Vec<AtomicBool>,
+}
+
+impl Control {
+    /// The address the layer actually bound (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Worker threads (= queue shards).
+    pub fn workers(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Admitted requests waiting on any shard queue.
+    pub fn queue_depth(&self) -> usize {
+        self.shards.iter().map(|rx| rx.len()).sum()
+    }
+
+    /// True once shutdown has been triggered.
+    pub fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// The shutdown flag itself, for threads outside the layer that
+    /// stop with it (the router's heartbeat).
+    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
+        self.shutdown.clone()
+    }
+
+    /// Trigger the drain without waiting for it.
+    pub fn shutdown(&self) {
+        if !self.shutdown.swap(true, Ordering::AcqRel) {
+            self.wake();
+        }
+    }
+
+    /// Nudge the reactor out of its poll wait. A full wake buffer is
+    /// fine — unread bytes already guarantee a wakeup.
+    fn wake(&self) {
+        let mut w = &self.wake_tx;
+        let _ = w.write(&[1u8]);
+    }
+}
+
+/// An in-process wake channel: workers nudge the reactor out of its
+/// poll wait by writing a byte. Built from a loopback TCP pair so the
+/// FFI surface stays the four polling syscalls (no `pipe(2)` shim).
+fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
+    let probe = TcpListener::bind(("127.0.0.1", 0))?;
+    let tx = TcpStream::connect(probe.local_addr()?)?;
+    let (rx, _) = probe.accept()?;
+    tx.set_nonblocking(true)?;
+    tx.set_nodelay(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((tx, rx))
+}
+
+/// Bind `config.addr`, size the queues from `config`, build the handler
+/// around the layer's [`Control`] (the address is known, no thread runs
+/// yet) and start serving. The layer's instruments go to `registry`.
+pub fn start<H: Handler>(
+    config: &ServerConfig,
+    registry: &Arc<Registry>,
+    handler: impl FnOnce(&Arc<Control>) -> std::io::Result<H>,
+) -> std::io::Result<NetHandle> {
+    let listener = TcpListener::bind(&config.addr)?;
+    listener.set_nonblocking(true)?;
+    let worker_count = config.workers.max(1);
+    let per_shard = (config.queue_capacity / worker_count).max(1);
+    let (shard_tx, shards) = (0..worker_count)
+        .map(|_| channel::bounded::<Job>(per_shard))
+        .unzip();
+    let (wake_tx, wake_rx) = wake_pair()?;
+    let control = Arc::new(Control {
+        addr: listener.local_addr()?,
+        shutdown: Arc::new(AtomicBool::new(false)),
+        wake_tx,
+        shards,
+        busy: (0..worker_count).map(|_| AtomicBool::new(false)).collect(),
+    });
+    let handler = Arc::new(handler(&control)?);
+    let metrics = NetMetrics::new(registry);
+    let mut poller = Poller::new()?;
+    poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
+    poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
+    let (completion_tx, completion_rx) = channel::unbounded::<Completion>();
+    let workers: Vec<_> = (0..worker_count)
+        .map(|index| {
+            let handler = handler.clone();
+            let control = control.clone();
+            let queue_wait = metrics.queue_wait.clone();
+            let completion_tx = completion_tx.clone();
+            std::thread::spawn(move || {
+                worker_loop(&*handler, index, &control, &queue_wait, &completion_tx)
+            })
+        })
+        .collect();
+    let reactor = Reactor {
+        poller,
+        listener,
+        wake_rx,
+        conns: HashMap::new(),
+        next_token: FIRST_CONN_TOKEN,
+        next_seq: 0,
+        pending: PendingTable::new(),
+        shard_tx,
+        control: control.clone(),
+        handler,
+        completion_rx,
+        metrics,
+        request_timeout: config.request_timeout,
+        max_line_bytes: config.max_line_bytes.max(1),
+        max_consecutive_errors: config.max_consecutive_errors.max(1),
+        shed_retry_after_ms: config.shed_retry_after.as_millis() as u64,
+        draining: false,
+    };
+    let mut threads = vec![std::thread::spawn(move || reactor.run())];
+    threads.extend(workers);
+    Ok(NetHandle { control, threads })
+}
+
+/// Running-layer handle: thread ownership plus the [`Control`].
+/// Dropping it un-joined triggers the drain without waiting.
+pub struct NetHandle {
+    control: Arc<Control>,
+    /// The reactor first, then the workers.
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl NetHandle {
+    /// The layer's control handle.
+    pub fn control(&self) -> &Arc<Control> {
+        &self.control
+    }
+
+    /// Wait until the layer has fully drained and every thread exited.
+    pub fn join(&mut self) {
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Drop for NetHandle {
+    fn drop(&mut self) {
+        self.control.shutdown();
+    }
+}
+
+fn worker_loop<H: Handler>(
+    handler: &H,
+    index: usize,
+    control: &Control,
+    queue_wait: &Histogram,
+    completion_tx: &Sender<Completion>,
+) {
+    let (Some(own), Some(busy)) = (control.shards.get(index), control.busy.get(index)) else {
+        return;
+    };
+    let mut state = handler.worker();
+    // cbes-analyze: allow(blocking_hot_path, the worker's idle park on its own shard queue is the designed wait point; the reactor never calls recv)
+    while let Ok(job) = own.recv() {
+        busy.store(true, Ordering::Release);
+        queue_wait.record_duration(job.admitted.elapsed());
+        let (bytes, malformed) = handler.execute(&mut state, &job.line);
+        let _ = completion_tx.send(Completion {
+            seq: job.seq,
+            bytes,
+            malformed,
+        });
+        control.wake();
+        busy.store(false, Ordering::Release);
+    }
+}
+
+/// The event loop: owns the listener, the wake receiver, and every
+/// connection; everything here runs on the one reactor thread.
+struct Reactor<H: Handler> {
+    poller: Poller,
+    listener: TcpListener,
+    wake_rx: TcpStream,
+    conns: HashMap<u64, Conn>,
+    next_token: u64,
+    next_seq: u64,
+    pending: PendingTable,
+    shard_tx: Vec<Sender<Job>>,
+    control: Arc<Control>,
+    handler: Arc<H>,
+    completion_rx: Receiver<Completion>,
+    metrics: NetMetrics,
+    request_timeout: Duration,
+    max_line_bytes: usize,
+    max_consecutive_errors: u32,
+    shed_retry_after_ms: u64,
+    draining: bool,
+}
+
+impl<H: Handler> Reactor<H> {
+    fn run(mut self) {
+        let mut events: Vec<PollEvent> = Vec::new();
+        // The reactor's own handler state, for frames it runs inline.
+        let mut inline_state = self.handler.worker();
+        loop {
+            if self.control.is_shutting_down() {
+                self.begin_drain();
+                if self.pending.is_empty() && self.conns.values().all(|c| c.wbuf.is_empty()) {
+                    break;
+                }
+            }
+            let mut timeout = POLL_INTERVAL;
+            if let Some(deadline) = self.pending.next_deadline() {
+                timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
+            }
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
+                // cbes-analyze: allow(blocking_hot_path, 1ms backoff after a poll error prevents a hot error spin; bounded and only on the failure path)
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            if !events.is_empty() {
+                self.metrics.loop_wakeups.incr();
+            }
+            for &ev in &events {
+                match ev.token {
+                    LISTENER_TOKEN => self.accept_ready(),
+                    WAKE_TOKEN => self.drain_wake(),
+                    token => {
+                        if ev.readable {
+                            self.conn_readable(token, &mut inline_state);
+                        }
+                        if ev.writable {
+                            self.flush_conn(token);
+                        }
+                    }
+                }
+            }
+            self.drain_completions();
+            self.expire_pending();
+        }
+        // Dropping self drops the shard senders; workers exit on the
+        // disconnect. The listener and every connection close with it.
+    }
+
+    /// Stop accepting: deregister (and thereby stop watching) the
+    /// listener once the drain begins.
+    fn begin_drain(&mut self) {
+        if self.draining {
+            return;
+        }
+        self.draining = true;
+        let _ = self.poller.deregister(self.listener.as_raw_fd());
+    }
+
+    fn accept_ready(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if self.control.is_shutting_down() {
+                        // Draining: close post-shutdown connections
+                        // immediately (the drop is the reply).
+                        continue;
+                    }
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    let shard = (token % self.shard_tx.len().max(1) as u64) as usize;
+                    if self
+                        .poller
+                        .register(stream.as_raw_fd(), token, true, false)
+                        .is_err()
+                    {
+                        continue;
+                    }
+                    self.metrics.connections.incr();
+                    self.conns.insert(token, Conn::new(stream, shard));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Drain the wake bytes workers wrote; the signal's work — the
+    /// completion queue — is drained by the caller afterwards.
+    fn drain_wake(&mut self) {
+        let mut buf = [0u8; 256];
+        let mut rx = &self.wake_rx;
+        loop {
+            match rx.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+    }
+
+    fn conn_readable(&mut self, token: u64, inline_state: &mut H::Worker) {
+        let mut scratch = [0u8; 16 * 1024];
+        let mut frames: Vec<FrameEvent> = Vec::new();
+        let mut failed = false;
+        {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            loop {
+                match conn.stream.read(&mut scratch) {
+                    Ok(0) => {
+                        conn.eof = true;
+                        break;
+                    }
+                    Ok(n) => {
+                        let chunk = scratch.get(..n).unwrap_or(&[]);
+                        conn.frames.ingest(chunk, self.max_line_bytes, &mut frames);
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(_) => {
+                        failed = true;
+                        break;
+                    }
+                }
+            }
+            if conn.eof {
+                if let Some(residual) = conn.frames.take_residual() {
+                    frames.push(FrameEvent::Line(residual));
+                }
+            }
+        }
+        if failed {
+            self.close_conn(token);
+            return;
+        }
+        for frame in frames {
+            match frame {
+                FrameEvent::Line(line) => self.handle_line(token, &line, inline_state),
+                FrameEvent::Oversized => self.reply_frame_too_large(token),
+            }
+        }
+        // Flush pass: updates interest (EOF drops read interest so a
+        // half-closed socket stops waking the loop) and closes the
+        // connection if it is already fully answered.
+        self.flush_conn(token);
+    }
+
+    /// Run admission control for one complete frame.
+    fn handle_line(&mut self, token: u64, line: &[u8], inline_state: &mut H::Worker) {
+        let text = String::from_utf8_lossy(line);
+        let trimmed = text.trim();
+        if trimmed.is_empty() {
+            return;
+        }
+        let Some(shard) = self.conns.get(&token).map(|c| c.shard) else {
+            return;
+        };
+        let Some(tx) = self.shard_tx.get(shard) else {
+            return;
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let draining = self.control.is_shutting_down();
+        // Inline fast path: when nothing is queued or executing anywhere
+        // on the worker pool, a bounded-cost request is cheaper to run
+        // right here than to bounce through two thread handoffs (which
+        // dominate the round trip — the eval itself is microseconds).
+        if !draining && self.can_inline(shard, trimmed) {
+            // The worker path records queue wait at pickup; inline
+            // pickup is immediate, so the sample is zero by definition.
+            self.metrics.queue_wait.record_duration(Duration::ZERO);
+            let (bytes, malformed) = self.handler.execute(inline_state, trimmed);
+            self.queue_reply(token, &bytes, malformed);
+            return;
+        }
+        match try_admit(
+            trimmed,
+            tx,
+            seq,
+            draining,
+            &self.metrics,
+            self.shed_retry_after_ms,
+        ) {
+            Ok(id) => {
+                self.pending
+                    .insert(seq, token, id, Instant::now() + self.request_timeout);
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.inflight += 1;
+                }
+            }
+            Err(shed) => self.queue_reply(token, &encode_line(&shed), false),
+        }
+    }
+
+    /// A frame may run inline on the reactor only when the whole pool
+    /// is quiescent — no queued jobs, no executing worker, no pending
+    /// replies — and the handler positively vouches for it
+    /// ([`Handler::may_inline`]); anything it cannot classify queues.
+    fn can_inline(&self, shard: usize, line: &str) -> bool {
+        if !self.pending.is_empty() {
+            return false;
+        }
+        let queued = self.shard_tx.get(shard).is_some_and(|tx| !tx.is_empty());
+        let busy = self.control.busy.get(shard);
+        let busy = busy.is_some_and(|b| b.load(Ordering::Acquire));
+        !queued && !busy && self.handler.may_inline(line)
+    }
+
+    fn reply_frame_too_large(&mut self, token: u64) {
+        self.metrics.oversized_frames.incr();
+        self.metrics.errors.incr();
+        let envelope = ResponseEnvelope {
+            id: 0,
+            response: Response::error(
+                error_kind::FRAME_TOO_LARGE,
+                format!("request line exceeds {} bytes", self.max_line_bytes),
+            ),
+        };
+        self.queue_reply(token, &encode_line(&envelope), true);
+    }
+
+    /// Append a finished reply to the connection's write buffer and
+    /// apply the strike rule. Deliberately does NOT flush: every caller
+    /// runs inside a batch (a read's frame loop, a completion drain, an
+    /// expiry sweep) and flushes once at the end, so a pipelined client
+    /// costs one write syscall per batch instead of one per reply. A
+    /// buffer past the high-water mark flushes eagerly anyway, bounding
+    /// memory against a peer that writes but never reads.
+    fn queue_reply(&mut self, token: u64, bytes: &[u8], malformed: bool) {
+        const FLUSH_HIGH_WATER: usize = 64 * 1024;
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if malformed {
+            conn.strikes += 1;
+        } else {
+            conn.strikes = 0;
+        }
+        conn.wbuf.extend_from_slice(bytes);
+        if conn.strikes >= self.max_consecutive_errors {
+            self.metrics.dropped_connections.incr();
+            conn.closing = true;
+        }
+        if conn.wbuf.len().saturating_sub(conn.wpos) >= FLUSH_HIGH_WATER {
+            self.flush_conn(token);
+        }
+    }
+
+    /// Write as much buffered output as the socket accepts, then settle
+    /// the connection's fate: close when the strike budget is spent or
+    /// the peer is gone and everything is answered, otherwise re-arm
+    /// the poller with the right interest.
+    fn flush_conn(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let mut failed = false;
+        loop {
+            let chunk = match conn.wbuf.get(conn.wpos..) {
+                Some(c) if !c.is_empty() => c,
+                _ => break,
+            };
+            match conn.stream.write(chunk) {
+                Ok(0) => {
+                    failed = true;
+                    break;
+                }
+                Ok(n) => conn.wpos += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    failed = true;
+                    break;
+                }
+            }
+        }
+        if conn.wpos >= conn.wbuf.len() {
+            conn.wbuf.clear();
+            conn.wpos = 0;
+        }
+        let flushed = conn.wbuf.is_empty();
+        let done = conn.closing || (conn.eof && conn.inflight == 0);
+        if failed || (flushed && done) {
+            self.close_conn(token);
+        } else {
+            self.update_interest(token);
+        }
+    }
+
+    /// Re-arm the poller for this connection: read until EOF, write
+    /// while output is buffered.
+    fn update_interest(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let readable = !conn.eof;
+        let writable = !conn.wbuf.is_empty();
+        if conn.interest != (readable, writable) {
+            conn.interest = (readable, writable);
+            let _ = self
+                .poller
+                .modify(conn.stream.as_raw_fd(), token, readable, writable);
+        }
+    }
+
+    fn close_conn(&mut self, token: u64) {
+        if let Some(conn) = self.conns.remove(&token) {
+            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            // Cancel in-flight requests: their late completions are
+            // dropped (nobody is left to read the replies).
+            self.pending.drop_conn(token);
+        }
+    }
+
+    /// Queue the reply to one admitted request; its connection is noted
+    /// in `touched` for the caller's single flush per connection.
+    fn answer(&mut self, p: &Pending, bytes: &[u8], malformed: bool, touched: &mut Vec<u64>) {
+        if let Some(conn) = self.conns.get_mut(&p.token) {
+            conn.inflight = conn.inflight.saturating_sub(1);
+        }
+        self.queue_reply(p.token, bytes, malformed);
+        if !touched.contains(&p.token) {
+            touched.push(p.token);
+        }
+    }
+
+    /// Deliver finished worker replies to their connections.
+    fn drain_completions(&mut self) {
+        let mut touched: Vec<u64> = Vec::new();
+        while let Ok(completion) = self.completion_rx.try_recv() {
+            // No pending entry: the request timed out (already answered)
+            // or its connection closed. Either way the reply is dropped.
+            if let Some(p) = self.pending.complete(completion.seq) {
+                self.answer(&p, &completion.bytes, completion.malformed, &mut touched);
+            }
+        }
+        for token in touched {
+            self.flush_conn(token);
+        }
+    }
+
+    /// Answer every admitted request whose deadline passed with a
+    /// `timeout` error; the worker's eventual reply is dropped.
+    fn expire_pending(&mut self) {
+        let mut touched: Vec<u64> = Vec::new();
+        for p in self.pending.expire(Instant::now()) {
+            self.metrics.timeouts.incr();
+            self.metrics.errors.incr();
+            let envelope = ResponseEnvelope {
+                id: p.id,
+                response: Response::error(
+                    error_kind::TIMEOUT,
+                    format!("no reply within {:?}", self.request_timeout),
+                ),
+            };
+            self.answer(&p, &encode_line(&envelope), false, &mut touched);
+        }
+        for token in touched {
+            self.flush_conn(token);
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::protocol::{encode, Request, RequestEnvelope};
+
+    pub(crate) fn stats_line(id: u64) -> String {
+        encode(&RequestEnvelope::new(id, Request::Stats))
+    }
+
+    pub(crate) fn error_kind_of(envelope: &ResponseEnvelope) -> &str {
+        match &envelope.response {
+            Response::Error { kind, .. } => kind,
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn peek_id_reads_the_envelope_id() {
+        assert_eq!(peek_id(&stats_line(7)), 7);
+        assert_eq!(peek_id("{\"id\" : 42, \"request\":\"Stats\"}"), 42);
+        assert_eq!(peek_id("{not json"), 0, "no id to find");
+        assert_eq!(peek_id("{\"request\":\"Stats\"}"), 0, "missing id");
+        assert_eq!(peek_id("{\"id\":\"x\"}"), 0, "non-numeric id");
+    }
+
+    #[test]
+    fn try_admit_queues_with_the_peeked_id() {
+        let (tx, rx) = channel::bounded::<Job>(1);
+        let m = NetMetrics::new(&Arc::new(Registry::new()));
+        let admitted = try_admit(&stats_line(3), &tx, 11, false, &m, 25);
+        assert_eq!(admitted.expect("an empty queue admits"), 3);
+        let job = rx.recv().expect("the job was queued");
+        assert_eq!(job.seq, 11);
+        assert_eq!(job.line, stats_line(3));
+        assert_eq!(m.errors.get(), 0);
+    }
+
+    #[test]
+    fn full_queue_is_answered_with_overloaded() {
+        let (tx, _rx) = channel::bounded::<Job>(1);
+        let m = NetMetrics::new(&Arc::new(Registry::new()));
+        try_admit(&stats_line(1), &tx, 1, false, &m, 25).expect("first admit must queue");
+        let reply = try_admit(&stats_line(7), &tx, 2, false, &m, 25)
+            .expect_err("the one-slot queue was full");
+        assert_eq!(reply.id, 7, "overload reply still echoes the id");
+        assert_eq!(error_kind_of(&reply), error_kind::OVERLOADED);
+        assert_eq!(m.overloaded.get(), 1);
+        match &reply.response {
+            Response::Error { retry_after_ms, .. } => {
+                assert_eq!(*retry_after_ms, 25, "shed replies carry the back-off hint");
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn draining_or_disconnected_queue_means_shutting_down() {
+        let (tx, rx) = channel::bounded::<Job>(1);
+        let m = NetMetrics::new(&Arc::new(Registry::new()));
+        // Draining sheds without consuming a queue slot.
+        let reply = try_admit(&stats_line(5), &tx, 1, true, &m, 25)
+            .expect_err("a draining server must not admit");
+        assert_eq!(reply.id, 5);
+        assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
+        assert_eq!(rx.len(), 0);
+        // A disconnected shard (workers gone) sheds the same way.
+        drop(rx);
+        let reply = try_admit(&stats_line(6), &tx, 2, false, &m, 25)
+            .expect_err("a dead shard must not admit");
+        assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
+    }
+
+    #[test]
+    fn pending_table_completes_expires_and_cancels() {
+        let mut t = PendingTable::new();
+        let now = Instant::now();
+        t.insert(1, 100, 11, now + Duration::from_millis(10));
+        t.insert(2, 100, 12, now + Duration::from_secs(60));
+        t.insert(3, 200, 13, now + Duration::from_secs(60));
+        assert_eq!(t.next_deadline(), Some(now + Duration::from_millis(10)));
+        let p = t.complete(1).expect("live entry");
+        assert_eq!((p.token, p.id), (100, 11));
+        assert!(t.complete(1).is_none(), "a reply is delivered exactly once");
+        t.drop_conn(200);
+        assert!(t.complete(3).is_none(), "cancelled with its connection");
+        assert!(t.expire(now).is_empty(), "nothing is due yet");
+        let due = t.expire(now + Duration::from_secs(120));
+        assert_eq!(due.len(), 1, "only the live entry expires");
+        assert_eq!(due.first().map(|p| p.id), Some(12));
+        assert!(t.is_empty());
+        assert_eq!(t.next_deadline(), None, "the heap backlog is cleared");
+    }
+
+    #[test]
+    fn frame_buf_reassembles_split_and_pipelined_frames() {
+        let mut fb = FrameBuf::new();
+        let mut out = Vec::new();
+        fb.ingest(b"{\"id\":1}\n{\"id\"", 1024, &mut out);
+        fb.ingest(b":2}\n{\"id\":3}", 1024, &mut out);
+        fb.ingest(b"\n", 1024, &mut out);
+        let lines: Vec<String> = out
+            .iter()
+            .map(|f| match f {
+                FrameEvent::Line(l) => String::from_utf8_lossy(l).to_string(),
+                FrameEvent::Oversized => panic!("no oversized frames here"),
+            })
+            .collect();
+        assert_eq!(lines, ["{\"id\":1}", "{\"id\":2}", "{\"id\":3}"]);
+        assert!(fb.take_residual().is_none());
+    }
+
+    #[test]
+    fn frame_buf_discards_oversized_frames_to_the_next_newline() {
+        let mut fb = FrameBuf::new();
+        let mut out = Vec::new();
+        // A frame that never ends trips the cap mid-stream...
+        fb.ingest(&[b'x'; 2000], 1024, &mut out);
+        assert!(matches!(out.as_slice(), [FrameEvent::Oversized]));
+        // ...its tail is discarded up to the newline, then service resumes.
+        out.clear();
+        fb.ingest(b"tail of the huge frame\nok\n", 1024, &mut out);
+        match out.as_slice() {
+            [FrameEvent::Line(l)] => assert_eq!(l.as_slice(), b"ok"),
+            other => panic!("expected one line, got {} events", other.len()),
+        }
+        // A complete (newline-terminated) over-cap frame needs no
+        // discard state at all.
+        out.clear();
+        let mut big = vec![b'y'; 2000];
+        big.push(b'\n');
+        big.extend_from_slice(b"{\"id\":9}\n");
+        fb.ingest(&big, 1024, &mut out);
+        assert!(matches!(
+            out.as_slice(),
+            [FrameEvent::Oversized, FrameEvent::Line(_)]
+        ));
+    }
+}

@@ -1,67 +1,30 @@
-//! The daemon: a readiness-based event loop (one reactor thread over
-//! the [`crate::epoll`] shim) feeding a sharded worker pool, so idle
-//! connections cost a few buffered bytes instead of a thread.
+//! The daemon: the [`crate::net`] I/O layer's first handler. The layer
+//! owns sockets, framing, admission, deadlines and the drain; this
+//! module is what a frame *means* — parse, rate-gate, execute against
+//! the [`CbesService`], encode — plus the daemon's once-per-second
+//! anomaly sweep (flight triggers, artifact soak monitor).
 //!
-//! The reactor owns the non-blocking listener and every connection:
-//! it accepts, reassembles newline-delimited frames from per-connection
-//! read buffers, and runs admission control per complete line. Admitted
-//! lines are `try_send`-ed to the connection's shard queue (connections
-//! pin to `token % workers`, so one connection's replies keep FIFO
-//! order); a full shard answers immediately with a structured
-//! `overloaded` error and the advertised back-off hint. Workers parse,
-//! rate-gate, execute, and encode off the reactor thread, then push the
-//! finished bytes back over a completion channel and nudge the reactor
-//! with a wake byte. A [`PendingTable`] enforces the per-request
-//! deadline: an admitted request that misses it is answered with a
-//! `timeout` error by the reactor and the worker's late reply is
-//! dropped.
-//!
-//! Reply ordering: admitted requests on one connection are answered in
-//! arrival order (same shard, FIFO queue). Reactor-immediate replies —
-//! shed, oversized-frame, timeout — may overtake replies still being
-//! computed, which is why every reply carries the request id.
-//!
-//! Shutdown: a `Shutdown` request (or [`ServerHandle::shutdown`]) flips
-//! the flag and wakes the reactor. The reactor stops accepting, answers
-//! any newly-read line with a `shutting_down` shed, drains outstanding
-//! completions, flushes write buffers, and exits once every admitted
-//! request is answered; dropping the shard senders then disconnects the
-//! workers. Every admitted request is answered.
+//! Shutdown: a `Shutdown` request (or [`ServerHandle::shutdown`]) asks
+//! the layer to drain; every admitted request is answered first.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cbes_cluster::NodeId;
 use cbes_core::CbesService;
 use cbes_obs::{names, Counter, Histogram, MetricsSnapshot, Registry};
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 
-use crate::epoll::{PollEvent, Poller};
+use crate::net::{self, encode_line, env_u64, Control, Handler, NetHandle, NetMetrics};
 use crate::protocol::{
-    decode_request, encode_response, error_kind, route_key_hash, InstanceInfo, MembershipReport,
-    Request, RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
+    decode_request, error_kind, route_key_hash, InstanceInfo, MembershipReport, Request,
+    RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
 };
 use crate::reconfig::{not_reconfigurable, unreconfigurable_status, ReconfigRuntime};
-
-/// Upper bound on one reactor poll wait: the loop re-checks the
-/// shutdown flag at least this often even with no I/O and no deadlines.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Reactor poll token of the listening socket.
-const LISTENER_TOKEN: u64 = 0;
-/// Reactor poll token of the worker wake channel.
-const WAKE_TOKEN: u64 = 1;
-/// First token handed to an accepted connection.
-const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -206,37 +169,25 @@ impl RateLimiter {
     }
 }
 
-/// The server's instruments: a private [`Registry`] per server instance
+/// The daemon's instruments: a private [`Registry`] per server instance
 /// (so several servers in one process never mix counts) with the
-/// hot-path handles cached as `Arc`s — the reactor and workers update
-/// them wait-free, without touching the registry lock.
+/// hot-path handles cached as `Arc`s — workers update them wait-free,
+/// without touching the registry lock. The I/O layer's counters live in
+/// the same registry; `net` is this module's handle to them.
 struct ServerMetrics {
-    registry: Registry,
+    registry: Arc<Registry>,
+    net: NetMetrics,
     served: Arc<Counter>,
-    errors: Arc<Counter>,
-    overloaded: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    connections: Arc<Counter>,
-    /// Connections dropped for exhausting their malformed-frame budget.
-    dropped_connections: Arc<Counter>,
-    /// Request lines rejected for exceeding the length cap.
-    oversized_frames: Arc<Counter>,
     /// Admitted-rate cap sheds (a subset of `overloaded`).
     rate_limited: Arc<Counter>,
     /// Candidate mappings evaluated through `Batch` requests.
     batch_candidates: Arc<Counter>,
-    /// Reactor poll returns that carried at least one I/O event.
-    loop_wakeups: Arc<Counter>,
-    /// Microseconds from admission to worker pickup.
-    queue_wait: Arc<Histogram>,
     /// Microseconds a worker spent computing the reply.
     service_time: Arc<Histogram>,
     /// Served-request counters, index-aligned with [`ACTIONS`].
     by_action: Vec<Arc<Counter>>,
-    /// Flight-recorder dumps written (triggered or on demand).
-    flight_dumps: Arc<Counter>,
     /// Second stamp of the last once-per-second anomaly sweep
-    /// ([`flight_checks`]); 0 = never swept.
+    /// ([`Daemon::flight_checks`]); 0 = never swept.
     last_flight_check: AtomicU64,
     /// Node health-transition count at the last anomaly sweep.
     last_health_transitions: AtomicU64,
@@ -245,25 +196,17 @@ struct ServerMetrics {
 
 impl ServerMetrics {
     fn new() -> Self {
-        let registry = Registry::new();
+        let registry = Arc::new(Registry::new());
         ServerMetrics {
+            net: NetMetrics::new(&registry),
             served: registry.counter(names::SERVER_SERVED),
-            errors: registry.counter(names::SERVER_ERRORS),
-            overloaded: registry.counter(names::SERVER_OVERLOADED),
-            timeouts: registry.counter(names::SERVER_TIMEOUTS),
-            connections: registry.counter(names::SERVER_CONNECTIONS),
-            dropped_connections: registry.counter(names::SERVER_DROPPED_CONNECTIONS),
-            oversized_frames: registry.counter(names::SERVER_OVERSIZED_FRAMES),
             rate_limited: registry.counter(names::SERVER_RATE_LIMITED),
             batch_candidates: registry.counter(names::SERVER_BATCH_CANDIDATES),
-            loop_wakeups: registry.counter(names::SERVER_LOOP_WAKEUPS),
-            queue_wait: registry.histogram(names::SERVER_QUEUE_WAIT_US),
             service_time: registry.histogram(names::SERVER_SERVICE_TIME_US),
             by_action: names::SERVER_ACTION_COUNTERS
                 .iter()
                 .map(|n| registry.counter(n))
                 .collect(),
-            flight_dumps: registry.counter(names::FLIGHT_DUMPS),
             last_flight_check: AtomicU64::new(0),
             last_health_transitions: AtomicU64::new(0),
             start: Instant::now(),
@@ -289,48 +232,6 @@ impl ServerMetrics {
         snap.merge(&Registry::global().snapshot());
         snap
     }
-}
-
-/// One admitted request line travelling to a worker shard.
-struct Job {
-    /// Reactor-assigned sequence; keys the [`PendingTable`] entry.
-    seq: u64,
-    /// The raw frame; the worker parses it off the reactor thread.
-    line: String,
-    /// When the reactor queued this job; queue wait is measured from
-    /// here to worker pickup.
-    admitted: Instant,
-}
-
-/// A finished reply travelling back from a worker to the reactor.
-struct Completion {
-    seq: u64,
-    /// The encoded reply line, newline included.
-    bytes: Vec<u8>,
-    /// True when the reply is a framing strike (`bad_request`).
-    malformed: bool,
-}
-
-/// Best-effort scan for the envelope id without a full parse, so shed
-/// and timeout replies can echo it. The wire encoding always leads with
-/// `{"id":N`, but any top-level placement parses; an absent or
-/// unreadable id falls back to 0 (the "unattributable" id).
-fn peek_id(line: &str) -> u64 {
-    let Some(pos) = line.find("\"id\"") else {
-        return 0;
-    };
-    let Some(rest) = line.get(pos + 4..) else {
-        return 0;
-    };
-    let Some(rest) = rest.trim_start().strip_prefix(':') else {
-        return 0;
-    };
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().unwrap_or(0)
 }
 
 /// Best-effort scan for the request's variant tag without a full
@@ -371,264 +272,6 @@ const NEVER_INLINE: &[&str] = &[
     "DumpFlight",
 ];
 
-/// What admission control decided for one complete line.
-enum Admission {
-    /// The line is queued on its shard; `id` is the peeked envelope id
-    /// used for a timeout reply should the deadline pass first.
-    Queued { id: u64 },
-    /// Admission produced the reply itself (shed paths).
-    Reply(ResponseEnvelope),
-}
-
-/// Push one line through admission control: draining servers and full
-/// or disconnected shards shed immediately, everything else queues.
-fn try_admit(
-    line: &str,
-    tx: &Sender<Job>,
-    seq: u64,
-    draining: bool,
-    metrics: &ServerMetrics,
-    shed_retry_after_ms: u64,
-) -> Admission {
-    let id = peek_id(line);
-    if draining {
-        metrics.errors.incr();
-        return Admission::Reply(ResponseEnvelope {
-            id,
-            response: Response::shed(
-                error_kind::SHUTTING_DOWN,
-                "server is draining",
-                shed_retry_after_ms,
-            ),
-        });
-    }
-    match tx.try_send(Job {
-        seq,
-        line: line.to_string(),
-        admitted: Instant::now(),
-    }) {
-        Ok(()) => Admission::Queued { id },
-        Err(TrySendError::Full(_)) => {
-            metrics.overloaded.incr();
-            metrics.errors.incr();
-            maybe_flag_shed_spike(metrics);
-            Admission::Reply(ResponseEnvelope {
-                id,
-                response: Response::shed(
-                    error_kind::OVERLOADED,
-                    "admission queue is full",
-                    shed_retry_after_ms,
-                ),
-            })
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            metrics.errors.incr();
-            Admission::Reply(ResponseEnvelope {
-                id,
-                response: Response::shed(
-                    error_kind::SHUTTING_DOWN,
-                    "server is draining",
-                    shed_retry_after_ms,
-                ),
-            })
-        }
-    }
-}
-
-/// One in-flight admitted request. The deadline lives in the table's
-/// heap; the entry itself only needs routing identity.
-struct Pending {
-    token: u64,
-    id: u64,
-}
-
-/// The reactor's deadline ledger for admitted requests: completions
-/// consume entries, expiry turns them into `timeout` replies, and a
-/// closing connection cancels its entries so late replies are dropped.
-struct PendingTable {
-    by_seq: HashMap<u64, Pending>,
-    /// Min-heap of deadlines with lazy deletion: completed or cancelled
-    /// seqs linger here until their deadline pops them.
-    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
-}
-
-impl PendingTable {
-    fn new() -> Self {
-        PendingTable {
-            by_seq: HashMap::new(),
-            deadlines: BinaryHeap::new(),
-        }
-    }
-
-    fn insert(&mut self, seq: u64, token: u64, id: u64, deadline: Instant) {
-        self.by_seq.insert(seq, Pending { token, id });
-        self.deadlines.push(Reverse((deadline, seq)));
-    }
-
-    /// Claim the entry for a finished request; `None` means it already
-    /// timed out (or its connection went away) and the reply must be
-    /// dropped — it was answered once.
-    fn complete(&mut self, seq: u64) -> Option<Pending> {
-        let p = self.by_seq.remove(&seq);
-        if self.by_seq.is_empty() {
-            // No live entries: drop the lazily-deleted heap backlog.
-            self.deadlines.clear();
-        }
-        p
-    }
-
-    /// The earliest deadline, for sizing the poll wait. May be stale
-    /// (a completed entry) — that only causes one early wakeup.
-    fn next_deadline(&self) -> Option<Instant> {
-        self.deadlines.peek().map(|Reverse((d, _))| *d)
-    }
-
-    /// Pop every entry whose deadline has passed.
-    fn expire(&mut self, now: Instant) -> Vec<Pending> {
-        let mut due = Vec::new();
-        while let Some(Reverse((deadline, seq))) = self.deadlines.peek().copied() {
-            if deadline > now {
-                break;
-            }
-            self.deadlines.pop();
-            if let Some(p) = self.by_seq.remove(&seq) {
-                due.push(p);
-            }
-        }
-        due
-    }
-
-    /// Cancel every entry belonging to a closed connection.
-    fn drop_conn(&mut self, token: u64) {
-        self.by_seq.retain(|_, p| p.token != token);
-        if self.by_seq.is_empty() {
-            self.deadlines.clear();
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.by_seq.is_empty()
-    }
-}
-
-/// One frame-reassembly outcome from a chunk of connection bytes.
-enum FrameEvent {
-    /// A complete line (newline stripped).
-    Line(Vec<u8>),
-    /// A frame exceeded the length cap; its bytes are being discarded
-    /// up to the next newline.
-    Oversized,
-}
-
-/// Per-connection frame reassembly: accumulates bytes until a newline,
-/// enforcing the length cap so a frame that never ends cannot grow
-/// without bound.
-struct FrameBuf {
-    rbuf: Vec<u8>,
-    /// Discarding an oversized frame's bytes until its newline.
-    discarding: bool,
-}
-
-impl FrameBuf {
-    fn new() -> Self {
-        FrameBuf {
-            rbuf: Vec::new(),
-            discarding: false,
-        }
-    }
-
-    /// Fold `chunk` into the buffer, emitting an event per completed
-    /// (or over-cap) frame, in wire order.
-    fn ingest(&mut self, mut chunk: &[u8], max_line_bytes: usize, out: &mut Vec<FrameEvent>) {
-        loop {
-            let newline = chunk.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                match newline {
-                    Some(i) => {
-                        self.discarding = false;
-                        chunk = chunk.get(i + 1..).unwrap_or(&[]);
-                    }
-                    None => return,
-                }
-                continue;
-            }
-            match newline {
-                Some(i) => {
-                    let head = chunk.get(..i).unwrap_or(&[]);
-                    chunk = chunk.get(i + 1..).unwrap_or(&[]);
-                    if self.rbuf.len() + head.len() > max_line_bytes {
-                        // The frame completed (newline seen), so no
-                        // discard state is needed beyond dropping it.
-                        self.rbuf.clear();
-                        out.push(FrameEvent::Oversized);
-                    } else {
-                        let mut line = std::mem::take(&mut self.rbuf);
-                        line.extend_from_slice(head);
-                        out.push(FrameEvent::Line(line));
-                    }
-                }
-                None => {
-                    if self.rbuf.len() + chunk.len() > max_line_bytes {
-                        self.rbuf.clear();
-                        self.discarding = true;
-                        out.push(FrameEvent::Oversized);
-                    } else {
-                        self.rbuf.extend_from_slice(chunk);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The unterminated tail at EOF, treated as a final frame.
-    fn take_residual(&mut self) -> Option<Vec<u8>> {
-        if self.discarding || self.rbuf.is_empty() {
-            return None;
-        }
-        Some(std::mem::take(&mut self.rbuf))
-    }
-}
-
-/// One live connection owned by the reactor.
-struct Conn {
-    stream: TcpStream,
-    /// Worker shard this connection's requests pin to.
-    shard: usize,
-    frames: FrameBuf,
-    wbuf: Vec<u8>,
-    /// Bytes of `wbuf` already written.
-    wpos: usize,
-    /// Consecutive malformed frames; reset by any well-formed reply,
-    /// fatal past the policy budget.
-    strikes: u32,
-    /// Admitted requests not yet answered.
-    inflight: usize,
-    /// Peer half-closed; finish in-flight replies, then close.
-    eof: bool,
-    /// Close as soon as the write buffer drains (strike budget spent).
-    closing: bool,
-    /// Current poller interest, to skip redundant `modify` calls.
-    interest: (bool, bool),
-}
-
-impl Conn {
-    fn new(stream: TcpStream, shard: usize) -> Self {
-        Conn {
-            stream,
-            shard,
-            frames: FrameBuf::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            strikes: 0,
-            inflight: 0,
-            eof: false,
-            closing: false,
-            interest: (true, false),
-        }
-    }
-}
-
 /// The CBES daemon. Construct with [`Server::start`]; the returned
 /// [`ServerHandle`] owns the threads.
 pub struct Server;
@@ -636,150 +279,69 @@ pub struct Server;
 impl Server {
     /// Bind `config.addr` and serve `service` until shut down.
     pub fn start(service: Arc<CbesService>, config: ServerConfig) -> std::io::Result<ServerHandle> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = Arc::new(ServerMetrics::new());
-        let worker_count = config.workers.max(1);
-        let per_shard = (config.queue_capacity / worker_count).max(1);
-
-        let mut shard_tx = Vec::with_capacity(worker_count);
-        let mut shard_rx = Vec::with_capacity(worker_count);
-        for _ in 0..worker_count {
-            let (tx, rx) = channel::bounded::<Job>(per_shard);
-            shard_tx.push(tx);
-            shard_rx.push(rx);
-        }
-        let all_rx = Arc::new(shard_rx);
-        let (completion_tx, completion_rx) = channel::unbounded::<Completion>();
-        let (wake_tx, wake_rx) = wake_pair()?;
-        let wake_tx = Arc::new(wake_tx);
-        let rate = Arc::new(RateLimiter::new(config.max_rps));
-        let reconfig = match config.state_dir.clone() {
-            Some(dir) => Some(Arc::new(
-                ReconfigRuntime::open(
-                    dir,
-                    service.clone(),
-                    rate.clone(),
-                    config.max_rps,
-                    &metrics.registry,
-                )
-                .map_err(|e| std::io::Error::other(format!("artifact store: {e}")))?,
-            )),
-            None => None,
-        };
-        let shard_busy: Arc<Vec<AtomicBool>> =
-            Arc::new((0..worker_count).map(|_| AtomicBool::new(false)).collect());
-
-        let workers: Vec<JoinHandle<()>> = (0..worker_count)
-            .map(|index| {
-                let service = service.clone();
-                let all_rx = all_rx.clone();
-                let completion_tx = completion_tx.clone();
-                let wake_tx = wake_tx.clone();
-                let metrics = metrics.clone();
-                let shutdown = shutdown.clone();
-                let rate = rate.clone();
-                let reconfig = reconfig.clone();
-                let shard_busy = shard_busy.clone();
-                std::thread::spawn(move || {
-                    worker_loop(
-                        &service,
-                        index,
-                        &all_rx,
-                        &completion_tx,
-                        &wake_tx,
-                        &metrics,
-                        &shutdown,
-                        addr,
-                        &rate,
-                        reconfig.as_deref(),
-                        &shard_busy,
+        let metrics = ServerMetrics::new();
+        let registry = metrics.registry.clone();
+        let (served, errors) = (metrics.served.clone(), metrics.net.errors.clone());
+        let net = net::start(&config, &registry, |control| {
+            let rate = Arc::new(RateLimiter::new(config.max_rps));
+            let reconfig = match config.state_dir.clone() {
+                Some(dir) => Some(
+                    ReconfigRuntime::open(
+                        dir,
+                        service.clone(),
+                        rate.clone(),
+                        config.max_rps,
+                        &registry,
                     )
-                })
-            })
-            .collect();
-        drop(completion_tx);
-
-        let mut poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
-        poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
-
-        let reactor = {
-            let metrics = metrics.clone();
-            let shutdown = shutdown.clone();
-            let reactor = Reactor {
-                poller,
-                listener,
-                wake_rx,
-                conns: HashMap::new(),
-                next_token: FIRST_CONN_TOKEN,
-                next_seq: 0,
-                pending: PendingTable::new(),
-                shard_tx,
-                shard_busy,
+                    .map_err(|e| std::io::Error::other(format!("artifact store: {e}")))?,
+                ),
+                None => None,
+            };
+            Ok(Daemon {
                 service,
+                metrics,
                 rate,
                 reconfig,
-                addr,
-                completion_rx,
-                metrics,
-                shutdown,
-                request_timeout: config.request_timeout,
-                max_line_bytes: config.max_line_bytes.max(1),
-                max_consecutive_errors: config.max_consecutive_errors.max(1),
-                shed_retry_after_ms: config.shed_retry_after.as_millis() as u64,
-                draining: false,
-            };
-            std::thread::spawn(move || reactor.run())
-        };
-
+                net: control.clone(),
+            })
+        })?;
         Ok(ServerHandle {
-            addr,
-            shutdown,
-            metrics,
-            reactor: Some(reactor),
-            workers,
+            net,
+            served,
+            errors,
         })
     }
 }
 
 /// Running-server handle: address, shutdown trigger, thread ownership.
+/// Dropping it un-joined stops the threads without waiting.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    metrics: Arc<ServerMetrics>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    net: NetHandle,
+    served: Arc<Counter>,
+    errors: Arc<Counter>,
 }
 
 impl ServerHandle {
     /// The address the server actually bound (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.net.control().addr()
     }
 
     /// True once shutdown has been triggered (by request or locally).
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+        self.net.control().is_shutting_down()
     }
 
     /// Trigger shutdown without waiting for the drain.
     pub fn shutdown(&self) {
-        trigger_shutdown(&self.shutdown, self.addr);
+        self.net.control().shutdown();
     }
 
     /// Wait until the server has fully drained and every thread exited.
     /// Returns the final counter values.
     pub fn join(mut self) -> (u64, u64) {
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        (self.metrics.served.get(), self.metrics.errors.get())
+        self.net.join();
+        (self.served.get(), self.errors.get())
     }
 
     /// Trigger shutdown and wait for the drain.
@@ -789,95 +351,12 @@ impl ServerHandle {
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        // Un-joined handle going away: stop the threads, don't wait.
-        trigger_shutdown(&self.shutdown, self.addr);
-    }
-}
-
-fn trigger_shutdown(shutdown: &AtomicBool, addr: SocketAddr) {
-    if !shutdown.swap(true, Ordering::AcqRel) {
-        // Wake the reactor out of its poll wait: the connect makes the
-        // listener readable. The POLL_INTERVAL cap backstops this, so
-        // a bounded connect is purely best-effort — if the loopback
-        // nudge times out the reactor still notices within one poll.
-        let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-    }
-}
-
-/// An in-process wake channel: workers nudge the reactor out of its
-/// poll wait by writing a byte. Built from a loopback TCP pair so the
-/// FFI surface stays the four polling syscalls (no `pipe(2)` shim).
-fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
-    let probe = TcpListener::bind(("127.0.0.1", 0))?;
-    let tx = TcpStream::connect(probe.local_addr()?)?;
-    let (rx, _) = probe.accept()?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((tx, rx))
-}
-
-fn encode_line(envelope: &ResponseEnvelope) -> Vec<u8> {
-    let mut bytes = encode_response(envelope).into_bytes();
-    bytes.push(b'\n');
-    bytes
-}
-
-/// Sheds within one second that count as a spike and trip the flight
-/// recorder. `CBES_FLIGHT_SHED_SPIKE` overrides; 0 disables the
-/// trigger entirely.
-fn shed_spike_threshold() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("CBES_FLIGHT_SHED_SPIKE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8)
-    })
-}
-
 /// Rolling-p99 service-time budget in microseconds; exceeding it over
 /// the 10 s window trips the flight recorder. `CBES_FLIGHT_P99_BUDGET_US`
 /// sets it; the default 0 disables the trigger.
 fn flight_p99_budget_us() -> u64 {
     static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("CBES_FLIGHT_P99_BUDGET_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    })
-}
-
-/// Shed-spike flight trigger, called from every shed site. Records one
-/// event at the threshold crossing and attempts a (debounced) dump
-/// whenever the last second's shed count sits at or above the
-/// threshold; below it the cost is one windowed-counter read.
-fn maybe_flag_shed_spike(metrics: &ServerMetrics) {
-    let spike = shed_spike_threshold();
-    if spike == 0 {
-        return;
-    }
-    let recent = metrics.overloaded.window(1);
-    if recent < spike {
-        return;
-    }
-    let flight = metrics.registry.flight();
-    if recent == spike {
-        flight.record(
-            "shed_spike",
-            format!("{recent} requests shed in the last second"),
-            0,
-        );
-    }
-    if flight
-        .auto_dump("shed_spike", metrics.registry.spans())
-        .is_some()
-    {
-        metrics.flight_dumps.incr();
-    }
+    env_u64(&CACHE, "CBES_FLIGHT_P99_BUDGET_US", 0)
 }
 
 /// Sheds tolerated since an artifact apply before the soak monitor
@@ -885,12 +364,7 @@ fn maybe_flag_shed_spike(metrics: &ServerMetrics) {
 /// shed trigger.
 fn soak_shed_budget() -> u64 {
     static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("CBES_SOAK_SHED_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(25)
-    })
+    env_u64(&CACHE, "CBES_SOAK_SHED_BUDGET", 25)
 }
 
 /// Rolling-p99 service-time budget (microseconds over the 10 s window)
@@ -899,26 +373,22 @@ fn soak_shed_budget() -> u64 {
 /// trigger.
 fn soak_p99_budget_us() -> u64 {
     static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("CBES_SOAK_P99_BUDGET_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    })
+    env_u64(&CACHE, "CBES_SOAK_P99_BUDGET_US", 0)
 }
 
 /// The soak monitor: while an artifact is soaking, compare windowed
 /// telemetry against the soak budgets and auto-roll-back on
 /// regression, dumping the flight recorder tagged with the artifact
-/// version. Runs inside the once-per-second [`flight_checks`] sweep.
-fn soak_check(runtime: &ReconfigRuntime, metrics: &Arc<ServerMetrics>) {
+/// version. Runs inside the once-per-second [`Daemon::flight_checks`] sweep.
+fn soak_check(runtime: &ReconfigRuntime, metrics: &ServerMetrics) {
     let Some(soak) = runtime.soak_state() else {
         return;
     };
     let mut reason = None;
     let shed_budget = soak_shed_budget();
     if shed_budget > 0 {
-        let shed = metrics.overloaded.get().saturating_sub(soak.sheds_at_apply);
+        let sheds = metrics.net.overloaded.get();
+        let shed = sheds.saturating_sub(soak.sheds_at_apply);
         if shed >= shed_budget {
             reason = Some(format!(
                 "{shed} requests shed since apply (budget {shed_budget})"
@@ -951,490 +421,7 @@ fn soak_check(runtime: &ReconfigRuntime, metrics: &Arc<ServerMetrics>) {
         .auto_dump("soak_regression", metrics.registry.spans())
         .is_some()
     {
-        metrics.flight_dumps.incr();
-    }
-}
-
-/// Once-per-second anomaly sweep run by whichever worker first crosses
-/// a second boundary: a rolling-p99 budget breach or a node
-/// health-state transition trips a (debounced) flight dump, and a
-/// soaking artifact is checked against its regression budgets. Every
-/// other request of the second pays one atomic swap and returns.
-fn flight_checks(
-    service: &Arc<CbesService>,
-    metrics: &Arc<ServerMetrics>,
-    reconfig: Option<&ReconfigRuntime>,
-) {
-    // +1 keeps the stamp nonzero so "never swept" stays distinguishable.
-    let now = metrics.start.elapsed().as_secs() + 1;
-    let prev_check = metrics.last_flight_check.swap(now, Ordering::Relaxed);
-    if prev_check == now {
-        return;
-    }
-    let transitions = service.health_transitions();
-    let prev_transitions = metrics
-        .last_health_transitions
-        .swap(transitions, Ordering::Relaxed);
-    if prev_check == 0 {
-        // First sweep only seeds the baselines.
-        return;
-    }
-    if let Some(runtime) = reconfig {
-        soak_check(runtime, metrics);
-    }
-    let flight = metrics.registry.flight();
-    let mut dump_reason = None;
-    let budget = flight_p99_budget_us();
-    if budget > 0 {
-        let p99 = metrics.service_time.window_snapshot(10).p99();
-        if p99 > budget {
-            flight.record(
-                "p99_budget",
-                format!("rolling p99 {p99}us exceeds budget {budget}us over 10s"),
-                0,
-            );
-            dump_reason = Some("p99_budget");
-        }
-    }
-    if transitions > prev_transitions {
-        flight.record(
-            "health_transition",
-            format!(
-                "{} node health transition(s) since the last sweep",
-                transitions - prev_transitions
-            ),
-            0,
-        );
-        dump_reason = Some("health_transition");
-    }
-    if let Some(reason) = dump_reason {
-        if flight.auto_dump(reason, metrics.registry.spans()).is_some() {
-            metrics.flight_dumps.incr();
-        }
-    }
-}
-
-/// The event loop: owns the listener, the wake receiver, and every
-/// connection; everything here runs on the one reactor thread.
-struct Reactor {
-    poller: Poller,
-    listener: TcpListener,
-    wake_rx: TcpStream,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    next_seq: u64,
-    pending: PendingTable,
-    shard_tx: Vec<Sender<Job>>,
-    /// Per-shard "worker is executing" flags; the reactor only runs a
-    /// frame inline when the target shard is drained *and* idle.
-    shard_busy: Arc<Vec<AtomicBool>>,
-    service: Arc<CbesService>,
-    rate: Arc<RateLimiter>,
-    reconfig: Option<Arc<ReconfigRuntime>>,
-    addr: SocketAddr,
-    completion_rx: Receiver<Completion>,
-    metrics: Arc<ServerMetrics>,
-    shutdown: Arc<AtomicBool>,
-    request_timeout: Duration,
-    max_line_bytes: usize,
-    max_consecutive_errors: u32,
-    shed_retry_after_ms: u64,
-    draining: bool,
-}
-
-impl Reactor {
-    fn run(mut self) {
-        let mut events: Vec<PollEvent> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                self.begin_drain();
-                if self.pending.is_empty() && self.conns.values().all(|c| c.wbuf.is_empty()) {
-                    break;
-                }
-            }
-            let mut timeout = POLL_INTERVAL;
-            if let Some(deadline) = self.pending.next_deadline() {
-                timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
-            }
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                // cbes-analyze: allow(blocking_hot_path, 1ms backoff after a poll error prevents a hot error spin; bounded and only on the failure path)
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            if !events.is_empty() {
-                self.metrics.loop_wakeups.incr();
-            }
-            for &ev in &events {
-                match ev.token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => self.drain_wake(),
-                    token => {
-                        if ev.readable {
-                            self.conn_readable(token);
-                        }
-                        if ev.writable {
-                            self.conn_writable(token);
-                        }
-                    }
-                }
-            }
-            self.drain_completions();
-            self.expire_pending();
-        }
-        // Dropping self drops the shard senders; workers exit on the
-        // disconnect. The listener and every connection close with it.
-    }
-
-    /// Stop accepting: deregister (and thereby stop watching) the
-    /// listener once the drain begins.
-    fn begin_drain(&mut self) {
-        if self.draining {
-            return;
-        }
-        self.draining = true;
-        let _ = self.poller.deregister(self.listener.as_raw_fd());
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        // Draining: close post-shutdown connections
-                        // immediately (the drop is the reply).
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let shard = (token % self.shard_tx.len().max(1) as u64) as usize;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, true, false)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.metrics.connections.incr();
-                    self.conns.insert(token, Conn::new(stream, shard));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Drain the wake bytes workers wrote; the signal's work — the
-    /// completion queue — is drained by the caller afterwards.
-    fn drain_wake(&mut self) {
-        let mut buf = [0u8; 256];
-        let mut rx = &self.wake_rx;
-        loop {
-            match rx.read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn conn_readable(&mut self, token: u64) {
-        let mut scratch = [0u8; 16 * 1024];
-        let mut frames: Vec<FrameEvent> = Vec::new();
-        let mut failed = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        let chunk = scratch.get(..n).unwrap_or(&[]);
-                        conn.frames.ingest(chunk, self.max_line_bytes, &mut frames);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if conn.eof {
-                if let Some(residual) = conn.frames.take_residual() {
-                    frames.push(FrameEvent::Line(residual));
-                }
-            }
-        }
-        if failed {
-            self.close_conn(token);
-            return;
-        }
-        for frame in frames {
-            match frame {
-                FrameEvent::Line(line) => self.handle_line(token, &line),
-                FrameEvent::Oversized => self.reply_frame_too_large(token),
-            }
-        }
-        // Flush pass: updates interest (EOF drops read interest so a
-        // half-closed socket stops waking the loop) and closes the
-        // connection if it is already fully answered.
-        self.flush_conn(token);
-    }
-
-    fn conn_writable(&mut self, token: u64) {
-        self.flush_conn(token);
-    }
-
-    /// Run admission control for one complete frame.
-    fn handle_line(&mut self, token: u64, line: &[u8]) {
-        let text = String::from_utf8_lossy(line);
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            return;
-        }
-        let Some(shard) = self.conns.get(&token).map(|c| c.shard) else {
-            return;
-        };
-        let Some(tx) = self.shard_tx.get(shard) else {
-            return;
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let draining = self.shutdown.load(Ordering::Acquire);
-        // Inline fast path: when nothing is queued or executing anywhere
-        // on the worker pool, a bounded-cost request is cheaper to run
-        // right here than to bounce through two thread handoffs (which
-        // dominate the round trip — the eval itself is microseconds).
-        // `Schedule` is exempt (unbounded annealing would stall the
-        // loop), as is any frame whose action cannot be sniffed cheaply.
-        if !draining && self.can_inline(shard, trimmed) {
-            // The worker path records queue wait at pickup; inline
-            // pickup is immediate, so the sample is zero by definition.
-            self.metrics.queue_wait.record_duration(Duration::ZERO);
-            let depth = self.shard_tx.iter().map(|tx| tx.len()).sum();
-            let worker_count = self.shard_tx.len();
-            let (reply, malformed) = execute(
-                &self.service,
-                trimmed,
-                &self.metrics,
-                &self.shutdown,
-                self.addr,
-                depth,
-                worker_count,
-                &self.rate,
-                self.reconfig.as_deref(),
-            );
-            self.queue_reply(token, &encode_line(&reply), malformed);
-            return;
-        }
-        match try_admit(
-            trimmed,
-            tx,
-            seq,
-            draining,
-            &self.metrics,
-            self.shed_retry_after_ms,
-        ) {
-            Admission::Queued { id } => {
-                self.pending
-                    .insert(seq, token, id, Instant::now() + self.request_timeout);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.inflight += 1;
-                }
-            }
-            Admission::Reply(envelope) => {
-                self.queue_reply(token, &encode_line(&envelope), false);
-            }
-        }
-    }
-
-    /// A frame may run inline on the reactor only when the whole pool
-    /// is quiescent — no queued jobs, no executing worker, no pending
-    /// replies — and its tag is positively identified as outside
-    /// [`NEVER_INLINE`] (annealing and the disk-touching verbs). A
-    /// frame whose tag cannot be sniffed queues: the worker's full
-    /// parse decides what it is, and guessing "cheap" on the reactor
-    /// would let an artifact verb fsync on the event loop.
-    fn can_inline(&self, shard: usize, line: &str) -> bool {
-        if !self.pending.is_empty() {
-            return false;
-        }
-        let queued = self.shard_tx.get(shard).is_some_and(|tx| !tx.is_empty());
-        let busy = self
-            .shard_busy
-            .get(shard)
-            .is_some_and(|b| b.load(Ordering::Acquire));
-        if queued || busy {
-            return false;
-        }
-        sniff_action(line).is_some_and(|tag| !NEVER_INLINE.contains(&tag))
-    }
-
-    fn reply_frame_too_large(&mut self, token: u64) {
-        self.metrics.oversized_frames.incr();
-        self.metrics.errors.incr();
-        let envelope = ResponseEnvelope {
-            id: 0,
-            response: Response::error(
-                error_kind::FRAME_TOO_LARGE,
-                format!("request line exceeds {} bytes", self.max_line_bytes),
-            ),
-        };
-        self.queue_reply(token, &encode_line(&envelope), true);
-    }
-
-    /// Append a finished reply to the connection's write buffer and
-    /// apply the strike rule. Deliberately does NOT flush: every caller
-    /// runs inside a batch (a read's frame loop, a completion drain, an
-    /// expiry sweep) and flushes once at the end, so a pipelined client
-    /// costs one write syscall per batch instead of one per reply. A
-    /// buffer past the high-water mark flushes eagerly anyway, bounding
-    /// memory against a peer that writes but never reads.
-    fn queue_reply(&mut self, token: u64, bytes: &[u8], malformed: bool) {
-        const FLUSH_HIGH_WATER: usize = 64 * 1024;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if malformed {
-            conn.strikes += 1;
-        } else {
-            conn.strikes = 0;
-        }
-        conn.wbuf.extend_from_slice(bytes);
-        if conn.strikes >= self.max_consecutive_errors {
-            self.metrics.dropped_connections.incr();
-            conn.closing = true;
-        }
-        if conn.wbuf.len().saturating_sub(conn.wpos) >= FLUSH_HIGH_WATER {
-            self.flush_conn(token);
-        }
-    }
-
-    /// Write as much buffered output as the socket accepts, then settle
-    /// the connection's fate: close when the strike budget is spent or
-    /// the peer is gone and everything is answered, otherwise re-arm
-    /// the poller with the right interest.
-    fn flush_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut failed = false;
-        loop {
-            let chunk = match conn.wbuf.get(conn.wpos..) {
-                Some(c) if !c.is_empty() => c,
-                _ => break,
-            };
-            match conn.stream.write(chunk) {
-                Ok(0) => {
-                    failed = true;
-                    break;
-                }
-                Ok(n) => conn.wpos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if conn.wpos >= conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-        }
-        let flushed = conn.wbuf.is_empty();
-        let done = conn.closing || (conn.eof && conn.inflight == 0);
-        if failed || (flushed && done) {
-            self.close_conn(token);
-        } else {
-            self.update_interest(token);
-        }
-    }
-
-    /// Re-arm the poller for this connection: read until EOF, write
-    /// while output is buffered.
-    fn update_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let readable = !conn.eof;
-        let writable = !conn.wbuf.is_empty();
-        if conn.interest != (readable, writable) {
-            conn.interest = (readable, writable);
-            let _ = self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, readable, writable);
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            // Cancel in-flight requests: their late completions are
-            // dropped (nobody is left to read the replies).
-            self.pending.drop_conn(token);
-        }
-    }
-
-    /// Deliver finished worker replies to their connections.
-    fn drain_completions(&mut self) {
-        let mut touched: Vec<u64> = Vec::new();
-        while let Ok(completion) = self.completion_rx.try_recv() {
-            // No pending entry: the request timed out (already answered)
-            // or its connection closed. Either way the reply is dropped.
-            let Some(p) = self.pending.complete(completion.seq) else {
-                continue;
-            };
-            if let Some(conn) = self.conns.get_mut(&p.token) {
-                conn.inflight = conn.inflight.saturating_sub(1);
-            }
-            self.queue_reply(p.token, &completion.bytes, completion.malformed);
-            if !touched.contains(&p.token) {
-                touched.push(p.token);
-            }
-        }
-        for token in touched {
-            self.flush_conn(token);
-        }
-    }
-
-    /// Answer every admitted request whose deadline passed with a
-    /// `timeout` error; the worker's eventual reply is dropped.
-    fn expire_pending(&mut self) {
-        let now = Instant::now();
-        let mut touched: Vec<u64> = Vec::new();
-        for p in self.pending.expire(now) {
-            self.metrics.timeouts.incr();
-            self.metrics.errors.incr();
-            if let Some(conn) = self.conns.get_mut(&p.token) {
-                conn.inflight = conn.inflight.saturating_sub(1);
-            }
-            let envelope = ResponseEnvelope {
-                id: p.id,
-                response: Response::error(
-                    error_kind::TIMEOUT,
-                    format!("no reply within {:?}", self.request_timeout),
-                ),
-            };
-            self.queue_reply(p.token, &encode_line(&envelope), false);
-            if !touched.contains(&p.token) {
-                touched.push(p.token);
-            }
-        }
-        for token in touched {
-            self.flush_conn(token);
-        }
+        metrics.net.flight_dumps.incr();
     }
 }
 
@@ -1449,7 +436,7 @@ fn precheck(
     let envelope: RequestEnvelope = match decode_request(line) {
         Ok(env) => env,
         Err(e) => {
-            metrics.errors.incr();
+            metrics.net.errors.incr();
             return Err(Box::new((
                 ResponseEnvelope {
                     id: 0,
@@ -1462,9 +449,7 @@ fn precheck(
     if envelope.request.is_eval() {
         if let Err(wait) = rate.try_acquire() {
             metrics.rate_limited.incr();
-            metrics.overloaded.incr();
-            metrics.errors.incr();
-            maybe_flag_shed_spike(metrics);
+            metrics.net.shed_overloaded();
             return Err(Box::new((
                 ResponseEnvelope {
                     id: envelope.id,
@@ -1481,392 +466,378 @@ fn precheck(
     Ok(envelope)
 }
 
-/// Parse, rate-gate, execute, and instrument one job on a worker.
-/// Returns the reply and whether it was a malformed-frame strike.
-#[allow(clippy::too_many_arguments)]
-fn execute(
-    service: &Arc<CbesService>,
-    line: &str,
-    metrics: &Arc<ServerMetrics>,
-    shutdown: &Arc<AtomicBool>,
-    addr: SocketAddr,
-    queue_depth: usize,
-    worker_count: usize,
-    rate: &RateLimiter,
-    reconfig: Option<&ReconfigRuntime>,
-) -> (ResponseEnvelope, bool) {
-    let envelope = match precheck(line, rate, metrics) {
-        Ok(env) => env,
-        Err(reply) => return *reply,
-    };
-    let id = envelope.id;
-    let action_index = envelope.request.action_index();
-    let picked_up = Instant::now();
-    let response = {
-        // A traced envelope joins the caller's trace: this request span
-        // (and every child span it opens — core evaluation, scheduler)
-        // carries the remote trace id and links to the remote parent.
-        let _span = if envelope.trace_id != 0 {
-            metrics.registry.spans().span_rooted(
-                envelope.request.action(),
-                envelope.trace_id,
-                envelope.parent_span,
-            )
-        } else {
-            metrics.registry.span(envelope.request.action())
+/// The daemon as a [`Handler`]: everything one request needs, shared by
+/// the workers and (for inline-eligible frames) the reactor.
+struct Daemon {
+    service: Arc<CbesService>,
+    metrics: ServerMetrics,
+    rate: Arc<RateLimiter>,
+    reconfig: Option<ReconfigRuntime>,
+    net: Arc<Control>,
+}
+
+impl Handler for Daemon {
+    type Worker = ();
+
+    fn worker(&self) {}
+
+    /// Only a frame whose tag is positively identified as outside
+    /// [`NEVER_INLINE`] (annealing and the disk-touching verbs) may run
+    /// on the reactor. A frame whose tag cannot be sniffed queues: the
+    /// worker's full parse decides what it is, and guessing "cheap" on
+    /// the reactor would let an artifact verb fsync on the event loop.
+    fn may_inline(&self, line: &str) -> bool {
+        sniff_action(line).is_some_and(|tag| !NEVER_INLINE.contains(&tag))
+    }
+
+    /// Parse, rate-gate, execute, and instrument one frame.
+    fn execute(&self, _: &mut (), line: &str) -> (Vec<u8>, bool) {
+        let metrics = &self.metrics;
+        let envelope = match precheck(line, &self.rate, metrics) {
+            Ok(env) => env,
+            Err(reply) => return (encode_line(&reply.0), reply.1),
         };
-        handle_request(
-            service,
-            envelope.request,
-            metrics,
-            shutdown,
-            addr,
-            queue_depth,
-            worker_count,
-            reconfig,
-        )
-    };
-    metrics.service_time.record_duration(picked_up.elapsed());
-    if let Some(counter) = metrics.by_action.get(action_index) {
-        counter.incr();
-    }
-    if matches!(response, Response::Error { .. }) {
-        metrics.errors.incr();
-    }
-    metrics.served.incr();
-    flight_checks(service, metrics, reconfig);
-    (ResponseEnvelope { id, response }, false)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    service: &Arc<CbesService>,
-    index: usize,
-    shards: &[Receiver<Job>],
-    completion_tx: &Sender<Completion>,
-    wake: &TcpStream,
-    metrics: &Arc<ServerMetrics>,
-    shutdown: &Arc<AtomicBool>,
-    addr: SocketAddr,
-    rate: &RateLimiter,
-    reconfig: Option<&ReconfigRuntime>,
-    shard_busy: &[AtomicBool],
-) {
-    let Some(own) = shards.get(index) else {
-        return;
-    };
-    let worker_count = shards.len();
-    // cbes-analyze: allow(blocking_hot_path, the worker's idle park on its own shard queue is the designed wait point; the reactor never calls recv)
-    while let Ok(job) = own.recv() {
-        if let Some(flag) = shard_busy.get(index) {
-            flag.store(true, Ordering::Release);
-        }
-        metrics.queue_wait.record_duration(job.admitted.elapsed());
-        let depth: usize = shards.iter().map(|r| r.len()).sum();
-        let (reply, malformed) = execute(
-            service,
-            &job.line,
-            metrics,
-            shutdown,
-            addr,
-            depth,
-            worker_count,
-            rate,
-            reconfig,
-        );
-        let _ = completion_tx.send(Completion {
-            seq: job.seq,
-            bytes: encode_line(&reply),
-            malformed,
-        });
-        // Nudge the reactor; a full wake buffer is fine — unread bytes
-        // already guarantee a wakeup.
-        let mut w = wake;
-        let _ = w.write(&[1u8]);
-        if let Some(flag) = shard_busy.get(index) {
-            flag.store(false, Ordering::Release);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_request(
-    service: &Arc<CbesService>,
-    request: Request,
-    metrics: &Arc<ServerMetrics>,
-    shutdown: &Arc<AtomicBool>,
-    addr: SocketAddr,
-    queue_depth: usize,
-    worker_count: usize,
-    reconfig: Option<&ReconfigRuntime>,
-) -> Response {
-    match request {
-        Request::RegisterProfile { profile } => {
-            let app = profile.name.clone();
-            let procs = profile.num_procs();
-            service.registry().insert(profile);
-            Response::Registered { app, procs }
-        }
-        Request::Compare { app, mappings } => match service.compare_stamped(&app, &mappings) {
-            Ok((epoch, predictions)) => Response::Predictions { epoch, predictions },
-            Err(e) => Response::service_error(&e),
-        },
-        Request::BestOf { app, mappings } => match service.compare_stamped(&app, &mappings) {
-            Ok((epoch, predictions)) => {
-                let (index, prediction) = predictions
-                    .into_iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time))
-                    .expect("compare rejects empty requests");
-                Response::Best {
-                    epoch,
-                    index,
-                    prediction,
-                }
-            }
-            Err(e) => Response::service_error(&e),
-        },
-        Request::Schedule {
-            app,
-            pool,
-            iters,
-            seed,
-        } => {
-            let profile = match service.registry().get(&app) {
-                Some(p) => p,
-                None => return Response::service_error(&cbes_core::ServiceError::UnknownApp(app)),
+        let id = envelope.id;
+        let action_index = envelope.request.action_index();
+        let picked_up = Instant::now();
+        let response = {
+            // A traced envelope joins the caller's trace: this request span
+            // (and every child span it opens — core evaluation, scheduler)
+            // carries the remote trace id and links to the remote parent.
+            let _span = if envelope.trace_id != 0 {
+                metrics.registry.spans().span_rooted(
+                    envelope.request.action(),
+                    envelope.trace_id,
+                    envelope.parent_span,
+                )
+            } else {
+                metrics.registry.span(envelope.request.action())
             };
-            let pool: Vec<NodeId> = pool.into_iter().map(NodeId).collect();
-            if let Some(bad) = pool.iter().find(|n| n.index() >= service.cluster().len()) {
-                return Response::service_error(&cbes_core::ServiceError::BadNode(bad.0));
-            }
-            let cached = service.current_load();
-            let epoch = cached.epoch;
-            let snapshot = service.snapshot_of(&cached);
-            let request = ScheduleRequest::new(&profile, &snapshot, &pool);
-            let mut config = SaConfig::fast(seed);
-            if iters > 0 {
-                config.iters = iters;
-            }
-            match SaScheduler::new(config).schedule(&request) {
-                Ok(result) => Response::Scheduled {
-                    epoch,
-                    mapping: result.mapping,
-                    predicted_time: result.predicted_time,
-                    evaluations: result.evaluations,
-                },
-                Err(e) => Response::error(error_kind::SCHED, e.to_string()),
+            self.handle_request(envelope.request)
+        };
+        metrics.service_time.record_duration(picked_up.elapsed());
+        if let Some(counter) = metrics.by_action.get(action_index) {
+            counter.incr();
+        }
+        if matches!(response, Response::Error { .. }) {
+            metrics.net.errors.incr();
+        }
+        metrics.served.incr();
+        self.flight_checks();
+        (encode_line(&ResponseEnvelope { id, response }), false)
+    }
+}
+
+impl Daemon {
+    /// Once-per-second anomaly sweep run by whichever worker first crosses
+    /// a second boundary: a rolling-p99 budget breach or a node
+    /// health-state transition trips a (debounced) flight dump, and a
+    /// soaking artifact is checked against its regression budgets. Every
+    /// other request of the second pays one atomic swap and returns.
+    fn flight_checks(&self) {
+        let metrics = &self.metrics;
+        // +1 keeps the stamp nonzero so "never swept" stays distinguishable.
+        let now = metrics.start.elapsed().as_secs() + 1;
+        let prev_check = metrics.last_flight_check.swap(now, Ordering::Relaxed);
+        if prev_check == now {
+            return;
+        }
+        let transitions = self.service.health_transitions();
+        let prev_transitions = metrics
+            .last_health_transitions
+            .swap(transitions, Ordering::Relaxed);
+        if prev_check == 0 {
+            // First sweep only seeds the baselines.
+            return;
+        }
+        if let Some(runtime) = &self.reconfig {
+            soak_check(runtime, metrics);
+        }
+        let flight = metrics.registry.flight();
+        let mut dump_reason = None;
+        let budget = flight_p99_budget_us();
+        if budget > 0 {
+            let p99 = metrics.service_time.window_snapshot(10).p99();
+            if p99 > budget {
+                flight.record(
+                    "p99_budget",
+                    format!("rolling p99 {p99}us exceeds budget {budget}us over 10s"),
+                    0,
+                );
+                dump_reason = Some("p99_budget");
             }
         }
-        Request::ObserveLoad { load } => match service.observe_load(&load) {
-            Ok(epoch) => Response::LoadObserved { epoch },
-            Err(e) => Response::service_error(&e),
-        },
-        Request::ObservePartial { load, silent } => {
-            let n = service.cluster().len();
-            if let Some(&bad) = silent.iter().find(|&&s| s as usize >= n) {
-                return Response::service_error(&cbes_core::ServiceError::BadNode(bad));
+        if transitions > prev_transitions {
+            flight.record(
+                "health_transition",
+                format!(
+                    "{} node health transition(s) since the last sweep",
+                    transitions - prev_transitions
+                ),
+                0,
+            );
+            dump_reason = Some("health_transition");
+        }
+        if let Some(reason) = dump_reason {
+            if flight.auto_dump(reason, metrics.registry.spans()).is_some() {
+                metrics.net.flight_dumps.incr();
             }
-            let mut reported = vec![true; n];
-            for s in &silent {
-                // Bounds pre-validated above; out-of-range ids already
-                // returned a typed `BadNode` error.
-                if let Some(flag) = reported.get_mut(*s as usize) {
-                    *flag = false;
+        }
+    }
+
+    fn handle_request(&self, request: Request) -> Response {
+        let (service, metrics) = (&self.service, &self.metrics);
+        let addr = self.net.addr();
+        let reconfig = self.reconfig.as_ref();
+        match request {
+            Request::RegisterProfile { profile } => {
+                let app = profile.name.clone();
+                let procs = profile.num_procs();
+                service.registry().insert(profile);
+                Response::Registered { app, procs }
+            }
+            Request::Compare { app, mappings } => match service.compare_stamped(&app, &mappings) {
+                Ok((epoch, predictions)) => Response::Predictions { epoch, predictions },
+                Err(e) => Response::service_error(&e),
+            },
+            Request::BestOf { app, mappings } => match service.compare_stamped(&app, &mappings) {
+                Ok((epoch, predictions)) => {
+                    let (index, prediction) = predictions
+                        .into_iter()
+                        .enumerate()
+                        .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time))
+                        .expect("compare rejects empty requests");
+                    Response::Best {
+                        epoch,
+                        index,
+                        prediction,
+                    }
+                }
+                Err(e) => Response::service_error(&e),
+            },
+            Request::Schedule {
+                app,
+                pool,
+                iters,
+                seed,
+            } => {
+                let profile = match service.registry().get(&app) {
+                    Some(p) => p,
+                    None => {
+                        return Response::service_error(&cbes_core::ServiceError::UnknownApp(app))
+                    }
+                };
+                let pool: Vec<NodeId> = pool.into_iter().map(NodeId).collect();
+                if let Some(bad) = pool.iter().find(|n| n.index() >= service.cluster().len()) {
+                    return Response::service_error(&cbes_core::ServiceError::BadNode(bad.0));
+                }
+                let cached = service.current_load();
+                let epoch = cached.epoch;
+                let snapshot = service.snapshot_of(&cached);
+                let request = ScheduleRequest::new(&profile, &snapshot, &pool);
+                let mut config = SaConfig::fast(seed);
+                if iters > 0 {
+                    config.iters = iters;
+                }
+                match SaScheduler::new(config).schedule(&request) {
+                    Ok(result) => Response::Scheduled {
+                        epoch,
+                        mapping: result.mapping,
+                        predicted_time: result.predicted_time,
+                        evaluations: result.evaluations,
+                    },
+                    Err(e) => Response::error(error_kind::SCHED, e.to_string()),
                 }
             }
-            match service.observe_load_partial(&load, &reported) {
+            Request::ObserveLoad { load } => match service.observe_load(&load) {
                 Ok(epoch) => Response::LoadObserved { epoch },
                 Err(e) => Response::service_error(&e),
-            }
-        }
-        Request::Stats => {
-            let (healthy, suspect, down) = service.health_counts();
-            Response::Stats {
-                stats: StatsReport {
-                    served: metrics.served.get(),
-                    errors: metrics.errors.get(),
-                    overloaded: metrics.overloaded.get(),
-                    timeouts: metrics.timeouts.get(),
-                    connections: metrics.connections.get(),
-                    queue_depth,
-                    workers: worker_count,
-                    epoch: service.epoch(),
-                    profiles: service.registry().len(),
-                    observations: service.observations(),
-                    healthy,
-                    suspect,
-                    down,
-                    health_transitions: service.health_transitions(),
-                    dropped_connections: metrics.dropped_connections.get(),
-                    per_action: metrics.per_action(),
-                    uptime_s: metrics.start.elapsed().as_secs_f64(),
-                },
-            }
-        }
-        Request::Metrics => Response::Metrics {
-            metrics: metrics.snapshot(queue_depth),
-        },
-        Request::Shutdown => {
-            trigger_shutdown(shutdown, addr);
-            Response::ShuttingDown
-        }
-        // A standalone daemon is a degenerate one-instance tier: it owns
-        // every routing key and leads itself. `cbes-router` answers these
-        // three actions with the real multi-instance view.
-        Request::Route { cluster, app } => Response::Routed {
-            hash: route_key_hash(&cluster, &app),
-            primary: self_instance(service, addr),
-            replicas: Vec::new(),
-        },
-        Request::Replicate {
-            epoch,
-            load,
-            silent,
-        } => {
-            let n = service.cluster().len();
-            if let Some(&bad) = silent.iter().find(|&&s| s as usize >= n) {
-                return Response::service_error(&cbes_core::ServiceError::BadNode(bad));
-            }
-            let reported = if silent.is_empty() {
-                None
-            } else {
-                let mut mask = vec![true; n];
+            },
+            Request::ObservePartial { load, silent } => {
+                let n = service.cluster().len();
+                if let Some(&bad) = silent.iter().find(|&&s| s as usize >= n) {
+                    return Response::service_error(&cbes_core::ServiceError::BadNode(bad));
+                }
+                let mut reported = vec![true; n];
                 for s in &silent {
-                    // Bounds pre-validated above; out-of-range ids
-                    // already returned a typed `BadNode` error.
-                    if let Some(flag) = mask.get_mut(*s as usize) {
+                    // Bounds pre-validated above; out-of-range ids already
+                    // returned a typed `BadNode` error.
+                    if let Some(flag) = reported.get_mut(*s as usize) {
                         *flag = false;
                     }
                 }
-                Some(mask)
-            };
-            match service.observe_replicated(epoch, &load, reported.as_deref()) {
-                Ok((epoch, applied)) => Response::Replicated { epoch, applied },
-                Err(e) => Response::service_error(&e),
+                match service.observe_load_partial(&load, &reported) {
+                    Ok(epoch) => Response::LoadObserved { epoch },
+                    Err(e) => Response::service_error(&e),
+                }
             }
-        }
-        Request::Membership => Response::Membership {
-            membership: MembershipReport {
-                cluster: service.cluster().name().to_string(),
-                instances: vec![self_instance(service, addr)],
-                leader: Some(0),
-                max_epoch: service.epoch(),
-                replication_lag: 0,
-                heartbeats: 0,
-                transitions: 0,
+            Request::Stats => {
+                let (healthy, suspect, down) = service.health_counts();
+                Response::Stats {
+                    stats: StatsReport {
+                        served: metrics.served.get(),
+                        errors: metrics.net.errors.get(),
+                        overloaded: metrics.net.overloaded.get(),
+                        timeouts: metrics.net.timeouts.get(),
+                        connections: metrics.net.connections.get(),
+                        queue_depth: self.net.queue_depth(),
+                        workers: self.net.workers(),
+                        epoch: service.epoch(),
+                        profiles: service.registry().len(),
+                        observations: service.observations(),
+                        healthy,
+                        suspect,
+                        down,
+                        health_transitions: service.health_transitions(),
+                        dropped_connections: metrics.net.dropped_connections.get(),
+                        per_action: metrics.per_action(),
+                        uptime_s: metrics.start.elapsed().as_secs_f64(),
+                    },
+                }
+            }
+            Request::Metrics => Response::Metrics {
+                metrics: metrics.snapshot(self.net.queue_depth()),
             },
-        },
-        Request::Batch { app, mappings } => match service.batch_stamped(&app, &mappings) {
-            Ok((epoch, predictions)) => {
-                metrics.batch_candidates.add(predictions.len() as u64);
-                Response::Predictions { epoch, predictions }
+            Request::Shutdown => {
+                self.net.shutdown();
+                Response::ShuttingDown
             }
-            Err(e) => Response::service_error(&e),
-        },
-        Request::Trace { trace_id } => {
-            // Both rings can hold pieces of one trace: the request span
-            // lands in the server registry, the evaluation spans beneath
-            // it land in the global registry the library crates use.
-            let mut spans: Vec<SpanSnapshot> = metrics
-                .registry
-                .spans()
-                .of_trace(trace_id)
-                .into_iter()
-                .map(SpanSnapshot::from)
-                .collect();
-            spans.extend(
-                Registry::global()
+            // A standalone daemon is a degenerate one-instance tier: it owns
+            // every routing key and leads itself. `cbes-router` answers these
+            // three actions with the real multi-instance view.
+            Request::Route { cluster, app } => Response::Routed {
+                hash: route_key_hash(&cluster, &app),
+                primary: self.self_instance(),
+                replicas: Vec::new(),
+            },
+            Request::Replicate {
+                epoch,
+                load,
+                silent,
+            } => {
+                let n = service.cluster().len();
+                if let Some(&bad) = silent.iter().find(|&&s| s as usize >= n) {
+                    return Response::service_error(&cbes_core::ServiceError::BadNode(bad));
+                }
+                let reported = if silent.is_empty() {
+                    None
+                } else {
+                    let mut mask = vec![true; n];
+                    for s in &silent {
+                        // Bounds pre-validated above; out-of-range ids
+                        // already returned a typed `BadNode` error.
+                        if let Some(flag) = mask.get_mut(*s as usize) {
+                            *flag = false;
+                        }
+                    }
+                    Some(mask)
+                };
+                match service.observe_replicated(epoch, &load, reported.as_deref()) {
+                    Ok((epoch, applied)) => Response::Replicated { epoch, applied },
+                    Err(e) => Response::service_error(&e),
+                }
+            }
+            Request::Membership => Response::Membership {
+                membership: MembershipReport {
+                    cluster: service.cluster().name().to_string(),
+                    instances: vec![self.self_instance()],
+                    leader: Some(0),
+                    max_epoch: service.epoch(),
+                    replication_lag: 0,
+                    heartbeats: 0,
+                    transitions: 0,
+                },
+            },
+            Request::Batch { app, mappings } => match service.batch_stamped(&app, &mappings) {
+                Ok((epoch, predictions)) => {
+                    metrics.batch_candidates.add(predictions.len() as u64);
+                    Response::Predictions { epoch, predictions }
+                }
+                Err(e) => Response::service_error(&e),
+            },
+            Request::Trace { trace_id } => {
+                // Both rings can hold pieces of one trace: the request span
+                // lands in the server registry, the evaluation spans beneath
+                // it land in the global registry the library crates use.
+                let mut spans: Vec<SpanSnapshot> = metrics
+                    .registry
                     .spans()
                     .of_trace(trace_id)
                     .into_iter()
-                    .map(SpanSnapshot::from),
-            );
-            spans.sort_by_key(|s| s.start_us);
-            Response::Traces { trace_id, spans }
-        }
-        Request::DumpFlight => {
-            match metrics
-                .registry
-                .flight()
-                .dump("on_demand", metrics.registry.spans())
-            {
-                Ok((path, events)) => {
-                    metrics.flight_dumps.incr();
-                    Response::FlightDumped {
-                        path: path.display().to_string(),
-                        events: events as u64,
+                    .map(SpanSnapshot::from)
+                    .collect();
+                spans.extend(
+                    Registry::global()
+                        .spans()
+                        .of_trace(trace_id)
+                        .into_iter()
+                        .map(SpanSnapshot::from),
+                );
+                spans.sort_by_key(|s| s.start_us);
+                Response::Traces { trace_id, spans }
+            }
+            Request::DumpFlight => {
+                match metrics
+                    .registry
+                    .flight()
+                    .dump("on_demand", metrics.registry.spans())
+                {
+                    Ok((path, events)) => {
+                        metrics.net.flight_dumps.incr();
+                        Response::FlightDumped {
+                            path: path.display().to_string(),
+                            events: events as u64,
+                        }
+                    }
+                    Err(e) => {
+                        Response::error(error_kind::SERVICE, format!("flight dump failed: {e}"))
                     }
                 }
-                Err(e) => Response::error(error_kind::SERVICE, format!("flight dump failed: {e}")),
             }
+            Request::Stage { kind, payload } => match reconfig {
+                Some(rt) => rt.handle_stage(&kind, &payload),
+                None => not_reconfigurable(),
+            },
+            Request::Apply => match reconfig {
+                Some(rt) => rt.handle_apply(metrics.net.overloaded.get()),
+                None => not_reconfigurable(),
+            },
+            Request::Accept => match reconfig {
+                Some(rt) => rt.handle_accept(),
+                None => not_reconfigurable(),
+            },
+            Request::Rollback { reason } => match reconfig {
+                Some(rt) => rt.handle_rollback(&reason, false),
+                None => not_reconfigurable(),
+            },
+            Request::ArtifactStatus => match reconfig {
+                Some(rt) => rt.handle_status(addr),
+                None => unreconfigurable_status(addr),
+            },
         }
-        Request::Stage { kind, payload } => match reconfig {
-            Some(rt) => rt.handle_stage(&kind, &payload),
-            None => not_reconfigurable(),
-        },
-        Request::Apply => match reconfig {
-            Some(rt) => rt.handle_apply(metrics.overloaded.get()),
-            None => not_reconfigurable(),
-        },
-        Request::Accept => match reconfig {
-            Some(rt) => rt.handle_accept(),
-            None => not_reconfigurable(),
-        },
-        Request::Rollback { reason } => match reconfig {
-            Some(rt) => rt.handle_rollback(&reason, false),
-            None => not_reconfigurable(),
-        },
-        Request::ArtifactStatus => match reconfig {
-            Some(rt) => rt.handle_status(addr),
-            None => unreconfigurable_status(addr),
-        },
     }
-}
 
-/// The daemon's single-instance self view for `Route` / `Membership`
-/// replies: always healthy (it answered), always the leader.
-fn self_instance(service: &Arc<CbesService>, addr: SocketAddr) -> InstanceInfo {
-    InstanceInfo {
-        index: 0,
-        addr: addr.to_string(),
-        health: "healthy".to_string(),
-        epoch: service.epoch(),
-        leader: true,
-        routed: 0,
-        forwarded: 0,
-        failed_over: 0,
+    /// The daemon's single-instance self view for `Route` / `Membership`
+    /// replies: always healthy (it answered), always the leader.
+    fn self_instance(&self) -> InstanceInfo {
+        InstanceInfo {
+            index: 0,
+            addr: self.net.addr().to_string(),
+            health: "healthy".to_string(),
+            epoch: self.service.epoch(),
+            leader: true,
+            routed: 0,
+            forwarded: 0,
+            failed_over: 0,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::tests::{error_kind_of, stats_line};
     use crate::protocol::encode;
-
-    fn metrics() -> Arc<ServerMetrics> {
-        Arc::new(ServerMetrics::new())
-    }
-
-    fn stats_line(id: u64) -> String {
-        encode(&RequestEnvelope::new(id, Request::Stats))
-    }
-
-    fn error_kind_of(envelope: &ResponseEnvelope) -> &str {
-        match &envelope.response {
-            Response::Error { kind, .. } => kind,
-            other => panic!("expected an error reply, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn peek_id_reads_the_envelope_id() {
-        assert_eq!(peek_id(&stats_line(7)), 7);
-        assert_eq!(peek_id("{\"id\" : 42, \"request\":\"Stats\"}"), 42);
-        assert_eq!(peek_id("{not json"), 0, "no id to find");
-        assert_eq!(peek_id("{\"request\":\"Stats\"}"), 0, "missing id");
-        assert_eq!(peek_id("{\"id\":\"x\"}"), 0, "non-numeric id");
-    }
 
     #[test]
     fn sniff_action_reads_the_wire_tag_of_real_encodings() {
@@ -1896,145 +867,21 @@ mod tests {
 
     #[test]
     fn unparseable_line_is_rejected_with_id_zero() {
-        let m = metrics();
+        let m = ServerMetrics::new();
         let unlimited = RateLimiter::new(0.0);
         let (reply, malformed) =
             *precheck("{not json", &unlimited, &m).expect_err("parse must fail");
         assert_eq!(reply.id, 0);
         assert_eq!(error_kind_of(&reply), error_kind::BAD_REQUEST);
         assert!(malformed, "a parse failure is a framing strike");
-        assert_eq!(m.errors.get(), 1);
-    }
-
-    #[test]
-    fn try_admit_queues_with_the_peeked_id() {
-        let (tx, rx) = channel::bounded::<Job>(1);
-        let m = metrics();
-        match try_admit(&stats_line(3), &tx, 11, false, &m, 25) {
-            Admission::Queued { id } => assert_eq!(id, 3),
-            Admission::Reply(r) => panic!("expected admission, got {r:?}"),
-        }
-        let job = rx.recv().expect("the job was queued");
-        assert_eq!(job.seq, 11);
-        assert_eq!(job.line, stats_line(3));
-        assert_eq!(m.errors.get(), 0);
-    }
-
-    #[test]
-    fn full_queue_is_answered_with_overloaded() {
-        let (tx, _rx) = channel::bounded::<Job>(1);
-        let m = metrics();
-        match try_admit(&stats_line(1), &tx, 1, false, &m, 25) {
-            Admission::Queued { .. } => {}
-            Admission::Reply(r) => panic!("first admit must queue, got {r:?}"),
-        }
-        let reply = match try_admit(&stats_line(7), &tx, 2, false, &m, 25) {
-            Admission::Reply(r) => r,
-            Admission::Queued { .. } => panic!("the one-slot queue was full"),
-        };
-        assert_eq!(reply.id, 7, "overload reply still echoes the id");
-        assert_eq!(error_kind_of(&reply), error_kind::OVERLOADED);
-        assert_eq!(m.overloaded.get(), 1);
-        match &reply.response {
-            Response::Error { retry_after_ms, .. } => {
-                assert_eq!(*retry_after_ms, 25, "shed replies carry the back-off hint");
-            }
-            other => panic!("expected an error reply, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn draining_or_disconnected_queue_means_shutting_down() {
-        let (tx, rx) = channel::bounded::<Job>(1);
-        let m = metrics();
-        // Draining sheds without consuming a queue slot.
-        let reply = match try_admit(&stats_line(5), &tx, 1, true, &m, 25) {
-            Admission::Reply(r) => r,
-            Admission::Queued { .. } => panic!("a draining server must not admit"),
-        };
-        assert_eq!(reply.id, 5);
-        assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
-        assert_eq!(rx.len(), 0);
-        // A disconnected shard (workers gone) sheds the same way.
-        drop(rx);
-        let reply = match try_admit(&stats_line(6), &tx, 2, false, &m, 25) {
-            Admission::Reply(r) => r,
-            Admission::Queued { .. } => panic!("a dead shard must not admit"),
-        };
-        assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
-    }
-
-    #[test]
-    fn pending_table_completes_expires_and_cancels() {
-        let mut t = PendingTable::new();
-        let now = Instant::now();
-        t.insert(1, 100, 11, now + Duration::from_millis(10));
-        t.insert(2, 100, 12, now + Duration::from_secs(60));
-        t.insert(3, 200, 13, now + Duration::from_secs(60));
-        assert_eq!(t.next_deadline(), Some(now + Duration::from_millis(10)));
-        let p = t.complete(1).expect("live entry");
-        assert_eq!((p.token, p.id), (100, 11));
-        assert!(t.complete(1).is_none(), "a reply is delivered exactly once");
-        t.drop_conn(200);
-        assert!(t.complete(3).is_none(), "cancelled with its connection");
-        assert!(t.expire(now).is_empty(), "nothing is due yet");
-        let due = t.expire(now + Duration::from_secs(120));
-        assert_eq!(due.len(), 1, "only the live entry expires");
-        assert_eq!(due.first().map(|p| p.id), Some(12));
-        assert!(t.is_empty());
-        assert_eq!(t.next_deadline(), None, "the heap backlog is cleared");
-    }
-
-    #[test]
-    fn frame_buf_reassembles_split_and_pipelined_frames() {
-        let mut fb = FrameBuf::new();
-        let mut out = Vec::new();
-        fb.ingest(b"{\"id\":1}\n{\"id\"", 1024, &mut out);
-        fb.ingest(b":2}\n{\"id\":3}", 1024, &mut out);
-        fb.ingest(b"\n", 1024, &mut out);
-        let lines: Vec<String> = out
-            .iter()
-            .map(|f| match f {
-                FrameEvent::Line(l) => String::from_utf8_lossy(l).to_string(),
-                FrameEvent::Oversized => panic!("no oversized frames here"),
-            })
-            .collect();
-        assert_eq!(lines, ["{\"id\":1}", "{\"id\":2}", "{\"id\":3}"]);
-        assert!(fb.take_residual().is_none());
-    }
-
-    #[test]
-    fn frame_buf_discards_oversized_frames_to_the_next_newline() {
-        let mut fb = FrameBuf::new();
-        let mut out = Vec::new();
-        // A frame that never ends trips the cap mid-stream...
-        fb.ingest(&[b'x'; 2000], 1024, &mut out);
-        assert!(matches!(out.as_slice(), [FrameEvent::Oversized]));
-        // ...its tail is discarded up to the newline, then service resumes.
-        out.clear();
-        fb.ingest(b"tail of the huge frame\nok\n", 1024, &mut out);
-        match out.as_slice() {
-            [FrameEvent::Line(l)] => assert_eq!(l.as_slice(), b"ok"),
-            other => panic!("expected one line, got {} events", other.len()),
-        }
-        // A complete (newline-terminated) over-cap frame needs no
-        // discard state at all.
-        out.clear();
-        let mut big = vec![b'y'; 2000];
-        big.push(b'\n');
-        big.extend_from_slice(b"{\"id\":9}\n");
-        fb.ingest(&big, 1024, &mut out);
-        assert!(matches!(
-            out.as_slice(),
-            [FrameEvent::Oversized, FrameEvent::Line(_)]
-        ));
+        assert_eq!(m.net.errors.get(), 1);
     }
 
     #[test]
     fn snapshot_merges_global_registry_and_names_instruments() {
-        let m = metrics();
+        let m = ServerMetrics::new();
         m.served.add(3);
-        m.queue_wait.record(120);
+        m.net.queue_wait.record(120);
         m.service_time.record(450);
         Registry::global()
             .counter("obs.server_test.global_marker")
@@ -2065,7 +912,7 @@ mod tests {
 
     #[test]
     fn rate_cap_sheds_eval_requests_but_exempts_control_plane() {
-        let m = metrics();
+        let m = ServerMetrics::new();
         let rate = RateLimiter::new(0.001); // burst = 1 token
         let compare_line = encode(&RequestEnvelope::new(
             11,
@@ -2093,7 +940,7 @@ mod tests {
             other => panic!("expected an error reply, got {other:?}"),
         }
         assert_eq!(m.rate_limited.get(), 1);
-        assert_eq!(m.overloaded.get(), 1);
+        assert_eq!(m.net.overloaded.get(), 1);
         // Control plane bypasses the cap entirely.
         assert!(precheck(&stats_line(12), &rate, &m).is_ok());
         assert_eq!(m.rate_limited.get(), 1, "the cap did not fire again");
@@ -2106,7 +953,7 @@ mod tests {
 
     #[test]
     fn per_action_report_covers_every_action() {
-        let m = metrics();
+        let m = ServerMetrics::new();
         m.by_action[Request::Stats.action_index()].incr();
         let report = m.per_action();
         assert_eq!(report.len(), ACTIONS.len());

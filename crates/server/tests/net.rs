@@ -1,0 +1,178 @@
+//! The I/O layer on its own: a trivial echo [`Handler`] on
+//! `cbes_server::net`, driven over a real socket exactly as a second
+//! handler crate (the router) uses the layer — no daemon involved.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::Duration;
+
+use cbes_obs::Registry;
+use cbes_server::net::{self, Handler, NetHandle};
+use cbes_server::protocol::{error_kind, Response};
+use cbes_server::{ResponseEnvelope, ServerConfig};
+use crossbeam::channel::{self, Receiver, Sender};
+
+fn error_kind_of(envelope: &ResponseEnvelope) -> &str {
+    match &envelope.response {
+        Response::Error { kind, .. } => kind,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+/// The digits after `{"id":`, which is how every test frame starts.
+fn id_of(line: &str) -> &str {
+    let digits = line
+        .strip_prefix("{\"id\":")
+        .expect("test frames lead with the id");
+    digits
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .unwrap_or("")
+}
+
+/// A handler that echoes the frame's id. A line containing `hold`
+/// announces itself on `entered` and then blocks until `release`
+/// yields, so a test decides exactly when a worker is busy.
+struct Echo {
+    entered: Sender<()>,
+    release: Receiver<()>,
+}
+
+impl Handler for Echo {
+    type Worker = u64;
+
+    fn worker(&self) -> u64 {
+        0
+    }
+
+    fn may_inline(&self, line: &str) -> bool {
+        line.contains("inline")
+    }
+
+    fn execute(&self, served: &mut u64, line: &str) -> (Vec<u8>, bool) {
+        if line.contains("hold") {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+        }
+        *served += 1;
+        let reply = format!("{{\"id\":{},\"nth\":{served}}}\n", id_of(line));
+        (reply.into_bytes(), false)
+    }
+}
+
+struct EchoServer {
+    handle: NetHandle,
+    entered: Receiver<()>,
+    release: Sender<()>,
+}
+
+fn echo_server(config: ServerConfig) -> EchoServer {
+    let (entered_tx, entered) = channel::unbounded();
+    let (release, release_rx) = channel::unbounded();
+    let handle = net::start(&config, &Arc::new(Registry::new()), |_| {
+        Ok(Echo {
+            entered: entered_tx,
+            release: release_rx,
+        })
+    })
+    .expect("loopback bind succeeds");
+    EchoServer {
+        handle,
+        entered,
+        release,
+    }
+}
+
+fn connect(server: &EchoServer) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.handle.control().addr()).expect("layer listens");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("socket option");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+fn read_line(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a reply arrives");
+    line.trim().to_string()
+}
+
+#[test]
+fn echo_handler_sees_reassembled_frames_in_pipelined_order() {
+    let mut server = echo_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let (mut stream, mut reader) = connect(&server);
+    // One frame split across two writes reassembles into one call.
+    stream.write_all(b"{\"id\":1,").expect("write");
+    std::thread::sleep(Duration::from_millis(20));
+    stream.write_all(b"\"x\":0}\n").expect("write");
+    assert_eq!(read_line(&mut reader), "{\"id\":1,\"nth\":1}");
+    // A pipelined window is answered completely and in order by the
+    // one worker the connection pins to (its state counts calls).
+    let window: String = (2..=21).map(|id| format!("{{\"id\":{id}}}\n")).collect();
+    stream.write_all(window.as_bytes()).expect("write");
+    for id in 2..=21u64 {
+        assert_eq!(
+            read_line(&mut reader),
+            format!("{{\"id\":{id},\"nth\":{id}}}")
+        );
+    }
+    // An inline-eligible frame on an idle pool runs on the reactor,
+    // against the reactor's own handler state.
+    stream
+        .write_all(b"{\"id\":22,\"inline\":1}\n")
+        .expect("write");
+    assert_eq!(read_line(&mut reader), "{\"id\":22,\"nth\":1}");
+    server.handle.control().shutdown();
+    server.handle.join();
+}
+
+#[test]
+fn full_shard_sheds_and_missed_deadlines_time_out() {
+    let mut server = echo_server(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        request_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    });
+    let (mut stream, mut reader) = connect(&server);
+    // Frame 1 occupies the worker; only then do 2 and 3 arrive, so
+    // 2 takes the single queue slot and 3 finds the shard full.
+    stream.write_all(b"{\"id\":1,\"hold\":1}\n").expect("write");
+    server.entered.recv().expect("the worker picked frame 1 up");
+    stream
+        .write_all(b"{\"id\":2,\"hold\":1}\n{\"id\":3}\n")
+        .expect("write");
+    let shed: ResponseEnvelope =
+        serde_json::from_str(&read_line(&mut reader)).expect("a typed shed reply");
+    assert_eq!(shed.id, 3, "the shed overtakes the replies still queued");
+    assert_eq!(error_kind_of(&shed), error_kind::OVERLOADED);
+    // Nobody releases the worker: both admitted frames miss the
+    // deadline and the reactor answers for them, in deadline order.
+    for id in [1, 2] {
+        let late: ResponseEnvelope =
+            serde_json::from_str(&read_line(&mut reader)).expect("a typed timeout reply");
+        assert_eq!(late.id, id);
+        assert_eq!(error_kind_of(&late), error_kind::TIMEOUT);
+    }
+    // The worker's late replies are dropped, not delivered twice: once
+    // it has moved on to frame 2 (freeing the queue slot for frame 4),
+    // the next thing on the wire is frame 4's reply.
+    server
+        .release
+        .send(())
+        .expect("worker is parked on the gate");
+    server.entered.recv().expect("the worker picked frame 2 up");
+    stream.write_all(b"{\"id\":4}\n").expect("write");
+    server
+        .release
+        .send(())
+        .expect("worker is parked on the gate");
+    assert_eq!(read_line(&mut reader), "{\"id\":4,\"nth\":3}");
+    server.handle.control().shutdown();
+    server.handle.join();
+}
