@@ -7,7 +7,11 @@
 //! call graph from the entry points below; any reachable call to a
 //! blocking primitive — `fsync`-family durability calls,
 //! `std::thread::sleep`, a deadline-less `connect`, an unbounded
-//! channel `recv()` — is flagged with a witness call path.
+//! channel `recv()` — is flagged with a witness call path. Code that
+//! runs on the reactor thread is held to more: there a deadline does
+//! not excuse a wait on a peer, so `connect_timeout` and a client
+//! round trip (`.request(..)`) are findings too. The one place a relay
+//! may dial is a job on the worker pool.
 //!
 //! Deliberate blocking (a worker's idle wait on its shard channel, the
 //! journal's durability contract) is waived at the site with a reason,
@@ -18,18 +22,33 @@ use crate::findings::Finding;
 use crate::rules::BLOCKING_HOT_PATH;
 use crate::source::SourceFile;
 
-/// Hot-path entry points, as `(file, fn name)` pairs: the I/O layer's
-/// event loop and poll dispatch, and the worker pool's run loop. The
-/// layer reaches a handler only through a generic `Handler::execute`
-/// call, which name resolution binds to the same-crate daemon; the
-/// router's handler is therefore listed itself — its cached-`Client`
-/// forward is a worker-side wait the reactor never reaches
-/// (`may_inline` is `false`).
-pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    ("crates/server/src/net.rs", "run"),
-    ("crates/server/src/net.rs", "worker_loop"),
-    ("crates/server/src/epoll.rs", "wait"),
-    ("crates/router/src/tier.rs", "execute"),
+/// The thread an entry point runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Thread {
+    /// The event loop: every connection waits while it does.
+    Reactor,
+    /// A pool worker: may wait on a peer, under a deadline.
+    Worker,
+}
+
+/// Hot-path entry points, as `(file, fn name, thread)`: the I/O layer's
+/// event loop and poll dispatch, its upstream-socket path, and the
+/// worker pool's run loop. The layer reaches a handler only through
+/// generic `Handler` calls, which name resolution binds to the
+/// same-crate daemon; the router's handler is therefore listed itself —
+/// `execute` is a worker-side wait the reactor never reaches
+/// (`may_inline` is `false`), the relay hooks run on the reactor.
+pub const ENTRY_POINTS: &[(&str, &str, Thread)] = &[
+    ("crates/server/src/net.rs", "run", Thread::Reactor),
+    ("crates/server/src/net.rs", "upstream_line", Thread::Reactor),
+    ("crates/server/src/net.rs", "attempt", Thread::Reactor),
+    ("crates/server/src/net.rs", "dialled", Thread::Reactor),
+    ("crates/server/src/net.rs", "worker_loop", Thread::Worker),
+    ("crates/server/src/epoll.rs", "wait", Thread::Reactor),
+    ("crates/router/src/tier.rs", "execute", Thread::Worker),
+    ("crates/router/src/tier.rs", "relay", Thread::Reactor),
+    ("crates/router/src/tier.rs", "relayed", Thread::Reactor),
+    ("crates/router/src/tier.rs", "unroutable", Thread::Reactor),
 ];
 
 /// Module prefixes the serving tier never calls back into: client
@@ -52,8 +71,9 @@ struct Site {
     what: &'static str,
 }
 
-/// Find blocking-primitive call sites in `tokens[start..=end]`.
-fn blocking_sites(src: &SourceFile, start: usize, end: usize) -> Vec<Site> {
+/// Find blocking-primitive call sites in `tokens[start..=end]`; with
+/// `reactor`, deadline-bounded waits on a peer count as well.
+fn blocking_sites(src: &SourceFile, start: usize, end: usize, reactor: bool) -> Vec<Site> {
     let tokens = &src.tokens;
     let mut out = Vec::new();
     let at = |i: usize| tokens.get(i);
@@ -65,27 +85,20 @@ fn blocking_sites(src: &SourceFile, start: usize, end: usize) -> Vec<Site> {
         let line = tokens[i].line;
         let called = at(i + 1).is_some_and(|t| t.is_punct('('));
         let method = i > 0 && tokens[i - 1].is_punct('.');
+        let path = i >= 2 && tokens[i - 1].is_punct(':') && tokens[i - 2].is_punct(':');
         let what: Option<&'static str> = match name {
             "sync_all" | "sync_data" if called && method => Some("fsync-family durability call"),
             "fsync" | "fdatasync" if called => Some("fsync-family durability call"),
-            "sleep"
-                if called
-                    && i >= 2
-                    && tokens[i - 1].is_punct(':')
-                    && tokens[i - 2].is_punct(':') =>
-            {
-                Some("thread sleep")
-            }
+            "sleep" if called && path => Some("thread sleep"),
             "recv" if method && called && at(i + 2).is_some_and(|t| t.is_punct(')')) => {
                 Some("unbounded channel recv")
             }
-            "connect"
-                if called
-                    && i >= 2
-                    && tokens[i - 1].is_punct(':')
-                    && tokens[i - 2].is_punct(':') =>
-            {
-                Some("deadline-less blocking connect")
+            "connect" if called && path => Some("deadline-less blocking connect"),
+            "connect_timeout" if reactor && called && path => {
+                Some("blocking connect on the reactor thread")
+            }
+            "request" if reactor && called && method => {
+                Some("client round trip on the reactor thread")
             }
             _ => None,
         };
@@ -104,47 +117,49 @@ fn blocking_sites(src: &SourceFile, start: usize, end: usize) -> Vec<Site> {
 
 /// Run the rule over the whole workspace.
 pub fn check(sources: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
-    let entries: Vec<usize> = graph
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            !f.in_test
-                && ENTRY_POINTS
-                    .iter()
-                    .any(|(file, name)| sources[f.src].path == *file && f.name == *name)
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if entries.is_empty() {
-        return Vec::new();
-    }
+    let entries = |reactor_only: bool| -> Vec<usize> {
+        let listed = |f: &crate::callgraph::FnDef| {
+            ENTRY_POINTS.iter().any(|(file, name, thread)| {
+                sources[f.src].path == *file
+                    && f.name == *name
+                    && !(reactor_only && *thread == Thread::Worker)
+            })
+        };
+        let fns = graph.fns.iter().enumerate();
+        fns.filter(|(_, f)| !f.in_test && listed(f))
+            .map(|(i, _)| i)
+            .collect()
+    };
     let admit = |f: &crate::callgraph::FnDef, _name: &str| {
         let path = &sources[f.src].path;
         !NON_CALLEE_MODULES.iter().any(|m| path.starts_with(m))
     };
-    let pred = graph.reachable_from(&entries, &admit);
 
     let mut findings = Vec::new();
-    let mut seen: Vec<(usize, usize)> = Vec::new(); // (src, token) dedupe
-    for &fi in pred.keys() {
-        let f = &graph.fns[fi];
-        let src = &sources[f.src];
-        for site in blocking_sites(src, f.body.0, f.body.1) {
-            if seen.contains(&(f.src, site.token)) {
-                continue;
+    // Deduped by (src, token). The reactor's reach goes first, so a site
+    // both threads reach is reported once, under the stricter reading.
+    let mut seen: Vec<(usize, usize)> = Vec::new();
+    for reactor in [true, false] {
+        let pred = graph.reachable_from(&entries(reactor), &admit);
+        for &fi in pred.keys() {
+            let f = &graph.fns[fi];
+            let src = &sources[f.src];
+            for site in blocking_sites(src, f.body.0, f.body.1, reactor) {
+                if seen.contains(&(f.src, site.token)) {
+                    continue;
+                }
+                seen.push((f.src, site.token));
+                findings.push(Finding::new(
+                    BLOCKING_HOT_PATH,
+                    &src.path,
+                    site.line,
+                    format!(
+                        "{} reachable from event-loop entry via {}",
+                        site.what,
+                        graph.path_to(&pred, fi),
+                    ),
+                ));
             }
-            seen.push((f.src, site.token));
-            findings.push(Finding::new(
-                BLOCKING_HOT_PATH,
-                &src.path,
-                site.line,
-                format!(
-                    "{} reachable from event-loop entry via {}",
-                    site.what,
-                    graph.path_to(&pred, fi),
-                ),
-            ));
         }
     }
     // Stable output order: by file then line.
@@ -206,11 +221,24 @@ mod tests {
     }
 
     #[test]
-    fn deadline_bounded_calls_are_clean() {
+    fn a_deadline_excuses_a_peer_wait_on_a_worker_but_not_on_the_reactor() {
+        let dial = "let mut c = Client::connect_timeout(&addr, d); c.request(line);";
         let findings = run(&[(
             "crates/server/src/net.rs",
-            "fn run(&mut self) { let s = TcpStream::connect_timeout(&addr, d); drop(s); }",
+            &format!("fn worker_loop(&self) {{ {dial} }}"),
         )]);
         assert!(findings.is_empty(), "{findings:#?}");
+        let findings = run(&[
+            (
+                "crates/router/src/tier.rs",
+                "fn relay(&self, line: &str) { self.probe(line); }",
+            ),
+            (
+                "crates/router/src/membership.rs",
+                &format!("fn probe(&self, line: &str) {{ {dial} }}"),
+            ),
+        ]);
+        assert_eq!(findings.len(), 2, "{findings:#?}");
+        assert!(findings[0].message.contains("relay -> probe"));
     }
 }

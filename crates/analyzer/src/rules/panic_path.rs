@@ -18,14 +18,15 @@ use crate::rules::PANIC_PATH;
 use crate::source::SourceFile;
 
 /// Files the rule applies to, relative to the workspace root: the I/O
-/// layer, the daemon's request path, and the service/evaluation core it
-/// calls into.
-pub const SCOPE: [&str; 8] = [
+/// layer, the daemon's request path, the router's handler (its relay
+/// hooks run on the reactor), and the service/evaluation core.
+pub const SCOPE: [&str; 9] = [
     "crates/server/src/lib.rs",
     "crates/server/src/net.rs",
     "crates/server/src/protocol.rs",
     "crates/server/src/server.rs",
     "crates/server/src/client.rs",
+    "crates/router/src/tier.rs",
     "crates/core/src/service.rs",
     "crates/core/src/eval.rs",
     "crates/core/src/registry.rs",

@@ -149,12 +149,14 @@ fn lock_inversion_fixture_counts_are_exact() {
 fn blocking_fixture_counts_are_exact() {
     let report = run(fixture("blocking"), &[rules::BLOCKING_HOT_PATH]);
     let by_rule = report.counts_by_rule();
-    // The reactor sleep, the fsync two calls deep and the router
-    // handler's deadline-less dial are findings; the worker's idle park
-    // is waived in place.
+    // The reactor sleep, the fsync two calls deep, the router handler's
+    // deadline-less dial and its relay hook's three waits on a backend
+    // (a connect with a deadline, a round trip, a recv) are findings;
+    // the worker's idle park is waived in place, and the worker's own
+    // deadline-bounded connect stays clean.
     assert_eq!(
         by_rule.get(rules::BLOCKING_HOT_PATH).copied(),
-        Some((3, 1)),
+        Some((6, 1)),
         "{:#?}",
         report.findings
     );
@@ -172,6 +174,15 @@ fn blocking_fixture_counts_are_exact() {
         report
             .unwaived()
             .any(|f| f.message.contains("execute -> forward")),
+        "{:#?}",
+        report.findings
+    );
+    // So are its reactor-thread hooks, under the stricter reading.
+    let from_relay =
+        |f: &&cbes_analyze::findings::Finding| f.message.contains("relay -> ask_backend");
+    assert_eq!(
+        report.unwaived().filter(from_relay).count(),
+        3,
         "{:#?}",
         report.findings
     );

@@ -190,6 +190,26 @@ impl SpanRing {
         }
     }
 
+    /// Open a span that is finished by a later event, not by the call
+    /// stack that began it (an event loop relays a frame in one
+    /// iteration and sees its reply in another). It joins `trace` under
+    /// `parent_span` like [`Self::span_rooted`] but never touches the
+    /// thread's span context, so other work on the thread does not nest
+    /// beneath it and the guard may be dropped in any order.
+    pub fn span_detached(&self, name: &'static str, trace: u64, parent_span: u64) -> SpanGuard<'_> {
+        SpanGuard {
+            ring: self,
+            name,
+            id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
+            parent: parent_span,
+            trace,
+            prev_span: DETACHED,
+            prev_trace: 0,
+            start_us: now_us(),
+            start: Instant::now(),
+        }
+    }
+
     /// Number of spans currently buffered.
     pub fn len(&self) -> usize {
         self.inner.lock().records.len()
@@ -256,6 +276,10 @@ impl std::fmt::Debug for SpanRing {
     }
 }
 
+/// `prev_span` of a guard that never entered the thread's span context
+/// (span ids start at 1 and count up, so the value is never an id).
+const DETACHED: u64 = u64::MAX;
+
 /// A live span; finishes (and records itself) on drop.
 pub struct SpanGuard<'a> {
     ring: &'a SpanRing,
@@ -283,8 +307,10 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        CURRENT_SPAN.with(|c| c.set(self.prev_span));
-        CURRENT_TRACE.with(|c| c.set(self.prev_trace));
+        if self.prev_span != DETACHED {
+            CURRENT_SPAN.with(|c| c.set(self.prev_span));
+            CURRENT_TRACE.with(|c| c.set(self.prev_trace));
+        }
         self.ring.push(SpanRecord {
             name: self.name,
             trace: self.trace,
@@ -414,6 +440,26 @@ mod tests {
         assert_eq!(root.parent, 5, "remote parent preserved");
         let child = &other.drain()[0];
         assert_eq!(child.trace, 77);
+    }
+
+    #[test]
+    fn detached_spans_join_a_trace_without_entering_the_thread_context() {
+        let ring = SpanRing::new(16);
+        let first = ring.span_detached("router.forward", 77, 5);
+        let second = ring.span_detached("router.forward", 78, 0);
+        assert_eq!(current_trace(), None, "the thread stays untraced");
+        {
+            let unrelated = ring.span("stats");
+            assert_eq!((unrelated.trace(), unrelated.parent), (0, 0));
+        }
+        // Finished out of order, as replies arrive.
+        drop(first);
+        drop(second);
+        assert_eq!(current_trace(), None);
+        let spans = ring.drain();
+        assert_eq!(spans.len(), 3);
+        assert_eq!((spans[1].trace, spans[1].parent), (77, 5));
+        assert_eq!((spans[2].trace, spans[2].parent), (78, 0));
     }
 
     #[test]

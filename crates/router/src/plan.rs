@@ -82,6 +82,17 @@ pub fn mode_of(action_index: usize) -> ForwardMode {
         .unwrap_or(ForwardMode::Local)
 }
 
+/// The forwarding mode of a wire tag — a `Request` variant name, as a
+/// frame spells it (`BestOf` for action `best_of`) — if it names an
+/// action. Lets the reactor tell a frame it relays from one a worker
+/// runs without parsing the latter.
+pub fn mode_of_tag(tag: &str) -> Option<ForwardMode> {
+    let lowered = || tag.bytes().map(|b| b.to_ascii_lowercase());
+    let spelled = |action: &&str| action.bytes().filter(|b| *b != b'_').eq(lowered());
+    let actions = cbes_server::protocol::ACTIONS.iter();
+    actions.into_iter().position(spelled).map(mode_of)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +116,16 @@ mod tests {
             let is_eval = matches!(*action, "compare" | "best_of" | "schedule" | "batch");
             assert_eq!(hash_routed, is_eval, "{action}");
         }
+    }
+
+    #[test]
+    fn wire_tags_resolve_to_their_actions_mode() {
+        assert_eq!(mode_of_tag("BestOf"), Some(ForwardMode::Hash));
+        assert_eq!(mode_of_tag("Compare"), Some(ForwardMode::Hash));
+        assert_eq!(mode_of_tag("RegisterProfile"), Some(ForwardMode::Broadcast));
+        assert_eq!(mode_of_tag("ArtifactStatus"), Some(ForwardMode::Merge));
+        assert_eq!(mode_of_tag("Comparex"), None);
+        assert_eq!(mode_of_tag(""), None);
     }
 
     #[test]

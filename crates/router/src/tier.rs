@@ -17,14 +17,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::membership::{Membership, MembershipConfig};
-use crate::plan::{mode_of, ForwardMode};
+use crate::plan::{mode_of, mode_of_tag, ForwardMode};
 use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
+use cbes_core::health::NodeHealth;
 use cbes_obs::{names, MetricsSnapshot, Registry};
-use cbes_server::net::{self, encode_line, Control, Handler, NetHandle};
+use cbes_server::net::{self, encode_line, Control, Forward, Handler, NetHandle};
 use cbes_server::protocol::{
-    decode_request, error_kind, route_key_hash, Request, Response, ResponseEnvelope, SpanSnapshot,
-    StatsReport,
+    decode_request, encode, error_kind, route_key_hash, split_id, Request, Response,
+    ResponseEnvelope, SpanSnapshot, StatsReport,
 };
 use cbes_server::{Client, ClientError, ServerConfig};
 
@@ -235,16 +236,11 @@ struct Router {
 }
 
 impl Handler for Router {
-    /// One cached connection per backend, indexed like the seed list
-    /// and used by [`ForwardMode::Hash`] only. Forwarding waits on a
-    /// peer, so nothing runs on the reactor (`may_inline` stays `false`).
-    type Worker = Vec<Option<Client>>;
-
-    fn worker(&self) -> Self::Worker {
-        (0..self.membership.len()).map(|_| None).collect()
-    }
-
-    fn execute(&self, backends: &mut Self::Worker, line: &str) -> (Vec<u8>, bool) {
+    /// The worker-run verbs: each dials per forward and waits on a peer,
+    /// so none runs on the reactor (`may_inline` stays `false`). A frame
+    /// that does not decode is refused here too, unattributable (id 0)
+    /// and as a strike against its connection.
+    fn execute(&self, line: &str) -> (Vec<u8>, bool) {
         let envelope = match decode_request(line) {
             Ok(envelope) => envelope,
             Err(e) => {
@@ -264,106 +260,118 @@ impl Handler for Router {
             )
         });
         let id = envelope.id;
-        let response = self.dispatch(backends, envelope.request);
+        let response = self.dispatch(envelope.request);
         (encode_line(&ResponseEnvelope { id, response }), false)
+    }
+
+    fn upstreams(&self) -> (Vec<String>, Duration) {
+        let membership = &self.membership;
+        (
+            membership.addrs().to_vec(),
+            membership.config().probe_timeout,
+        )
+    }
+
+    /// Hash-routed evaluations never reach a worker: the reactor relays
+    /// them to the key's owner. The frame is validated and keyed here —
+    /// one that does not decode is left to `execute` to refuse, never
+    /// forwarded, so no peer can spend the shared backend socket's
+    /// strike budget — and goes out as the bytes it came in, minus its
+    /// id and, when traced, with this hop's span as its parent. Only a
+    /// frame not in the canonical spelling is re-encoded.
+    fn relay(&self, line: &str) -> Option<Forward> {
+        let canonical = split_id(line).map(|(_, tail)| tail);
+        // What is visibly not hash-routed is not parsed twice.
+        let tag = canonical.and_then(|tail| tail.strip_prefix(",\"request\":"));
+        let tag = tag.and_then(|rest| rest.strip_prefix('"').or(rest.strip_prefix("{\"")));
+        let tag = tag.and_then(|rest| rest.split('"').next());
+        if tag.is_some_and(|tag| mode_of_tag(tag) != Some(ForwardMode::Hash)) {
+            return None;
+        }
+        let mut envelope = decode_request(line).ok()?;
+        let (Request::Compare { app, .. }
+        | Request::BestOf { app, .. }
+        | Request::Schedule { app, .. }
+        | Request::Batch { app, .. }) = &envelope.request
+        else {
+            return None;
+        };
+        let membership = &self.membership;
+        let hash = route_key_hash(&membership.config().cluster, app);
+        let mut candidates = self.ring.candidates(hash, membership.config().replicas + 1);
+        let primary = candidates.first().copied().unwrap_or(usize::MAX);
+        candidates.retain(|&i| membership.health(i) != NodeHealth::Down);
+        let caller = envelope.parent_span;
+        let span = (envelope.trace_id != 0).then(|| {
+            let hop = Registry::global().spans().span_detached(
+                names::SPAN_ROUTER_FORWARD,
+                envelope.trace_id,
+                caller,
+            );
+            envelope.parent_span = hop.id();
+            hop
+        });
+        // How the encoder ends a traced frame, under a given parent.
+        let traced = |parent| {
+            format!(
+                ",\"trace_id\":{},\"parent_span\":{parent}}}",
+                envelope.trace_id
+            )
+        };
+        let tail = match (canonical, &span) {
+            (Some(tail), None) => Some(tail.to_string()),
+            // Spelled the encoder's way: only the parent is rewritten.
+            (Some(tail), Some(hop)) => tail
+                .strip_suffix(traced(caller).as_str())
+                .map(|body| body.to_string() + &traced(hop.id())),
+            (None, _) => None,
+        };
+        let tail = match tail {
+            Some(tail) => tail,
+            None => split_id(&encode(&envelope))?.1.to_string(),
+        };
+        Some(Forward {
+            id: envelope.id,
+            tail,
+            candidates,
+            primary,
+            span,
+        })
+    }
+
+    fn relayed(&self, upstream: usize, primary: bool) {
+        if primary {
+            self.membership.count_routed(upstream);
+        } else {
+            self.membership.count_failed_over(upstream);
+        }
+    }
+
+    fn unroutable(&self, id: u64) -> Vec<u8> {
+        let response = if self.net.is_shutting_down() {
+            // The tier is going away under this request.
+            Response::shed(error_kind::SHUTTING_DOWN, "router is draining", 0)
+        } else {
+            Response::error(error_kind::SERVICE, "no usable instance owns this key")
+        };
+        encode_line(&ResponseEnvelope { id, response })
     }
 }
 
-/// Forward `request` to `addr` verbatim and relay the raw response
-/// (error replies included — the proxy does not rewrite them), over the
-/// connection cached in `slot`, dialled on first use; `&mut None` dials
-/// per forward. Only replay-safe evaluations may pass a kept slot: a
-/// backend that restarted leaves a dead socket behind, so an I/O error
-/// on a *reused* connection drops it and re-dials once before the
-/// candidate counts as failed. A missed deadline is the backend being
-/// slow, not the socket being stale, and is not replayed.
-fn forward(
-    slot: &mut Option<Client>,
-    addr: &str,
-    timeout: Duration,
-    request: &Request,
-) -> Result<Response, ClientError> {
-    let mut reused = slot.is_some();
-    loop {
-        if slot.is_none() {
-            *slot = Some(Client::connect_timeout(addr, timeout)?);
-        }
-        let client = slot.as_mut().expect("dialled above");
-        let error = match client.request(request.clone()) {
-            Ok(envelope) => return Ok(envelope.response),
-            Err(e) => e,
-        };
-        // Unusable either way: a late reply would desynchronise it.
-        *slot = None;
-        let stale = matches!(&error, ClientError::Io(io) if !matches!(
-            io.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ));
-        if !(reused && stale) {
-            return Err(error);
-        }
-        reused = false;
-    }
+/// Forward `request` to `addr` over a connection dialled for it and
+/// relay the raw response (error replies included — the proxy does not
+/// rewrite them).
+fn forward(addr: &str, timeout: Duration, request: &Request) -> Result<Response, ClientError> {
+    let envelope = Client::connect_timeout(addr, timeout)?.request(request.clone())?;
+    Ok(envelope.response)
 }
 
 impl Router {
-    /// Answer one request per its forwarding mode.
-    fn dispatch(&self, backends: &mut [Option<Client>], request: Request) -> Response {
+    /// Answer one worker-run request per its forwarding mode.
+    fn dispatch(&self, request: Request) -> Response {
         let membership = &self.membership;
         let timeout = membership.config().probe_timeout;
         match mode_of(request.action_index()) {
-            ForwardMode::Hash => {
-                let app = match &request {
-                    Request::Compare { app, .. }
-                    | Request::BestOf { app, .. }
-                    | Request::Schedule { app, .. }
-                    | Request::Batch { app, .. } => app.clone(),
-                    _ => String::new(),
-                };
-                let hash = route_key_hash(&membership.config().cluster, &app);
-                let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
-                let mut last: Option<Response> = None;
-                for (slot, &i) in candidates.iter().enumerate() {
-                    if membership.health(i) == cbes_core::health::NodeHealth::Down {
-                        continue;
-                    }
-                    let (Some(addr), Some(cached)) =
-                        (membership.addrs().get(i), backends.get_mut(i))
-                    else {
-                        continue;
-                    };
-                    match forward(cached, addr, timeout, &request) {
-                        Ok(Response::Error {
-                            kind,
-                            message,
-                            retry_after_ms,
-                        }) if kind == error_kind::SHUTTING_DOWN => {
-                            last = Some(Response::Error {
-                                kind,
-                                message,
-                                retry_after_ms,
-                            });
-                        }
-                        Ok(response) => {
-                            if slot == 0 {
-                                membership.count_routed(i);
-                            } else {
-                                membership.count_failed_over(i);
-                            }
-                            return response;
-                        }
-                        Err(_) => {}
-                    }
-                }
-                last.unwrap_or_else(|| {
-                    if self.net.is_shutting_down() {
-                        // The tier is going away under this request.
-                        Response::shed(error_kind::SHUTTING_DOWN, "router is draining", 0)
-                    } else {
-                        Response::error(error_kind::SERVICE, "no usable instance owns this key")
-                    }
-                })
-            }
             ForwardMode::Leader => match request {
                 Request::ObserveLoad { load } => match observe_tier(membership, &load, &[]) {
                     Ok(epoch) => Response::LoadObserved { epoch },
@@ -388,7 +396,7 @@ impl Router {
                         Some(a) => a.as_str(),
                         None => continue,
                     };
-                    match forward(&mut None, addr, timeout, &request) {
+                    match forward(addr, timeout, &request) {
                         Ok(Response::Stats { stats: s }) => {
                             membership.count_forwarded(i);
                             stats.push(s);
@@ -477,7 +485,7 @@ impl Router {
                         Some(a) => a.as_str(),
                         None => continue,
                     };
-                    if let Ok(response) = forward(&mut None, addr, timeout, &request) {
+                    if let Ok(response) = forward(addr, timeout, &request) {
                         membership.count_forwarded(i);
                         if !matches!(response, Response::Error { .. }) && ok.is_none() {
                             ok = Some(response);
@@ -508,7 +516,9 @@ impl Router {
                     Response::error(error_kind::SERVICE, "no usable instance accepted")
                 })
             }
-            ForwardMode::Local => match request {
+            // Hash-routed requests are relayed on the reactor; one that
+            // reached a worker is refused like any other stray.
+            ForwardMode::Local | ForwardMode::Hash => match request {
                 Request::Route { cluster, app } => {
                     let hash = route_key_hash(&cluster, &app);
                     let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
@@ -565,7 +575,7 @@ fn broadcast_artifact(
             None => continue,
         };
         attempted += 1;
-        match forward(&mut None, addr, timeout, request) {
+        match forward(addr, timeout, request) {
             Ok(Response::Error { message, .. }) => {
                 failures.push(format!("{addr}: {message}"));
             }

@@ -3,10 +3,10 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::atomic::AtomicBool;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cbes_cluster::load::LoadState;
 use cbes_cluster::presets::two_switch_demo;
@@ -18,7 +18,9 @@ use cbes_core::CbesService;
 use cbes_router::membership::{Membership, MembershipConfig};
 use cbes_router::tier::{observe_tier, probe_instances, RouterServer, TierConfig};
 use cbes_router::{RouterTierHandle, RoutingClient};
-use cbes_server::protocol::{encode, error_kind, Request, RequestEnvelope, Response};
+use cbes_server::protocol::{
+    encode, error_kind, route_key_hash, split_id, Request, RequestEnvelope, Response, StatsReport,
+};
 use cbes_server::{Client, ResponseEnvelope, RetryPolicy, Server, ServerConfig, ServerHandle};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
@@ -169,6 +171,15 @@ fn observations_replicate_from_leader_to_followers() {
     }
     membership.record_probes(&probe_instances(&membership));
     assert_eq!(membership.replication_lag(), 0);
+    // Sweeps racing the heartbeat: whatever a probe catches mid-push,
+    // followers are never seen more than two epochs behind the leader.
+    for sweep in 2..=6 {
+        let epoch = observe_tier(&membership, &load, &[]).expect("leader is up");
+        assert_eq!(epoch, sweep);
+        assert!(membership.replication_lag() <= 2);
+        membership.record_probes(&probe_instances(&membership));
+        assert!(membership.replication_lag() <= 2);
+    }
 
     // Kill the leader: the next sweep goes through a follower, and the
     // epoch line keeps rising from the replicated value.
@@ -181,7 +192,8 @@ fn observations_replicate_from_leader_to_followers() {
         membership.record_probes(&probe_instances(&membership));
     }
     let epoch = observe_tier(&membership, &load, &[]).expect("a follower takes over");
-    assert_eq!(epoch, 2, "epoch continuity across leader failover");
+    assert_eq!(epoch, 7, "epoch continuity across leader failover");
+    assert!(membership.replication_lag() <= 2);
 
     for h in handles.into_iter().flatten() {
         h.shutdown_and_join();
@@ -392,6 +404,11 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
 /// A router over `seeds` whose heartbeat sweeps once at start and then
 /// stays out of the test's way.
 fn quiet_router(seeds: Vec<String>) -> RouterTierHandle {
+    quiet_router_waiting(seeds, MembershipConfig::default().probe_timeout)
+}
+
+/// [`quiet_router`] with its per-attempt deadline set.
+fn quiet_router_waiting(seeds: Vec<String>, probe_timeout: Duration) -> RouterTierHandle {
     let expected = seeds.len();
     let router = RouterServer::start(TierConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -399,6 +416,7 @@ fn quiet_router(seeds: Vec<String>) -> RouterTierHandle {
         membership: MembershipConfig {
             cluster: "demo".to_string(),
             heartbeat: Duration::from_secs(3600),
+            probe_timeout,
             ..MembershipConfig::default()
         },
     })
@@ -588,6 +606,356 @@ fn restarted_backend_is_redialled_without_a_failover() {
 
     router.shutdown_and_join();
     for h in instances.into_iter().flatten() {
+        h.shutdown_and_join();
+    }
+}
+
+fn compare_line(id: u64, app: &str, mappings: Vec<Mapping>) -> String {
+    let request = Request::Compare {
+        app: app.to_string(),
+        mappings,
+    };
+    encode(&RequestEnvelope::new(id, request)) + "\n"
+}
+
+fn next_line(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("a reply arrives");
+    line
+}
+
+fn stats_of(addr: &str) -> StatsReport {
+    let mut direct =
+        Client::connect_timeout(addr, Duration::from_secs(10)).expect("instance answers");
+    direct.stats().expect("stats")
+}
+
+#[test]
+fn two_connections_reusing_ids_each_get_their_own_replies_byte_for_byte() {
+    let instances: Vec<ServerHandle> = (0..2).map(|_| start_instance()).collect();
+    let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
+    let mut control =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    for app in ["left", "right"] {
+        control
+            .register_profile(profile(app))
+            .expect("broadcast registration");
+    }
+    // Same ids on both connections, different questions behind them.
+    const WINDOW: u64 = 64;
+    let window = |app: &str, shift: u64| -> Vec<String> {
+        (1..=WINDOW)
+            .map(|id| {
+                let (a, b) = (1 + (id + shift) % 7, 1 + (id + shift + 3) % 7);
+                compare_line(id, app, vec![mapping(&[a as u32, b as u32])])
+            })
+            .collect()
+    };
+    let sent = [window("left", 0), window("right", 1)];
+    let mut conns = [raw_connection(&router), raw_connection(&router)];
+    for ((stream, _), lines) in conns.iter_mut().zip(&sent) {
+        stream.write_all(lines.concat().as_bytes()).expect("write");
+    }
+    // What a backend says to the same frame asked directly. Every
+    // instance holds the same profiles at the same epoch.
+    let direct = TcpStream::connect(instances[0].addr()).expect("instance listens");
+    let mut direct_reader = BufReader::new(direct.try_clone().expect("clone"));
+    for ((_, reader), lines) in conns.iter_mut().zip(&sent) {
+        for (id, line) in (1..=WINDOW).zip(lines) {
+            let routed = next_line(reader);
+            (&direct).write_all(line.as_bytes()).expect("write");
+            let expected = next_line(&mut direct_reader);
+            let (routed_id, routed_tail) = split_id(&routed).expect("canonical reply");
+            let (_, expected_tail) = split_id(&expected).expect("canonical reply");
+            assert_eq!(routed_id, id, "relayed replies keep arrival order");
+            assert_eq!(routed_tail, expected_tail, "only the id may differ");
+            assert!(routed_tail.starts_with(",\"response\":{\"Predictions\""));
+        }
+    }
+    // A frame spelled another way (here: the id last) has no prefix to
+    // cut; it is re-encoded on its way and answered the same.
+    let canonical = compare_line(77, "left", vec![mapping(&[1, 2])]);
+    let id_last = canonical
+        .replacen("{\"id\":77,", "{", 1)
+        .replace("}\n", ",\"id\":77}\n");
+    let (stream, reader) = &mut conns[0];
+    stream.write_all(id_last.as_bytes()).expect("write");
+    (&direct).write_all(canonical.as_bytes()).expect("write");
+    assert_eq!(next_line(reader), next_line(&mut direct_reader));
+    router.shutdown_and_join();
+    for h in instances {
+        h.shutdown_and_join();
+    }
+}
+
+/// A backend that answers heartbeat probes like a healthy instance but
+/// swallows every other frame; with `hang_up_after: Some(n)` it closes
+/// a connection once it has swallowed `n` frames from it.
+fn mute_backend(stats: StatsReport, hang_up_after: Option<usize>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind succeeds");
+    let addr = listener.local_addr().expect("bound").to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            let stats = stats.clone();
+            std::thread::spawn(move || {
+                let mut swallowed = 0;
+                for line in BufReader::new(&stream).lines().map_while(Result::ok) {
+                    if line.contains("\"Stats\"") {
+                        let id = split_id(&line).map_or(0, |(id, _)| id);
+                        let response = Response::Stats {
+                            stats: stats.clone(),
+                        };
+                        let reply = encode(&ResponseEnvelope { id, response }) + "\n";
+                        if (&stream).write_all(reply.as_bytes()).is_err() {
+                            return;
+                        }
+                        continue;
+                    }
+                    swallowed += 1;
+                    if hang_up_after == Some(swallowed) {
+                        let _ = stream.shutdown(Shutdown::Both);
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A router over one mute backend and one real instance holding
+/// `app`, seeded so the mute one owns the key: `(router, real
+/// instance, mute index, real index)`.
+fn tier_with_a_mute_primary(
+    app: &str,
+    hang_up_after: Option<usize>,
+) -> (RouterTierHandle, ServerHandle, usize, usize) {
+    let real = start_instance();
+    Client::connect_timeout(real.addr(), Duration::from_secs(2))
+        .expect("instance answers")
+        .register_profile(profile(app))
+        .expect("direct registration");
+    let mute = mute_backend(stats_of(&real.addr().to_string()), hang_up_after);
+    let owner = cbes_router::HashRing::new(2)
+        .primary(route_key_hash("demo", app))
+        .expect("non-empty ring");
+    let mut seeds = vec![real.addr().to_string(); 2];
+    seeds[owner] = mute;
+    (quiet_router(seeds), real, owner, 1 - owner)
+}
+
+#[test]
+fn a_window_in_flight_on_a_dying_primary_is_answered_once_by_the_replica() {
+    const WINDOW: u64 = 32;
+    let (router, real, primary, replica) = tier_with_a_mute_primary("app", Some(WINDOW as usize));
+    let (mut stream, mut reader) = raw_connection(&router);
+    let window: String = (1..=WINDOW)
+        .map(|id| compare_line(id, "app", vec![mapping(&[0, 1])]))
+        .collect();
+    stream.write_all(window.as_bytes()).expect("write");
+    // The primary reads the whole window, answers none of it and hangs
+    // up: all of it is re-sent to the replica, none of it twice.
+    for id in 1..=WINDOW {
+        let reply = next_reply(&mut reader).expect("the replica's answer");
+        assert_eq!(reply.id, id);
+        assert!(matches!(reply.response, Response::Predictions { .. }));
+    }
+    let probe = encode(&RequestEnvelope::new(99, Request::Membership)) + "\n";
+    stream.write_all(probe.as_bytes()).expect("write");
+    let reply = next_reply(&mut reader).expect("local answer");
+    assert_eq!(reply.id, 99, "nothing else was queued behind the window");
+    let Response::Membership { membership } = reply.response else {
+        panic!("expected the membership table");
+    };
+    assert_eq!(membership.instances[replica].failed_over, WINDOW);
+    assert_eq!(membership.instances[replica].routed, 0);
+    assert_eq!(membership.instances[primary].routed, 0);
+    router.shutdown_and_join();
+    real.shutdown_and_join();
+}
+
+#[test]
+fn a_silent_primary_costs_one_probe_timeout_not_the_request_deadline() {
+    let (router, real, _, replica) = tier_with_a_mute_primary("app", None);
+    let (mut stream, mut reader) = raw_connection(&router);
+    let asked = Instant::now();
+    let window: String = (1..=8)
+        .map(|id| compare_line(id, "app", vec![mapping(&[0, 1])]))
+        .collect();
+    stream.write_all(window.as_bytes()).expect("write");
+    for id in 1..=8 {
+        let reply = next_reply(&mut reader).expect("the replica's answer");
+        assert_eq!(reply.id, id);
+        assert!(matches!(reply.response, Response::Predictions { .. }));
+    }
+    let waited = asked.elapsed();
+    let attempt = MembershipConfig::default().probe_timeout;
+    assert!(waited >= attempt, "the primary got its full attempt");
+    assert!(
+        waited < ServerConfig::default().request_timeout / 2,
+        "failover after {waited:?} waited for the request deadline, not the attempt's"
+    );
+    let report = router.membership().report();
+    assert_eq!(report.instances[replica].failed_over, 8);
+    router.shutdown_and_join();
+    real.shutdown_and_join();
+}
+
+#[test]
+fn a_misshapen_hash_frame_is_refused_by_the_router_and_never_forwarded() {
+    let instances: Vec<ServerHandle> = (0..2).map(|_| start_instance()).collect();
+    let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
+    let (mut stream, mut reader) = raw_connection(&router);
+    // Valid JSON, a hash-routed tag, the wrong shape behind it.
+    let budget = ServerConfig::default().max_consecutive_errors;
+    for _ in 0..budget {
+        stream
+            .write_all(b"{\"id\":5,\"request\":{\"Compare\":{\"app\":7}}}\n")
+            .expect("write");
+        let reply = next_reply(&mut reader).expect("each strike is answered");
+        assert_eq!(reply.id, 0);
+        assert_eq!(error_kind_of(&reply), error_kind::BAD_REQUEST);
+    }
+    assert!(
+        next_reply(&mut reader).is_none(),
+        "the refusals were strikes: the router hangs up after {budget}"
+    );
+    for h in &instances {
+        let stats = stats_of(&h.addr().to_string());
+        assert_eq!(stats.errors, 0, "no backend ever saw the frame");
+        assert_eq!(stats.dropped_connections, 0);
+    }
+    router.shutdown_and_join();
+    for h in instances {
+        h.shutdown_and_join();
+    }
+}
+
+#[test]
+fn a_traced_compare_through_the_router_yields_one_connected_chain() {
+    let instances: Vec<ServerHandle> = (0..2).map(|_| start_instance()).collect();
+    let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
+    let mut control =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    control
+        .register_profile(profile("app"))
+        .expect("broadcast registration");
+    let trace_id = cbes_obs::mint_trace_id();
+    let request = Request::Compare {
+        app: "app".to_string(),
+        mappings: vec![mapping(&[0, 1])],
+    };
+    let (mut stream, mut reader) = raw_connection(&router);
+    let line = encode(&RequestEnvelope::traced(3, request, trace_id, 41)) + "\n";
+    stream.write_all(line.as_bytes()).expect("write");
+    let reply = next_reply(&mut reader).expect("relayed reply");
+    assert_eq!(reply.id, 3);
+    assert!(matches!(reply.response, Response::Predictions { .. }));
+
+    let (_, spans) = control.trace(trace_id).expect("tier-wide trace");
+    let named = |name: &str| {
+        let mut matching = spans.iter().filter(|s| s.name == name);
+        let span = matching.next().unwrap_or_else(|| panic!("no {name} span"));
+        assert!(matching.next().is_none(), "one {name} span per request");
+        span
+    };
+    let forward = named("router.forward");
+    let served = named("compare");
+    let evaluated = named("core.evaluate_mapping");
+    assert_eq!(forward.parent, 41, "the caller's span is the hop's parent");
+    assert_eq!(served.parent, forward.id);
+    assert_eq!(evaluated.parent, served.id);
+    assert!(
+        forward.dur_us >= served.dur_us,
+        "the hop ({} us) contains the backend's work ({} us)",
+        forward.dur_us,
+        served.dur_us
+    );
+    router.shutdown_and_join();
+    for h in instances {
+        h.shutdown_and_join();
+    }
+}
+
+#[test]
+fn a_client_that_never_reads_is_not_read_from_until_it_does() {
+    let instances: Vec<ServerHandle> = (0..2).map(|_| start_instance()).collect();
+    // A debug-build backend works through a deep burst slowly; give its
+    // queue the whole request deadline rather than failing it over.
+    let seeds = instances.iter().map(|h| h.addr().to_string()).collect();
+    let router = quiet_router_waiting(seeds, ServerConfig::default().request_timeout);
+    let mut control =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    control
+        .register_profile(profile("app"))
+        .expect("broadcast registration");
+    let served = || -> u64 {
+        let compares = |h: &ServerHandle| stats_of(&h.addr().to_string()).per_action["compare"];
+        instances.iter().map(compares).sum()
+    };
+    // Replies that dwarf their requests: this burst's are more than
+    // every kernel buffer between the router and the client holds.
+    const HEAVY: u64 = 120;
+    const FILLER: u64 = 500;
+    let (mut stream, mut reader) = raw_connection(&router);
+    let burst: String = (1..=HEAVY)
+        .map(|id| compare_line(id, "app", vec![mapping(&[0, 1]); 400]))
+        .collect();
+    stream.write_all(burst.as_bytes()).expect("write");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while served() < HEAVY {
+        assert!(Instant::now() < deadline, "the burst was never evaluated");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Nothing has been read, so the replies sit in the router — which
+    // therefore takes nothing more from this client: more than the
+    // kernel absorbs cannot be written.
+    let sent = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let sent = sent.clone();
+        std::thread::spawn(move || {
+            for id in HEAVY + 1..=HEAVY + FILLER {
+                let line = compare_line(id, "nobody", vec![mapping(&[0, 1]); 1000]);
+                stream.write_all(line.as_bytes()).expect("write");
+                sent.fetch_add(1, Ordering::Release);
+            }
+            stream
+        })
+    };
+    let mut before = u64::MAX;
+    let stalled_at = loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = sent.load(Ordering::Acquire);
+        if now == before {
+            break now;
+        }
+        before = now;
+    };
+    assert!(
+        stalled_at < FILLER,
+        "the router took every frame from a client that reads nothing"
+    );
+    // Reading drains it all: every frame answered once, evaluations in
+    // arrival order (a shed, should the rest of the burst run into a
+    // bound, may overtake).
+    let frames = (HEAVY + FILLER) as usize;
+    let (mut answered, mut last_relayed) = (vec![false; frames + 1], 0);
+    for _ in 0..frames {
+        let reply = next_reply(&mut reader).expect("every frame is answered");
+        let seen = answered.get_mut(reply.id as usize).expect("a sent id");
+        assert!(!std::mem::replace(seen, true), "id {} twice", reply.id);
+        match &reply.response {
+            Response::Predictions { predictions, .. } => assert_eq!(predictions.len(), 400),
+            Response::Error { kind, .. } if kind == error_kind::OVERLOADED => continue,
+            Response::Error { kind, .. } => assert_eq!(kind, error_kind::SERVICE),
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert!(reply.id > last_relayed, "relayed replies keep order");
+        last_relayed = reply.id;
+    }
+    let _stream = writer.join().expect("writer thread");
+    router.shutdown_and_join();
+    for h in instances {
         h.shutdown_and_join();
     }
 }

@@ -74,6 +74,22 @@ pub struct Client {
     next_id: u64,
 }
 
+/// Connect to the first address `addr` resolves to that accepts within
+/// `timeout`.
+pub(crate) fn dial<A: ToSocketAddrs>(addr: A, timeout: Duration) -> std::io::Result<TcpStream> {
+    let mut last = std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        "address resolved to no socket addresses",
+    );
+    for addr in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&addr, timeout) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
 impl Client {
     /// Connect to a running daemon. No I/O deadline is set: a reply
     /// blocks indefinitely. Prefer [`Client::connect_timeout`] for
@@ -90,23 +106,9 @@ impl Client {
         addr: A,
         timeout: Duration,
     ) -> Result<Client, ClientError> {
-        let mut last_err = None;
-        for addr in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&addr, timeout) {
-                Ok(stream) => {
-                    let mut client = Client::from_stream(stream)?;
-                    client.set_io_timeout(Some(timeout))?;
-                    return Ok(client);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(ClientError::Io(last_err.unwrap_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "address resolved to no socket addresses",
-            )
-        })))
+        let mut client = Client::from_stream(dial(addr, timeout)?)?;
+        client.set_io_timeout(Some(timeout))?;
+        Ok(client)
     }
 
     fn from_stream(stream: TcpStream) -> Result<Client, ClientError> {

@@ -23,6 +23,16 @@
 //! shed, oversized-frame, timeout — may overtake replies still being
 //! computed, which is why every reply carries the request id.
 //!
+//! Relaying: a frame [`Handler::relay`] answers with a [`Forward`]
+//! never leaves the reactor thread. It is written — the reactor's
+//! sequence number as its id — to one shared non-blocking socket per
+//! upstream, and the reply line is matched by that number in the
+//! [`PendingTable`], given its client's id back and queued on the client
+//! connection byte for byte. An attempt that is refused, missed or cut
+//! off moves the entry to its next candidate. One connection's relayed
+//! replies keep arrival order among themselves (not against its
+//! worker-run frames). The one blocking step, the dial, is a worker job.
+//!
 //! Shutdown: [`Control::shutdown`] flips the flag and wakes the
 //! reactor. The reactor stops accepting, answers any newly-read line
 //! with a `shutting_down` shed, drains outstanding completions, flushes
@@ -31,7 +41,7 @@
 //! admitted request is answered.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -40,11 +50,11 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cbes_obs::{names, Counter, Histogram, Registry};
+use cbes_obs::{names, Counter, Histogram, Registry, SpanGuard};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
 use crate::epoll::{PollEvent, Poller};
-use crate::protocol::{encode_response, error_kind, Response, ResponseEnvelope};
+use crate::protocol::{encode_response, error_kind, split_id, Response, ResponseEnvelope};
 use crate::server::ServerConfig;
 
 /// Upper bound on one reactor poll wait: the loop re-checks the
@@ -55,21 +65,21 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 const LISTENER_TOKEN: u64 = 0;
 /// Reactor poll token of the worker wake channel.
 const WAKE_TOKEN: u64 = 1;
-/// First token handed to an accepted connection.
+/// First token handed to an accepted (or dialled) connection.
 const FIRST_CONN_TOKEN: u64 = 2;
+
+/// Unflushed output at which a connection's replies are flushed eagerly
+/// and the reactor stops reading it until the peer drains them.
+const FLUSH_HIGH_WATER: usize = 64 * 1024;
+
+/// How a `shutting_down` reply continues after its id, in the encoding
+/// every daemon emits: the relay fails such a reply over unparsed.
+const SHUTTING_DOWN_TAIL: &str = ",\"response\":{\"Error\":{\"kind\":\"shutting_down\"";
 
 /// What the I/O layer serves: one request line in, one reply line out.
 /// Calls are monomorphised per handler; there is no `dyn` dispatch on
 /// the frame path.
 pub trait Handler: Send + Sync + 'static {
-    /// State one executing thread keeps between frames (the router's
-    /// cached backend connections; nothing for the daemon). Built on
-    /// the thread that uses it.
-    type Worker;
-
-    /// Fresh per-thread state.
-    fn worker(&self) -> Self::Worker;
-
     /// Whether `line` may run on the reactor thread when the whole
     /// pool is idle. Must be `false` (the default) for anything that
     /// can block on a disk or a peer, or whose cost the caller controls.
@@ -79,7 +89,56 @@ pub trait Handler: Send + Sync + 'static {
 
     /// Execute one frame: the encoded reply line (newline included)
     /// and whether it counts as a malformed-frame strike.
-    fn execute(&self, worker: &mut Self::Worker, line: &str) -> (Vec<u8>, bool);
+    fn execute(&self, line: &str) -> (Vec<u8>, bool);
+
+    /// The backends the reactor may relay frames to — a [`Forward`]
+    /// names them by position — and the deadline for one dial and for
+    /// one attempt's reply. Read once at start.
+    fn upstreams(&self) -> (Vec<String>, Duration) {
+        (Vec::new(), Duration::ZERO)
+    }
+
+    /// `Some` to relay `line` instead of executing it. Runs on the
+    /// reactor thread for every frame, so it must not block; the
+    /// default relays nothing and compiles away.
+    fn relay(&self, _line: &str) -> Option<Forward> {
+        None
+    }
+
+    /// A relayed frame's reply went out to its client: `upstream`
+    /// answered it, as the frame's `primary` or as a failover target.
+    fn relayed(&self, _upstream: usize, _primary: bool) {}
+
+    /// The reply line (newline included) for a relayed frame that no
+    /// candidate answered.
+    fn unroutable(&self, id: u64) -> Vec<u8> {
+        let response = Response::error(error_kind::SERVICE, "no upstream answered");
+        encode_line(&ResponseEnvelope { id, response })
+    }
+}
+
+/// One frame to relay.
+pub struct Forward {
+    /// The client's id, put back on the reply.
+    pub id: u64,
+    /// The frame after its id digits (`,"request":…}`), as
+    /// [`split_id`] cuts it; sent behind the reactor's own id.
+    pub tail: String,
+    /// Upstreams to try, in order; an attempt that fails moves on.
+    pub candidates: Vec<usize>,
+    /// The upstream [`Handler::relayed`] is told was the first choice.
+    pub primary: usize,
+    /// Finished (dropped) when the frame is answered, however that is.
+    pub span: Option<SpanGuard<'static>>,
+}
+
+/// Append `{"id":<id>` + `tail` + newline: a relayed frame or reply
+/// under the id its next hop knows it by.
+fn push_frame(buf: &mut Vec<u8>, id: u64, tail: &str) {
+    buf.extend_from_slice(b"{\"id\":");
+    let _ = write!(buf, "{id}");
+    buf.extend_from_slice(tail.as_bytes());
+    buf.push(b'\n');
 }
 
 /// One reply envelope as a wire line, newline included.
@@ -181,53 +240,84 @@ fn shed_spike_threshold() -> u64 {
     env_u64(&CACHE, "CBES_FLIGHT_SHED_SPIKE", 8)
 }
 
-/// One admitted request line travelling to a worker shard.
-struct Job {
-    /// Reactor-assigned sequence; keys the [`PendingTable`] entry.
-    seq: u64,
-    /// The raw frame; the worker parses it off the reactor thread.
-    line: String,
-    /// When the reactor queued this job; queue wait is measured from
-    /// here to worker pickup.
-    admitted: Instant,
+/// Work travelling to a worker shard.
+enum Job {
+    /// One admitted request line.
+    Frame {
+        /// Reactor-assigned sequence; keys the [`PendingTable`] entry.
+        seq: u64,
+        /// The raw frame; the worker parses it off the reactor thread.
+        line: String,
+        /// When the reactor queued this job; queue wait is measured
+        /// from here to worker pickup.
+        admitted: Instant,
+    },
+    /// Connect to upstream `.0` at `.1` within `.2` — the one blocking
+    /// step of a relay.
+    Dial(usize, String, Duration),
 }
 
-/// A finished reply travelling back from a worker to the reactor.
-struct Completion {
-    seq: u64,
-    /// The encoded reply line, newline included.
-    bytes: Vec<u8>,
-    /// True when the reply is a framing strike (`bad_request`).
-    malformed: bool,
+/// A worker's result travelling back to the reactor.
+enum Completion {
+    Reply {
+        seq: u64,
+        /// The encoded reply line, newline included.
+        bytes: Vec<u8>,
+        /// True when the reply is a framing strike (`bad_request`).
+        malformed: bool,
+    },
+    /// The socket (or not) for upstream `.0`.
+    Dialled(usize, std::io::Result<TcpStream>),
 }
 
-/// Best-effort scan for the envelope id without a full parse, so shed
-/// and timeout replies can echo it. The wire encoding always leads with
-/// `{"id":N`, but any top-level placement parses; an absent or
-/// unreadable id falls back to 0 (the "unattributable" id).
+/// The envelope id without a full parse, so shed and timeout replies
+/// can echo it. The wire encoding always leads with `{"id":N`, which
+/// [`split_id`] reads; any other top-level placement parses too, so the
+/// fallback walks the line for an `"id"` key of the outermost object —
+/// skipping strings, so an `"id"` spelled inside a value is not one. An
+/// absent or unreadable id is 0 (the "unattributable" id).
 fn peek_id(line: &str) -> u64 {
-    let Some(pos) = line.find("\"id\"") else {
-        return 0;
-    };
-    let Some(rest) = line.get(pos + 4..) else {
-        return 0;
-    };
-    let Some(rest) = rest.trim_start().strip_prefix(':') else {
-        return 0;
-    };
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().unwrap_or(0)
+    if let Some((id, _)) = split_id(line) {
+        return id;
+    }
+    let bytes = line.as_bytes();
+    let (mut depth, mut pos) = (0usize, 0usize);
+    while let Some(&b) = bytes.get(pos) {
+        pos += 1;
+        match b {
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => depth = depth.saturating_sub(1),
+            b'"' => {
+                let start = pos;
+                while bytes.get(pos).is_some_and(|&c| c != b'"') {
+                    pos += 1 + usize::from(bytes.get(pos) == Some(&b'\\'));
+                }
+                let key = depth == 1 && bytes.get(start..pos) == Some(b"id");
+                pos += 1;
+                let rest = line.get(pos..).unwrap_or("").trim_start();
+                if let Some(digits) = rest.strip_prefix(':').filter(|_| key) {
+                    let digits = digits.trim_start();
+                    let end = digits.bytes().take_while(u8::is_ascii_digit).count();
+                    return digits.get(..end).and_then(|d| d.parse().ok()).unwrap_or(0);
+                }
+            }
+            _ => {}
+        }
+    }
+    0
+}
+
+/// A load-shedding reply (boxed: the happy path should not pay for its
+/// size).
+fn shed(id: u64, kind: &str, message: &str, retry_after_ms: u64) -> Box<ResponseEnvelope> {
+    let response = Response::shed(kind, message, retry_after_ms);
+    Box::new(ResponseEnvelope { id, response })
 }
 
 /// Push one line through admission control: draining servers and full
 /// or disconnected shards shed immediately, everything else queues.
 /// `Ok` is the peeked envelope id, used for a timeout reply should the
-/// deadline pass first; `Err` is the shed reply (boxed: the happy path
-/// should not pay for its size).
+/// deadline pass first; `Err` is the shed reply.
 fn try_admit(
     line: &str,
     tx: &Sender<Job>,
@@ -237,12 +327,8 @@ fn try_admit(
     shed_retry_after_ms: u64,
 ) -> Result<u64, Box<ResponseEnvelope>> {
     let id = peek_id(line);
-    let shed = |kind, message| {
-        let response = Response::shed(kind, message, shed_retry_after_ms);
-        Box::new(ResponseEnvelope { id, response })
-    };
     if !draining {
-        let job = Job {
+        let job = Job::Frame {
             seq,
             line: line.to_string(),
             admitted: Instant::now(),
@@ -251,21 +337,48 @@ fn try_admit(
             Ok(()) => return Ok(id),
             Err(TrySendError::Full(_)) => {
                 metrics.shed_overloaded();
-                return Err(shed(error_kind::OVERLOADED, "admission queue is full"));
+                return Err(shed(
+                    id,
+                    error_kind::OVERLOADED,
+                    "admission queue is full",
+                    shed_retry_after_ms,
+                ));
             }
             // Workers gone: the layer is past draining.
             Err(TrySendError::Disconnected(_)) => {}
         }
     }
     metrics.errors.incr();
-    Err(shed(error_kind::SHUTTING_DOWN, "server is draining"))
+    Err(shed(
+        id,
+        error_kind::SHUTTING_DOWN,
+        "server is draining",
+        shed_retry_after_ms,
+    ))
 }
 
 /// One in-flight admitted request. The deadline lives in the table's
-/// heap; the entry itself only needs routing identity.
+/// heap; the entry itself only needs routing identity — plus, for a
+/// relayed frame, what it takes to send it again.
 struct Pending {
     token: u64,
     id: u64,
+    relay: Option<Box<Relayed>>,
+}
+
+/// The relay half of a [`Pending`] entry.
+struct Relayed {
+    /// What to send, and again on the next attempt.
+    forward: Forward,
+    /// How many of the candidates have been tried; the current attempt
+    /// is number `tried`, counting from 1.
+    tried: usize,
+    /// The upstream the current attempt went to; replies from any
+    /// other are stale.
+    upstream: usize,
+    /// An upstream's `shutting_down` reply (after its id): the answer
+    /// if no later candidate does better.
+    refusal: Option<String>,
 }
 
 /// The reactor's deadline ledger for admitted requests: completions
@@ -273,9 +386,11 @@ struct Pending {
 /// closing connection cancels its entries so late replies are dropped.
 struct PendingTable {
     by_seq: HashMap<u64, Pending>,
-    /// Min-heap of deadlines with lazy deletion: completed or cancelled
-    /// seqs linger here until their deadline pops them.
-    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
+    /// Min-heap of `(deadline, seq, attempt)` with lazy deletion:
+    /// attempt 0 is the request's own deadline, `n` a relayed entry's
+    /// `n`th attempt's. Completed or cancelled seqs and attempts since
+    /// given up linger here until their time pops them.
+    deadlines: BinaryHeap<Reverse<(Instant, u64, usize)>>,
 }
 
 impl PendingTable {
@@ -286,9 +401,28 @@ impl PendingTable {
         }
     }
 
-    fn insert(&mut self, seq: u64, token: u64, id: u64, deadline: Instant) {
-        self.by_seq.insert(seq, Pending { token, id });
-        self.deadlines.push(Reverse((deadline, seq)));
+    fn insert(&mut self, seq: u64, pending: Pending, deadline: Instant) {
+        self.by_seq.insert(seq, pending);
+        self.deadlines.push(Reverse((deadline, seq, 0)));
+    }
+
+    /// The relay half of a live entry.
+    fn relayed_mut(&mut self, seq: u64) -> Option<&mut Relayed> {
+        self.by_seq.get_mut(&seq)?.relay.as_deref_mut()
+    }
+
+    /// Live entries whose current attempt went to `upstream`, oldest
+    /// first.
+    fn on_upstream(&self, upstream: usize) -> Vec<u64> {
+        let on = |p: &Pending| p.relay.as_ref().is_some_and(|r| r.upstream == upstream);
+        let mut seqs: Vec<u64> = self
+            .by_seq
+            .iter()
+            .filter(|(_, p)| on(p))
+            .map(|(&s, _)| s)
+            .collect();
+        seqs.sort_unstable();
+        seqs
     }
 
     /// Claim the entry for a finished request; `None` means it already
@@ -306,22 +440,26 @@ impl PendingTable {
     /// The earliest deadline, for sizing the poll wait. May be stale
     /// (a completed entry) — that only causes one early wakeup.
     fn next_deadline(&self) -> Option<Instant> {
-        self.deadlines.peek().map(|Reverse((d, _))| *d)
+        self.deadlines.peek().map(|Reverse((d, ..))| *d)
     }
 
-    /// Pop every entry whose deadline has passed.
-    fn expire(&mut self, now: Instant) -> Vec<Pending> {
-        let mut due = Vec::new();
-        while let Some(Reverse((deadline, seq))) = self.deadlines.peek().copied() {
-            if deadline > now {
+    /// Pop every deadline that has passed: entries past their own come
+    /// out of the table (first list); relayed ones whose current
+    /// attempt went unanswered stay in it (second list).
+    fn expire(&mut self, now: Instant) -> (Vec<(u64, Pending)>, Vec<u64>) {
+        let (mut timed_out, mut missed) = (Vec::new(), Vec::new());
+        while let Some(Reverse((at, seq, attempt))) = self.deadlines.peek().copied() {
+            if at > now {
                 break;
             }
             self.deadlines.pop();
-            if let Some(p) = self.by_seq.remove(&seq) {
-                due.push(p);
+            if attempt == 0 {
+                timed_out.extend(self.by_seq.remove(&seq).map(|p| (seq, p)));
+            } else if self.relayed_mut(seq).is_some_and(|r| r.tried == attempt) {
+                missed.push(seq);
             }
         }
-        due
+        (timed_out, missed)
     }
 
     /// Cancel every entry belonging to a closed connection.
@@ -334,6 +472,10 @@ impl PendingTable {
 
     fn is_empty(&self) -> bool {
         self.by_seq.is_empty()
+    }
+
+    fn len(&self) -> usize {
+        self.by_seq.len()
     }
 }
 
@@ -436,6 +578,11 @@ struct Conn {
     closing: bool,
     /// Current poller interest, to skip redundant `modify` calls.
     interest: (bool, bool),
+    /// Relayed frames not yet answered, in arrival order, each with its
+    /// reply once that is in: replies leave from the front only.
+    order: VecDeque<(u64, Option<Vec<u8>>)>,
+    /// `Some(i)`: not a client but the socket dialled to upstream `i`.
+    upstream: Option<usize>,
 }
 
 impl Conn {
@@ -451,8 +598,25 @@ impl Conn {
             eof: false,
             closing: false,
             interest: (true, false),
+            order: VecDeque::new(),
+            upstream: None,
         }
     }
+
+    /// Output bytes the socket has not taken yet.
+    fn unflushed(&self) -> usize {
+        self.wbuf.len().saturating_sub(self.wpos)
+    }
+}
+
+/// One backend relayed frames go to, over at most one socket.
+struct Upstream {
+    addr: String,
+    /// Token of its [`Conn`] while connected.
+    conn: Option<u64>,
+    /// A worker is connecting; with neither, the next frame starts a
+    /// dial. Entries attempted meanwhile are written when it connects.
+    dialling: bool,
 }
 
 /// What the reactor, the workers, the handler and the owning handle
@@ -549,6 +713,12 @@ pub fn start<H: Handler>(
         busy: (0..worker_count).map(|_| AtomicBool::new(false)).collect(),
     });
     let handler = Arc::new(handler(&control)?);
+    let (upstreams, attempt_timeout) = handler.upstreams();
+    let upstreams = upstreams.into_iter().map(|addr| Upstream {
+        addr,
+        conn: None,
+        dialling: false,
+    });
     let metrics = NetMetrics::new(registry);
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
@@ -571,8 +741,14 @@ pub fn start<H: Handler>(
         wake_rx,
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
-        next_seq: 0,
+        // From 1: id 0 on a relayed reply is an upstream's
+        // "unattributable", never one of ours.
+        next_seq: 1,
         pending: PendingTable::new(),
+        upstreams: upstreams.collect(),
+        attempt_timeout,
+        relay_capacity: config.queue_capacity.max(1),
+        touched: Vec::new(),
         shard_tx,
         control: control.clone(),
         handler,
@@ -627,17 +803,28 @@ fn worker_loop<H: Handler>(
     let (Some(own), Some(busy)) = (control.shards.get(index), control.busy.get(index)) else {
         return;
     };
-    let mut state = handler.worker();
     // cbes-analyze: allow(blocking_hot_path, the worker's idle park on its own shard queue is the designed wait point; the reactor never calls recv)
     while let Ok(job) = own.recv() {
         busy.store(true, Ordering::Release);
-        queue_wait.record_duration(job.admitted.elapsed());
-        let (bytes, malformed) = handler.execute(&mut state, &job.line);
-        let _ = completion_tx.send(Completion {
-            seq: job.seq,
-            bytes,
-            malformed,
-        });
+        let completion = match job {
+            Job::Frame {
+                seq,
+                line,
+                admitted,
+            } => {
+                queue_wait.record_duration(admitted.elapsed());
+                let (bytes, malformed) = handler.execute(&line);
+                Completion::Reply {
+                    seq,
+                    bytes,
+                    malformed,
+                }
+            }
+            Job::Dial(i, addr, timeout) => {
+                Completion::Dialled(i, crate::client::dial(addr.as_str(), timeout))
+            }
+        };
+        let _ = completion_tx.send(completion);
         control.wake();
         busy.store(false, Ordering::Release);
     }
@@ -653,6 +840,13 @@ struct Reactor<H: Handler> {
     next_token: u64,
     next_seq: u64,
     pending: PendingTable,
+    upstreams: Vec<Upstream>,
+    /// Deadline for one upstream dial and for one attempt's reply.
+    attempt_timeout: Duration,
+    /// Most requests in flight at once before a relayed frame is shed.
+    relay_capacity: usize,
+    /// Connections with output queued since the last flush pass.
+    touched: Vec<u64>,
     shard_tx: Vec<Sender<Job>>,
     control: Arc<Control>,
     handler: Arc<H>,
@@ -668,12 +862,12 @@ struct Reactor<H: Handler> {
 impl<H: Handler> Reactor<H> {
     fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::new();
-        // The reactor's own handler state, for frames it runs inline.
-        let mut inline_state = self.handler.worker();
         loop {
             if self.control.is_shutting_down() {
                 self.begin_drain();
-                if self.pending.is_empty() && self.conns.values().all(|c| c.wbuf.is_empty()) {
+                // Output still queued for an upstream answers nobody.
+                let flushed = |c: &Conn| c.upstream.is_some() || c.wbuf.is_empty();
+                if self.pending.is_empty() && self.conns.values().all(flushed) {
                     break;
                 }
             }
@@ -695,7 +889,7 @@ impl<H: Handler> Reactor<H> {
                     WAKE_TOKEN => self.drain_wake(),
                     token => {
                         if ev.readable {
-                            self.conn_readable(token, &mut inline_state);
+                            self.conn_readable(token);
                         }
                         if ev.writable {
                             self.flush_conn(token);
@@ -705,6 +899,14 @@ impl<H: Handler> Reactor<H> {
             }
             self.drain_completions();
             self.expire_pending();
+            // One write per connection for everything the batch queued:
+            // worker replies, relayed replies, frames for upstreams.
+            let mut touched = std::mem::take(&mut self.touched);
+            touched.sort_unstable();
+            touched.dedup();
+            for token in touched {
+                self.flush_conn(token);
+            }
         }
         // Dropping self drops the shard senders; workers exit on the
         // disconnect. The listener and every connection close with it.
@@ -769,56 +971,64 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    fn conn_readable(&mut self, token: u64, inline_state: &mut H::Worker) {
+    /// Read what the socket has, a chunk at a time: each chunk's frames
+    /// are handled and their replies flushed before more input is taken,
+    /// so a pipelined peer has its first window's answers while the
+    /// second is worked on. A client whose replies are piling up unread
+    /// is not read further: what it has already sent waits in the
+    /// kernel until [`Self::update_interest`] sees the output drain.
+    fn conn_readable(&mut self, token: u64) {
         let mut scratch = [0u8; 16 * 1024];
         let mut frames: Vec<FrameEvent> = Vec::new();
-        let mut failed = false;
-        {
+        loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        let chunk = scratch.get(..n).unwrap_or(&[]);
-                        conn.frames.ingest(chunk, self.max_line_bytes, &mut frames);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
+            let upstream = conn.upstream;
+            if upstream.is_none() && conn.unflushed() >= FLUSH_HIGH_WATER {
+                break;
+            }
+            // An upstream's replies are its own to size; a client's
+            // frames are capped.
+            let cap = upstream.map_or(self.max_line_bytes, |_| usize::MAX);
+            match conn.stream.read(&mut scratch) {
+                Ok(0) => {
+                    conn.eof = true;
+                    frames.extend(conn.frames.take_residual().map(FrameEvent::Line));
+                }
+                Ok(n) => {
+                    let chunk = scratch.get(..n).unwrap_or(&[]);
+                    conn.frames.ingest(chunk, cap, &mut frames);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close_conn(token);
+                    return;
                 }
             }
-            if conn.eof {
-                if let Some(residual) = conn.frames.take_residual() {
-                    frames.push(FrameEvent::Line(residual));
+            let eof = conn.eof;
+            for frame in frames.drain(..) {
+                match (frame, upstream) {
+                    (FrameEvent::Line(line), None) => self.handle_line(token, &line),
+                    (FrameEvent::Line(line), Some(i)) => self.upstream_line(i, &line),
+                    (FrameEvent::Oversized, None) => self.reply_frame_too_large(token),
+                    (FrameEvent::Oversized, Some(_)) => {}
                 }
             }
-        }
-        if failed {
-            self.close_conn(token);
-            return;
-        }
-        for frame in frames {
-            match frame {
-                FrameEvent::Line(line) => self.handle_line(token, &line, inline_state),
-                FrameEvent::Oversized => self.reply_frame_too_large(token),
+            // Also updates interest (EOF drops read interest so a
+            // half-closed socket stops waking the loop) and closes the
+            // connection if it is already fully answered.
+            self.flush_conn(token);
+            if eof {
+                break;
             }
         }
-        // Flush pass: updates interest (EOF drops read interest so a
-        // half-closed socket stops waking the loop) and closes the
-        // connection if it is already fully answered.
-        self.flush_conn(token);
     }
 
-    /// Run admission control for one complete frame.
-    fn handle_line(&mut self, token: u64, line: &[u8], inline_state: &mut H::Worker) {
+    /// Route one complete frame: relayed, run inline, or through
+    /// admission control to a worker.
+    fn handle_line(&mut self, token: u64, line: &[u8]) {
         let text = String::from_utf8_lossy(line);
         let trimmed = text.trim();
         if trimmed.is_empty() {
@@ -833,6 +1043,15 @@ impl<H: Handler> Reactor<H> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let draining = self.control.is_shutting_down();
+        // While draining nothing new is relayed: admission sheds it.
+        let forward = if draining {
+            None
+        } else {
+            self.handler.relay(trimmed)
+        };
+        if let Some(forward) = forward {
+            return self.relay(token, seq, forward);
+        }
         // Inline fast path: when nothing is queued or executing anywhere
         // on the worker pool, a bounded-cost request is cheaper to run
         // right here than to bounce through two thread handoffs (which
@@ -841,7 +1060,7 @@ impl<H: Handler> Reactor<H> {
             // The worker path records queue wait at pickup; inline
             // pickup is immediate, so the sample is zero by definition.
             self.metrics.queue_wait.record_duration(Duration::ZERO);
-            let (bytes, malformed) = self.handler.execute(inline_state, trimmed);
+            let (bytes, malformed) = self.handler.execute(trimmed);
             self.queue_reply(token, &bytes, malformed);
             return;
         }
@@ -854,8 +1073,13 @@ impl<H: Handler> Reactor<H> {
             self.shed_retry_after_ms,
         ) {
             Ok(id) => {
+                let pending = Pending {
+                    token,
+                    id,
+                    relay: None,
+                };
                 self.pending
-                    .insert(seq, token, id, Instant::now() + self.request_timeout);
+                    .insert(seq, pending, Instant::now() + self.request_timeout);
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.inflight += 1;
                 }
@@ -878,6 +1102,180 @@ impl<H: Handler> Reactor<H> {
         !queued && !busy && self.handler.may_inline(line)
     }
 
+    /// Admit one frame to the relay: a pending entry under the request
+    /// deadline and a place in its connection's reply order, then the
+    /// first attempt. Past the in-flight bound it is shed instead.
+    fn relay(&mut self, token: u64, seq: u64, forward: Forward) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if self.pending.len() >= self.relay_capacity {
+            self.metrics.shed_overloaded();
+            let reply = shed(
+                forward.id,
+                error_kind::OVERLOADED,
+                "admission queue is full",
+                self.shed_retry_after_ms,
+            );
+            return self.queue_reply(token, &encode_line(&reply), false);
+        }
+        conn.inflight += 1;
+        conn.order.push_back((seq, None));
+        let pending = Pending {
+            token,
+            id: forward.id,
+            relay: Some(Box::new(Relayed {
+                forward,
+                tried: 0,
+                upstream: usize::MAX,
+                refusal: None,
+            })),
+        };
+        self.pending
+            .insert(seq, pending, Instant::now() + self.request_timeout);
+        self.attempt(seq);
+    }
+
+    /// Send a relayed entry to its next candidate: behind whatever that
+    /// upstream's socket has queued, or once a socket is dialled (by
+    /// whichever worker has queue room). With no candidate left the
+    /// entry is answered for good: with the last refusal an upstream
+    /// gave, else the handler's own word.
+    fn attempt(&mut self, seq: u64) {
+        let Some(relayed) = self.pending.relayed_mut(seq) else {
+            return;
+        };
+        let next = relayed.forward.candidates.get(relayed.tried).copied();
+        let Some((i, upstream)) = next.and_then(|i| Some((i, self.upstreams.get_mut(i)?))) else {
+            let Some(p) = self.pending.complete(seq) else {
+                return;
+            };
+            self.metrics.errors.incr();
+            let mut bytes = Vec::new();
+            match p.relay.and_then(|r| r.refusal) {
+                Some(tail) => push_frame(&mut bytes, p.id, &tail),
+                None => bytes = self.handler.unroutable(p.id),
+            }
+            return self.answer_in_order(p.token, seq, bytes);
+        };
+        relayed.tried += 1;
+        relayed.upstream = i;
+        let attempt = relayed.tried;
+        let connected = upstream.conn.and_then(|token| self.conns.get_mut(&token));
+        if let Some((token, conn)) = upstream.conn.zip(connected) {
+            push_frame(&mut conn.wbuf, seq, &relayed.forward.tail);
+            self.touched.push(token);
+        }
+        let due = Instant::now() + self.attempt_timeout;
+        self.pending.deadlines.push(Reverse((due, seq, attempt)));
+        if upstream.conn.is_none() && !std::mem::replace(&mut upstream.dialling, true) {
+            let shards = self.shard_tx.len();
+            let queued = (0..shards).any(|k| {
+                let job = Job::Dial(i, upstream.addr.clone(), self.attempt_timeout);
+                let tx = self.shard_tx.get((i + k) % shards);
+                tx.is_some_and(|tx| tx.try_send(job).is_ok())
+            });
+            if !queued {
+                self.dialled(i, Err(std::io::ErrorKind::WouldBlock.into()));
+            }
+        }
+    }
+
+    /// A dial came back. A socket's first write is every entry still
+    /// waiting for it, oldest first; a failure sends them all on to
+    /// their next candidates.
+    fn dialled(&mut self, i: usize, stream: std::io::Result<TcpStream>) {
+        let Some(upstream) = self.upstreams.get_mut(i) else {
+            return;
+        };
+        upstream.dialling = false;
+        let token = self.next_token;
+        let registered = stream.and_then(|stream| {
+            stream.set_nonblocking(true)?;
+            stream.set_nodelay(true)?;
+            self.poller
+                .register(stream.as_raw_fd(), token, true, false)?;
+            Ok(stream)
+        });
+        match registered {
+            Ok(stream) => {
+                self.next_token += 1;
+                let mut conn = Conn::new(stream, 0);
+                conn.upstream = Some(i);
+                for seq in self.pending.on_upstream(i) {
+                    let tail = self.pending.relayed_mut(seq).map(|r| &r.forward.tail);
+                    push_frame(&mut conn.wbuf, seq, tail.map_or("", String::as_str));
+                }
+                upstream.conn = Some(token);
+                self.conns.insert(token, conn);
+                self.touched.push(token);
+            }
+            Err(_) => self.fail_over(i),
+        }
+    }
+
+    /// Upstream `i` is gone (its dial failed or its socket closed):
+    /// every entry waiting on it moves to its next candidate.
+    fn fail_over(&mut self, i: usize) {
+        for seq in self.pending.on_upstream(i) {
+            self.attempt(seq);
+        }
+    }
+
+    /// One reply line from upstream `i`: matched by the sequence number
+    /// it was sent under, given its client's id back, and queued as it
+    /// is. A `shutting_down` refusal is not relayed but failed over.
+    fn upstream_line(&mut self, i: usize, line: &[u8]) {
+        let text = String::from_utf8_lossy(line);
+        let Some((seq, tail)) = split_id(text.trim()) else {
+            return;
+        };
+        // No live entry: it timed out or its client went away. Another
+        // upstream's entry: this attempt was already given up.
+        let Some(relayed) = self.pending.relayed_mut(seq).filter(|r| r.upstream == i) else {
+            return;
+        };
+        if tail.starts_with(SHUTTING_DOWN_TAIL) {
+            relayed.refusal = Some(tail.to_string());
+            return self.attempt(seq);
+        }
+        let primary = relayed.forward.primary == i;
+        let Some(p) = self.pending.complete(seq) else {
+            return;
+        };
+        self.handler.relayed(i, primary);
+        let mut bytes = Vec::with_capacity(tail.len() + 32);
+        push_frame(&mut bytes, p.id, tail);
+        self.answer_in_order(p.token, seq, bytes);
+    }
+
+    /// File the final reply to relayed frame `seq` in its connection's
+    /// order and queue whatever is now at the front with its reply in.
+    fn answer_in_order(&mut self, token: u64, seq: u64, bytes: Vec<u8>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let slot = conn.order.binary_search_by_key(&seq, |slot| slot.0);
+        let Some(slot) = slot.ok().and_then(|at| conn.order.get_mut(at)) else {
+            return;
+        };
+        slot.1 = Some(bytes);
+        loop {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            if conn.order.front().is_none_or(|slot| slot.1.is_none()) {
+                break;
+            }
+            let Some((_, Some(bytes))) = conn.order.pop_front() else {
+                break;
+            };
+            conn.inflight = conn.inflight.saturating_sub(1);
+            self.queue_reply(token, &bytes, false);
+        }
+        self.touched.push(token);
+    }
+
     fn reply_frame_too_large(&mut self, token: u64) {
         self.metrics.oversized_frames.incr();
         self.metrics.errors.incr();
@@ -896,10 +1294,10 @@ impl<H: Handler> Reactor<H> {
     /// runs inside a batch (a read's frame loop, a completion drain, an
     /// expiry sweep) and flushes once at the end, so a pipelined client
     /// costs one write syscall per batch instead of one per reply. A
-    /// buffer past the high-water mark flushes eagerly anyway, bounding
-    /// memory against a peer that writes but never reads.
+    /// buffer past the high-water mark flushes eagerly anyway; if the
+    /// peer is not reading, [`Self::update_interest`] then stops
+    /// reading the peer, which bounds the buffer.
     fn queue_reply(&mut self, token: u64, bytes: &[u8], malformed: bool) {
-        const FLUSH_HIGH_WATER: usize = 64 * 1024;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -913,7 +1311,7 @@ impl<H: Handler> Reactor<H> {
             self.metrics.dropped_connections.incr();
             conn.closing = true;
         }
-        if conn.wbuf.len().saturating_sub(conn.wpos) >= FLUSH_HIGH_WATER {
+        if conn.unflushed() >= FLUSH_HIGH_WATER {
             self.flush_conn(token);
         }
     }
@@ -959,13 +1357,18 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Re-arm the poller for this connection: read until EOF, write
-    /// while output is buffered.
+    /// Re-arm the poller for this connection: write while output is
+    /// buffered; read until EOF — but not from a client that has
+    /// [`FLUSH_HIGH_WATER`] of replies waiting unread, or its pipelined
+    /// requests would grow the buffer without limit. An upstream is
+    /// always read: its replies are what empties the reactor, and two
+    /// peers that each stop reading over unsent output can wedge.
     fn update_interest(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let readable = !conn.eof;
+        let backed_up = conn.upstream.is_none() && conn.unflushed() >= FLUSH_HIGH_WATER;
+        let readable = !conn.eof && !backed_up;
         let writable = !conn.wbuf.is_empty();
         if conn.interest != (readable, writable) {
             conn.interest = (readable, writable);
@@ -976,46 +1379,62 @@ impl<H: Handler> Reactor<H> {
     }
 
     fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        match conn.upstream {
             // Cancel in-flight requests: their late completions are
             // dropped (nobody is left to read the replies).
-            self.pending.drop_conn(token);
+            None => self.pending.drop_conn(token),
+            Some(i) => {
+                if let Some(upstream) = self.upstreams.get_mut(i) {
+                    upstream.conn = None;
+                }
+                self.fail_over(i);
+            }
         }
     }
 
-    /// Queue the reply to one admitted request; its connection is noted
-    /// in `touched` for the caller's single flush per connection.
-    fn answer(&mut self, p: &Pending, bytes: &[u8], malformed: bool, touched: &mut Vec<u64>) {
+    /// Queue the reply to one worker-run request; its connection is
+    /// flushed with the rest of the batch.
+    fn answer(&mut self, p: &Pending, bytes: &[u8], malformed: bool) {
         if let Some(conn) = self.conns.get_mut(&p.token) {
             conn.inflight = conn.inflight.saturating_sub(1);
         }
         self.queue_reply(p.token, bytes, malformed);
-        if !touched.contains(&p.token) {
-            touched.push(p.token);
-        }
+        self.touched.push(p.token);
     }
 
-    /// Deliver finished worker replies to their connections.
+    /// Deliver finished worker replies to their connections, and
+    /// finished dials to their upstreams.
     fn drain_completions(&mut self) {
-        let mut touched: Vec<u64> = Vec::new();
         while let Ok(completion) = self.completion_rx.try_recv() {
-            // No pending entry: the request timed out (already answered)
-            // or its connection closed. Either way the reply is dropped.
-            if let Some(p) = self.pending.complete(completion.seq) {
-                self.answer(&p, &completion.bytes, completion.malformed, &mut touched);
+            match completion {
+                Completion::Reply {
+                    seq,
+                    bytes,
+                    malformed,
+                } => {
+                    // No pending entry: the request timed out (already
+                    // answered) or its connection closed. Either way
+                    // the reply is dropped.
+                    if let Some(p) = self.pending.complete(seq) {
+                        self.answer(&p, &bytes, malformed);
+                    }
+                }
+                Completion::Dialled(upstream, stream) => self.dialled(upstream, stream),
             }
-        }
-        for token in touched {
-            self.flush_conn(token);
         }
     }
 
     /// Answer every admitted request whose deadline passed with a
-    /// `timeout` error; the worker's eventual reply is dropped.
+    /// `timeout` error (a late reply is dropped), and move every
+    /// relayed entry whose attempt went unanswered to its next
+    /// candidate.
     fn expire_pending(&mut self) {
-        let mut touched: Vec<u64> = Vec::new();
-        for p in self.pending.expire(Instant::now()) {
+        let (timed_out, missed) = self.pending.expire(Instant::now());
+        for (seq, p) in timed_out {
             self.metrics.timeouts.incr();
             self.metrics.errors.incr();
             let envelope = ResponseEnvelope {
@@ -1025,10 +1444,14 @@ impl<H: Handler> Reactor<H> {
                     format!("no reply within {:?}", self.request_timeout),
                 ),
             };
-            self.answer(&p, &encode_line(&envelope), false, &mut touched);
+            let bytes = encode_line(&envelope);
+            match p.relay {
+                Some(_) => self.answer_in_order(p.token, seq, bytes),
+                None => self.answer(&p, &bytes, false),
+            }
         }
-        for token in touched {
-            self.flush_conn(token);
+        for seq in missed {
+            self.attempt(seq);
         }
     }
 }
@@ -1052,10 +1475,44 @@ pub(crate) mod tests {
     #[test]
     fn peek_id_reads_the_envelope_id() {
         assert_eq!(peek_id(&stats_line(7)), 7);
+        assert_eq!(peek_id(&stats_line(u64::MAX)), u64::MAX);
         assert_eq!(peek_id("{\"id\" : 42, \"request\":\"Stats\"}"), 42);
+        assert_eq!(
+            peek_id("{\"id\":07,\"request\":\"Stats\"}"),
+            7,
+            "lenient, as the parser is"
+        );
         assert_eq!(peek_id("{not json"), 0, "no id to find");
         assert_eq!(peek_id("{\"request\":\"Stats\"}"), 0, "missing id");
         assert_eq!(peek_id("{\"id\":\"x\"}"), 0, "non-numeric id");
+    }
+
+    #[test]
+    fn peek_id_is_not_fooled_by_an_id_spelled_inside_a_value() {
+        let app = "{\"Compare\":{\"app\":\"\\\"id\\\":9\",\"mappings\":[]}}";
+        let trailing = format!("{{\"request\":{app},\"id\":4}}");
+        assert_eq!(peek_id(&trailing), 4, "{trailing}");
+        let leading = format!("{{\"id\":4,\"request\":{app}}}");
+        assert_eq!(peek_id(&leading), 4, "{leading}");
+        // A nested object's own "id" key is not the envelope's either.
+        assert_eq!(peek_id("{\"request\":{\"id\":9},\"id\":4}"), 4);
+        assert_eq!(peek_id("{\"request\":{\"id\":9}}"), 0);
+    }
+
+    #[test]
+    fn relayed_frames_and_refusals_keep_their_bytes_around_the_id() {
+        let line = stats_line(12);
+        let (id, tail) = split_id(&line).expect("canonical");
+        let mut out = Vec::new();
+        push_frame(&mut out, id, tail);
+        assert_eq!(out, format!("{line}\n").into_bytes(), "same id, same line");
+        // What a draining daemon answers is recognised unparsed.
+        let tail_of = |kind| {
+            let line = encode_response(&shed(3, kind, "shutting_down", 25));
+            split_id(&line).expect("canonical").1.to_string()
+        };
+        assert!(tail_of(error_kind::SHUTTING_DOWN).starts_with(SHUTTING_DOWN_TAIL));
+        assert!(!tail_of(error_kind::OVERLOADED).starts_with(SHUTTING_DOWN_TAIL));
     }
 
     #[test]
@@ -1064,9 +1521,10 @@ pub(crate) mod tests {
         let m = NetMetrics::new(&Arc::new(Registry::new()));
         let admitted = try_admit(&stats_line(3), &tx, 11, false, &m, 25);
         assert_eq!(admitted.expect("an empty queue admits"), 3);
-        let job = rx.recv().expect("the job was queued");
-        assert_eq!(job.seq, 11);
-        assert_eq!(job.line, stats_line(3));
+        match rx.recv().expect("the job was queued") {
+            Job::Frame { seq, line, .. } => assert_eq!((seq, line), (11, stats_line(3))),
+            Job::Dial(..) => panic!("admission queues frames"),
+        }
         assert_eq!(m.errors.get(), 0);
     }
 
@@ -1109,21 +1567,65 @@ pub(crate) mod tests {
     fn pending_table_completes_expires_and_cancels() {
         let mut t = PendingTable::new();
         let now = Instant::now();
-        t.insert(1, 100, 11, now + Duration::from_millis(10));
-        t.insert(2, 100, 12, now + Duration::from_secs(60));
-        t.insert(3, 200, 13, now + Duration::from_secs(60));
+        let entry = |token, id| Pending {
+            token,
+            id,
+            relay: None,
+        };
+        t.insert(1, entry(100, 11), now + Duration::from_millis(10));
+        t.insert(2, entry(100, 12), now + Duration::from_secs(60));
+        t.insert(3, entry(200, 13), now + Duration::from_secs(60));
         assert_eq!(t.next_deadline(), Some(now + Duration::from_millis(10)));
         let p = t.complete(1).expect("live entry");
         assert_eq!((p.token, p.id), (100, 11));
         assert!(t.complete(1).is_none(), "a reply is delivered exactly once");
         t.drop_conn(200);
         assert!(t.complete(3).is_none(), "cancelled with its connection");
-        assert!(t.expire(now).is_empty(), "nothing is due yet");
-        let due = t.expire(now + Duration::from_secs(120));
+        assert!(t.expire(now).0.is_empty(), "nothing is due yet");
+        let (due, _) = t.expire(now + Duration::from_secs(120));
         assert_eq!(due.len(), 1, "only the live entry expires");
-        assert_eq!(due.first().map(|p| p.id), Some(12));
+        assert_eq!(due.first().map(|(seq, p)| (*seq, p.id)), Some((2, 12)));
         assert!(t.is_empty());
         assert_eq!(t.next_deadline(), None, "the heap backlog is cleared");
+    }
+
+    #[test]
+    fn pending_table_tells_a_missed_attempt_from_a_missed_deadline() {
+        let mut t = PendingTable::new();
+        let now = Instant::now();
+        let ms = Duration::from_millis;
+        let forward = Forward {
+            id: 11,
+            tail: String::new(),
+            candidates: vec![0, 1],
+            primary: 0,
+            span: None,
+        };
+        let relayed = Relayed {
+            forward,
+            tried: 1,
+            upstream: 0,
+            refusal: None,
+        };
+        let pending = Pending {
+            token: 100,
+            id: 11,
+            relay: Some(Box::new(relayed)),
+        };
+        t.insert(1, pending, now + ms(100));
+        t.deadlines.push(Reverse((now + ms(5), 1, 1)));
+        assert_eq!(t.on_upstream(0), [1]);
+        assert!(t.on_upstream(1).is_empty());
+        assert_eq!(t.expire(now + ms(5)).1, [1], "the first attempt's time");
+        // The entry moved on: the first attempt's time no longer counts.
+        let r = t.relayed_mut(1).expect("still live");
+        (r.upstream, r.tried) = (1, 2);
+        t.deadlines.push(Reverse((now + ms(5), 1, 1)));
+        t.deadlines.push(Reverse((now + ms(50), 1, 2)));
+        assert!(t.expire(now + ms(10)).1.is_empty(), "given up already");
+        assert_eq!(t.expire(now + ms(50)).1, [1]);
+        let (timed_out, missed) = t.expire(now + ms(100));
+        assert!(missed.is_empty() && timed_out.len() == 1 && t.is_empty());
     }
 
     #[test]

@@ -676,6 +676,24 @@ pub fn decode_request(line: &str) -> Result<RequestEnvelope, serde_json::Error> 
     serde_json::from_str(line)
 }
 
+/// Split a line at the canonical `{"id":N` prefix — the spelling every
+/// encoder in the repo emits — into the id and everything after its
+/// digits. Any other spelling (whitespace, a leading zero, an id that
+/// is not first, a value past `u64`) is `None`; callers fall back to a
+/// full parse. The relay swaps ids on both directions of a forwarded
+/// frame through this, so nothing inside the frame can be mistaken for
+/// the id.
+pub fn split_id(line: &str) -> Option<(u64, &str)> {
+    let mut c = Cursor {
+        bytes: line.as_bytes(),
+        pos: 0,
+    };
+    c.lit(b"{\"id\":")?;
+    let id = c.u64()?;
+    matches!(c.bytes.get(c.pos), Some(b',' | b'}')).then_some(())?;
+    Some((id, line.get(c.pos..)?))
+}
+
 fn decode_request_fast(line: &str) -> Option<RequestEnvelope> {
     let mut c = Cursor {
         bytes: line.as_bytes(),
@@ -932,6 +950,52 @@ mod tests {
         ] {
             assert!(decode_request_fast(bad).is_none(), "fast accepted: {bad}");
             assert!(decode_request(bad).is_err(), "generic accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn split_id_reads_only_the_canonical_prefix() {
+        let compare = |id: u64, app: &str| {
+            encode(&RequestEnvelope::new(
+                id,
+                Request::Compare {
+                    app: app.into(),
+                    mappings: vec![],
+                },
+            ))
+        };
+        // Both directions lead with the id.
+        assert_eq!(
+            split_id(&compare(42, "lu")),
+            Some((
+                42,
+                ",\"request\":{\"Compare\":{\"app\":\"lu\",\"mappings\":[]}}}"
+            ))
+        );
+        let reply = encode_response(&ResponseEnvelope {
+            id: u64::MAX,
+            response: Response::ShuttingDown,
+        });
+        assert_eq!(
+            split_id(&reply),
+            Some((u64::MAX, ",\"response\":\"ShuttingDown\"}"))
+        );
+        // An app name that spells an id member is just part of the tail.
+        let line = compare(4, "\"id\":9");
+        assert_eq!(split_id(&line).map(|(id, _)| id), Some(4));
+        assert_eq!(split_id("{\"id\":7}"), Some((7, "}")));
+        // Non-canonical spellings are left to a full parse.
+        for other in [
+            "{\"id\":07,\"request\":\"Stats\"}",
+            "{\"id\": 7,\"request\":\"Stats\"}",
+            "{\"request\":\"Stats\",\"id\":7}",
+            "{\"id\":18446744073709551616,\"request\":\"Stats\"}",
+            "{\"id\":1.5,\"request\":\"Stats\"}",
+            "{\"id\":,\"request\":\"Stats\"}",
+            "{\"id\":7",
+            "",
+        ] {
+            assert_eq!(split_id(other), None, "{other}");
         }
     }
 

@@ -477,10 +477,6 @@ struct Daemon {
 }
 
 impl Handler for Daemon {
-    type Worker = ();
-
-    fn worker(&self) {}
-
     /// Only a frame whose tag is positively identified as outside
     /// [`NEVER_INLINE`] (annealing and the disk-touching verbs) may run
     /// on the reactor. A frame whose tag cannot be sniffed queues: the
@@ -491,7 +487,7 @@ impl Handler for Daemon {
     }
 
     /// Parse, rate-gate, execute, and instrument one frame.
-    fn execute(&self, _: &mut (), line: &str) -> (Vec<u8>, bool) {
+    fn execute(&self, line: &str) -> (Vec<u8>, bool) {
         let metrics = &self.metrics;
         let envelope = match precheck(line, &self.rate, metrics) {
             Ok(env) => env,

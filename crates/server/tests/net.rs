@@ -4,6 +4,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,30 +34,41 @@ fn id_of(line: &str) -> &str {
 
 /// A handler that echoes the frame's id. A line containing `hold`
 /// announces itself on `entered` and then blocks until `release`
-/// yields, so a test decides exactly when a worker is busy.
+/// yields, so a test decides exactly when a worker is busy. A line
+/// containing `pad` is answered at [`PADDED`] bytes.
 struct Echo {
     entered: Sender<()>,
     release: Receiver<()>,
+    /// Frames executed so far, on any thread.
+    executed: Arc<AtomicU64>,
+}
+
+/// Length of the reply to a `pad` frame.
+const PADDED: usize = 8 * 1024;
+
+thread_local! {
+    /// Frames this thread has executed: a reply's `nth` says which
+    /// thread — a worker or the reactor — ran it.
+    static SERVED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Handler for Echo {
-    type Worker = u64;
-
-    fn worker(&self) -> u64 {
-        0
-    }
-
     fn may_inline(&self, line: &str) -> bool {
         line.contains("inline")
     }
 
-    fn execute(&self, served: &mut u64, line: &str) -> (Vec<u8>, bool) {
+    fn execute(&self, line: &str) -> (Vec<u8>, bool) {
         if line.contains("hold") {
             let _ = self.entered.send(());
             let _ = self.release.recv();
         }
-        *served += 1;
-        let reply = format!("{{\"id\":{},\"nth\":{served}}}\n", id_of(line));
+        let served = SERVED.with(|s| s.replace(s.get() + 1) + 1);
+        self.executed.fetch_add(1, Ordering::Release);
+        let mut reply = format!("{{\"id\":{},\"nth\":{served}}}", id_of(line));
+        if line.contains("pad") {
+            reply.push_str(&" ".repeat(PADDED - 1 - reply.len()));
+        }
+        reply.push('\n');
         (reply.into_bytes(), false)
     }
 }
@@ -65,15 +77,18 @@ struct EchoServer {
     handle: NetHandle,
     entered: Receiver<()>,
     release: Sender<()>,
+    executed: Arc<AtomicU64>,
 }
 
 fn echo_server(config: ServerConfig) -> EchoServer {
     let (entered_tx, entered) = channel::unbounded();
     let (release, release_rx) = channel::unbounded();
+    let executed = Arc::new(AtomicU64::new(0));
     let handle = net::start(&config, &Arc::new(Registry::new()), |_| {
         Ok(Echo {
             entered: entered_tx,
             release: release_rx,
+            executed: executed.clone(),
         })
     })
     .expect("loopback bind succeeds");
@@ -81,6 +96,7 @@ fn echo_server(config: ServerConfig) -> EchoServer {
         handle,
         entered,
         release,
+        executed,
     }
 }
 
@@ -112,7 +128,7 @@ fn echo_handler_sees_reassembled_frames_in_pipelined_order() {
     stream.write_all(b"\"x\":0}\n").expect("write");
     assert_eq!(read_line(&mut reader), "{\"id\":1,\"nth\":1}");
     // A pipelined window is answered completely and in order by the
-    // one worker the connection pins to (its state counts calls).
+    // one worker the connection pins to (its thread counts calls).
     let window: String = (2..=21).map(|id| format!("{{\"id\":{id}}}\n")).collect();
     stream.write_all(window.as_bytes()).expect("write");
     for id in 2..=21u64 {
@@ -122,7 +138,7 @@ fn echo_handler_sees_reassembled_frames_in_pipelined_order() {
         );
     }
     // An inline-eligible frame on an idle pool runs on the reactor,
-    // against the reactor's own handler state.
+    // whose count starts at one.
     stream
         .write_all(b"{\"id\":22,\"inline\":1}\n")
         .expect("write");
@@ -173,6 +189,47 @@ fn full_shard_sheds_and_missed_deadlines_time_out() {
         .send(())
         .expect("worker is parked on the gate");
     assert_eq!(read_line(&mut reader), "{\"id\":4,\"nth\":3}");
+    server.handle.control().shutdown();
+    server.handle.join();
+}
+
+#[test]
+fn a_peer_that_never_reads_its_replies_is_not_read_from() {
+    let mut server = echo_server(ServerConfig::default());
+    let (stream, mut reader) = connect(&server);
+    // 80 MB of replies for 0.4 MB of requests, on a connection nobody
+    // reads. The frames run inline: what the reactor reads becomes
+    // buffered output on the spot.
+    const FRAMES: u64 = 10_000;
+    let writer = std::thread::spawn(move || {
+        let frames: String = (1..=FRAMES)
+            .map(|id| format!("{{\"id\":{id},\"inline\":1,\"pad\":1}}\n"))
+            .collect();
+        (&stream).write_all(frames.as_bytes()).expect("write");
+        stream
+    });
+    // The reactor stops taking frames once the kernel stops taking
+    // replies: execution stalls far short of the burst.
+    let mut before = u64::MAX;
+    let stalled_at = loop {
+        std::thread::sleep(Duration::from_millis(200));
+        let now = server.executed.load(Ordering::Acquire);
+        if now == before {
+            break now;
+        }
+        before = now;
+    };
+    assert!(
+        stalled_at < FRAMES / 2,
+        "{stalled_at} of {FRAMES} replies buffered for a peer that reads nothing"
+    );
+    // Reading resumes it; nothing was lost or reordered meanwhile.
+    for id in 1..=FRAMES {
+        let reply = read_line(&mut reader);
+        assert_eq!(id_of(&reply), id.to_string());
+    }
+    assert_eq!(server.executed.load(Ordering::Acquire), FRAMES);
+    let _stream = writer.join().expect("writer thread");
     server.handle.control().shutdown();
     server.handle.join();
 }
