@@ -10,7 +10,7 @@
 //! channel `recv()` — is flagged with a witness call path. Code that
 //! runs on the reactor thread is held to more: there a deadline does
 //! not excuse a wait on a peer, so `connect_timeout` and a client
-//! round trip (`.request(..)`) are findings too. The one place a relay
+//! round trip (`.request(..)`, `.round_trip(..)`) are findings too. The one place a relay
 //! may dial is a job on the worker pool.
 //!
 //! Deliberate blocking (a worker's idle wait on its shard channel, the
@@ -97,7 +97,7 @@ fn blocking_sites(src: &SourceFile, start: usize, end: usize, reactor: bool) -> 
             "connect_timeout" if reactor && called && path => {
                 Some("blocking connect on the reactor thread")
             }
-            "request" if reactor && called && method => {
+            "request" | "round_trip" if reactor && called && method => {
                 Some("client round trip on the reactor thread")
             }
             _ => None,

@@ -1,26 +1,22 @@
-//! `drift`: the wire protocol, the client, the CLI, the metric-name
-//! constants, and the docs must describe the same system.
+//! `drift`: what the compiler cannot see must still describe one
+//! system — the CLI's documented exit codes, its operator entry points,
+//! the analyzer's own registration, the metric-name constants.
+//!
+//! Per-action facts (names, counters, forwarding modes, client and CLI
+//! coverage) are not checked here: they are one table in
+//! `crates/server/src/protocol.rs` that the compiler binds to the
+//! `Request` enum, and its agreement with DESIGN.md is an ordinary test
+//! beside it (`crates/server/tests/design_doc.rs`).
 //!
 //! Sub-checks (all unwaivable — the fix is to update the lagging side):
-//! 1. `Request` enum variants ↔ the `ACTIONS` name table (count and
-//!    snake-case correspondence, in declaration order).
-//! 2. Every action has a `Client` method of the same name.
-//! 3. Every action has a CLI `request` subcommand arm.
-//! 4. Every `Request` variant has a DESIGN.md protocol-table row.
-//! 5. `cbes_obs::names::SERVER_ACTION_COUNTERS` is exactly
-//!    `server.action.<action>` per action, in order; metric-name
-//!    constants in `names.rs` are pairwise distinct.
-//! 6. Exit codes documented in the CLI usage text and DESIGN.md match
+//! 1. Metric-name constants in `names.rs` are pairwise distinct.
+//! 2. Exit codes documented in the CLI usage text and DESIGN.md match
 //!    `CliError::exit_code`.
-//! 7. When the router crate exists: `FORWARD_MODES` covers every action
-//!    with a valid mode, hash-routed actions have `RoutingClient`
-//!    methods, the CLI exposes the `route` command with its `serve` and
-//!    `status` arms, and DESIGN.md tables every `(action, mode)` pair.
-//! 8. When the reconfig crate exists: the CLI exposes the `artifact`
+//! 3. When the reconfig crate exists: the CLI exposes the `artifact`
 //!    command with its full lifecycle arm set (`stage`, `apply`,
 //!    `accept`, `rollback`, `status`, `list`), so the admin action
 //!    family cannot grow without an operator entry point.
-//! 9. When the analyzer crate exists: its `ALL_RULES` registry (an
+//! 4. When the analyzer crate exists: its `ALL_RULES` registry (an
 //!    array of ident constants, resolved through their string values),
 //!    the CLI's `analyze` command, the `analyze.rule.<rule>` counter
 //!    table in `names.rs`, and the DESIGN.md rule documentation all
@@ -34,167 +30,53 @@ use crate::source::SourceFile;
 use std::collections::HashMap;
 use std::path::Path;
 
-const PROTOCOL: &str = "crates/server/src/protocol.rs";
-const CLIENT: &str = "crates/server/src/client.rs";
 const COMMANDS: &str = "crates/cli/src/commands.rs";
 const CLI_ERROR: &str = "crates/cli/src/error.rs";
 const CLI_LIB: &str = "crates/cli/src/lib.rs";
 const OBS_NAMES: &str = "crates/obs/src/names.rs";
 const DESIGN: &str = "DESIGN.md";
-const ROUTER_PLAN: &str = "crates/router/src/plan.rs";
-const ROUTER_CLIENT: &str = "crates/router/src/client.rs";
 const ANALYZER_RULES: &str = "crates/analyzer/src/rules/mod.rs";
 
 /// Run every drift sub-check against the tree rooted at `root`.
 pub fn check(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-
-    let Some(proto) = parse(root, PROTOCOL, &mut out) else {
-        return out;
-    };
-    let variants = enum_variants(&proto, "Request");
-    let actions = const_str_array(&proto, "ACTIONS");
-    if variants.is_empty() {
-        out.push(Finding::new(DRIFT, PROTOCOL, 0, "no `enum Request` found"));
-    }
-    if actions.is_empty() {
-        out.push(Finding::new(
-            DRIFT,
-            PROTOCOL,
-            0,
-            "no `ACTIONS` string table found",
-        ));
-    }
-    if !variants.is_empty() && !actions.is_empty() {
-        if variants.len() != actions.len() {
-            out.push(Finding::new(
-                DRIFT,
-                PROTOCOL,
-                0,
-                format!(
-                    "`Request` has {} variants but `ACTIONS` lists {} names",
-                    variants.len(),
-                    actions.len()
-                ),
-            ));
-        }
-        for (v, a) in variants.iter().zip(&actions) {
-            if &snake_case(v) != a {
-                out.push(Finding::new(
-                    DRIFT,
-                    PROTOCOL,
-                    0,
-                    format!(
-                        "variant `{v}` is paired with action \"{a}\" (expected \"{}\")",
-                        snake_case(v)
-                    ),
-                ));
-            }
-        }
-    }
-
-    if let Some(client) = parse(root, CLIENT, &mut out) {
-        for a in &actions {
-            if !has_fn(&client, a) {
-                out.push(Finding::new(
-                    DRIFT,
-                    CLIENT,
-                    0,
-                    format!("action \"{a}\" has no client method `fn {a}`"),
-                ));
-            }
-        }
-    }
-
-    if let Some(commands) = parse(root, COMMANDS, &mut out) {
-        for a in &actions {
-            let sub = cli_subcommand(a);
-            if !has_str(&commands, &sub) {
-                out.push(Finding::new(
-                    DRIFT,
-                    COMMANDS,
-                    0,
-                    format!("action \"{a}\" has no CLI `request` subcommand arm \"{sub}\""),
-                ));
-            }
-        }
-    }
-
-    if let Some(design) = read(root, DESIGN, &mut out) {
-        for v in &variants {
-            let marker = format!("`{v}");
-            let in_table = design
-                .lines()
-                .any(|l| l.trim_start().starts_with('|') && l.contains(&marker));
-            if !in_table {
-                out.push(Finding::new(
-                    DRIFT,
-                    DESIGN,
-                    0,
-                    format!("protocol variant `{v}` has no row in the DESIGN.md protocol table"),
-                ));
-            }
-        }
-    }
-
-    if let Some(names) = parse(root, OBS_NAMES, &mut out) {
-        let counters = const_str_array(&names, "SERVER_ACTION_COUNTERS");
-        if counters.len() != actions.len() {
-            out.push(Finding::new(
-                DRIFT,
-                OBS_NAMES,
-                0,
-                format!(
-                    "`SERVER_ACTION_COUNTERS` has {} entries for {} protocol actions",
-                    counters.len(),
-                    actions.len()
-                ),
-            ));
-        }
-        for (c, a) in counters.iter().zip(&actions) {
-            let expected = format!("server.action.{a}");
-            if c != &expected {
-                out.push(Finding::new(
-                    DRIFT,
-                    OBS_NAMES,
-                    0,
-                    format!("action counter \"{c}\" does not match its action (expected \"{expected}\")"),
-                ));
-            }
-        }
-        // Any duplicated name constant silently merges two metrics.
-        // Test code is exempt: assertion format strings are not names.
-        let mut seen: HashMap<&str, u32> = HashMap::new();
-        for (i, t) in names
-            .tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == TokKind::Str)
-        {
-            if names.in_test_code(i) {
-                continue;
-            }
-            if let Some(first) = seen.get(t.text.as_str()) {
-                out.push(Finding::new(
-                    DRIFT,
-                    OBS_NAMES,
-                    t.line,
-                    format!("metric name \"{}\" already defined at line {first}", t.text),
-                ));
-            } else {
-                seen.insert(&t.text, t.line);
-            }
-        }
-    }
-
+    check_metric_names(root, &mut out);
     check_exit_codes(root, &mut out);
-    check_forward_plan(root, &actions, &mut out);
     check_artifact_family(root, &mut out);
     check_analyzer_registration(root, &mut out);
     out
 }
 
-/// Sub-check 9: the analyzer's rule registry vs the CLI, the metric
+/// Sub-check 1: any duplicated name constant silently merges two
+/// metrics. Test code is exempt: assertion format strings are not names.
+fn check_metric_names(root: &Path, out: &mut Vec<Finding>) {
+    let Some(names) = parse(root, OBS_NAMES, out) else {
+        return;
+    };
+    let mut seen: HashMap<&str, u32> = HashMap::new();
+    for (i, t) in names
+        .tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.kind == TokKind::Str)
+    {
+        if names.in_test_code(i) {
+            continue;
+        }
+        if let Some(first) = seen.get(t.text.as_str()) {
+            out.push(Finding::new(
+                DRIFT,
+                OBS_NAMES,
+                t.line,
+                format!("metric name \"{}\" already defined at line {first}", t.text),
+            ));
+        } else {
+            seen.insert(&t.text, t.line);
+        }
+    }
+}
+
+/// Sub-check 4: the analyzer's rule registry vs the CLI, the metric
 /// names, and the docs. Skipped entirely when the workspace has no
 /// analyzer crate (fixture trees and older trees stay clean).
 fn check_analyzer_registration(root: &Path, out: &mut Vec<Finding>) {
@@ -206,7 +88,7 @@ fn check_analyzer_registration(root: &Path, out: &mut Vec<Finding>) {
     };
     // `ALL_RULES` is an array of ident constants; resolve each ident
     // through its `pub const NAME: &str = "..."` declaration.
-    let idents = const_ident_array(&registry, "ALL_RULES");
+    let idents = const_array(&registry, "ALL_RULES", TokKind::Ident);
     if idents.is_empty() {
         out.push(Finding::new(
             DRIFT,
@@ -241,7 +123,7 @@ fn check_analyzer_registration(root: &Path, out: &mut Vec<Finding>) {
     }
 
     if let Some(names) = parse(root, OBS_NAMES, out) {
-        let counters = const_str_array(&names, "ANALYZE_RULE_COUNTERS");
+        let counters = const_array(&names, "ANALYZE_RULE_COUNTERS", TokKind::Str);
         if counters.len() != rule_ids.len() {
             out.push(Finding::new(
                 DRIFT,
@@ -294,7 +176,7 @@ fn check_analyzer_registration(root: &Path, out: &mut Vec<Finding>) {
     }
 }
 
-/// Sub-check 8: the artifact lifecycle CLI vs the reconfig crate.
+/// Sub-check 3: the artifact lifecycle CLI vs the reconfig crate.
 /// Skipped entirely when the workspace has no reconfig crate (older
 /// trees stay clean).
 fn check_artifact_family(root: &Path, out: &mut Vec<Finding>) {
@@ -325,97 +207,7 @@ fn check_artifact_family(root: &Path, out: &mut Vec<Finding>) {
     }
 }
 
-/// Sub-check 7: the router's forwarding plan vs the protocol, the
-/// routing client, the CLI, and the docs. Skipped entirely when the
-/// workspace has no router crate (older trees stay clean).
-fn check_forward_plan(root: &Path, actions: &[String], out: &mut Vec<Finding>) {
-    if !root.join("crates/router").is_dir() {
-        return;
-    }
-    let Some(plan) = parse(root, ROUTER_PLAN, out) else {
-        return;
-    };
-    let modes = const_str_array(&plan, "FORWARD_MODES");
-    if modes.len() != actions.len() {
-        out.push(Finding::new(
-            DRIFT,
-            ROUTER_PLAN,
-            0,
-            format!(
-                "`FORWARD_MODES` has {} entries for {} protocol actions",
-                modes.len(),
-                actions.len()
-            ),
-        ));
-    }
-    const VOCAB: [&str; 5] = ["hash", "leader", "merge", "broadcast", "local"];
-    for m in &modes {
-        if !VOCAB.contains(&m.as_str()) {
-            out.push(Finding::new(
-                DRIFT,
-                ROUTER_PLAN,
-                0,
-                format!(
-                    "forwarding mode \"{m}\" is not in the mode vocabulary \
-                     (hash | leader | merge | broadcast | local)"
-                ),
-            ));
-        }
-    }
-    if let Some(client) = parse(root, ROUTER_CLIENT, out) {
-        for (a, m) in actions.iter().zip(&modes) {
-            if m == "hash" && !has_fn(&client, a) {
-                out.push(Finding::new(
-                    DRIFT,
-                    ROUTER_CLIENT,
-                    0,
-                    format!("hash-routed action \"{a}\" has no routing-client method `fn {a}`"),
-                ));
-            }
-        }
-    }
-    if let Some(commands) = parse(root, COMMANDS, out) {
-        if has_fn(&commands, "route") {
-            for sub in ["serve", "status"] {
-                if !has_str(&commands, sub) {
-                    out.push(Finding::new(
-                        DRIFT,
-                        COMMANDS,
-                        0,
-                        format!("the CLI `route` command has no \"{sub}\" arm"),
-                    ));
-                }
-            }
-        } else {
-            out.push(Finding::new(
-                DRIFT,
-                COMMANDS,
-                0,
-                "router crate present but the CLI has no `fn route` command",
-            ));
-        }
-    }
-    if let Some(design) = read(root, DESIGN, out) {
-        for (a, m) in actions.iter().zip(&modes) {
-            let in_table = design.lines().any(|l| {
-                l.trim_start().starts_with('|') && l.contains(a.as_str()) && l.contains(m.as_str())
-            });
-            if !in_table {
-                out.push(Finding::new(
-                    DRIFT,
-                    DESIGN,
-                    0,
-                    format!(
-                        "action \"{a}\" (mode \"{m}\") has no row in the DESIGN.md \
-                         forwarding table"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Sub-check 6: documented exit codes vs `CliError::exit_code`.
+/// Sub-check 2: documented exit codes vs `CliError::exit_code`.
 fn check_exit_codes(root: &Path, out: &mut Vec<Finding>) {
     let Some(error) = parse(root, CLI_ERROR, out) else {
         return;
@@ -482,65 +274,10 @@ fn parse(root: &Path, rel: &str, out: &mut Vec<Finding>) -> Option<SourceFile> {
     read(root, rel, out).map(|text| SourceFile::parse(rel, &text))
 }
 
-/// `RegisterProfile` → `register_profile`.
-fn snake_case(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for (i, c) in s.chars().enumerate() {
-        if c.is_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.extend(c.to_lowercase());
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// The `cbes request` subcommand implementing an action.
-fn cli_subcommand(action: &str) -> String {
-    match action {
-        "register_profile" => "register".to_string(),
-        "observe_load" => "observe".to_string(),
-        _ => action.replace('_', "-"),
-    }
-}
-
-/// Variant names of `enum <name> { .. }`, in declaration order.
-fn enum_variants(f: &SourceFile, name: &str) -> Vec<String> {
-    let t = &f.tokens;
-    for i in 0..t.len().saturating_sub(2) {
-        if !(t[i].is_ident("enum") && t[i + 1].is_ident(name) && t[i + 2].is_punct('{')) {
-            continue;
-        }
-        let mut vars = Vec::new();
-        let mut depth = 1usize;
-        let mut j = i + 3;
-        while j < t.len() && depth > 0 {
-            let tok = &t[j];
-            if tok.is_punct('{') || tok.is_punct('(') || tok.is_punct('[') {
-                depth += 1;
-            } else if tok.is_punct('}') || tok.is_punct(')') || tok.is_punct(']') {
-                depth -= 1;
-            } else if depth == 1 && tok.kind == TokKind::Ident {
-                // A variant name is a depth-1 ident introducing a unit
-                // (`X,`), tuple (`X(..)`), or struct (`X {..}`) variant.
-                if t.get(j + 1).is_some_and(|n| {
-                    n.is_punct(',') || n.is_punct('(') || n.is_punct('{') || n.is_punct('}')
-                }) {
-                    vars.push(tok.text.clone());
-                }
-            }
-            j += 1;
-        }
-        return vars;
-    }
-    Vec::new()
-}
-
-/// String entries of `<NAME>: [&str; N] = ["...", ...]`.
-fn const_str_array(f: &SourceFile, name: &str) -> Vec<String> {
+/// Entries of token kind `kind` in `<NAME>: [&str; N] = [.., ..]` — the
+/// string literals of a name table, or the ident constants of a
+/// registry. The type bracket is skipped by walking to `=` first.
+fn const_array(f: &SourceFile, name: &str, kind: TokKind) -> Vec<String> {
     let t = &f.tokens;
     let Some(at) = t.iter().position(|tok| tok.is_ident(name)) else {
         return Vec::new();
@@ -554,31 +291,7 @@ fn const_str_array(f: &SourceFile, name: &str) -> Vec<String> {
     }
     let mut out = Vec::new();
     while j < t.len() && !t[j].is_punct(']') {
-        if t[j].kind == TokKind::Str {
-            out.push(t[j].text.clone());
-        }
-        j += 1;
-    }
-    out
-}
-
-/// Ident entries of `<NAME>: [&str; N] = [IDENT, IDENT, ...]` — the
-/// type bracket is skipped by walking to `=` first.
-fn const_ident_array(f: &SourceFile, name: &str) -> Vec<String> {
-    let t = &f.tokens;
-    let Some(at) = t.iter().position(|tok| tok.is_ident(name)) else {
-        return Vec::new();
-    };
-    let mut j = at + 1;
-    while j < t.len() && !t[j].is_punct('=') {
-        j += 1;
-    }
-    while j < t.len() && !t[j].is_punct('[') {
-        j += 1;
-    }
-    let mut out = Vec::new();
-    while j < t.len() && !t[j].is_punct(']') {
-        if t[j].kind == TokKind::Ident {
+        if t[j].kind == kind {
             out.push(t[j].text.clone());
         }
         j += 1;
@@ -690,43 +403,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snake_case_matches_action_naming() {
-        assert_eq!(snake_case("RegisterProfile"), "register_profile");
-        assert_eq!(snake_case("BestOf"), "best_of");
-        assert_eq!(snake_case("Stats"), "stats");
-    }
-
-    #[test]
-    fn enum_variants_walk_struct_and_unit_variants() {
-        let src = "
-            pub enum Request {
-                RegisterProfile { profile: AppProfile },
-                Compare { app: String, mappings: Vec<Mapping> },
-                Stats,
-                Shutdown,
-            }
-        ";
-        let f = SourceFile::parse("protocol.rs", src);
-        assert_eq!(
-            enum_variants(&f, "Request"),
-            vec!["RegisterProfile", "Compare", "Stats", "Shutdown"]
-        );
-    }
-
-    #[test]
-    fn const_str_array_skips_the_type_brackets() {
-        let f = SourceFile::parse("x.rs", "pub const ACTIONS: [&str; 2] = [\"a\", \"b\"];");
-        assert_eq!(const_str_array(&f, "ACTIONS"), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn const_ident_array_reads_the_registry_shape() {
+    fn const_array_skips_the_type_brackets_and_reads_one_kind() {
+        let f = SourceFile::parse("x.rs", "pub const NAMES: [&str; 2] = [\"a\", \"b\"];");
+        assert_eq!(const_array(&f, "NAMES", TokKind::Str), vec!["a", "b"]);
         let f = SourceFile::parse(
             "mod.rs",
             "pub const ALL_RULES: [&str; 2] = [PANIC_PATH, DRIFT];",
         );
         assert_eq!(
-            const_ident_array(&f, "ALL_RULES"),
+            const_array(&f, "ALL_RULES", TokKind::Ident),
             vec!["PANIC_PATH", "DRIFT"]
         );
     }

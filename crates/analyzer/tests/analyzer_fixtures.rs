@@ -89,29 +89,19 @@ fn drift_fixture_reports_every_planted_mismatch() {
     let report = run(fixture("drift"), &[rules::DRIFT]);
     assert_eq!(
         report.findings.len(),
-        12,
+        3,
         "one finding per planted mismatch: {:#?}",
         report.findings
     );
     // Drift findings are unwaivable by design.
-    assert_eq!(report.unwaived().count(), 12);
+    assert_eq!(report.unwaived().count(), 3);
     for f in &report.findings {
         assert_eq!(f.rule, rules::DRIFT);
     }
     let messages: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
     let planted = [
-        "`Request` has 3 variants but `ACTIONS` lists 2 names",
-        "action \"stats\" has no client method `fn stats`",
-        "protocol variant `Shutdown` has no row in the DESIGN.md protocol table",
-        "action counter \"server.action.wrong\" does not match its action (expected \"server.action.stats\")",
-        "metric name \"dup.metric\" already defined at line 4",
+        "metric name \"dup.metric\" already defined at line 2",
         "`CliError::exit_code` has no arm for the `shed` failure class",
-        "forwarding mode \"teleport\" is not in the mode vocabulary \
-         (hash | leader | merge | broadcast | local)",
-        "hash-routed action \"compare\" has no routing-client method `fn compare`",
-        "router crate present but the CLI has no `fn route` command",
-        "action \"compare\" (mode \"hash\") has no row in the DESIGN.md forwarding table",
-        "action \"stats\" (mode \"teleport\") has no row in the DESIGN.md forwarding table",
         "reconfig crate present but the CLI has no `fn artifact` command",
     ];
     for expected in planted {
@@ -243,7 +233,7 @@ fn the_real_workspace_stays_clean() {
     // that must update this count and the DESIGN.md §15 accounting.
     assert_eq!(
         report.waived().count(),
-        8,
+        7,
         "waiver accounting drifted: {:#?}",
         report.waived().collect::<Vec<_>>()
     );
@@ -333,6 +323,6 @@ fn cli_writes_the_json_report() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let json = std::fs::read_to_string(&path).expect("json report written");
     std::fs::remove_file(&path).ok();
-    assert!(json.contains("\"unwaived_count\": 12"), "{json}");
+    assert!(json.contains("\"unwaived_count\": 3"), "{json}");
     assert!(json.contains("\"rule\": \"drift\""), "{json}");
 }

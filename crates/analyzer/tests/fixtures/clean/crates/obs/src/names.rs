@@ -1,2 +1,3 @@
 //! Fixture metric names.
-pub const SERVER_ACTION_COUNTERS: [&str; 2] = ["server.action.compare", "server.action.stats"];
+pub const SERVER_SERVED: &str = "server.served";
+pub const SERVER_ERRORS: &str = "server.errors";

@@ -1,7 +1,5 @@
-//! Fixture protocol: variants and actions aligned.
+//! Fixture protocol.
 pub enum Request {
     Compare { app: String },
     Stats,
 }
-
-pub const ACTIONS: [&str; 2] = ["compare", "stats"];

@@ -1,4 +1,5 @@
-//! Fixture: every action has a subcommand arm.
+//! Fixture: the reconfig crate exists next door, but there is no
+//! `fn artifact` command here.
 pub fn dispatch(sub: &str) -> bool {
     matches!(sub, "compare" | "stats")
 }

@@ -1,5 +1,3 @@
-//! Fixture: a misaligned action counter and a duplicated name.
-pub const SERVER_ACTION_COUNTERS: [&str; 2] = ["server.action.compare", "server.action.wrong"];
-
+//! Fixture: a duplicated metric name.
 pub const FIRST: &str = "dup.metric";
 pub const SECOND: &str = "dup.metric";

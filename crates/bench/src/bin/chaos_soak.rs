@@ -3,7 +3,7 @@
 //!
 //! The daemon runs the Centurion preset with a deliberately tiny admission
 //! queue, so bursts of concurrent `Compare` requests get load-shed with a
-//! `retry_after_ms` hint; every soak client is a [`RetryingClient`] and
+//! `retry_after_ms` hint; every soak client is a retrying [`Client`] and
 //! must ride the sheds out. Meanwhile an injector thread replays
 //! [`FaultSchedule::standard`] in real time as partial monitoring sweeps:
 //! crashed and dropped-out nodes go silent, age to `Suspect`/`Down` on the
@@ -36,7 +36,7 @@ use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
 use cbes_faults::FaultSchedule;
 use cbes_runtime::Perturbation;
-use cbes_server::{Client, RetryPolicy, RetryingClient, Server, ServerConfig};
+use cbes_server::{Client, RetryPolicy, Server, ServerConfig};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 const WORKERS: usize = 4;
@@ -171,7 +171,7 @@ fn main() {
             .map(|c| {
                 let candidates = &candidates;
                 s.spawn(move || {
-                    let mut client = RetryingClient::new(
+                    let mut client = Client::retrying(
                         addr.to_string(),
                         Duration::from_secs(10),
                         RetryPolicy {

@@ -13,6 +13,7 @@ use cbes_sched::{
     GaConfig, GeneticScheduler, GreedyScheduler, NcsScheduler, RandomScheduler, SaConfig,
     SaScheduler, ScheduleRequest, Scheduler,
 };
+use cbes_server::protocol::{Action, ActionSpec, Request, Response, ACTIONS};
 use cbes_trace::{extract_profile, AppProfile, TraceStats};
 use cbes_workloads::suite::{self, SuiteParams};
 use cbes_workloads::Workload;
@@ -882,121 +883,210 @@ pub fn top(parsed: &Parsed) -> Result<String, CliError> {
     Ok(last)
 }
 
-/// `cbes request <addr> <action>` — issue one request to a running
-/// daemon and print the reply.
-pub fn request(parsed: &Parsed) -> Result<String, CliError> {
-    let addr = parsed.positional0()?;
-    let action = parsed
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .ok_or_else(|| {
-            CliError::usage(
-                "`request` needs an action \
-             (stats | metrics | shutdown | register | compare | best-of | batch \
-             | schedule | observe | observe-partial | trace | dump-flight)",
-            )
-        })?;
-    // `--trace-id N` roots this invocation in trace N: the guard makes
-    // the trace context current, so the client stamps it onto the
-    // outgoing envelope and every hop downstream joins the same trace.
-    let trace_id = parsed.get_parsed("trace-id", 0u64)?;
-    let _span = (trace_id != 0 && action != "trace").then(|| {
-        cbes_obs::Registry::global().spans().span_rooted(
-            cbes_obs::names::SPAN_CLI_REQUEST,
-            trace_id,
-            0,
-        )
-    });
-    let mut client = connect(parsed, addr)?;
-    let err = client_err;
+/// The `cbes request` verb of an action, as usage shows it: the row's
+/// alias if it has one, else its name with `_` as `-`.
+fn verb_of(spec: &ActionSpec) -> String {
+    spec.alias
+        .map_or_else(|| spec.name.replace('_', "-"), str::to_string)
+}
 
-    let mut out = String::new();
-    match action {
-        "stats" => {
-            let s = client.stats().map_err(err)?;
-            out.push_str(&stats_table(&s));
+/// Every `cbes request` verb, in protocol order, for usage messages.
+fn verb_list() -> String {
+    let verbs: Vec<String> = ACTIONS.iter().map(verb_of).collect();
+    verbs.join(" | ")
+}
+
+/// `--nodes N --load NODE=AVAIL,..` as a full sweep over an otherwise
+/// idle `N`-node cluster.
+fn sweep_from(parsed: &Parsed, nodes: usize) -> Result<LoadState, CliError> {
+    let mut load = LoadState::idle(nodes);
+    for (node, avail) in parse_load_list(parsed.require("load")?)? {
+        if node.index() >= nodes {
+            return Err(CliError::usage(format!(
+                "load entry {node} is outside the {nodes}-node cluster"
+            )));
         }
-        "metrics" => {
-            let snap = client.metrics().map_err(err)?;
-            out.push_str(&snap.to_json());
-            out.push('\n');
+        load.set_cpu_avail(node, avail);
+    }
+    Ok(load)
+}
+
+/// `--silent 3,5,..`: the node ids that did not report (none by default).
+fn silent_from(parsed: &Parsed) -> Result<Vec<u32>, CliError> {
+    match parsed.get("silent") {
+        None => Ok(vec![]),
+        Some(spec) => Ok(parse_node_list(spec)?.into_iter().map(|n| n.0).collect()),
+    }
+}
+
+/// Build the request a `cbes request` verb and its flags describe. The
+/// verb is looked up in the protocol's action table — the derived verb
+/// and the row's alias both parse — and the match over [`Action`] is
+/// exhaustive, so an action cannot exist without a way to send it.
+fn request_from_args(verb: &str, parsed: &Parsed) -> Result<Request, CliError> {
+    let named =
+        |spec: &&ActionSpec| spec.alias == Some(verb) || spec.name.replace('_', "-") == verb;
+    let spec = ACTIONS.iter().find(named).ok_or_else(|| {
+        CliError::usage(format!(
+            "unknown request action `{verb}` (want {})",
+            verb_list()
+        ))
+    })?;
+    let app = || parsed.require("app").map(str::to_string);
+    let mappings = || parse_mapping_list(parsed.require("mappings")?);
+    let nodes = || {
+        let nodes = parsed.get_parsed("nodes", 0usize)?;
+        if nodes == 0 {
+            return Err(CliError::usage(format!(
+                "`{verb}` requires --nodes (cluster size)"
+            )));
         }
-        "shutdown" => {
-            client.shutdown().map_err(err)?;
-            let _ = writeln!(out, "daemon at {addr} is draining");
-        }
-        "register" => {
-            let profile = read_profile(parsed.require("profile")?)?;
-            let name = profile.name.clone();
-            let procs = profile.num_procs();
-            client.register_profile(profile).map_err(err)?;
-            let _ = writeln!(out, "registered `{name}` ({procs} processes)");
-        }
-        "compare" | "best-of" | "batch" => {
-            let app = parsed.require("app")?;
-            let mappings = parse_mapping_list(parsed.require("mappings")?)?;
-            if action == "compare" || action == "batch" {
-                let (epoch, preds) = if action == "batch" {
-                    client.batch(app, &mappings).map_err(err)?
-                } else {
-                    client.compare(app, &mappings).map_err(err)?
-                };
-                let _ = writeln!(out, "epoch {epoch}:");
-                for (m, p) in mappings.iter().zip(&preds) {
-                    let _ = writeln!(out, "  {m}: {:.4} s (bottleneck r{})", p.time, p.bottleneck);
-                }
-            } else {
-                let (epoch, index, p) = client.best_of(app, &mappings).map_err(err)?;
-                let _ = writeln!(
-                    out,
-                    "epoch {epoch}: best is #{index} {}: {:.4} s",
-                    mappings[index], p.time
-                );
-            }
-        }
-        "schedule" => {
-            let app = parsed.require("app")?;
-            let pool: Vec<u32> = parse_node_list(parsed.require("pool")?)?
+        Ok(nodes)
+    };
+    Ok(match spec.action {
+        Action::RegisterProfile => Request::RegisterProfile {
+            profile: read_profile(parsed.require("profile")?)?,
+        },
+        Action::Compare => Request::Compare {
+            app: app()?,
+            mappings: mappings()?,
+        },
+        Action::BestOf => Request::BestOf {
+            app: app()?,
+            mappings: mappings()?,
+        },
+        Action::Batch => Request::Batch {
+            app: app()?,
+            mappings: mappings()?,
+        },
+        Action::Schedule => Request::Schedule {
+            app: app()?,
+            pool: parse_node_list(parsed.require("pool")?)?
                 .into_iter()
                 .map(|n| n.0)
-                .collect();
-            let iters = parsed.get_parsed("iters", 0u32)?;
-            let seed = parsed.get_parsed("seed", 42u64)?;
-            let (epoch, mapping, time) = client.schedule(app, &pool, iters, seed).map_err(err)?;
-            let _ = writeln!(out, "epoch {epoch}: {mapping} predicted {time:.4} s");
-        }
-        "observe" | "observe-partial" => {
+                .collect(),
+            iters: parsed.get_parsed("iters", 0u32)?,
+            seed: parsed.get_parsed("seed", 42u64)?,
+        },
+        Action::ObserveLoad => Request::ObserveLoad {
+            load: sweep_from(parsed, nodes()?)?,
+        },
+        Action::ObservePartial => Request::ObservePartial {
+            load: sweep_from(parsed, nodes()?)?,
+            silent: silent_from(parsed)?,
+        },
+        Action::Stats => Request::Stats,
+        Action::Metrics => Request::Metrics,
+        Action::Shutdown => Request::Shutdown,
+        Action::Route => Request::Route {
+            cluster: parsed.get("cluster").unwrap_or("default").to_string(),
+            app: app()?,
+        },
+        Action::Replicate => {
+            let epoch = parsed.get_parsed("epoch", 0u64)?;
             let nodes = parsed.get_parsed("nodes", 0usize)?;
-            if nodes == 0 {
-                return Err(CliError::usage(format!(
-                    "`{action}` requires --nodes (cluster size)"
-                )));
+            if epoch == 0 || nodes == 0 {
+                return Err(CliError::usage(
+                    "`replicate` requires --epoch (≥ 1) and --nodes (cluster size)",
+                ));
             }
-            let mut load = LoadState::idle(nodes);
-            for (node, avail) in parse_load_list(parsed.require("load")?)? {
-                if node.index() >= nodes {
-                    return Err(CliError::usage(format!(
-                        "load entry {node} is outside the {nodes}-node cluster"
-                    )));
-                }
-                load.set_cpu_avail(node, avail);
+            Request::Replicate {
+                epoch,
+                load: sweep_from(parsed, nodes)?,
+                silent: silent_from(parsed)?,
             }
-            let epoch = if action == "observe" {
-                client.observe_load(&load).map_err(err)?
-            } else {
-                let silent: Vec<u32> = match parsed.get("silent") {
-                    None => vec![],
-                    Some(spec) => parse_node_list(spec)?.into_iter().map(|n| n.0).collect(),
-                };
-                client.observe_partial(&load, &silent).map_err(err)?
-            };
+        }
+        Action::Membership => Request::Membership,
+        Action::Trace => match parsed.get_parsed("trace-id", 0u64)? {
+            0 => {
+                return Err(CliError::usage(
+                    "`trace` requires --trace-id N (the nonzero id the traced \
+                     request was stamped with)",
+                ))
+            }
+            trace_id => Request::Trace { trace_id },
+        },
+        Action::DumpFlight => Request::DumpFlight,
+        Action::Stage => Request::Stage {
+            kind: parsed.require("kind")?.to_string(),
+            payload: artifact_payload(parsed)?,
+        },
+        Action::Apply => Request::Apply,
+        Action::Accept => Request::Accept,
+        Action::Rollback => Request::Rollback {
+            reason: rollback_reason(parsed).to_string(),
+        },
+        Action::ArtifactStatus => Request::ArtifactStatus,
+    })
+}
+
+/// `--reason R` of a rollback, with the operator default.
+fn rollback_reason(parsed: &Parsed) -> &str {
+    parsed.get("reason").unwrap_or("operator rollback")
+}
+
+/// Render the reply to a `cbes request`. What a line echoes of the
+/// request (the mappings beside their predictions, the staged kind)
+/// is read back from the flags that built it.
+fn render_reply(
+    action: Action,
+    addr: &str,
+    parsed: &Parsed,
+    response: Response,
+) -> Result<String, CliError> {
+    let mut out = String::new();
+    match response {
+        Response::Stats { stats } => out.push_str(&stats_table(&stats)),
+        Response::Metrics { metrics } => {
+            out.push_str(&metrics.to_json());
+            out.push('\n');
+        }
+        Response::ShuttingDown => {
+            let _ = writeln!(out, "daemon at {addr} is draining");
+        }
+        Response::Registered { app, procs } => {
+            let _ = writeln!(out, "registered `{app}` ({procs} processes)");
+        }
+        Response::Predictions { epoch, predictions } => {
+            let mappings = parse_mapping_list(parsed.require("mappings")?)?;
+            let _ = writeln!(out, "epoch {epoch}:");
+            for (m, p) in mappings.iter().zip(&predictions) {
+                let _ = writeln!(out, "  {m}: {:.4} s (bottleneck r{})", p.time, p.bottleneck);
+            }
+        }
+        Response::Best {
+            epoch,
+            index,
+            prediction,
+        } => {
+            let mappings = parse_mapping_list(parsed.require("mappings")?)?;
+            let _ = writeln!(
+                out,
+                "epoch {epoch}: best is #{index} {}: {:.4} s",
+                mappings[index], prediction.time
+            );
+        }
+        Response::Scheduled {
+            epoch,
+            mapping,
+            predicted_time,
+            ..
+        } => {
+            let _ = writeln!(
+                out,
+                "epoch {epoch}: {mapping} predicted {predicted_time:.4} s"
+            );
+        }
+        Response::LoadObserved { epoch } => {
             let _ = writeln!(out, "observed; epoch is now {epoch}");
         }
-        "route" => {
+        Response::Routed {
+            hash,
+            primary,
+            replicas,
+        } => {
             let cluster = parsed.get("cluster").unwrap_or("default");
             let app = parsed.require("app")?;
-            let (hash, primary, replicas) = client.route(cluster, app).map_err(err)?;
             let _ = writeln!(
                 out,
                 "key ({cluster}, {app}) hashes to {hash:#018x}; primary is \
@@ -1011,83 +1101,63 @@ pub fn request(parsed: &Parsed) -> Result<String, CliError> {
                 );
             }
         }
-        "replicate" => {
+        Response::Replicated {
+            epoch: now,
+            applied,
+        } => {
             let epoch = parsed.get_parsed("epoch", 0u64)?;
-            let nodes = parsed.get_parsed("nodes", 0usize)?;
-            if epoch == 0 || nodes == 0 {
-                return Err(CliError::usage(
-                    "`replicate` requires --epoch (≥ 1) and --nodes (cluster size)",
-                ));
-            }
-            let mut load = LoadState::idle(nodes);
-            for (node, avail) in parse_load_list(parsed.require("load")?)? {
-                if node.index() >= nodes {
-                    return Err(CliError::usage(format!(
-                        "load entry {node} is outside the {nodes}-node cluster"
-                    )));
-                }
-                load.set_cpu_avail(node, avail);
-            }
-            let silent: Vec<u32> = match parsed.get("silent") {
-                None => vec![],
-                Some(spec) => parse_node_list(spec)?.into_iter().map(|n| n.0).collect(),
-            };
-            let (now, applied) = client.replicate(epoch, &load, &silent).map_err(err)?;
             let verb = if applied { "adopted" } else { "already had" };
             let _ = writeln!(out, "instance {verb} epoch {epoch}; its epoch is now {now}");
         }
-        "membership" => {
-            let report = client.membership().map_err(err)?;
-            out.push_str(&membership_table(&report));
-        }
-        "trace" => {
-            if trace_id == 0 {
-                return Err(CliError::usage(
-                    "`trace` requires --trace-id N (the nonzero id the traced \
-                     request was stamped with)",
-                ));
-            }
-            let (tid, spans) = client.trace(trace_id).map_err(err)?;
-            out.push_str(&trace_table(tid, &spans));
-        }
-        "dump-flight" => {
-            let (path, events) = client.dump_flight().map_err(err)?;
+        Response::Membership { membership } => out.push_str(&membership_table(&membership)),
+        Response::Traces { trace_id, spans } => out.push_str(&trace_table(trace_id, &spans)),
+        Response::FlightDumped { path, events } => {
             let _ = writeln!(out, "flight recorder dumped {events} event(s) to {path}");
         }
-        "stage" => {
-            let kind = parsed.require("kind")?;
-            let payload = artifact_payload(parsed)?;
-            let (version, state, _) = client.stage(kind, &payload).map_err(err)?;
-            let _ = writeln!(out, "artifact v{version} {state} ({kind})");
+        Response::ArtifactAck {
+            version,
+            state,
+            epoch,
+        } => {
+            let _ = match action {
+                Action::Stage => {
+                    let kind = parsed.require("kind")?;
+                    writeln!(out, "artifact v{version} {state} ({kind})")
+                }
+                Action::Accept => writeln!(out, "artifact v{version} {state}"),
+                _ => writeln!(out, "artifact v{version} {state} (epoch {epoch})"),
+            };
         }
-        "apply" => {
-            let (version, state, epoch) = client.apply().map_err(err)?;
-            let _ = writeln!(out, "artifact v{version} {state} (epoch {epoch})");
-        }
-        "accept" => {
-            let (version, state, _) = client.accept().map_err(err)?;
-            let _ = writeln!(out, "artifact v{version} {state}");
-        }
-        "rollback" => {
-            let reason = parsed.get("reason").unwrap_or("operator rollback");
-            let (version, state, epoch) = client.rollback(reason).map_err(err)?;
-            let _ = writeln!(out, "artifact v{version} {state} (epoch {epoch})");
-        }
-        "artifact-status" => {
-            let status = client.artifact_status().map_err(err)?;
-            out.push_str(&artifact_status_table(&status));
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown request action `{other}` \
-                 (want stats | metrics | shutdown | register | compare | best-of \
-                 | batch | schedule | observe | observe-partial | route \
-                 | replicate | membership | trace | dump-flight | stage \
-                 | apply | accept | rollback | artifact-status)"
-            )))
-        }
+        Response::ArtifactStatus { status } => out.push_str(&artifact_status_table(&status)),
+        Response::Error { kind, message, .. } => return Err(CliError::Server { kind, message }),
     }
     Ok(out)
+}
+
+/// `cbes request <addr> <action>` — issue one request to a running
+/// daemon and print the reply.
+pub fn request(parsed: &Parsed) -> Result<String, CliError> {
+    let addr = parsed.positional0()?;
+    let verb = parsed
+        .positional
+        .get(1)
+        .map(String::as_str)
+        .ok_or_else(|| CliError::usage(format!("`request` needs an action ({})", verb_list())))?;
+    let request = request_from_args(verb, parsed)?;
+    let action = request.kind();
+    // `--trace-id N` roots this invocation in trace N: the guard makes
+    // the trace context current, so the client stamps it onto the
+    // outgoing envelope and every hop downstream joins the same trace.
+    let trace_id = parsed.get_parsed("trace-id", 0u64)?;
+    let _span = (trace_id != 0 && action != Action::Trace).then(|| {
+        cbes_obs::Registry::global().spans().span_rooted(
+            cbes_obs::names::SPAN_CLI_REQUEST,
+            trace_id,
+            0,
+        )
+    });
+    let response = connect(parsed, addr)?.call(request).map_err(client_err)?;
+    render_reply(action, addr, parsed, response)
 }
 
 /// The artifact payload for `stage`: inline `--payload JSON` or
@@ -1160,42 +1230,51 @@ pub fn artifact(parsed: &Parsed) -> Result<String, CliError> {
         .ok_or_else(|| {
             CliError::usage(format!("`artifact {sub}` needs a daemon or router address"))
         })?;
-    let mut client = connect(parsed, addr)?;
+    // The lifecycle verbs are `cbes request`'s; `status` and `list` are
+    // two renderings of the same read.
+    let verb = match sub {
+        "stage" | "apply" | "accept" | "rollback" => sub,
+        "status" | "list" => "artifact-status",
+        other => {
+            return Err(CliError::usage(format!(
+                "unknown artifact subcommand `{other}` \
+                 (want stage | apply | accept | rollback | status | list)"
+            )))
+        }
+    };
+    let request = request_from_args(verb, parsed)?;
+    let response = connect(parsed, addr)?.call(request).map_err(client_err)?;
     let mut out = String::new();
-    match sub {
-        "stage" => {
-            let kind = parsed.require("kind")?;
-            let payload = artifact_payload(parsed)?;
-            let (version, state, _) = client.stage(kind, &payload).map_err(client_err)?;
-            let _ = writeln!(out, "staged artifact v{version} ({kind}): {state}");
-            let _ = writeln!(out, "next: cbes artifact apply {addr}");
-        }
-        "apply" => {
-            let (version, state, epoch) = client.apply().map_err(client_err)?;
-            let _ = writeln!(
-                out,
-                "artifact v{version} is {state} at epoch {epoch} — accept it once the \
-                 soak looks healthy, or roll back"
-            );
-        }
-        "accept" => {
-            let (version, state, _) = client.accept().map_err(client_err)?;
-            let _ = writeln!(out, "artifact v{version} is {state}");
-        }
-        "rollback" => {
-            let reason = parsed.get("reason").unwrap_or("operator rollback");
-            let (version, state, epoch) = client.rollback(reason).map_err(client_err)?;
-            let _ = writeln!(
-                out,
-                "artifact v{version} {state} at epoch {epoch}: {reason}"
-            );
-        }
-        "status" => {
-            let status = client.artifact_status().map_err(client_err)?;
-            out.push_str(&artifact_status_table(&status));
-        }
-        "list" => {
-            let status = client.artifact_status().map_err(client_err)?;
+    match response {
+        Response::ArtifactAck {
+            version,
+            state,
+            epoch,
+        } => match sub {
+            "stage" => {
+                let kind = parsed.require("kind")?;
+                let _ = writeln!(out, "staged artifact v{version} ({kind}): {state}");
+                let _ = writeln!(out, "next: cbes artifact apply {addr}");
+            }
+            "apply" => {
+                let _ = writeln!(
+                    out,
+                    "artifact v{version} is {state} at epoch {epoch} — accept it once the \
+                     soak looks healthy, or roll back"
+                );
+            }
+            "accept" => {
+                let _ = writeln!(out, "artifact v{version} is {state}");
+            }
+            _ => {
+                let reason = rollback_reason(parsed);
+                let _ = writeln!(
+                    out,
+                    "artifact v{version} {state} at epoch {epoch}: {reason}"
+                );
+            }
+        },
+        Response::ArtifactStatus { status } if sub == "list" => {
             for i in &status.instances {
                 let _ = writeln!(out, "{}:", i.addr);
                 if i.status.artifacts.is_empty() {
@@ -1206,10 +1285,10 @@ pub fn artifact(parsed: &Parsed) -> Result<String, CliError> {
                 }
             }
         }
+        Response::ArtifactStatus { status } => out.push_str(&artifact_status_table(&status)),
         other => {
-            return Err(CliError::usage(format!(
-                "unknown artifact subcommand `{other}` \
-                 (want stage | apply | accept | rollback | status | list)"
+            return Err(CliError::Transport(format!(
+                "unexpected reply to `artifact {sub}`: {other:?}"
             )))
         }
     }
@@ -1487,6 +1566,69 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("cg.S.6"), "{out}");
+    }
+
+    #[test]
+    fn every_action_has_a_request_verb_that_builds_it() {
+        let dir = std::env::temp_dir().join(format!("cbes-cli-verbs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ps = dir.join("p.json").to_str().unwrap().to_string();
+        let ranks = ["--workload", "ep", "--class", "S", "--ranks", "2"];
+        profile(&parsed(
+            &[&["profile", "demo", "--out", &ps], &ranks[..]].concat(),
+        ))
+        .unwrap();
+        let candidates = ["--app", "ep.S.2", "--mappings", "0,1;4,5"];
+        let sweep = ["--nodes", "8", "--load", "0=0.3"];
+        for spec in ACTIONS {
+            // Exhaustive, like `request_from_args`: a new action needs
+            // its flags here before this compiles.
+            let flags: &[&str] = match spec.action {
+                Action::RegisterProfile => &["--profile", &ps],
+                Action::Compare | Action::BestOf | Action::Batch => &candidates,
+                Action::Schedule => &["--app", "ep.S.2", "--pool", "0,1,2,3"],
+                Action::ObserveLoad => &sweep,
+                Action::ObservePartial => &["--nodes", "8", "--load", "0=0.3", "--silent", "7"],
+                Action::Route => &["--app", "ep.S.2"],
+                Action::Replicate => &["--epoch", "3", "--nodes", "8", "--load", "0=0.3"],
+                Action::Trace => &["--trace-id", "77"],
+                Action::Stage => &["--kind", "serving_limits", "--payload", "{}"],
+                Action::Rollback => &["--reason", "because"],
+                Action::Stats
+                | Action::Metrics
+                | Action::Shutdown
+                | Action::Membership
+                | Action::DumpFlight
+                | Action::Apply
+                | Action::Accept
+                | Action::ArtifactStatus => &[],
+            };
+            let derived = spec.name.replace('_', "-");
+            let mut verbs = vec![derived.as_str()];
+            verbs.extend(spec.alias);
+            assert!(verbs.contains(&verb_of(spec).as_str()));
+            assert!(verb_list().contains(&verb_of(spec)), "{}", verb_list());
+            for verb in verbs {
+                let args = [&["request", "127.0.0.1:1", verb], flags].concat();
+                let request = request_from_args(verb, &parsed(&args))
+                    .unwrap_or_else(|e| panic!("`{verb}` does not parse: {e}"));
+                assert_eq!(request.spec(), spec, "`{verb}` built the wrong action");
+                // Without its flags a verb that needs any is a usage error.
+                let bare = request_from_args(verb, &parsed(&["request", "127.0.0.1:1", verb]));
+                let optional = matches!(spec.action, Action::Rollback);
+                assert_eq!(bare.is_ok(), flags.is_empty() || optional, "`{verb}`");
+            }
+        }
+        let err = request_from_args("compare_", &parsed(&["request", "a", "compare_"]))
+            .expect_err("not a verb");
+        assert_eq!(err.exit_code(), 2);
+        for spec in ACTIONS {
+            assert!(err.to_string().contains(&verb_of(spec)), "{err}");
+        }
+        // No action at all lists the same verbs.
+        let err = request(&parsed(&["request", "127.0.0.1:1"])).expect_err("no action");
+        assert!(err.to_string().contains(&verb_list()), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! silently forks a counter (both halves keep counting, each one low);
 //! a typo in a constant path is a compile error. `cbes-analyze`'s
 //! `metric_names` rule enforces the convention, and its `drift` rule
-//! checks that [`SERVER_ACTION_COUNTERS`] stays aligned with the wire
-//! protocol's action table and that no two constants collide.
+//! checks that no two constants collide. The per-action served counters
+//! (`server.action.<action>`) are the one family not listed here: each
+//! is the `counter` column of its row in the wire protocol's action
+//! table (`cbes_server::protocol::ACTIONS`).
 
 // ---- server (cbes-server daemon) -----------------------------------
 
@@ -31,33 +33,6 @@ pub const SERVER_SERVICE_TIME_US: &str = "server.service_time_us";
 /// Current admission-queue depth.
 pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
 
-/// Per-action served counters, indexed by
-/// `cbes_server::protocol::Request::action_index`. Entry `i` must be
-/// `"server.action."` followed by `ACTIONS[i]` — checked by
-/// `cbes-analyze`'s drift rule.
-pub const SERVER_ACTION_COUNTERS: [&str; 20] = [
-    "server.action.register_profile",
-    "server.action.compare",
-    "server.action.best_of",
-    "server.action.schedule",
-    "server.action.observe_load",
-    "server.action.observe_partial",
-    "server.action.stats",
-    "server.action.metrics",
-    "server.action.shutdown",
-    "server.action.route",
-    "server.action.replicate",
-    "server.action.membership",
-    "server.action.batch",
-    "server.action.trace",
-    "server.action.dump_flight",
-    "server.action.stage",
-    "server.action.apply",
-    "server.action.accept",
-    "server.action.rollback",
-    "server.action.artifact_status",
-];
-
 /// Admitted requests shed by the per-instance evaluation rate cap.
 pub const SERVER_RATE_LIMITED: &str = "server.rate_limited";
 /// Candidate mappings evaluated through `Batch` requests (one count
@@ -80,7 +55,7 @@ pub const SPAN_CLI_REQUEST: &str = "cli.request";
 /// Span: the router forwarding one request to the serving tier.
 pub const SPAN_ROUTER_FORWARD: &str = "router.forward";
 
-// ---- client (RetryingClient) ---------------------------------------
+// ---- client (the retry layer) --------------------------------------
 
 /// Retry attempts made after shed/transport failures.
 pub const CLIENT_RETRIES: &str = "client.retries";
@@ -95,7 +70,8 @@ pub const ROUTER_ROUTED: &str = "router.routed";
 pub const ROUTER_FORWARDED: &str = "router.forwarded";
 /// Requests served by a replica after the primary was unavailable.
 pub const ROUTER_FAILED_OVER: &str = "router.failed_over";
-/// Requests abandoned after exhausting every replica and retry cycle.
+/// Hash-routed requests the router gave up on: every candidate of the
+/// key was down, draining or unreachable.
 pub const ROUTER_GIVEUPS: &str = "router.giveups";
 /// Heartbeat probe sweeps completed across the membership table.
 pub const ROUTER_HEARTBEATS: &str = "router.heartbeats";
@@ -198,13 +174,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn action_counters_share_the_prefix() {
-        for name in SERVER_ACTION_COUNTERS {
-            assert!(name.starts_with("server.action."), "{name}");
-        }
-    }
-
-    #[test]
     fn all_names_are_distinct() {
         let all = [
             SERVER_SERVED,
@@ -266,11 +235,7 @@ mod tests {
             CHAOS_RUNS,
         ];
         let mut seen = std::collections::BTreeSet::new();
-        for name in all
-            .into_iter()
-            .chain(SERVER_ACTION_COUNTERS)
-            .chain(ANALYZE_RULE_COUNTERS)
-        {
+        for name in all.into_iter().chain(ANALYZE_RULE_COUNTERS) {
             assert!(seen.insert(name), "duplicate metric name {name}");
         }
     }

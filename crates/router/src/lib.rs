@@ -21,25 +21,21 @@
 //!   snapshot machinery — followers adopt an epoch at most once, so
 //!   replays are harmless, and staleness is measurable in epochs.
 //!
-//! [`RoutingClient`] is the client-side entry point (hash-aware endpoint
-//! selection over retrying per-instance connections); [`RouterServer`]
-//! is a thin proxy daemon speaking the ordinary CBES wire protocol for
-//! operators and dashboards (`cbes route serve` / `cbes route status`).
-//! [`plan::FORWARD_MODES`] pins how every protocol action traverses the
-//! tier; the `cbes-analyze` drift rule keeps it aligned with the
-//! protocol's action table.
+//! [`RouterServer`] is a proxy daemon speaking the ordinary CBES wire
+//! protocol, so any `cbes_server::Client` (or `cbes request`) pointed at
+//! it is a client of the whole tier: placement, failover and fan-out
+//! happen server-side. How each action traverses the tier is the
+//! `forward` column of the protocol's action table
+//! (`cbes_server::protocol::ACTIONS`); this crate keeps no table of its
+//! own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod membership;
-pub mod plan;
 pub mod ring;
 pub mod tier;
 
-pub use client::{RouterError, RoutingClient};
 pub use membership::{Membership, MembershipConfig};
-pub use plan::{ForwardMode, FORWARD_MODES};
 pub use ring::HashRing;
 pub use tier::{RouterServer, RouterTierHandle, TierConfig};

@@ -17,15 +17,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::membership::{Membership, MembershipConfig};
-use crate::plan::{mode_of, mode_of_tag, ForwardMode};
 use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
 use cbes_core::health::NodeHealth;
-use cbes_obs::{names, MetricsSnapshot, Registry};
+use cbes_obs::{names, Counter, MetricsSnapshot, Registry};
 use cbes_server::net::{self, encode_line, Control, Forward, Handler, NetHandle};
 use cbes_server::protocol::{
-    decode_request, encode, error_kind, route_key_hash, split_id, Request, Response,
-    ResponseEnvelope, SpanSnapshot, StatsReport,
+    decode_request, encode, error_kind, route_key_hash, split_id, ActionSpec, ForwardMode, Request,
+    Response, ResponseEnvelope, SpanSnapshot, StatsReport,
 };
 use cbes_server::{Client, ClientError, ServerConfig};
 
@@ -155,7 +154,7 @@ pub fn observe_tier(
 
 /// The routing proxy daemon: the [`cbes_server::net`] I/O layer's second
 /// handler. It heartbeats its seeds and answers the CBES wire protocol
-/// by forwarding per [`crate::plan::FORWARD_MODES`], with the daemon's
+/// by forwarding each action per its [`ActionSpec::forward`], with the daemon's
 /// own front-door bounds (frame cap, strike budget, bounded admission,
 /// per-request deadline, graceful drain) at their
 /// [`ServerConfig::default`] values.
@@ -177,6 +176,7 @@ impl RouterServer {
             Ok(Router {
                 ring: HashRing::new(membership.len()),
                 membership: membership.clone(),
+                giveups: Registry::global().counter(names::ROUTER_GIVEUPS),
                 net: control.clone(),
             })
         })?;
@@ -232,6 +232,8 @@ struct Router {
     membership: Arc<Membership>,
     /// Placement over the seed list, which is fixed at start.
     ring: HashRing,
+    /// Hash-routed requests answered `no usable instance owns this key`.
+    giveups: Arc<Counter>,
     net: Arc<Control>,
 }
 
@@ -285,7 +287,8 @@ impl Handler for Router {
         let tag = canonical.and_then(|tail| tail.strip_prefix(",\"request\":"));
         let tag = tag.and_then(|rest| rest.strip_prefix('"').or(rest.strip_prefix("{\"")));
         let tag = tag.and_then(|rest| rest.split('"').next());
-        if tag.is_some_and(|tag| mode_of_tag(tag) != Some(ForwardMode::Hash)) {
+        let mode = tag.map(|tag| ActionSpec::by_tag(tag).map(|spec| spec.forward));
+        if mode.is_some_and(|mode| mode != Some(ForwardMode::Hash)) {
             return None;
         }
         let mut envelope = decode_request(line).ok()?;
@@ -352,6 +355,7 @@ impl Handler for Router {
             // The tier is going away under this request.
             Response::shed(error_kind::SHUTTING_DOWN, "router is draining", 0)
         } else {
+            self.giveups.incr();
             Response::error(error_kind::SERVICE, "no usable instance owns this key")
         };
         encode_line(&ResponseEnvelope { id, response })
@@ -371,20 +375,23 @@ impl Router {
     fn dispatch(&self, request: Request) -> Response {
         let membership = &self.membership;
         let timeout = membership.config().probe_timeout;
-        match mode_of(request.action_index()) {
-            ForwardMode::Leader => match request {
-                Request::ObserveLoad { load } => match observe_tier(membership, &load, &[]) {
+        match request.spec().forward {
+            ForwardMode::Leader => {
+                let observed = match &request {
+                    Request::ObserveLoad { load } => observe_tier(membership, load, &[]),
+                    Request::ObservePartial { load, silent } => {
+                        observe_tier(membership, load, silent)
+                    }
+                    _ => {
+                        let why = "leader mode covers observations";
+                        return Response::error(error_kind::BAD_REQUEST, why);
+                    }
+                };
+                match observed {
                     Ok(epoch) => Response::LoadObserved { epoch },
                     Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
-                },
-                Request::ObservePartial { load, silent } => {
-                    match observe_tier(membership, &load, &silent) {
-                        Ok(epoch) => Response::LoadObserved { epoch },
-                        Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
-                    }
                 }
-                _ => Response::error(error_kind::BAD_REQUEST, "leader mode covers observations"),
-            },
+            }
             ForwardMode::Merge => {
                 let mut stats: Vec<StatsReport> = Vec::new();
                 let mut metrics: Option<MetricsSnapshot> = None;

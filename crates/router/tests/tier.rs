@@ -1,5 +1,5 @@
 //! End-to-end tier tests: real `cbes-server` instances behind the
-//! membership table, routing client, and replication loop.
+//! membership table, the routing proxy, and the replication loop.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -17,11 +17,11 @@ use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
 use cbes_router::membership::{Membership, MembershipConfig};
 use cbes_router::tier::{observe_tier, probe_instances, RouterServer, TierConfig};
-use cbes_router::{RouterTierHandle, RoutingClient};
+use cbes_router::RouterTierHandle;
 use cbes_server::protocol::{
     encode, error_kind, route_key_hash, split_id, Request, RequestEnvelope, Response, StatsReport,
 };
-use cbes_server::{Client, ResponseEnvelope, RetryPolicy, Server, ServerConfig, ServerHandle};
+use cbes_server::{Client, ResponseEnvelope, Server, ServerConfig, ServerHandle};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 fn profile(name: &str) -> AppProfile {
@@ -84,71 +84,6 @@ fn tier_membership(addrs: Vec<String>) -> Arc<Membership> {
 
 fn mapping(ids: &[u32]) -> Mapping {
     Mapping::new(ids.iter().map(|&i| NodeId(i)).collect())
-}
-
-#[test]
-fn requests_fail_over_when_an_instance_crashes() {
-    let instances: Vec<ServerHandle> = (0..3).map(|_| start_instance()).collect();
-    let addrs: Vec<String> = instances.iter().map(|h| h.addr().to_string()).collect();
-    let membership = tier_membership(addrs);
-    membership.record_probes(&probe_instances(&membership));
-    assert_eq!(membership.counts(), (3, 0, 0));
-
-    let mut client = RoutingClient::new(
-        membership.clone(),
-        Duration::from_millis(500),
-        RetryPolicy {
-            max_attempts: 2,
-            base_delay: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        },
-    )
-    .with_limits(20, Duration::from_millis(5));
-    assert_eq!(
-        client
-            .register_profile(&profile("app"))
-            .expect("tier is up"),
-        3,
-        "profiles broadcast to every instance"
-    );
-    let apps = ["app"];
-    for app in apps {
-        client
-            .compare(app, &[mapping(&[0, 1])])
-            .expect("tier serves");
-    }
-
-    // Crash whichever instance owns the key, then keep asking: the
-    // request must land on a replica.
-    let hash = client.key_hash("app");
-    let report = client.membership_report();
-    let owner = {
-        let ring = cbes_router::HashRing::new(report.instances.len());
-        ring.primary(hash).expect("non-empty ring")
-    };
-    let mut handles: Vec<Option<ServerHandle>> = instances.into_iter().map(Some).collect();
-    if let Some(dead) = handles.get_mut(owner).and_then(Option::take) {
-        dead.shutdown_and_join();
-    }
-    // Let the membership table notice (probe sweeps: suspect at 2, down at 4).
-    for _ in 0..5 {
-        membership.record_probes(&probe_instances(&membership));
-    }
-    assert_eq!(membership.counts(), (2, 0, 1));
-    let (_, preds) = client
-        .compare("app", &[mapping(&[0, 1])])
-        .expect("a replica serves the key after the crash");
-    assert_eq!(preds.len(), 1);
-    let report = client.membership_report();
-    assert_eq!(report.instances[owner].health, "down");
-    assert!(
-        report.instances.iter().any(|i| i.failed_over > 0),
-        "the replica recorded the failover"
-    );
-
-    for h in handles.into_iter().flatten() {
-        h.shutdown_and_join();
-    }
 }
 
 #[test]
@@ -798,6 +733,63 @@ fn a_silent_primary_costs_one_probe_timeout_not_the_request_deadline() {
     let report = router.membership().report();
     assert_eq!(report.instances[replica].failed_over, 8);
     router.shutdown_and_join();
+    real.shutdown_and_join();
+}
+
+#[test]
+fn giving_up_on_a_key_is_counted_and_a_drain_is_not() {
+    let giveups = || {
+        let counter = cbes_obs::Registry::global().counter(cbes_obs::names::ROUTER_GIVEUPS);
+        counter.get()
+    };
+    // Seeds nobody listens on: every candidate of every key is down.
+    let dead = |_| {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind succeeds");
+        listener.local_addr().expect("bound").to_string()
+    };
+    let router = RouterServer::start(TierConfig {
+        addr: "127.0.0.1:0".to_string(),
+        seeds: (0..2).map(dead).collect(),
+        membership: MembershipConfig {
+            cluster: "demo".to_string(),
+            heartbeat: Duration::from_secs(3600),
+            ..MembershipConfig::default()
+        },
+    })
+    .expect("router binds loopback");
+    let before = giveups();
+    let (mut stream, mut reader) = raw_connection(&router);
+    let line = compare_line(3, "app", vec![mapping(&[0, 1])]);
+    stream.write_all(line.as_bytes()).expect("write");
+    let reply = next_reply(&mut reader).expect("a typed refusal");
+    assert_eq!(reply.id, 3);
+    let Response::Error { kind, message, .. } = &reply.response else {
+        panic!("expected an error reply, got {reply:?}");
+    };
+    assert_eq!(kind, error_kind::SERVICE);
+    assert_eq!(message, "no usable instance owns this key");
+    assert_eq!(giveups() - before, 1, "the router gave up on one request");
+    router.shutdown_and_join();
+
+    // A request in flight on a silent backend when the tier is told to
+    // drain is answered `shutting_down`: the tier going away, not a key
+    // nobody could serve.
+    let real = start_instance();
+    let mute = mute_backend(stats_of(&real.addr().to_string()), None);
+    let router = quiet_router_waiting(vec![mute], Duration::from_millis(200));
+    let before = giveups();
+    let (mut stream, mut reader) = raw_connection(&router);
+    stream.write_all(line.as_bytes()).expect("write");
+    // On the wire behind the frame, so the frame is in flight by now.
+    let probe = encode(&RequestEnvelope::new(4, Request::Membership)) + "\n";
+    stream.write_all(probe.as_bytes()).expect("write");
+    assert_eq!(next_reply(&mut reader).expect("local answer").id, 4);
+    router.shutdown();
+    let reply = next_reply(&mut reader).expect("the drain answers what it holds");
+    assert_eq!(reply.id, 3);
+    assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
+    assert_eq!(giveups(), before, "a drain is not a give-up");
+    router.join();
     real.shutdown_and_join();
 }
 

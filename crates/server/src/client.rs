@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::protocol::{
-    encode, InstanceInfo, MembershipReport, Request, RequestEnvelope, Response, ResponseEnvelope,
-    SpanSnapshot, StatsReport,
+    encode, error_kind, InstanceInfo, MembershipReport, Request, RequestEnvelope, Response,
+    ResponseEnvelope, SpanSnapshot, StatsReport,
 };
 
 /// A client-side failure: transport, protocol, or a server error reply.
@@ -41,7 +41,7 @@ impl ClientError {
     /// True for server replies that shed load (`overloaded`): the request
     /// never ran and an idempotent retry after the hinted back-off is safe.
     pub fn is_shed(&self) -> bool {
-        matches!(self, ClientError::Server { kind, .. } if kind == crate::protocol::error_kind::OVERLOADED)
+        matches!(self, ClientError::Server { kind, .. } if kind == error_kind::OVERLOADED)
     }
 }
 
@@ -65,13 +65,31 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// A blocking connection to a CBES daemon. Requests are issued one at a
-/// time; ids are assigned internally and checked against replies.
+/// How a [`Client`] gets one request answered. [`Direct`] is a live
+/// connection; [`Retrying`] layers re-dial and replay over it; a test
+/// or a simulation can stand in its own.
+pub trait Transport {
+    /// Send `request` and wait for the reply envelope. Error replies
+    /// are envelopes, not `Err`.
+    fn round_trip(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError>;
+}
+
+/// One connection to a daemon: requests go out one at a time, ids are
+/// assigned here and checked against replies, nothing is ever re-sent.
 #[derive(Debug)]
-pub struct Client {
+pub struct Direct {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
+}
+
+/// A blocking client of a CBES daemon or router: one typed method per
+/// action (and [`Client::call`] for a [`Request`] built elsewhere) over
+/// a [`Transport`] — a plain connection unless built with
+/// [`Client::retrying`].
+#[derive(Debug)]
+pub struct Client<T: Transport = Direct> {
+    transport: T,
 }
 
 /// Connect to the first address `addr` resolves to that accepts within
@@ -95,8 +113,8 @@ impl Client {
     /// blocks indefinitely. Prefer [`Client::connect_timeout`] for
     /// anything interactive.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        Client::from_stream(stream)
+        let transport = Direct::over(TcpStream::connect(addr)?)?;
+        Ok(Client { transport })
     }
 
     /// Connect with a dial deadline and apply the same bound to every
@@ -106,40 +124,40 @@ impl Client {
         addr: A,
         timeout: Duration,
     ) -> Result<Client, ClientError> {
-        let mut client = Client::from_stream(dial(addr, timeout)?)?;
-        client.set_io_timeout(Some(timeout))?;
-        Ok(client)
+        let transport = Direct::dial(addr, timeout)?;
+        Ok(Client { transport })
     }
+}
 
-    fn from_stream(stream: TcpStream) -> Result<Client, ClientError> {
+impl Direct {
+    fn over(stream: TcpStream) -> Result<Direct, ClientError> {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Client {
+        Ok(Direct {
             reader,
             writer: stream,
             next_id: 1,
         })
     }
 
-    /// Bound every subsequent read and write on the connection; `None`
-    /// removes the bound. A request that trips the deadline fails with
+    /// Dial within `timeout` and bound every later read and write by
+    /// it too. A request that trips the deadline fails with
     /// [`ClientError::Io`] and the connection should be discarded (a
     /// late reply would desynchronise the stream).
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.writer.set_read_timeout(timeout)?;
-        self.writer.set_write_timeout(timeout)?;
-        Ok(())
+    fn dial<A: ToSocketAddrs>(addr: A, timeout: Duration) -> Result<Direct, ClientError> {
+        let conn = Direct::over(dial(addr, timeout)?)?;
+        conn.writer.set_read_timeout(Some(timeout))?;
+        conn.writer.set_write_timeout(Some(timeout))?;
+        Ok(conn)
     }
+}
 
-    /// Send one request and wait for its reply envelope. Error replies
-    /// are returned as envelopes, not `Err` — use the typed helpers for
-    /// automatic error conversion.
-    ///
+impl Transport for Direct {
     /// When the calling thread is inside an open span (see
     /// [`cbes_obs::current_trace`]), the envelope carries that trace id
     /// and span id so the server joins the caller's trace; otherwise
     /// the envelope is untraced and the wire shape is unchanged.
-    pub fn request(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+    fn round_trip(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         let envelope = match cbes_obs::current_trace() {
@@ -174,9 +192,23 @@ impl Client {
         }
         Ok(envelope)
     }
+}
+
+impl<T: Transport> Client<T> {
+    /// A client over a transport of the caller's own.
+    pub fn over(transport: T) -> Self {
+        Client { transport }
+    }
+
+    /// Send one request and wait for its reply envelope. Error replies
+    /// are returned as envelopes, not `Err` — use [`Client::call`] or
+    /// the typed helpers for automatic error conversion.
+    pub fn request(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+        self.transport.round_trip(request)
+    }
 
     /// Send a request and surface error replies as [`ClientError::Server`].
-    fn exchange(&mut self, request: Request) -> Result<Response, ClientError> {
+    pub fn call(&mut self, request: Request) -> Result<Response, ClientError> {
         match self.request(request)?.response {
             Response::Error {
                 kind,
@@ -193,7 +225,7 @@ impl Client {
 
     /// Register (or replace) an application profile.
     pub fn register_profile(&mut self, profile: AppProfile) -> Result<(), ClientError> {
-        match self.exchange(Request::RegisterProfile { profile })? {
+        match self.call(Request::RegisterProfile { profile })? {
             Response::Registered { .. } => Ok(()),
             other => Err(unexpected("Registered", &other)),
         }
@@ -206,14 +238,10 @@ impl Client {
         app: &str,
         mappings: &[Mapping],
     ) -> Result<(u64, Vec<Prediction>), ClientError> {
-        let request = Request::Compare {
+        self.predictions(Request::Compare {
             app: app.to_string(),
             mappings: mappings.to_vec(),
-        };
-        match self.exchange(request)? {
-            Response::Predictions { epoch, predictions } => Ok((epoch, predictions)),
-            other => Err(unexpected("Predictions", &other)),
-        }
+        })
     }
 
     /// Evaluate many candidate mappings in one round-trip; every
@@ -225,11 +253,14 @@ impl Client {
         app: &str,
         mappings: &[Mapping],
     ) -> Result<(u64, Vec<Prediction>), ClientError> {
-        let request = Request::Batch {
+        self.predictions(Request::Batch {
             app: app.to_string(),
             mappings: mappings.to_vec(),
-        };
-        match self.exchange(request)? {
+        })
+    }
+
+    fn predictions(&mut self, request: Request) -> Result<(u64, Vec<Prediction>), ClientError> {
+        match self.call(request)? {
             Response::Predictions { epoch, predictions } => Ok((epoch, predictions)),
             other => Err(unexpected("Predictions", &other)),
         }
@@ -245,7 +276,7 @@ impl Client {
             app: app.to_string(),
             mappings: mappings.to_vec(),
         };
-        match self.exchange(request)? {
+        match self.call(request)? {
             Response::Best {
                 epoch,
                 index,
@@ -270,7 +301,7 @@ impl Client {
             iters,
             seed,
         };
-        match self.exchange(request)? {
+        match self.call(request)? {
             Response::Scheduled {
                 epoch,
                 mapping,
@@ -283,11 +314,7 @@ impl Client {
 
     /// Feed one monitoring sweep; returns the new snapshot epoch.
     pub fn observe_load(&mut self, load: &LoadState) -> Result<u64, ClientError> {
-        let request = Request::ObserveLoad { load: load.clone() };
-        match self.exchange(request)? {
-            Response::LoadObserved { epoch } => Ok(epoch),
-            other => Err(unexpected("LoadObserved", &other)),
-        }
+        self.observed(Request::ObserveLoad { load: load.clone() })
     }
 
     /// Feed one *partial* monitoring sweep: the nodes in `silent`
@@ -298,11 +325,14 @@ impl Client {
         load: &LoadState,
         silent: &[u32],
     ) -> Result<u64, ClientError> {
-        let request = Request::ObservePartial {
+        self.observed(Request::ObservePartial {
             load: load.clone(),
             silent: silent.to_vec(),
-        };
-        match self.exchange(request)? {
+        })
+    }
+
+    fn observed(&mut self, request: Request) -> Result<u64, ClientError> {
+        match self.call(request)? {
             Response::LoadObserved { epoch } => Ok(epoch),
             other => Err(unexpected("LoadObserved", &other)),
         }
@@ -310,7 +340,7 @@ impl Client {
 
     /// Read the server's counters.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        match self.exchange(Request::Stats)? {
+        match self.call(Request::Stats)? {
             Response::Stats { stats } => Ok(stats),
             other => Err(unexpected("Stats", &other)),
         }
@@ -318,7 +348,7 @@ impl Client {
 
     /// Read the full metrics snapshot (counters, gauges, histograms).
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        match self.exchange(Request::Metrics)? {
+        match self.call(Request::Metrics)? {
             Response::Metrics { metrics } => Ok(metrics),
             other => Err(unexpected("Metrics", &other)),
         }
@@ -336,7 +366,7 @@ impl Client {
             cluster: cluster.to_string(),
             app: app.to_string(),
         };
-        match self.exchange(request)? {
+        match self.call(request)? {
             Response::Routed {
                 hash,
                 primary,
@@ -360,7 +390,7 @@ impl Client {
             load: load.clone(),
             silent: silent.to_vec(),
         };
-        match self.exchange(request)? {
+        match self.call(request)? {
             Response::Replicated { epoch, applied } => Ok((epoch, applied)),
             other => Err(unexpected("Replicated", &other)),
         }
@@ -369,7 +399,7 @@ impl Client {
     /// Read the serving tier's membership table (a standalone daemon
     /// reports a single-instance view of itself).
     pub fn membership(&mut self) -> Result<MembershipReport, ClientError> {
-        match self.exchange(Request::Membership)? {
+        match self.call(Request::Membership)? {
             Response::Membership { membership } => Ok(membership),
             other => Err(unexpected("Membership", &other)),
         }
@@ -379,7 +409,7 @@ impl Client {
     /// server's rings (a routed tier merges spans from every instance
     /// plus the router's own forwarding spans).
     pub fn trace(&mut self, trace_id: u64) -> Result<(u64, Vec<SpanSnapshot>), ClientError> {
-        match self.exchange(Request::Trace { trace_id })? {
+        match self.call(Request::Trace { trace_id })? {
             Response::Traces { trace_id, spans } => Ok((trace_id, spans)),
             other => Err(unexpected("Traces", &other)),
         }
@@ -389,7 +419,7 @@ impl Client {
     /// file path and the number of events written (a routed tier dumps
     /// on every instance and reports the first reply).
     pub fn dump_flight(&mut self) -> Result<(String, u64), ClientError> {
-        match self.exchange(Request::DumpFlight)? {
+        match self.call(Request::DumpFlight)? {
             Response::FlightDumped { path, events } => Ok((path, events)),
             other => Err(unexpected("FlightDumped", &other)),
         }
@@ -399,51 +429,33 @@ impl Client {
     /// yet activated). Returns `(version, state, epoch)` from the ack;
     /// `state` is `"staged"` on success.
     pub fn stage(&mut self, kind: &str, payload: &str) -> Result<(u64, String, u64), ClientError> {
-        let request = Request::Stage {
+        self.acked(Request::Stage {
             kind: kind.to_string(),
             payload: payload.to_string(),
-        };
-        match self.exchange(request)? {
-            Response::ArtifactAck {
-                version,
-                state,
-                epoch,
-            } => Ok((version, state, epoch)),
-            other => Err(unexpected("ArtifactAck", &other)),
-        }
+        })
     }
 
     /// Activate the staged artifact under a soak (one epoch bump).
     pub fn apply(&mut self) -> Result<(u64, String, u64), ClientError> {
-        match self.exchange(Request::Apply)? {
-            Response::ArtifactAck {
-                version,
-                state,
-                epoch,
-            } => Ok((version, state, epoch)),
-            other => Err(unexpected("ArtifactAck", &other)),
-        }
+        self.acked(Request::Apply)
     }
 
     /// Promote the soaking artifact to active.
     pub fn accept(&mut self) -> Result<(u64, String, u64), ClientError> {
-        match self.exchange(Request::Accept)? {
-            Response::ArtifactAck {
-                version,
-                state,
-                epoch,
-            } => Ok((version, state, epoch)),
-            other => Err(unexpected("ArtifactAck", &other)),
-        }
+        self.acked(Request::Accept)
     }
 
     /// Abandon the soaking artifact and reinstate the previous
     /// configuration (one more epoch bump).
     pub fn rollback(&mut self, reason: &str) -> Result<(u64, String, u64), ClientError> {
-        let request = Request::Rollback {
+        self.acked(Request::Rollback {
             reason: reason.to_string(),
-        };
-        match self.exchange(request)? {
+        })
+    }
+
+    /// A lifecycle verb's receipt: `(version, state, epoch)`.
+    fn acked(&mut self, request: Request) -> Result<(u64, String, u64), ClientError> {
+        match self.call(request)? {
             Response::ArtifactAck {
                 version,
                 state,
@@ -456,7 +468,7 @@ impl Client {
     /// Read the artifact lifecycle state (tier-wide through a router:
     /// one entry per usable instance).
     pub fn artifact_status(&mut self) -> Result<cbes_reconfig::StatusReport, ClientError> {
-        match self.exchange(Request::ArtifactStatus)? {
+        match self.call(Request::ArtifactStatus)? {
             Response::ArtifactStatus { status } => Ok(status),
             other => Err(unexpected("ArtifactStatus", &other)),
         }
@@ -465,7 +477,7 @@ impl Client {
     /// Ask the server to drain and exit. The acknowledgement arrives
     /// before the drain completes.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.exchange(Request::Shutdown)? {
+        match self.call(Request::Shutdown)? {
             Response::ShuttingDown => Ok(()),
             other => Err(unexpected("ShuttingDown", &other)),
         }
@@ -476,7 +488,7 @@ fn unexpected(wanted: &str, got: &Response) -> ClientError {
     ClientError::Protocol(format!("expected {wanted} reply, got {got:?}"))
 }
 
-/// Retry tuning for [`RetryingClient`]: exponential backoff with
+/// Retry tuning for [`Client::retrying`]: exponential backoff with
 /// deterministic jitter, bounded attempts.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
@@ -521,95 +533,94 @@ impl RetryPolicy {
     }
 }
 
-/// A [`Client`] wrapper that reconnects and retries **idempotent**
-/// requests over transient failures: connect/IO errors and load-shedding
-/// (`overloaded`) replies, honouring the server's `retry_after_ms` hint.
+/// The retry layer: a [`Transport`] that dials lazily, re-dials after
+/// any I/O failure, and replays a request over transient failures —
+/// connect/IO errors, load-shedding (`overloaded`) and `timeout`
+/// replies, honouring the server's `retry_after_ms` hint — if and only
+/// if its row of the action table says [`idempotent`]. Anything else is
+/// sent once: replaying an epoch-advancing sweep or a lifecycle verb
+/// changes server state.
 ///
-/// Retries are opt-in by construction — plain [`Client`] never retries —
-/// and only read-or-replayable actions are exposed here (`compare`,
-/// `best_of`, `schedule` with a fixed seed, `stats`, `metrics`,
-/// `register_profile`, which is a keyed upsert). Epoch-advancing sweeps
-/// (`observe_load`) and `shutdown` are deliberately absent: replaying
-/// them changes server state.
-pub struct RetryingClient {
+/// Retries are opt-in by construction — a plain [`Client`] never
+/// retries; [`Client::retrying`] builds one that does.
+///
+/// [`idempotent`]: crate::protocol::ActionSpec::idempotent
+pub struct Retrying {
     addr: String,
     io_timeout: Duration,
     policy: RetryPolicy,
     rng: StdRng,
-    inner: Option<Client>,
+    conn: Option<Direct>,
     retries: std::sync::Arc<cbes_obs::Counter>,
     giveups: std::sync::Arc<cbes_obs::Counter>,
 }
 
-impl RetryingClient {
-    /// Build a retrying client for `addr`. The connection is dialled
-    /// lazily on first use and re-dialled after any I/O failure.
-    pub fn new(addr: impl Into<String>, io_timeout: Duration, policy: RetryPolicy) -> Self {
+impl Client<Retrying> {
+    /// A client of `addr` that retries per `policy`. The connection is
+    /// dialled lazily on first use, with `io_timeout` bounding the dial
+    /// and every read and write after it.
+    pub fn retrying(addr: impl Into<String>, io_timeout: Duration, policy: RetryPolicy) -> Self {
         let registry = cbes_obs::Registry::global();
-        RetryingClient {
+        Client::over(Retrying {
             addr: addr.into(),
             io_timeout,
             rng: StdRng::seed_from_u64(policy.seed),
             policy,
-            inner: None,
+            conn: None,
             retries: registry.counter(cbes_obs::names::CLIENT_RETRIES),
             giveups: registry.counter(cbes_obs::names::CLIENT_RETRY_GIVEUPS),
-        }
+        })
     }
+}
 
-    fn client(&mut self) -> Result<&mut Client, ClientError> {
-        if self.inner.is_none() {
-            self.inner = Some(Client::connect_timeout(
-                self.addr.as_str(),
-                self.io_timeout,
-            )?);
+impl Retrying {
+    /// One attempt over the pooled connection, dialling it if need be.
+    /// A transport error discards the connection: a late reply would
+    /// desynchronise the stream.
+    fn attempt(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => Direct::dial(self.addr.as_str(), self.io_timeout)?,
+        };
+        let reply = self.conn.insert(conn).round_trip(request);
+        if matches!(reply, Err(ClientError::Io(_))) {
+            self.conn = None;
         }
-        Ok(self.inner.as_mut().expect("just connected"))
+        reply
     }
+}
 
-    /// Run one idempotent request with retries. Transport errors discard
-    /// the connection (a late reply would desynchronise the stream);
-    /// shed replies keep it and honour the back-off hint.
-    fn call<T>(
-        &mut self,
-        mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
+impl Transport for Retrying {
+    fn round_trip(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+        if !request.spec().idempotent {
+            return self.attempt(request);
+        }
         let mut retry = 0u32;
         loop {
-            let result = match self.client() {
-                Ok(client) => op(client),
-                Err(e) => Err(e),
-            };
-            let err = match result {
-                Ok(value) => return Ok(value),
-                Err(e) => e,
-            };
-            let hint_ms = match &err {
-                ClientError::Io(_) => {
-                    self.inner = None;
-                    0
-                }
-                ClientError::Server {
-                    kind,
-                    retry_after_ms,
+            let outcome = self.attempt(request.clone());
+            let hint_ms = match &outcome {
+                Err(ClientError::Io(_)) => 0,
+                // Shed or deadline-missed: the action is idempotent, so
+                // replaying after the hinted back-off is safe.
+                Ok(ResponseEnvelope {
+                    response:
+                        Response::Error {
+                            kind,
+                            retry_after_ms,
+                            ..
+                        },
                     ..
-                } if kind == crate::protocol::error_kind::OVERLOADED
-                    || kind == crate::protocol::error_kind::TIMEOUT =>
-                {
-                    // Shed or deadline-missed: the action is idempotent,
-                    // so replaying after the hinted back-off is safe.
+                }) if kind == error_kind::OVERLOADED || kind == error_kind::TIMEOUT => {
                     *retry_after_ms
                 }
-                _ => {
-                    // Protocol and non-shed server errors are not
-                    // transient; retrying replays a rejected request.
-                    return Err(err);
-                }
+                // Replies, protocol errors and non-shed server errors are
+                // not transient; retrying replays a rejected request.
+                _ => return outcome,
             };
             retry += 1;
             if retry >= self.policy.max_attempts {
                 self.giveups.incr();
-                return Err(err);
+                return outcome;
             }
             self.retries.incr();
             let backoff = self
@@ -620,87 +631,6 @@ impl RetryingClient {
                 std::thread::sleep(backoff);
             }
         }
-    }
-
-    /// [`Client::register_profile`], retried (registration is a keyed
-    /// upsert, so replays converge).
-    pub fn register_profile(&mut self, profile: &AppProfile) -> Result<(), ClientError> {
-        self.call(|c| c.register_profile(profile.clone()))
-    }
-
-    /// [`Client::compare`], retried.
-    pub fn compare(
-        &mut self,
-        app: &str,
-        mappings: &[Mapping],
-    ) -> Result<(u64, Vec<Prediction>), ClientError> {
-        self.call(|c| c.compare(app, mappings))
-    }
-
-    /// [`Client::batch`], retried (a pure evaluation, replayable).
-    pub fn batch(
-        &mut self,
-        app: &str,
-        mappings: &[Mapping],
-    ) -> Result<(u64, Vec<Prediction>), ClientError> {
-        self.call(|c| c.batch(app, mappings))
-    }
-
-    /// [`Client::best_of`], retried.
-    pub fn best_of(
-        &mut self,
-        app: &str,
-        mappings: &[Mapping],
-    ) -> Result<(u64, usize, Prediction), ClientError> {
-        self.call(|c| c.best_of(app, mappings))
-    }
-
-    /// [`Client::schedule`], retried (the fixed seed makes the search
-    /// replayable).
-    pub fn schedule(
-        &mut self,
-        app: &str,
-        pool: &[u32],
-        iters: u32,
-        seed: u64,
-    ) -> Result<(u64, Mapping, f64), ClientError> {
-        self.call(|c| c.schedule(app, pool, iters, seed))
-    }
-
-    /// [`Client::stats`], retried.
-    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        self.call(|c| c.stats())
-    }
-
-    /// [`Client::metrics`], retried.
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        self.call(|c| c.metrics())
-    }
-
-    /// [`Client::route`], retried (a pure placement read).
-    pub fn route(
-        &mut self,
-        cluster: &str,
-        app: &str,
-    ) -> Result<(u64, InstanceInfo, Vec<InstanceInfo>), ClientError> {
-        self.call(|c| c.route(cluster, app))
-    }
-
-    /// [`Client::replicate`], retried — safe despite advancing the
-    /// epoch, because the receiver adopts a given epoch at most once;
-    /// a replayed `Replicate` is acknowledged `applied: false`.
-    pub fn replicate(
-        &mut self,
-        epoch: u64,
-        load: &LoadState,
-        silent: &[u32],
-    ) -> Result<(u64, bool), ClientError> {
-        self.call(|c| c.replicate(epoch, load, silent))
-    }
-
-    /// [`Client::membership`], retried (a read).
-    pub fn membership(&mut self) -> Result<MembershipReport, ClientError> {
-        self.call(|c| c.membership())
     }
 }
 
@@ -745,13 +675,13 @@ mod tests {
     #[test]
     fn shed_classification() {
         let shed = ClientError::Server {
-            kind: crate::protocol::error_kind::OVERLOADED.into(),
+            kind: error_kind::OVERLOADED.into(),
             message: "queue full".into(),
             retry_after_ms: 25,
         };
         assert!(shed.is_shed());
         let service = ClientError::Server {
-            kind: crate::protocol::error_kind::SERVICE.into(),
+            kind: error_kind::SERVICE.into(),
             message: "unknown app".into(),
             retry_after_ms: 0,
         };

@@ -12,7 +12,7 @@ pub mod protocol;
 pub(crate) mod reconfig;
 pub mod server;
 
-pub use client::{Client, ClientError, RetryPolicy, RetryingClient};
+pub use client::{Client, ClientError, RetryPolicy, Retrying, Transport};
 pub use protocol::{
     route_key_hash, InstanceInfo, MembershipReport, Request, RequestEnvelope, Response,
     ResponseEnvelope,

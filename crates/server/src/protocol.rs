@@ -170,77 +170,152 @@ pub enum Request {
     ArtifactStatus,
 }
 
-/// Canonical action names in declaration order; index `i` names the
-/// variant with [`Request::action_index`] `i`. Keys of
-/// [`StatsReport::per_action`] are drawn from this set.
-pub const ACTIONS: [&str; 20] = [
-    "register_profile",
-    "compare",
-    "best_of",
-    "schedule",
-    "observe_load",
-    "observe_partial",
-    "stats",
-    "metrics",
-    "shutdown",
-    "route",
-    "replicate",
-    "membership",
-    "batch",
-    "trace",
-    "dump_flight",
-    "stage",
-    "apply",
-    "accept",
-    "rollback",
-    "artifact_status",
-];
+/// How the routing tier forwards an action. Like [`route_key_hash`],
+/// every tier member must agree on it, so it lives next to the wire
+/// protocol rather than in `cbes-router`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ForwardMode {
+    /// Relayed to the consistent-hash owner of the `(cluster, app)`
+    /// key, failing over along the replica set.
+    Hash,
+    /// Sent to the replication leader, which then pushes the resulting
+    /// epoch to followers.
+    Leader,
+    /// Fanned out to every usable instance; the replies are merged
+    /// into one tier-wide report.
+    Merge,
+    /// Sent to every usable instance.
+    Broadcast,
+    /// Answered by the router itself from its own state.
+    Local,
+}
+
+/// One row of the action table: every per-action fact the tier needs,
+/// stated once. [`Request::spec`] maps a request to its row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ActionSpec {
+    /// The action, whose discriminant is the row's position in
+    /// [`ACTIONS`].
+    pub action: Action,
+    /// Canonical name: span name, [`StatsReport::per_action`] key, and
+    /// (with `_` as `-`) the `cbes request` verb.
+    pub name: &'static str,
+    /// The `Request` variant name, as a frame spells it on the wire.
+    pub tag: &'static str,
+    /// Runs the evaluation engine (eq. 4–8 or the scheduler). Only
+    /// these actions are subject to the per-instance evaluation rate
+    /// cap; control-plane traffic (heartbeats, membership, replication,
+    /// shutdown) is always admitted.
+    pub eval: bool,
+    /// Replaying it after a transport failure, a shed or a missed
+    /// deadline cannot change server state: a retrying client re-sends
+    /// these and sends everything else once.
+    pub idempotent: bool,
+    /// May run on the daemon's reactor thread. The others block on CPU
+    /// or disk for unbounded time — `Schedule` has a caller-controlled
+    /// annealing budget, the artifact verbs fsync the reconfig journal,
+    /// `DumpFlight` writes the flight file — and always queue.
+    pub inline: bool,
+    /// How the routing tier forwards it.
+    pub forward: ForwardMode,
+    /// Name of its served-requests counter.
+    pub counter: &'static str,
+    /// A second `cbes request` verb, shown in usage instead of the
+    /// derived one.
+    pub alias: Option<&'static str>,
+}
+
+impl ActionSpec {
+    /// The row of the action a frame spells as `tag`.
+    pub fn by_tag(tag: &str) -> Option<&'static ActionSpec> {
+        ACTIONS.iter().find(|spec| spec.tag == tag)
+    }
+}
+
+/// Expands the row list into [`Action`], [`ACTIONS`] and the
+/// `Request` → row binding. The binding is one exhaustive `match`, so
+/// a `Request` variant without a row, or a row without a variant, does
+/// not compile.
+macro_rules! action_table {
+    (@eval eval) => { true };
+    (@eval control) => { false };
+    (@idempotent replay) => { true };
+    (@idempotent once) => { false };
+    (@inline inline) => { true };
+    (@inline queued) => { false };
+    (@alias) => { None };
+    (@alias $alias:literal) => { Some($alias) };
+    ($($Variant:ident = $name:literal: $class:ident, $replay:ident, $thread:ident, $forward:ident
+        $(, alias $alias:literal)?;)*) => {
+        /// The protocol's actions: [`Request`]'s variants without their
+        /// payloads, in declaration order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Action {
+            $(#[doc = concat!("The `", $name, "` action.")] $Variant,)*
+        }
+
+        impl Action {
+            /// This action's row of the table.
+            pub const fn spec(self) -> &'static ActionSpec {
+                match self {
+                    $(Action::$Variant => &ActionSpec {
+                        action: Action::$Variant,
+                        name: $name,
+                        tag: stringify!($Variant),
+                        eval: action_table!(@eval $class),
+                        idempotent: action_table!(@idempotent $replay),
+                        inline: action_table!(@inline $thread),
+                        forward: ForwardMode::$forward,
+                        counter: concat!("server.action.", $name),
+                        alias: action_table!(@alias $($alias)?),
+                    },)*
+                }
+            }
+        }
+
+        /// The action table, one row per [`Request`] variant in
+        /// declaration order.
+        pub const ACTIONS: &[ActionSpec] = &[$(*Action::$Variant.spec(),)*];
+
+        impl Request {
+            /// The action this request is an instance of.
+            pub fn kind(&self) -> Action {
+                match self {
+                    $(Request::$Variant { .. } => Action::$Variant,)*
+                }
+            }
+        }
+    };
+}
+
+action_table! {
+    // variant        name                class    retry   thread  forward    CLI alias
+    RegisterProfile = "register_profile": control, replay, inline, Broadcast, alias "register";
+    Compare         = "compare":          eval,    replay, inline, Hash;
+    BestOf          = "best_of":          eval,    replay, inline, Hash;
+    Schedule        = "schedule":         eval,    replay, queued, Hash;
+    ObserveLoad     = "observe_load":     control, once,   inline, Leader,    alias "observe";
+    ObservePartial  = "observe_partial":  control, once,   inline, Leader;
+    Stats           = "stats":            control, replay, inline, Merge;
+    Metrics         = "metrics":          control, replay, inline, Merge;
+    Shutdown        = "shutdown":         control, once,   inline, Broadcast;
+    Route           = "route":            control, replay, inline, Local;
+    Replicate       = "replicate":        control, replay, inline, Broadcast;
+    Membership      = "membership":       control, replay, inline, Local;
+    Batch           = "batch":            eval,    replay, inline, Hash;
+    Trace           = "trace":            control, once,   inline, Merge;
+    DumpFlight      = "dump_flight":      control, once,   queued, Broadcast;
+    Stage           = "stage":            control, once,   queued, Broadcast;
+    Apply           = "apply":            control, once,   queued, Broadcast;
+    Accept          = "accept":           control, once,   queued, Broadcast;
+    Rollback        = "rollback":         control, once,   queued, Broadcast;
+    ArtifactStatus  = "artifact_status":  control, once,   inline, Merge;
+}
 
 impl Request {
-    /// This request's position in [`ACTIONS`].
-    pub fn action_index(&self) -> usize {
-        match self {
-            Request::RegisterProfile { .. } => 0,
-            Request::Compare { .. } => 1,
-            Request::BestOf { .. } => 2,
-            Request::Schedule { .. } => 3,
-            Request::ObserveLoad { .. } => 4,
-            Request::ObservePartial { .. } => 5,
-            Request::Stats => 6,
-            Request::Metrics => 7,
-            Request::Shutdown => 8,
-            Request::Route { .. } => 9,
-            Request::Replicate { .. } => 10,
-            Request::Membership => 11,
-            Request::Batch { .. } => 12,
-            Request::Trace { .. } => 13,
-            Request::DumpFlight => 14,
-            Request::Stage { .. } => 15,
-            Request::Apply => 16,
-            Request::Accept => 17,
-            Request::Rollback { .. } => 18,
-            Request::ArtifactStatus => 19,
-        }
-    }
-
-    /// The canonical action name (span name, per-action counter key).
-    pub fn action(&self) -> &'static str {
-        // cbes-analyze: allow(panic_path, action_index is the variant's position in ACTIONS by construction; the drift check pins both tables)
-        ACTIONS[self.action_index()]
-    }
-
-    /// Whether this request runs the evaluation engine (eq. 4–8 or the
-    /// scheduler). Only these actions are subject to the per-instance
-    /// evaluation rate cap; control-plane traffic (heartbeats,
-    /// membership, replication, shutdown) is always admitted.
-    pub fn is_eval(&self) -> bool {
-        matches!(
-            self,
-            Request::Compare { .. }
-                | Request::BestOf { .. }
-                | Request::Schedule { .. }
-                | Request::Batch { .. }
-        )
+    /// This request's row of the action table.
+    pub fn spec(&self) -> &'static ActionSpec {
+        self.kind().spec()
     }
 }
 
@@ -522,7 +597,7 @@ pub struct StatsReport {
     pub health_transitions: u64,
     /// Connections dropped for exhausting their malformed-frame budget.
     pub dropped_connections: u64,
-    /// Requests served per action name (keys from [`ACTIONS`]).
+    /// Requests served per action name (the [`ActionSpec::name`]s).
     pub per_action: BTreeMap<String, u64>,
     /// Seconds since the server started.
     pub uptime_s: f64,
@@ -999,43 +1074,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn request_round_trips() {
-        let env = RequestEnvelope::new(
-            42,
-            Request::Compare {
-                app: "lu".into(),
-                mappings: vec![Mapping::new(vec![NodeId(0), NodeId(3)])],
+    /// One request per action; the match is exhaustive, so a new
+    /// action cannot skip the table test below.
+    fn sample(action: Action) -> Request {
+        let app = || "lu".to_string();
+        let mappings = || vec![Mapping::new(vec![NodeId(0), NodeId(3)])];
+        match action {
+            Action::RegisterProfile => Request::RegisterProfile {
+                profile: AppProfile {
+                    name: app(),
+                    procs: vec![],
+                    arch_ratios: BTreeMap::new(),
+                },
             },
-        );
-        let line = encode(&env);
-        assert!(!line.contains('\n'), "one line per message");
-        let back: RequestEnvelope = serde_json::from_str(&line).expect("encode emits valid JSON");
-        assert_eq!(back, env);
-    }
-
-    #[test]
-    fn router_family_round_trips() {
-        let reqs = [
-            Request::Route {
+            Action::Compare => Request::Compare {
+                app: app(),
+                mappings: mappings(),
+            },
+            Action::BestOf => Request::BestOf {
+                app: app(),
+                mappings: mappings(),
+            },
+            Action::Schedule => Request::Schedule {
+                app: app(),
+                pool: vec![1, 2],
+                iters: 5,
+                seed: 0,
+            },
+            Action::ObserveLoad => Request::ObserveLoad {
+                load: LoadState::idle(4),
+            },
+            Action::ObservePartial => Request::ObservePartial {
+                load: LoadState::idle(4),
+                silent: vec![2],
+            },
+            Action::Stats => Request::Stats,
+            Action::Metrics => Request::Metrics,
+            Action::Shutdown => Request::Shutdown,
+            Action::Route => Request::Route {
                 cluster: "centurion".into(),
-                app: "lu".into(),
+                app: app(),
             },
-            Request::Replicate {
+            Action::Replicate => Request::Replicate {
                 epoch: 7,
                 load: LoadState::idle(4),
                 silent: vec![2],
             },
-            Request::Membership,
-        ];
-        for (i, req) in reqs.into_iter().enumerate() {
-            assert_eq!(req.action_index(), 9 + i, "{}", req.action());
-            assert!(!req.is_eval(), "router family is control-plane");
-            let env = RequestEnvelope::new(7, req.clone());
-            let back: RequestEnvelope =
-                serde_json::from_str(&encode(&env)).expect("encode emits valid JSON");
-            assert_eq!(back.request, req);
+            Action::Membership => Request::Membership,
+            Action::Batch => Request::Batch {
+                app: app(),
+                mappings: mappings(),
+            },
+            Action::Trace => Request::Trace { trace_id: 99 },
+            Action::DumpFlight => Request::DumpFlight,
+            Action::Stage => Request::Stage {
+                kind: "serving_limits".into(),
+                payload: "{\"max_rps\": 50.0, \"shed_retry_after_ms\": 10}".into(),
+            },
+            Action::Apply => Request::Apply,
+            Action::Accept => Request::Accept,
+            Action::Rollback => Request::Rollback {
+                reason: "p99 regression".into(),
+            },
+            Action::ArtifactStatus => Request::ArtifactStatus,
         }
+    }
+
+    #[test]
+    fn every_row_round_trips_and_the_table_is_consistent() {
+        for (i, spec) in ACTIONS.iter().enumerate() {
+            assert_eq!(spec.action as usize, i, "{} is out of place", spec.name);
+            let request = sample(spec.action);
+            assert_eq!(request.spec(), spec);
+            assert_eq!(ActionSpec::by_tag(spec.tag), Some(spec));
+            assert_eq!(spec.counter, format!("server.action.{}", spec.name));
+            // The tag is the variant name: the name without its underscores.
+            assert_eq!(spec.tag.to_lowercase(), spec.name.replace('_', ""));
+            for env in [
+                RequestEnvelope::new(42, request.clone()),
+                RequestEnvelope::traced(42, request, 77, 5),
+            ] {
+                let line = encode(&env);
+                assert!(!line.contains('\n'), "one line per message");
+                assert!(line.contains(&format!("\"{}\"", spec.tag)), "{line}");
+                assert_eq!(decode_request(&line).expect("a row decodes"), env);
+            }
+            // Evaluations are what the tier places by key, and nothing else is.
+            assert_eq!(
+                spec.eval,
+                spec.forward == ForwardMode::Hash,
+                "{}",
+                spec.name
+            );
+            assert!(spec.idempotent || !spec.eval, "{} must replay", spec.name);
+            for other in ACTIONS.iter().skip(i + 1) {
+                assert_ne!(spec.name, other.name);
+                assert_ne!(spec.tag, other.tag);
+                assert_ne!(
+                    spec.alias.unwrap_or(spec.name),
+                    other.alias.unwrap_or(other.name)
+                );
+            }
+        }
+        assert_eq!(ActionSpec::by_tag("Comparex"), None);
+        assert_eq!(ActionSpec::by_tag("compare"), None, "tags are exact");
+    }
+
+    #[test]
+    fn router_family_replies_round_trip() {
         let info = InstanceInfo {
             index: 0,
             addr: "127.0.0.1:9000".into(),
@@ -1088,71 +1234,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_actions_are_exactly_the_capped_set() {
-        let evals: Vec<&str> = [
-            Request::Compare {
-                app: "lu".into(),
-                mappings: vec![],
-            },
-            Request::BestOf {
-                app: "lu".into(),
-                mappings: vec![],
-            },
-            Request::Schedule {
-                app: "lu".into(),
-                pool: vec![],
-                iters: 0,
-                seed: 0,
-            },
-            Request::Batch {
-                app: "lu".into(),
-                mappings: vec![],
-            },
-        ]
-        .iter()
-        .map(|r| {
-            assert!(r.is_eval());
-            r.action()
-        })
-        .collect();
-        assert_eq!(evals, ["compare", "best_of", "schedule", "batch"]);
-        for req in [Request::Stats, Request::Metrics, Request::Membership] {
-            assert!(!req.is_eval(), "{} is control-plane", req.action());
-        }
-    }
-
-    #[test]
-    fn batch_round_trips_and_keeps_its_index() {
-        let req = Request::Batch {
-            app: "lu".into(),
-            mappings: vec![Mapping::new(vec![NodeId(0), NodeId(3)])],
-        };
-        assert_eq!(req.action_index(), 12);
-        assert_eq!(req.action(), "batch");
-        let env = RequestEnvelope::new(64, req.clone());
-        let back: RequestEnvelope =
-            serde_json::from_str(&encode(&env)).expect("encode emits valid JSON");
-        assert_eq!(back.request, req);
-    }
-
-    #[test]
-    fn trace_family_round_trips_and_closes_the_action_table() {
-        let trace = Request::Trace { trace_id: 99 };
-        let dump = Request::DumpFlight;
-        assert_eq!(trace.action_index(), 13);
-        assert_eq!(dump.action_index(), 14);
-        assert_eq!(trace.action(), "trace");
-        assert_eq!(dump.action(), "dump_flight");
-        assert!(
-            !trace.is_eval() && !dump.is_eval(),
-            "observability is control-plane"
-        );
-        for req in [trace, dump] {
-            let env = RequestEnvelope::new(5, req.clone());
-            let back: RequestEnvelope =
-                serde_json::from_str(&encode(&env)).expect("encode emits valid JSON");
-            assert_eq!(back.request, req);
-        }
+    fn trace_family_replies_round_trip() {
         let resp = Response::Traces {
             trace_id: 99,
             spans: vec![SpanSnapshot {
@@ -1184,37 +1266,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_family_round_trips_and_closes_the_action_table() {
-        let family = [
-            Request::Stage {
-                kind: "serving_limits".into(),
-                payload: "{\"max_rps\": 50.0, \"shed_retry_after_ms\": 10}".into(),
-            },
-            Request::Apply,
-            Request::Accept,
-            Request::Rollback {
-                reason: "p99 regression".into(),
-            },
-            Request::ArtifactStatus,
-        ];
-        for (i, req) in family.iter().enumerate() {
-            assert_eq!(req.action_index(), 15 + i, "{}", req.action());
-            assert!(
-                !req.is_eval(),
-                "{} is control-plane, exempt from the eval rate cap",
-                req.action()
-            );
-            let env = RequestEnvelope::new(7, req.clone());
-            let back: RequestEnvelope =
-                serde_json::from_str(&encode(&env)).expect("encode emits valid JSON");
-            assert_eq!(&back.request, req);
-        }
-        assert_eq!(
-            family[family.len() - 1].action_index(),
-            ACTIONS.len() - 1,
-            "the artifact family closes the action table"
-        );
-
+    fn artifact_family_replies_round_trip() {
         let ack = Response::ArtifactAck {
             version: 3,
             state: "soaking".into(),
@@ -1285,16 +1337,6 @@ mod tests {
             "{\"id\":9,\"request\":{\"Batch\":{\"app\":\"lu\",\"mappings\":[]}},\"trace_id\":0,\"parent_span\":0}",
         ] {
             assert!(decode_request_fast(bad).is_none(), "fast accepted: {bad}");
-        }
-    }
-
-    #[test]
-    fn unit_requests_round_trip() {
-        for req in [Request::Stats, Request::Shutdown] {
-            let env = RequestEnvelope::new(1, req.clone());
-            let back: RequestEnvelope =
-                serde_json::from_str(&encode(&env)).expect("encode emits valid JSON");
-            assert_eq!(back.request, req);
         }
     }
 

@@ -21,8 +21,8 @@ use parking_lot::Mutex;
 
 use crate::net::{self, encode_line, env_u64, Control, Handler, NetHandle, NetMetrics};
 use crate::protocol::{
-    decode_request, error_kind, route_key_hash, InstanceInfo, MembershipReport, Request,
-    RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
+    decode_request, error_kind, route_key_hash, ActionSpec, InstanceInfo, MembershipReport,
+    Request, RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
 };
 use crate::reconfig::{not_reconfigurable, unreconfigurable_status, ReconfigRuntime};
 
@@ -50,7 +50,7 @@ pub struct ServerConfig {
     pub shed_retry_after: Duration,
     /// Evaluation admission cap in requests per second (token bucket;
     /// `0.0` disables the cap). Only evaluation actions
-    /// ([`Request::is_eval`]) consume tokens — control-plane traffic
+    /// ([`ActionSpec::eval`]) consume tokens — control-plane traffic
     /// (stats heartbeats, membership, replication, shutdown) is always
     /// admitted, so a saturated instance still answers its tier. Capped
     /// requests beyond the budget are shed with `overloaded` and a
@@ -184,7 +184,7 @@ struct ServerMetrics {
     batch_candidates: Arc<Counter>,
     /// Microseconds a worker spent computing the reply.
     service_time: Arc<Histogram>,
-    /// Served-request counters, index-aligned with [`ACTIONS`].
+    /// Served-request counters, one per row of [`ACTIONS`], in order.
     by_action: Vec<Arc<Counter>>,
     /// Second stamp of the last once-per-second anomaly sweep
     /// ([`Daemon::flight_checks`]); 0 = never swept.
@@ -203,9 +203,9 @@ impl ServerMetrics {
             rate_limited: registry.counter(names::SERVER_RATE_LIMITED),
             batch_candidates: registry.counter(names::SERVER_BATCH_CANDIDATES),
             service_time: registry.histogram(names::SERVER_SERVICE_TIME_US),
-            by_action: names::SERVER_ACTION_COUNTERS
+            by_action: ACTIONS
                 .iter()
-                .map(|n| registry.counter(n))
+                .map(|spec| registry.counter(spec.counter))
                 .collect(),
             last_flight_check: AtomicU64::new(0),
             last_health_transitions: AtomicU64::new(0),
@@ -218,7 +218,7 @@ impl ServerMetrics {
         ACTIONS
             .iter()
             .zip(&self.by_action)
-            .map(|(name, c)| (name.to_string(), c.get()))
+            .map(|(spec, c)| (spec.name.to_string(), c.get()))
             .collect()
     }
 
@@ -257,20 +257,16 @@ fn sniff_action(line: &str) -> Option<&str> {
     rest.get(..end)
 }
 
-/// Request tags that must never run inline on the reactor thread:
-/// `Schedule` has a caller-controlled annealing budget, the artifact
-/// verbs (`Stage`/`Apply`/`Accept`/`Rollback`) fsync the reconfig
-/// journal, and `DumpFlight` writes the flight file. All of these
-/// block on disk or CPU for unbounded time, which the event loop
-/// cannot absorb.
-const NEVER_INLINE: &[&str] = &[
-    "Schedule",
-    "Stage",
-    "Apply",
-    "Accept",
-    "Rollback",
-    "DumpFlight",
-];
+/// Only a frame whose tag names a row marked [`ActionSpec::inline`] may
+/// run on the reactor. A frame whose tag cannot be sniffed, or names no
+/// action, queues: the worker's full parse decides what it is, and
+/// guessing "cheap" on the reactor would let an artifact verb fsync on
+/// the event loop.
+fn may_inline(line: &str) -> bool {
+    sniff_action(line)
+        .and_then(ActionSpec::by_tag)
+        .is_some_and(|spec| spec.inline)
+}
 
 /// The CBES daemon. Construct with [`Server::start`]; the returned
 /// [`ServerHandle`] owns the threads.
@@ -446,7 +442,7 @@ fn precheck(
             )));
         }
     };
-    if envelope.request.is_eval() {
+    if envelope.request.spec().eval {
         if let Err(wait) = rate.try_acquire() {
             metrics.rate_limited.incr();
             metrics.net.shed_overloaded();
@@ -477,13 +473,8 @@ struct Daemon {
 }
 
 impl Handler for Daemon {
-    /// Only a frame whose tag is positively identified as outside
-    /// [`NEVER_INLINE`] (annealing and the disk-touching verbs) may run
-    /// on the reactor. A frame whose tag cannot be sniffed queues: the
-    /// worker's full parse decides what it is, and guessing "cheap" on
-    /// the reactor would let an artifact verb fsync on the event loop.
     fn may_inline(&self, line: &str) -> bool {
-        sniff_action(line).is_some_and(|tag| !NEVER_INLINE.contains(&tag))
+        may_inline(line)
     }
 
     /// Parse, rate-gate, execute, and instrument one frame.
@@ -494,7 +485,7 @@ impl Handler for Daemon {
             Err(reply) => return (encode_line(&reply.0), reply.1),
         };
         let id = envelope.id;
-        let action_index = envelope.request.action_index();
+        let spec = envelope.request.spec();
         let picked_up = Instant::now();
         let response = {
             // A traced envelope joins the caller's trace: this request span
@@ -502,17 +493,17 @@ impl Handler for Daemon {
             // carries the remote trace id and links to the remote parent.
             let _span = if envelope.trace_id != 0 {
                 metrics.registry.spans().span_rooted(
-                    envelope.request.action(),
+                    spec.name,
                     envelope.trace_id,
                     envelope.parent_span,
                 )
             } else {
-                metrics.registry.span(envelope.request.action())
+                metrics.registry.span(spec.name)
             };
             self.handle_request(envelope.request)
         };
         metrics.service_time.record_duration(picked_up.elapsed());
-        if let Some(counter) = metrics.by_action.get(action_index) {
+        if let Some(counter) = metrics.by_action.get(spec.action as usize) {
             counter.incr();
         }
         if matches!(response, Response::Error { .. }) {
@@ -833,7 +824,7 @@ impl Daemon {
 mod tests {
     use super::*;
     use crate::net::tests::{error_kind_of, stats_line};
-    use crate::protocol::encode;
+    use crate::protocol::{encode, Action};
 
     #[test]
     fn sniff_action_reads_the_wire_tag_of_real_encodings() {
@@ -859,6 +850,30 @@ mod tests {
         let apply = encode(&RequestEnvelope::new(4, Request::Apply));
         assert_eq!(sniff_action(&apply), Some("Apply"));
         assert_eq!(sniff_action("{not json"), None);
+    }
+
+    #[test]
+    fn a_frame_runs_inline_only_if_its_row_says_so() {
+        for spec in ACTIONS {
+            // Both spellings of a tag: a unit variant's and a struct one's.
+            let unit = format!("{{\"id\":1,\"request\":\"{}\"}}", spec.tag);
+            let nested = format!("{{\"id\":1,\"request\":{{\"{}\":{{}}}}}}", spec.tag);
+            assert_eq!(may_inline(&unit), spec.inline, "{}", spec.name);
+            assert_eq!(may_inline(&nested), spec.inline, "{}", spec.name);
+        }
+        let queued: Vec<Action> = ACTIONS
+            .iter()
+            .filter(|s| !s.inline)
+            .map(|s| s.action)
+            .collect();
+        use Action::{Accept, Apply, DumpFlight, Rollback, Schedule, Stage};
+        assert_eq!(
+            queued,
+            [Schedule, DumpFlight, Stage, Apply, Accept, Rollback]
+        );
+        // What cannot be identified is never guessed cheap.
+        assert!(!may_inline("{not json"));
+        assert!(!may_inline("{\"id\":1,\"request\":\"NoSuchAction\"}"));
     }
 
     #[test]
@@ -950,10 +965,10 @@ mod tests {
     #[test]
     fn per_action_report_covers_every_action() {
         let m = ServerMetrics::new();
-        m.by_action[Request::Stats.action_index()].incr();
+        m.by_action[Request::Stats.kind() as usize].incr();
         let report = m.per_action();
         assert_eq!(report.len(), ACTIONS.len());
         assert_eq!(report["stats"], 1);
-        assert!(ACTIONS.iter().all(|a| report.contains_key(*a)));
+        assert!(ACTIONS.iter().all(|a| report.contains_key(a.name)));
     }
 }

@@ -543,7 +543,7 @@ fn partial_sweeps_drive_health_over_the_wire() {
 /// connect failures with backoff instead of surfacing the first refusal.
 #[test]
 fn retrying_client_rides_out_a_late_starting_server() {
-    use cbes_server::{RetryPolicy, RetryingClient};
+    use cbes_server::RetryPolicy;
 
     // Reserve a port, then free it so the daemon can bind it *later*.
     // (The listener never accepted anything, so no TIME_WAIT lingers.)
@@ -572,7 +572,7 @@ fn retrying_client_rides_out_a_late_starting_server() {
 
     // First attempts are refused (nothing listens yet); the retry loop
     // reconnects with backoff until the daemon appears.
-    let mut client = RetryingClient::new(
+    let mut client = Client::retrying(
         addr.to_string(),
         Duration::from_secs(2),
         RetryPolicy {

@@ -1,4 +1,4 @@
-//! Wire-level retry behaviour of [`cbes_server::RetryingClient`]:
+//! Wire-level retry behaviour of [`cbes_server::Client::retrying`]:
 //! jitter envelope, `retry_after_ms` honouring, and give-up accounting
 //! against a scripted fake daemon.
 
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use cbes_server::protocol::{
     encode, error_kind, RequestEnvelope, Response, ResponseEnvelope, StatsReport,
 };
-use cbes_server::{RetryPolicy, RetryingClient};
+use cbes_server::{Client, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -163,7 +163,7 @@ fn retry_after_hint_stretches_the_backoff() {
     // backoff is ~1 ms, so the observed latency is dominated by the
     // honoured hints: ≥ 240 ms across the two waits.
     let (addr, seen) = fake_daemon(vec![Reply::Shed(120), Reply::Shed(120), Reply::Ok]);
-    let mut client = RetryingClient::new(addr, Duration::from_secs(2), policy(5, 1, 42));
+    let mut client = Client::retrying(addr, Duration::from_secs(2), policy(5, 1, 42));
     let started = Instant::now();
     client.stats().expect("third attempt succeeds");
     let elapsed = started.elapsed();
@@ -177,7 +177,7 @@ fn retry_after_hint_stretches_the_backoff() {
 #[test]
 fn shed_replies_are_retried_until_the_budget_runs_out() {
     let (addr, seen) = fake_daemon(vec![Reply::Shed(1)]);
-    let mut client = RetryingClient::new(addr, Duration::from_secs(2), policy(3, 1, 9));
+    let mut client = Client::retrying(addr, Duration::from_secs(2), policy(3, 1, 9));
     let err = client
         .stats()
         .expect_err("a permanent shed exhausts retries");
@@ -192,12 +192,64 @@ fn shed_replies_are_retried_until_the_budget_runs_out() {
 #[test]
 fn terminal_service_errors_are_not_retried() {
     let (addr, seen) = fake_daemon(vec![Reply::Service]);
-    let mut client = RetryingClient::new(addr, Duration::from_secs(2), policy(5, 1, 3));
+    let mut client = Client::retrying(addr, Duration::from_secs(2), policy(5, 1, 3));
     let err = client.stats().expect_err("a rejection is terminal");
     assert!(!err.is_shed(), "{err}");
     assert_eq!(
         seen.load(Ordering::Acquire),
         1,
         "terminal errors must not be replayed"
+    );
+}
+
+mod common;
+
+/// The retry contract is the `idempotent` column of the action table:
+/// facing a daemon that sheds everything, a retrying client re-sends a
+/// request to the budget if its row says so and sends it once if not.
+#[test]
+fn only_idempotent_rows_are_ever_sent_twice() {
+    use cbes_server::protocol::ACTIONS;
+    const BUDGET: u32 = 3;
+    let (addr, seen) = fake_daemon(vec![Reply::Shed(1)]);
+    let requests = common::one_of_each();
+    let covered: Vec<_> = requests.iter().map(|r| r.spec()).collect();
+    assert_eq!(covered, ACTIONS.iter().collect::<Vec<_>>(), "one per row");
+    for request in requests {
+        let spec = request.spec();
+        let mut client =
+            Client::retrying(addr.clone(), Duration::from_secs(2), policy(BUDGET, 1, 7));
+        let before = seen.load(Ordering::Acquire);
+        let err = client.call(request).expect_err("every frame is shed");
+        assert!(err.is_shed(), "{}: the shed surfaces: {err}", spec.name);
+        let frames = seen.load(Ordering::Acquire) - before;
+        let expected = if spec.idempotent {
+            u64::from(BUDGET)
+        } else {
+            1
+        };
+        assert_eq!(frames, expected, "{} was sent {frames} time(s)", spec.name);
+    }
+    // Pinned: marking an eleventh action replay-safe is a decision
+    // about server state, not a table edit to wave through.
+    let replayed: Vec<&str> = ACTIONS
+        .iter()
+        .filter(|spec| spec.idempotent)
+        .map(|spec| spec.name)
+        .collect();
+    assert_eq!(
+        replayed,
+        [
+            "register_profile",
+            "compare",
+            "best_of",
+            "schedule",
+            "stats",
+            "metrics",
+            "route",
+            "replicate",
+            "membership",
+            "batch",
+        ]
     );
 }
