@@ -61,7 +61,7 @@ mod tests {
         assert!(is_crate_root("src/lib.rs"));
         assert!(is_crate_root("crates/core/src/lib.rs"));
         assert!(is_crate_root("crates/analyzer/src/main.rs"));
-        assert!(is_crate_root("crates/bench/src/bin/run_all.rs"));
+        assert!(is_crate_root("crates/bench/src/bin/chaos_soak.rs"));
         assert!(is_crate_root("vendor/serde/src/lib.rs"));
         assert!(!is_crate_root("crates/core/src/eval.rs"));
     }

@@ -11,12 +11,11 @@
 //!
 //! Acceptance: every request eventually succeeds (zero give-ups, zero
 //! terminal errors), the daemon observes health transitions, and the run
-//! drains cleanly. Artifacts: `results/chaos_soak.json` and the headline
-//! `BENCH_chaos_soak.json` at the repo root with requests served, shed
-//! rate, and p99 latency.
+//! drains cleanly. Artifact: `results/chaos_soak.json` with requests
+//! served, shed rate, and p99 latency.
 //!
 //! ```text
-//! cargo run --release --bin chaos_soak [--full] [--runs REQS_PER_CLIENT] [--seed S]
+//! cargo run --release -p cbes-bench --bin chaos_soak [-- --full] [--runs REQS_PER_CLIENT] [--seed S]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -291,7 +290,7 @@ fn main() {
         && down_rejected
         && sweeps > 20;
 
-    save_json(
+    let saved = save_json(
         "chaos_soak",
         &serde_json::json!({
             "cluster": "centurion",
@@ -324,27 +323,8 @@ fn main() {
             "pass": ok,
         }),
     );
-    let bench = serde_json::json!({
-        "bench": "chaos_soak",
-        "requests": total,
-        "req_per_s": req_per_s,
-        "shed_rate": shed_rate,
-        "latency_us": {
-            "p50": p50.as_secs_f64() * 1e6,
-            "p99": p99.as_secs_f64() * 1e6,
-        },
-        "health_transitions": stats.health_transitions,
-        "retry_giveups": giveups,
-    });
-    match serde_json::to_string_pretty(&bench) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write("BENCH_chaos_soak.json", s) {
-                eprintln!("warning: cannot write BENCH_chaos_soak.json: {e}");
-            } else {
-                println!("[artifact] BENCH_chaos_soak.json");
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise bench summary: {e}"),
+    if let Err(e) = saved {
+        eprintln!("warning: cannot write results/chaos_soak.json: {e}");
     }
 
     if !ok {

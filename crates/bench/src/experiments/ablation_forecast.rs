@@ -1,14 +1,8 @@
 //! Ablation: monitoring forecasters under drifting and spiky background
 //! load — last-value (the Orange Grove prototype) vs windowed mean/median
 //! vs the NWS-style adaptive ensemble (the Centurion prototype).
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin ablation_forecast [--full]
-//! ```
 
-#![forbid(unsafe_code)]
-
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::{args::ExpArgs, stats, table::Table, Report};
 use cbes_cluster::load::{LoadPattern, LoadTimeline};
 use cbes_cluster::NodeId;
 use cbes_core::monitor::{ForecastKind, Monitor};
@@ -29,8 +23,8 @@ fn run_monitor(kind: ForecastKind, timeline: &LoadTimeline, steps: usize, dt: f6
     stats::mean(&errors)
 }
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment.
+pub fn run(args: &ExpArgs) -> Report {
     let steps = args.reps(200, 1000);
     let dt = 1.0;
 
@@ -81,9 +75,9 @@ fn main() {
         ("adaptive(8)", ForecastKind::Adaptive(8)),
     ];
 
-    println!(
+    let mut text = format!(
         "Ablation — monitoring forecasters ({} steps per scenario): mean \
-         absolute CPU-availability forecast error",
+         absolute CPU-availability forecast error\n",
         steps
     );
 
@@ -112,16 +106,12 @@ fn main() {
             "errors": kinds.iter().zip(&errs).map(|((n, _), e)| serde_json::json!({"kind": n, "mae": e})).collect::<Vec<_>>(),
         }));
     }
-    t.print("Forecaster ablation (NWS-style monitoring vs last-value)");
-    println!(
-        "expected: last-value wins on steps, median wins on spikes, the \
-         adaptive ensemble is never far from the per-scenario best — the \
-         reason NWS forecasts (Centurion prototype) beat the plain last-value \
-         monitor (Orange Grove prototype) under bursty load"
-    );
+    text += &t.titled("Forecaster ablation (NWS-style monitoring vs last-value)");
+    text += "expected: last-value wins on steps, median wins on spikes, the \
+             adaptive ensemble is never far from the per-scenario best — the \
+             reason NWS forecasts (Centurion prototype) beat the plain last-value \
+             monitor (Orange Grove prototype) under bursty load\n";
 
-    save_json(
-        "ablation_forecast",
-        &serde_json::json!({ "rows": rows_json }),
-    );
+    let json = serde_json::json!({ "rows": rows_json });
+    Report::one(text, "ablation_forecast", json)
 }

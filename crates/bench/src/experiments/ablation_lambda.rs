@@ -5,23 +5,17 @@
 //! predicts with the profiled λ vs. with λ forced to 1, across several
 //! workloads and mappings — showing λ is what keeps errors in the few-%
 //! band.
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin ablation_lambda [--full]
-//! ```
 
-#![forbid(unsafe_code)]
-
-use cbes_bench::harness::Testbed;
-use cbes_bench::zones::{lu_zones, sample_mappings};
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::harness::Testbed;
+use crate::zones::{lu_zones, sample_mappings};
+use crate::{args::ExpArgs, stats, table::Table, Report};
 use cbes_cluster::load::LoadState;
 use cbes_core::eval::Evaluator;
 use cbes_workloads::npb::{cg, is, lu, sp, NpbClass};
 use cbes_workloads::Workload;
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment.
+pub fn run(args: &ExpArgs) -> Report {
     let mappings_per_case = args.reps(6, 20);
     let tb = Testbed::orange_grove(args.seed);
     let zones = lu_zones(&tb.cluster);
@@ -38,9 +32,9 @@ fn main() {
         is(8, NpbClass::A),
     ];
 
-    println!(
+    let mut text = format!(
         "Ablation — λ correction factor: prediction error with profiled λ \
-         vs λ := 1 ({} mappings per workload)",
+         vs λ := 1 ({} mappings per workload)\n",
         mappings_per_case
     );
 
@@ -77,11 +71,10 @@ fn main() {
             "err_without_lambda_pct": stats::mean(&err_without),
         }));
     }
-    t.print("λ ablation: prediction error with and without the correction factor");
-    println!(
-        "expected: errors grow substantially with λ forced to 1 whenever the \
-         profiled λ deviates from 1"
-    );
+    text += &t.titled("λ ablation: prediction error with and without the correction factor");
+    text += "expected: errors grow substantially with λ forced to 1 whenever the \
+             profiled λ deviates from 1\n";
 
-    save_json("ablation_lambda", &serde_json::json!({ "rows": rows_json }));
+    let json = serde_json::json!({ "rows": rows_json });
+    Report::one(text, "ablation_lambda", json)
 }

@@ -2,30 +2,24 @@
 //! rearrange which process sits where (communication matching); node-replace
 //! moves change the node set itself (speed matching). The mixed
 //! neighbourhood should dominate either pure strategy.
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin ablation_moves [--full]
-//! ```
 
-#![forbid(unsafe_code)]
-
-use cbes_bench::harness::Testbed;
-use cbes_bench::lu_exp::prepare_lu;
-use cbes_bench::zones::lu_zones;
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::harness::Testbed;
+use crate::lu_exp::prepare_lu;
+use crate::zones::lu_zones;
+use crate::{args::ExpArgs, stats, table::Table, Report};
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment.
+pub fn run(args: &ExpArgs) -> Report {
     let runs = args.reps(20, 60);
     let tb = Testbed::orange_grove(args.seed);
     let zones = lu_zones(&tb.cluster);
     let setup = prepare_lu(&tb, &zones);
     let pool = &zones[1].pool; // medium group: both speed and topology matter
 
-    println!(
+    let mut text = format!(
         "Ablation — SA neighbourhood mix on the LU(2) case ({} runs per \
-         configuration)",
+         configuration)\n",
         runs
     );
 
@@ -65,14 +59,13 @@ fn main() {
             "stddev": stats::stddev(&preds),
         }));
     }
-    t.print("SA neighbourhood ablation (LU(2), medium speed group)");
-    println!(
-        "note: a pure-swap neighbourhood freezes the node *set* at the random \
-         initial choice,\nso speed matching fails. Pure-replace is a complete \
-         neighbourhood (any assignment is\nreachable through the spare pool) \
-         and performs on par with the mix; swaps act as a\nshortcut that \
-         reshuffles communication structure in one step."
-    );
+    text += &t.titled("SA neighbourhood ablation (LU(2), medium speed group)");
+    text += "note: a pure-swap neighbourhood freezes the node *set* at the random \
+             initial choice,\nso speed matching fails. Pure-replace is a complete \
+             neighbourhood (any assignment is\nreachable through the spare pool) \
+             and performs on par with the mix; swaps act as a\nshortcut that \
+             reshuffles communication structure in one step.\n";
 
-    save_json("ablation_moves", &serde_json::json!({ "rows": rows_json }));
+    let json = serde_json::json!({ "rows": rows_json });
+    Report::one(text, "ablation_moves", json)
 }

@@ -2,17 +2,12 @@
 //! "the suitability of other scheduling algorithms, e.g. genetic
 //! algorithms" (§8). This ablation races CS (simulated annealing), the
 //! genetic scheduler, the greedy list scheduler, and RS on the LU(2) and
-//! Aztec cases, reporting solution quality and scheduler cost.
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin ablation_sched [--full]
-//! ```
+//! Aztec cases, reporting solution quality and scheduler cost (the cost
+//! column is wall-clock, so it is printed but kept out of the JSON).
 
-#![forbid(unsafe_code)]
-
-use cbes_bench::harness::Testbed;
-use cbes_bench::zones::{homogeneous_pool, lu_zones};
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::harness::Testbed;
+use crate::zones::{homogeneous_pool, lu_zones};
+use crate::{args::ExpArgs, stats, table::Table, Report};
 use cbes_cluster::load::LoadState;
 use cbes_sched::{
     GaConfig, GeneticScheduler, GreedyScheduler, RandomScheduler, SaConfig, SaScheduler,
@@ -20,8 +15,8 @@ use cbes_sched::{
 };
 use cbes_workloads::{asci, npb, Workload};
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment; one artifact per case.
+pub fn run(args: &ExpArgs) -> Report {
     let runs = args.reps(10, 30);
     let tb = Testbed::orange_grove(args.seed);
     let zones = lu_zones(&tb.cluster);
@@ -40,11 +35,11 @@ fn main() {
         ),
     ];
 
-    println!(
-        "Ablation — scheduling algorithms ({} runs per scheduler per case)",
+    let mut text = format!(
+        "Ablation — scheduling algorithms ({} runs per scheduler per case)\n",
         runs
     );
-
+    let mut artifacts = Vec::new();
     for (w, pool, label) in &cases {
         // Profile on the homogeneous Alpha group (mixed-architecture
         // profiling runs inflate λ with imbalance waits).
@@ -99,20 +94,18 @@ fn main() {
                 "case": label, "scheduler": name,
                 "mean_pred": stats::mean(&preds), "best_pred": stats::min(&preds),
                 "mean_measured": stats::mean(&meas),
-                "mean_sched_time_s": stats::mean(&times),
                 "mean_evals": stats::mean(&evals),
             }));
         }
-        t.print(&format!("Scheduler ablation — {label}"));
-        save_json(
-            &format!("ablation_sched_{}", w.name.replace('.', "_")),
-            &serde_json::json!({ "rows": rows_json }),
-        );
+        text += &t.titled(&format!("Scheduler ablation — {label}"));
+        artifacts.push((
+            format!("ablation_sched_{}", w.name.replace('.', "_")),
+            serde_json::json!({ "rows": rows_json }),
+        ));
     }
-    println!(
-        "expected: CS and GA reach comparable quality (GA at higher cost); \
-         greedy is cheap but\nloses on communication-bound cases; RS trails \
-         everyone — supporting the paper's choice of SA\nand its future-work \
-         interest in genetic algorithms."
-    );
+    text += "expected: CS and GA reach comparable quality (GA at higher cost); \
+             greedy is cheap but\nloses on communication-bound cases; RS trails \
+             everyone — supporting the paper's choice of SA\nand its future-work \
+             interest in genetic algorithms.\n";
+    Report { text, artifacts }
 }

@@ -5,17 +5,13 @@
 //! Centurion and ~54 % on Orange Grove; for the LU(2) case (80/20
 //! comp:comm) CBES reduced communication time by 46.4 %, i.e. captured up
 //! to ~85 % of the theoretically available speedup.
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin e10_latency_spread [--full]
-//! ```
 
-#![forbid(unsafe_code)]
+use std::fmt::Write as _;
 
-use cbes_bench::harness::Testbed;
-use cbes_bench::lu_exp::{prepare_lu, run_scheduler, Driver};
-use cbes_bench::zones::lu_zones;
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::harness::Testbed;
+use crate::lu_exp::{prepare_lu, run_scheduler, Driver};
+use crate::zones::lu_zones;
+use crate::{args::ExpArgs, stats, table::Table, Report};
 use cbes_cluster::load::LoadState;
 use cbes_mpisim::{simulate, SimConfig};
 
@@ -38,8 +34,8 @@ fn comm_time(
     (b, b / (b + busy))
 }
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment.
+pub fn run(args: &ExpArgs) -> Report {
     let runs = args.reps(15, 50);
 
     // Part 1: latency spreads.
@@ -57,31 +53,17 @@ fn main() {
             }));
         }
     }
-    t.print("Inter-node latency spreads (paper §6: ~13% Centurion, ~54% Orange Grove)");
+    let mut text =
+        t.titled("Inter-node latency spreads (paper §6: ~13% Centurion, ~54% Orange Grove)");
 
     // Part 2: fraction of available speedup captured on the LU(2) case.
     let tb = Testbed::orange_grove(args.seed);
     let zones = lu_zones(&tb.cluster);
     let setup = prepare_lu(&tb, &zones);
     let medium = &zones[1];
-    let cs = run_scheduler(
-        &tb,
-        &setup.profile,
-        &setup.workload,
-        &medium.pool,
-        Driver::Cs,
-        runs,
-        args.seed,
-    );
-    let ncs = run_scheduler(
-        &tb,
-        &setup.profile,
-        &setup.workload,
-        &medium.pool,
-        Driver::Ncs,
-        runs,
-        args.seed + 500,
-    );
+    let cs = run_scheduler(&tb, &setup, &medium.pool, Driver::Cs, runs, args.seed);
+    let ncs_seed = args.seed + 500;
+    let ncs = run_scheduler(&tb, &setup, &medium.pool, Driver::Ncs, runs, ncs_seed);
     let best = cs
         .iter()
         .min_by(|a, b| a.measured.partial_cmp(&b.measured).unwrap())
@@ -108,7 +90,9 @@ fn main() {
         }
     }
     let available = (lat_max / lat_min - 1.0) * 100.0;
-    println!(
+    let captured = (comm_reduction / available * 100.0).min(100.0);
+    let _ = writeln!(
+        text,
         "\nLU(2) case — medium speed group:\n\
          comp:comm ratio of the best mapping: {:.0}/{:.0}\n\
          communication time: worst {:.3}s -> best {:.3}s  (reduction {:.1}%)\n\
@@ -120,16 +104,14 @@ fn main() {
         b_best,
         comm_reduction,
         available,
-        (comm_reduction / available * 100.0).min(100.0),
+        captured,
     );
 
-    save_json(
-        "e10_latency_spread",
-        &serde_json::json!({
-            "spreads": spreads_json,
-            "lu2_comm_reduction_pct": comm_reduction,
-            "available_pct": available,
-            "captured_fraction_pct": (comm_reduction / available * 100.0).min(100.0),
-        }),
-    );
+    let json = serde_json::json!({
+        "spreads": spreads_json,
+        "lu2_comm_reduction_pct": comm_reduction,
+        "available_pct": available,
+        "captured_fraction_pct": captured,
+    });
+    Report::one(text, "e10_latency_spread", json)
 }

@@ -4,15 +4,11 @@
 //! (5 runs) on a *different* mapping of the listed node count; the bar is
 //! the mean absolute percent error with its 95 % CI. The paper observes
 //! mean errors below ~3.5 % (one case slightly under 4 %).
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin fig5_prediction_error [--full]
-//! ```
 
-#![forbid(unsafe_code)]
+use std::fmt::Write as _;
 
-use cbes_bench::harness::Testbed;
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::harness::Testbed;
+use crate::{args::ExpArgs, stats, table::Table, Report};
 use cbes_cluster::load::LoadState;
 use cbes_cluster::{Cluster, NodeId};
 use cbes_core::mapping::Mapping;
@@ -160,15 +156,15 @@ fn cases(full: bool) -> Vec<Case> {
     ]
 }
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment.
+pub fn run(args: &ExpArgs) -> Report {
     let runs = args.reps(5, 5);
     let tb = Testbed::centurion(args.seed);
     let idle = LoadState::idle(tb.cluster.len());
 
-    println!(
+    let mut text = format!(
         "Figure 5 — prediction error, NPB 2.4 suite + HPL on Centurion \
-         ({} runs per case{})",
+         ({} runs per case{})\n",
         runs,
         if args.full {
             ""
@@ -197,9 +193,7 @@ fn main() {
         };
         let profile = tb.profile(&case.workload, &prof_map, args.seed + 3);
         let predicted = tb.predict(&profile, &test_map);
-        let measured = cbes_bench::harness::parallel_map((0..runs as u64).collect(), |i| {
-            tb.measure(&case.workload, &test_map, &idle, args.seed + 100 + i)
-        });
+        let measured = tb.measure_n(&case.workload, &test_map, &idle, args.seed + 100, runs);
         let m = stats::mean(&measured);
         let err = stats::pct_error(predicted, m).abs();
         errors.push(err);
@@ -216,17 +210,15 @@ fn main() {
             "predicted": predicted, "measured_mean": m,
             "measured_ci95": stats::ci95(&measured), "error_pct": err,
         }));
-        println!("  done: {} ({} ranks)", case.label, n);
     }
-    t.print("Prediction errors, NPB 2.4 suite and HPL (paper figure 5)");
-    println!(
+    text += &t.titled("Prediction errors, NPB 2.4 suite and HPL (paper figure 5)");
+    let _ = writeln!(
+        text,
         "mean |error| {:.2}%, max {:.2}% — paper: all means < 3.5% (one ~4%)",
         stats::mean(&errors),
         stats::max(&errors)
     );
 
-    save_json(
-        "fig5_prediction_error",
-        &serde_json::json!({ "rows": rows_json }),
-    );
+    let json = serde_json::json!({ "rows": rows_json });
+    Report::one(text, "fig5_prediction_error", json)
 }

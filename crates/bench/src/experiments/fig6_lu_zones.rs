@@ -1,28 +1,24 @@
 //! Figure 6: LU on 8 Orange Grove nodes — measured execution-time ranges of
 //! representative mappings, showing three distinct speed zones.
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin fig6_lu_zones [--full] [--runs N]
-//! ```
 
-#![forbid(unsafe_code)]
+use std::fmt::Write as _;
 
-use cbes_bench::harness::Testbed;
-use cbes_bench::lu_exp::{measure_all, prepare_lu};
-use cbes_bench::zones::{lu_zones, sample_mappings};
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::harness::Testbed;
+use crate::lu_exp::{measure_all, prepare_lu};
+use crate::zones::{lu_zones, sample_mappings};
+use crate::{args::ExpArgs, stats, table::Table, Report};
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment.
+pub fn run(args: &ExpArgs) -> Report {
     // The paper samples ~100 representative mappings across the zones.
     let per_zone = args.reps(20, 34);
     let tb = Testbed::orange_grove(args.seed);
     let zones = lu_zones(&tb.cluster);
     let setup = prepare_lu(&tb, &zones);
 
-    println!(
+    let mut text = format!(
         "Figure 6 — LU on 8 Orange Grove nodes: measured execution time ranges\n\
-         ({} representative mappings per zone, workload {})",
+         ({} representative mappings per zone, workload {})\n",
         per_zone, setup.workload.name
     );
 
@@ -51,12 +47,13 @@ fn main() {
         }));
         all_times.extend(times);
     }
-    t.print("LU execution time zones (paper figure 6)");
+    text += &t.titled("LU execution time zones (paper figure 6)");
 
     let best = stats::min(&all_times);
     let worst = stats::max(&all_times);
     let avg = stats::mean(&all_times);
-    println!(
+    let _ = writeln!(
+        text,
         "overall: best {:.3} s, worst {:.3} s, average {:.3} s\n\
          max speedup vs a random scheduler over the full space: {:.1}% \
          (paper: 36.6%)\n\
@@ -68,12 +65,10 @@ fn main() {
         stats::speedup_pct(avg, best),
     );
 
-    save_json(
-        "fig6_lu_zones",
-        &serde_json::json!({
-            "zones": zone_json,
-            "overall": {"best": best, "worst": worst, "mean": avg,
-                         "max_speedup_vs_rs_pct": stats::speedup_pct(worst, best)},
-        }),
-    );
+    let json = serde_json::json!({
+        "zones": zone_json,
+        "overall": {"best": best, "worst": worst, "mean": avg,
+                     "max_speedup_vs_rs_pct": stats::speedup_pct(worst, best)},
+    });
+    Report::one(text, "fig6_lu_zones", json)
 }

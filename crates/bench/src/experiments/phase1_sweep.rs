@@ -5,15 +5,11 @@
 //! The paper swept >16,000 cases (5 runs each) and found >90 % of cases
 //! within 4 % error, mean ≈2 % ± 0.75. The default here is a scaled-down
 //! grid; `--full` expands it.
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin phase1_sweep [--full]
-//! ```
 
-#![forbid(unsafe_code)]
+use std::fmt::Write as _;
 
-use cbes_bench::harness::{parallel_map, Testbed};
-use cbes_bench::{args::ExpArgs, save_json, stats};
+use crate::harness::{parallel_map, Testbed};
+use crate::{args::ExpArgs, stats, Report};
 use cbes_cluster::load::LoadState;
 use cbes_cluster::{Cluster, NodeId};
 use cbes_core::mapping::Mapping;
@@ -54,9 +50,9 @@ struct CaseResult {
     err_pct: f64,
 }
 
+/// Run the experiment.
 #[allow(clippy::type_complexity)]
-fn main() {
-    let args = ExpArgs::parse();
+pub fn run(args: &ExpArgs) -> Report {
     let runs = args.reps(3, 5);
     let procs = 8;
 
@@ -126,9 +122,9 @@ fn main() {
         ("orange-grove", Testbed::orange_grove(args.seed)),
     ];
     let total_cases: usize = specs.len() * testbeds.len() * 3;
-    println!(
+    let mut text = format!(
         "Phase 1 — synthetic parameter sweep: {} specs × 2 clusters × 3 \
-         mapping mixes = {} cases, {} runs each (paper: >16,000 cases)",
+         mapping mixes = {} cases, {} runs each (paper: >16,000 cases)\n",
         specs.len(),
         total_cases,
         runs
@@ -166,7 +162,8 @@ fn main() {
 
     let errors: Vec<f64> = results.iter().map(|r| r.err_pct).collect();
     let within4 = errors.iter().filter(|&&e| e <= 4.0).count() as f64 / errors.len() as f64;
-    println!(
+    let _ = writeln!(
+        text,
         "\ncases: {}\nwithin 4% error: {:.1}% of cases (paper: >90%)\n\
          mean |error|: {:.2}% ± {:.2} (95% CI)  (paper: ≈2% ± 0.75)\n\
          max |error|: {:.2}%",
@@ -182,21 +179,20 @@ fn main() {
             .filter(|r| r.cluster == cl)
             .map(|r| r.err_pct)
             .collect();
-        println!(
+        let _ = writeln!(
+            text,
             "  {cl}: mean {:.2}%, max {:.2}%",
             stats::mean(&e),
             stats::max(&e)
         );
     }
 
-    save_json(
-        "phase1_sweep",
-        &serde_json::json!({
-            "cases": errors.len(),
-            "within_4pct": within4,
-            "mean_error_pct": stats::mean(&errors),
-            "ci95": stats::ci95(&errors),
-            "max_error_pct": stats::max(&errors),
-        }),
-    );
+    let json = serde_json::json!({
+        "cases": errors.len(),
+        "within_4pct": within4,
+        "mean_error_pct": stats::mean(&errors),
+        "ci95": stats::ci95(&errors),
+        "max_error_pct": stats::max(&errors),
+    });
+    Report::one(text, "phase1_sweep", json)
 }

@@ -7,33 +7,27 @@
 //! loads stay tolerable. We also show the flip side the paper's design
 //! relies on: when the monitor *knows* the load, the load-aware prediction
 //! stays accurate.
-//!
-//! ```text
-//! cargo run --release -p cbes-bench --bin phase3_load_sensitivity [--full]
-//! ```
 
-#![forbid(unsafe_code)]
-
-use cbes_bench::harness::Testbed;
-use cbes_bench::zones::lu_zones;
-use cbes_bench::{args::ExpArgs, save_json, stats, table::Table};
+use crate::harness::Testbed;
+use crate::zones::lu_zones;
+use crate::{args::ExpArgs, stats, table::Table, Report};
 use cbes_cluster::load::LoadState;
 use cbes_core::eval::Evaluator;
 use cbes_core::mapping::Mapping;
 use cbes_workloads::npb::{bt, lu, sp, NpbClass};
 use cbes_workloads::Workload;
 
-fn main() {
-    let args = ExpArgs::parse();
+/// Run the experiment.
+pub fn run(args: &ExpArgs) -> Report {
     let runs = args.reps(3, 5);
     let tb = Testbed::orange_grove(args.seed);
     let zones = lu_zones(&tb.cluster);
     let pool = &zones[0].pool; // 8 Alphas
     let losses = [0.0, 0.05, 0.10, 0.20, 0.30];
 
-    println!(
+    let mut text = format!(
         "Phase 3 — prediction tolerance to background load changes\n\
-         (one mapped node loses CPU availability after the prediction; {} runs)",
+         (one mapped node loses CPU availability after the prediction; {} runs)\n",
         runs
     );
 
@@ -55,9 +49,7 @@ fn main() {
         for &loss in &losses {
             let mut load = LoadState::idle(tb.cluster.len());
             load.set_cpu_avail(victim, 1.0 - loss);
-            let measured: Vec<f64> = (0..runs as u64)
-                .map(|i| tb.measure(w, &mapping, &load, args.seed + 91 + i))
-                .collect();
+            let measured = tb.measure_n(w, &mapping, &load, args.seed + 91, runs);
             let m = stats::mean(&measured);
             let stale_err = stats::pct_error(stale_pred, m).abs();
             // Load-aware prediction: the monitor has seen the new load.
@@ -76,15 +68,11 @@ fn main() {
             }));
         }
     }
-    t.print("Prediction error under post-prediction load change (paper §5 phase 3)");
-    println!(
-        "paper reference: a single node losing 10% CPU pushes the (stale) \
-         error past ~4%;\nloads under 10% were found tolerable. The load-aware \
-         column shows why CBES\nre-snapshots load before every evaluation."
-    );
+    text += &t.titled("Prediction error under post-prediction load change (paper §5 phase 3)");
+    text += "paper reference: a single node losing 10% CPU pushes the (stale) \
+             error past ~4%;\nloads under 10% were found tolerable. The load-aware \
+             column shows why CBES\nre-snapshots load before every evaluation.\n";
 
-    save_json(
-        "phase3_load_sensitivity",
-        &serde_json::json!({ "rows": rows_json }),
-    );
+    let json = serde_json::json!({ "rows": rows_json });
+    Report::one(text, "phase3_load_sensitivity", json)
 }

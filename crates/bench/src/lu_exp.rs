@@ -50,22 +50,38 @@ impl Driver {
     }
 }
 
+/// A workload and the profile taken of it — what a scheduling run needs.
+pub struct ProfiledApp {
+    /// The workload.
+    pub workload: Workload,
+    /// Its profile.
+    pub profile: AppProfile,
+}
+
+impl ProfiledApp {
+    /// Profile `workload` on `mapping` (idle system).
+    pub fn new(tb: &Testbed, workload: Workload, mapping: &[NodeId], seed: u64) -> Self {
+        let profile = tb.profile(&workload, mapping, seed);
+        ProfiledApp { workload, profile }
+    }
+}
+
 /// Run `runs` independent scheduling requests with `driver` over `pool`,
 /// measuring each selected mapping once. Runs fan out across threads.
 pub fn run_scheduler(
     tb: &Testbed,
-    profile: &AppProfile,
-    w: &Workload,
+    app: &ProfiledApp,
     pool: &[NodeId],
     driver: Driver,
     runs: usize,
     base_seed: u64,
 ) -> Vec<RunOutcome> {
     let idle = LoadState::idle(tb.cluster.len());
+    let w = &app.workload;
     parallel_map((0..runs as u64).collect(), |i| {
         let seed = base_seed.wrapping_add(i).wrapping_mul(2654435761);
         let snap = tb.snapshot();
-        let req = ScheduleRequest::new(profile, &snap, pool);
+        let req = ScheduleRequest::new(&app.profile, &snap, pool);
         let result = match driver {
             Driver::Cs => SaScheduler::new(SaConfig::thorough(seed)).schedule(&req),
             Driver::Ncs => NcsScheduler::new(SaConfig::thorough(seed)).schedule(&req),
@@ -113,6 +129,16 @@ pub fn hit_rate(outcomes: &[RunOutcome], best_predicted: f64, tol: f64) -> f64 {
     hits as f64 / outcomes.len() as f64 * 100.0
 }
 
+/// The measured times of `outcomes`, in order.
+pub fn measured(outcomes: &[RunOutcome]) -> Vec<f64> {
+    outcomes.iter().map(|o| o.measured).collect()
+}
+
+/// The predicted times of `outcomes`, in order.
+pub fn predicted(outcomes: &[RunOutcome]) -> Vec<f64> {
+    outcomes.iter().map(|o| o.predicted).collect()
+}
+
 /// Mean scheduler wall time in seconds.
 pub fn mean_sched_secs(outcomes: &[RunOutcome]) -> f64 {
     if outcomes.is_empty() {
@@ -125,21 +151,12 @@ pub fn mean_sched_secs(outcomes: &[RunOutcome]) -> f64 {
         / outcomes.len() as f64
 }
 
-/// The LU workload and its profile on a zone testbed, profiled once on the
-/// high-speed (Alpha) group, as the paper profiles on a reference set.
-pub struct LuSetup {
-    /// The LU workload (8 processes, class A by default).
-    pub workload: Workload,
-    /// Its profile, taken on the 8 Alphas.
-    pub profile: AppProfile,
-}
-
-/// Prepare the LU workload + profile used by figures 6–7 and tables 1–2.
-pub fn prepare_lu(tb: &Testbed, zones: &[Zone]) -> LuSetup {
+/// The LU workload (8 processes, class A) used by figures 6–7 and tables
+/// 1–2, profiled once on the high-speed (Alpha) group, as the paper
+/// profiles on a reference set.
+pub fn prepare_lu(tb: &Testbed, zones: &[Zone]) -> ProfiledApp {
     let workload = cbes_workloads::npb::lu(8, cbes_workloads::npb::NpbClass::A);
-    let alphas = &zones[0].pool;
-    let profile = tb.profile(&workload, alphas, 0x1111);
-    LuSetup { workload, profile }
+    ProfiledApp::new(tb, workload, &zones[0].pool, 0x1111)
 }
 
 #[cfg(test)]
@@ -153,8 +170,8 @@ mod tests {
         let zones = lu_zones(&tb.cluster);
         // Tiny LU for test speed.
         let w = cbes_workloads::npb::lu(8, cbes_workloads::npb::NpbClass::S);
-        let profile = tb.profile(&w, &zones[0].pool, 3);
-        let out = run_scheduler(&tb, &profile, &w, &zones[0].pool, Driver::Rs, 4, 1);
+        let app = ProfiledApp::new(&tb, w, &zones[0].pool, 3);
+        let out = run_scheduler(&tb, &app, &zones[0].pool, Driver::Rs, 4, 1);
         assert_eq!(out.len(), 4);
         for o in &out {
             assert!(o.predicted > 0.0 && o.measured > 0.0);

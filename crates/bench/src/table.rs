@@ -1,4 +1,4 @@
-//! Fixed-width table printing for experiment reports.
+//! Fixed-width tables for experiment reports.
 
 /// A simple fixed-width text table: headers plus rows of strings, printed
 /// with column auto-sizing — visually close to the paper's tables.
@@ -65,9 +65,9 @@ impl Table {
         out
     }
 
-    /// Print to stdout with a title.
-    pub fn print(&self, title: &str) {
-        println!("\n=== {title} ===\n{}", self.render());
+    /// Render under a `=== title ===` line, blank lines around.
+    pub fn titled(&self, title: &str) -> String {
+        format!("\n=== {title} ===\n{}\n", self.render())
     }
 }
 

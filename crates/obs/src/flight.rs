@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum number of events retained in the ring; older events are
@@ -143,7 +143,16 @@ impl FlightRecorder {
         let dir = std::env::var_os(FLIGHT_DIR_ENV)
             .map(PathBuf::from)
             .unwrap_or_else(std::env::temp_dir);
-        std::fs::create_dir_all(&dir)?;
+        self.dump_into(&dir, reason, spans)
+    }
+
+    fn dump_into(
+        &self,
+        dir: &Path,
+        reason: &str,
+        spans: &SpanRing,
+    ) -> std::io::Result<(PathBuf, usize)> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!(
             "cbes-flight-{}-{}.jsonl",
             std::process::id(),
@@ -202,17 +211,13 @@ mod tests {
     #[test]
     fn dump_writes_header_events_and_spans() {
         let dir = std::env::temp_dir().join(format!("cbes-flight-test-{}", std::process::id()));
-        // The dump dir is taken from the environment by `dump`; point
-        // it at a private directory for this test.
-        std::env::set_var(FLIGHT_DIR_ENV, &dir);
         let recorder = FlightRecorder::new();
         recorder.record("shed", "queue full".to_string(), 7);
         let spans = SpanRing::new(8);
         drop(spans.span_rooted("test.span", 7, 0));
         let (path, events) = recorder
-            .dump("test_trigger", &spans)
+            .dump_into(&dir, "test_trigger", &spans)
             .expect("flight dump should write");
-        std::env::remove_var(FLIGHT_DIR_ENV);
         assert_eq!(events, 1);
         let body = std::fs::read_to_string(&path).expect("dump file should be readable");
         let mut lines = body.lines();
@@ -226,19 +231,16 @@ mod tests {
 
     #[test]
     fn auto_dump_debounces_repeated_triggers() {
-        let dir = std::env::temp_dir().join(format!("cbes-flight-debounce-{}", std::process::id()));
-        std::env::set_var(FLIGHT_DIR_ENV, &dir);
         let recorder = FlightRecorder::new();
         recorder.record("shed", "spike".to_string(), 0);
         let spans = SpanRing::new(8);
         let first = recorder.auto_dump("shed_spike", &spans);
         let second = recorder.auto_dump("shed_spike", &spans);
-        std::env::remove_var(FLIGHT_DIR_ENV);
-        assert!(first.is_some(), "first trigger should dump");
         assert!(
             second.is_none(),
             "second trigger within debounce should not"
         );
-        std::fs::remove_dir_all(&dir).ok();
+        let first = first.expect("first trigger should dump");
+        std::fs::remove_file(first).ok();
     }
 }
