@@ -233,7 +233,7 @@ fn the_real_workspace_stays_clean() {
     // that must update this count and the DESIGN.md §15 accounting.
     assert_eq!(
         report.waived().count(),
-        7,
+        6,
         "waiver accounting drifted: {:#?}",
         report.waived().collect::<Vec<_>>()
     );

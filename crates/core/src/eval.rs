@@ -3,7 +3,7 @@
 use crate::mapping::Mapping;
 use crate::snapshot::SystemSnapshot;
 use cbes_trace::analyze::theta;
-use cbes_trace::{AppProfile, ProcessProfile};
+use cbes_trace::AppProfile;
 use serde::{Deserialize, Serialize};
 
 /// Cost breakdown for one process under an evaluated mapping.
@@ -33,17 +33,51 @@ pub struct Prediction {
     pub per_proc: Vec<ProcCost>,
 }
 
+/// What eq. 5 reads of one node. No candidate mapping can change it, so
+/// it is read out of the snapshot once per evaluator, not per rank.
+struct NodeTerms {
+    /// Current speed.
+    speed: f64,
+    /// `ACPU` with health degradation applied: divided by the suspect
+    /// penalty on a `Suspect` node, zero on a `Down` one.
+    acpu: f64,
+    /// CPU count.
+    cpus: f64,
+}
+
 /// Evaluates candidate mappings for one application against one system
-/// snapshot: the paper's core mapping-evaluation operation.
+/// snapshot: the paper's core mapping-evaluation operation. Every
+/// prediction the workspace makes — one mapping or a batch, with the
+/// per-rank breakdown or without, `CS` or `NCS` — is one pass of
+/// `Evaluator::evaluate`.
 pub struct Evaluator<'a> {
     profile: &'a AppProfile,
     snap: &'a SystemSnapshot<'a>,
+    /// Node-indexed, filled by one pass over the cluster at construction.
+    nodes: Vec<NodeTerms>,
 }
+
+/// Kept for `benchmark/src/layers.rs`; delete with the next
+/// `[benchmark]` PR.
+pub type BatchEvaluator<'a> = Evaluator<'a>;
 
 impl<'a> Evaluator<'a> {
     /// An evaluator for `profile` under the conditions in `snap`.
     pub fn new(profile: &'a AppProfile, snap: &'a SystemSnapshot<'a>) -> Self {
-        Evaluator { profile, snap }
+        let nodes = snap
+            .cluster
+            .node_ids()
+            .map(|node| NodeTerms {
+                speed: snap.speed(node),
+                acpu: snap.effective_acpu(node),
+                cpus: snap.cluster.node(node).cpus as f64,
+            })
+            .collect();
+        Evaluator {
+            profile,
+            snap,
+            nodes,
+        }
     }
 
     /// The application profile being evaluated.
@@ -51,43 +85,61 @@ impl<'a> Evaluator<'a> {
         self.profile
     }
 
-    /// Paper eq. 5: `R_i = (X_i + O_i) · (Speed_profile / Speed_j) / ACPU_j`,
+    /// Eq. 4–8 for one candidate: hands every rank's `(R_i, C_i)` to
+    /// `each` in rank order and returns `(i_M, S_M)`.
+    ///
+    /// Eq. 5 is `R_i = (X_i + O_i) · (Speed_profile / Speed_j) / ACPU_j`,
     /// extended with a CPU-sharing factor when the mapping co-locates more
     /// ranks on a node than it has CPUs (the profiling side of eq. 5 assumes
     /// a dedicated CPU; oversubscription divides the effective speed), and
-    /// with health degradation: `Down` nodes cost `+∞` (unmappable) and
-    /// `Suspect` nodes see their `ACPU` divided by the suspect penalty.
-    fn r_i(&self, p: &ProcessProfile, m: &Mapping, share: &[f64]) -> f64 {
-        let node = m.node(p.rank);
-        let acpu = self.snap.effective_acpu(node);
-        if acpu <= 0.0 {
-            return f64::INFINITY;
+    /// with health degradation: a node without availability (`Down`) costs
+    /// `+∞`. Eq. 6+8 is `C_i = λ_i · Θ_i^M` with `Θ` summed over message
+    /// groups at current load-adjusted latencies; `comm: false` drops it.
+    ///
+    /// # Panics
+    /// Panics if the mapping arity differs from the profile's process count
+    /// (callers validate at the service boundary).
+    fn evaluate(
+        &self,
+        mapping: &Mapping,
+        comm: bool,
+        mut each: impl FnMut(ProcCost),
+    ) -> (usize, f64) {
+        assert_eq!(
+            mapping.len(),
+            self.profile.num_procs(),
+            "mapping arity must match profile"
+        );
+        let mut ranks_on = vec![0u32; self.nodes.len()];
+        for (_, node) in mapping.iter() {
+            if let Some(count) = ranks_on.get_mut(node.index()) {
+                *count += 1;
+            }
         }
-        // cbes-analyze: allow(panic_path, share comes from cpu_shares over the same mapping so it has one entry per rank)
-        (p.x + p.o) * (p.profile_speed / (self.snap.speed(node) * share[p.rank])) / acpu
-    }
-
-    /// Per-rank CPU share under `m`: `min(1, cpus / ranks_on_node)`.
-    fn cpu_shares(&self, m: &Mapping) -> Vec<f64> {
-        let mut per_node = std::collections::HashMap::new();
-        for (_, node) in m.iter() {
-            *per_node.entry(node).or_insert(0u32) += 1;
+        let mut best = (0usize, f64::NEG_INFINITY);
+        for p in &self.profile.procs {
+            let on = mapping.node(p.rank).index();
+            let r = match (self.nodes.get(on), ranks_on.get(on)) {
+                (Some(node), _) if node.acpu <= 0.0 => f64::INFINITY,
+                (Some(node), Some(&ranks)) => {
+                    let share = (node.cpus / ranks as f64).min(1.0);
+                    (p.x + p.o) * (p.profile_speed / (node.speed * share)) / node.acpu
+                }
+                // Off the cluster: as unmappable as a `Down` node.
+                _ => f64::INFINITY,
+            };
+            let c = if !comm || p.lambda == 0.0 || (p.sends.is_empty() && p.recvs.is_empty()) {
+                0.0
+            } else {
+                p.lambda * theta(p.rank, &p.sends, &p.recvs, mapping.as_slice(), self.snap)
+            };
+            let cost = ProcCost { r, c };
+            if cost.total() > best.1 {
+                best = (p.rank, cost.total());
+            }
+            each(cost);
         }
-        m.iter()
-            .map(|(_, node)| {
-                let ranks = per_node.get(&node).copied().unwrap_or(1) as f64;
-                (self.snap.cluster.node(node).cpus as f64 / ranks).min(1.0)
-            })
-            .collect()
-    }
-
-    /// Paper eq. 6+8: `C_i = λ_i · Θ_i^M` with `Θ` summed over message
-    /// groups at current load-adjusted latencies.
-    fn c_i(&self, p: &ProcessProfile, m: &Mapping) -> f64 {
-        if p.lambda == 0.0 || (p.sends.is_empty() && p.recvs.is_empty()) {
-            return 0.0;
-        }
-        p.lambda * theta(p.rank, &p.sends, &p.recvs, m.as_slice(), self.snap)
+        (best.0, best.1.max(0.0))
     }
 
     /// Predict the execution time of `mapping` (eq. 4), with the full
@@ -97,194 +149,30 @@ impl<'a> Evaluator<'a> {
     /// Panics if the mapping arity differs from the profile's process count
     /// (callers validate at the service boundary).
     pub fn predict(&self, mapping: &Mapping) -> Prediction {
-        assert_eq!(
-            mapping.len(),
-            self.profile.num_procs(),
-            "mapping arity must match profile"
-        );
-        let shares = self.cpu_shares(mapping);
         let mut per_proc = Vec::with_capacity(self.profile.num_procs());
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for p in &self.profile.procs {
-            let cost = ProcCost {
-                r: self.r_i(p, mapping, &shares),
-                c: self.c_i(p, mapping),
-            };
-            if cost.total() > best.1 {
-                best = (p.rank, cost.total());
-            }
-            per_proc.push(cost);
-        }
+        let (bottleneck, time) = self.evaluate(mapping, true, |cost| per_proc.push(cost));
         Prediction {
-            time: best.1.max(0.0),
-            bottleneck: best.0,
+            time,
+            bottleneck,
             per_proc,
         }
     }
 
-    /// Fast path: only the predicted time (the SA scheduler's energy
-    /// function, called thousands of times per scheduling run).
+    /// [`Evaluator::predict`] for every candidate, in request order.
+    pub fn predict_batch(&self, mappings: &[Mapping]) -> Vec<Prediction> {
+        mappings.iter().map(|m| self.predict(m)).collect()
+    }
+
+    /// Only the predicted time (the SA scheduler's energy function, called
+    /// thousands of times per scheduling run).
     pub fn predict_time(&self, mapping: &Mapping) -> f64 {
-        debug_assert_eq!(mapping.len(), self.profile.num_procs());
-        let shares = self.cpu_shares(mapping);
-        let mut max = 0.0f64;
-        for p in &self.profile.procs {
-            let t = self.r_i(p, mapping, &shares) + self.c_i(p, mapping);
-            if t > max {
-                max = t;
-            }
-        }
-        max
+        self.evaluate(mapping, true, |_| {}).1
     }
 
     /// The NCS variant: eq. 4 with the communication term dropped. Scores
     /// mappings by computation alone; **not** a time prediction (paper §6).
     pub fn compute_only_score(&self, mapping: &Mapping) -> f64 {
-        debug_assert_eq!(mapping.len(), self.profile.num_procs());
-        let shares = self.cpu_shares(mapping);
-        let mut max = 0.0f64;
-        for p in &self.profile.procs {
-            let t = self.r_i(p, mapping, &shares);
-            if t > max {
-                max = t;
-            }
-        }
-        max
-    }
-}
-
-/// Batch evaluation of many candidate mappings for one application
-/// against one snapshot, in a cache-friendly struct-of-arrays layout.
-///
-/// [`Evaluator`] re-derives everything per candidate: a fresh CPU-share
-/// `HashMap`, and per-proc snapshot lookups that chase the cluster,
-/// load, and health structures on every call. A batch request holds the
-/// profile and snapshot fixed across the whole candidate set, so this
-/// evaluator flattens the invariants once — per-rank `X_i + O_i`,
-/// per-node speed / effective-ACPU / CPU-count arrays — and reuses one
-/// census buffer for the share computation, leaving only the genuinely
-/// per-candidate work (placement-dependent `Θ` lookups) in the loop.
-///
-/// Predictions are **identical** to calling [`Evaluator::predict`] per
-/// mapping on the same snapshot: the flattened values are the same
-/// numbers read through fewer indirections, and the floating-point
-/// expression order is unchanged. The `Batch` wire action relies on
-/// this equivalence.
-pub struct BatchEvaluator<'a> {
-    profile: &'a AppProfile,
-    snap: &'a SystemSnapshot<'a>,
-    /// Per-rank `X_i + O_i` (the eq. 5 numerator), rank-indexed.
-    xo: Vec<f64>,
-    /// Per-node current speed, node-indexed.
-    speed: Vec<f64>,
-    /// Per-node effective ACPU (health degradation applied), node-indexed.
-    acpu: Vec<f64>,
-    /// Per-node CPU count, node-indexed.
-    cpus: Vec<f64>,
-}
-
-impl<'a> BatchEvaluator<'a> {
-    /// Flatten `profile` and `snap` into the struct-of-arrays layout.
-    /// Cost is one pass over ranks plus one pass over nodes; it is
-    /// repaid after the first candidate.
-    pub fn new(profile: &'a AppProfile, snap: &'a SystemSnapshot<'a>) -> Self {
-        let xo = profile.procs.iter().map(|p| p.x + p.o).collect();
-        let n = snap.cluster.len();
-        let mut speed = Vec::with_capacity(n);
-        let mut acpu = Vec::with_capacity(n);
-        let mut cpus = Vec::with_capacity(n);
-        for i in 0..n {
-            let node = cbes_cluster::NodeId(i as u32);
-            speed.push(snap.speed(node));
-            acpu.push(snap.effective_acpu(node));
-            cpus.push(snap.cluster.node(node).cpus as f64);
-        }
-        BatchEvaluator {
-            profile,
-            snap,
-            xo,
-            speed,
-            acpu,
-            cpus,
-        }
-    }
-
-    /// Predict every candidate in request order. Equivalent to
-    /// [`Evaluator::predict`] per mapping — same snapshot, same numbers.
-    ///
-    /// # Panics
-    /// Panics if any mapping's arity differs from the profile's process
-    /// count (callers validate at the service boundary).
-    pub fn predict_batch(&self, mappings: &[Mapping]) -> Vec<Prediction> {
-        let mut census = vec![0u32; self.cpus.len()];
-        let mut shares = Vec::with_capacity(self.profile.num_procs());
-        mappings
-            .iter()
-            .map(|m| self.predict_one(m, &mut census, &mut shares))
-            .collect()
-    }
-
-    fn predict_one(
-        &self,
-        mapping: &Mapping,
-        census: &mut [u32],
-        shares: &mut Vec<f64>,
-    ) -> Prediction {
-        assert_eq!(
-            mapping.len(),
-            self.profile.num_procs(),
-            "mapping arity must match profile"
-        );
-        // CPU-share census over the reused buffer: count ranks per
-        // node, derive `min(1, cpus / ranks)` per rank, then zero only
-        // the touched entries so the buffer is clean for the next
-        // candidate without an O(nodes) wipe.
-        for (_, node) in mapping.iter() {
-            if let Some(slot) = census.get_mut(node.0 as usize) {
-                *slot += 1;
-            }
-        }
-        shares.clear();
-        for (_, node) in mapping.iter() {
-            let ranks = census.get(node.0 as usize).copied().unwrap_or(1).max(1) as f64;
-            let cpus = self.cpus.get(node.0 as usize).copied().unwrap_or(1.0);
-            shares.push((cpus / ranks).min(1.0));
-        }
-        for (_, node) in mapping.iter() {
-            if let Some(slot) = census.get_mut(node.0 as usize) {
-                *slot = 0;
-            }
-        }
-        let mut per_proc = Vec::with_capacity(self.profile.num_procs());
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for p in &self.profile.procs {
-            let node = mapping.node(p.rank);
-            let ni = node.0 as usize;
-            let acpu = self.acpu.get(ni).copied().unwrap_or(0.0);
-            let r = if acpu <= 0.0 {
-                f64::INFINITY
-            } else {
-                let xo = self.xo.get(p.rank).copied().unwrap_or(p.x + p.o);
-                let speed = self.speed.get(ni).copied().unwrap_or(1.0);
-                let share = shares.get(p.rank).copied().unwrap_or(1.0);
-                xo * (p.profile_speed / (speed * share)) / acpu
-            };
-            let c = if p.lambda == 0.0 || (p.sends.is_empty() && p.recvs.is_empty()) {
-                0.0
-            } else {
-                p.lambda * theta(p.rank, &p.sends, &p.recvs, mapping.as_slice(), self.snap)
-            };
-            let cost = ProcCost { r, c };
-            if cost.total() > best.1 {
-                best = (p.rank, cost.total());
-            }
-            per_proc.push(cost);
-        }
-        Prediction {
-            time: best.1.max(0.0),
-            bottleneck: best.0,
-            per_proc,
-        }
+        self.evaluate(mapping, false, |_| {}).1
     }
 }
 
@@ -295,7 +183,7 @@ mod tests {
     use cbes_cluster::presets::two_switch_demo;
     use cbes_cluster::{Architecture, NodeId};
     use cbes_netmodel::LoadAdjuster;
-    use cbes_trace::MessageGroup;
+    use cbes_trace::{MessageGroup, ProcessProfile};
     use std::collections::BTreeMap;
 
     /// Two processes, 10 s compute each, exchanging 100×4 KiB in each
@@ -511,50 +399,6 @@ mod tests {
         // Mappings that avoid the down node are unaffected.
         let clean = ev.predict(&Mapping::new(vec![NodeId(0), NodeId(1)]));
         assert!(clean.time.is_finite());
-    }
-
-    #[test]
-    fn batch_evaluator_matches_sequential_predictions_exactly() {
-        use crate::health::{HealthView, NodeHealth};
-        let c = two_switch_demo();
-        let mut load = LoadState::idle(c.len());
-        load.set_cpu_avail(NodeId(0), 0.5);
-        let mut snap = SystemSnapshot::new(&c, &c, LoadAdjuster::default(), load);
-        let mut states = vec![NodeHealth::Healthy; c.len()];
-        states[2] = NodeHealth::Suspect;
-        states[3] = NodeHealth::Down;
-        snap.set_health(HealthView::new(states, 2.5));
-        let p = profile();
-        let candidates: Vec<Mapping> = [
-            [0u32, 1],
-            [0, 4],
-            [4, 5],
-            [2, 6],
-            [0, 0], // oversubscribed single-CPU node
-            [3, 1], // onto the down node: infinite time
-            [2, 2], // suspect node, shared
-        ]
-        .iter()
-        .map(|nodes| Mapping::new(nodes.iter().map(|&i| NodeId(i)).collect()))
-        .collect();
-        let sequential: Vec<Prediction> = {
-            let ev = Evaluator::new(&p, &snap);
-            candidates.iter().map(|m| ev.predict(m)).collect()
-        };
-        let batched = BatchEvaluator::new(&p, &snap).predict_batch(&candidates);
-        // Exact equality, not approximate: the batch path reads the
-        // same numbers through a flatter layout with the same
-        // floating-point expression order.
-        assert_eq!(batched, sequential);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn batch_arity_mismatch_panics() {
-        let c = two_switch_demo();
-        let snap = SystemSnapshot::no_load(&c, &c);
-        let p = profile();
-        let _ = BatchEvaluator::new(&p, &snap).predict_batch(&[Mapping::new(vec![NodeId(0)])]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::error::ServiceError;
-use crate::eval::{BatchEvaluator, Evaluator, Prediction};
+use crate::eval::{Evaluator, Prediction};
 use crate::health::{HealthPolicy, HealthTracker, HealthView};
 use crate::mapping::Mapping;
 use crate::monitor::{ForecastKind, Monitor};
@@ -431,7 +431,9 @@ impl CbesService {
     }
 
     /// Like [`CbesService::compare`], also reporting the snapshot epoch
-    /// the predictions were computed against.
+    /// the predictions were computed against. The service's one
+    /// evaluation entry point: every candidate of the request, one or
+    /// many, is evaluated against the same epoch-stamped snapshot.
     pub fn compare_stamped(
         &self,
         app: &str,
@@ -448,42 +450,21 @@ impl CbesService {
         let obs = instruments();
         let _span = Registry::global().span(names::SPAN_CORE_EVALUATE_MAPPING);
         let timer = obs.compare_us.start_timer();
-        let ev = Evaluator::new(&profile, &snap);
-        let predictions: Vec<Prediction> = mappings.iter().map(|m| ev.predict(m)).collect();
+        let predictions = Evaluator::new(&profile, &snap).predict_batch(mappings);
         drop(timer);
         obs.compares.incr();
         obs.predictions.add(predictions.len() as u64);
         Ok((epoch, predictions))
     }
 
-    /// Batch variant of [`CbesService::compare_stamped`]: evaluate many
-    /// candidates against one snapshot through the struct-of-arrays
-    /// [`BatchEvaluator`], which flattens the profile and snapshot once
-    /// and reuses its census buffer across the whole set. Predictions
-    /// are identical to `compare_stamped` on the same epoch; only the
-    /// per-candidate constant factor differs.
+    /// Kept for `benchmark/src/{layers,loadgen}.rs`; delete with the next
+    /// `[benchmark]` PR.
     pub fn batch_stamped(
         &self,
         app: &str,
         mappings: &[Mapping],
     ) -> Result<(u64, Vec<Prediction>), ServiceError> {
-        let profile = self
-            .registry
-            .get(app)
-            .ok_or_else(|| ServiceError::UnknownApp(app.to_string()))?;
-        let cached = self.current_load();
-        let epoch = cached.epoch;
-        let snap = self.snapshot_of(&cached);
-        self.validate(profile.num_procs(), mappings, snap.health_view())?;
-        let obs = instruments();
-        let _span = Registry::global().span(names::SPAN_CORE_BATCH_EVALUATE);
-        let timer = obs.compare_us.start_timer();
-        let ev = BatchEvaluator::new(&profile, &snap);
-        let predictions = ev.predict_batch(mappings);
-        drop(timer);
-        obs.compares.incr();
-        obs.predictions.add(predictions.len() as u64);
-        Ok((epoch, predictions))
+        self.compare_stamped(app, mappings)
     }
 
     /// The index and prediction of the fastest mapping among candidates.
@@ -492,13 +473,24 @@ impl CbesService {
         app: &str,
         mappings: &[Mapping],
     ) -> Result<(usize, Prediction), ServiceError> {
-        let preds = self.compare(app, mappings)?;
-        let (idx, best) = preds
+        self.best_of_stamped(app, mappings)
+            .map(|(_, index, best)| (index, best))
+    }
+
+    /// Like [`CbesService::best_of`], also reporting the snapshot epoch:
+    /// `(epoch, index, prediction)`. Ties go to the earliest candidate.
+    pub fn best_of_stamped(
+        &self,
+        app: &str,
+        mappings: &[Mapping],
+    ) -> Result<(u64, usize, Prediction), ServiceError> {
+        let (epoch, predictions) = self.compare_stamped(app, mappings)?;
+        let (index, best) = predictions
             .into_iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time))
             .expect("compare rejects empty requests");
-        Ok((idx, best))
+        Ok((epoch, index, best))
     }
 }
 
@@ -571,37 +563,18 @@ mod tests {
     #[test]
     fn best_of_picks_fastest() {
         let svc = demo_service();
+        let candidates = [m(&[0, 4]), m(&[0, 1]), m(&[4, 5])];
         let (idx, pred) = svc
-            .best_of("app", &[m(&[0, 4]), m(&[0, 1]), m(&[4, 5])])
+            .best_of("app", &candidates)
             .expect("demo mappings are valid");
         assert_eq!(idx, 1);
         assert!(pred.time > 0.0);
-    }
-
-    #[test]
-    fn batch_equals_sequential_compares_at_the_same_epoch() {
-        let svc = demo_service();
-        let mut measured = LoadState::idle(svc.cluster().len());
-        measured.set_cpu_avail(NodeId(1), 0.75);
-        svc.observe_load(&measured)
-            .expect("sweep covers every node");
-        let candidates = [m(&[0, 1]), m(&[0, 4]), m(&[4, 5]), m(&[2, 6])];
-        let (batch_epoch, batched) = svc
-            .batch_stamped("app", &candidates)
-            .expect("demo mappings are valid");
-        let (seq_epoch, sequential) = svc
-            .compare_stamped("app", &candidates)
-            .expect("demo mappings are valid");
-        assert_eq!(batch_epoch, seq_epoch);
-        assert_eq!(batched, sequential, "batch must be bit-identical");
-        // Boundary validation is shared with compare.
+        // The stamped form is the same arg-min plus the epoch it was
+        // taken at.
+        svc.bump_epoch();
         assert_eq!(
-            svc.batch_stamped("app", &[]).unwrap_err(),
-            ServiceError::EmptyRequest
-        );
-        assert_eq!(
-            svc.batch_stamped("nope", &candidates).unwrap_err(),
-            ServiceError::UnknownApp("nope".into())
+            svc.best_of_stamped("app", &candidates),
+            Ok((svc.epoch(), idx, pred))
         );
     }
 

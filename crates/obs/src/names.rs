@@ -10,143 +10,162 @@
 //! is the `counter` column of its row in the wire protocol's action
 //! table (`cbes_server::protocol::ACTIONS`).
 
-// ---- server (cbes-server daemon) -----------------------------------
+/// Emits each row as written plus [`ALL`], so a constant cannot be
+/// declared without being listed.
+macro_rules! names {
+    ($($(#[$doc:meta])* pub const $name:ident: &str = $value:literal;)*) => {
+        $($(#[$doc])* pub const $name: &str = $value;)*
 
-/// Requests served to completion.
-pub const SERVER_SERVED: &str = "server.served";
-/// Requests that produced an error reply.
-pub const SERVER_ERRORS: &str = "server.errors";
-/// Requests shed by admission control (queue full).
-pub const SERVER_OVERLOADED: &str = "server.overloaded";
-/// Connections dropped for exceeding the idle/read deadline.
-pub const SERVER_TIMEOUTS: &str = "server.timeouts";
-/// Connections accepted.
-pub const SERVER_CONNECTIONS: &str = "server.connections";
-/// Connections dropped mid-request (peer vanished, I/O error).
-pub const SERVER_DROPPED_CONNECTIONS: &str = "server.dropped_connections";
-/// Request frames rejected for exceeding the size limit.
-pub const SERVER_OVERSIZED_FRAMES: &str = "server.oversized_frames";
-/// Admission-queue wait time, microseconds.
-pub const SERVER_QUEUE_WAIT_US: &str = "server.queue_wait_us";
-/// Request service time (dequeue to reply), microseconds.
-pub const SERVER_SERVICE_TIME_US: &str = "server.service_time_us";
-/// Current admission-queue depth.
-pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
+        /// Every constant of the table, in declaration order.
+        pub const ALL: &[&str] = &[$($name),*];
+    };
+}
 
-/// Admitted requests shed by the per-instance evaluation rate cap.
-pub const SERVER_RATE_LIMITED: &str = "server.rate_limited";
-/// Candidate mappings evaluated through `Batch` requests (one count
-/// per candidate, so `batch_candidates / action.batch` is the mean
-/// batch size).
-pub const SERVER_BATCH_CANDIDATES: &str = "server.batch_candidates";
-/// Event-loop readiness wakeups (one per epoll/poll return).
-pub const SERVER_LOOP_WAKEUPS: &str = "server.loop_wakeups";
+names! {
+    // ---- server (cbes-server daemon) -----------------------------------
 
-// ---- tracing / flight recorder -------------------------------------
+    /// Requests served to completion.
+    pub const SERVER_SERVED: &str = "server.served";
+    /// Requests that produced an error reply.
+    pub const SERVER_ERRORS: &str = "server.errors";
+    /// Requests shed by admission control (queue full).
+    pub const SERVER_OVERLOADED: &str = "server.overloaded";
+    /// Connections dropped for exceeding the idle/read deadline.
+    pub const SERVER_TIMEOUTS: &str = "server.timeouts";
+    /// Connections accepted.
+    pub const SERVER_CONNECTIONS: &str = "server.connections";
+    /// Connections dropped mid-request (peer vanished, I/O error).
+    pub const SERVER_DROPPED_CONNECTIONS: &str = "server.dropped_connections";
+    /// Request frames rejected for exceeding the size limit.
+    pub const SERVER_OVERSIZED_FRAMES: &str = "server.oversized_frames";
+    /// Admission-queue wait time, microseconds.
+    pub const SERVER_QUEUE_WAIT_US: &str = "server.queue_wait_us";
+    /// Request service time (dequeue to reply), microseconds.
+    pub const SERVER_SERVICE_TIME_US: &str = "server.service_time_us";
+    /// Current admission-queue depth.
+    pub const SERVER_QUEUE_DEPTH: &str = "server.queue_depth";
 
-/// Span records evicted from a ring before export (silent trace loss).
-pub const SPANS_DROPPED: &str = "spans.dropped";
-/// Flight-recorder events recorded since process start.
-pub const FLIGHT_EVENTS: &str = "flight.events";
-/// Flight-recorder JSONL dumps written (triggered or on demand).
-pub const FLIGHT_DUMPS: &str = "flight.dumps";
-/// Span: one traced client-side request issued by the CLI.
-pub const SPAN_CLI_REQUEST: &str = "cli.request";
-/// Span: the router forwarding one request to the serving tier.
-pub const SPAN_ROUTER_FORWARD: &str = "router.forward";
+    /// Admitted requests shed by the per-instance evaluation rate cap.
+    pub const SERVER_RATE_LIMITED: &str = "server.rate_limited";
+    /// Candidate mappings evaluated through `Batch` requests (one count
+    /// per candidate, so `batch_candidates / action.batch` is the mean
+    /// batch size).
+    pub const SERVER_BATCH_CANDIDATES: &str = "server.batch_candidates";
+    /// Event-loop readiness wakeups (one per `epoll_wait` return).
+    pub const SERVER_LOOP_WAKEUPS: &str = "server.loop_wakeups";
 
-// ---- client (the retry layer) --------------------------------------
+    // ---- tracing / flight recorder -------------------------------------
 
-/// Retry attempts made after shed/transport failures.
-pub const CLIENT_RETRIES: &str = "client.retries";
-/// Requests abandoned after exhausting the retry budget.
-pub const CLIENT_RETRY_GIVEUPS: &str = "client.retry_giveups";
+    /// Span records evicted from a ring before export (silent trace loss).
+    pub const SPANS_DROPPED: &str = "spans.dropped";
+    /// Flight-recorder events recorded since process start.
+    pub const FLIGHT_EVENTS: &str = "flight.events";
+    /// Flight-recorder JSONL dumps written (triggered or on demand).
+    pub const FLIGHT_DUMPS: &str = "flight.dumps";
+    /// Span: one traced client-side request issued by the CLI.
+    pub const SPAN_CLI_REQUEST: &str = "cli.request";
+    /// Span: the router forwarding one request to the serving tier.
+    pub const SPAN_ROUTER_FORWARD: &str = "router.forward";
 
-// ---- router (cbes-router scale-out tier) ---------------------------
+    // ---- client (the retry layer) --------------------------------------
 
-/// Requests dispatched to their consistent-hash primary instance.
-pub const ROUTER_ROUTED: &str = "router.routed";
-/// Fan-out sends to non-primary instances (broadcast, merge, leader).
-pub const ROUTER_FORWARDED: &str = "router.forwarded";
-/// Requests served by a replica after the primary was unavailable.
-pub const ROUTER_FAILED_OVER: &str = "router.failed_over";
-/// Hash-routed requests the router gave up on: every candidate of the
-/// key was down, draining or unreachable.
-pub const ROUTER_GIVEUPS: &str = "router.giveups";
-/// Heartbeat probe sweeps completed across the membership table.
-pub const ROUTER_HEARTBEATS: &str = "router.heartbeats";
-/// Snapshot replications pushed from the leader to followers.
-pub const ROUTER_REPLICATIONS: &str = "router.replications";
-/// Instance health-state transitions in the membership table.
-pub const ROUTER_TRANSITIONS: &str = "router.instance_transitions";
-/// Leader epoch minus the slowest live follower epoch.
-pub const ROUTER_REPLICATION_LAG: &str = "router.replication_lag_epochs";
-/// Instances currently `Healthy` in the membership table.
-pub const ROUTER_INSTANCES_HEALTHY: &str = "router.instances.healthy";
-/// Instances currently `Suspect`.
-pub const ROUTER_INSTANCES_SUSPECT: &str = "router.instances.suspect";
-/// Instances currently `Down`.
-pub const ROUTER_INSTANCES_DOWN: &str = "router.instances.down";
+    /// Retry attempts made after shed/transport failures.
+    pub const CLIENT_RETRIES: &str = "client.retries";
+    /// Requests abandoned after exhausting the retry budget.
+    pub const CLIENT_RETRY_GIVEUPS: &str = "client.retry_giveups";
 
-// ---- core (CbesService) --------------------------------------------
+    // ---- router (cbes-router scale-out tier) ---------------------------
 
-/// `compare`/`best_of` calls evaluated.
-pub const CORE_COMPARES: &str = "core.compares";
-/// Candidate mappings predicted (one per mapping per compare).
-pub const CORE_PREDICTIONS: &str = "core.predictions";
-/// End-to-end compare latency, microseconds.
-pub const CORE_COMPARE_US: &str = "core.compare_us";
-/// Snapshot-epoch publish latency, microseconds.
-pub const CORE_EPOCH_PUBLISH_US: &str = "core.epoch_publish_us";
-/// Current snapshot epoch.
-pub const CORE_EPOCH: &str = "core.epoch";
-/// Node health-state transitions observed.
-pub const CORE_HEALTH_TRANSITIONS: &str = "core.health.transitions";
-/// Nodes currently `Healthy`.
-pub const CORE_HEALTH_HEALTHY: &str = "core.health.healthy";
-/// Nodes currently `Suspect`.
-pub const CORE_HEALTH_SUSPECT: &str = "core.health.suspect";
-/// Nodes currently `Down`.
-pub const CORE_HEALTH_DOWN: &str = "core.health.down";
-/// Span: publishing one monitoring sweep as a new epoch.
-pub const SPAN_CORE_PUBLISH_EPOCH: &str = "core.publish_epoch";
-/// Span: evaluating one candidate mapping (eq. 4–8).
-pub const SPAN_CORE_EVALUATE_MAPPING: &str = "core.evaluate_mapping";
-/// Span: evaluating one batch of candidate mappings (SoA path).
-pub const SPAN_CORE_BATCH_EVALUATE: &str = "core.batch_evaluate";
+    /// Requests dispatched to their consistent-hash primary instance.
+    pub const ROUTER_ROUTED: &str = "router.routed";
+    /// Fan-out sends to non-primary instances (broadcast, merge, leader).
+    pub const ROUTER_FORWARDED: &str = "router.forwarded";
+    /// Requests served by a replica after the primary was unavailable.
+    pub const ROUTER_FAILED_OVER: &str = "router.failed_over";
+    /// Hash-routed requests the router gave up on: every candidate of the
+    /// key was down, draining or unreachable.
+    pub const ROUTER_GIVEUPS: &str = "router.giveups";
+    /// Heartbeat probe sweeps completed across the membership table.
+    pub const ROUTER_HEARTBEATS: &str = "router.heartbeats";
+    /// Snapshot replications pushed from the leader to followers.
+    pub const ROUTER_REPLICATIONS: &str = "router.replications";
+    /// Instance health-state transitions in the membership table.
+    pub const ROUTER_TRANSITIONS: &str = "router.instance_transitions";
+    /// Leader epoch minus the slowest live follower epoch.
+    pub const ROUTER_REPLICATION_LAG: &str = "router.replication_lag_epochs";
+    /// Instances currently `Healthy` in the membership table.
+    pub const ROUTER_INSTANCES_HEALTHY: &str = "router.instances.healthy";
+    /// Instances currently `Suspect`.
+    pub const ROUTER_INSTANCES_SUSPECT: &str = "router.instances.suspect";
+    /// Instances currently `Down`.
+    pub const ROUTER_INSTANCES_DOWN: &str = "router.instances.down";
 
-// ---- netmodel ------------------------------------------------------
+    // ---- core (CbesService) --------------------------------------------
 
-/// Calibration campaigns completed.
-pub const NETMODEL_CALIBRATIONS: &str = "netmodel.calibrations";
-/// Per-round calibration wall time, microseconds.
-pub const NETMODEL_CALIBRATION_ROUND_US: &str = "netmodel.calibration_round_us";
-/// Forecast refresh latency, microseconds.
-pub const NETMODEL_FORECAST_REFRESH_US: &str = "netmodel.forecast_refresh_us";
-/// Span: one full latency-calibration campaign.
-pub const SPAN_NETMODEL_CALIBRATE: &str = "netmodel.calibrate";
+    /// `compare`/`best_of` calls evaluated.
+    pub const CORE_COMPARES: &str = "core.compares";
+    /// Candidate mappings predicted (one per mapping per compare).
+    pub const CORE_PREDICTIONS: &str = "core.predictions";
+    /// End-to-end compare latency, microseconds.
+    pub const CORE_COMPARE_US: &str = "core.compare_us";
+    /// Snapshot-epoch publish latency, microseconds.
+    pub const CORE_EPOCH_PUBLISH_US: &str = "core.epoch_publish_us";
+    /// Current snapshot epoch.
+    pub const CORE_EPOCH: &str = "core.epoch";
+    /// Node health-state transitions observed.
+    pub const CORE_HEALTH_TRANSITIONS: &str = "core.health.transitions";
+    /// Nodes currently `Healthy`.
+    pub const CORE_HEALTH_HEALTHY: &str = "core.health.healthy";
+    /// Nodes currently `Suspect`.
+    pub const CORE_HEALTH_SUSPECT: &str = "core.health.suspect";
+    /// Nodes currently `Down`.
+    pub const CORE_HEALTH_DOWN: &str = "core.health.down";
+    /// Span: publishing one monitoring sweep as a new epoch.
+    pub const SPAN_CORE_PUBLISH_EPOCH: &str = "core.publish_epoch";
+    /// Span: evaluating one request's candidate mappings (eq. 4–8).
+    pub const SPAN_CORE_EVALUATE_MAPPING: &str = "core.evaluate_mapping";
 
-// ---- reconfig (artifact lifecycle) ---------------------------------
+    // ---- netmodel ------------------------------------------------------
 
-/// Artifacts staged into the store (validated + journalled).
-pub const RECONFIG_STAGED: &str = "reconfig.staged";
-/// Artifact applies: activations under a soak (one epoch bump each).
-pub const RECONFIG_APPLIES: &str = "reconfig.applies";
-/// Soaking artifacts promoted to active.
-pub const RECONFIG_ACCEPTS: &str = "reconfig.accepts";
-/// Rollbacks, operator-initiated and automatic together.
-pub const RECONFIG_ROLLBACKS: &str = "reconfig.rollbacks";
-/// Rollbacks fired by the soak monitor on a telemetry regression.
-pub const RECONFIG_AUTO_ROLLBACKS: &str = "reconfig.auto_rollbacks";
-/// The active artifact version (0 = boot configuration).
-pub const RECONFIG_ACTIVE_VERSION: &str = "reconfig.active_version";
+    /// Calibration campaigns completed.
+    pub const NETMODEL_CALIBRATIONS: &str = "netmodel.calibrations";
+    /// Per-round calibration wall time, microseconds.
+    pub const NETMODEL_CALIBRATION_ROUND_US: &str = "netmodel.calibration_round_us";
+    /// Forecast refresh latency, microseconds.
+    pub const NETMODEL_FORECAST_REFRESH_US: &str = "netmodel.forecast_refresh_us";
+    /// Span: one full latency-calibration campaign.
+    pub const SPAN_NETMODEL_CALIBRATE: &str = "netmodel.calibrate";
 
-// ---- static analysis (cbes analyze) --------------------------------
+    // ---- reconfig (artifact lifecycle) ---------------------------------
 
-/// Unwaived findings reported by the most recent `cbes analyze` run.
-pub const ANALYZE_FINDINGS: &str = "analyze.findings";
-/// Waived findings (each carrying a reason) from the most recent run.
-pub const ANALYZE_WAIVED: &str = "analyze.waived";
+    /// Artifacts staged into the store (validated + journalled).
+    pub const RECONFIG_STAGED: &str = "reconfig.staged";
+    /// Artifact applies: activations under a soak (one epoch bump each).
+    pub const RECONFIG_APPLIES: &str = "reconfig.applies";
+    /// Soaking artifacts promoted to active.
+    pub const RECONFIG_ACCEPTS: &str = "reconfig.accepts";
+    /// Rollbacks, operator-initiated and automatic together.
+    pub const RECONFIG_ROLLBACKS: &str = "reconfig.rollbacks";
+    /// Rollbacks fired by the soak monitor on a telemetry regression.
+    pub const RECONFIG_AUTO_ROLLBACKS: &str = "reconfig.auto_rollbacks";
+    /// The active artifact version (0 = boot configuration).
+    pub const RECONFIG_ACTIVE_VERSION: &str = "reconfig.active_version";
+
+    // ---- static analysis (cbes analyze) --------------------------------
+
+    /// Unwaived findings reported by the most recent `cbes analyze` run.
+    pub const ANALYZE_FINDINGS: &str = "analyze.findings";
+    /// Waived findings (each carrying a reason) from the most recent run.
+    pub const ANALYZE_WAIVED: &str = "analyze.waived";
+
+    // ---- faults / chaos ------------------------------------------------
+
+    /// Faults injected into the node-health model.
+    pub const FAULTS_INJECTED: &str = "faults.injected";
+    /// Chaos-harness scenario runs started.
+    pub const CHAOS_RUNS: &str = "chaos.runs";
+}
+
 /// Per-rule finding counters, `analyze.rule.<rule>`, in the analyzer's
 /// `ALL_RULES` declaration order — kept aligned with
 /// `cbes_analyze::rules::ALL_RULES` by the drift rule.
@@ -162,80 +181,14 @@ pub const ANALYZE_RULE_COUNTERS: [&str; 9] = [
     "analyze.rule.drift",
 ];
 
-// ---- faults / chaos ------------------------------------------------
-
-/// Faults injected into the node-health model.
-pub const FAULTS_INJECTED: &str = "faults.injected";
-/// Chaos-harness scenario runs started.
-pub const CHAOS_RUNS: &str = "chaos.runs";
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_names_are_distinct() {
-        let all = [
-            SERVER_SERVED,
-            SERVER_ERRORS,
-            SERVER_OVERLOADED,
-            SERVER_TIMEOUTS,
-            SERVER_CONNECTIONS,
-            SERVER_DROPPED_CONNECTIONS,
-            SERVER_OVERSIZED_FRAMES,
-            SERVER_QUEUE_WAIT_US,
-            SERVER_SERVICE_TIME_US,
-            SERVER_QUEUE_DEPTH,
-            SERVER_RATE_LIMITED,
-            SERVER_BATCH_CANDIDATES,
-            SERVER_LOOP_WAKEUPS,
-            ROUTER_ROUTED,
-            ROUTER_FORWARDED,
-            ROUTER_FAILED_OVER,
-            ROUTER_GIVEUPS,
-            ROUTER_HEARTBEATS,
-            ROUTER_REPLICATIONS,
-            ROUTER_TRANSITIONS,
-            ROUTER_REPLICATION_LAG,
-            ROUTER_INSTANCES_HEALTHY,
-            ROUTER_INSTANCES_SUSPECT,
-            ROUTER_INSTANCES_DOWN,
-            CLIENT_RETRIES,
-            CLIENT_RETRY_GIVEUPS,
-            CORE_COMPARES,
-            CORE_PREDICTIONS,
-            CORE_COMPARE_US,
-            CORE_EPOCH_PUBLISH_US,
-            CORE_EPOCH,
-            CORE_HEALTH_TRANSITIONS,
-            CORE_HEALTH_HEALTHY,
-            CORE_HEALTH_SUSPECT,
-            CORE_HEALTH_DOWN,
-            SPAN_CORE_PUBLISH_EPOCH,
-            SPAN_CORE_EVALUATE_MAPPING,
-            SPAN_CORE_BATCH_EVALUATE,
-            SPANS_DROPPED,
-            FLIGHT_EVENTS,
-            FLIGHT_DUMPS,
-            SPAN_CLI_REQUEST,
-            SPAN_ROUTER_FORWARD,
-            NETMODEL_CALIBRATIONS,
-            NETMODEL_CALIBRATION_ROUND_US,
-            NETMODEL_FORECAST_REFRESH_US,
-            SPAN_NETMODEL_CALIBRATE,
-            RECONFIG_STAGED,
-            RECONFIG_APPLIES,
-            RECONFIG_ACCEPTS,
-            RECONFIG_ROLLBACKS,
-            RECONFIG_AUTO_ROLLBACKS,
-            RECONFIG_ACTIVE_VERSION,
-            ANALYZE_FINDINGS,
-            ANALYZE_WAIVED,
-            FAULTS_INJECTED,
-            CHAOS_RUNS,
-        ];
         let mut seen = std::collections::BTreeSet::new();
-        for name in all.into_iter().chain(ANALYZE_RULE_COUNTERS) {
+        for name in ALL.iter().chain(&ANALYZE_RULE_COUNTERS) {
             assert!(seen.insert(name), "duplicate metric name {name}");
         }
     }

@@ -1,25 +1,21 @@
-//! Readiness polling for the event-loop server: a thin `epoll` shim on
-//! Linux plus a portable `poll(2)` fallback, both over raw syscall FFI
-//! so the workspace stays dependency-free.
+//! Readiness polling for the event-loop server: a thin `epoll` shim
+//! over raw syscall FFI, so the workspace stays dependency-free.
 //!
 //! Every `unsafe` block in the crate lives in this module, and each is
-//! a single audited syscall: `epoll_create1`/`epoll_ctl`/`epoll_wait`/
-//! `close` on the epoll path, `poll` on the fallback. Callers only see
-//! the safe [`Poller`] surface — register file descriptors with a
-//! `u64` token and an interest pair, then [`Poller::wait`] for
-//! [`PollEvent`]s. Both backends are level-triggered, so a fd stays
-//! ready until the caller drains it; the reactor relies on that to
-//! avoid losing partial reads.
-//!
-//! Setting `CBES_FORCE_POLL=1` selects the fallback backend even on
-//! Linux, which is how the test suite exercises both paths on one
-//! platform.
+//! a single audited syscall: `epoll_create1`, `epoll_ctl`, `epoll_wait`
+//! and `close`. Callers only see the safe [`Poller`] surface — register
+//! file descriptors with a `u64` token and an interest pair, then
+//! [`Poller::wait`] for [`PollEvent`]s. It is level-triggered, so a fd
+//! stays ready until the caller drains it; the reactor relies on that
+//! to avoid losing partial reads.
 
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
 
-#[cfg(target_os = "linux")]
+#[cfg(not(target_os = "linux"))]
+compile_error!("cbes-server's reactor needs epoll: Linux is the only supported target");
+
 mod sys_epoll {
     //! Raw epoll ABI. The x86-64 kernel packs `epoll_event`; other
     //! architectures align it naturally.
@@ -54,29 +50,6 @@ mod sys_epoll {
     }
 }
 
-mod sys_poll {
-    //! Raw `poll(2)` ABI; `nfds_t` is `c_ulong`, i.e. `u64` on every
-    //! 64-bit unix this workspace targets.
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
-
-    extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-    }
-}
-
 /// One readiness event. `token` is whatever the caller passed at
 /// registration. Error and hangup conditions surface as `readable`
 /// (and `writable`) so the owner's next read/write observes the actual
@@ -91,28 +64,10 @@ pub struct PollEvent {
     pub writable: bool,
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: RawFd,
-        buf: Vec<sys_epoll::EpollEvent>,
-    },
-    Poll {
-        fds: Vec<sys_poll::PollFd>,
-        tokens: Vec<u64>,
-    },
-}
-
 /// A level-triggered readiness multiplexer over raw fds.
 pub struct Poller {
-    backend: Backend,
-}
-
-/// True when `CBES_FORCE_POLL=1` demands the portable backend.
-fn force_poll() -> bool {
-    std::env::var("CBES_FORCE_POLL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    epfd: RawFd,
+    buf: Vec<sys_epoll::EpollEvent>,
 }
 
 /// Millisecond timeout for the syscalls: `None` blocks forever,
@@ -132,31 +87,8 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 }
 
 impl Poller {
-    /// The platform's best backend: epoll on Linux, `poll(2)`
-    /// elsewhere or when `CBES_FORCE_POLL=1`.
+    /// A poller watching nothing yet.
     pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            if !force_poll() {
-                return Poller::epoll();
-            }
-        }
-        Ok(Poller::poll_backend())
-    }
-
-    /// The portable `poll(2)` backend, unconditionally.
-    pub fn poll_backend() -> Poller {
-        Poller {
-            backend: Backend::Poll {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            },
-        }
-    }
-
-    /// The epoll backend, unconditionally.
-    #[cfg(target_os = "linux")]
-    pub fn epoll() -> io::Result<Poller> {
         // SAFETY: no pointers cross the boundary; the returned fd is
         // owned by the Poller and closed on drop.
         let epfd = unsafe { sys_epoll::epoll_create1(sys_epoll::EPOLL_CLOEXEC) };
@@ -164,20 +96,9 @@ impl Poller {
             return Err(io::Error::last_os_error());
         }
         Ok(Poller {
-            backend: Backend::Epoll {
-                epfd,
-                buf: vec![sys_epoll::EpollEvent { events: 0, data: 0 }; 256],
-            },
+            epfd,
+            buf: vec![sys_epoll::EpollEvent { events: 0, data: 0 }; 256],
         })
-    }
-
-    /// Which backend is live — surfaced in logs and tests.
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { .. } => "epoll",
-            Backend::Poll { .. } => "poll",
-        }
     }
 
     /// Start watching `fd` under `token` with the given interest.
@@ -188,31 +109,13 @@ impl Poller {
         readable: bool,
         writable: bool,
     ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => ctl(
-                *epfd,
-                sys_epoll::EPOLL_CTL_ADD,
-                fd,
-                epoll_mask(readable, writable),
-                token,
-            ),
-            Backend::Poll { fds, tokens } => {
-                if fds.iter().any(|f| f.fd == fd) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "fd is already registered",
-                    ));
-                }
-                fds.push(sys_poll::PollFd {
-                    fd,
-                    events: poll_mask(readable, writable),
-                    revents: 0,
-                });
-                tokens.push(token);
-                Ok(())
-            }
-        }
+        ctl(
+            self.epfd,
+            sys_epoll::EPOLL_CTL_ADD,
+            fd,
+            epoll_mask(readable, writable),
+            token,
+        )
     }
 
     /// Re-arm `fd` with a new token/interest pair.
@@ -223,44 +126,18 @@ impl Poller {
         readable: bool,
         writable: bool,
     ) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => ctl(
-                *epfd,
-                sys_epoll::EPOLL_CTL_MOD,
-                fd,
-                epoll_mask(readable, writable),
-                token,
-            ),
-            Backend::Poll { fds, tokens } => {
-                let i = fds
-                    .iter()
-                    .position(|f| f.fd == fd)
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-                if let (Some(f), Some(t)) = (fds.get_mut(i), tokens.get_mut(i)) {
-                    f.events = poll_mask(readable, writable);
-                    *t = token;
-                }
-                Ok(())
-            }
-        }
+        ctl(
+            self.epfd,
+            sys_epoll::EPOLL_CTL_MOD,
+            fd,
+            epoll_mask(readable, writable),
+            token,
+        )
     }
 
     /// Stop watching `fd`. Safe to call right before closing it.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, .. } => ctl(*epfd, sys_epoll::EPOLL_CTL_DEL, fd, 0, 0),
-            Backend::Poll { fds, tokens } => {
-                let i = fds
-                    .iter()
-                    .position(|f| f.fd == fd)
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-                fds.remove(i);
-                tokens.remove(i);
-                Ok(())
-            }
-        }
+        ctl(self.epfd, sys_epoll::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Block until readiness or `timeout`, filling `out` (cleared
@@ -270,86 +147,49 @@ impl Poller {
     pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
         out.clear();
         let ms = timeout_ms(timeout);
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd, buf } => loop {
-                // SAFETY: `buf` is a live, correctly-typed array; the
-                // kernel writes at most `buf.len()` entries.
-                let n =
-                    unsafe { sys_epoll::epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as i32, ms) };
-                if n < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return Err(err);
+        loop {
+            // SAFETY: `buf` is a live, correctly-typed array; the
+            // kernel writes at most `buf.len()` entries.
+            let n = unsafe {
+                sys_epoll::epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as i32, ms)
+            };
+            if n < 0 {
+                let err = io::Error::last_os_error();
+                if err.kind() == io::ErrorKind::Interrupted {
+                    continue;
                 }
-                for ev in buf.iter().take(n as usize) {
-                    // Copy out of the (possibly packed) struct before use.
-                    let events = ev.events;
-                    let token = ev.data;
-                    let fail = events & (sys_epoll::EPOLLERR | sys_epoll::EPOLLHUP) != 0;
-                    out.push(PollEvent {
-                        token,
-                        readable: events & sys_epoll::EPOLLIN != 0 || fail,
-                        writable: events & sys_epoll::EPOLLOUT != 0 || fail,
-                    });
-                }
-                return Ok(());
-            },
-            Backend::Poll { fds, tokens } => loop {
-                for f in fds.iter_mut() {
-                    f.revents = 0;
-                }
-                // SAFETY: `fds` is a live, correctly-typed array of
-                // exactly `fds.len()` entries.
-                let n = unsafe { sys_poll::poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
-                if n < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return Err(err);
-                }
-                for (f, &token) in fds.iter().zip(tokens.iter()) {
-                    if f.revents == 0 {
-                        continue;
-                    }
-                    let fail = f.revents
-                        & (sys_poll::POLLERR | sys_poll::POLLHUP | sys_poll::POLLNVAL)
-                        != 0;
-                    out.push(PollEvent {
-                        token,
-                        readable: f.revents & sys_poll::POLLIN != 0 || fail,
-                        writable: f.revents & sys_poll::POLLOUT != 0 || fail,
-                    });
-                }
-                return Ok(());
-            },
+                return Err(err);
+            }
+            for ev in self.buf.iter().take(n as usize) {
+                // Copy out of the (possibly packed) struct before use.
+                let events = ev.events;
+                let token = ev.data;
+                let fail = events & (sys_epoll::EPOLLERR | sys_epoll::EPOLLHUP) != 0;
+                out.push(PollEvent {
+                    token,
+                    readable: events & sys_epoll::EPOLLIN != 0 || fail,
+                    writable: events & sys_epoll::EPOLLOUT != 0 || fail,
+                });
+            }
+            return Ok(());
         }
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd, .. } = self.backend {
-            // SAFETY: `epfd` came from epoll_create1 and is never used
-            // again after this close.
-            unsafe { sys_epoll::close(epfd) };
-        }
+        // SAFETY: `epfd` came from epoll_create1 and is never used
+        // again after this close.
+        unsafe { sys_epoll::close(self.epfd) };
     }
 }
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Poller")
-            .field("backend", &self.backend_name())
-            .finish()
+        f.debug_struct("Poller").field("epfd", &self.epfd).finish()
     }
 }
 
-#[cfg(target_os = "linux")]
 fn epoll_mask(readable: bool, writable: bool) -> u32 {
     let mut m = 0;
     if readable {
@@ -361,18 +201,6 @@ fn epoll_mask(readable: bool, writable: bool) -> u32 {
     m
 }
 
-fn poll_mask(readable: bool, writable: bool) -> i16 {
-    let mut m = 0;
-    if readable {
-        m |= sys_poll::POLLIN;
-    }
-    if writable {
-        m |= sys_poll::POLLOUT;
-    }
-    m
-}
-
-#[cfg(target_os = "linux")]
 fn ctl(epfd: RawFd, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
     let mut ev = sys_epoll::EpollEvent {
         events,
@@ -406,7 +234,9 @@ mod tests {
         (a, b)
     }
 
-    fn readiness_round_trip(mut poller: Poller) {
+    #[test]
+    fn readiness_round_trip() {
+        let mut poller = Poller::new().expect("epoll_create1");
         let (mut a, b) = pair();
         poller
             .register(b.as_raw_fd(), 7, true, false)
@@ -446,7 +276,9 @@ mod tests {
         assert!(events.is_empty(), "{events:?}");
     }
 
-    fn hangup_is_readable(mut poller: Poller) {
+    #[test]
+    fn hangup_is_readable() {
+        let mut poller = Poller::new().expect("epoll_create1");
         let (a, b) = pair();
         poller
             .register(b.as_raw_fd(), 3, true, false)
@@ -460,42 +292,6 @@ mod tests {
             events.iter().any(|e| e.token == 3 && e.readable),
             "peer close must surface as readable: {events:?}"
         );
-    }
-
-    #[test]
-    fn poll_backend_reports_readiness() {
-        let p = Poller::poll_backend();
-        assert_eq!(p.backend_name(), "poll");
-        readiness_round_trip(p);
-    }
-
-    #[test]
-    fn poll_backend_reports_hangup() {
-        hangup_is_readable(Poller::poll_backend());
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_readiness() {
-        let p = Poller::epoll().expect("epoll_create1");
-        assert_eq!(p.backend_name(), "epoll");
-        readiness_round_trip(p);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_hangup() {
-        hangup_is_readable(Poller::epoll().expect("epoll_create1"));
-    }
-
-    #[test]
-    fn poll_backend_rejects_duplicate_and_unknown_fds() {
-        let (_a, b) = pair();
-        let mut p = Poller::poll_backend();
-        p.register(b.as_raw_fd(), 1, true, false).expect("register");
-        assert!(p.register(b.as_raw_fd(), 2, true, false).is_err());
-        assert!(p.modify(999_999, 1, true, false).is_err());
-        assert!(p.deregister(999_999).is_err());
     }
 
     #[test]

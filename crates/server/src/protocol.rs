@@ -114,13 +114,11 @@ pub enum Request {
     /// reports a single-instance view of itself.
     Membership,
     /// Evaluate many candidate mappings for `app` in one call, all
-    /// against a *single* epoch-stamped snapshot. Semantically equal to
-    /// one `Compare` per candidate issued at the same epoch, but the
-    /// server amortises snapshot access, CPU-share census, and
-    /// message-group lookups across the whole batch (struct-of-arrays
-    /// evaluation in `cbes-core`), so per-candidate cost drops with
-    /// batch size. The reply is an ordinary [`Response::Predictions`]
-    /// whose `epoch` stamps every prediction in it.
+    /// against a *single* epoch-stamped snapshot: `Compare` under a verb
+    /// of its own (same evaluator, same reply), kept apart so a
+    /// scheduler's candidate sets are routed and counted as batches. The
+    /// reply is an ordinary [`Response::Predictions`] whose `epoch`
+    /// stamps every prediction in it.
     Batch {
         /// Registered application name.
         app: String,

@@ -462,6 +462,19 @@ fn precheck(
     Ok(envelope)
 }
 
+/// The per-node `reported` flags of a sweep that heard nothing from the
+/// `silent` nodes of an `n`-node cluster.
+fn reported_mask(n: usize, silent: &[u32]) -> Result<Vec<bool>, cbes_core::ServiceError> {
+    let mut reported = vec![true; n];
+    for &node in silent {
+        match reported.get_mut(node as usize) {
+            Some(flag) => *flag = false,
+            None => return Err(cbes_core::ServiceError::BadNode(node)),
+        }
+    }
+    Ok(reported)
+}
+
 /// The daemon as a [`Handler`]: everything one request needs, shared by
 /// the workers and (for inline-eligible frames) the reactor.
 struct Daemon {
@@ -587,19 +600,12 @@ impl Daemon {
                 Ok((epoch, predictions)) => Response::Predictions { epoch, predictions },
                 Err(e) => Response::service_error(&e),
             },
-            Request::BestOf { app, mappings } => match service.compare_stamped(&app, &mappings) {
-                Ok((epoch, predictions)) => {
-                    let (index, prediction) = predictions
-                        .into_iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time))
-                        .expect("compare rejects empty requests");
-                    Response::Best {
-                        epoch,
-                        index,
-                        prediction,
-                    }
-                }
+            Request::BestOf { app, mappings } => match service.best_of_stamped(&app, &mappings) {
+                Ok((epoch, index, prediction)) => Response::Best {
+                    epoch,
+                    index,
+                    prediction,
+                },
                 Err(e) => Response::service_error(&e),
             },
             Request::Schedule {
@@ -641,19 +647,9 @@ impl Daemon {
                 Err(e) => Response::service_error(&e),
             },
             Request::ObservePartial { load, silent } => {
-                let n = service.cluster().len();
-                if let Some(&bad) = silent.iter().find(|&&s| s as usize >= n) {
-                    return Response::service_error(&cbes_core::ServiceError::BadNode(bad));
-                }
-                let mut reported = vec![true; n];
-                for s in &silent {
-                    // Bounds pre-validated above; out-of-range ids already
-                    // returned a typed `BadNode` error.
-                    if let Some(flag) = reported.get_mut(*s as usize) {
-                        *flag = false;
-                    }
-                }
-                match service.observe_load_partial(&load, &reported) {
+                let observed = reported_mask(service.cluster().len(), &silent)
+                    .and_then(|reported| service.observe_load_partial(&load, &reported));
+                match observed {
                     Ok(epoch) => Response::LoadObserved { epoch },
                     Err(e) => Response::service_error(&e),
                 }
@@ -702,24 +698,14 @@ impl Daemon {
                 load,
                 silent,
             } => {
-                let n = service.cluster().len();
-                if let Some(&bad) = silent.iter().find(|&&s| s as usize >= n) {
-                    return Response::service_error(&cbes_core::ServiceError::BadNode(bad));
-                }
-                let reported = if silent.is_empty() {
-                    None
-                } else {
-                    let mut mask = vec![true; n];
-                    for s in &silent {
-                        // Bounds pre-validated above; out-of-range ids
-                        // already returned a typed `BadNode` error.
-                        if let Some(flag) = mask.get_mut(*s as usize) {
-                            *flag = false;
-                        }
-                    }
-                    Some(mask)
-                };
-                match service.observe_replicated(epoch, &load, reported.as_deref()) {
+                let replicated =
+                    reported_mask(service.cluster().len(), &silent).and_then(|reported| {
+                        // No silent node is a full sweep, not a partial one
+                        // that happens to report everything.
+                        let reported = (!silent.is_empty()).then_some(reported.as_slice());
+                        service.observe_replicated(epoch, &load, reported)
+                    });
+                match replicated {
                     Ok((epoch, applied)) => Response::Replicated { epoch, applied },
                     Err(e) => Response::service_error(&e),
                 }
@@ -735,7 +721,9 @@ impl Daemon {
                     transitions: 0,
                 },
             },
-            Request::Batch { app, mappings } => match service.batch_stamped(&app, &mappings) {
+            // `Compare` plus a counter: what a batch buys is one round trip
+            // and one epoch stamp, not another evaluator.
+            Request::Batch { app, mappings } => match service.compare_stamped(&app, &mappings) {
                 Ok((epoch, predictions)) => {
                     metrics.batch_candidates.add(predictions.len() as u64);
                     Response::Predictions { epoch, predictions }

@@ -1,7 +1,6 @@
 //! Event-loop integration tests: frame reassembly under adversarial
-//! write patterns, pipelined id matching, the poll(2) fallback backend,
-//! and the `Batch` determinism contract — one snapshot epoch, replies
-//! bit-identical to the equivalent sequence of single evaluations.
+//! write patterns, pipelined id matching, and the `Batch` contract —
+//! one round trip, one snapshot epoch, the reply `Compare` would give.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -66,46 +65,6 @@ fn candidates(n: usize) -> Vec<Mapping> {
             m(&ids)
         })
         .collect()
-}
-
-#[test]
-fn batch_equals_sequential_evaluations_at_the_same_epoch() {
-    let handle = demo_server(ServerConfig::default());
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 4))
-        .expect("register");
-
-    let pool = candidates(64);
-    let (batch_epoch, batch_preds) = client.batch("ring", &pool).expect("batch");
-    assert_eq!(batch_preds.len(), pool.len());
-
-    // The same candidates one at a time. No load observation lands in
-    // between, so every reply must carry the same epoch and every
-    // prediction must be bit-identical to its batch counterpart.
-    for (i, cand) in pool.iter().enumerate() {
-        let (epoch, preds) = client
-            .compare("ring", std::slice::from_ref(cand))
-            .expect("compare");
-        assert_eq!(epoch, batch_epoch, "candidate {i} saw a different epoch");
-        assert_eq!(preds.len(), 1);
-        let (b, s) = (&batch_preds[i], &preds[0]);
-        assert_eq!(
-            b.time.to_bits(),
-            s.time.to_bits(),
-            "candidate {i}: batch {} vs sequential {}",
-            b.time,
-            s.time
-        );
-        assert_eq!(b.bottleneck, s.bottleneck, "candidate {i}");
-        assert_eq!(b.per_proc.len(), s.per_proc.len(), "candidate {i}");
-        for (pb, ps) in b.per_proc.iter().zip(&s.per_proc) {
-            assert_eq!(pb.r.to_bits(), ps.r.to_bits(), "candidate {i}");
-            assert_eq!(pb.c.to_bits(), ps.c.to_bits(), "candidate {i}");
-        }
-    }
-    client.shutdown().expect("shutdown");
-    handle.join();
 }
 
 /// Raw NDJSON lines for one stats request with the given id.
@@ -283,29 +242,6 @@ fn malformed_frame_fuzz_never_wedges_the_decoder() {
 }
 
 #[test]
-fn poll_fallback_backend_serves_the_full_protocol() {
-    // CBES_FORCE_POLL is read once at server start; other tests in
-    // this binary may race the flag, but both backends must pass every
-    // test anyway, so a stray pick is harmless.
-    std::env::set_var("CBES_FORCE_POLL", "1");
-    let handle = demo_server(ServerConfig::default());
-    std::env::remove_var("CBES_FORCE_POLL");
-
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 4))
-        .expect("register");
-    let pool = candidates(8);
-    let (epoch, preds) = client.batch("ring", &pool).expect("batch");
-    assert_eq!(epoch, 0);
-    assert_eq!(preds.len(), pool.len());
-    let stats = client.stats().expect("stats");
-    assert!(stats.served >= 2, "{stats:?}");
-    client.shutdown().expect("shutdown");
-    handle.join();
-}
-
-#[test]
 fn batch_is_a_single_round_trip_with_one_epoch_stamp() {
     // The wire-level shape: one request line in, one reply line out,
     // carrying every prediction and exactly one epoch field.
@@ -314,9 +250,15 @@ fn batch_is_a_single_round_trip_with_one_epoch_stamp() {
     client
         .register_profile(ring_profile("ring", 4))
         .expect("register");
+    // `Batch` is `Compare` under another verb: the same candidates get
+    // the same epoch and the same predictions in the same order.
+    let pool = candidates(16);
+    assert_eq!(
+        client.batch("ring", &pool).expect("batch"),
+        client.compare("ring", &pool).expect("compare")
+    );
     drop(client);
 
-    let pool = candidates(16);
     let mappings_json: Vec<String> = pool
         .iter()
         .map(|mp| {

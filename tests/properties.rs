@@ -32,8 +32,118 @@ fn demo_profile(n: usize, compute: f64, msgs: u64, bytes: u64) -> AppProfile {
     }
 }
 
+/// Eq. 4–8 as the paper writes them, one rank at a time, sharing nothing
+/// with `Evaluator` but eq. 6's `theta`: the reference its predictions are
+/// held to. `comm: false` is the NCS score, eq. 4 without `C_i`.
+fn oracle(profile: &AppProfile, snap: &SystemSnapshot, m: &Mapping, comm: bool) -> Prediction {
+    use cbes::core::eval::ProcCost;
+    let per_proc: Vec<ProcCost> = profile
+        .procs
+        .iter()
+        .map(|p| {
+            let node = m.node(p.rank);
+            let ranks_here = m.iter().filter(|&(_, n)| n == node).count() as f64;
+            let share = (snap.cluster.node(node).cpus as f64 / ranks_here).min(1.0);
+            let acpu = snap.effective_acpu(node);
+            let r = if acpu <= 0.0 {
+                f64::INFINITY
+            } else {
+                (p.x + p.o) * (p.profile_speed / (snap.speed(node) * share)) / acpu
+            };
+            let theta = cbes::trace::analyze::theta(p.rank, &p.sends, &p.recvs, m.as_slice(), snap);
+            let c = if comm { p.lambda * theta } else { 0.0 };
+            ProcCost { r, c }
+        })
+        .collect();
+    let mut bottleneck = 0;
+    for (rank, cost) in per_proc.iter().enumerate() {
+        if cost.total() > per_proc[bottleneck].total() {
+            bottleneck = rank;
+        }
+    }
+    Prediction {
+        time: per_proc[bottleneck].total().max(0.0),
+        bottleneck,
+        per_proc,
+    }
+}
+
+/// A prediction as raw bits, so equality means every bit and not `==` on
+/// floats.
+fn bits(p: &Prediction) -> (u64, usize, Vec<(u64, u64)>) {
+    let per_proc = p.per_proc.iter().map(|c| (c.r.to_bits(), c.c.to_bits()));
+    (p.time.to_bits(), p.bottleneck, per_proc.collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every way of asking `Evaluator` — one mapping, a batch, time only,
+    /// compute only — answers with exactly the oracle's bits, over random
+    /// profiles (ranks with `λ_i = 0`, ranks with no message groups),
+    /// random loads, `Suspect` and `Down` nodes, and mappings drawn with
+    /// replacement so 1-CPU nodes get oversubscribed.
+    #[test]
+    fn evaluator_matches_the_equations_bit_for_bit(seed in 0u64..1_000_000) {
+        use cbes::core::health::{HealthView, NodeHealth};
+        use cbes::trace::MessageGroup;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cluster = cbes::cluster::presets::two_switch_demo();
+        let n = rng.random_range(2usize..10);
+
+        let groups = |rng: &mut rand::rngs::StdRng| -> Vec<MessageGroup> {
+            (0..rng.random_range(0usize..4))
+                .map(|_| MessageGroup {
+                    peer: rng.random_range(0..n),
+                    bytes: rng.random_range(1u64..100_000),
+                    count: rng.random_range(1u64..200),
+                })
+                .collect()
+        };
+        let procs = (0..n)
+            .map(|rank| ProcessProfile {
+                rank,
+                x: rng.random_range(0.0..20.0),
+                o: rng.random_range(0.0..1.0),
+                b: 0.1,
+                sends: groups(&mut rng),
+                recvs: groups(&mut rng),
+                profile_speed: rng.random_range(0.5..1.5),
+                lambda: if rng.random_range(0..4) == 0 { 0.0 } else { rng.random_range(0.1..1.5) },
+            })
+            .collect();
+        let profile = AppProfile { name: "oracle".into(), procs, arch_ratios: BTreeMap::new() };
+
+        let mut load = LoadState::idle(cluster.len());
+        let mut states = vec![NodeHealth::Healthy; cluster.len()];
+        for (i, state) in states.iter_mut().enumerate() {
+            load.set_cpu_avail(NodeId(i as u32), rng.random_range(0.05..1.0));
+            load.set_nic_load(NodeId(i as u32), rng.random_range(0.0..0.9));
+            *state = match rng.random_range(0..10) {
+                0 => NodeHealth::Down,
+                1 | 2 => NodeHealth::Suspect,
+                _ => NodeHealth::Healthy,
+            };
+        }
+        let mut snap = SystemSnapshot::no_load(&cluster, &cluster);
+        snap.set_load(load);
+        snap.set_health(HealthView::new(states, rng.random_range(1.5..4.0)));
+
+        let mappings: Vec<Mapping> = (0..4)
+            .map(|_| Mapping::new((0..n).map(|_| NodeId(rng.random_range(0u32..8))).collect()))
+            .collect();
+        let ev = Evaluator::new(&profile, &snap);
+        let batch = ev.predict_batch(&mappings);
+        for (m, batched) in mappings.iter().zip(&batch) {
+            let want = oracle(&profile, &snap, m, true);
+            prop_assert_eq!(bits(&ev.predict(m)), bits(&want));
+            prop_assert_eq!(bits(batched), bits(&want));
+            prop_assert_eq!(ev.predict_time(m).to_bits(), want.time.to_bits());
+            let ncs = oracle(&profile, &snap, m, false);
+            prop_assert_eq!(ev.compute_only_score(m).to_bits(), ncs.time.to_bits());
+        }
+    }
 
     /// Lowering any node's CPU availability never lowers a predicted time.
     #[test]
