@@ -1,21 +1,16 @@
 //! Workspace walking and rule orchestration.
 
-use crate::callgraph::CallGraph;
 use crate::findings::{Finding, Report};
-use crate::rules::{
-    self, blocking_hot_path, determinism, drift, error_swallow, forbid_unsafe, lock_order,
-    metric_names, panic_path, unsafe_audit,
-};
+use crate::rules::{self, Rule, Workspace};
 use crate::source::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// One analysis run's configuration.
-#[derive(Debug, Clone)]
 pub struct Options {
     /// Workspace root (the directory holding `Cargo.toml`, `crates/`).
     pub root: PathBuf,
-    /// Rule ids to run, drawn from [`rules::ALL_RULES`].
-    pub rules: Vec<&'static str>,
+    /// Rows of [`rules::RULES`] to run, in order.
+    pub rules: Vec<&'static Rule>,
 }
 
 impl Options {
@@ -23,149 +18,55 @@ impl Options {
     pub fn all_rules(root: impl Into<PathBuf>) -> Options {
         Options {
             root: root.into(),
-            rules: rules::ALL_RULES.to_vec(),
+            rules: rules::RULES.iter().collect(),
         }
     }
 }
 
 /// Walk the workspace under `opts.root` and run the selected rules.
 pub fn analyze(opts: &Options) -> Result<Report, String> {
+    let mut sources = Vec::new();
+    for (rel, abs) in workspace_files(&opts.root)? {
+        let text = std::fs::read_to_string(&abs)
+            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+        sources.push(SourceFile::parse(rel, &text));
+    }
+    let ws = Workspace::new(sources);
     let mut report = Report {
-        rules_run: opts.rules.clone(),
+        rules_run: opts.rules.iter().map(|rule| rule.id).collect(),
+        files_scanned: ws.sources.len(),
         ..Report::default()
     };
-    let files = workspace_files(&opts.root)?;
-    let mut sources = Vec::with_capacity(files.len());
-    for (rel, abs) in &files {
-        let text = std::fs::read_to_string(abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        sources.push(SourceFile::parse(rel.clone(), &text));
-    }
-    report.files_scanned = sources.len();
 
     // Malformed waivers are findings regardless of rule selection: a
     // waiver that fails to parse is silently NOT protecting its site.
-    for src in &sources {
+    for src in &ws.sources {
         for bad in &src.bad_waivers {
-            report.findings.push(Finding::new(
-                rules::WAIVER,
-                &src.path,
-                bad.line,
-                format!("malformed waiver: {}", bad.problem),
-            ));
+            report.findings.push(Finding {
+                rule: rules::WAIVER,
+                ..Finding::new(
+                    &src.path,
+                    bad.line,
+                    format!("malformed waiver: {}", bad.problem),
+                )
+            });
         }
     }
-
-    // The call-graph rules share one workspace graph; build it only
-    // when one of them is selected.
-    let graph = opts
-        .rules
-        .iter()
-        .any(|r| matches!(*r, rules::LOCK_ORDER | rules::BLOCKING_HOT_PATH))
-        .then(|| CallGraph::build(&sources));
 
     for rule in &opts.rules {
-        match *rule {
-            rules::PANIC_PATH => {
-                for scoped in panic_path::SCOPE {
-                    // `crates/<name>/`: a tree without the crate at all
-                    // (the router came late) has nothing to be missing.
-                    let krate = scoped.split_inclusive('/').take(2).collect::<String>();
-                    match sources.iter().find(|s| s.path == scoped) {
-                        Some(src) => apply(&mut report, src, panic_path::check(src)),
-                        None if !sources.iter().any(|s| s.path.starts_with(&krate)) => {}
-                        None => report.findings.push(Finding::new(
-                            rules::PANIC_PATH,
-                            scoped,
-                            0,
-                            "panic-path scoped file is missing from the workspace",
-                        )),
-                    }
-                }
-            }
-            rules::DETERMINISM => {
-                for src in sources.iter().filter(|s| {
-                    determinism::SCOPE_PREFIXES
-                        .iter()
-                        .any(|p| s.path.starts_with(p))
-                }) {
-                    apply(&mut report, src, determinism::check(src));
-                }
-            }
-            rules::METRIC_NAMES => {
-                for src in sources.iter().filter(|s| metric_names::in_scope(&s.path)) {
-                    apply(&mut report, src, metric_names::check(src));
-                }
-            }
-            rules::FORBID_UNSAFE => {
-                for src in sources
-                    .iter()
-                    .filter(|s| forbid_unsafe::is_crate_root(&s.path))
-                {
-                    apply(
-                        &mut report,
-                        src,
-                        forbid_unsafe::check(src).into_iter().collect(),
-                    );
-                }
-            }
-            rules::LOCK_ORDER => {
-                let graph = graph.as_ref().expect("graph built for lock_order");
-                apply_all(&mut report, &sources, lock_order::check(&sources, graph));
-            }
-            rules::BLOCKING_HOT_PATH => {
-                let graph = graph.as_ref().expect("graph built for blocking_hot_path");
-                apply_all(
-                    &mut report,
-                    &sources,
-                    blocking_hot_path::check(&sources, graph),
-                );
-            }
-            rules::UNSAFE_AUDIT => {
-                for src in &sources {
-                    apply(&mut report, src, unsafe_audit::check(src));
-                }
-            }
-            rules::ERROR_SWALLOW => {
-                for src in &sources {
-                    apply(&mut report, src, error_swallow::check(src));
-                }
-            }
-            rules::DRIFT => report.findings.extend(drift::check(&opts.root)),
-            other => return Err(format!("unknown rule `{other}`")),
-        }
-    }
-    Ok(report)
-}
-
-/// Attach waivers to a batch of raw findings from one file, then record
-/// them.
-fn apply(report: &mut Report, src: &SourceFile, raw: Vec<Finding>) {
-    for mut f in raw {
-        if rules::waivable(f.rule) {
-            if let Some(w) = src.waiver_for(f.rule, f.line) {
+        for mut f in (rule.run)(&ws) {
+            f.rule = rule.id;
+            // A waiver sits in the file its finding names, which for a
+            // call-graph rule need not be the file the walk started in.
+            let src = ws.sources.iter().find(|s| s.path == f.file);
+            if let Some(w) = src.and_then(|s| s.waiver_for(rule.id, f.line)) {
                 f.waived = true;
                 f.reason = Some(w.reason.clone());
             }
+            report.findings.push(f);
         }
-        report.findings.push(f);
     }
-}
-
-/// Like [`apply`], for rules whose findings span files: each finding's
-/// waiver is looked up in its own file.
-fn apply_all(report: &mut Report, sources: &[SourceFile], raw: Vec<Finding>) {
-    for mut f in raw {
-        if rules::waivable(f.rule) {
-            if let Some(src) = sources.iter().find(|s| s.path == f.file) {
-                if let Some(w) = src.waiver_for(f.rule, f.line) {
-                    f.waived = true;
-                    f.reason = Some(w.reason.clone());
-                }
-            }
-        }
-        report.findings.push(f);
-    }
+    Ok(report)
 }
 
 /// Every `.rs` file under the workspace's source trees (`src/`,

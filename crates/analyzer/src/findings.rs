@@ -9,7 +9,9 @@ use std::fmt::Write as _;
 /// One analysis finding — waived or not.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`panic_path`, `determinism`, ...).
+    /// Id of the [`crate::rules::RULES`] row that produced it. A rule
+    /// leaves it empty; the engine stamps it from the row it ran, so no
+    /// rule module spells its own id.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -25,10 +27,10 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// An unwaived finding.
-    pub fn new(rule: &'static str, file: &str, line: u32, message: impl Into<String>) -> Finding {
+    /// An unwaived finding, its `rule` still to be stamped.
+    pub fn new(file: &str, line: u32, message: impl Into<String>) -> Finding {
         Finding {
-            rule,
+            rule: "",
             file: file.to_string(),
             line,
             message: message.into(),
@@ -166,10 +168,12 @@ mod tests {
             rules_run: vec!["panic_path"],
             ..Report::default()
         };
-        report
-            .findings
-            .push(Finding::new("panic_path", "a.rs", 3, "unwrap"));
-        let mut waived = Finding::new("panic_path", "a.rs", 9, "index");
+        let finding = |line, message| Finding {
+            rule: "panic_path",
+            ..Finding::new("a.rs", line, message)
+        };
+        report.findings.push(finding(3, "unwrap"));
+        let mut waived = finding(9, "index");
         waived.waived = true;
         waived.reason = Some("bounded".to_string());
         report.findings.push(waived);
@@ -190,12 +194,10 @@ mod tests {
             files_scanned: 2,
             ..Report::default()
         };
-        report.findings.push(Finding::new(
-            "determinism",
-            "sched/sa.rs",
-            7,
-            "Instant::now in decision path",
-        ));
+        report.findings.push(Finding {
+            rule: "determinism",
+            ..Finding::new("sched/sa.rs", 7, "Instant::now in decision path")
+        });
         let json = report.render_json();
         assert!(json.contains("\"unwaived_count\": 1"));
         assert!(json.contains("\"file\": \"sched/sa.rs\""));

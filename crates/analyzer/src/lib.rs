@@ -4,10 +4,8 @@
 //! A dependency-free Rust lexer plus a rule engine enforcing the
 //! invariants the serving stack depends on but the compiler cannot
 //! see: panic-free request handling ([`rules::panic_path`]), seeded
-//! determinism in decision code ([`rules::determinism`]), centralised
-//! metric naming ([`rules::metric_names`]), workspace-wide
-//! `#![forbid(unsafe_code)]` ([`rules::forbid_unsafe`]), and
-//! protocol/CLI/docs consistency ([`rules::drift`]).
+//! determinism in decision code ([`rules::determinism`]) and
+//! centralised metric naming ([`rules::metric_names`]).
 //!
 //! On top of the flat stream sit a brace-aware token-tree parser
 //! ([`token_tree`]) and a workspace call graph ([`callgraph`]), which
@@ -15,7 +13,8 @@
 //! ([`rules::lock_order`]), no blocking primitives reachable from the
 //! event loop ([`rules::blocking_hot_path`]), audited `unsafe` blocks
 //! ([`rules::unsafe_audit`]), and no swallowed `Result`s in
-//! crash-safety-critical paths ([`rules::error_swallow`]).
+//! crash-safety-critical paths ([`rules::error_swallow`]). Every rule is
+//! one row of [`rules::RULES`].
 //!
 //! Run it from the workspace root:
 //!
@@ -25,7 +24,7 @@
 //!
 //! Sites that are provably fine carry a
 //! `// cbes-analyze: allow(<rule>, <reason>)` waiver; waivers are
-//! counted and reported, and drift findings cannot be waived.
+//! counted and reported.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

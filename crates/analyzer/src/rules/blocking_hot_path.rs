@@ -17,9 +17,8 @@
 //! journal's durability contract) is waived at the site with a reason,
 //! so every blocking call on the hot path is a reviewed decision.
 
-use crate::callgraph::CallGraph;
 use crate::findings::Finding;
-use crate::rules::BLOCKING_HOT_PATH;
+use crate::rules::Workspace;
 use crate::source::SourceFile;
 
 /// The thread an entry point runs on.
@@ -116,7 +115,8 @@ fn blocking_sites(src: &SourceFile, start: usize, end: usize, reactor: bool) -> 
 }
 
 /// Run the rule over the whole workspace.
-pub fn check(sources: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    let (sources, graph) = (&ws.sources, ws.graph());
     let entries = |reactor_only: bool| -> Vec<usize> {
         let listed = |f: &crate::callgraph::FnDef| {
             ENTRY_POINTS.iter().any(|(file, name, thread)| {
@@ -150,7 +150,6 @@ pub fn check(sources: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
                 }
                 seen.push((f.src, site.token));
                 findings.push(Finding::new(
-                    BLOCKING_HOT_PATH,
                     &src.path,
                     site.line,
                     format!(
@@ -172,12 +171,8 @@ mod tests {
     use super::*;
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let sources: Vec<SourceFile> = files
-            .iter()
-            .map(|(p, s)| SourceFile::parse(*p, s))
-            .collect();
-        let graph = CallGraph::build(&sources);
-        check(&sources, &graph)
+        let parsed = files.iter().map(|(p, s)| SourceFile::parse(*p, s));
+        super::run(&Workspace::new(parsed.collect()))
     }
 
     #[test]

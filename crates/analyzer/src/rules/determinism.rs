@@ -11,18 +11,23 @@
 //! `#[cfg(test)]` code is exempt — tests may time themselves.
 
 use crate::findings::Finding;
-use crate::rules::DETERMINISM;
+use crate::rules::Workspace;
 use crate::source::SourceFile;
 
 /// Directory prefixes (workspace-relative) the rule applies to.
-pub const SCOPE_PREFIXES: [&str; 3] = [
+const SCOPE_PREFIXES: [&str; 3] = [
     "crates/sched/src/",
     "crates/faults/src/",
     "crates/mpisim/src/",
 ];
 
-/// Run the rule over one scoped file.
-pub fn check(file: &SourceFile) -> Vec<Finding> {
+/// Run the rule over every file under [`SCOPE_PREFIXES`].
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    let in_scope = |s: &&SourceFile| SCOPE_PREFIXES.iter().any(|p| s.path.starts_with(p));
+    ws.sources.iter().filter(in_scope).flat_map(check).collect()
+}
+
+fn check(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     let toks = &file.tokens;
     for i in 0..toks.len() {
@@ -37,7 +42,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
             && toks.get(i + 3).is_some_and(|c| c.is_ident("now"))
         {
             out.push(Finding::new(
-                DETERMINISM,
                 &file.path,
                 t.line,
                 format!(
@@ -49,7 +53,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         // Unseeded RNG construction.
         if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("from_os_rng") {
             out.push(Finding::new(
-                DETERMINISM,
                 &file.path,
                 t.line,
                 format!(
@@ -65,7 +68,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
             && toks.get(i + 3).is_some_and(|c| c.is_ident("random"))
         {
             out.push(Finding::new(
-                DETERMINISM,
                 &file.path,
                 t.line,
                 "`rand::random` draws from ambient entropy; seed from the request",

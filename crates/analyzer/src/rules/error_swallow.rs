@@ -11,7 +11,7 @@
 //! code behaves as if it were.
 
 use crate::findings::Finding;
-use crate::rules::ERROR_SWALLOW;
+use crate::rules::Workspace;
 use crate::source::SourceFile;
 
 /// Files where *any* `Result` discard is flagged, not just fsyncs.
@@ -55,8 +55,13 @@ fn fsync_in(src: &SourceFile, start: usize, end: usize) -> Option<&'static str> 
         .find_map(|t| FSYNC_FAMILY.iter().find(|f| t.is_ident(f)).copied())
 }
 
-/// Run the rule over one file.
-pub fn check(src: &SourceFile) -> Vec<Finding> {
+/// Run the rule over every file of the workspace; [`CRITICAL_PATHS`]
+/// are held to more.
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    ws.sources.iter().flat_map(check).collect()
+}
+
+fn check(src: &SourceFile) -> Vec<Finding> {
     let critical = CRITICAL_PATHS.contains(&src.path.as_str());
     let tokens = &src.tokens;
     let mut findings = Vec::new();
@@ -64,7 +69,7 @@ pub fn check(src: &SourceFile) -> Vec<Finding> {
     let flag = |findings: &mut Vec<Finding>, flagged: &mut Vec<u32>, line: u32, message: String| {
         if !flagged.contains(&line) {
             flagged.push(line);
-            findings.push(Finding::new(ERROR_SWALLOW, &src.path, line, message));
+            findings.push(Finding::new(&src.path, line, message));
         }
     };
 

@@ -23,7 +23,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
-use crate::rules::LOCK_ORDER;
+use crate::rules::Workspace;
 use crate::source::SourceFile;
 use std::collections::BTreeSet;
 
@@ -234,7 +234,8 @@ fn is_let_bound(src: &SourceFile, at: usize) -> bool {
 
 /// Run the rule: direct nesting inside each function plus one level of
 /// call-site checking against callee transitive lock sets.
-pub fn check(sources: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    let (sources, graph) = (&ws.sources, ws.graph());
     // Per-fn acquisitions and direct lock sets.
     let per_fn: Vec<Vec<Acquisition>> = graph
         .fns
@@ -348,7 +349,6 @@ fn scan_fn(
                         .max_by_key(|h| LOCK_TABLE[h.lock].rank)
                         .expect("held is non-empty");
                     findings.push(Finding::new(
-                        LOCK_ORDER,
                         &src.path,
                         call.line,
                         format!(
@@ -374,7 +374,6 @@ fn scan_fn(
             for h in &held {
                 if LOCK_TABLE[acq.lock].rank < LOCK_TABLE[h.lock].rank {
                     findings.push(Finding::new(
-                        LOCK_ORDER,
                         &src.path,
                         acq.line,
                         format!(
@@ -401,15 +400,10 @@ fn scan_fn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let sources: Vec<SourceFile> = files
-            .iter()
-            .map(|(p, s)| SourceFile::parse(*p, s))
-            .collect();
-        let graph = CallGraph::build(&sources);
-        check(&sources, &graph)
+        let parsed = files.iter().map(|(p, s)| SourceFile::parse(*p, s));
+        super::run(&Workspace::new(parsed.collect()))
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::findings::Finding;
 use crate::lexer::TokKind;
-use crate::rules::METRIC_NAMES;
+use crate::rules::Workspace;
 use crate::source::SourceFile;
 
 /// Instrumentation entry points whose first argument is a metric name.
@@ -21,14 +21,19 @@ const INSTRUMENT_FNS: [&str; 5] = ["counter", "gauge", "histogram", "span", "spa
 /// True when `rel` (workspace-relative path) is in scope: production
 /// crates, excluding `cbes-obs` itself (it defines the constants) and
 /// this analyzer.
-pub fn in_scope(rel: &str) -> bool {
+fn in_scope(rel: &str) -> bool {
     rel.starts_with("crates/")
         && !rel.starts_with("crates/obs/")
         && !rel.starts_with("crates/analyzer/")
 }
 
-/// Run the rule over one scoped file.
-pub fn check(file: &SourceFile) -> Vec<Finding> {
+/// Run the rule over every file [`in_scope`].
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    let scoped = ws.sources.iter().filter(|s| in_scope(&s.path));
+    scoped.flat_map(check).collect()
+}
+
+fn check(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     let toks = &file.tokens;
     for i in 1..toks.len() {
@@ -44,7 +49,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         {
             let name = &toks[i + 2].text;
             out.push(Finding::new(
-                METRIC_NAMES,
                 &file.path,
                 t.line,
                 format!(

@@ -14,13 +14,13 @@
 
 use crate::findings::Finding;
 use crate::lexer::TokKind;
-use crate::rules::PANIC_PATH;
+use crate::rules::Workspace;
 use crate::source::SourceFile;
 
 /// Files the rule applies to, relative to the workspace root: the I/O
 /// layer, the daemon's request path, the router's handler (its relay
 /// hooks run on the reactor), and the service/evaluation core.
-pub const SCOPE: [&str; 9] = [
+const SCOPE: [&str; 9] = [
     "crates/server/src/lib.rs",
     "crates/server/src/net.rs",
     "crates/server/src/protocol.rs",
@@ -41,8 +41,29 @@ const NON_INDEX_BEFORE: [&str; 18] = [
     "continue", "dyn", "where", "impl", "const", "static",
 ];
 
-/// Run the rule over one scoped file.
-pub fn check(file: &SourceFile) -> Vec<Finding> {
+/// Run the rule over every file of [`SCOPE`]. A scoped file missing
+/// from a crate that is still there is itself a finding, so the scope
+/// cannot silently rot.
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for scoped in SCOPE {
+        // `crates/<name>/`: a tree without the crate at all (the router
+        // came late) has nothing to be missing.
+        let krate = scoped.split_inclusive('/').take(2).collect::<String>();
+        match ws.sources.iter().find(|s| s.path == scoped) {
+            Some(src) => out.extend(check(src)),
+            None if !ws.sources.iter().any(|s| s.path.starts_with(&krate)) => {}
+            None => out.push(Finding::new(
+                scoped,
+                0,
+                "panic-path scoped file is missing from the workspace",
+            )),
+        }
+    }
+    out
+}
+
+fn check(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     let toks = &file.tokens;
     for i in 0..toks.len() {
@@ -55,7 +76,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         };
         if dotted_call("unwrap") {
             out.push(Finding::new(
-                PANIC_PATH,
                 &file.path,
                 t.line,
                 "`unwrap()` in the panic-free path; use `expect(\"<invariant>\")` or handle the error",
@@ -64,7 +84,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         }
         if dotted_call("expect") && !toks.get(i + 2).is_some_and(|a| a.kind == TokKind::Str) {
             out.push(Finding::new(
-                PANIC_PATH,
                 &file.path,
                 t.line,
                 "`expect(..)` without a string-literal invariant message",
@@ -79,7 +98,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
             && toks.get(i + 1).is_some_and(|n| n.is_punct('!'))
         {
             out.push(Finding::new(
-                PANIC_PATH,
                 &file.path,
                 t.line,
                 format!(
@@ -91,7 +109,6 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
         }
         if t.is_punct('[') && i > 0 && is_index_base(&toks[i - 1]) {
             out.push(Finding::new(
-                PANIC_PATH,
                 &file.path,
                 t.line,
                 "index expression can panic out of bounds; use `.get(..)` or waive with the documented bound",

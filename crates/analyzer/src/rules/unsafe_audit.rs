@@ -1,16 +1,16 @@
 //! `unsafe_audit`: `unsafe` only in the audited-module allowlist, and
 //! only as `unsafe { }` blocks carrying a `// SAFETY:` justification.
 //!
-//! `forbid_unsafe` keeps `#![forbid(unsafe_code)]` on every crate root;
-//! the server crate alone downgrades it so the epoll shim can make
-//! syscalls. This rule is the complement: *within* that exemption,
-//! every `unsafe` token must sit in an allowlisted module, be a block
-//! (never `unsafe fn` / `unsafe impl`), and be introduced by a comment
-//! run ending just above it that contains `SAFETY:`. Growing
+//! Every crate root carries `#![forbid(unsafe_code)]`; the server crate
+//! alone downgrades it so the epoll shim can make syscalls. This rule
+//! does not lean on the attributes being there: every `unsafe` token in
+//! any source tree must sit in an allowlisted module, be a block (never
+//! `unsafe fn` / `unsafe impl`), and be introduced by a comment run
+//! ending just above it that contains `SAFETY:`. Growing
 //! [`ALLOWED_MODULES`] is a reviewed diff to this file.
 
 use crate::findings::Finding;
-use crate::rules::UNSAFE_AUDIT;
+use crate::rules::Workspace;
 use crate::source::SourceFile;
 
 /// Modules permitted to contain `unsafe` blocks.
@@ -42,8 +42,12 @@ fn has_safety_comment(src: &SourceFile, line: u32) -> bool {
         .any(|c| c.text.contains("SAFETY:"))
 }
 
-/// Run the rule over one file.
-pub fn check(src: &SourceFile) -> Vec<Finding> {
+/// Run the rule over every file of the workspace.
+pub fn run(ws: &Workspace) -> Vec<Finding> {
+    ws.sources.iter().flat_map(check).collect()
+}
+
+fn check(src: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     let allowed = ALLOWED_MODULES.contains(&src.path.as_str());
     for (i, t) in src.tokens.iter().enumerate() {
@@ -52,7 +56,6 @@ pub fn check(src: &SourceFile) -> Vec<Finding> {
         }
         if !allowed {
             findings.push(Finding::new(
-                UNSAFE_AUDIT,
                 &src.path,
                 t.line,
                 format!(
@@ -65,7 +68,6 @@ pub fn check(src: &SourceFile) -> Vec<Finding> {
         let is_block = src.tokens.get(i + 1).is_some_and(|n| n.is_punct('{'));
         if !is_block {
             findings.push(Finding::new(
-                UNSAFE_AUDIT,
                 &src.path,
                 t.line,
                 "only `unsafe { }` blocks are allowed in audited modules \
@@ -75,7 +77,6 @@ pub fn check(src: &SourceFile) -> Vec<Finding> {
         }
         if !has_safety_comment(src, t.line) {
             findings.push(Finding::new(
-                UNSAFE_AUDIT,
                 &src.path,
                 t.line,
                 "`unsafe` block without a `// SAFETY:` comment immediately above it",

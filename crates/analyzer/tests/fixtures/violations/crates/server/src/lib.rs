@@ -1,4 +1,4 @@
-//! Fixture: server crate root with the attribute in place.
+//! Fixture: a clean scoped crate root.
 #![forbid(unsafe_code)]
 pub mod client;
 pub mod protocol;

@@ -295,20 +295,10 @@ pub fn schedule(parsed: &Parsed) -> Result<String, CliError> {
     ))
 }
 
-/// `cbes analyze` — two forms sharing one command word, told apart by
-/// the positional argument:
-///
-/// * `cbes analyze <preset> --workload W --mapping 0,1,..` traces one
-///   run and prints the post-mortem statistics (utilisation, hot
-///   edges, matrix) — the original form.
-/// * `cbes analyze [--root DIR] [--rules a,b,..] [--json FILE]
-///   [--diff-baseline FILE]` runs the static-analysis rule engine over
-///   the workspace source; exits 0 when clean, 1 on unwaived findings
-///   (those not in the baseline, when one is given), 2 on usage errors.
+/// `cbes analyze <preset> --workload W --mapping 0,1,..` — trace one
+/// run and print the post-mortem statistics (utilisation, hot edges,
+/// matrix).
 pub fn analyze(parsed: &Parsed) -> Result<String, CliError> {
-    if parsed.positional.is_empty() {
-        return analyze_static(parsed);
-    }
     let c = preset(parsed.positional0()?)?;
     let mapping = parse_node_list(parsed.require("mapping")?)?;
     let mut p2 = parsed.clone();
@@ -355,132 +345,6 @@ pub fn analyze(parsed: &Parsed) -> Result<String, CliError> {
         let _ = writeln!(out, "\n{}", stats.render_matrix());
     }
     Ok(out)
-}
-
-/// The static-analysis half of `cbes analyze`: run the `cbes-analyze`
-/// rule engine in-process and map its outcome onto CLI exit codes.
-/// `--diff-baseline` takes a previous run's `--json` report and fails
-/// only on unwaived findings not present in it, keyed by
-/// `(rule, file, message)` — line numbers shift under unrelated edits,
-/// so they are deliberately not part of the identity.
-fn analyze_static(parsed: &Parsed) -> Result<String, CliError> {
-    let root = parsed.get("root").unwrap_or(".");
-    let rules = match parsed.get("rules") {
-        None => cbes_analyze::rules::ALL_RULES.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                cbes_analyze::rules::ALL_RULES
-                    .iter()
-                    .copied()
-                    .find(|r| *r == name.trim())
-                    .ok_or_else(|| {
-                        CliError::usage(format!(
-                            "unknown rule `{}` (want one of {})",
-                            name.trim(),
-                            cbes_analyze::rules::ALL_RULES.join(", ")
-                        ))
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let opts = cbes_analyze::Options {
-        root: root.into(),
-        rules,
-    };
-    let report = cbes_analyze::analyze(&opts).map_err(CliError::domain)?;
-    if let Some(path) = parsed.get("json") {
-        std::fs::write(path, report.render_json())?;
-    }
-
-    let baseline = match parsed.get("diff-baseline") {
-        None => Vec::new(),
-        Some(path) => baseline_keys(path)?,
-    };
-    let fresh: Vec<_> = report
-        .unwaived()
-        .filter(|f| {
-            !baseline.iter().any(|(rule, file, message)| {
-                f.rule == rule && &f.file == file && &f.message == message
-            })
-        })
-        .collect();
-
-    let mut out = report.render_text();
-    // Machine-greppable counters, named through the canonical
-    // constants so dashboards and this tool cannot drift apart.
-    let _ = writeln!(
-        out,
-        "{} {}",
-        cbes_obs::names::ANALYZE_FINDINGS,
-        report.unwaived().count()
-    );
-    let _ = writeln!(
-        out,
-        "{} {}",
-        cbes_obs::names::ANALYZE_WAIVED,
-        report.waived().count()
-    );
-    for (rule, (unwaived, _)) in report.counts_by_rule() {
-        if let Some(idx) = cbes_analyze::rules::ALL_RULES
-            .iter()
-            .position(|r| *r == rule)
-        {
-            let _ = writeln!(
-                out,
-                "{} {unwaived}",
-                cbes_obs::names::ANALYZE_RULE_COUNTERS[idx]
-            );
-        }
-    }
-    if parsed.get("diff-baseline").is_some() {
-        let suppressed = report.unwaived().count() - fresh.len();
-        let _ = writeln!(
-            out,
-            "baseline: {suppressed} known finding(s) suppressed, {} fresh",
-            fresh.len()
-        );
-    }
-    if fresh.is_empty() {
-        Ok(out)
-    } else {
-        Err(CliError::Analysis {
-            report: out,
-            fresh: fresh.len(),
-        })
-    }
-}
-
-/// Parse a previous `--json` report into baseline identity keys.
-fn baseline_keys(path: &str) -> Result<Vec<(String, String, String)>, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    let doc: serde_json::Value = serde_json::from_str(&text)?;
-    let findings = doc
-        .get("findings")
-        .and_then(|f| f.as_array())
-        .ok_or_else(|| {
-            CliError::usage(format!(
-                "baseline `{path}` has no `findings` array (want a cbes analyze --json report)"
-            ))
-        })?;
-    let field = |entry: &serde_json::Value, key: &str| {
-        entry
-            .get(key)
-            .and_then(|v| v.as_str())
-            .unwrap_or_default()
-            .to_string()
-    };
-    Ok(findings
-        .iter()
-        .filter(|entry| entry.get("waived").and_then(|w| w.as_bool()) != Some(true))
-        .map(|entry| {
-            (
-                field(entry, "rule"),
-                field(entry, "file"),
-                field(entry, "message"),
-            )
-        })
-        .collect())
 }
 
 /// `cbes simulate <preset> --workload W --mapping 0,1,..`
@@ -1137,7 +1001,9 @@ fn render_reply(
 /// `cbes request <addr> <action>` — issue one request to a running
 /// daemon and print the reply.
 pub fn request(parsed: &Parsed) -> Result<String, CliError> {
-    let addr = parsed.positional0()?;
+    let addr = parsed
+        .positional0()
+        .map_err(|_| CliError::usage("`request` needs a daemon address (HOST:PORT)"))?;
     let verb = parsed
         .positional
         .get(1)
@@ -1628,6 +1494,10 @@ mod tests {
         // No action at all lists the same verbs.
         let err = request(&parsed(&["request", "127.0.0.1:1"])).expect_err("no action");
         assert!(err.to_string().contains(&verb_list()), "{err}");
+        // No address either asks for one, not for a cluster preset.
+        let err = request(&parsed(&["request"])).expect_err("no address");
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("daemon address"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2145,72 +2015,5 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("quantum"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A miniature workspace from the analyzer's own fixture corpus.
-    fn analyzer_fixture(name: &str) -> String {
-        format!(
-            "{}/../analyzer/tests/fixtures/{name}",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    }
-
-    #[test]
-    fn analyze_static_rejects_unknown_rules() {
-        let err = analyze(&parsed(&["analyze", "--rules", "nope"])).unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-        assert!(err.to_string().contains("lock_order"), "{err}");
-    }
-
-    #[test]
-    fn analyze_static_passes_on_a_clean_tree() {
-        let root = analyzer_fixture("clean");
-        let out = analyze(&parsed(&["analyze", "--root", &root])).unwrap();
-        assert!(out.contains("analyze.findings 0"), "{out}");
-        assert!(out.contains("analyze.waived 0"), "{out}");
-    }
-
-    #[test]
-    fn analyze_static_diff_baseline_suppresses_known_findings() {
-        let root = analyzer_fixture("unsafe_audit");
-        let json =
-            std::env::temp_dir().join(format!("cbes-cli-baseline-{}.json", std::process::id()));
-        let js = json.to_str().unwrap().to_string();
-
-        // First run: findings are fresh, the command fails the gate and
-        // writes the report that becomes the baseline.
-        let err = analyze(&parsed(&[
-            "analyze",
-            "--root",
-            &root,
-            "--rules",
-            "unsafe_audit",
-            "--json",
-            &js,
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Analysis { fresh: 3, .. }), "{err}");
-        assert!(
-            err.to_string().contains("analyze.rule.unsafe_audit 3"),
-            "{err}"
-        );
-
-        // Second run against the baseline: everything is known, so the
-        // gate passes while still reporting the raw counts.
-        let out = analyze(&parsed(&[
-            "analyze",
-            "--root",
-            &root,
-            "--rules",
-            "unsafe_audit",
-            "--diff-baseline",
-            &js,
-        ]))
-        .unwrap();
-        assert!(
-            out.contains("baseline: 3 known finding(s) suppressed, 0 fresh"),
-            "{out}"
-        );
-        std::fs::remove_file(&json).ok();
     }
 }

@@ -30,15 +30,6 @@ pub enum CliError {
         /// Server back-off hint, milliseconds (`0` = none).
         retry_after_ms: u64,
     },
-    /// `cbes analyze` found unwaived static-analysis findings (beyond
-    /// the baseline, when one was given). The rendered report rides in
-    /// the error so it reaches the user; exit code 1.
-    Analysis {
-        /// The full findings report, as rendered for the terminal.
-        report: String,
-        /// Unwaived findings counted against the run.
-        fresh: usize,
-    },
 }
 
 impl CliError {
@@ -83,9 +74,6 @@ impl fmt::Display for CliError {
                 f,
                 "request shed: {message} (retry after {retry_after_ms} ms)"
             ),
-            CliError::Analysis { report, fresh } => {
-                write!(f, "{report}static analysis: {fresh} unwaived finding(s)")
-            }
         }
     }
 }

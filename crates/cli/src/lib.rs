@@ -51,11 +51,6 @@ commands:
       --mapping 0,1,.. [--seed N] [--load NODE=AVAIL,..]
   analyze <preset>            trace a run and print post-mortem statistics
       --workload NAME --mapping 0,1,.. [--seed N]
-  analyze                     static analysis of the workspace source
-      [--root DIR] [--rules a,b,..] [--json FILE]
-      [--diff-baseline FILE]   fail only on findings absent from a
-                               previous --json report
-      (exits 0 when clean, 1 on unwaived findings, 2 usage)
   serve <preset>              run the CBES daemon (blocks until shutdown)
       [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]
       [--forecast last|mean|median|adaptive] [--profiles DIR]
@@ -142,7 +137,10 @@ mod tests {
     #[test]
     fn help_prints_usage() {
         assert!(call(&["help"]).unwrap().contains("usage: cbes"));
-        assert!(call(&[]).is_err() || call(&["help"]).is_ok());
+        // The binary turns an empty argv into `help`; the library does not.
+        let e = call(&[]).unwrap_err();
+        assert!(matches!(e, CliError::Usage(_)), "{e}");
+        assert_eq!(e.exit_code(), 2);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! through a constant from this module. A typo in a literal name
 //! silently forks a counter (both halves keep counting, each one low);
 //! a typo in a constant path is a compile error. `cbes-analyze`'s
-//! `metric_names` rule enforces the convention, and its `drift` rule
-//! checks that no two constants collide. The per-action served counters
-//! (`server.action.<action>`) are the one family not listed here: each
-//! is the `counter` column of its row in the wire protocol's action
-//! table (`cbes_server::protocol::ACTIONS`).
+//! `metric_names` rule enforces the convention, and the
+//! `all_names_are_distinct` test below checks that no two constants
+//! collide. The per-action served counters (`server.action.<action>`)
+//! are the one family not listed here: each is the `counter` column of
+//! its row in the wire protocol's action table
+//! (`cbes_server::protocol::ACTIONS`).
 
 /// Emits each row as written plus [`ALL`], so a constant cannot be
 /// declared without being listed.
@@ -30,11 +31,14 @@ names! {
     pub const SERVER_ERRORS: &str = "server.errors";
     /// Requests shed by admission control (queue full).
     pub const SERVER_OVERLOADED: &str = "server.overloaded";
-    /// Connections dropped for exceeding the idle/read deadline.
+    /// Admitted requests answered with a `timeout` error because no
+    /// reply was ready by the request deadline (the late reply is
+    /// dropped; the connection stays open).
     pub const SERVER_TIMEOUTS: &str = "server.timeouts";
     /// Connections accepted.
     pub const SERVER_CONNECTIONS: &str = "server.connections";
-    /// Connections dropped mid-request (peer vanished, I/O error).
+    /// Connections the server closed for spending their strike budget:
+    /// `--max-bad-frames` malformed frames in a row.
     pub const SERVER_DROPPED_CONNECTIONS: &str = "server.dropped_connections";
     /// Request frames rejected for exceeding the size limit.
     pub const SERVER_OVERSIZED_FRAMES: &str = "server.oversized_frames";
@@ -51,7 +55,8 @@ names! {
     /// per candidate, so `batch_candidates / action.batch` is the mean
     /// batch size).
     pub const SERVER_BATCH_CANDIDATES: &str = "server.batch_candidates";
-    /// Event-loop readiness wakeups (one per `epoll_wait` return).
+    /// Event-loop readiness wakeups: `epoll_wait` returns that carried
+    /// at least one event (a bare tick timeout is not counted).
     pub const SERVER_LOOP_WAKEUPS: &str = "server.loop_wakeups";
 
     // ---- tracing / flight recorder -------------------------------------
@@ -151,13 +156,6 @@ names! {
     /// The active artifact version (0 = boot configuration).
     pub const RECONFIG_ACTIVE_VERSION: &str = "reconfig.active_version";
 
-    // ---- static analysis (cbes analyze) --------------------------------
-
-    /// Unwaived findings reported by the most recent `cbes analyze` run.
-    pub const ANALYZE_FINDINGS: &str = "analyze.findings";
-    /// Waived findings (each carrying a reason) from the most recent run.
-    pub const ANALYZE_WAIVED: &str = "analyze.waived";
-
     // ---- faults / chaos ------------------------------------------------
 
     /// Faults injected into the node-health model.
@@ -166,21 +164,6 @@ names! {
     pub const CHAOS_RUNS: &str = "chaos.runs";
 }
 
-/// Per-rule finding counters, `analyze.rule.<rule>`, in the analyzer's
-/// `ALL_RULES` declaration order — kept aligned with
-/// `cbes_analyze::rules::ALL_RULES` by the drift rule.
-pub const ANALYZE_RULE_COUNTERS: [&str; 9] = [
-    "analyze.rule.panic_path",
-    "analyze.rule.determinism",
-    "analyze.rule.metric_names",
-    "analyze.rule.forbid_unsafe",
-    "analyze.rule.lock_order",
-    "analyze.rule.blocking_hot_path",
-    "analyze.rule.unsafe_audit",
-    "analyze.rule.error_swallow",
-    "analyze.rule.drift",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,15 +171,8 @@ mod tests {
     #[test]
     fn all_names_are_distinct() {
         let mut seen = std::collections::BTreeSet::new();
-        for name in ALL.iter().chain(&ANALYZE_RULE_COUNTERS) {
+        for name in ALL {
             assert!(seen.insert(name), "duplicate metric name {name}");
-        }
-    }
-
-    #[test]
-    fn analyze_rule_counters_share_the_prefix() {
-        for name in ANALYZE_RULE_COUNTERS {
-            assert!(name.starts_with("analyze.rule."), "{name}");
         }
     }
 }

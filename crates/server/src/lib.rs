@@ -1,4 +1,3 @@
-// cbes-analyze: allow(forbid_unsafe, the epoll shim is the crate's single audited unsafe module; the root downgrades to deny(unsafe_code) so the module-level allow below is the only opt-in)
 //! CBES serving layer: an event-driven TCP daemon answering
 //! mapping-evaluation requests over newline-delimited JSON.
 
