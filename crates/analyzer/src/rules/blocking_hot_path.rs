@@ -35,8 +35,9 @@ pub enum Thread {
 /// worker pool's run loop. The layer reaches a handler only through
 /// generic `Handler` calls, which name resolution binds to the
 /// same-crate daemon; the router's handler is therefore listed itself —
-/// `execute` is a worker-side wait the reactor never reaches
-/// (`may_inline` is `false`), the relay hooks run on the reactor.
+/// `execute` is a worker-side wait the reactor never reaches (its
+/// `inline` hook is the default `None`), the relay hooks run on the
+/// reactor.
 pub const ENTRY_POINTS: &[(&str, &str, Thread)] = &[
     ("crates/server/src/net.rs", "run", Thread::Reactor),
     ("crates/server/src/net.rs", "upstream_line", Thread::Reactor),

@@ -1022,7 +1022,7 @@ pub fn request(parsed: &Parsed) -> Result<String, CliError> {
             0,
         )
     });
-    let response = connect(parsed, addr)?.call(request).map_err(client_err)?;
+    let response = connect(parsed, addr)?.call(&request).map_err(client_err)?;
     render_reply(action, addr, parsed, response)
 }
 
@@ -1109,7 +1109,7 @@ pub fn artifact(parsed: &Parsed) -> Result<String, CliError> {
         }
     };
     let request = request_from_args(verb, parsed)?;
-    let response = connect(parsed, addr)?.call(request).map_err(client_err)?;
+    let response = connect(parsed, addr)?.call(&request).map_err(client_err)?;
     let mut out = String::new();
     match response {
         Response::ArtifactAck {

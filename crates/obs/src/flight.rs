@@ -1,8 +1,8 @@
 //! Anomaly flight recorder: a bounded ring of recent operational
 //! events that can be dumped to a JSONL snapshot — together with the
-//! current span ring — when a trigger fires (shed-rate spike, rolling
-//! p99 budget breach, health transition, replication-lag jump) or on
-//! demand via the `DumpFlight` protocol action.
+//! current span ring — when a trigger fires (shed-rate spike, health
+//! transition, replication-lag jump, soak regression) or on demand via
+//! the `DumpFlight` protocol action.
 //!
 //! The recorder is deliberately cheap: recording an event is one
 //! mutex push into a `VecDeque`, and nothing is written to disk until
@@ -49,6 +49,7 @@ pub struct FlightRecorder {
     events: Mutex<VecDeque<FlightEvent>>,
     dropped: AtomicU64,
     recorded: AtomicU64,
+    dumps: AtomicU64,
     last_dump_sec: AtomicU64,
 }
 
@@ -65,6 +66,7 @@ impl FlightRecorder {
             events: Mutex::new(VecDeque::with_capacity(64)),
             dropped: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
+            dumps: AtomicU64::new(0),
             // u64::MAX would wrap the debounce check; 0 means "never
             // dumped" and always permits the first dump.
             last_dump_sec: AtomicU64::new(0),
@@ -107,6 +109,11 @@ impl FlightRecorder {
     /// Events evicted unexported because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Dump files written, triggered or on demand.
+    pub fn dumps(&self) -> u64 {
+        self.dumps.load(Ordering::Relaxed)
     }
 
     /// Copies the buffered events without draining them.
@@ -185,6 +192,7 @@ impl FlightRecorder {
         }
         let mut file = std::fs::File::create(&path)?;
         file.write_all(&out)?;
+        self.dumps.fetch_add(1, Ordering::Relaxed);
         Ok((path, events.len()))
     }
 }

@@ -7,6 +7,7 @@ use crate::span::{SpanGuard, SpanRing};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 /// Default span-ring capacity for registries.
@@ -103,6 +104,18 @@ impl Registry {
         &self.flight
     }
 
+    /// The one anomaly path every trigger takes: record `detail` as a
+    /// `kind` flight event, then ask for the debounced dump of the
+    /// recorder and this registry's span ring. A sustained anomaly whose
+    /// event is already in the ring passes `None` and only asks again.
+    /// Returns the dump file, if one was written.
+    pub fn anomaly(&self, kind: &str, detail: Option<String>) -> Option<PathBuf> {
+        if let Some(detail) = detail {
+            self.flight.record(kind, detail, 0);
+        }
+        self.flight.auto_dump(kind, &self.spans)
+    }
+
     /// Render every instrument into one serialisable snapshot.
     ///
     /// Besides the lifetime totals, every counter contributes sliding
@@ -111,9 +124,10 @@ impl Registry {
     /// under the same suffix keys (empty windows are skipped), so a
     /// merged tier snapshot reports rates and rolling quantiles
     /// without any schema change — counters add and histograms merge
-    /// exactly as the totals do. Two derived counters surface loss:
-    /// `spans.dropped` (ring evictions) and `flight.events` (flight
-    /// recorder events seen).
+    /// exactly as the totals do. Three derived counters come from the
+    /// span ring and the flight recorder themselves: `spans.dropped`
+    /// (ring evictions), `flight.events` (events seen) and
+    /// `flight.dumps` (dump files written).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         for (k, v) in self.counters.lock().iter() {
@@ -127,6 +141,7 @@ impl Registry {
         }
         counters.insert(names::SPANS_DROPPED.to_string(), self.spans.dropped());
         counters.insert(names::FLIGHT_EVENTS.to_string(), self.flight.recorded());
+        counters.insert(names::FLIGHT_DUMPS.to_string(), self.flight.dumps());
         let mut histograms: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
         for (k, v) in self.histograms.lock().iter() {
             histograms.insert(k.to_string(), v.snapshot());
@@ -269,6 +284,15 @@ mod tests {
         merged.merge(&s);
         assert_eq!(merged.counters["req#60s"], 8);
         assert_eq!(merged.histograms["lat#60s"].count, 2);
+        // An anomaly is one event and (debounced) one dump, both counted
+        // by the recorder itself; asking again adds neither.
+        assert_eq!(s.counters[names::FLIGHT_DUMPS], 0);
+        let dump = r.anomaly("test_anomaly", Some("detail".to_string()));
+        assert!(r.anomaly("test_anomaly", None).is_none(), "debounced");
+        let s = r.snapshot();
+        assert_eq!(s.counters[names::FLIGHT_EVENTS], 1);
+        assert_eq!(s.counters[names::FLIGHT_DUMPS], 1);
+        std::fs::remove_file(dump.expect("the first anomaly dumps")).ok();
     }
 
     #[test]

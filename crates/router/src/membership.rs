@@ -164,34 +164,15 @@ impl Membership {
             .gauge(names::ROUTER_REPLICATION_LAG)
             .set(lag as f64);
         // Flight triggers: an instance health transition, or the
-        // replication lag jumping while already past one in-flight
-        // sweep, flags the anomaly and (debounced) dumps the recorder.
+        // replication lag jumping while already past one in-flight sweep.
         let prev_lag = self.last_lag.swap(lag, Ordering::Relaxed);
-        let mut dump_reason = None;
         if changed > 0 {
-            registry.flight().record(
-                "instance_transition",
-                format!("{changed} instance health transition(s) in one heartbeat sweep"),
-                0,
-            );
-            dump_reason = Some("instance_transition");
+            let detail = format!("{changed} instance health transition(s) in one heartbeat sweep");
+            registry.anomaly("instance_transition", Some(detail));
         }
         if lag >= 2 && lag > prev_lag {
-            registry.flight().record(
-                "replication_lag",
-                format!("replication lag jumped {prev_lag} -> {lag} epochs"),
-                0,
-            );
-            dump_reason = Some("replication_lag");
-        }
-        if let Some(reason) = dump_reason {
-            if registry
-                .flight()
-                .auto_dump(reason, registry.spans())
-                .is_some()
-            {
-                registry.counter(names::FLIGHT_DUMPS).incr();
-            }
+            let detail = format!("replication lag jumped {prev_lag} -> {lag} epochs");
+            registry.anomaly("replication_lag", Some(detail));
         }
         changed
     }

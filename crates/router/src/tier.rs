@@ -20,7 +20,7 @@ use crate::membership::{Membership, MembershipConfig};
 use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
 use cbes_core::health::NodeHealth;
-use cbes_obs::{names, Counter, MetricsSnapshot, Registry};
+use cbes_obs::{names, Counter, Registry};
 use cbes_server::net::{self, encode_line, Control, Forward, Handler, NetHandle};
 use cbes_server::protocol::{
     decode_request, encode, error_kind, route_key_hash, split_id, ActionSpec, ForwardMode, Request,
@@ -42,20 +42,44 @@ pub struct TierConfig {
     pub membership: MembershipConfig,
 }
 
+/// What a fan-out came back with: each target's seed index and its
+/// reply, an error reply being a [`ClientError::Server`].
+pub type Replies = Vec<(usize, Result<Response, ClientError>)>;
+
+/// Ask each of `targets` (seed indices) `request`, one after the other,
+/// each over a connection dialled for it within the probe timeout. The
+/// only place the router dials an instance: the heartbeat, the
+/// replication push and every worker-run forwarding mode go through it.
+pub fn fan_out(membership: &Membership, targets: &[usize], request: &Request) -> Replies {
+    let timeout = membership.config().probe_timeout;
+    let ask = |i: usize| {
+        let addr = membership.addrs().get(i);
+        let addr = addr.ok_or_else(|| ClientError::Protocol(format!("no instance #{i}")))?;
+        Client::connect_timeout(addr.as_str(), timeout)?.call(request)
+    };
+    targets.iter().map(|&i| (i, ask(i))).collect()
+}
+
+/// [`fan_out`] for a request the tier was sent (the heartbeat's probes
+/// are the router's own questions), under the one forwarding rule: an
+/// instance that answered with a non-error reply is counted as served.
+fn fan_out_counted(membership: &Membership, targets: &[usize], request: &Request) -> Replies {
+    let replies = fan_out(membership, targets, request);
+    let served = replies.iter().filter(|(_, reply)| reply.is_ok());
+    served.for_each(|(i, _)| membership.count_forwarded(*i));
+    replies
+}
+
 /// Probe every instance once: a `Stats` round-trip within the probe
 /// timeout, yielding the instance's epoch. Returns one entry per seed.
 pub fn probe_instances(membership: &Membership) -> Vec<Option<u64>> {
-    let timeout = membership.config().probe_timeout;
-    membership
-        .addrs()
-        .iter()
-        .map(|addr| {
-            Client::connect_timeout(addr.as_str(), timeout)
-                .and_then(|mut c| c.stats())
-                .ok()
-                .map(|stats| stats.epoch)
-        })
-        .collect()
+    let everyone: Vec<usize> = (0..membership.len()).collect();
+    let probes = fan_out(membership, &everyone, &Request::Stats).into_iter();
+    let epoch = |reply| match reply {
+        Ok(Response::Stats { stats }) => Some(stats.epoch),
+        _ => None,
+    };
+    probes.map(|(_, reply)| epoch(reply)).collect()
 }
 
 /// Run the heartbeat loop until `shutdown` flips: probe all instances,
@@ -90,35 +114,30 @@ pub fn observe_tier(
     load: &LoadState,
     silent: &[u32],
 ) -> Result<u64, ClientError> {
-    let timeout = membership.config().probe_timeout;
-    let mut order = membership.usable();
-    if let Some(leader) = membership.leader() {
-        order.retain(|&i| i != leader);
-        order.insert(0, leader);
-    }
-    if order.is_empty() {
-        return Err(ClientError::Io(std::io::Error::new(
-            std::io::ErrorKind::NotConnected,
-            "no usable instance to observe through",
-        )));
-    }
-    let mut last: Option<ClientError> = None;
+    let (mut order, leader) = (membership.usable(), membership.leader());
+    order.sort_by_key(|&i| Some(i) != leader);
+    let observe = match silent {
+        [] => Request::ObserveLoad { load: load.clone() },
+        _ => Request::ObservePartial {
+            load: load.clone(),
+            silent: silent.to_vec(),
+        },
+    };
+    let mut last = ClientError::Io(std::io::Error::new(
+        std::io::ErrorKind::NotConnected,
+        "no usable instance to observe through",
+    ));
     for (slot, &i) in order.iter().enumerate() {
-        let addr = match membership.addrs().get(i) {
-            Some(a) => a.as_str(),
-            None => continue,
-        };
-        let observed = Client::connect_timeout(addr, timeout).and_then(|mut c| {
-            if silent.is_empty() {
-                c.observe_load(load)
-            } else {
-                c.observe_partial(load, silent)
+        // One candidate at a time: the first to take the sweep assigns
+        // its epoch.
+        let epoch = match fan_out_counted(membership, &[i], &observe).pop() {
+            Some((_, Ok(Response::LoadObserved { epoch }))) => epoch,
+            Some((_, Err(e))) => {
+                last = e;
+                continue;
             }
-        });
-        let epoch = match observed {
-            Ok(epoch) => epoch,
-            Err(e) => {
-                last = Some(e);
+            other => {
+                last = ClientError::Protocol(format!("expected LoadObserved reply, got {other:?}"));
                 continue;
             }
         };
@@ -126,30 +145,25 @@ pub fn observe_tier(
         if slot > 0 {
             membership.count_failed_over(i);
         }
+        let followers: Vec<usize> = order.iter().copied().filter(|&f| f != i).collect();
+        let push = Request::Replicate {
+            epoch,
+            load: load.clone(),
+            silent: silent.to_vec(),
+        };
+        let pushed = fan_out_counted(membership, &followers, &push);
         let replications = Registry::global().counter(names::ROUTER_REPLICATIONS);
-        for &follower in &order {
-            if follower == i {
-                continue;
-            }
-            let addr = match membership.addrs().get(follower) {
-                Some(a) => a.as_str(),
-                None => continue,
-            };
-            let pushed = Client::connect_timeout(addr, timeout)
-                .and_then(|mut c| c.replicate(epoch, load, silent));
-            if let Ok((follower_epoch, _applied)) = pushed {
-                membership.note_epoch(follower, follower_epoch.max(epoch));
-                membership.count_forwarded(follower);
-                replications.incr();
-            }
+        for (follower, reply) in pushed {
             // A failed push is left to the heartbeat: the instance will
             // age toward Down, and its lag shows in the gauge meanwhile.
+            if let Ok(Response::Replicated { epoch: theirs, .. }) = reply {
+                membership.note_epoch(follower, theirs.max(epoch));
+                replications.incr();
+            }
         }
         return Ok(epoch);
     }
-    Err(last.unwrap_or_else(|| {
-        ClientError::Protocol("no instance attempted the observation".to_string())
-    }))
+    Err(last)
 }
 
 /// The routing proxy daemon: the [`cbes_server::net`] I/O layer's second
@@ -239,7 +253,7 @@ struct Router {
 
 impl Handler for Router {
     /// The worker-run verbs: each dials per forward and waits on a peer,
-    /// so none runs on the reactor (`may_inline` stays `false`). A frame
+    /// so none runs on the reactor (`inline` stays `None`). A frame
     /// that does not decode is refused here too, unattributable (id 0)
     /// and as a strike against its connection.
     fn execute(&self, line: &str) -> (Vec<u8>, bool) {
@@ -261,8 +275,8 @@ impl Handler for Router {
                 envelope.parent_span,
             )
         });
+        let response = self.dispatch(&envelope.request);
         let id = envelope.id;
-        let response = self.dispatch(envelope.request);
         (encode_line(&ResponseEnvelope { id, response }), false)
     }
 
@@ -362,302 +376,273 @@ impl Handler for Router {
     }
 }
 
-/// Forward `request` to `addr` over a connection dialled for it and
-/// relay the raw response (error replies included — the proxy does not
-/// rewrite them).
-fn forward(addr: &str, timeout: Duration, request: &Request) -> Result<Response, ClientError> {
-    let envelope = Client::connect_timeout(addr, timeout)?.request(request.clone())?;
-    Ok(envelope.response)
-}
-
 impl Router {
-    /// Answer one worker-run request per its forwarding mode.
-    fn dispatch(&self, request: Request) -> Response {
+    /// Answer one worker-run request. The match is over the request
+    /// itself and has no wildcard, so an action without an arm does not
+    /// compile. Each arm names the forwarding mode it implements where it
+    /// picks its targets; the action table's `forward` column *declares*
+    /// that mode (the relay and DESIGN §11 read the column), and a debug
+    /// build holds the two together.
+    fn dispatch(&self, request: &Request) -> Response {
+        use ForwardMode::{Broadcast, Hash, Leader, Local, Merge};
         let membership = &self.membership;
-        let timeout = membership.config().probe_timeout;
-        match request.spec().forward {
-            ForwardMode::Leader => {
-                let observed = match &request {
-                    Request::ObserveLoad { load } => observe_tier(membership, load, &[]),
-                    Request::ObservePartial { load, silent } => {
-                        observe_tier(membership, load, silent)
-                    }
-                    _ => {
-                        let why = "leader mode covers observations";
-                        return Response::error(error_kind::BAD_REQUEST, why);
-                    }
-                };
-                match observed {
-                    Ok(epoch) => Response::LoadObserved { epoch },
-                    Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
-                }
+        let implements = |mode: ForwardMode| {
+            debug_assert_eq!(request.spec().forward, mode, "{}", request.spec().name);
+        };
+        // `Merge` and `Broadcast` both go to every usable instance; they
+        // differ in what is made of the replies.
+        let ask = |mode: ForwardMode| {
+            implements(mode);
+            fan_out_counted(membership, &membership.usable(), request)
+        };
+        let observe = |load: &LoadState, silent: &[u32]| {
+            implements(Leader);
+            match observe_tier(membership, load, silent) {
+                Ok(epoch) => Response::LoadObserved { epoch },
+                Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
             }
-            ForwardMode::Merge => {
-                let mut stats: Vec<StatsReport> = Vec::new();
-                let mut metrics: Option<MetricsSnapshot> = None;
-                let mut traces: Vec<SpanSnapshot> = Vec::new();
-                let mut lifecycle: Vec<cbes_reconfig::InstanceStatus> = Vec::new();
-                let mut answered = false;
-                for i in membership.usable() {
-                    let addr = match membership.addrs().get(i) {
-                        Some(a) => a.as_str(),
-                        None => continue,
-                    };
-                    match forward(addr, timeout, &request) {
-                        Ok(Response::Stats { stats: s }) => {
-                            membership.count_forwarded(i);
-                            stats.push(s);
-                        }
-                        Ok(Response::Metrics { metrics: m }) => {
-                            membership.count_forwarded(i);
-                            match metrics.as_mut() {
-                                Some(merged) => merged.merge(&m),
-                                None => metrics = Some(m),
-                            }
-                        }
-                        Ok(Response::Traces { spans, .. }) => {
-                            membership.count_forwarded(i);
-                            answered = true;
-                            traces.extend(spans);
-                        }
-                        Ok(Response::ArtifactStatus { status }) => {
-                            membership.count_forwarded(i);
-                            answered = true;
-                            lifecycle.extend(status.instances);
-                        }
-                        _ => {}
-                    }
-                }
-                if matches!(request, Request::ArtifactStatus) {
-                    if !answered {
-                        return Response::error(error_kind::SERVICE, "no usable instance answered");
-                    }
-                    lifecycle.sort_by(|a, b| a.addr.cmp(&b.addr));
-                    return Response::ArtifactStatus {
-                        status: cbes_reconfig::StatusReport {
-                            instances: lifecycle,
-                        },
-                    };
-                }
-                if let Request::Trace { trace_id } = request {
-                    if !answered {
-                        return Response::error(error_kind::SERVICE, "no usable instance answered");
-                    }
-                    // The router's own forwarding spans are part of the
-                    // trace too — without them the tier-wide view has no
-                    // root connecting the per-instance fragments.
-                    traces.extend(
-                        Registry::global()
-                            .spans()
-                            .of_trace(trace_id)
-                            .into_iter()
-                            .map(SpanSnapshot::from),
-                    );
-                    traces.sort_by_key(|a| (a.start_us, a.id));
-                    // Instances sharing one process (in-proc tests) also
-                    // share the global span ring; drop exact duplicates.
-                    traces.dedup();
-                    return Response::Traces {
-                        trace_id,
-                        spans: traces,
-                    };
-                }
-                if let Some(metrics) = metrics {
-                    return Response::Metrics { metrics };
-                }
-                match merge_stats(stats) {
-                    Some(stats) => Response::Stats { stats },
-                    None => Response::error(error_kind::SERVICE, "no usable instance answered"),
-                }
+        };
+        let first_ack = |replies: Replies| replies.into_iter().find_map(|(_, reply)| reply.ok());
+        let unanswered = || Response::error(error_kind::SERVICE, "no usable instance answered");
+        match request {
+            Request::ObserveLoad { load } => observe(load, &[]),
+            Request::ObservePartial { load, silent } => observe(load, silent),
+            Request::Stats => {
+                let stats = parts(ask(Merge), |reply| match reply {
+                    Response::Stats { stats } => Some(stats),
+                    _ => None,
+                });
+                let merged = stats.reduce(merge_stats);
+                merged.map_or_else(unanswered, |stats| Response::Stats { stats })
             }
-            ForwardMode::Broadcast => {
-                if matches!(
-                    request,
-                    Request::Stage { .. }
-                        | Request::Apply
-                        | Request::Accept
-                        | Request::Rollback { .. }
-                ) {
-                    return broadcast_artifact(membership, timeout, &request);
-                }
-                if matches!(request, Request::Shutdown) {
-                    // Draining the tier drains the router too. Its own
-                    // drain starts first, so a request that finds every
-                    // instance already gone is told `shutting_down`.
-                    self.net.shutdown();
-                }
-                let mut ok: Option<Response> = None;
-                for i in membership.usable() {
-                    let addr = match membership.addrs().get(i) {
-                        Some(a) => a.as_str(),
-                        None => continue,
-                    };
-                    if let Ok(response) = forward(addr, timeout, &request) {
-                        membership.count_forwarded(i);
-                        if !matches!(response, Response::Error { .. }) && ok.is_none() {
-                            ok = Some(response);
-                        }
-                    }
-                }
-                if matches!(request, Request::Shutdown) {
-                    return Response::ShuttingDown;
-                }
-                if matches!(request, Request::DumpFlight) {
-                    // The router is part of the tier: dump its own recorder
-                    // alongside the instances'. The first instance reply is
-                    // relayed; the router's own dump answers only when no
-                    // instance could.
-                    let registry = Registry::global();
-                    let dumped = registry.flight().dump("on_demand", registry.spans());
-                    if let Ok((path, events)) = dumped {
-                        registry.counter(names::FLIGHT_DUMPS).incr();
-                        if ok.is_none() {
-                            ok = Some(Response::FlightDumped {
-                                path: path.display().to_string(),
-                                events: events as u64,
-                            });
-                        }
-                    }
-                }
-                ok.unwrap_or_else(|| {
-                    Response::error(error_kind::SERVICE, "no usable instance accepted")
+            Request::Metrics => {
+                let metrics = parts(ask(Merge), |reply| match reply {
+                    Response::Metrics { metrics } => Some(metrics),
+                    _ => None,
+                });
+                let merged = metrics.reduce(|mut merged, m| {
+                    merged.merge(&m);
+                    merged
+                });
+                merged.map_or_else(unanswered, |metrics| Response::Metrics { metrics })
+            }
+            Request::Trace { trace_id } => {
+                let trace_id = *trace_id;
+                let mut fragments = parts(ask(Merge), |reply| match reply {
+                    Response::Traces { spans, .. } => Some(spans),
+                    _ => None,
                 })
+                .peekable();
+                if fragments.peek().is_none() {
+                    return unanswered();
+                }
+                // The router's own forwarding spans are part of the trace
+                // too — without them the tier-wide view has no root
+                // connecting the per-instance fragments.
+                let own = Registry::global().spans().of_trace(trace_id);
+                let own = own.into_iter().map(SpanSnapshot::from);
+                let mut spans: Vec<SpanSnapshot> = fragments.flatten().chain(own).collect();
+                spans.sort_by_key(|a| (a.start_us, a.id));
+                // Instances sharing one process (in-proc tests) also share
+                // the global span ring; drop exact duplicates.
+                spans.dedup();
+                Response::Traces { trace_id, spans }
+            }
+            Request::ArtifactStatus => {
+                let mut rows = parts(ask(Merge), |reply| match reply {
+                    Response::ArtifactStatus { status } => Some(status.instances),
+                    _ => None,
+                })
+                .peekable();
+                if rows.peek().is_none() {
+                    return unanswered();
+                }
+                let mut instances: Vec<_> = rows.flatten().collect();
+                instances.sort_by(|a, b| a.addr.cmp(&b.addr));
+                let status = cbes_reconfig::StatusReport { instances };
+                Response::ArtifactStatus { status }
+            }
+            // What every instance must hold alike is all-or-error: a
+            // profile one instance missed makes every key it owns answer
+            // `unknown app`, which no failover repairs.
+            Request::RegisterProfile { .. }
+            | Request::Stage { .. }
+            | Request::Apply
+            | Request::Accept
+            | Request::Rollback { .. } => all_or_error(membership.addrs(), ask(Broadcast)),
+            Request::Replicate { .. } => first_ack(ask(Broadcast)).unwrap_or_else(unanswered),
+            Request::Shutdown => {
+                // Draining the tier drains the router too. Its own drain
+                // starts first, so a request that finds every instance
+                // already gone is told `shutting_down`.
+                self.net.shutdown();
+                ask(Broadcast);
+                Response::ShuttingDown
+            }
+            Request::DumpFlight => {
+                // The router is part of the tier: it dumps its own
+                // recorder alongside the instances'. The first instance
+                // reply is relayed; the router's own dump answers only
+                // when no instance could.
+                let registry = Registry::global();
+                let own = registry.flight().dump("on_demand", registry.spans());
+                let own = own.ok().map(|(path, events)| Response::FlightDumped {
+                    path: path.display().to_string(),
+                    events: events as u64,
+                });
+                first_ack(ask(Broadcast)).or(own).unwrap_or_else(unanswered)
+            }
+            Request::Route { cluster, app } => {
+                implements(Local);
+                let hash = route_key_hash(cluster, app);
+                let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
+                let report = membership.report();
+                let mut infos = candidates
+                    .iter()
+                    .filter_map(|&i| report.instances.get(i).cloned());
+                let Some(primary) = infos.next() else {
+                    let why = "the tier has no seeded instances";
+                    return Response::error(error_kind::SERVICE, why);
+                };
+                let replicas = infos.collect();
+                Response::Routed {
+                    hash,
+                    primary,
+                    replicas,
+                }
+            }
+            Request::Membership => {
+                implements(Local);
+                let membership = membership.report();
+                Response::Membership { membership }
             }
             // Hash-routed requests are relayed on the reactor; one that
-            // reached a worker is refused like any other stray.
-            ForwardMode::Local | ForwardMode::Hash => match request {
-                Request::Route { cluster, app } => {
-                    let hash = route_key_hash(&cluster, &app);
-                    let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
-                    let report = membership.report();
-                    let mut infos = candidates
-                        .iter()
-                        .filter_map(|&i| report.instances.get(i).cloned());
-                    match infos.next() {
-                        Some(primary) => Response::Routed {
-                            hash,
-                            primary,
-                            replicas: infos.collect(),
-                        },
-                        None => {
-                            Response::error(error_kind::SERVICE, "the tier has no seeded instances")
-                        }
-                    }
-                }
-                Request::Membership => Response::Membership {
-                    membership: membership.report(),
-                },
-                _ => Response::error(
-                    error_kind::BAD_REQUEST,
-                    "local mode covers route/membership",
-                ),
-            },
+            // reached a worker is a stray, refused like any other.
+            Request::Compare { .. }
+            | Request::BestOf { .. }
+            | Request::Schedule { .. }
+            | Request::Batch { .. } => {
+                implements(Hash);
+                let why = "hash-routed requests are relayed, not executed";
+                Response::error(error_kind::BAD_REQUEST, why)
+            }
         }
     }
 }
 
-/// Tier-wide artifact lifecycle verbs are all-or-error broadcasts that
-/// never stop early: a refusing or unreachable instance is recorded
-/// and the sweep continues, so a failure early in seed order does not
-/// strand the instances behind it on the old configuration. When every
-/// instance acknowledges, the first ack is relayed; otherwise the
-/// reply is one error aggregating every instance's outcome — how many
-/// flipped out of how many attempted, plus each failure tagged with
-/// its address — so the operator knows the tier is divergent without a
-/// separate `ArtifactStatus` call. Instances that acknowledged stay
-/// flipped: each journals its state durably, so a retry (or the
-/// lifecycle's own `rollback` verb) converges the stragglers.
-fn broadcast_artifact(
-    membership: &Arc<Membership>,
-    timeout: Duration,
-    request: &Request,
-) -> Response {
-    let mut ack: Option<Response> = None;
-    let mut flipped = 0usize;
-    let mut attempted = 0usize;
-    let mut failures: Vec<String> = Vec::new();
-    for i in membership.usable() {
-        let addr = match membership.addrs().get(i) {
-            Some(a) => a.as_str(),
-            None => continue,
-        };
-        attempted += 1;
-        match forward(addr, timeout, request) {
-            Ok(Response::Error { message, .. }) => {
-                failures.push(format!("{addr}: {message}"));
-            }
-            Ok(response) => {
-                membership.count_forwarded(i);
-                flipped += 1;
-                if ack.is_none() {
-                    ack = Some(response);
-                }
-            }
-            Err(e) => {
-                failures.push(format!("{addr}: unreachable: {e}"));
-            }
+/// What each instance that answered a fan-out contributes to a merged
+/// reply: `part` of its reply, in target order. An instance that was
+/// unreachable, refused, or answered something else contributes nothing.
+fn parts<T>(replies: Replies, part: fn(Response) -> Option<T>) -> impl Iterator<Item = T> {
+    let replies = replies.into_iter();
+    replies.filter_map(move |(_, reply)| part(reply.ok()?))
+}
+
+/// The all-or-error fold over a broadcast that never stopped early, so
+/// a failure early in seed order did not strand the instances behind it
+/// on the old configuration. When every instance acknowledged, the
+/// first ack is relayed; otherwise the reply is one error aggregating
+/// every instance's outcome — how many acknowledged out of how many
+/// attempted, plus each failure tagged with its address — so the
+/// operator knows the tier is divergent without a separate status call.
+/// Instances that acknowledged stay changed: each holds its state
+/// durably, so a retry (or the lifecycle's own `rollback` verb)
+/// converges the stragglers.
+fn all_or_error(addrs: &[String], replies: Replies) -> Response {
+    let attempted = replies.len();
+    let mut acks = Vec::new();
+    let mut failures = Vec::new();
+    for (i, reply) in replies {
+        let addr = addrs.get(i).map_or("?", String::as_str);
+        match reply {
+            Ok(ack) => acks.push(ack),
+            Err(ClientError::Server { message, .. }) => failures.push(format!("{addr}: {message}")),
+            Err(e) => failures.push(format!("{addr}: unreachable: {e}")),
         }
     }
-    match ack {
-        Some(response) if failures.is_empty() => response,
-        None if attempted == 0 => {
-            Response::error(error_kind::SERVICE, "no usable instance accepted")
-        }
-        // Nothing flipped: a uniform refusal, not divergence.
-        None => Response::error(
-            error_kind::SERVICE,
-            format!(
-                "broadcast refused by every instance [{}]",
-                failures.join("; ")
-            ),
-        ),
-        Some(_) => Response::error(
-            error_kind::SERVICE,
-            format!(
-                "partial broadcast: {flipped}/{attempted} instances acknowledged, \
-                 the tier is divergent — retry to converge or roll back [{}]",
-                failures.join("; ")
-            ),
-        ),
+    let acked = acks.len();
+    let failed = failures.join("; ");
+    let error = |message| Response::error(error_kind::SERVICE, message);
+    match acks.into_iter().next() {
+        Some(ack) if failures.is_empty() => ack,
+        None if attempted == 0 => error("no usable instance accepted".to_string()),
+        // Nothing changed anywhere: a uniform refusal, not divergence.
+        None => error(format!("broadcast refused by every instance [{failed}]")),
+        Some(_) => error(format!(
+            "partial broadcast: {acked}/{attempted} instances acknowledged, \
+             the tier is divergent — retry to converge or roll back [{failed}]"
+        )),
     }
 }
 
-/// Merge per-instance stats into one tier-wide report: per-instance
-/// counters add; cluster-level fields (epoch, node health, profiles)
-/// take the most-advanced instance's view, since every instance
-/// describes the same cluster.
-fn merge_stats(reports: Vec<StatsReport>) -> Option<StatsReport> {
-    let mut iter = reports.into_iter();
-    let mut merged = iter.next()?;
-    for r in iter {
-        merged.served += r.served;
-        merged.errors += r.errors;
-        merged.overloaded += r.overloaded;
-        merged.timeouts += r.timeouts;
-        merged.connections += r.connections;
-        merged.queue_depth += r.queue_depth;
-        merged.workers += r.workers;
-        merged.observations += r.observations;
-        merged.dropped_connections += r.dropped_connections;
-        merged.uptime_s = merged.uptime_s.max(r.uptime_s);
-        for (action, count) in r.per_action {
-            *merged.per_action.entry(action).or_insert(0) += count;
-        }
-        if r.epoch > merged.epoch {
-            merged.epoch = r.epoch;
-            merged.profiles = r.profiles;
-            merged.healthy = r.healthy;
-            merged.suspect = r.suspect;
-            merged.down = r.down;
-            merged.health_transitions = r.health_transitions;
-        }
+/// Merge one more instance's stats into a tier-wide report:
+/// per-instance counters add; cluster-level fields (epoch, node health,
+/// profiles) take the most-advanced instance's view, since every
+/// instance describes the same cluster.
+fn merge_stats(mut merged: StatsReport, r: StatsReport) -> StatsReport {
+    merged.served += r.served;
+    merged.errors += r.errors;
+    merged.overloaded += r.overloaded;
+    merged.timeouts += r.timeouts;
+    merged.connections += r.connections;
+    merged.queue_depth += r.queue_depth;
+    merged.workers += r.workers;
+    merged.observations += r.observations;
+    merged.dropped_connections += r.dropped_connections;
+    merged.uptime_s = merged.uptime_s.max(r.uptime_s);
+    for (action, count) in r.per_action {
+        *merged.per_action.entry(action).or_insert(0) += count;
     }
-    Some(merged)
+    if r.epoch > merged.epoch {
+        merged.epoch = r.epoch;
+        merged.profiles = r.profiles;
+        merged.healthy = r.healthy;
+        merged.suspect = r.suspect;
+        merged.down = r.down;
+        merged.health_transitions = r.health_transitions;
+    }
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_broadcast_every_instance_must_hold_is_all_or_error() {
+        let addrs = ["a:1", "b:2", "c:3"].map(String::from);
+        let ack = |procs| {
+            Ok(Response::Registered {
+                app: "lu".to_string(),
+                procs,
+            })
+        };
+        let refusal = || {
+            Err(ClientError::Server {
+                kind: error_kind::SERVICE.to_string(),
+                message: "no artifact is soaking".to_string(),
+                retry_after_ms: 0,
+            })
+        };
+        let unreachable = || Err(ClientError::Protocol("hung up".to_string()));
+        let error = |replies| match all_or_error(&addrs, replies) {
+            Response::Error { kind, message, .. } if kind == error_kind::SERVICE => message,
+            other => panic!("expected a service error, got {other:?}"),
+        };
+        // Every instance acknowledged: the first ack is the reply.
+        let relayed = all_or_error(&addrs, vec![(0, ack(1)), (2, ack(2))]);
+        assert_eq!(relayed, ack(1).expect("an ack"));
+        // Some did not: one error counting the acks and naming each
+        // failure by its address.
+        let partial = error(vec![(0, refusal()), (1, ack(1)), (2, unreachable())]);
+        assert!(partial.starts_with("partial broadcast: 1/3 "), "{partial}");
+        assert!(partial.contains("[a:1: no artifact is soaking; c:3: unreachable: "));
+        assert!(!partial.contains("b:2"), "{partial}");
+        // None did: a uniform refusal, not divergence.
+        let refused = error(vec![(0, refusal()), (1, refusal())]);
+        assert!(refused.starts_with("broadcast refused by every instance [a:1: "));
+        assert_eq!(error(Vec::new()), "no usable instance accepted");
+    }
 
     fn report(epoch: u64, served: u64) -> StatsReport {
         StatsReport {
@@ -683,17 +668,12 @@ mod tests {
 
     #[test]
     fn merged_stats_add_counters_and_keep_the_newest_cluster_view() {
-        let merged = merge_stats(vec![report(5, 10), report(7, 20), report(6, 30)])
-            .expect("three reports merge");
+        let reports = [report(5, 10), report(7, 20), report(6, 30)];
+        let merged = reports.into_iter().reduce(merge_stats).expect("some");
         assert_eq!(merged.served, 60);
         assert_eq!(merged.errors, 3);
         assert_eq!(merged.epoch, 7, "cluster view follows the max epoch");
         assert_eq!(merged.per_action["compare"], 60);
         assert_eq!(merged.workers, 6);
-    }
-
-    #[test]
-    fn merging_nothing_is_none() {
-        assert!(merge_stats(Vec::new()).is_none());
     }
 }

@@ -19,7 +19,8 @@ use cbes_router::membership::{Membership, MembershipConfig};
 use cbes_router::tier::{observe_tier, probe_instances, RouterServer, TierConfig};
 use cbes_router::RouterTierHandle;
 use cbes_server::protocol::{
-    encode, error_kind, route_key_hash, split_id, Request, RequestEnvelope, Response, StatsReport,
+    encode, error_kind, route_key_hash, split_id, Action, Request, RequestEnvelope, Response,
+    StatsReport, ACTIONS,
 };
 use cbes_server::{Client, ResponseEnvelope, Server, ServerConfig, ServerHandle};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
@@ -229,25 +230,7 @@ fn heartbeat_thread_marks_dead_instances_down() {
 
 #[test]
 fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
-    let state_root =
-        std::env::temp_dir().join(format!("cbes-tier-artifacts-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state_root);
-    let start_reconfigurable = |slot: usize| {
-        let service = Arc::new(CbesService::self_calibrated(
-            Arc::new(two_switch_demo()),
-            ForecastKind::LastValue,
-        ));
-        Server::start(
-            service,
-            ServerConfig {
-                workers: 1,
-                state_dir: Some(state_root.join(format!("i{slot}"))),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("loopback bind succeeds")
-    };
-    let instances: Vec<ServerHandle> = (0..2).map(start_reconfigurable).collect();
+    let (state_root, instances) = reconfigurable_instances("cbes-tier-artifacts");
     let seeds: Vec<String> = instances.iter().map(|h| h.addr().to_string()).collect();
     let router = RouterServer::start(TierConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -334,6 +317,25 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
     }
     router.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&state_root);
+}
+
+/// Two instances with artifact stores of their own under a fresh
+/// `<temp>/<tag>-<pid>`, which is returned for the test to remove.
+fn reconfigurable_instances(tag: &str) -> (std::path::PathBuf, Vec<ServerHandle>) {
+    let state_root = std::env::temp_dir().join(format!("{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_root);
+    let start = |slot: usize| {
+        let cluster = Arc::new(two_switch_demo());
+        let service = CbesService::self_calibrated(cluster, ForecastKind::LastValue);
+        let config = ServerConfig {
+            workers: 1,
+            state_dir: Some(state_root.join(format!("i{slot}"))),
+            ..ServerConfig::default()
+        };
+        Server::start(Arc::new(service), config).expect("loopback bind succeeds")
+    };
+    let instances = (0..2).map(start).collect();
+    (state_root, instances)
 }
 
 /// A router over `seeds` whose heartbeat sweeps once at start and then
@@ -950,4 +952,64 @@ fn a_client_that_never_reads_is_not_read_from_until_it_does() {
     for h in instances {
         h.shutdown_and_join();
     }
+}
+
+#[path = "../../server/tests/common/mod.rs"]
+mod common;
+
+/// One request per row of the action table through a two-daemon tier:
+/// each is answered by the fold its row's mode names (a debug build
+/// panics in `dispatch` where row and arm disagree), never refused as an
+/// action the router has no case for.
+#[test]
+fn every_row_of_the_action_table_is_answered_through_the_router() {
+    let (state_root, instances) = reconfigurable_instances("cbes-tier-rows");
+    let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
+    let mut c =
+        Client::connect_timeout(router.addr(), Duration::from_secs(10)).expect("router answers");
+    let mut requests = common::one_of_each();
+    let covered: Vec<_> = requests.iter().map(|r| r.spec()).collect();
+    assert_eq!(covered, ACTIONS.iter().collect::<Vec<_>>(), "one per row");
+    // Draining the tier comes last.
+    requests.sort_by_key(|r| r.kind() == Action::Shutdown);
+    for request in &requests {
+        let name = request.spec().name;
+        let reply = c.request(request).expect("every row is answered").response;
+        let expected = match request.kind() {
+            Action::RegisterProfile => "Registered",
+            Action::Compare | Action::Batch => "Predictions",
+            Action::BestOf => "Best",
+            Action::Schedule => "Scheduled",
+            Action::ObserveLoad | Action::ObservePartial => "LoadObserved",
+            Action::Stats => "Stats",
+            Action::Metrics => "Metrics",
+            Action::Shutdown => "ShuttingDown",
+            Action::Route => "Routed",
+            Action::Replicate => "Replicated",
+            Action::Membership => "Membership",
+            Action::Trace => "Traces",
+            Action::DumpFlight => "FlightDumped",
+            Action::Stage | Action::Apply | Action::Accept => "ArtifactAck",
+            // Nothing soaks once `accept` has run: every instance refuses
+            // alike, and the all-or-error fold says so.
+            Action::Rollback => "Error",
+            Action::ArtifactStatus => "ArtifactStatus",
+        };
+        assert!(
+            format!("{reply:?}").starts_with(expected),
+            "{name}: {reply:?}"
+        );
+        if let Response::Error { kind, message, .. } = &reply {
+            assert_eq!(kind, error_kind::SERVICE, "{name}: {message}");
+            assert!(message.starts_with("broadcast refused by every instance"));
+        }
+        if let Response::FlightDumped { path, .. } = &reply {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+    for h in instances {
+        h.join();
+    }
+    router.join();
+    let _ = std::fs::remove_dir_all(&state_root);
 }

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::protocol::{
-    encode, error_kind, InstanceInfo, MembershipReport, Request, RequestEnvelope, Response,
+    encode, envelope, error_kind, InstanceInfo, MembershipReport, Request, Response,
     ResponseEnvelope, SpanSnapshot, StatsReport,
 };
 
@@ -71,7 +71,7 @@ impl From<std::io::Error> for ClientError {
 pub trait Transport {
     /// Send `request` and wait for the reply envelope. Error replies
     /// are envelopes, not `Err`.
-    fn round_trip(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError>;
+    fn round_trip(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError>;
 }
 
 /// One connection to a daemon: requests go out one at a time, ids are
@@ -157,16 +157,10 @@ impl Transport for Direct {
     /// [`cbes_obs::current_trace`]), the envelope carries that trace id
     /// and span id so the server joins the caller's trace; otherwise
     /// the envelope is untraced and the wire shape is unchanged.
-    fn round_trip(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+    fn round_trip(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let envelope = match cbes_obs::current_trace() {
-            Some((trace_id, parent_span)) => {
-                RequestEnvelope::traced(id, request, trace_id, parent_span)
-            }
-            None => RequestEnvelope::new(id, request),
-        };
-        let mut line = encode(&envelope);
+        let mut line = encode(&envelope(id, request, cbes_obs::current_trace()));
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
@@ -203,12 +197,12 @@ impl<T: Transport> Client<T> {
     /// Send one request and wait for its reply envelope. Error replies
     /// are returned as envelopes, not `Err` — use [`Client::call`] or
     /// the typed helpers for automatic error conversion.
-    pub fn request(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+    pub fn request(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
         self.transport.round_trip(request)
     }
 
     /// Send a request and surface error replies as [`ClientError::Server`].
-    pub fn call(&mut self, request: Request) -> Result<Response, ClientError> {
+    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         match self.request(request)?.response {
             Response::Error {
                 kind,
@@ -225,7 +219,7 @@ impl<T: Transport> Client<T> {
 
     /// Register (or replace) an application profile.
     pub fn register_profile(&mut self, profile: AppProfile) -> Result<(), ClientError> {
-        match self.call(Request::RegisterProfile { profile })? {
+        match self.call(&Request::RegisterProfile { profile })? {
             Response::Registered { .. } => Ok(()),
             other => Err(unexpected("Registered", &other)),
         }
@@ -260,7 +254,7 @@ impl<T: Transport> Client<T> {
     }
 
     fn predictions(&mut self, request: Request) -> Result<(u64, Vec<Prediction>), ClientError> {
-        match self.call(request)? {
+        match self.call(&request)? {
             Response::Predictions { epoch, predictions } => Ok((epoch, predictions)),
             other => Err(unexpected("Predictions", &other)),
         }
@@ -276,7 +270,7 @@ impl<T: Transport> Client<T> {
             app: app.to_string(),
             mappings: mappings.to_vec(),
         };
-        match self.call(request)? {
+        match self.call(&request)? {
             Response::Best {
                 epoch,
                 index,
@@ -301,7 +295,7 @@ impl<T: Transport> Client<T> {
             iters,
             seed,
         };
-        match self.call(request)? {
+        match self.call(&request)? {
             Response::Scheduled {
                 epoch,
                 mapping,
@@ -332,7 +326,7 @@ impl<T: Transport> Client<T> {
     }
 
     fn observed(&mut self, request: Request) -> Result<u64, ClientError> {
-        match self.call(request)? {
+        match self.call(&request)? {
             Response::LoadObserved { epoch } => Ok(epoch),
             other => Err(unexpected("LoadObserved", &other)),
         }
@@ -340,7 +334,7 @@ impl<T: Transport> Client<T> {
 
     /// Read the server's counters.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        match self.call(Request::Stats)? {
+        match self.call(&Request::Stats)? {
             Response::Stats { stats } => Ok(stats),
             other => Err(unexpected("Stats", &other)),
         }
@@ -348,7 +342,7 @@ impl<T: Transport> Client<T> {
 
     /// Read the full metrics snapshot (counters, gauges, histograms).
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        match self.call(Request::Metrics)? {
+        match self.call(&Request::Metrics)? {
             Response::Metrics { metrics } => Ok(metrics),
             other => Err(unexpected("Metrics", &other)),
         }
@@ -366,7 +360,7 @@ impl<T: Transport> Client<T> {
             cluster: cluster.to_string(),
             app: app.to_string(),
         };
-        match self.call(request)? {
+        match self.call(&request)? {
             Response::Routed {
                 hash,
                 primary,
@@ -390,7 +384,7 @@ impl<T: Transport> Client<T> {
             load: load.clone(),
             silent: silent.to_vec(),
         };
-        match self.call(request)? {
+        match self.call(&request)? {
             Response::Replicated { epoch, applied } => Ok((epoch, applied)),
             other => Err(unexpected("Replicated", &other)),
         }
@@ -399,7 +393,7 @@ impl<T: Transport> Client<T> {
     /// Read the serving tier's membership table (a standalone daemon
     /// reports a single-instance view of itself).
     pub fn membership(&mut self) -> Result<MembershipReport, ClientError> {
-        match self.call(Request::Membership)? {
+        match self.call(&Request::Membership)? {
             Response::Membership { membership } => Ok(membership),
             other => Err(unexpected("Membership", &other)),
         }
@@ -409,7 +403,7 @@ impl<T: Transport> Client<T> {
     /// server's rings (a routed tier merges spans from every instance
     /// plus the router's own forwarding spans).
     pub fn trace(&mut self, trace_id: u64) -> Result<(u64, Vec<SpanSnapshot>), ClientError> {
-        match self.call(Request::Trace { trace_id })? {
+        match self.call(&Request::Trace { trace_id })? {
             Response::Traces { trace_id, spans } => Ok((trace_id, spans)),
             other => Err(unexpected("Traces", &other)),
         }
@@ -419,7 +413,7 @@ impl<T: Transport> Client<T> {
     /// file path and the number of events written (a routed tier dumps
     /// on every instance and reports the first reply).
     pub fn dump_flight(&mut self) -> Result<(String, u64), ClientError> {
-        match self.call(Request::DumpFlight)? {
+        match self.call(&Request::DumpFlight)? {
             Response::FlightDumped { path, events } => Ok((path, events)),
             other => Err(unexpected("FlightDumped", &other)),
         }
@@ -455,7 +449,7 @@ impl<T: Transport> Client<T> {
 
     /// A lifecycle verb's receipt: `(version, state, epoch)`.
     fn acked(&mut self, request: Request) -> Result<(u64, String, u64), ClientError> {
-        match self.call(request)? {
+        match self.call(&request)? {
             Response::ArtifactAck {
                 version,
                 state,
@@ -468,7 +462,7 @@ impl<T: Transport> Client<T> {
     /// Read the artifact lifecycle state (tier-wide through a router:
     /// one entry per usable instance).
     pub fn artifact_status(&mut self) -> Result<cbes_reconfig::StatusReport, ClientError> {
-        match self.call(Request::ArtifactStatus)? {
+        match self.call(&Request::ArtifactStatus)? {
             Response::ArtifactStatus { status } => Ok(status),
             other => Err(unexpected("ArtifactStatus", &other)),
         }
@@ -477,7 +471,7 @@ impl<T: Transport> Client<T> {
     /// Ask the server to drain and exit. The acknowledgement arrives
     /// before the drain completes.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.call(Request::Shutdown)? {
+        match self.call(&Request::Shutdown)? {
             Response::ShuttingDown => Ok(()),
             other => Err(unexpected("ShuttingDown", &other)),
         }
@@ -577,7 +571,7 @@ impl Retrying {
     /// One attempt over the pooled connection, dialling it if need be.
     /// A transport error discards the connection: a late reply would
     /// desynchronise the stream.
-    fn attempt(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+    fn attempt(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
         let conn = match self.conn.take() {
             Some(conn) => conn,
             None => Direct::dial(self.addr.as_str(), self.io_timeout)?,
@@ -591,13 +585,13 @@ impl Retrying {
 }
 
 impl Transport for Retrying {
-    fn round_trip(&mut self, request: Request) -> Result<ResponseEnvelope, ClientError> {
+    fn round_trip(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
         if !request.spec().idempotent {
             return self.attempt(request);
         }
         let mut retry = 0u32;
         loop {
-            let outcome = self.attempt(request.clone());
+            let outcome = self.attempt(request);
             let hint_ms = match &outcome {
                 Err(ClientError::Io(_)) => 0,
                 // Shed or deadline-missed: the action is idempotent, so

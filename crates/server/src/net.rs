@@ -80,11 +80,13 @@ const SHUTTING_DOWN_TAIL: &str = ",\"response\":{\"Error\":{\"kind\":\"shutting_
 /// Calls are monomorphised per handler; there is no `dyn` dispatch on
 /// the frame path.
 pub trait Handler: Send + Sync + 'static {
-    /// Whether `line` may run on the reactor thread when the whole
-    /// pool is idle. Must be `false` (the default) for anything that
-    /// can block on a disk or a peer, or whose cost the caller controls.
-    fn may_inline(&self, _line: &str) -> bool {
-        false
+    /// Run `line` on the reactor thread — asked only when the whole
+    /// pool is idle — and answer as [`Self::execute`] does, or `None`
+    /// (the default) to queue it for a worker. Must be `None` for
+    /// anything that can block on a disk or a peer, or whose cost the
+    /// caller controls: decide from the decoded frame, not its bytes.
+    fn inline(&self, _line: &str) -> Option<(Vec<u8>, bool)> {
+        None
     }
 
     /// Execute one frame: the encoded reply line (newline included)
@@ -172,8 +174,6 @@ pub struct NetMetrics {
     loop_wakeups: Arc<Counter>,
     /// Microseconds from admission to worker pickup.
     pub(crate) queue_wait: Arc<Histogram>,
-    /// Flight-recorder dumps written (triggered or on demand).
-    pub(crate) flight_dumps: Arc<Counter>,
 }
 
 impl NetMetrics {
@@ -188,7 +188,6 @@ impl NetMetrics {
             oversized_frames: registry.counter(names::SERVER_OVERSIZED_FRAMES),
             loop_wakeups: registry.counter(names::SERVER_LOOP_WAKEUPS),
             queue_wait: registry.histogram(names::SERVER_QUEUE_WAIT_US),
-            flight_dumps: registry.counter(names::FLIGHT_DUMPS),
             registry: registry.clone(),
         }
     }
@@ -208,20 +207,9 @@ impl NetMetrics {
         if recent < spike {
             return;
         }
-        let flight = self.registry.flight();
-        if recent == spike {
-            flight.record(
-                "shed_spike",
-                format!("{recent} requests shed in the last second"),
-                0,
-            );
-        }
-        if flight
-            .auto_dump("shed_spike", self.registry.spans())
-            .is_some()
-        {
-            self.flight_dumps.incr();
-        }
+        let crossing = recent == spike;
+        let detail = crossing.then(|| format!("{recent} requests shed in the last second"));
+        self.registry.anomaly("shed_spike", detail);
     }
 }
 
@@ -1056,13 +1044,14 @@ impl<H: Handler> Reactor<H> {
         // on the worker pool, a bounded-cost request is cheaper to run
         // right here than to bounce through two thread handoffs (which
         // dominate the round trip — the eval itself is microseconds).
-        if !draining && self.can_inline(shard, trimmed) {
-            // The worker path records queue wait at pickup; inline
-            // pickup is immediate, so the sample is zero by definition.
-            self.metrics.queue_wait.record_duration(Duration::ZERO);
-            let (bytes, malformed) = self.handler.execute(trimmed);
-            self.queue_reply(token, &bytes, malformed);
-            return;
+        if !draining && self.pool_idle(shard) {
+            if let Some((bytes, malformed)) = self.handler.inline(trimmed) {
+                // The worker path records queue wait at pickup; inline
+                // pickup is immediate, so the sample is zero by definition.
+                self.metrics.queue_wait.record_duration(Duration::ZERO);
+                self.queue_reply(token, &bytes, malformed);
+                return;
+            }
         }
         match try_admit(
             trimmed,
@@ -1088,18 +1077,14 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// A frame may run inline on the reactor only when the whole pool
-    /// is quiescent — no queued jobs, no executing worker, no pending
-    /// replies — and the handler positively vouches for it
-    /// ([`Handler::may_inline`]); anything it cannot classify queues.
-    fn can_inline(&self, shard: usize, line: &str) -> bool {
-        if !self.pending.is_empty() {
-            return false;
-        }
+    /// The pool is quiescent — no pending replies, no queued jobs, no
+    /// executing worker: the only state in which the reactor offers a
+    /// frame to [`Handler::inline`].
+    fn pool_idle(&self, shard: usize) -> bool {
         let queued = self.shard_tx.get(shard).is_some_and(|tx| !tx.is_empty());
         let busy = self.control.busy.get(shard);
         let busy = busy.is_some_and(|b| b.load(Ordering::Acquire));
-        !queued && !busy && self.handler.may_inline(line)
+        self.pending.is_empty() && !queued && !busy
     }
 
     /// Admit one frame to the relay: a pending entry under the request
@@ -1463,6 +1448,18 @@ pub(crate) mod tests {
 
     pub(crate) fn stats_line(id: u64) -> String {
         encode(&RequestEnvelope::new(id, Request::Stats))
+    }
+
+    /// A [`Control`] no reactor serves, for a handler under unit test.
+    pub(crate) fn idle_control() -> Arc<Control> {
+        let (wake_tx, _) = wake_pair().expect("loopback pair");
+        Arc::new(Control {
+            addr: wake_tx.local_addr().expect("connected"),
+            shutdown: Arc::default(),
+            wake_tx,
+            shards: Vec::new(),
+            busy: Vec::new(),
+        })
     }
 
     pub(crate) fn error_kind_of(envelope: &ResponseEnvelope) -> &str {

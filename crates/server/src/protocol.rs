@@ -647,16 +647,23 @@ impl RequestEnvelope {
 
 impl Serialize for RequestEnvelope {
     fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("request".to_string(), self.request.to_value()),
-        ];
-        if self.trace_id != 0 {
-            fields.push(("trace_id".to_string(), self.trace_id.to_value()));
-            fields.push(("parent_span".to_string(), self.parent_span.to_value()));
-        }
-        serde::Value::Object(fields)
+        let trace = (self.trace_id != 0).then_some((self.trace_id, self.parent_span));
+        envelope(self.id, &self.request, trace)
     }
+}
+
+/// What a [`RequestEnvelope`] serialises as, over a request its sender
+/// keeps: `trace` is the `(trace_id, parent_span)` pair of a traced one.
+pub(crate) fn envelope(id: u64, request: &Request, trace: Option<(u64, u64)>) -> serde::Value {
+    let mut fields = vec![
+        ("id".to_string(), id.to_value()),
+        ("request".to_string(), request.to_value()),
+    ];
+    if let Some((trace_id, parent_span)) = trace {
+        fields.push(("trace_id".to_string(), trace_id.to_value()));
+        fields.push(("parent_span".to_string(), parent_span.to_value()));
+    }
+    serde::Value::Object(fields)
 }
 
 impl Deserialize for RequestEnvelope {
@@ -894,7 +901,7 @@ impl<'a> Cursor<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cbes_cluster::NodeId;
 
@@ -1074,7 +1081,7 @@ mod tests {
 
     /// One request per action; the match is exhaustive, so a new
     /// action cannot skip the table test below.
-    fn sample(action: Action) -> Request {
+    pub(crate) fn sample(action: Action) -> Request {
         let app = || "lu".to_string();
         let mappings = || vec![Mapping::new(vec![NodeId(0), NodeId(3)])];
         match action {

@@ -21,8 +21,8 @@ use parking_lot::Mutex;
 
 use crate::net::{self, encode_line, env_u64, Control, Handler, NetHandle, NetMetrics};
 use crate::protocol::{
-    decode_request, error_kind, route_key_hash, ActionSpec, InstanceInfo, MembershipReport,
-    Request, RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
+    decode_request, error_kind, route_key_hash, InstanceInfo, MembershipReport, Request,
+    RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
 };
 use crate::reconfig::{not_reconfigurable, unreconfigurable_status, ReconfigRuntime};
 
@@ -50,11 +50,12 @@ pub struct ServerConfig {
     pub shed_retry_after: Duration,
     /// Evaluation admission cap in requests per second (token bucket;
     /// `0.0` disables the cap). Only evaluation actions
-    /// ([`ActionSpec::eval`]) consume tokens — control-plane traffic
-    /// (stats heartbeats, membership, replication, shutdown) is always
-    /// admitted, so a saturated instance still answers its tier. Capped
-    /// requests beyond the budget are shed with `overloaded` and a
-    /// `retry_after_ms` hint equal to the time until the next token.
+    /// ([`eval`](crate::protocol::ActionSpec::eval)) consume tokens —
+    /// control-plane traffic (stats heartbeats, membership, replication,
+    /// shutdown) is always admitted, so a saturated instance still
+    /// answers its tier. Capped requests beyond the budget are shed with
+    /// `overloaded` and a `retry_after_ms` hint equal to the time until
+    /// the next token.
     pub max_rps: f64,
     /// Durable state directory for the artifact store (`None` disables
     /// the artifact lifecycle). On start the journal under it is
@@ -234,40 +235,6 @@ impl ServerMetrics {
     }
 }
 
-/// Best-effort scan for the request's variant tag without a full
-/// parse, so the reactor can decide whether a frame is eligible for
-/// inline execution. The wire envelope is externally tagged — struct
-/// variants nest as `{"id":N,"request":{"Schedule":{…}}}` and unit
-/// variants encode as a bare string, `{"id":N,"request":"Stats"}`; the
-/// tag is the first object key or the string itself. Returns `None`
-/// when neither shape is visible; such frames still go through the
-/// full parse (and its typed `bad_request` reply) on whichever path
-/// runs them.
-fn sniff_action(line: &str) -> Option<&str> {
-    let pos = line.find("\"request\"")?;
-    let rest = line.get(pos + 9..)?;
-    let rest = rest.trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let rest = match rest.strip_prefix('{') {
-        Some(inner) => inner.trim_start(),
-        None => rest,
-    };
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    rest.get(..end)
-}
-
-/// Only a frame whose tag names a row marked [`ActionSpec::inline`] may
-/// run on the reactor. A frame whose tag cannot be sniffed, or names no
-/// action, queues: the worker's full parse decides what it is, and
-/// guessing "cheap" on the reactor would let an artifact verb fsync on
-/// the event loop.
-fn may_inline(line: &str) -> bool {
-    sniff_action(line)
-        .and_then(ActionSpec::by_tag)
-        .is_some_and(|spec| spec.inline)
-}
-
 /// The CBES daemon. Construct with [`Server::start`]; the returned
 /// [`ServerHandle`] owns the threads.
 pub struct Server;
@@ -347,89 +314,46 @@ impl ServerHandle {
     }
 }
 
-/// Rolling-p99 service-time budget in microseconds; exceeding it over
-/// the 10 s window trips the flight recorder. `CBES_FLIGHT_P99_BUDGET_US`
-/// sets it; the default 0 disables the trigger.
-fn flight_p99_budget_us() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    env_u64(&CACHE, "CBES_FLIGHT_P99_BUDGET_US", 0)
-}
-
 /// Sheds tolerated since an artifact apply before the soak monitor
 /// rolls it back. `CBES_SOAK_SHED_BUDGET` overrides; 0 disables the
-/// shed trigger.
+/// monitor.
 fn soak_shed_budget() -> u64 {
     static CACHE: OnceLock<u64> = OnceLock::new();
     env_u64(&CACHE, "CBES_SOAK_SHED_BUDGET", 25)
 }
 
-/// Rolling-p99 service-time budget (microseconds over the 10 s window)
-/// during a soak; exceeding it rolls the soaking artifact back.
-/// `CBES_SOAK_P99_BUDGET_US` sets it; the default 0 disables the
-/// trigger.
-fn soak_p99_budget_us() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    env_u64(&CACHE, "CBES_SOAK_P99_BUDGET_US", 0)
-}
-
-/// The soak monitor: while an artifact is soaking, compare windowed
-/// telemetry against the soak budgets and auto-roll-back on
+/// The soak monitor: while an artifact is soaking, compare the sheds
+/// since its apply against the soak budget and auto-roll-back on
 /// regression, dumping the flight recorder tagged with the artifact
 /// version. Runs inside the once-per-second [`Daemon::flight_checks`] sweep.
 fn soak_check(runtime: &ReconfigRuntime, metrics: &ServerMetrics) {
     let Some(soak) = runtime.soak_state() else {
         return;
     };
-    let mut reason = None;
     let shed_budget = soak_shed_budget();
-    if shed_budget > 0 {
-        let sheds = metrics.net.overloaded.get();
-        let shed = sheds.saturating_sub(soak.sheds_at_apply);
-        if shed >= shed_budget {
-            reason = Some(format!(
-                "{shed} requests shed since apply (budget {shed_budget})"
-            ));
-        }
-    }
-    let p99_budget = soak_p99_budget_us();
-    if reason.is_none() && p99_budget > 0 {
-        let p99 = metrics.service_time.window_snapshot(10).p99();
-        if p99 > p99_budget {
-            reason = Some(format!(
-                "rolling p99 {p99}us exceeds soak budget {p99_budget}us"
-            ));
-        }
-    }
-    let Some(reason) = reason else {
+    let sheds = metrics.net.overloaded.get();
+    let shed = sheds.saturating_sub(soak.sheds_at_apply);
+    if shed_budget == 0 || shed < shed_budget {
         return;
-    };
-    let flight = metrics.registry.flight();
-    flight.record(
-        "soak_regression",
-        format!("artifact v{} rolled back: {reason}", soak.version),
-        0,
-    );
+    }
+    let reason = format!("{shed} requests shed since apply (budget {shed_budget})");
     // The rollback journals, reinstates the previous configuration, and
     // clears the soak; a concurrent operator verb simply wins the race
     // (the store serialises, the loser's reply is a lifecycle error).
     let _ = runtime.handle_rollback(&reason, true);
-    if flight
-        .auto_dump("soak_regression", metrics.registry.spans())
-        .is_some()
-    {
-        metrics.net.flight_dumps.incr();
-    }
+    let detail = format!("artifact v{} rolled back: {reason}", soak.version);
+    metrics.registry.anomaly("soak_regression", Some(detail));
 }
 
-/// Parse and rate-gate one request line. `Err` carries the finished
+/// Rate-gate one decoded request line. `Err` carries the finished
 /// reply plus whether it counts as a malformed-frame strike (boxed:
 /// the happy path should not pay for the error reply's size).
 fn precheck(
-    line: &str,
+    decoded: Result<RequestEnvelope, serde_json::Error>,
     rate: &RateLimiter,
     metrics: &ServerMetrics,
 ) -> Result<RequestEnvelope, Box<(ResponseEnvelope, bool)>> {
-    let envelope: RequestEnvelope = match decode_request(line) {
+    let envelope = match decoded {
         Ok(env) => env,
         Err(e) => {
             metrics.net.errors.incr();
@@ -486,14 +410,28 @@ struct Daemon {
 }
 
 impl Handler for Daemon {
-    fn may_inline(&self, line: &str) -> bool {
-        may_inline(line)
+    /// Only a frame whose row of the action table is marked
+    /// [`inline`](crate::protocol::ActionSpec::inline) runs on the
+    /// reactor, and the row is read off the envelope that then runs: no
+    /// frame the decoder accepts can be taken for another action's. One
+    /// that does not decode is refused on the spot.
+    fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
+        match decode_request(line) {
+            Ok(envelope) if !envelope.request.spec().inline => None,
+            decoded => Some(self.serve(decoded)),
+        }
     }
 
-    /// Parse, rate-gate, execute, and instrument one frame.
     fn execute(&self, line: &str) -> (Vec<u8>, bool) {
+        self.serve(decode_request(line))
+    }
+}
+
+impl Daemon {
+    /// Rate-gate, execute, and instrument one decoded frame.
+    fn serve(&self, decoded: Result<RequestEnvelope, serde_json::Error>) -> (Vec<u8>, bool) {
         let metrics = &self.metrics;
-        let envelope = match precheck(line, &self.rate, metrics) {
+        let envelope = match precheck(decoded, &self.rate, metrics) {
             Ok(env) => env,
             Err(reply) => return (encode_line(&reply.0), reply.1),
         };
@@ -526,14 +464,12 @@ impl Handler for Daemon {
         self.flight_checks();
         (encode_line(&ResponseEnvelope { id, response }), false)
     }
-}
 
-impl Daemon {
-    /// Once-per-second anomaly sweep run by whichever worker first crosses
-    /// a second boundary: a rolling-p99 budget breach or a node
-    /// health-state transition trips a (debounced) flight dump, and a
-    /// soaking artifact is checked against its regression budgets. Every
-    /// other request of the second pays one atomic swap and returns.
+    /// Once-per-second anomaly sweep run by whichever request first
+    /// crosses a second boundary: a node health-state transition trips a
+    /// (debounced) flight dump, and a soaking artifact is checked against
+    /// its shed budget. Every other request of the second pays one atomic
+    /// swap and returns.
     fn flight_checks(&self) {
         let metrics = &self.metrics;
         // +1 keeps the stamp nonzero so "never swept" stays distinguishable.
@@ -553,35 +489,10 @@ impl Daemon {
         if let Some(runtime) = &self.reconfig {
             soak_check(runtime, metrics);
         }
-        let flight = metrics.registry.flight();
-        let mut dump_reason = None;
-        let budget = flight_p99_budget_us();
-        if budget > 0 {
-            let p99 = metrics.service_time.window_snapshot(10).p99();
-            if p99 > budget {
-                flight.record(
-                    "p99_budget",
-                    format!("rolling p99 {p99}us exceeds budget {budget}us over 10s"),
-                    0,
-                );
-                dump_reason = Some("p99_budget");
-            }
-        }
         if transitions > prev_transitions {
-            flight.record(
-                "health_transition",
-                format!(
-                    "{} node health transition(s) since the last sweep",
-                    transitions - prev_transitions
-                ),
-                0,
-            );
-            dump_reason = Some("health_transition");
-        }
-        if let Some(reason) = dump_reason {
-            if flight.auto_dump(reason, metrics.registry.spans()).is_some() {
-                metrics.net.flight_dumps.incr();
-            }
+            let changed = transitions - prev_transitions;
+            let detail = format!("{changed} node health transition(s) since the last sweep");
+            metrics.registry.anomaly("health_transition", Some(detail));
         }
     }
 
@@ -757,13 +668,10 @@ impl Daemon {
                     .flight()
                     .dump("on_demand", metrics.registry.spans())
                 {
-                    Ok((path, events)) => {
-                        metrics.net.flight_dumps.incr();
-                        Response::FlightDumped {
-                            path: path.display().to_string(),
-                            events: events as u64,
-                        }
-                    }
+                    Ok((path, events)) => Response::FlightDumped {
+                        path: path.display().to_string(),
+                        events: events as u64,
+                    },
                     Err(e) => {
                         Response::error(error_kind::SERVICE, format!("flight dump failed: {e}"))
                     }
@@ -811,43 +719,38 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::tests::{error_kind_of, stats_line};
+    use crate::net::tests::{error_kind_of, idle_control, stats_line};
+    use crate::protocol::tests::sample;
     use crate::protocol::{encode, Action};
 
-    #[test]
-    fn sniff_action_reads_the_wire_tag_of_real_encodings() {
-        // Pin against actual serde encodings, not a hand-written shape:
-        // the enum is externally tagged, so struct variants nest as
-        // {"request":{"Schedule":{…}}} and unit variants as a string.
-        let sched = encode(&RequestEnvelope::new(
-            3,
-            Request::Schedule {
-                app: "ring".to_string(),
-                pool: vec![0, 1],
-                iters: 10,
-                seed: 1,
-            },
-        ));
-        assert_eq!(sniff_action(&sched), Some("Schedule"));
-        let stats = stats_line(1);
-        assert_eq!(
-            sniff_action(&stats),
-            Some("Stats"),
-            "unit variants encode as a bare string tag"
-        );
-        let apply = encode(&RequestEnvelope::new(4, Request::Apply));
-        assert_eq!(sniff_action(&apply), Some("Apply"));
-        assert_eq!(sniff_action("{not json"), None);
+    /// A daemon over the demo cluster on a layer nothing serves.
+    fn daemon() -> Daemon {
+        let cluster = Arc::new(cbes_cluster::presets::two_switch_demo());
+        let forecast = cbes_core::monitor::ForecastKind::LastValue;
+        Daemon {
+            service: Arc::new(CbesService::self_calibrated(cluster, forecast)),
+            metrics: ServerMetrics::new(),
+            rate: Arc::new(RateLimiter::new(0.0)),
+            reconfig: None,
+            net: idle_control(),
+        }
     }
 
     #[test]
-    fn a_frame_runs_inline_only_if_its_row_says_so() {
+    fn the_reactor_runs_a_frame_only_if_the_row_it_decodes_to_says_so() {
+        let daemon = daemon();
+        // A member the decoder ignores, spelled the way a cheap action's
+        // frame begins, ahead of the request itself.
+        let decoy = "{\"id\":1,\"x\":{\"request\":\"Stats\"},";
         for spec in ACTIONS {
-            // Both spellings of a tag: a unit variant's and a struct one's.
-            let unit = format!("{{\"id\":1,\"request\":\"{}\"}}", spec.tag);
-            let nested = format!("{{\"id\":1,\"request\":{{\"{}\":{{}}}}}}", spec.tag);
-            assert_eq!(may_inline(&unit), spec.inline, "{}", spec.name);
-            assert_eq!(may_inline(&nested), spec.inline, "{}", spec.name);
+            let plain = encode(&RequestEnvelope::new(1, sample(spec.action)));
+            let disguised = plain.replacen("{\"id\":1,", decoy, 1);
+            let decoded = decode_request(&disguised).expect("unknown members are ignored");
+            assert_eq!(decoded.request.spec(), spec);
+            for frame in [&plain, &disguised] {
+                let ran = daemon.inline(frame).is_some();
+                assert_eq!(ran, spec.inline, "{}: {frame}", spec.name);
+            }
         }
         let queued: Vec<Action> = ACTIONS
             .iter()
@@ -859,9 +762,9 @@ mod tests {
             queued,
             [Schedule, DumpFlight, Stage, Apply, Accept, Rollback]
         );
-        // What cannot be identified is never guessed cheap.
-        assert!(!may_inline("{not json"));
-        assert!(!may_inline("{\"id\":1,\"request\":\"NoSuchAction\"}"));
+        // What does not decode is refused on the spot, as a strike.
+        let (_, malformed) = daemon.inline("{not json").expect("no worker needed");
+        assert!(malformed);
     }
 
     #[test]
@@ -869,7 +772,7 @@ mod tests {
         let m = ServerMetrics::new();
         let unlimited = RateLimiter::new(0.0);
         let (reply, malformed) =
-            *precheck("{not json", &unlimited, &m).expect_err("parse must fail");
+            *precheck(decode_request("{not json"), &unlimited, &m).expect_err("parse must fail");
         assert_eq!(reply.id, 0);
         assert_eq!(error_kind_of(&reply), error_kind::BAD_REQUEST);
         assert!(malformed, "a parse failure is a framing strike");
@@ -920,12 +823,12 @@ mod tests {
                 mappings: vec![],
             },
         ));
+        let precheck = |line: &str| precheck(decode_request(line), &rate, &m);
         assert!(
-            precheck(&compare_line, &rate, &m).is_ok(),
+            precheck(&compare_line).is_ok(),
             "the first eval spends the only token"
         );
-        let (reply, malformed) =
-            *precheck(&compare_line, &rate, &m).expect_err("the second eval is capped");
+        let (reply, malformed) = *precheck(&compare_line).expect_err("the second eval is capped");
         assert_eq!(reply.id, 11);
         assert_eq!(error_kind_of(&reply), error_kind::OVERLOADED);
         assert!(!malformed, "a shed is not a framing strike");
@@ -941,12 +844,12 @@ mod tests {
         assert_eq!(m.rate_limited.get(), 1);
         assert_eq!(m.net.overloaded.get(), 1);
         // Control plane bypasses the cap entirely.
-        assert!(precheck(&stats_line(12), &rate, &m).is_ok());
+        assert!(precheck(&stats_line(12)).is_ok());
         assert_eq!(m.rate_limited.get(), 1, "the cap did not fire again");
         // A runtime retune to unlimited lifts the cap mid-flight.
         rate.set_limits(0.0, 0);
-        assert!(precheck(&compare_line, &rate, &m).is_ok());
-        assert!(precheck(&compare_line, &rate, &m).is_ok());
+        assert!(precheck(&compare_line).is_ok());
+        assert!(precheck(&compare_line).is_ok());
         assert_eq!(m.rate_limited.get(), 1, "unlimited admits every eval");
     }
 

@@ -277,9 +277,10 @@ fn metrics_histograms_are_sane_and_counts_match_served() {
     let svc = &snap.histograms["server.service_time_us"];
     let qw = &snap.histograms["server.queue_wait_us"];
     assert_eq!(svc.count, served, "one service-time sample per request");
-    // Queue wait is recorded at worker pickup, so the in-flight metrics
-    // request itself has already contributed a sample.
-    assert_eq!(qw.count, served + 1, "one queue-wait sample per pickup");
+    // A serial client finds the pool idle, so every frame ran on the
+    // reactor, which files a frame's zero-wait sample once the inline hook
+    // has run it: the in-flight metrics request's own is not in yet.
+    assert_eq!(qw.count, served, "one queue-wait sample per pickup");
     assert!(svc.p50() <= svc.p99(), "percentiles must be monotone");
     assert!(svc.min <= svc.p50() && svc.p99() <= svc.max);
     assert!(qw.p50() <= qw.p99());

@@ -348,3 +348,47 @@ fn pipelined_evaluations_stay_ordered_under_load() {
     client.shutdown().expect("shutdown");
     handle.join();
 }
+
+/// A frame is what it decodes to, not what its leading bytes spell. A
+/// `Schedule` behind an ignored member that reads like a cheap action's
+/// tag queues for a worker like any other `Schedule`, so the reactor
+/// goes on serving while it anneals: ordering, not timing.
+#[test]
+fn a_disguised_schedule_does_not_run_on_the_reactor() {
+    let handle = demo_server(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .register_profile(ring_profile("ring", 4))
+        .expect("register");
+    // Consecutive connections pin to different workers.
+    let mut a = TcpStream::connect(handle.addr()).expect("connect");
+    let mut b = TcpStream::connect(handle.addr()).expect("connect");
+    let mut b_reader = BufReader::new(b.try_clone().expect("clone"));
+    let schedule = "{\"id\":1,\"x\":{\"request\":\"Stats\"},\"request\":{\"Schedule\":\
+        {\"app\":\"ring\",\"pool\":[0,1,2,3,4,5,6,7],\"iters\":300000,\"seed\":1}}}\n";
+    a.write_all(schedule.as_bytes()).expect("write");
+    b.write_all(stats_line(2).as_bytes()).expect("write");
+    let reply = read_reply(&mut b_reader);
+    assert!(
+        reply.contains("\"id\":2") && reply.contains("Stats"),
+        "{reply}"
+    );
+    // B is answered while A's annealing is still under way.
+    a.set_nonblocking(true).expect("socket option");
+    let early = a.peek(&mut [0u8; 1]);
+    assert!(
+        matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the schedule was answered ahead of a stats request behind it: {early:?}"
+    );
+    a.set_nonblocking(false).expect("socket option");
+    let reply = read_reply(&mut BufReader::new(a));
+    assert!(
+        reply.contains("\"id\":1") && reply.contains("Scheduled"),
+        "{reply}"
+    );
+    client.shutdown().expect("shutdown");
+    handle.join();
+}

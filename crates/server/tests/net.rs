@@ -53,8 +53,8 @@ thread_local! {
 }
 
 impl Handler for Echo {
-    fn may_inline(&self, line: &str) -> bool {
-        line.contains("inline")
+    fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
+        line.contains("inline").then(|| self.execute(line))
     }
 
     fn execute(&self, line: &str) -> (Vec<u8>, bool) {

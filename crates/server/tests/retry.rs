@@ -220,7 +220,7 @@ fn only_idempotent_rows_are_ever_sent_twice() {
         let mut client =
             Client::retrying(addr.clone(), Duration::from_secs(2), policy(BUDGET, 1, 7));
         let before = seen.load(Ordering::Acquire);
-        let err = client.call(request).expect_err("every frame is shed");
+        let err = client.call(&request).expect_err("every frame is shed");
         assert!(err.is_shed(), "{}: the shed surfaces: {err}", spec.name);
         let frames = seen.load(Ordering::Acquire) - before;
         let expected = if spec.idempotent {
