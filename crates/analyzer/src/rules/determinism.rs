@@ -1,9 +1,10 @@
 //! `determinism`: seeded decision code must not read wall clocks or
 //! ambient entropy.
 //!
-//! The schedulers, fault schedules, and the MPI simulator back the
-//! paper's reproducibility claims: the same seed must produce the same
-//! placement, the same fault timeline, the same trace. A stray
+//! The schedulers, the orchestrator with its fault schedules, and the
+//! MPI simulator back the paper's reproducibility claims: the same seed
+//! must produce the same placement, the same fault timeline, the same
+//! remapping decisions, the same trace. A stray
 //! `Instant::now()` or `thread_rng()` silently breaks that. Timing that
 //! genuinely needs a clock flows through `TelemetrySink::clock`, whose
 //! one real read carries a waiver.
@@ -17,7 +18,7 @@ use crate::source::SourceFile;
 /// Directory prefixes (workspace-relative) the rule applies to.
 const SCOPE_PREFIXES: [&str; 3] = [
     "crates/sched/src/",
-    "crates/faults/src/",
+    "crates/runtime/src/",
     "crates/mpisim/src/",
 ];
 

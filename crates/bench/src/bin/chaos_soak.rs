@@ -33,8 +33,7 @@ use cbes_core::health::HealthPolicy;
 use cbes_core::mapping::Mapping;
 use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
-use cbes_faults::FaultSchedule;
-use cbes_runtime::Perturbation;
+use cbes_runtime::FaultSchedule;
 use cbes_server::{Client, RetryPolicy, Server, ServerConfig};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 

@@ -1075,6 +1075,9 @@ fn artifact_status_table(status: &cbes_reconfig::StatusReport) -> String {
                 r.reason
             );
         }
+        if let Some(fault) = &s.journal_fault {
+            let _ = writeln!(out, "  refusing transitions until restarted: {fault}");
+        }
     }
     out
 }

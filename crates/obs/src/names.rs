@@ -155,13 +155,6 @@ names! {
     pub const RECONFIG_AUTO_ROLLBACKS: &str = "reconfig.auto_rollbacks";
     /// The active artifact version (0 = boot configuration).
     pub const RECONFIG_ACTIVE_VERSION: &str = "reconfig.active_version";
-
-    // ---- faults / chaos ------------------------------------------------
-
-    /// Faults injected into the node-health model.
-    pub const FAULTS_INJECTED: &str = "faults.injected";
-    /// Chaos-harness scenario runs started.
-    pub const CHAOS_RUNS: &str = "chaos.runs";
 }
 
 #[cfg(test)]

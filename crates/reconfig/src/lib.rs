@@ -47,6 +47,6 @@ pub use report::{
     StatusReport,
 };
 pub use store::{
-    validate_payload, Applied, ArtifactStore, ReconfigError, RolledBack, ServingLimits,
+    validate_payload, Applied, ArtifactStore, FaultHook, ReconfigError, RolledBack, ServingLimits,
     WRITE_POINTS,
 };

@@ -4,6 +4,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::lifecycle::Lifecycle;
+
 /// A short reference to one artifact version.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArtifactSummary {
@@ -62,6 +64,9 @@ pub struct LifecycleStatus {
     pub journal_records: u64,
     /// Every version ever staged, in version order.
     pub artifacts: Vec<ArtifactEntry>,
+    /// Why the store refuses transitions, when an earlier journal append
+    /// failed; cleared by reopening the store (restarting the daemon).
+    pub journal_fault: Option<String>,
 }
 
 /// One serving instance's lifecycle status, as reported on the wire.
@@ -89,13 +94,39 @@ pub struct StatusReport {
 impl LifecycleStatus {
     /// The empty status of a daemon with no artifact store.
     pub fn empty() -> LifecycleStatus {
+        LifecycleStatus::of(&Lifecycle::new())
+    }
+
+    /// The status of a store whose lifecycle state is `state`.
+    pub fn of(state: &Lifecycle) -> LifecycleStatus {
+        let summary = |a: crate::ArtifactRef| ArtifactSummary {
+            version: a.version,
+            kind: a.kind.as_str().to_string(),
+        };
         LifecycleStatus {
-            staged: None,
-            soaking: None,
-            active: None,
-            last_rollback: None,
-            journal_records: 0,
-            artifacts: Vec::new(),
+            staged: state.staged().map(summary),
+            soaking: state.soaking().map(|s| SoakSummary {
+                version: s.artifact.version,
+                kind: s.artifact.kind.as_str().to_string(),
+                previous: s.previous,
+            }),
+            active: state.active().map(summary),
+            last_rollback: state.last_rollback().map(|n| RollbackReport {
+                version: n.version,
+                reason: n.reason.clone(),
+                auto: n.auto,
+            }),
+            journal_records: state.records(),
+            artifacts: state
+                .entries()
+                .into_iter()
+                .map(|(version, kind, lifecycle_state)| ArtifactEntry {
+                    version,
+                    kind: kind.as_str().to_string(),
+                    state: lifecycle_state.to_string(),
+                })
+                .collect(),
+            journal_fault: None,
         }
     }
 }
@@ -131,6 +162,7 @@ mod tests {
                         kind: "serving_limits".to_string(),
                         state: "active".to_string(),
                     }],
+                    journal_fault: Some("i/o error on journal.jsonl: disk full".to_string()),
                 },
             }],
         };

@@ -14,29 +14,36 @@
 //!   one torn trailing line (a crash mid-append), truncates the torn
 //!   fragment so the next append starts a fresh line, and rejects
 //!   anything else as corruption.
-//! * Every write point calls [`cbes_faults::fail_point`] so the crash
-//!   suite can hard-kill the process at each step and assert recovery.
+//! * Every write point passes through the store's [`FaultHook`], if it
+//!   was built with one ([`ArtifactStore::open_with_hook`]); the crash
+//!   suite's hook aborts the process there, the property suite's returns
+//!   an `io::Error`. [`ArtifactStore::open`] — the only constructor
+//!   production calls — installs none.
 //!
 //! The in-memory [`Lifecycle`] is only mutated *after* the record is on
 //! disk, so the durable state always leads the visible state — a crash
-//! can lose an acknowledgement, never an acknowledged transition.
+//! can lose an acknowledgement, never an acknowledged transition. A
+//! *failed* append leaves the journal's tail unknown (nothing, a torn
+//! fragment, or the whole record may have landed), so the store then
+//! refuses every further transition with [`ReconfigError::JournalFailed`]
+//! until it is reopened: reopening replays and truncates the journal,
+//! the one recovery path the crash suite proves.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use cbes_faults::fail_point;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::lifecycle::{
-    op, ArtifactKind, ArtifactRef, JournalRecord, Lifecycle, LifecycleError, RollbackNote, Soak,
+    op, ArtifactKind, ArtifactRef, JournalRecord, Lifecycle, LifecycleError, Soak,
 };
-use crate::report::{ArtifactEntry, ArtifactSummary, LifecycleStatus, RollbackReport, SoakSummary};
+use crate::report::LifecycleStatus;
 
-/// Every fail-point name the store's write paths pass through, in the
-/// order a full stage→apply→accept cycle reaches them. The crash suite
-/// iterates this table so a new write point cannot be added without
-/// being covered.
+/// Every write-point name the store's write paths pass to the
+/// [`FaultHook`], in the order a full stage→apply→accept cycle reaches
+/// them. The crash suite iterates this table so a new write point
+/// cannot be added without being covered.
 pub const WRITE_POINTS: [&str; 10] = [
     "reconfig.stage.payload_tmp",
     "reconfig.stage.payload_renamed",
@@ -49,6 +56,12 @@ pub const WRITE_POINTS: [&str; 10] = [
     "reconfig.journal.rollback.pre",
     "reconfig.journal.rollback.post",
 ];
+
+/// A test's fault injector, called with the [`WRITE_POINTS`] name at each
+/// write point. It may not return (the crash suite aborts the process
+/// there), or return an error the store surfaces as
+/// [`ReconfigError::Io`] at that point.
+pub type FaultHook = Box<dyn Fn(&str) -> std::io::Result<()> + Send + Sync>;
 
 /// A store-level failure.
 #[derive(Debug)]
@@ -73,6 +86,10 @@ pub enum ReconfigError {
     InvalidPayload(String),
     /// An operation referenced a version the store has never staged.
     UnknownVersion(u64),
+    /// An earlier journal append failed (the detail says how), so what
+    /// reached disk is unknown and the store refuses transitions until
+    /// it is reopened.
+    JournalFailed(String),
 }
 
 impl std::fmt::Display for ReconfigError {
@@ -87,6 +104,11 @@ impl std::fmt::Display for ReconfigError {
             }
             ReconfigError::InvalidPayload(detail) => write!(f, "invalid payload: {detail}"),
             ReconfigError::UnknownVersion(v) => write!(f, "unknown artifact version {v}"),
+            ReconfigError::JournalFailed(detail) => write!(
+                f,
+                "a journal append failed ({detail}); transitions are refused until the \
+                 store is reopened (restart the daemon)"
+            ),
         }
     }
 }
@@ -189,12 +211,15 @@ pub struct RolledBack {
 /// writers serialise on the journal lock.
 pub struct ArtifactStore {
     dir: PathBuf,
+    hook: Option<FaultHook>,
     inner: Mutex<Inner>,
 }
 
 struct Inner {
     journal: File,
     state: Lifecycle,
+    /// Set by the first failed append; see [`ReconfigError::JournalFailed`].
+    journal_fault: Option<String>,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -216,7 +241,19 @@ impl ArtifactStore {
     /// Open (or initialise) the store under `dir`, replaying the
     /// journal to recover the exact pre-crash lifecycle state.
     pub fn open(dir: impl Into<PathBuf>) -> Result<ArtifactStore, ReconfigError> {
-        let dir = dir.into();
+        Self::open_inner(dir.into(), None)
+    }
+
+    /// [`ArtifactStore::open`] with a [`FaultHook`] at every write
+    /// point. For crash and fault-injection tests only.
+    pub fn open_with_hook(
+        dir: impl Into<PathBuf>,
+        hook: FaultHook,
+    ) -> Result<ArtifactStore, ReconfigError> {
+        Self::open_inner(dir.into(), Some(hook))
+    }
+
+    fn open_inner(dir: PathBuf, hook: Option<FaultHook>) -> Result<ArtifactStore, ReconfigError> {
         let artifacts = dir.join("artifacts");
         fs::create_dir_all(&artifacts).map_err(io_err(&artifacts))?;
         let journal_path = dir.join("journal.jsonl");
@@ -248,7 +285,12 @@ impl ArtifactStore {
             .map_err(io_err(&journal_path))?;
         Ok(ArtifactStore {
             dir,
-            inner: Mutex::new(Inner { journal, state }),
+            hook,
+            inner: Mutex::new(Inner {
+                journal,
+                state,
+                journal_fault: None,
+            }),
         })
     }
 
@@ -309,19 +351,45 @@ impl ArtifactStore {
         self.dir.join("artifacts").join(format!("v{version}.json"))
     }
 
-    /// Append one record to the journal: write, flush, fsync. The
-    /// in-memory state is only advanced by the caller afterwards.
-    fn append(journal: &mut File, dir: &Path, record: &JournalRecord) -> Result<(), ReconfigError> {
-        let path = dir.join("journal.jsonl");
+    /// Pass write point `point` (about to touch, or just done with,
+    /// `path`) through the fault hook, if the store has one.
+    fn at(&self, point: &str, path: &Path) -> Result<(), ReconfigError> {
+        match &self.hook {
+            Some(hook) => hook(point).map_err(io_err(path)),
+            None => Ok(()),
+        }
+    }
+
+    /// Lock the store for a transition, refusing once an append failed.
+    fn begin(&self) -> Result<MutexGuard<'_, Inner>, ReconfigError> {
+        let inner = self.inner.lock();
+        match &inner.journal_fault {
+            Some(detail) => Err(ReconfigError::JournalFailed(detail.clone())),
+            None => Ok(inner),
+        }
+    }
+
+    /// Append one record to the journal: write, flush, fsync.
+    fn append(&self, journal: &mut File, record: &JournalRecord) -> Result<(), ReconfigError> {
+        let path = self.dir.join("journal.jsonl");
         let mut line = serde_json::to_string(record).expect("journal records always serialise");
         line.push('\n');
-        fail_point(&format!("reconfig.journal.{}.pre", record.op));
+        self.at(&format!("reconfig.journal.{}.pre", record.op), &path)?;
         journal.write_all(line.as_bytes()).map_err(io_err(&path))?;
         journal.flush().map_err(io_err(&path))?;
         // cbes-analyze: allow(blocking_hot_path, journal durability contract: the fsync runs on the worker executing the artifact verb, never on the reactor)
         journal.sync_data().map_err(io_err(&path))?;
-        fail_point(&format!("reconfig.journal.{}.post", record.op));
-        Ok(())
+        self.at(&format!("reconfig.journal.{}.post", record.op), &path)
+    }
+
+    /// Make `record` durable, then — and only then — visible. A failed
+    /// append latches `journal_fault` instead of advancing the state.
+    fn journal(&self, inner: &mut Inner, record: &JournalRecord) -> Result<(), ReconfigError> {
+        if let Err(e) = self.append(&mut inner.journal, record) {
+            inner.journal_fault = Some(e.to_string());
+            return Err(e);
+        }
+        Ok(inner.state.commit(record)?)
     }
 
     /// Stage a new artifact version: validate the payload, persist it
@@ -333,7 +401,7 @@ impl ArtifactStore {
         expected_nodes: Option<usize>,
     ) -> Result<u64, ReconfigError> {
         validate_payload(kind, payload, expected_nodes)?;
-        let mut inner = self.inner.lock();
+        let mut inner = self.begin()?;
         let record = inner.state.plan_stage(kind);
         let version = record.version;
         // Payload first: write-temp + fsync + atomic rename, so the
@@ -346,26 +414,24 @@ impl ArtifactStore {
             // cbes-analyze: allow(blocking_hot_path, payload durability contract: stage runs on the worker that received the verb, and the payload must be on disk before the journal references it)
             f.sync_all().map_err(io_err(&tmp))?;
         }
-        fail_point("reconfig.stage.payload_tmp");
+        self.at("reconfig.stage.payload_tmp", &tmp)?;
         fs::rename(&tmp, &target).map_err(io_err(&target))?;
-        fail_point("reconfig.stage.payload_renamed");
-        Self::append(&mut inner.journal, &self.dir, &record)?;
-        inner.state.commit(&record)?;
+        self.at("reconfig.stage.payload_renamed", &target)?;
+        self.journal(&mut inner, &record)?;
         Ok(version)
     }
 
     /// Activate the staged artifact, entering its soak window. Returns
     /// the payload so the caller can swap it into the serving path.
     pub fn apply(&self) -> Result<Applied, ReconfigError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.begin()?;
         let record = inner.state.plan_apply()?;
         let artifact = inner
             .state
             .staged()
             .ok_or(ReconfigError::Lifecycle(LifecycleError::NothingStaged))?;
         let payload = self.read_payload(record.version)?;
-        Self::append(&mut inner.journal, &self.dir, &record)?;
-        inner.state.commit(&record)?;
+        self.journal(&mut inner, &record)?;
         Ok(Applied {
             artifact,
             previous: record.previous,
@@ -375,22 +441,21 @@ impl ArtifactStore {
 
     /// Accept the soaking artifact as the durable active configuration.
     pub fn accept(&self) -> Result<ArtifactRef, ReconfigError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.begin()?;
         let record = inner.state.plan_accept()?;
         let artifact = inner
             .state
             .soaking()
             .map(|s| s.artifact)
             .ok_or(ReconfigError::Lifecycle(LifecycleError::NothingSoaking))?;
-        Self::append(&mut inner.journal, &self.dir, &record)?;
-        inner.state.commit(&record)?;
+        self.journal(&mut inner, &record)?;
         Ok(artifact)
     }
 
     /// Roll the soaking artifact back. Returns what to reinstate:
     /// the previous version's payload, or `None` for the boot config.
     pub fn rollback(&self, reason: &str, auto: bool) -> Result<RolledBack, ReconfigError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.begin()?;
         let record = inner.state.plan_rollback(reason, auto)?;
         let soak = inner
             .state
@@ -405,8 +470,7 @@ impl ArtifactStore {
                 .ok_or(ReconfigError::UnknownVersion(record.previous))?;
             Some((kind, self.read_payload(record.previous)?))
         };
-        Self::append(&mut inner.journal, &self.dir, &record)?;
-        inner.state.commit(&record)?;
+        self.journal(&mut inner, &record)?;
         Ok(RolledBack {
             artifact: soak.artifact,
             previous: record.previous,
@@ -448,42 +512,15 @@ impl ArtifactStore {
     /// A serialisable snapshot of the lifecycle, for status replies.
     pub fn status(&self) -> LifecycleStatus {
         let inner = self.inner.lock();
-        let state = &inner.state;
-        let summary = |a: ArtifactRef| ArtifactSummary {
-            version: a.version,
-            kind: a.kind.as_str().to_string(),
-        };
         LifecycleStatus {
-            staged: state.staged().map(summary),
-            soaking: state.soaking().map(|s: Soak| SoakSummary {
-                version: s.artifact.version,
-                kind: s.artifact.kind.as_str().to_string(),
-                previous: s.previous,
-            }),
-            active: state.active().map(summary),
-            last_rollback: state
-                .last_rollback()
-                .map(|n: &RollbackNote| RollbackReport {
-                    version: n.version,
-                    reason: n.reason.clone(),
-                    auto: n.auto,
-                }),
-            journal_records: state.records(),
-            artifacts: state
-                .entries()
-                .into_iter()
-                .map(|(version, kind, lifecycle_state)| ArtifactEntry {
-                    version,
-                    kind: kind.as_str().to_string(),
-                    state: lifecycle_state.to_string(),
-                })
-                .collect(),
+            journal_fault: inner.journal_fault.clone(),
+            ..LifecycleStatus::of(&inner.state)
         }
     }
 }
 
 // Keep the journal-op constants referenced so the module-level docs and
-// fail-point names cannot silently drift from the lifecycle vocabulary.
+// write-point names cannot silently drift from the lifecycle vocabulary.
 const _: [&str; 4] = [op::STAGE, op::APPLY, op::ACCEPT, op::ROLLBACK];
 
 #[cfg(test)]

@@ -1,20 +1,23 @@
 //! Kill -9 crash-recovery suite: a child process drives a fixed
-//! lifecycle sequence against a scratch store with one fail point armed
-//! (see `cbes_faults::fail_point`), aborts mid-write, and the parent
-//! reopens the store and asserts the recovered state is exactly the
-//! state whose journal records reached disk — never anything in
-//! between.
+//! lifecycle sequence against a scratch store whose fault hook aborts
+//! at one write point (see `cbes_reconfig::FaultHook`), dies mid-write,
+//! and the parent reopens the store and asserts the recovered state is
+//! exactly the state whose journal records reached disk — never
+//! anything in between.
 //!
 //! The child is this same test binary re-executed with
 //! `--exact crash_helper_drives_the_store`; the helper test is a no-op
-//! unless `CBES_RECONFIG_CRASH_DIR` is set.
+//! unless `CBES_RECONFIG_CRASH_DIR` is set, and `CBES_FAIL_POINT` names
+//! the write point its hook aborts at. Both variables exist only in
+//! this file.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use cbes_reconfig::{ArtifactKind, ArtifactStore, WRITE_POINTS};
+use cbes_reconfig::{ArtifactKind, ArtifactStore, ReconfigError, WRITE_POINTS};
 
 const CRASH_DIR_ENV: &str = "CBES_RECONFIG_CRASH_DIR";
+const FAIL_POINT_ENV: &str = "CBES_FAIL_POINT";
 
 fn limits_payload(rps: f64) -> String {
     format!("{{\"max_rps\": {rps}, \"shed_retry_after_ms\": 10}}")
@@ -22,7 +25,7 @@ fn limits_payload(rps: f64) -> String {
 
 /// The fixed sequence both sides agree on: a full accept cycle for v1,
 /// then an apply + rollback cycle for v2. Each step is attempted in
-/// order; with a fail point armed the child aborts inside one of them.
+/// order; the child's hook aborts it inside one of them.
 fn drive_sequence(store: &ArtifactStore) {
     let _ = store.stage(ArtifactKind::ServingLimits, &limits_payload(100.0), None);
     let _ = store.apply();
@@ -38,13 +41,24 @@ fn crash_helper_drives_the_store() {
     let Ok(dir) = std::env::var(CRASH_DIR_ENV) else {
         return;
     };
-    let store = ArtifactStore::open(PathBuf::from(dir)).expect("child opens store");
+    let armed = std::env::var(FAIL_POINT_ENV).expect("parent names a write point");
+    // The abort is deliberately unclean — no `Drop`, no stream flushing,
+    // like `kill -9` — so whatever the store had made durable before
+    // the write point is exactly what the parent's recovery sees.
+    let hook = Box::new(move |point: &str| {
+        if point == armed {
+            eprintln!("write point \"{point}\" reached, aborting process");
+            std::process::abort();
+        }
+        Ok(())
+    });
+    let store = ArtifactStore::open_with_hook(PathBuf::from(dir), hook).expect("child opens store");
     drive_sequence(&store);
-    // With a fail point armed the sequence never gets here; without one
-    // (defensive) the parent will notice the clean exit and fail.
+    // The sequence reaches every write point, so the child never gets
+    // here; if it does, the parent notices the clean exit and fails.
 }
 
-/// Expected recovered lifecycle per fail point, expressed as
+/// Expected recovered lifecycle per write point, expressed as
 /// `(journal_records, staged, soaking, active)` versions (0 = none).
 fn expected_after(point: &str) -> (u64, u64, u64, u64) {
     match point {
@@ -78,12 +92,12 @@ fn recovery_at_every_write_point() {
             .arg("crash_helper_drives_the_store")
             .arg("--nocapture")
             .env(CRASH_DIR_ENV, &dir)
-            .env(cbes_faults::FAIL_POINT_ENV, point)
+            .env(FAIL_POINT_ENV, point)
             .status()
             .expect("spawn crash child");
         assert!(
             !status.success(),
-            "fail point {point} did not kill the child (status {status})"
+            "write point {point} did not kill the child (status {status})"
         );
 
         let store = ArtifactStore::open(&dir)
@@ -148,5 +162,50 @@ fn clean_sequence_leaves_a_replayable_journal() {
     assert_eq!(status.active.map(|a| a.version), Some(1));
     assert_eq!(status.soaking, None);
     assert_eq!(status.last_rollback.map(|r| r.version), Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sequence that used to brick the next boot: the `apply` record
+/// reaches disk, the append still reports failure, and the operator
+/// retries. The store must refuse the retry (a second `apply v1` record
+/// would make the journal unreplayable) and say why, until reopened.
+#[test]
+fn failed_append_refuses_retries_until_reopened() {
+    let dir =
+        std::env::temp_dir().join(format!("cbes-reconfig-crash-retry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let hook = Box::new(|point: &str| match point {
+            "reconfig.journal.apply.post" => Err(std::io::Error::other("injected fault")),
+            _ => Ok(()),
+        });
+        let store = ArtifactStore::open_with_hook(&dir, hook).expect("open");
+        store
+            .stage(ArtifactKind::ServingLimits, &limits_payload(100.0), None)
+            .expect("stage");
+        assert!(matches!(store.apply(), Err(ReconfigError::Io { .. })));
+        let status = store.status();
+        assert_eq!(
+            status.staged.map(|a| a.version),
+            Some(1),
+            "state stays behind"
+        );
+        assert!(status.journal_fault.is_some(), "status says why");
+        assert!(matches!(
+            store.apply(),
+            Err(ReconfigError::JournalFailed(_))
+        ));
+        assert!(matches!(
+            store.accept(),
+            Err(ReconfigError::JournalFailed(_))
+        ));
+    }
+    // What `cbes serve --state-dir` does at boot.
+    let store = ArtifactStore::open(&dir).expect("reopen");
+    let status = store.status();
+    assert_eq!(status.journal_records, 2, "the durable apply is recovered");
+    assert_eq!(status.soaking.map(|s| s.version), Some(1));
+    assert_eq!(status.journal_fault, None);
+    store.accept().expect("accept after reopen");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,9 +3,8 @@
 //!
 //! A chaos run executes the orchestrator twice over the same application,
 //! pool, and load timeline — once fault-free as the baseline, once under
-//! the given [`FaultSchedule`](crate::FaultSchedule) — and reduces both to
-//! a [`ChaosReport`]. The report carries the two invariants the fault
-//! model promises:
+//! the given [`FaultSchedule`] — and reduces both to a [`ChaosReport`].
+//! The report carries the two invariants the fault model promises:
 //!
 //! 1. **No dead placements** — [`ChaosReport::down_assignments`] counts
 //!    phase placements on nodes classified `Down` at scheduling time, and
@@ -14,11 +13,9 @@
 //!    completion time over the fault-free one; callers assert their own
 //!    bound (the smoke tests use 2×).
 
-use crate::FaultSchedule;
+use crate::{FaultSchedule, Orchestrator, PhasedApp, RunReport, RuntimeError};
 use cbes_cluster::load::LoadTimeline;
-use cbes_cluster::{Cluster, LatencyProvider, NodeId};
-use cbes_obs::{names, Registry};
-use cbes_runtime::{Orchestrator, RunReport, RuntimeConfig, RuntimeError};
+use cbes_cluster::NodeId;
 
 /// The outcome of one chaos run: the faulted execution next to its
 /// fault-free baseline, plus the derived invariant figures.
@@ -57,49 +54,45 @@ fn down_assignments(report: &RunReport) -> usize {
         .sum()
 }
 
-/// Run `app` on `pool` twice — fault-free, then under `faults` — and
-/// report both together. Bumps the process-wide `chaos.runs` counter.
-///
-/// The faulted run uses the orchestrator exactly as production would:
-/// faults only reach it through masked monitoring reports and perturbed
-/// load samples, never through a side channel.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chaos(
-    cluster: &Cluster,
-    latency: &dyn LatencyProvider,
-    config: RuntimeConfig,
-    app: &cbes_runtime::PhasedApp,
-    pool: &[NodeId],
-    timeline: &LoadTimeline,
-    faults: &FaultSchedule,
-) -> Result<ChaosReport, RuntimeError> {
-    Registry::global().counter(names::CHAOS_RUNS).incr();
-    let orch = Orchestrator::new(cluster, latency, config);
-    let baseline = orch.run(app, pool, timeline)?;
-    let faulted = orch.run_with_faults(app, pool, timeline, Some(faults))?;
-    let slowdown = if baseline.total > 0.0 {
-        faulted.total / baseline.total
-    } else {
-        1.0
-    };
-    let down = down_assignments(&faulted);
-    Ok(ChaosReport {
-        faulted,
-        baseline,
-        slowdown,
-        down_assignments: down,
-    })
+impl Orchestrator<'_> {
+    /// Run `app` on `pool` twice — fault-free, then under `faults` — and
+    /// report both together.
+    ///
+    /// The faulted run uses the orchestrator exactly as production would:
+    /// faults only reach it through masked monitoring reports and perturbed
+    /// load samples, never through a side channel.
+    pub fn run_chaos(
+        &self,
+        app: &PhasedApp,
+        pool: &[NodeId],
+        timeline: &LoadTimeline,
+        faults: &FaultSchedule,
+    ) -> Result<ChaosReport, RuntimeError> {
+        let baseline = self.run(app, pool, timeline)?;
+        let faulted = self.run_with_faults(app, pool, timeline, faults)?;
+        let slowdown = if baseline.total > 0.0 {
+            faulted.total / baseline.total
+        } else {
+            1.0
+        };
+        let down = down_assignments(&faulted);
+        Ok(ChaosReport {
+            faulted,
+            baseline,
+            slowdown,
+            down_assignments: down,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultSchedule;
+    use crate::RuntimeConfig;
     use cbes_cluster::presets::orange_grove;
-    use cbes_cluster::Architecture;
+    use cbes_cluster::{Architecture, Cluster};
     use cbes_core::health::HealthPolicy;
     use cbes_core::remap::{MigrationCost, RemapAnalysis};
-    use cbes_runtime::PhasedApp;
     use cbes_sched::SaConfig;
     use cbes_workloads::npb::{lu, NpbClass};
 
@@ -147,16 +140,14 @@ mod tests {
         let cluster = orange_grove();
         let (pool, victim) = pool_and_victim(&cluster);
         let faults = FaultSchedule::standard(cluster.len(), victim);
-        let report = run_chaos(
-            &cluster,
-            &cluster,
-            chaos_config(),
-            &two_phase_app(8),
-            &pool,
-            &LoadTimeline::idle(cluster.len()),
-            &faults,
-        )
-        .expect("chaos run completes");
+        let report = Orchestrator::new(&cluster, &cluster, chaos_config())
+            .run_chaos(
+                &two_phase_app(8),
+                &pool,
+                &LoadTimeline::idle(cluster.len()),
+                &faults,
+            )
+            .expect("chaos run completes");
         assert_eq!(report.faulted.phases.len(), 2, "both phases executed");
         assert_eq!(
             report.down_assignments, 0,
@@ -196,16 +187,14 @@ mod tests {
         let cluster = orange_grove();
         let (pool, _) = pool_and_victim(&cluster);
         let faults = FaultSchedule::new(cluster.len()).dropout(4, 0.5, 2.0);
-        let report = run_chaos(
-            &cluster,
-            &cluster,
-            chaos_config(),
-            &two_phase_app(8),
-            &pool,
-            &LoadTimeline::idle(cluster.len()),
-            &faults,
-        )
-        .expect("chaos run completes");
+        let report = Orchestrator::new(&cluster, &cluster, chaos_config())
+            .run_chaos(
+                &two_phase_app(8),
+                &pool,
+                &LoadTimeline::idle(cluster.len()),
+                &faults,
+            )
+            .expect("chaos run completes");
         assert_eq!(report.down_assignments, 0);
         assert!(report.slowdown <= 2.0, "{report:?}");
     }
@@ -221,10 +210,7 @@ mod tests {
         let mut completed = 0;
         for seed in 0..6u64 {
             let faults = FaultSchedule::random(cluster.len(), seed, 8.0, 4);
-            match run_chaos(
-                &cluster,
-                &cluster,
-                chaos_config(),
+            match Orchestrator::new(&cluster, &cluster, chaos_config()).run_chaos(
                 &two_phase_app(8),
                 &pool,
                 &LoadTimeline::idle(cluster.len()),

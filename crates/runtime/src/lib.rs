@@ -16,16 +16,24 @@
 //! 3. a [`cbes_core::remap::RemapAnalysis`] decides whether migrating pays
 //!    for itself; if it does, the migration delay is charged and execution
 //!    continues on the new mapping.
+//!
+//! The same loop runs under injected faults: a [`FaultSchedule`] masks
+//! monitoring reports and perturbs the load the orchestrator sees, and
+//! [`Orchestrator::run_chaos`] sets a faulted run beside its fault-free
+//! baseline to check the resilience invariants (completion, no
+//! `Down`-node assignments, bounded slowdown).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chaos;
 pub mod error;
 pub mod faults;
 pub mod orchestrator;
 pub mod phased;
 
+pub use chaos::ChaosReport;
 pub use error::RuntimeError;
-pub use faults::{Disturbance, NoFaults, Perturbation};
+pub use faults::{Disturbance, FaultEvent, FaultKind, FaultSchedule};
 pub use orchestrator::{Orchestrator, PhaseReport, RunReport, RuntimeConfig};
 pub use phased::PhasedApp;

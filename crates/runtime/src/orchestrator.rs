@@ -1,7 +1,7 @@
 //! The monitoring / scheduling / remapping loop.
 
 use crate::error::RuntimeError;
-use crate::faults::{Disturbance, Perturbation};
+use crate::faults::FaultSchedule;
 use crate::phased::PhasedApp;
 use cbes_cluster::load::LoadTimeline;
 use cbes_cluster::{Cluster, LatencyProvider, NodeId};
@@ -152,10 +152,10 @@ impl<'a> Orchestrator<'a> {
         pool: &[NodeId],
         timeline: &LoadTimeline,
     ) -> Result<RunReport, RuntimeError> {
-        self.run_with_faults(app, pool, timeline, None)
+        self.run_with_faults(app, pool, timeline, &FaultSchedule::new(self.cluster.len()))
     }
 
-    /// Like [`Orchestrator::run`], but with an injected fault source:
+    /// Like [`Orchestrator::run`], but under a fault schedule:
     /// each monitoring sweep and each phase execution samples the
     /// disturbance active at that simulated instant. Crashed and
     /// dropped-out nodes stop reporting, so they age toward `Suspect` and
@@ -167,7 +167,7 @@ impl<'a> Orchestrator<'a> {
         app: &PhasedApp,
         pool: &[NodeId],
         timeline: &LoadTimeline,
-        faults: Option<&dyn Perturbation>,
+        faults: &FaultSchedule,
     ) -> Result<RunReport, RuntimeError> {
         let n = app.num_ranks();
         let n_nodes = self.cluster.len();
@@ -195,10 +195,7 @@ impl<'a> Orchestrator<'a> {
             for s in (0..self.config.sweeps_per_boundary).rev() {
                 let ts = (now - s as f64).max(0.0);
                 let mut ground = timeline.sample(ts);
-                let d = match faults {
-                    Some(f) => f.sample(ts, n_nodes),
-                    None => Disturbance::none(n_nodes),
-                };
+                let d = faults.sample(ts, n_nodes);
                 d.apply_to(&mut ground);
                 let mask = d.reported_mask();
                 monitor.observe_partial(&ground, &mask);
@@ -260,9 +257,7 @@ impl<'a> Orchestrator<'a> {
             // Execute the phase against the *actual* (fault-perturbed)
             // load at this time.
             let mut actual = timeline.sample(now);
-            if let Some(f) = faults {
-                f.sample(now, n_nodes).apply_to(&mut actual);
-            }
+            faults.sample(now, n_nodes).apply_to(&mut actual);
             let phase_profile = &profiles[k];
             let snap_now = {
                 let mut s = SystemSnapshot::no_load(self.cluster, self.latency);
@@ -391,19 +386,6 @@ mod tests {
 
     #[test]
     fn mapped_node_going_silent_forces_a_remap() {
-        struct DropNode {
-            node: usize,
-            after: f64,
-        }
-        impl Perturbation for DropNode {
-            fn sample(&self, t: f64, n: usize) -> Disturbance {
-                let mut d = Disturbance::none(n);
-                if t >= self.after {
-                    d.reporting[self.node] = false;
-                }
-                d
-            }
-        }
         let cluster = orange_grove();
         let mut config = cheap_config();
         // Tight deadlines: two silent sweeps are enough to reach Down
@@ -422,17 +404,9 @@ mod tests {
         let mut pool = alphas.clone();
         pool.extend(cluster.nodes_by_arch(Architecture::IntelPII));
         let victim = alphas[0];
-        let faults = DropNode {
-            node: victim.index(),
-            after: 0.5,
-        };
+        let faults = FaultSchedule::new(cluster.len()).dropout(victim.index(), 0.5, f64::INFINITY);
         let report = orch
-            .run_with_faults(
-                &app,
-                &pool,
-                &LoadTimeline::idle(cluster.len()),
-                Some(&faults),
-            )
+            .run_with_faults(&app, &pool, &LoadTimeline::idle(cluster.len()), &faults)
             .expect("run");
         // Phase 0 was scheduled before the dropout and uses the victim.
         assert!(report.phases[0].mapping.as_slice().contains(&victim));

@@ -21,7 +21,8 @@
 //!   remapping cost/benefit analysis.
 //! * [`runtime`] — run-time orchestration: phase-wise execution with
 //!   monitored load, remapping decisions and migration charging (the
-//!   paper's future-work loop).
+//!   paper's future-work loop), and the seeded fault schedules and chaos
+//!   harness that exercise it.
 //! * [`sched`] — schedulers: the default simulated-annealing scheduler (CS),
 //!   the no-communication baseline (NCS), the random scheduler (RS), a greedy
 //!   list scheduler, and a genetic-algorithm scheduler (paper future work).
