@@ -5,6 +5,7 @@ use cbes_trace::AppProfile;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Thread-safe registry of application profiles keyed by name.
 ///
@@ -12,7 +13,7 @@ use std::path::Path;
 /// profiling subsystem inserts updated profiles.
 #[derive(Debug, Default)]
 pub struct ProfileRegistry {
-    map: RwLock<BTreeMap<String, AppProfile>>,
+    map: RwLock<BTreeMap<String, Arc<AppProfile>>>,
 }
 
 impl ProfileRegistry {
@@ -22,12 +23,15 @@ impl ProfileRegistry {
     }
 
     /// Insert (or replace) a profile under its own name.
-    pub fn insert(&self, profile: AppProfile) {
+    pub fn insert(&self, profile: impl Into<Arc<AppProfile>>) {
+        let profile = profile.into();
         self.map.write().insert(profile.name.clone(), profile);
     }
 
-    /// Fetch a clone of the profile for `name`.
-    pub fn get(&self, name: &str) -> Option<AppProfile> {
+    /// The profile for `name`, shared: a request borrows it for one
+    /// evaluation, so the read lock covers a reference-count bump and
+    /// not a deep copy.
+    pub fn get(&self, name: &str) -> Option<Arc<AppProfile>> {
         self.map.read().get(name).cloned()
     }
 
@@ -37,7 +41,7 @@ impl ProfileRegistry {
     }
 
     /// Remove a profile; returns it if present.
-    pub fn remove(&self, name: &str) -> Option<AppProfile> {
+    pub fn remove(&self, name: &str) -> Option<Arc<AppProfile>> {
         self.map.write().remove(name)
     }
 

@@ -22,6 +22,7 @@ use crate::registry::ProfileRegistry;
 use crate::snapshot::SystemSnapshot;
 use cbes_cluster::load::LoadState;
 use cbes_cluster::{Cluster, LatencyProvider};
+use cbes_netmodel::LoadAdjuster;
 use cbes_obs::{names, Counter, Gauge, Histogram, Registry};
 use parking_lot::RwLock;
 
@@ -314,10 +315,13 @@ impl CbesService {
     /// everything a request reads — load, health, model, epoch — comes
     /// from one atomic publication.
     pub fn snapshot_of<'a>(&'a self, cached: &'a EpochLoad) -> SystemSnapshot<'a> {
-        let mut s = SystemSnapshot::no_load(&self.cluster, &*cached.model);
-        s.set_load(cached.load.clone());
-        s.set_health(cached.health.clone());
-        s
+        SystemSnapshot::with_health(
+            &self.cluster,
+            &*cached.model,
+            LoadAdjuster::default(),
+            cached.load.clone(),
+            cached.health.clone(),
+        )
     }
 
     /// Atomically activate a new no-load latency model: exactly one

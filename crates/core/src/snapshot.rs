@@ -29,18 +29,29 @@ pub struct SystemSnapshot<'a> {
 }
 
 impl<'a> SystemSnapshot<'a> {
-    /// A snapshot with explicit load state.
+    /// A snapshot with explicit load state, every node healthy.
     pub fn new(
         cluster: &'a Cluster,
         no_load: &'a dyn LatencyProvider,
         adjuster: LoadAdjuster,
         load: LoadState,
     ) -> Self {
+        let health = HealthView::all_healthy(cluster.len());
+        SystemSnapshot::with_health(cluster, no_load, adjuster, load, health)
+    }
+
+    /// A snapshot with explicit load and health state.
+    pub fn with_health(
+        cluster: &'a Cluster,
+        no_load: &'a dyn LatencyProvider,
+        adjuster: LoadAdjuster,
+        load: LoadState,
+        health: HealthView,
+    ) -> Self {
         assert!(
             load.len() >= cluster.len(),
             "load state must cover every node"
         );
-        let health = HealthView::all_healthy(cluster.len());
         SystemSnapshot {
             cluster,
             no_load,

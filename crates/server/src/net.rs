@@ -54,7 +54,7 @@ use cbes_obs::{names, Counter, Histogram, Registry, SpanGuard};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
 use crate::epoll::{PollEvent, Poller};
-use crate::protocol::{encode_response, error_kind, split_id, Response, ResponseEnvelope};
+use crate::protocol::{error_kind, response_bytes, split_id, Response, ResponseEnvelope};
 use crate::server::ServerConfig;
 
 /// Upper bound on one reactor poll wait: the loop re-checks the
@@ -138,14 +138,14 @@ pub struct Forward {
 /// under the id its next hop knows it by.
 fn push_frame(buf: &mut Vec<u8>, id: u64, tail: &str) {
     buf.extend_from_slice(b"{\"id\":");
-    let _ = write!(buf, "{id}");
+    serde_json::write_u64(id, buf);
     buf.extend_from_slice(tail.as_bytes());
     buf.push(b'\n');
 }
 
 /// One reply envelope as a wire line, newline included.
 pub fn encode_line(envelope: &ResponseEnvelope) -> Vec<u8> {
-    let mut bytes = encode_response(envelope).into_bytes();
+    let mut bytes = response_bytes(envelope);
     bytes.push(b'\n');
     bytes
 }
@@ -1444,7 +1444,7 @@ impl<H: Handler> Reactor<H> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::protocol::{encode, Request, RequestEnvelope};
+    use crate::protocol::{encode, encode_response, Request, RequestEnvelope};
 
     pub(crate) fn stats_line(id: u64) -> String {
         encode(&RequestEnvelope::new(id, Request::Stats))

@@ -701,43 +701,57 @@ pub fn encode<T: Serialize>(envelope: &T) -> String {
 }
 
 /// Encode a reply envelope as one protocol line (no trailing newline).
+/// Byte-for-byte identical to [`encode`].
+pub fn encode_response(envelope: &ResponseEnvelope) -> String {
+    String::from_utf8(response_bytes(envelope)).expect("the encoder writes UTF-8")
+}
+
+/// [`encode_response`] before it is checked to be text, with room for
+/// the newline [`crate::net::encode_line`] adds.
 ///
 /// Hot-path specialisation: `Predictions` replies — the bulk of serve
-/// traffic, and ~50 numbers each — are emitted by a hand-written
-/// serialiser instead of the generic value-tree walk, which measures
-/// several microseconds per reply. Byte-for-byte identical to
-/// [`encode`] (numbers go through the same [`serde_json::write_f64`]);
-/// every other variant falls through to the generic path.
-pub fn encode_response(envelope: &ResponseEnvelope) -> String {
-    use std::fmt::Write as _;
+/// traffic, and ~50 numbers each — are written straight into one
+/// buffer sized from the reply's shape, instead of building and walking
+/// the generic value tree (numbers go through the same
+/// [`serde_json::write_f64`] and [`serde_json::write_u64`]); every
+/// other variant falls through to the generic path.
+pub(crate) fn response_bytes(envelope: &ResponseEnvelope) -> Vec<u8> {
+    use serde_json::{write_f64, write_u64};
     let Response::Predictions { epoch, predictions } = &envelope.response else {
-        return encode(envelope);
+        return encode(envelope).into_bytes();
     };
-    let mut out = String::with_capacity(96 + predictions.len() * 320);
-    let _ = write!(out, "{{\"id\":{}", envelope.id);
-    let _ = write!(out, ",\"response\":{{\"Predictions\":{{\"epoch\":{epoch}");
-    out.push_str(",\"predictions\":[");
+    // A rank is `{"r":…,"c":…},` around two floats of up to 17 digits,
+    // a candidate some 60 bytes around its ranks. A guess: a longer
+    // reply grows the buffer.
+    let ranks: usize = predictions.iter().map(|p| p.per_proc.len()).sum();
+    let mut out = Vec::with_capacity(96 + predictions.len() * 64 + ranks * 52);
+    out.extend_from_slice(b"{\"id\":");
+    write_u64(envelope.id, &mut out);
+    out.extend_from_slice(b",\"response\":{\"Predictions\":{\"epoch\":");
+    write_u64(*epoch, &mut out);
+    out.extend_from_slice(b",\"predictions\":[");
     for (i, p) in predictions.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push_str("{\"time\":");
-        serde_json::write_f64(p.time, &mut out);
-        let _ = write!(out, ",\"bottleneck\":{}", p.bottleneck);
-        out.push_str(",\"per_proc\":[");
+        out.extend_from_slice(b"{\"time\":");
+        write_f64(p.time, &mut out);
+        out.extend_from_slice(b",\"bottleneck\":");
+        write_u64(p.bottleneck as u64, &mut out);
+        out.extend_from_slice(b",\"per_proc\":[");
         for (j, pc) in p.per_proc.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str("{\"r\":");
-            serde_json::write_f64(pc.r, &mut out);
-            out.push_str(",\"c\":");
-            serde_json::write_f64(pc.c, &mut out);
-            out.push('}');
+            out.extend_from_slice(b"{\"r\":");
+            write_f64(pc.r, &mut out);
+            out.extend_from_slice(b",\"c\":");
+            write_f64(pc.c, &mut out);
+            out.push(b'}');
         }
-        out.push_str("]}");
+        out.extend_from_slice(b"]}");
     }
-    out.push_str("]}}}");
+    out.extend_from_slice(b"]}}}");
     out
 }
 
@@ -908,7 +922,7 @@ pub(crate) mod tests {
     #[test]
     fn fast_response_encoder_matches_the_generic_encoding() {
         use cbes_core::eval::ProcCost;
-        let shapes = vec![
+        let mut shapes = vec![
             ResponseEnvelope {
                 id: 0,
                 response: Response::Predictions {
@@ -955,9 +969,50 @@ pub(crate) mod tests {
                 },
             },
         ];
+        let cost = |x: f64| ProcCost { r: x, c: x / 3.0 };
+        let one = |time: f64, bottleneck: usize, per_proc: Vec<ProcCost>| ResponseEnvelope {
+            id: u64::MAX,
+            response: Response::Predictions {
+                epoch: u64::MAX,
+                predictions: vec![Prediction {
+                    time,
+                    bottleneck,
+                    per_proc,
+                }],
+            },
+        };
+        // Values long enough (300 digits each) that 32 candidates
+        // outgrow the capacity estimate.
+        let long = Prediction {
+            time: 1e-300,
+            bottleneck: 31,
+            per_proc: vec![cost(-1e-300); 4],
+        };
+        shapes.extend([
+            one(f64::INFINITY, 0, vec![]), // -> null, as the generic path has it
+            one(0.25, usize::MAX, vec![ProcCost { r: 1.0, c: -0.0 }]),
+            one(
+                1e-7,
+                15,
+                (1..=16).map(|i| cost(f64::from(i) * 0.1)).collect(),
+            ),
+            ResponseEnvelope {
+                id: 1,
+                response: Response::Predictions {
+                    epoch: 1,
+                    predictions: vec![long; 32],
+                },
+            },
+        ]);
         for env in &shapes {
-            assert_eq!(encode_response(env), encode(env), "shape: {env:?}");
+            let line = encode_response(env);
+            assert_eq!(line, encode(env), "shape: {env:?}");
+            let mut framed = line.into_bytes();
+            framed.push(b'\n');
+            assert_eq!(crate::net::encode_line(env), framed);
         }
+        let infinite = one(f64::INFINITY, 0, vec![]);
+        assert!(encode_response(&infinite).contains("{\"time\":null,"));
         // Non-Predictions variants take the generic path.
         let other = ResponseEnvelope {
             id: 9,
