@@ -75,9 +75,23 @@ impl PathInfo {
     /// fixed base latency plus serialisation at the bottleneck bandwidth.
     #[inline]
     pub fn latency(&self, bytes: u64) -> f64 {
-        self.base_latency + bytes as f64 / self.bottleneck_bw
+        serialised(self.base_latency, self.bottleneck_bw, bytes)
     }
 }
+
+/// Fixed base latency plus serialisation of `bytes` at bandwidth `bw`.
+#[inline]
+fn serialised(base: f64, bw: f64, bytes: u64) -> f64 {
+    base + bytes as f64 / bw
+}
+
+/// Intra-node communication: a tiny loopback latency, very high bandwidth.
+const LOOPBACK: PathInfo = PathInfo {
+    base_latency: 1e-6,
+    bottleneck_bw: 1e9,
+    switch_hops: 0,
+    link_indices: Vec::new(),
+};
 
 /// An immutable heterogeneous cluster: nodes attached to a connected graph of
 /// switches. Built via [`crate::ClusterBuilder`]; all-pairs switch routes are
@@ -168,19 +182,11 @@ impl Cluster {
         self.node(a).switch == self.node(b).switch
     }
 
-    /// Routing information between two (distinct) nodes.
-    ///
-    /// For `a == b` (intra-node communication) a degenerate path with a tiny
-    /// loopback latency and very high bandwidth is returned.
-    pub fn path(&self, a: NodeId, b: NodeId) -> PathInfo {
-        if a == b {
-            return PathInfo {
-                base_latency: 1e-6,
-                bottleneck_bw: 1e9,
-                switch_hops: 0,
-                link_indices: Vec::new(),
-            };
-        }
+    /// The one walk over a route: `(base latency, bottleneck bandwidth,
+    /// route)` between two distinct nodes. [`Cluster::path`] and
+    /// [`Cluster::no_load_latency`] both read it, so their floating-point
+    /// additions happen in the same order.
+    fn walk(&self, a: NodeId, b: NodeId) -> (f64, f64, &[u32]) {
         let na = self.node(a);
         let nb = self.node(b);
         let s = self.switches.len();
@@ -200,18 +206,36 @@ impl Cluster {
             base += self.switches[cur.index()].hop_latency;
         }
         debug_assert_eq!(cur, nb.switch, "route must terminate at b's switch");
+        (base, bw, route)
+    }
+
+    /// Routing information between two (distinct) nodes.
+    ///
+    /// For `a == b` (intra-node communication) a degenerate path with a tiny
+    /// loopback latency and very high bandwidth is returned.
+    pub fn path(&self, a: NodeId, b: NodeId) -> PathInfo {
+        if a == b {
+            return LOOPBACK;
+        }
+        let (base_latency, bottleneck_bw, route) = self.walk(a, b);
         PathInfo {
-            base_latency: base,
-            bottleneck_bw: bw,
+            base_latency,
+            bottleneck_bw,
             switch_hops: route.len() as u32 + 1,
-            link_indices: route.clone(),
+            link_indices: route.to_vec(),
         }
     }
 
     /// Ground-truth no-load end-to-end latency (seconds) between two nodes
-    /// for a message of `bytes` bytes.
+    /// for a message of `bytes` bytes: [`PathInfo::latency`] of
+    /// [`Cluster::path`], without building the path (eq. 6 asks once per
+    /// message group).
     pub fn no_load_latency(&self, a: NodeId, b: NodeId, bytes: u64) -> f64 {
-        self.path(a, b).latency(bytes)
+        if a == b {
+            return LOOPBACK.latency(bytes);
+        }
+        let (base, bw, _) = self.walk(a, b);
+        serialised(base, bw, bytes)
     }
 
     /// Maximum over minimum pairwise no-load latency at a representative
@@ -423,6 +447,38 @@ mod tests {
         assert_eq!(c.path(NodeId(0), NodeId(1)).switch_hops, 1);
         assert_eq!(c.path(NodeId(0), NodeId(2)).switch_hops, 2);
         assert_eq!(c.path(NodeId(0), NodeId(2)).link_indices, vec![0]);
+    }
+
+    /// `no_load_latency` never builds a `PathInfo`, yet must answer with
+    /// the bits `path().latency()` has — every ordered pair of every
+    /// preset, loopback included — and `path()` must still hand out the
+    /// stored route.
+    #[test]
+    fn the_latency_walk_is_the_path_bit_for_bit() {
+        use crate::presets::{centurion, orange_grove, two_switch_demo};
+        for c in [centurion(), orange_grove(), two_switch_demo()] {
+            let s = c.switches.len();
+            for a in c.node_ids() {
+                for b in c.node_ids() {
+                    let path = c.path(a, b);
+                    for bytes in [0, 1, 1 << 10, 64 << 10, 1 << 30] {
+                        assert_eq!(
+                            c.no_load_latency(a, b, bytes).to_bits(),
+                            path.latency(bytes).to_bits(),
+                            "{} {a}->{b} at {bytes} B",
+                            c.name()
+                        );
+                    }
+                    if a == b {
+                        assert_eq!((path.switch_hops, path.link_indices.len()), (0, 0));
+                        continue;
+                    }
+                    let route = &c.routes[c.node(a).switch.index() * s + c.node(b).switch.index()];
+                    assert_eq!(&path.link_indices, route);
+                    assert_eq!(path.switch_hops as usize, route.len() + 1);
+                }
+            }
+        }
     }
 
     #[test]

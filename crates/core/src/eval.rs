@@ -33,16 +33,16 @@ pub struct Prediction {
     pub per_proc: Vec<ProcCost>,
 }
 
-/// What eq. 5 reads of one node. No candidate mapping can change it, so
-/// it is read out of the snapshot once per evaluator, not per rank.
-struct NodeTerms {
-    /// Current speed.
-    speed: f64,
-    /// `ACPU` with health degradation applied: divided by the suspect
-    /// penalty on a `Suspect` node, zero on a `Down` one.
-    acpu: f64,
-    /// CPU count.
-    cpus: f64,
+/// Count `mapping`'s ranks into the node-indexed census `ranks_on`
+/// (`enter`), or take exactly those counts back out, which returns a
+/// census that was zero before to zero without walking the cluster. Nodes
+/// off the census are skipped.
+pub(crate) fn tally(ranks_on: &mut [u32], mapping: &Mapping, enter: bool) {
+    for (_, node) in mapping.iter() {
+        if let Some(count) = ranks_on.get_mut(node.index()) {
+            *count = if enter { *count + 1 } else { *count - 1 };
+        }
+    }
 }
 
 /// Evaluates candidate mappings for one application against one system
@@ -53,8 +53,6 @@ struct NodeTerms {
 pub struct Evaluator<'a> {
     profile: &'a AppProfile,
     snap: &'a SystemSnapshot<'a>,
-    /// Node-indexed, filled by one pass over the cluster at construction.
-    nodes: Vec<NodeTerms>,
 }
 
 /// Kept for `benchmark/src/layers.rs`; delete with the next
@@ -64,25 +62,17 @@ pub type BatchEvaluator<'a> = Evaluator<'a>;
 impl<'a> Evaluator<'a> {
     /// An evaluator for `profile` under the conditions in `snap`.
     pub fn new(profile: &'a AppProfile, snap: &'a SystemSnapshot<'a>) -> Self {
-        let nodes = snap
-            .cluster
-            .node_ids()
-            .map(|node| NodeTerms {
-                speed: snap.speed(node),
-                acpu: snap.effective_acpu(node),
-                cpus: snap.cluster.node(node).cpus as f64,
-            })
-            .collect();
-        Evaluator {
-            profile,
-            snap,
-            nodes,
-        }
+        Evaluator { profile, snap }
     }
 
     /// The application profile being evaluated.
     pub fn profile(&self) -> &AppProfile {
         self.profile
+    }
+
+    /// A zeroed rank census, one slot per node, for [`Self::evaluate`].
+    fn census(&self) -> Vec<u32> {
+        vec![0; self.snap.cluster.len()]
     }
 
     /// Eq. 4–8 for one candidate: hands every rank's `(R_i, C_i)` to
@@ -96,6 +86,10 @@ impl<'a> Evaluator<'a> {
     /// `+∞`. Eq. 6+8 is `C_i = λ_i · Θ_i^M` with `Θ` summed over message
     /// groups at current load-adjusted latencies; `comm: false` drops it.
     ///
+    /// `ranks_on` is the node-indexed rank census: all zero on entry and
+    /// all zero again on return (only the mapping's own nodes are touched,
+    /// so a batch shares one buffer).
+    ///
     /// # Panics
     /// Panics if the mapping arity differs from the profile's process count
     /// (callers validate at the service boundary).
@@ -103,6 +97,7 @@ impl<'a> Evaluator<'a> {
         &self,
         mapping: &Mapping,
         comm: bool,
+        ranks_on: &mut [u32],
         mut each: impl FnMut(ProcCost),
     ) -> (usize, f64) {
         assert_eq!(
@@ -110,20 +105,20 @@ impl<'a> Evaluator<'a> {
             self.profile.num_procs(),
             "mapping arity must match profile"
         );
-        let mut ranks_on = vec![0u32; self.nodes.len()];
-        for (_, node) in mapping.iter() {
-            if let Some(count) = ranks_on.get_mut(node.index()) {
-                *count += 1;
-            }
-        }
+        tally(ranks_on, mapping, true);
+        let nodes = self.snap.cluster.nodes();
         let mut best = (0usize, f64::NEG_INFINITY);
         for p in &self.profile.procs {
-            let on = mapping.node(p.rank).index();
-            let r = match (self.nodes.get(on), ranks_on.get(on)) {
-                (Some(node), _) if node.acpu <= 0.0 => f64::INFINITY,
+            let on = mapping.node(p.rank);
+            let r = match (nodes.get(on.index()), ranks_on.get(on.index())) {
                 (Some(node), Some(&ranks)) => {
-                    let share = (node.cpus / ranks as f64).min(1.0);
-                    (p.x + p.o) * (p.profile_speed / (node.speed * share)) / node.acpu
+                    let acpu = self.snap.effective_acpu(on);
+                    if acpu <= 0.0 {
+                        f64::INFINITY
+                    } else {
+                        let share = (node.cpus as f64 / ranks as f64).min(1.0);
+                        (p.x + p.o) * (p.profile_speed / (node.speed * share)) / acpu
+                    }
                 }
                 // Off the cluster: as unmappable as a `Down` node.
                 _ => f64::INFINITY,
@@ -139,6 +134,7 @@ impl<'a> Evaluator<'a> {
             }
             each(cost);
         }
+        tally(ranks_on, mapping, false);
         (best.0, best.1.max(0.0))
     }
 
@@ -149,8 +145,12 @@ impl<'a> Evaluator<'a> {
     /// Panics if the mapping arity differs from the profile's process count
     /// (callers validate at the service boundary).
     pub fn predict(&self, mapping: &Mapping) -> Prediction {
+        self.predict_in(mapping, &mut self.census())
+    }
+
+    fn predict_in(&self, mapping: &Mapping, ranks_on: &mut [u32]) -> Prediction {
         let mut per_proc = Vec::with_capacity(self.profile.num_procs());
-        let (bottleneck, time) = self.evaluate(mapping, true, |cost| per_proc.push(cost));
+        let (bottleneck, time) = self.evaluate(mapping, true, ranks_on, |cost| per_proc.push(cost));
         Prediction {
             time,
             bottleneck,
@@ -158,21 +158,36 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// [`Evaluator::predict`] for every candidate, in request order.
+    /// [`Evaluator::predict`] for every candidate, in request order, over
+    /// one rank census.
     pub fn predict_batch(&self, mappings: &[Mapping]) -> Vec<Prediction> {
-        mappings.iter().map(|m| self.predict(m)).collect()
+        self.predict_batch_in(mappings, &mut self.census())
+    }
+
+    /// [`Evaluator::predict_batch`] over the caller's census: one slot per
+    /// cluster node, all zero on entry and on return (the service hands in
+    /// the buffer its validation pass just un-counted).
+    pub(crate) fn predict_batch_in(
+        &self,
+        mappings: &[Mapping],
+        ranks_on: &mut [u32],
+    ) -> Vec<Prediction> {
+        mappings
+            .iter()
+            .map(|m| self.predict_in(m, ranks_on))
+            .collect()
     }
 
     /// Only the predicted time (the SA scheduler's energy function, called
     /// thousands of times per scheduling run).
     pub fn predict_time(&self, mapping: &Mapping) -> f64 {
-        self.evaluate(mapping, true, |_| {}).1
+        self.evaluate(mapping, true, &mut self.census(), |_| {}).1
     }
 
     /// The NCS variant: eq. 4 with the communication term dropped. Scores
     /// mappings by computation alone; **not** a time prediction (paper §6).
     pub fn compute_only_score(&self, mapping: &Mapping) -> f64 {
-        self.evaluate(mapping, false, |_| {}).1
+        self.evaluate(mapping, false, &mut self.census(), |_| {}).1
     }
 }
 

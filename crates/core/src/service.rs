@@ -10,11 +10,12 @@
 //! forecast, so predictions are bit-identical within an epoch and change
 //! deterministically across epochs.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::error::ServiceError;
-use crate::eval::{Evaluator, Prediction};
+use crate::eval::{tally, Evaluator, Prediction};
 use crate::health::{HealthPolicy, HealthTracker, HealthView};
 use crate::mapping::Mapping;
 use crate::monitor::{ForecastKind, Monitor};
@@ -313,14 +314,15 @@ impl CbesService {
     /// lives inside the cached [`EpochLoad`]: the caller must keep the
     /// `Arc` alive for as long as the snapshot is in use. In exchange,
     /// everything a request reads — load, health, model, epoch — comes
-    /// from one atomic publication.
+    /// from one atomic publication, and the snapshot borrows all of it:
+    /// a request copies the `Arc` and nothing per node.
     pub fn snapshot_of<'a>(&'a self, cached: &'a EpochLoad) -> SystemSnapshot<'a> {
-        SystemSnapshot::with_health(
+        SystemSnapshot::build(
             &self.cluster,
             &*cached.model,
             LoadAdjuster::default(),
-            cached.load.clone(),
-            cached.health.clone(),
+            Cow::Borrowed(&cached.load),
+            Cow::Borrowed(&cached.health),
         )
     }
 
@@ -373,20 +375,23 @@ impl CbesService {
     }
 
     /// Validate `mappings` against `profile_procs`, the cluster, and the
-    /// current health view: non-empty, correct arity, known nodes, no node
-    /// oversubscribed beyond its CPU count (the same census `Evaluator`
-    /// uses for CPU shares), and no process on a `Down` node — all
-    /// surfaced as typed errors at the service boundary.
+    /// current health view: non-empty, correct arity, known nodes, no
+    /// process on a `Down` node, and no node oversubscribed beyond its CPU
+    /// count (the same census `Evaluator` uses for CPU shares; the lowest
+    /// such node is reported) — all surfaced as typed errors at the
+    /// service boundary. `ranks_on` is the node-indexed census: zero on
+    /// entry, and zero again on `Ok` because each candidate un-counts the
+    /// nodes it touched, so nothing here walks the cluster.
     fn validate(
         &self,
         profile_procs: usize,
         mappings: &[Mapping],
         health: &HealthView,
+        ranks_on: &mut [u32],
     ) -> Result<(), ServiceError> {
         if mappings.is_empty() {
             return Err(ServiceError::EmptyRequest);
         }
-        let mut ranks_on = vec![0usize; self.cluster.len()];
         for m in mappings {
             if m.len() != profile_procs {
                 return Err(ServiceError::ArityMismatch {
@@ -402,23 +407,20 @@ impl CbesService {
                     return Err(ServiceError::NodeDown(node.0));
                 }
             }
-            ranks_on.iter_mut().for_each(|c| *c = 0);
-            for (_, node) in m.iter() {
-                // Bounds pre-validated by the BadNode check above.
-                if let Some(count) = ranks_on.get_mut(node.index()) {
-                    *count += 1;
-                }
+            tally(ranks_on, m, true);
+            let oversubscribed = m
+                .iter()
+                .map(|(_, node)| (node, ranks_on.get(node.index()).copied().unwrap_or(0)))
+                .filter(|&(node, ranks)| ranks > self.cluster.node(node).cpus)
+                .min();
+            if let Some((node, ranks)) = oversubscribed {
+                return Err(ServiceError::Oversubscribed {
+                    node: node.0,
+                    ranks: ranks as usize,
+                    cpus: self.cluster.node(node).cpus,
+                });
             }
-            for (i, &ranks) in ranks_on.iter().enumerate() {
-                let cpus = self.cluster.node(cbes_cluster::NodeId(i as u32)).cpus;
-                if ranks > cpus as usize {
-                    return Err(ServiceError::Oversubscribed {
-                        node: i as u32,
-                        ranks,
-                        cpus,
-                    });
-                }
-            }
+            tally(ranks_on, m, false);
         }
         Ok(())
     }
@@ -450,12 +452,14 @@ impl CbesService {
         let cached = self.current_load();
         let epoch = cached.epoch;
         let snap = self.snapshot_of(&cached);
-        self.validate(profile.num_procs(), mappings, snap.health_view())?;
+        // The request's one per-node allocation: validation and every
+        // candidate's eq. 5 CPU shares count ranks in it.
+        let mut ranks_on = vec![0u32; self.cluster.len()];
+        self.validate(profile.num_procs(), mappings, &cached.health, &mut ranks_on)?;
         let obs = instruments();
-        let _span = Registry::global().span(names::SPAN_CORE_EVALUATE_MAPPING);
-        let timer = obs.compare_us.start_timer();
-        let predictions = Evaluator::new(&profile, &snap).predict_batch(mappings);
-        drop(timer);
+        let span = Registry::global().span(names::SPAN_CORE_EVALUATE_MAPPING);
+        let predictions = Evaluator::new(&profile, &snap).predict_batch_in(mappings, &mut ranks_on);
+        span.finish_into(&obs.compare_us);
         obs.compares.incr();
         obs.predictions.add(predictions.len() as u64);
         Ok((epoch, predictions))

@@ -5,6 +5,7 @@ use crate::health::{HealthView, NodeHealth};
 use cbes_cluster::load::LoadState;
 use cbes_cluster::{Cluster, LatencyProvider, NodeId};
 use cbes_netmodel::LoadAdjuster;
+use std::borrow::Cow;
 
 /// Everything the mapping evaluation needs to know about the computing
 /// system *right now*: topology-derived node data, the no-load latency
@@ -22,10 +23,11 @@ pub struct SystemSnapshot<'a> {
     no_load: &'a dyn LatencyProvider,
     /// How endpoint load inflates latency.
     pub adjuster: LoadAdjuster,
-    /// Current (or forecast) per-node load.
-    pub load: LoadState,
+    /// Current (or forecast) per-node load: borrowed from the published
+    /// epoch on the serving path, owned when a caller supplies its own.
+    pub load: Cow<'a, LoadState>,
     /// Current per-node health classification (all healthy by default).
-    health: HealthView,
+    health: Cow<'a, HealthView>,
 }
 
 impl<'a> SystemSnapshot<'a> {
@@ -47,6 +49,25 @@ impl<'a> SystemSnapshot<'a> {
         adjuster: LoadAdjuster,
         load: LoadState,
         health: HealthView,
+    ) -> Self {
+        SystemSnapshot::build(
+            cluster,
+            no_load,
+            adjuster,
+            Cow::Owned(load),
+            Cow::Owned(health),
+        )
+    }
+
+    /// The one constructor: load and health either owned, or borrowed
+    /// from whoever keeps them alive — the service's published epoch, of
+    /// which a request then copies nothing per node.
+    pub(crate) fn build(
+        cluster: &'a Cluster,
+        no_load: &'a dyn LatencyProvider,
+        adjuster: LoadAdjuster,
+        load: Cow<'a, LoadState>,
+        health: Cow<'a, HealthView>,
     ) -> Self {
         assert!(
             load.len() >= cluster.len(),
@@ -109,7 +130,7 @@ impl<'a> SystemSnapshot<'a> {
 
     /// Replace the health view (e.g. with a fresh tracker classification).
     pub fn set_health(&mut self, health: HealthView) {
-        self.health = health;
+        self.health = Cow::Owned(health);
     }
 
     /// Relative speed of `node` (`Speed_j`).
@@ -128,7 +149,7 @@ impl<'a> SystemSnapshot<'a> {
     /// Replace the load estimate (e.g. with a fresh monitor forecast).
     pub fn set_load(&mut self, load: LoadState) {
         assert!(load.len() >= self.cluster.len());
-        self.load = load;
+        self.load = Cow::Owned(load);
     }
 }
 

@@ -2,8 +2,8 @@
 //! monotonic start, duration, and parent, collected into a bounded
 //! in-memory ring.
 //!
-//! A [`SpanGuard`] costs two `Instant::now()` calls and one short
-//! mutex-guarded push on drop — cheap enough for request-rate events
+//! A [`SpanGuard`] costs two clock reads (one at open, one at close) and
+//! one short mutex-guarded push on drop — cheap enough for request-rate events
 //! (per `Compare`, per calibration round), not meant for the inner SA
 //! loop (use the sched `TelemetrySink` there).
 //!
@@ -19,6 +19,7 @@
 //! — inherits that id. [`current_trace`] exposes the live `(trace,
 //! span)` pair so protocol clients can forward it on the wire.
 
+use crate::metrics::Histogram;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -42,6 +43,13 @@ pub(crate) fn now_sec() -> u64 {
 /// Microseconds since the process epoch.
 pub(crate) fn now_us() -> u64 {
     process_epoch().elapsed().as_micros() as u64
+}
+
+/// The one clock read a span makes at open. The epoch is pinned first so
+/// the span's start offset is never taken against a later origin.
+fn open_clock() -> Instant {
+    process_epoch();
+    Instant::now()
 }
 
 thread_local! {
@@ -163,8 +171,7 @@ impl SpanRing {
             trace,
             prev_span: parent,
             prev_trace: trace,
-            start_us: now_us(),
-            start: Instant::now(),
+            start: open_clock(),
         }
     }
 
@@ -185,8 +192,7 @@ impl SpanRing {
             trace,
             prev_span,
             prev_trace,
-            start_us: now_us(),
-            start: Instant::now(),
+            start: open_clock(),
         }
     }
 
@@ -205,8 +211,7 @@ impl SpanRing {
             trace,
             prev_span: DETACHED,
             prev_trace: 0,
-            start_us: now_us(),
-            start: Instant::now(),
+            start: open_clock(),
         }
     }
 
@@ -289,7 +294,6 @@ pub struct SpanGuard<'a> {
     trace: u64,
     prev_span: u64,
     prev_trace: u64,
-    start_us: u64,
     start: Instant,
 }
 
@@ -303,22 +307,40 @@ impl SpanGuard<'_> {
     pub fn trace(&self) -> u64 {
         self.trace
     }
-}
 
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
+    /// Finish the span now and record its own duration into `hist`, so an
+    /// interval that is both a span and a histogram sample is timed once:
+    /// the histogram's window rotates on the same closing clock read.
+    pub fn finish_into(self, hist: &Histogram) {
+        let (dur_us, end_us) = std::mem::ManuallyDrop::new(self).close();
+        hist.record_at(dur_us, end_us / 1_000_000);
+    }
+
+    /// Leave the thread's span context, read the clock, push the record;
+    /// returns `(duration, end offset)` in microseconds. Runs exactly once
+    /// per guard: from `drop`, or from `finish_into` which skips `drop`.
+    fn close(&mut self) -> (u64, u64) {
         if self.prev_span != DETACHED {
             CURRENT_SPAN.with(|c| c.set(self.prev_span));
             CURRENT_TRACE.with(|c| c.set(self.prev_trace));
         }
+        let start_us = self.start.duration_since(process_epoch()).as_micros() as u64;
+        let dur_us = self.start.elapsed().as_micros() as u64;
         self.ring.push(SpanRecord {
             name: self.name,
             trace: self.trace,
             id: self.id,
             parent: self.parent,
-            start_us: self.start_us,
-            dur_us: self.start.elapsed().as_micros() as u64,
+            start_us,
+            dur_us,
         });
+        (dur_us, start_us + dur_us)
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -341,6 +363,31 @@ mod tests {
         assert_eq!(spans[1].name, "second");
         assert!(spans[0].start_us <= spans[1].start_us);
         assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn finish_into_records_the_spans_own_duration_once() {
+        let ring = SpanRing::new(16);
+        let hist = Histogram::new();
+        {
+            let _outer = ring.span("outer");
+            let inner = ring.span("inner");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            inner.finish_into(&hist);
+            // The thread's context is back at the outer span.
+            let sibling = ring.span("sibling");
+            assert_eq!(sibling.parent, _outer.id());
+        }
+        let spans = ring.drain();
+        assert_eq!(spans.len(), 3, "finish_into must not record the span twice");
+        assert_eq!(spans[0].name, "inner");
+        let sample = hist.snapshot();
+        assert_eq!(sample.count, 1);
+        assert_eq!((sample.min, sample.max), (spans[0].dur_us, spans[0].dur_us));
+        assert!(spans[0].dur_us >= 2_000);
+        // The sample sits in the window that is current at the span's end.
+        let end_sec = (spans[0].start_us + spans[0].dur_us) / 1_000_000;
+        assert_eq!(hist.window_snapshot_at(1, end_sec).count, 1);
     }
 
     #[test]

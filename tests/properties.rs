@@ -68,6 +68,49 @@ fn oracle(profile: &AppProfile, snap: &SystemSnapshot, m: &Mapping, comm: bool) 
     }
 }
 
+/// `CbesService`'s request validation as it was before it stopped walking
+/// the cluster: a fresh count over every node per candidate. The reference
+/// the census-by-un-counting version is held to.
+fn validate_by_full_scan(
+    cluster: &Cluster,
+    profile_procs: usize,
+    mappings: &[Mapping],
+    health: &cbes::core::health::HealthView,
+) -> Result<(), cbes::core::ServiceError> {
+    use cbes::core::ServiceError;
+    if mappings.is_empty() {
+        return Err(ServiceError::EmptyRequest);
+    }
+    for m in mappings {
+        if m.len() != profile_procs {
+            return Err(ServiceError::ArityMismatch {
+                expected: profile_procs,
+                got: m.len(),
+            });
+        }
+        for (_, node) in m.iter() {
+            if node.index() >= cluster.len() {
+                return Err(ServiceError::BadNode(node.0));
+            }
+            if !health.is_usable(node) {
+                return Err(ServiceError::NodeDown(node.0));
+            }
+        }
+        for node in cluster.node_ids() {
+            let ranks = m.iter().filter(|&(_, on)| on == node).count();
+            let cpus = cluster.node(node).cpus;
+            if ranks > cpus as usize {
+                return Err(ServiceError::Oversubscribed {
+                    node: node.0,
+                    ranks,
+                    cpus,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// A prediction as raw bits, so equality means every bit and not `==` on
 /// floats.
 fn bits(p: &Prediction) -> (u64, usize, Vec<(u64, u64)>) {
@@ -82,14 +125,21 @@ proptest! {
     /// compute only — answers with exactly the oracle's bits, over random
     /// profiles (ranks with `λ_i = 0`, ranks with no message groups),
     /// random loads, `Suspect` and `Down` nodes, and mappings drawn with
-    /// replacement so 1-CPU nodes get oversubscribed.
+    /// replacement so 1-CPU nodes get oversubscribed — against a snapshot
+    /// that owns its state and against the one a service publishes
+    /// (`current_load` + `snapshot_of`, which borrows the epoch) after
+    /// sweeps that leave the same nodes loaded, `Suspect` and `Down`. A
+    /// batch with repeated candidates equals a fresh `Evaluator` per
+    /// candidate: the rank census it reuses is back at zero between them.
     #[test]
     fn evaluator_matches_the_equations_bit_for_bit(seed in 0u64..1_000_000) {
-        use cbes::core::health::{HealthView, NodeHealth};
+        use cbes::core::health::{HealthPolicy, HealthView, NodeHealth};
+        use cbes::core::monitor::ForecastKind;
         use cbes::trace::MessageGroup;
         use rand::{RngExt, SeedableRng};
+        use std::sync::Arc;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cluster = cbes::cluster::presets::two_switch_demo();
+        let cluster = Arc::new(cbes::cluster::presets::two_switch_demo());
         let n = rng.random_range(2usize..10);
 
         let groups = |rng: &mut rand::rngs::StdRng| -> Vec<MessageGroup> {
@@ -126,22 +176,92 @@ proptest! {
                 _ => NodeHealth::Healthy,
             };
         }
-        let mut snap = SystemSnapshot::no_load(&cluster, &cluster);
-        snap.set_load(load);
-        snap.set_health(HealthView::new(states, rng.random_range(1.5..4.0)));
+        let suspect_cost_factor = rng.random_range(1.5..4.0);
+        let mut owned = SystemSnapshot::no_load(&cluster, &*cluster);
+        owned.set_load(load.clone());
+        owned.set_health(HealthView::new(states.clone(), suspect_cost_factor));
 
-        let mappings: Vec<Mapping> = (0..4)
+        // The same picture as a service comes to hold it: a node silent
+        // for one sweep is `Suspect`, for two `Down`.
+        let service = CbesService::self_calibrated(cluster.clone(), ForecastKind::LastValue)
+            .with_health_policy(HealthPolicy { suspect_after: 0, down_after: 1, suspect_cost_factor });
+        for silent in [&[NodeHealth::Down][..], &[NodeHealth::Down, NodeHealth::Suspect]] {
+            let reported: Vec<bool> = states.iter().map(|s| !silent.contains(s)).collect();
+            service.observe_load_partial(&load, &reported).expect("sweep covers every node");
+        }
+        let epoch = service.current_load();
+        let served = service.snapshot_of(&epoch);
+        prop_assert_eq!(served.health_view(), owned.health_view());
+
+        let mut mappings: Vec<Mapping> = (0..4)
             .map(|_| Mapping::new((0..n).map(|_| NodeId(rng.random_range(0u32..8))).collect()))
             .collect();
-        let ev = Evaluator::new(&profile, &snap);
-        let batch = ev.predict_batch(&mappings);
-        for (m, batched) in mappings.iter().zip(&batch) {
-            let want = oracle(&profile, &snap, m, true);
-            prop_assert_eq!(bits(&ev.predict(m)), bits(&want));
-            prop_assert_eq!(bits(batched), bits(&want));
-            prop_assert_eq!(ev.predict_time(m).to_bits(), want.time.to_bits());
-            let ncs = oracle(&profile, &snap, m, false);
-            prop_assert_eq!(ev.compute_only_score(m).to_bits(), ncs.time.to_bits());
+        mappings.extend_from_within(..2);
+        for snap in [&owned, &served] {
+            let ev = Evaluator::new(&profile, snap);
+            let batch = ev.predict_batch(&mappings);
+            for (m, batched) in mappings.iter().zip(&batch) {
+                let want = oracle(&profile, snap, m, true);
+                prop_assert_eq!(bits(&ev.predict(m)), bits(&want));
+                prop_assert_eq!(bits(batched), bits(&want));
+                prop_assert_eq!(bits(batched), bits(&Evaluator::new(&profile, snap).predict(m)));
+                prop_assert_eq!(ev.predict_time(m).to_bits(), want.time.to_bits());
+                let ncs = oracle(&profile, snap, m, false);
+                prop_assert_eq!(ev.compute_only_score(m).to_bits(), ncs.time.to_bits());
+            }
+        }
+    }
+
+    /// A request is accepted or refused exactly as the full scan decided —
+    /// same typed error, same lowest-index oversubscribed node, `ranks` and
+    /// `cpus` — for wrong arity, off-cluster nodes, `Down` nodes and
+    /// several nodes oversubscribed at once, wherever in the request the
+    /// bad candidate sits (the census one request shares must be clean
+    /// between candidates); and an accepted request is answered with the
+    /// bits a fresh `Evaluator` gives each candidate.
+    #[test]
+    fn validate_answers_as_the_full_scan_did(seed in 0u64..1_000_000) {
+        use cbes::core::health::HealthPolicy;
+        use cbes::core::monitor::ForecastKind;
+        use rand::{RngExt, SeedableRng};
+        use std::sync::Arc;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let cluster = Arc::new(cbes::cluster::presets::two_switch_demo());
+        let n = cluster.len();
+        let service = CbesService::self_calibrated(cluster.clone(), ForecastKind::LastValue)
+            .with_health_policy(HealthPolicy { suspect_after: 0, down_after: 0, suspect_cost_factor: 2.0 });
+        // One sweep with about one node in eight silent: those are `Down`.
+        let reported: Vec<bool> = (0..n).map(|_| rng.random_range(0..8) != 0).collect();
+        service.observe_load_partial(&LoadState::idle(n), &reported).expect("sweep covers every node");
+        let epoch = service.current_load();
+        let usable: Vec<NodeId> = cluster.node_ids().filter(|&node| epoch.health.is_usable(node)).collect();
+        prop_assume!(!usable.is_empty());
+
+        let procs = rng.random_range(1..usable.len().min(6) + 1);
+        let profile = demo_profile(procs, 1.0, 5, 2048);
+        service.registry().insert(profile.clone());
+        // Good candidates (distinct usable nodes), then one drawn with
+        // replacement from a range two past the cluster's end at an arity
+        // that is sometimes off by one, then perhaps another good one.
+        let good = |rng: &mut rand::rngs::StdRng| {
+            let start = rng.random_range(0..usable.len());
+            Mapping::new((0..procs).map(|i| usable[(start + i) % usable.len()]).collect())
+        };
+        let mut mappings: Vec<Mapping> = (0..rng.random_range(0..4)).map(|_| good(&mut rng)).collect();
+        let arity = if rng.random_range(0..8) == 0 { procs + 1 } else { procs };
+        mappings.push(Mapping::new((0..arity).map(|_| NodeId(rng.random_range(0..n as u32 + 2))).collect()));
+        mappings.extend((0..rng.random_range(0..2)).map(|_| good(&mut rng)));
+
+        let want = validate_by_full_scan(&cluster, procs, &mappings, &epoch.health);
+        match service.compare("prop", &mappings) {
+            Err(refusal) => prop_assert_eq!(Err(refusal), want),
+            Ok(predictions) => {
+                prop_assert_eq!(Ok(()), want);
+                let snap = service.snapshot_of(&epoch);
+                for (m, got) in mappings.iter().zip(&predictions) {
+                    prop_assert_eq!(bits(got), bits(&Evaluator::new(&profile, &snap).predict(m)));
+                }
+            }
         }
     }
 
