@@ -13,9 +13,9 @@
 //! 4. server rate-limiter bucket `state`
 //! 5. router membership `state`
 //! 6. core service `monitor` → `health` → `cached`, profile `map`
-//! 7. obs leaf locks (registry maps, span buffer, flight ring,
-//!    checkpoints) — always innermost, so instrumentation can run
-//!    under any of the above.
+//! 7. obs leaf locks (registry maps, span buffer, flight ring) —
+//!    always innermost, so instrumentation can run under any of the
+//!    above.
 //!
 //! Guards bound with `let` are held to the end of their block;
 //! temporary guards to the end of their statement. Both are tracked by
@@ -127,12 +127,6 @@ pub const LOCK_TABLE: &[NamedLock] = &[
         field: "events",
         rank: 64,
         label: "flight.events",
-    },
-    NamedLock {
-        file: "crates/obs/src/metrics.rs",
-        field: "checkpoints",
-        rank: 65,
-        label: "metrics.checkpoints",
     },
 ];
 

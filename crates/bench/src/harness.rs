@@ -125,9 +125,9 @@ where
         .min(n);
     let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().rev().collect());
     let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let next = queue.lock().pop();
                 match next {
                     Some((i, t)) => {
@@ -138,8 +138,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker threads must not panic");
+    });
     let mut out = done.into_inner();
     out.sort_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, r)| r).collect()

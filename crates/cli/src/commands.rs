@@ -17,7 +17,9 @@ use cbes_server::protocol::{Action, ActionSpec, Request, Response, ACTIONS};
 use cbes_trace::{extract_profile, AppProfile, TraceStats};
 use cbes_workloads::suite::{self, SuiteParams};
 use cbes_workloads::Workload;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 fn preset(name: &str) -> Result<Cluster, CliError> {
     match name {
@@ -639,21 +641,45 @@ pub fn metrics(parsed: &Parsed) -> Result<String, CliError> {
     }
 }
 
-/// Per-endpoint cumulative `(served, shed)` totals from the previous
-/// `cbes top` frame, keyed by address — the baseline for the per-frame
-/// rate deltas.
-type TopTotals = std::collections::BTreeMap<String, (u64, u64)>;
+/// What `cbes top` remembers of one endpoint between frames: every
+/// column that is a rate or a window is the current cumulative snapshot
+/// minus something held here.
+#[derive(Default)]
+struct TopBaseline {
+    /// Cumulative requests served (or routed) at the previous frame.
+    served: u64,
+    /// Cumulative `overloaded` sheds at the previous frame.
+    shed: u64,
+    /// `(when polled, cumulative server.service_time_us)` of earlier
+    /// frames, oldest first, none older than [`TOP_LONG_WINDOW`].
+    service_time: VecDeque<(Instant, cbes_obs::HistogramSnapshot)>,
+}
 
-/// Render one `cbes top` frame from per-endpoint metrics snapshots:
-/// request and shed deltas against the previous frame's cumulative
-/// totals, rolling service-time quantiles from the 10/60-second
-/// histogram windows. An endpoint that did not answer this frame
+/// [`TopBaseline`]s by endpoint address.
+type TopTotals = std::collections::BTreeMap<String, TopBaseline>;
+
+/// The `p50-10s` / `p99-10s` columns' window.
+const TOP_SHORT_WINDOW: Duration = Duration::from_secs(10);
+/// The `p99-60s` column's window, and how long a frame is kept.
+const TOP_LONG_WINDOW: Duration = Duration::from_secs(60);
+
+/// Render one `cbes top` frame, polled at `now`, from per-endpoint
+/// metrics snapshots: request and shed deltas against the previous
+/// frame's cumulative totals, service-time quantiles over the samples
+/// recorded since the newest held frame at least 10 s / 60 s old (else
+/// the oldest held; the first frame has no baseline, so every column is
+/// the lifetime total). An endpoint that did not answer this frame
 /// (`None`) renders as a `down` row rather than aborting the session,
-/// and its delta baseline is dropped so the first frame after it comes
-/// back starts fresh. Deltas clamp at zero via `saturating_sub`: a
-/// restarted instance resets its counters, and a session that spans the
-/// restart must show a quiet endpoint, not an underflowed rate.
-fn top_frame(rows: &[(String, Option<cbes_obs::MetricsSnapshot>)], prev: &mut TopTotals) -> String {
+/// and its baseline is dropped so the first frame after it comes back
+/// starts fresh. Deltas clamp at zero (`saturating_sub`,
+/// `HistogramSnapshot::sub`): a restarted instance resets its
+/// instruments, and a session that spans the restart must show a quiet
+/// endpoint, not an underflowed rate.
+fn top_frame(
+    rows: &[(String, Option<cbes_obs::MetricsSnapshot>)],
+    prev: &mut TopTotals,
+    now: Instant,
+) -> String {
     use cbes_obs::names;
     let mut out = String::new();
     let _ = writeln!(
@@ -671,43 +697,64 @@ fn top_frame(rows: &[(String, Option<cbes_obs::MetricsSnapshot>)], prev: &mut To
             );
             continue;
         };
-        let c = |key: String| m.counters.get(&key).copied().unwrap_or(0);
+        let c = |key: &str| m.counters.get(key).copied().unwrap_or(0);
         // A daemon serves requests; a router routes them. Summing the
         // two counters gives one rate column for a mixed endpoint list.
-        let served_total =
-            c(names::SERVER_SERVED.to_string()) + c(names::ROUTER_ROUTED.to_string());
-        let shed_total =
-            c(names::SERVER_OVERLOADED.to_string()) + c(names::SERVER_RATE_LIMITED.to_string());
-        let (served_prev, shed_prev) = prev
-            .insert(addr.clone(), (served_total, shed_total))
-            .unwrap_or((0, 0));
-        let served = served_total.saturating_sub(served_prev);
-        let shed = shed_total.saturating_sub(shed_prev);
-        let q = |w: u64, pick: fn(&cbes_obs::HistogramSnapshot) -> u64| {
-            m.histograms
-                .get(&format!("{}#{w}s", names::SERVER_SERVICE_TIME_US))
-                .map(|h| pick(h).to_string())
-                .unwrap_or_else(|| "-".to_string())
+        let served_total = c(names::SERVER_SERVED) + c(names::ROUTER_ROUTED);
+        // Rate-cap sheds are counted in `server.overloaded` too.
+        let shed_total = c(names::SERVER_OVERLOADED);
+        let base = prev.entry(addr.clone()).or_default();
+        let served = served_total.saturating_sub(base.served);
+        let shed = shed_total.saturating_sub(base.shed);
+        (base.served, base.shed) = (served_total, shed_total);
+        let service_time = m
+            .histograms
+            .get(names::SERVER_SERVICE_TIME_US)
+            .cloned()
+            .unwrap_or_default();
+        let frames = &mut base.service_time;
+        let age = |at: &Instant| now.saturating_duration_since(*at);
+        while frames
+            .front()
+            .is_some_and(|(at, _)| age(at) > TOP_LONG_WINDOW)
+        {
+            frames.pop_front();
+        }
+        let since = |window: Duration| {
+            let held = frames.iter().rev().find(|(at, _)| age(at) >= window);
+            match held.or(frames.front()) {
+                Some((_, earlier)) => service_time.sub(earlier),
+                None => service_time.clone(),
+            }
+        };
+        let (short, long) = (since(TOP_SHORT_WINDOW), since(TOP_LONG_WINDOW));
+        let cell = |window: &cbes_obs::HistogramSnapshot, quantile: u64| {
+            if window.is_empty() {
+                "-".to_string()
+            } else {
+                quantile.to_string()
+            }
         };
         let _ = writeln!(
             out,
             "{addr:<21} {served:>7} {shed:>7} {:>10} {:>10} {:>10} {:>11} {:>7}",
-            q(10, cbes_obs::HistogramSnapshot::p50),
-            q(10, cbes_obs::HistogramSnapshot::p99),
-            q(60, cbes_obs::HistogramSnapshot::p99),
+            cell(&short, short.p50()),
+            cell(&short, short.p99()),
+            cell(&long, long.p99()),
             format!("{}/{}", m.spans_buffered, m.spans_dropped),
-            c(names::FLIGHT_EVENTS.to_string()),
+            c(names::FLIGHT_EVENTS),
         );
+        frames.push_back((now, service_time));
     }
     out
 }
 
 /// `cbes top <addr>.. [--addr A].. [--iterations N] [--interval-ms N]`
-/// — a live tier view: every interval, poll each endpoint's metrics
-/// snapshot and render per-second request/shed rates and rolling
-/// latency quantiles from the sliding-window snapshot keys.
-/// Intermediate frames stream to stdout; the final frame is the
-/// returned output.
+/// — a live tier view: every interval, poll each endpoint's cumulative
+/// metrics snapshot and render per-frame request/shed deltas and
+/// 10 s / 60 s latency quantiles by subtracting the snapshots of
+/// earlier frames. Intermediate frames stream to stdout; the final
+/// frame is the returned output.
 pub fn top(parsed: &Parsed) -> Result<String, CliError> {
     let mut addrs: Vec<&str> = parsed.positional.iter().map(String::as_str).collect();
     addrs.extend(parsed.get_all("addr").iter().map(String::as_str));
@@ -737,7 +784,7 @@ pub fn top(parsed: &Parsed) -> Result<String, CliError> {
             "cbes top — frame {}/{iterations}, {} endpoint(s)\n{}",
             frame + 1,
             addrs.len(),
-            top_frame(&rows, &mut totals)
+            top_frame(&rows, &mut totals, Instant::now())
         );
         if frame + 1 < iterations {
             println!("{last}");
@@ -1624,7 +1671,7 @@ mod tests {
         let out = request(&parsed(&["request", &addr, "dump-flight"])).unwrap();
         assert!(out.contains("flight recorder dumped"), "{out}");
 
-        // One `top` frame renders the windowed rates for the endpoint.
+        // One `top` frame renders a row for the endpoint.
         let out = top(&parsed(&["top", &addr, "--iterations", "1"])).unwrap();
         assert!(out.contains("endpoint"), "{out}");
         assert!(out.contains(&addr), "{out}");
@@ -1833,22 +1880,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The cells of `addr`'s row in a `cbes top` frame.
+    fn top_row<'a>(frame: &'a str, addr: &str) -> Vec<&'a str> {
+        let row = frame.lines().find(|l| l.starts_with(addr));
+        row.unwrap_or_else(|| panic!("no row for {addr}: {frame}"))
+            .split_whitespace()
+            .collect()
+    }
+
     #[test]
     fn top_frame_renders_windowed_rates_and_quantiles() {
         let r = cbes_obs::Registry::new();
         r.counter("server.served").add(120);
-        r.counter("server.overloaded").add(3);
-        for v in [100, 200, 5000] {
+        // Rate-cap sheds are a subset of `overloaded`, not beside it.
+        r.counter("server.overloaded").add(5);
+        r.counter("server.rate_limited").add(3);
+        for v in [100, 207, 5000] {
             r.histogram("server.service_time_us").record(v);
         }
         let addr = "10.0.0.1:9077".to_string();
         let mut totals = TopTotals::new();
         let rows = vec![(addr.clone(), Some(r.snapshot()))];
-        let frame = top_frame(&rows, &mut totals);
+        let frame = top_frame(&rows, &mut totals, Instant::now());
         assert!(frame.contains("endpoint"), "{frame}");
-        assert!(frame.contains("10.0.0.1:9077"), "{frame}");
         // The first frame has no baseline, so the delta is the total.
-        assert!(frame.contains("120"), "{frame}");
+        let row = top_row(&frame, &addr);
+        assert_eq!(row[1..3], ["120", "5"], "{frame}");
+        assert_eq!(row[3..6], ["207", "5000", "5000"], "{frame}");
         let err = top(&parsed(&["top"])).unwrap_err();
         assert!(err.to_string().contains("address"), "{err}");
         let err = top(&parsed(&["top", "127.0.0.1:1", "--iterations", "0"])).unwrap_err();
@@ -1856,32 +1914,70 @@ mod tests {
     }
 
     #[test]
+    fn top_windows_are_the_current_snapshot_minus_an_earlier_frame() {
+        let addr = "10.0.0.1:9077".to_string();
+        let mut totals = TopTotals::new();
+        let r = cbes_obs::Registry::new();
+        let service_time = r.histogram("server.service_time_us");
+        let t0 = Instant::now();
+        let mut frame_at = |secs: u64| {
+            let snap = r.snapshot();
+            assert!(!snap.to_json().contains('#'), "one key per instrument");
+            let rows = [(addr.clone(), Some(snap))];
+            let frame = top_frame(&rows, &mut totals, t0 + Duration::from_secs(secs));
+            let quantiles = top_row(&frame, &addr)[3..6].join(" ");
+            (quantiles, totals[&addr].service_time.len())
+        };
+        // One slow request before the session's first frame...
+        service_time.record(1 << 20);
+        let lifetime = "1048576 1048576 1048576".to_string();
+        assert_eq!(frame_at(0), (lifetime, 1), "no baseline yet");
+        // ...is outside both windows once that frame is the baseline.
+        service_time.record(511);
+        assert_eq!(frame_at(11), ("511 511 511".to_string(), 2));
+        // At 25 s the newest frame at least 10 s old is the one at 11 s
+        // and nothing was recorded since; no frame is 60 s old yet, so
+        // that window starts at the oldest one held.
+        assert_eq!(frame_at(25), ("- - 511".to_string(), 3));
+        service_time.record(12);
+        assert_eq!(frame_at(60), ("12 12 511".to_string(), 4));
+        // Past 60 s the frame at 0 s is evicted; the window then starts
+        // at the 11 s frame, after the 511 µs sample.
+        assert_eq!(frame_at(61), ("12 12 12".to_string(), 4));
+    }
+
+    #[test]
     fn top_tolerates_restarts_and_dead_endpoints() {
         let addr = "10.0.0.1:9077".to_string();
         let mut totals = TopTotals::new();
-        // Frame 1: 120 served.
+        let now = Instant::now();
+        // Frame 1: 120 served, two of them timed.
         let r = cbes_obs::Registry::new();
         r.counter("server.served").add(120);
-        top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals);
-        // The endpoint restarts: its counters reset below the baseline.
-        // The delta must clamp at zero, not underflow.
+        r.histogram("server.service_time_us").record(40);
+        r.histogram("server.service_time_us").record(40);
+        top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals, now);
+        // The endpoint restarts: its instruments reset below the
+        // baseline. The deltas must clamp at zero, not underflow.
         let r = cbes_obs::Registry::new();
         r.counter("server.served").add(5);
-        let frame = top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals);
-        assert!(
-            frame.contains(&format!("{:<21} {:>7}", addr, 0)),
-            "reset counters must clamp the delta at zero: {frame}"
+        r.histogram("server.service_time_us").record(40);
+        let frame = top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals, now);
+        assert_eq!(
+            top_row(&frame, &addr)[1..6],
+            ["0", "0", "-", "-", "-"],
+            "reset instruments must clamp the deltas at zero: {frame}"
         );
         // A frame where the endpoint is unreachable renders a down row
         // and drops the baseline...
-        let frame = top_frame(&[(addr.clone(), None)], &mut totals);
+        let frame = top_frame(&[(addr.clone(), None)], &mut totals, now);
         assert!(frame.contains("(down)"), "{frame}");
         assert!(totals.is_empty(), "down endpoints lose their baseline");
         // ...so the frame after it comes back starts fresh.
         let r = cbes_obs::Registry::new();
         r.counter("server.served").add(7);
-        let frame = top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals);
-        assert!(frame.contains(&format!("{:<21} {:>7}", addr, 7)), "{frame}");
+        let frame = top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals, now);
+        assert_eq!(top_row(&frame, &addr)[1], "7", "{frame}");
         // One dead endpoint must not hide the live one next to it.
         let r = cbes_obs::Registry::new();
         r.counter("server.served").add(9);
@@ -1891,6 +1987,7 @@ mod tests {
                 (addr.clone(), Some(r.snapshot())),
             ],
             &mut totals,
+            now,
         );
         assert!(frame.contains("(down)"), "{frame}");
         assert!(frame.contains("10.0.0.1:9077"), "{frame}");

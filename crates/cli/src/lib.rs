@@ -88,8 +88,8 @@ commands:
   metrics <addr>.. [--addr A]  fetch observability snapshots from one or
       more daemons and merge them into a single tier-wide report
       [--format summary|json] [--timeout SECONDS]
-  top <addr>.. [--addr A]     live tier view: per-second request/shed
-      rates and rolling p50/p99 from the sliding-window metrics
+  top <addr>.. [--addr A]     live tier view: requests and sheds per frame,
+      p50/p99 over the last 10 s / 60 s, from successive metrics snapshots
       [--iterations N] [--interval-ms N] [--timeout SECONDS]
   route serve                 run the scale-out routing tier (blocks)
       --instance HOST:PORT .. | --instances A,B,..

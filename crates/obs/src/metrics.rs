@@ -1,71 +1,29 @@
 //! Lock-free metric primitives: counters, gauges, and log-linear bucket
 //! histograms with mergeable snapshots and percentile queries.
 //!
-//! Every counter and histogram additionally maintains a **per-second
-//! sliding window** so a live registry can answer "how many in the last
-//! 1 s / 10 s / 60 s" and "rolling p99 over the last 10 s" instead of
-//! only process-lifetime totals. Counters keep a ring of per-second
-//! delta slots (lock-free); histograms keep a small ring of cumulative
-//! checkpoints, one per active second, and answer window queries by
-//! subtracting the checkpoint at the window start from the current
-//! snapshot. Both are driven by the process-epoch second clock; the
-//! `*_at` variants take an explicit second stamp for deterministic
-//! tests.
+//! Every instrument is cumulative: it counts from process start and an
+//! update never reads the clock. A reader that wants "the last N
+//! seconds" keeps an earlier snapshot and subtracts it from a later one
+//! ([`HistogramSnapshot::sub`] for a distribution, `-` for a count).
 
-use crate::span::now_sec;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Per-second window slots kept per counter: one more than the longest
-/// supported window (60 s) so the slot being overwritten for the
-/// current second never aliases a slot still inside the window.
-const WINDOW_SLOTS: u64 = 61;
-
-/// Cumulative histogram checkpoints retained per histogram — enough to
-/// answer any window up to 60 s with one spare for the in-progress
-/// second.
-const CHECKPOINT_CAPACITY: usize = 64;
-
-/// One per-second delta slot of a counter's sliding window.
-#[derive(Debug)]
-struct WindowSlot {
-    /// The second this slot currently belongs to.
-    stamp: AtomicU64,
-    /// Events counted during that second.
-    count: AtomicU64,
-}
-
-/// A monotonically increasing event count. Updates are single
-/// `fetch_add`s plus one lock-free window-slot touch — wait-free,
-/// shareable across threads.
-#[derive(Debug)]
-pub struct Counter {
-    total: AtomicU64,
-    slots: Box<[WindowSlot]>,
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
-}
+/// A monotonically increasing event count. An update is a single
+/// `fetch_add` — wait-free, shareable across threads. It has a cache
+/// line to itself: a registry allocates its counters back to back and
+/// different threads bump neighbours (the reactor `server.loop_wakeups`,
+/// a worker `server.served`), so two to a line cost `routed_compare`
+/// 4 % of its requests per second.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A counter at zero.
-    pub fn new() -> Self {
-        Counter {
-            total: AtomicU64::new(0),
-            slots: (0..WINDOW_SLOTS)
-                .map(|_| WindowSlot {
-                    // u64::MAX marks a slot no second has claimed yet.
-                    stamp: AtomicU64::new(u64::MAX),
-                    count: AtomicU64::new(0),
-                })
-                .collect(),
-        }
+    pub const fn new() -> Self {
+        Counter(AtomicU64::new(0))
     }
 
     /// Add one.
@@ -75,52 +33,12 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.add_at(n, now_sec());
-    }
-
-    /// Add `n`, attributing it to second `sec` of the process clock
-    /// (the deterministic-test entry point; [`Counter::add`] stamps the
-    /// current second).
-    pub fn add_at(&self, n: u64, sec: u64) {
-        self.total.fetch_add(n, Ordering::Relaxed);
-        let slot = &self.slots[(sec % WINDOW_SLOTS) as usize];
-        if slot.stamp.load(Ordering::Relaxed) != sec {
-            // One writer wins the re-stamp and zeroes the stale count;
-            // racing adds from the same second then accumulate on top.
-            // An add racing exactly at the second boundary may land in
-            // the adjacent second — windows are advisory, totals exact.
-            if slot.stamp.swap(sec, Ordering::Relaxed) != sec {
-                slot.count.store(0, Ordering::Relaxed);
-            }
-        }
-        slot.count.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Events counted during the last `secs` seconds (including the
-    /// in-progress second). `secs` is clamped to the 60 s the slot ring
-    /// retains.
-    pub fn window(&self, secs: u64) -> u64 {
-        self.window_at(secs, now_sec())
-    }
-
-    /// [`Counter::window`] evaluated at an explicit current second.
-    pub fn window_at(&self, secs: u64, now: u64) -> u64 {
-        let secs = secs.clamp(1, WINDOW_SLOTS - 1);
-        // Seconds [start, now] are inside the window.
-        let start = (now + 1).saturating_sub(secs);
-        self.slots
-            .iter()
-            .filter(|s| {
-                let stamp = s.stamp.load(Ordering::Relaxed);
-                stamp >= start && stamp <= now
-            })
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -181,22 +99,13 @@ fn bucket_bounds(idx: usize) -> (u64, u64) {
 
 /// A lock-free log-linear histogram over `u64` values (for CBES:
 /// microseconds). `record` touches one bucket plus four summary cells,
-/// all relaxed atomics — safe to hammer from every worker thread. The
-/// first record of each new second additionally pushes one cumulative
-/// checkpoint (a short mutex-guarded ring write, once per second, off
-/// the steady-state path) so window queries can subtract "the state at
-/// the window start" from the current snapshot.
+/// all relaxed atomics — safe to hammer from every worker thread.
 pub struct Histogram {
     buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    /// The second the most recent record (or window query) observed.
-    last_sec: AtomicU64,
-    /// `(second, cumulative-at-start-of-that-second)` checkpoints,
-    /// ascending by stamp.
-    checkpoints: Mutex<VecDeque<(u64, HistogramSnapshot)>>,
 }
 
 impl Default for Histogram {
@@ -214,101 +123,16 @@ impl Histogram {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            last_sec: AtomicU64::new(0),
-            checkpoints: Mutex::new(VecDeque::new()),
         }
     }
 
     /// Record one observation.
     pub fn record(&self, v: u64) {
-        self.record_at(v, now_sec());
-    }
-
-    /// Record one observation at an explicit second stamp of the
-    /// process clock (the deterministic-test entry point;
-    /// [`Histogram::record`] stamps the current second).
-    pub fn record_at(&self, v: u64, sec: u64) {
-        self.maybe_rotate(sec);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// On the first touch of a new second, checkpoint the cumulative
-    /// state. The checkpoint is stamped `last + 1` — the cumulative
-    /// value at the *start* of every second in `(last, sec]` is the
-    /// same, because nothing was recorded in between, so the
-    /// greatest-stamp-≤-T lookup in [`Histogram::window_snapshot_at`]
-    /// stays exact across idle gaps.
-    fn maybe_rotate(&self, sec: u64) {
-        let last = self.last_sec.load(Ordering::Relaxed);
-        if sec > last
-            && self
-                .last_sec
-                .compare_exchange(last, sec, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            let snap = self.snapshot();
-            let mut cps = self.checkpoints.lock();
-            if cps.back().is_none_or(|(s, _)| *s < last + 1) {
-                cps.push_back((last + 1, snap));
-                if cps.len() > CHECKPOINT_CAPACITY {
-                    cps.pop_front();
-                }
-            }
-        }
-    }
-
-    /// The distribution of observations recorded during the last
-    /// `window_secs` seconds (including the in-progress second), as a
-    /// snapshot-minus-checkpoint difference. Concurrent records racing
-    /// a second boundary may shift by one second; once writers quiesce
-    /// the window is exact.
-    pub fn window_snapshot(&self, window_secs: u64) -> HistogramSnapshot {
-        self.window_snapshot_at(window_secs, now_sec())
-    }
-
-    /// [`Histogram::window_snapshot`] evaluated at an explicit current
-    /// second.
-    pub fn window_snapshot_at(&self, window_secs: u64, now: u64) -> HistogramSnapshot {
-        // An idle histogram still rotates on query, so data older than
-        // the window can never leak in through a missing checkpoint.
-        self.maybe_rotate(now);
-        let current = self.snapshot();
-        let last = self.last_sec.load(Ordering::Relaxed);
-        let window_secs = window_secs.max(1);
-        // Seconds [start, now] are inside the window. The window is the
-        // cumulative state at the start of second `now + 1` minus the
-        // cumulative state at the start of second `start`; both
-        // boundaries resolve through the checkpoint ring unless no
-        // record has happened at or past the boundary yet, in which
-        // case the live snapshot *is* the boundary state.
-        let start = (now + 1).saturating_sub(window_secs);
-        let cps = self.checkpoints.lock();
-        let state_at = |boundary: u64| -> HistogramSnapshot {
-            if last < boundary {
-                // Everything recorded so far happened strictly before
-                // `boundary`, so the live cumulative state is exact.
-                return current.clone();
-            }
-            // The greatest checkpoint stamped at or before `boundary`
-            // carries the cumulative state at its start. Boundaries
-            // older than the (bounded) checkpoint history resolve to
-            // empty — the window degrades to "everything", never to a
-            // negative count.
-            let mut state: Option<&HistogramSnapshot> = None;
-            for (stamp, snap) in cps.iter() {
-                if *stamp <= boundary {
-                    state = Some(snap);
-                } else {
-                    break;
-                }
-            }
-            state.cloned().unwrap_or_default()
-        };
-        state_at(now + 1).sub(&state_at(start))
     }
 
     /// Record a [`std::time::Duration`] in microseconds.
@@ -526,11 +350,6 @@ impl HistogramSnapshot {
         self.quantile(0.90)
     }
 
-    /// 95th percentile.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
     /// 99th percentile.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
@@ -615,7 +434,7 @@ mod tests {
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 1000);
         let (p50, p90, p99) = (s.p50(), s.p90(), s.p99());
-        assert!(p50 <= p90 && p90 <= s.p95() && s.p95() <= p99, "{s:?}");
+        assert!(p50 <= p90 && p90 <= p99, "{s:?}");
         assert!(p99 <= s.max);
         // Uniform 1..=1000: p50 within a bucket of 500.
         assert!((p50 as f64 - 500.0).abs() / 500.0 < 0.07, "p50 {p50}");
@@ -645,16 +464,15 @@ mod tests {
         // histograms; merging the snapshots in any order must equal a
         // single histogram fed everything.
         let per_thread: Vec<Histogram> = (0..8).map(|_| Histogram::new()).collect();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for (t, h) in per_thread.iter().enumerate() {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..5_000u64 {
                         h.record(t as u64 * 10_000 + i % 997);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
 
         let reference = Histogram::new();
         for t in 0..8u64 {
@@ -684,16 +502,15 @@ mod tests {
     #[test]
     fn concurrent_single_histogram_loses_nothing() {
         let h = Histogram::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for i in 0..10_000u64 {
                         h.record(i % 1000);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let s = h.snapshot();
         assert_eq!(s.count, 80_000);
         assert_eq!(s.buckets.iter().map(|&(_, c)| c).sum::<u64>(), 80_000);
@@ -721,78 +538,13 @@ mod tests {
     }
 
     #[test]
-    fn counter_windows_report_recent_seconds_only() {
-        let c = Counter::new();
-        c.add_at(5, 100);
-        c.add_at(3, 109);
-        c.add_at(2, 110);
-        assert_eq!(c.get(), 10, "totals stay exact");
-        assert_eq!(c.window_at(1, 110), 2, "last 1s = the current second");
-        assert_eq!(c.window_at(10, 110), 5, "seconds 101..=110");
-        assert_eq!(c.window_at(60, 110), 10, "seconds 51..=110");
-        assert_eq!(c.window_at(10, 200), 0, "old slots age out of the window");
-        // A slot reused for a much later second forgets its old count.
-        c.add_at(1, 100 + 61);
-        assert_eq!(c.window_at(1, 161), 1);
-    }
-
-    #[test]
-    fn histogram_windows_subtract_the_checkpoint_at_the_window_start() {
-        let h = Histogram::new();
-        for v in [10u64, 20, 30] {
-            h.record_at(v, 100);
-        }
-        h.record_at(5000, 105);
-        let w1 = h.window_snapshot_at(1, 105);
-        assert_eq!(w1.count, 1, "only the second-105 record is in a 1s window");
-        assert!(w1.p50() >= 5000 - 320 && w1.p50() <= 5120, "{w1:?}");
-        let w10 = h.window_snapshot_at(10, 105);
-        assert_eq!(w10.count, 4, "a 10s window reaches back to second 96");
-        let later = h.window_snapshot_at(10, 200);
-        assert_eq!(later.count, 0, "an idle histogram's windows drain to empty");
-        assert_eq!(h.snapshot().count, 4, "cumulative state is untouched");
-    }
-
-    #[test]
-    fn window_rotation_at_bucket_boundaries_never_double_counts() {
-        // Satellite: record exactly one observation per second across a
-        // run of seconds, then assert every 1-second window sees exactly
-        // one observation and the sum of disjoint windows equals the
-        // total — a rotation bug (checkpoint stamped on the wrong side
-        // of the boundary) would double-count or drop at the seams.
-        let h = Histogram::new();
-        // Values at histogram bucket boundaries (16 is the first
-        // log-linear bucket edge, 32/64 are octave edges).
-        let values = [15u64, 16, 17, 31, 32, 33, 63, 64, 65, 127];
-        for (i, v) in values.iter().enumerate() {
-            h.record_at(*v, 10 + i as u64);
-        }
-        let mut windowed_total = 0u64;
-        for i in 0..values.len() as u64 {
-            let w = h.window_snapshot_at(1, 10 + i);
-            assert_eq!(w.count, 1, "second {} must hold exactly one record", 10 + i);
-            assert_eq!(w.sum, values[i as usize], "the right record, too");
-            windowed_total += w.count;
-        }
-        assert_eq!(
-            windowed_total,
-            h.snapshot().count,
-            "no loss, no double count"
-        );
-        // A window spanning everything equals the cumulative snapshot.
-        let all = h.window_snapshot_at(60, 10 + values.len() as u64 - 1);
-        assert_eq!(all.count, values.len() as u64);
-        assert_eq!(all.sum, values.iter().sum::<u64>());
-    }
-
-    #[test]
     fn sub_recovers_the_increment_between_two_snapshots() {
         let h = Histogram::new();
-        h.record_at(100, 1);
-        h.record_at(200, 1);
+        h.record(100);
+        h.record(200);
         let early = h.snapshot();
-        h.record_at(300, 2);
-        h.record_at(400, 2);
+        h.record(300);
+        h.record(400);
         let late = h.snapshot();
         let diff = late.sub(&early);
         assert_eq!(diff.count, 2);
@@ -805,7 +557,7 @@ mod tests {
         assert!(late.sub(&late).is_empty());
     }
 
-    // Satellite proptest: sliding-window snapshots from several
+    // Windows (a later snapshot minus an earlier one) from several
     // instances merge into a tier-wide window whose p99 never exceeds
     // the largest per-instance p99 (shared bucketisation makes the
     // bound exact), and whose count is the sum of the parts.
@@ -821,14 +573,16 @@ mod tests {
             let mut parts: Vec<HistogramSnapshot> = Vec::new();
             for _ in 0..instances {
                 let h = Histogram::new();
-                // Spread records over a few seconds, then query a
-                // window wide enough to cover them all.
-                let n = rng.random_range(1..per_instance + 1);
-                for i in 0..n {
-                    let v = rng.random_range(0u64..2_000_000);
-                    h.record_at(v, 100 + (i % 5) as u64);
+                // Some history before the window opens, then the
+                // window's own records.
+                for _ in 0..rng.random_range(0..per_instance) {
+                    h.record(rng.random_range(0u64..2_000_000));
                 }
-                parts.push(h.window_snapshot_at(10, 104));
+                let opened = h.snapshot();
+                for _ in 0..rng.random_range(1..per_instance + 1) {
+                    h.record(rng.random_range(0u64..2_000_000));
+                }
+                parts.push(h.snapshot().sub(&opened));
             }
             let mut merged = HistogramSnapshot::default();
             for p in &parts {

@@ -13,10 +13,6 @@ use std::sync::{Arc, OnceLock};
 /// Default span-ring capacity for registries.
 const SPAN_CAPACITY: usize = 4096;
 
-/// Sliding windows (in seconds) rendered into snapshots as
-/// `name#1s` / `name#10s` / `name#60s` suffix keys.
-const SNAPSHOT_WINDOWS: [u64; 3] = [1, 10, 60];
-
 /// A registry of named counters, gauges, and histograms plus a span
 /// ring. Instrument lookup takes a short lock and returns an `Arc`;
 /// call sites cache the `Arc` and update it wait-free thereafter.
@@ -116,42 +112,22 @@ impl Registry {
         self.flight.auto_dump(kind, &self.spans)
     }
 
-    /// Render every instrument into one serialisable snapshot.
-    ///
-    /// Besides the lifetime totals, every counter contributes sliding
-    /// `name#1s` / `name#10s` / `name#60s` window entries (zeroes are
-    /// skipped) and every histogram contributes windowed snapshots
-    /// under the same suffix keys (empty windows are skipped), so a
-    /// merged tier snapshot reports rates and rolling quantiles
-    /// without any schema change — counters add and histograms merge
-    /// exactly as the totals do. Three derived counters come from the
-    /// span ring and the flight recorder themselves: `spans.dropped`
-    /// (ring evictions), `flight.events` (events seen) and
-    /// `flight.dumps` (dump files written).
+    /// Render every instrument into one serialisable snapshot: one entry
+    /// per instrument, its cumulative value, so two snapshots of one
+    /// registry subtract into the window between them. Three derived
+    /// counters come from the span ring and the flight recorder
+    /// themselves: `spans.dropped` (ring evictions), `flight.events`
+    /// (events seen) and `flight.dumps` (dump files written).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        for (k, v) in self.counters.lock().iter() {
-            counters.insert(k.to_string(), v.get());
-            for w in SNAPSHOT_WINDOWS {
-                let windowed = v.window(w);
-                if windowed > 0 {
-                    counters.insert(format!("{k}#{w}s"), windowed);
-                }
-            }
-        }
+        let mut counters: BTreeMap<String, u64> = self
+            .counters
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.get()))
+            .collect();
         counters.insert(names::SPANS_DROPPED.to_string(), self.spans.dropped());
         counters.insert(names::FLIGHT_EVENTS.to_string(), self.flight.recorded());
         counters.insert(names::FLIGHT_DUMPS.to_string(), self.flight.dumps());
-        let mut histograms: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
-        for (k, v) in self.histograms.lock().iter() {
-            histograms.insert(k.to_string(), v.snapshot());
-            for w in SNAPSHOT_WINDOWS {
-                let windowed = v.window_snapshot(w);
-                if windowed.count > 0 {
-                    histograms.insert(format!("{k}#{w}s"), windowed);
-                }
-            }
-        }
         MetricsSnapshot {
             counters,
             gauges: self
@@ -160,7 +136,12 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.get()))
                 .collect(),
-            histograms,
+            histograms: self
+                .histograms
+                .lock()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.snapshot()))
+                .collect(),
             spans_buffered: self.spans.len() as u64,
             spans_dropped: self.spans.dropped(),
         }
@@ -269,21 +250,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_exposes_window_keys_and_loss_counters() {
+    fn snapshot_is_cumulative_only_and_exposes_loss_counters() {
         let r = Registry::new();
         r.counter("req").add(4);
         r.histogram("lat").record(100);
         let s = r.snapshot();
         assert_eq!(s.counters["req"], 4);
-        assert_eq!(s.counters["req#60s"], 4, "fresh increments are in-window");
         assert_eq!(s.counters[names::SPANS_DROPPED], 0);
         assert_eq!(s.counters[names::FLIGHT_EVENTS], 0);
-        assert_eq!(s.histograms["lat#60s"].count, 1);
-        // Window entries merge exactly like totals: counters add.
-        let mut merged = s.clone();
-        merged.merge(&s);
-        assert_eq!(merged.counters["req#60s"], 8);
-        assert_eq!(merged.histograms["lat#60s"].count, 2);
+        assert_eq!(s.histograms.len(), 1);
+        let keys = s.counters.keys().chain(s.histograms.keys());
+        assert_eq!(keys.filter(|k| k.contains('#')).count(), 0, "{s:?}");
         // An anomaly is one event and (debounced) one dump, both counted
         // by the recorder itself; asking again adds neither.
         assert_eq!(s.counters[names::FLIGHT_DUMPS], 0);

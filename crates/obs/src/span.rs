@@ -23,7 +23,6 @@ use crate::metrics::Histogram;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -34,8 +33,8 @@ fn process_epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Seconds since the process epoch — the clock windowed metrics rotate
-/// on (see `metrics`).
+/// Seconds since the process epoch — the clock the flight recorder
+/// debounces its dumps on.
 pub(crate) fn now_sec() -> u64 {
     process_epoch().elapsed().as_secs()
 }
@@ -253,15 +252,6 @@ impl SpanRing {
             .collect()
     }
 
-    /// Drain and render as JSONL (one span object per line).
-    pub fn drain_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in self.drain() {
-            let _ = writeln!(out, "{}", r.to_json_line());
-        }
-        out
-    }
-
     fn push(&self, record: SpanRecord) {
         let mut inner = self.inner.lock();
         if inner.records.len() == self.capacity {
@@ -309,17 +299,15 @@ impl SpanGuard<'_> {
     }
 
     /// Finish the span now and record its own duration into `hist`, so an
-    /// interval that is both a span and a histogram sample is timed once:
-    /// the histogram's window rotates on the same closing clock read.
+    /// interval that is both a span and a histogram sample is timed once.
     pub fn finish_into(self, hist: &Histogram) {
-        let (dur_us, end_us) = std::mem::ManuallyDrop::new(self).close();
-        hist.record_at(dur_us, end_us / 1_000_000);
+        hist.record(std::mem::ManuallyDrop::new(self).close());
     }
 
     /// Leave the thread's span context, read the clock, push the record;
-    /// returns `(duration, end offset)` in microseconds. Runs exactly once
-    /// per guard: from `drop`, or from `finish_into` which skips `drop`.
-    fn close(&mut self) -> (u64, u64) {
+    /// returns the duration in microseconds. Runs exactly once per guard:
+    /// from `drop`, or from `finish_into` which skips `drop`.
+    fn close(&mut self) -> u64 {
         if self.prev_span != DETACHED {
             CURRENT_SPAN.with(|c| c.set(self.prev_span));
             CURRENT_TRACE.with(|c| c.set(self.prev_trace));
@@ -334,7 +322,7 @@ impl SpanGuard<'_> {
             start_us,
             dur_us,
         });
-        (dur_us, start_us + dur_us)
+        dur_us
     }
 }
 
@@ -385,9 +373,6 @@ mod tests {
         assert_eq!(sample.count, 1);
         assert_eq!((sample.min, sample.max), (spans[0].dur_us, spans[0].dur_us));
         assert!(spans[0].dur_us >= 2_000);
-        // The sample sits in the window that is current at the span's end.
-        let end_sec = (spans[0].start_us + spans[0].dur_us) / 1_000_000;
-        assert_eq!(hist.window_snapshot_at(1, end_sec).count, 1);
     }
 
     #[test]
@@ -430,9 +415,8 @@ mod tests {
         {
             let _a = ring.span("alpha");
         }
-        let jsonl = ring.drain_jsonl();
-        let line = jsonl.lines().next().expect("one line");
-        let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON");
+        let line = ring.drain()[0].to_json_line();
+        let v: serde_json::Value = serde_json::from_str(&line).expect("valid JSON");
         assert_eq!(v.get("name").and_then(|n| n.as_str()), Some("alpha"));
         assert!(v.get("dur_us").and_then(|d| d.as_u64()).is_some());
         assert!(v.get("trace").and_then(|t| t.as_u64()).is_some());

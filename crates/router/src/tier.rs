@@ -21,7 +21,7 @@ use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
 use cbes_core::health::NodeHealth;
 use cbes_obs::{names, Counter, Registry};
-use cbes_server::net::{self, encode_line, Control, Forward, Handler, NetHandle};
+use cbes_server::net::{self, encode_line, Control, Forward, Handler, NetHandle, NetMetrics};
 use cbes_server::protocol::{
     decode_request, encode, error_kind, route_key_hash, split_id, ActionSpec, ForwardMode, Request,
     Response, ResponseEnvelope, SpanSnapshot, StatsReport,
@@ -186,7 +186,8 @@ impl RouterServer {
         // router's own: in the global one an in-process tier's `Metrics`
         // replies would count the router's connections as a daemon's.
         let membership = Membership::new(config.seeds, config.membership);
-        let net = net::start(&limits, &Arc::new(Registry::new()), |control| {
+        let metrics = NetMetrics::new(&Arc::new(Registry::new()));
+        let net = net::start(&limits, metrics, |control| {
             Ok(Router {
                 ring: HashRing::new(membership.len()),
                 membership: membership.clone(),

@@ -45,7 +45,8 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -154,8 +155,7 @@ pub fn encode_line(envelope: &ResponseEnvelope) -> Vec<u8> {
 /// in whichever registry the owner passes — private per instance, so
 /// several servers (or a router beside its daemons) in one process
 /// never mix counts. Handles are cached `Arc`s: the reactor and
-/// workers update them wait-free. Two `NetMetrics` over one registry
-/// share the same counters.
+/// workers update them wait-free.
 pub struct NetMetrics {
     registry: Arc<Registry>,
     /// Error replies of any kind (the handler adds its own).
@@ -174,12 +174,18 @@ pub struct NetMetrics {
     loop_wakeups: Arc<Counter>,
     /// Microseconds from admission to worker pickup.
     pub(crate) queue_wait: Arc<Histogram>,
+    /// The shed-spike trigger's one-second window, `second << 32 |
+    /// sheds in that second`; only a shed touches it.
+    shed_tally: AtomicU64,
+    /// Origin of the tally's second clock.
+    created: Instant,
 }
 
 impl NetMetrics {
-    /// The layer's instruments in `registry`.
-    pub fn new(registry: &Arc<Registry>) -> Self {
-        NetMetrics {
+    /// The layer's instruments in `registry`, as the one handle the
+    /// layer and its handler share.
+    pub fn new(registry: &Arc<Registry>) -> Arc<Self> {
+        Arc::new(NetMetrics {
             errors: registry.counter(names::SERVER_ERRORS),
             overloaded: registry.counter(names::SERVER_OVERLOADED),
             timeouts: registry.counter(names::SERVER_TIMEOUTS),
@@ -188,28 +194,46 @@ impl NetMetrics {
             oversized_frames: registry.counter(names::SERVER_OVERSIZED_FRAMES),
             loop_wakeups: registry.counter(names::SERVER_LOOP_WAKEUPS),
             queue_wait: registry.histogram(names::SERVER_QUEUE_WAIT_US),
+            shed_tally: AtomicU64::new(0),
+            created: Instant::now(),
             registry: registry.clone(),
-        }
+        })
     }
 
     /// Count one `overloaded` shed and run the shed-spike flight
     /// trigger: one event at the threshold crossing and a (debounced)
-    /// dump whenever the last second's shed count sits at or above the
-    /// threshold; below it the cost is one windowed-counter read.
+    /// dump whenever this clock second's shed count sits at or above the
+    /// threshold.
     pub(crate) fn shed_overloaded(&self) {
+        self.shed_at(self.created.elapsed().as_secs(), shed_spike_threshold());
+    }
+
+    /// [`Self::shed_overloaded`] in second `sec` of this layer's clock,
+    /// against a threshold of `spike` sheds (0 = no trigger). Returns
+    /// the dump file, if the trigger wrote one.
+    fn shed_at(&self, sec: u64, spike: u64) -> Option<PathBuf> {
         self.overloaded.incr();
         self.errors.incr();
-        let spike = shed_spike_threshold();
         if spike == 0 {
-            return;
+            return None;
         }
-        let recent = self.overloaded.window(1);
+        let bump = |tally: u64| {
+            if tally >> 32 == sec {
+                tally + 1
+            } else {
+                sec << 32 | 1
+            }
+        };
+        let (Ok(prev) | Err(prev)) =
+            self.shed_tally
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| Some(bump(t)));
+        let recent = bump(prev) & u64::from(u32::MAX);
         if recent < spike {
-            return;
+            return None;
         }
         let crossing = recent == spike;
         let detail = crossing.then(|| format!("{recent} requests shed in the last second"));
-        self.registry.anomaly("shed_spike", detail);
+        self.registry.anomaly("shed_spike", detail)
     }
 }
 
@@ -220,12 +244,14 @@ pub(crate) fn env_u64(cache: &OnceLock<u64>, name: &str, default: u64) -> u64 {
     *cache.get_or_init(|| read().unwrap_or(default))
 }
 
-/// Sheds within one second that count as a spike and trip the flight
-/// recorder. `CBES_FLIGHT_SHED_SPIKE` overrides; 0 disables the
-/// trigger entirely.
+/// Sheds within one clock second that count as a spike and trip the
+/// flight recorder, unless `CBES_FLIGHT_SHED_SPIKE` overrides it (0
+/// disables the trigger entirely).
+const SHED_SPIKE_DEFAULT: u64 = 8;
+
 fn shed_spike_threshold() -> u64 {
     static CACHE: OnceLock<u64> = OnceLock::new();
-    env_u64(&CACHE, "CBES_FLIGHT_SHED_SPIKE", 8)
+    env_u64(&CACHE, "CBES_FLIGHT_SHED_SPIKE", SHED_SPIKE_DEFAULT)
 }
 
 /// Work travelling to a worker shard.
@@ -679,10 +705,12 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
 
 /// Bind `config.addr`, size the queues from `config`, build the handler
 /// around the layer's [`Control`] (the address is known, no thread runs
-/// yet) and start serving. The layer's instruments go to `registry`.
+/// yet) and start serving. The layer counts into `metrics`, the same
+/// handle the handler sheds through, so the shed-spike trigger sees
+/// both kinds of shed.
 pub fn start<H: Handler>(
     config: &ServerConfig,
-    registry: &Arc<Registry>,
+    metrics: Arc<NetMetrics>,
     handler: impl FnOnce(&Arc<Control>) -> std::io::Result<H>,
 ) -> std::io::Result<NetHandle> {
     let listener = TcpListener::bind(&config.addr)?;
@@ -707,7 +735,6 @@ pub fn start<H: Handler>(
         conn: None,
         dialling: false,
     });
-    let metrics = NetMetrics::new(registry);
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
     poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
@@ -839,7 +866,7 @@ struct Reactor<H: Handler> {
     control: Arc<Control>,
     handler: Arc<H>,
     completion_rx: Receiver<Completion>,
-    metrics: NetMetrics,
+    metrics: Arc<NetMetrics>,
     request_timeout: Duration,
     max_line_bytes: usize,
     max_consecutive_errors: u32,
@@ -1541,6 +1568,37 @@ pub(crate) mod tests {
             }
             other => panic!("expected an error reply, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shed_spike_fires_once_at_the_crossing_of_one_seconds_tally() {
+        let registry = Arc::new(Registry::new());
+        let m = NetMetrics::new(&registry);
+        let flight = registry.flight();
+        for _ in 1..SHED_SPIKE_DEFAULT {
+            assert!(m.shed_at(3, SHED_SPIKE_DEFAULT).is_none());
+        }
+        assert_eq!(flight.recorded(), 0, "below the threshold: no event");
+        let dump = m.shed_at(3, SHED_SPIKE_DEFAULT);
+        let events = flight.snapshot();
+        assert_eq!(events.len(), 1, "the crossing is one event");
+        assert_eq!(events[0].kind, "shed_spike");
+        assert_eq!(events[0].detail, "8 requests shed in the last second");
+        // Above the threshold the trigger only asks for the (debounced)
+        // dump again.
+        assert!(m.shed_at(3, SHED_SPIKE_DEFAULT).is_none());
+        assert_eq!(flight.recorded(), 1);
+        // A later second starts from one, wherever the last one ended.
+        for _ in 1..SHED_SPIKE_DEFAULT {
+            assert!(m.shed_at(4, SHED_SPIKE_DEFAULT).is_none());
+        }
+        assert_eq!(flight.recorded(), 1, "7 sheds in second 4 are no spike");
+        assert_eq!(m.overloaded.get(), 2 * SHED_SPIKE_DEFAULT);
+        assert!(
+            m.shed_at(5, 0).is_none(),
+            "threshold 0 turns the trigger off"
+        );
+        std::fs::remove_file(dump.expect("the crossing dumps")).ok();
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl RateLimiter {
 /// the same registry; `net` is this module's handle to them.
 struct ServerMetrics {
     registry: Arc<Registry>,
-    net: NetMetrics,
+    net: Arc<NetMetrics>,
     served: Arc<Counter>,
     /// Admitted-rate cap sheds (a subset of `overloaded`).
     rate_limited: Arc<Counter>,
@@ -245,7 +245,7 @@ impl Server {
         let metrics = ServerMetrics::new();
         let registry = metrics.registry.clone();
         let (served, errors) = (metrics.served.clone(), metrics.net.errors.clone());
-        let net = net::start(&config, &registry, |control| {
+        let net = net::start(&config, metrics.net.clone(), |control| {
             let rate = Arc::new(RateLimiter::new(config.max_rps));
             let reconfig = match config.state_dir.clone() {
                 Some(dir) => Some(

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbes_obs::Registry;
-use cbes_server::net::{self, Handler, NetHandle};
+use cbes_server::net::{self, Handler, NetHandle, NetMetrics};
 use cbes_server::protocol::{error_kind, Response};
 use cbes_server::{ResponseEnvelope, ServerConfig};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -84,7 +84,8 @@ fn echo_server(config: ServerConfig) -> EchoServer {
     let (entered_tx, entered) = channel::unbounded();
     let (release, release_rx) = channel::unbounded();
     let executed = Arc::new(AtomicU64::new(0));
-    let handle = net::start(&config, &Arc::new(Registry::new()), |_| {
+    let metrics = NetMetrics::new(&Arc::new(Registry::new()));
+    let handle = net::start(&config, metrics, |_| {
         Ok(Echo {
             entered: entered_tx,
             release: release_rx,
