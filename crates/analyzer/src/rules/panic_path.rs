@@ -19,8 +19,9 @@ use crate::source::SourceFile;
 
 /// Files the rule applies to, relative to the workspace root: the I/O
 /// layer, the daemon's request path, the router's handler (its relay
-/// hooks run on the reactor), and the service/evaluation core.
-const SCOPE: [&str; 9] = [
+/// hooks run on the reactor), the service/evaluation core, and the
+/// monitor and forecasters an inline `ObserveLoad` runs on the reactor.
+const SCOPE: [&str; 11] = [
     "crates/server/src/lib.rs",
     "crates/server/src/net.rs",
     "crates/server/src/protocol.rs",
@@ -30,6 +31,8 @@ const SCOPE: [&str; 9] = [
     "crates/core/src/service.rs",
     "crates/core/src/eval.rs",
     "crates/core/src/registry.rs",
+    "crates/core/src/monitor.rs",
+    "crates/netmodel/src/forecast.rs",
 ];
 
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];

@@ -72,7 +72,7 @@ fn clean_fixture_has_no_findings_under_every_rule() {
         "clean fixture must be clean: {:#?}",
         report.findings
     );
-    assert_eq!(report.files_scanned, 9);
+    assert_eq!(report.files_scanned, 10);
 }
 
 #[test]
@@ -85,12 +85,12 @@ fn violations_fixture_counts_are_exact() {
     let count = |rule: &str| by_rule.get(rule).copied().unwrap_or((0, 0));
 
     // (unwaived, waived) per rule.
-    assert_eq!(count("panic_path"), (2, 1), "{:#?}", report.findings);
+    assert_eq!(count("panic_path"), (3, 1), "{:#?}", report.findings);
     assert_eq!(count("determinism"), (1, 1), "{:#?}", report.findings);
     assert_eq!(count("metric_names"), (1, 0), "{:#?}", report.findings);
     assert_eq!(count(WAIVER), (1, 0), "{:#?}", report.findings);
-    assert_eq!(report.findings.len(), 7);
-    assert_eq!(report.unwaived().count(), 5);
+    assert_eq!(report.findings.len(), 8);
+    assert_eq!(report.unwaived().count(), 6);
     assert_eq!(report.waived().count(), 2);
 }
 
@@ -103,6 +103,7 @@ fn violations_fixture_findings_land_on_the_right_sites() {
         .collect();
     assert!(unwaived.contains(&("panic_path", "crates/server/src/protocol.rs")));
     assert!(unwaived.contains(&("panic_path", "crates/core/src/service.rs")));
+    assert!(unwaived.contains(&("panic_path", "crates/core/src/monitor.rs")));
     assert!(unwaived.contains(&("determinism", "crates/sched/src/lib.rs")));
     assert!(unwaived.contains(&(WAIVER, "crates/core/src/registry.rs")));
 
@@ -331,7 +332,7 @@ fn cli_writes_the_json_report() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let json = std::fs::read_to_string(&path).expect("json report written");
     std::fs::remove_file(&path).ok();
-    assert!(json.contains("\"unwaived_count\": 5"), "{json}");
+    assert!(json.contains("\"unwaived_count\": 6"), "{json}");
     assert!(json.contains("\"waived_count\": 2"), "{json}");
     assert!(json.contains("\"rule\": \"metric_names\""), "{json}");
 }

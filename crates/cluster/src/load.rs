@@ -28,6 +28,22 @@ impl LoadState {
         }
     }
 
+    /// A load state exactly as measured: no clamping and no checks, the
+    /// same value deserialising `{"cpu_avail":…,"nic_load":…}` yields.
+    /// Whoever consumes it validates it (`CbesService` rejects a sweep
+    /// with mismatched columns or a non-finite value).
+    pub fn from_measured(cpu_avail: Vec<f64>, nic_load: Vec<f64>) -> Self {
+        LoadState {
+            cpu_avail,
+            nic_load,
+        }
+    }
+
+    /// Both per-node columns as stored, `(cpu_avail, nic_load)`.
+    pub fn columns(&self) -> (&[f64], &[f64]) {
+        (&self.cpu_avail, &self.nic_load)
+    }
+
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
         self.cpu_avail.len()

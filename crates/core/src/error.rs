@@ -38,6 +38,8 @@ pub enum ServiceError {
         /// Nodes in the offending measurement sweep.
         got: usize,
     },
+    /// A load observation carried a non-finite value for the given node.
+    NonFiniteLoad(u32),
 }
 
 impl fmt::Display for ServiceError {
@@ -66,6 +68,9 @@ impl fmt::Display for ServiceError {
                     f,
                     "load observation covers {got} nodes but the cluster has {expected}"
                 )
+            }
+            ServiceError::NonFiniteLoad(n) => {
+                write!(f, "load observation for node n{n} is not a finite number")
             }
         }
     }

@@ -22,12 +22,43 @@ pub enum ForecastKind {
     Adaptive(usize),
 }
 
-fn make(kind: ForecastKind, default: f64) -> Box<dyn Forecaster + Send + Sync> {
-    match kind {
-        ForecastKind::LastValue => Box::new(LastValue::new(default)),
-        ForecastKind::Mean(w) => Box::new(RunningMean::new(w, default)),
-        ForecastKind::Median(w) => Box::new(SlidingMedian::new(w, default)),
-        ForecastKind::Adaptive(w) => Box::new(Adaptive::new(w, default)),
+/// One node's forecaster for one resource. Every series of a monitor has
+/// the same strategy, so a sweep is a walk over one flat `Vec` with a
+/// perfectly predicted branch per value.
+#[derive(Debug, Clone)]
+enum Series {
+    Last(LastValue),
+    Mean(RunningMean),
+    Median(SlidingMedian),
+    Adaptive(Adaptive),
+}
+
+impl Series {
+    fn new(kind: ForecastKind, default: f64) -> Self {
+        match kind {
+            ForecastKind::LastValue => Series::Last(LastValue::new(default)),
+            ForecastKind::Mean(w) => Series::Mean(RunningMean::new(w, default)),
+            ForecastKind::Median(w) => Series::Median(SlidingMedian::new(w, default)),
+            ForecastKind::Adaptive(w) => Series::Adaptive(Adaptive::new(w, default)),
+        }
+    }
+
+    fn observe(&mut self, value: f64) {
+        match self {
+            Series::Last(f) => f.observe(value),
+            Series::Mean(f) => f.observe(value),
+            Series::Median(f) => f.observe(value),
+            Series::Adaptive(f) => f.observe(value),
+        }
+    }
+
+    fn predict(&self) -> f64 {
+        match self {
+            Series::Last(f) => f.predict(),
+            Series::Mean(f) => f.predict(),
+            Series::Median(f) => f.predict(),
+            Series::Adaptive(f) => f.predict(),
+        }
     }
 }
 
@@ -36,8 +67,8 @@ fn make(kind: ForecastKind, default: f64) -> Box<dyn Forecaster + Send + Sync> {
 /// Feed it measurement sweeps with [`Monitor::observe`]; read the current
 /// forecast with [`Monitor::forecast`].
 pub struct Monitor {
-    cpu: Vec<Box<dyn Forecaster + Send + Sync>>,
-    nic: Vec<Box<dyn Forecaster + Send + Sync>>,
+    cpu: Vec<Series>,
+    nic: Vec<Series>,
     observations: u64,
 }
 
@@ -46,8 +77,8 @@ impl Monitor {
     /// Before any observation it forecasts an idle cluster.
     pub fn new(n: usize, kind: ForecastKind) -> Self {
         Monitor {
-            cpu: (0..n).map(|_| make(kind, 1.0)).collect(),
-            nic: (0..n).map(|_| make(kind, 0.0)).collect(),
+            cpu: (0..n).map(|_| Series::new(kind, 1.0)).collect(),
+            nic: (0..n).map(|_| Series::new(kind, 0.0)).collect(),
             observations: 0,
         }
     }
@@ -70,13 +101,7 @@ impl Monitor {
     /// Feed one measurement sweep (the instantaneous ground truth the
     /// monitoring daemons would have measured).
     pub fn observe(&mut self, measured: &LoadState) {
-        assert_eq!(measured.len(), self.cpu.len(), "node count mismatch");
-        for i in 0..self.cpu.len() {
-            let id = NodeId(i as u32);
-            self.cpu[i].observe(measured.cpu_avail(id));
-            self.nic[i].observe(measured.nic_load(id));
-        }
-        self.observations += 1;
+        self.observe_where(measured, std::iter::repeat(true));
     }
 
     /// Feed one *partial* sweep: only nodes with `reported[i] == true`
@@ -85,15 +110,22 @@ impl Monitor {
     /// forecasts — health tracking, not forecasting, is responsible for
     /// reacting to the silence.
     pub fn observe_partial(&mut self, measured: &LoadState, reported: &[bool]) {
-        assert_eq!(measured.len(), self.cpu.len(), "node count mismatch");
         assert_eq!(reported.len(), self.cpu.len(), "node count mismatch");
-        for (i, &fresh) in reported.iter().enumerate() {
-            if !fresh {
-                continue;
+        self.observe_where(measured, reported.iter().copied());
+    }
+
+    /// Feed node `i`'s measurements to its series wherever `fresh` says
+    /// it reported.
+    fn observe_where(&mut self, measured: &LoadState, fresh: impl Iterator<Item = bool> + Clone) {
+        let (cpu, nic) = measured.columns();
+        assert_eq!(cpu.len(), self.cpu.len(), "node count mismatch");
+        assert_eq!(nic.len(), self.nic.len(), "node count mismatch");
+        for (series, values) in [(&mut self.cpu, cpu), (&mut self.nic, nic)] {
+            for ((s, &v), fresh) in series.iter_mut().zip(values).zip(fresh.clone()) {
+                if fresh {
+                    s.observe(v);
+                }
             }
-            let id = NodeId(i as u32);
-            self.cpu[i].observe(measured.cpu_avail(id));
-            self.nic[i].observe(measured.nic_load(id));
         }
         self.observations += 1;
     }
@@ -102,10 +134,10 @@ impl Monitor {
     pub fn forecast(&self) -> LoadState {
         let _t = cbes_netmodel::forecast::refresh_timer();
         let mut s = LoadState::idle(self.cpu.len());
-        for i in 0..self.cpu.len() {
+        for (i, (cpu, nic)) in self.cpu.iter().zip(&self.nic).enumerate() {
             let id = NodeId(i as u32);
-            s.set_cpu_avail(id, self.cpu[i].predict());
-            s.set_nic_load(id, self.nic[i].predict());
+            s.set_cpu_avail(id, cpu.predict());
+            s.set_nic_load(id, nic.predict());
         }
         s
     }
@@ -191,5 +223,12 @@ mod tests {
     fn observe_rejects_wrong_arity() {
         let mut m = Monitor::new(2, ForecastKind::LastValue);
         m.observe(&LoadState::idle(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "node count mismatch")]
+    fn observe_rejects_a_short_nic_column() {
+        let mut m = Monitor::new(2, ForecastKind::LastValue);
+        m.observe(&LoadState::from_measured(vec![1.0, 1.0], vec![0.0]));
     }
 }

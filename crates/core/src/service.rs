@@ -213,6 +213,10 @@ impl CbesService {
     /// Shared sweep path. `target`: `None` bumps the epoch by one (a
     /// locally observed sweep); `Some(e)` adopts the replicated epoch
     /// `e` if newer, else leaves all state untouched.
+    ///
+    /// A sweep off the wire is unclamped and unchecked, so it is
+    /// validated here, before any lock: both columns and the mask must
+    /// cover the cluster, and every value must be finite.
     fn observe_checked(
         &self,
         measured: &LoadState,
@@ -220,19 +224,21 @@ impl CbesService {
         target: Option<u64>,
     ) -> Result<(u64, bool), ServiceError> {
         let n = self.cluster.len();
-        if measured.len() != n {
-            return Err(ServiceError::LoadArityMismatch {
-                expected: n,
-                got: measured.len(),
-            });
-        }
-        if let Some(mask) = reported {
-            if mask.len() != n {
-                return Err(ServiceError::LoadArityMismatch {
-                    expected: n,
-                    got: mask.len(),
-                });
+        let (cpu, nic) = measured.columns();
+        for got in [cpu.len(), nic.len()]
+            .into_iter()
+            .chain(reported.map(<[bool]>::len))
+        {
+            if got != n {
+                return Err(ServiceError::LoadArityMismatch { expected: n, got });
             }
+        }
+        if let Some(node) = cpu
+            .iter()
+            .zip(nic)
+            .position(|(c, l)| !(c.is_finite() && l.is_finite()))
+        {
+            return Err(ServiceError::NonFiniteLoad(node as u32));
         }
         let obs = instruments();
         let _span = Registry::global().span(names::SPAN_CORE_PUBLISH_EPOCH);
@@ -703,7 +709,7 @@ mod tests {
     }
 
     #[test]
-    fn short_load_sweep_is_a_typed_error() {
+    fn malformed_load_sweeps_are_typed_errors() {
         let svc = demo_service();
         let n = svc.cluster().len();
         assert_eq!(
@@ -712,6 +718,21 @@ mod tests {
                 expected: n,
                 got: 2
             }
+        );
+        let short_nic = LoadState::from_measured(vec![1.0; n], vec![0.0; n - 1]);
+        assert_eq!(
+            svc.observe_load(&short_nic).unwrap_err(),
+            ServiceError::LoadArityMismatch {
+                expected: n,
+                got: n - 1
+            }
+        );
+        let mut nic = vec![0.0; n];
+        nic[3] = f64::NAN;
+        let nan = LoadState::from_measured(vec![1.0; n], nic);
+        assert_eq!(
+            svc.observe_replicated(9, &nan, None).unwrap_err(),
+            ServiceError::NonFiniteLoad(3)
         );
         assert_eq!(svc.epoch(), 0, "failed observation must not bump epoch");
     }

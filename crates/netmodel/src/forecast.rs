@@ -6,6 +6,10 @@
 //! valid for the next time period". Both styles are provided, plus an
 //! NWS-like adaptive meta-forecaster that tracks which simple predictor has
 //! recently been most accurate.
+//!
+//! Every forecaster does its work in `observe` and keeps the answer, so
+//! `predict` neither allocates nor sorts; a monitoring sweep costs its
+//! arithmetic.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -33,8 +37,6 @@ pub trait Forecaster {
     fn observe(&mut self, value: f64);
     /// Predict the next value. Before any observation, returns `default`.
     fn predict(&self) -> f64;
-    /// Reset to the unobserved state.
-    fn reset(&mut self);
 }
 
 /// The Orange Grove strategy: the last measured value is the forecast.
@@ -60,9 +62,6 @@ impl Forecaster for LastValue {
     }
     fn predict(&self) -> f64 {
         self.last.unwrap_or(self.default)
-    }
-    fn reset(&mut self) {
-        self.last = None;
     }
 }
 
@@ -105,18 +104,20 @@ impl Forecaster for RunningMean {
             self.sum / self.buf.len() as f64
         }
     }
-    fn reset(&mut self) {
-        self.buf.clear();
-        self.sum = 0.0;
-    }
 }
 
 /// Median of the most recent `window` measurements — robust to the short
 /// transient spikes the paper found harmless.
+///
+/// Beside the chronological window it keeps the same values in the order
+/// a stable sort of that window gives: a new value goes in after its
+/// equals, and the evicted (oldest) value leaves from the front of its
+/// equal run. The median is then two loads.
 #[derive(Debug, Clone)]
 pub struct SlidingMedian {
     window: usize,
     buf: VecDeque<f64>,
+    sorted: Vec<f64>,
     default: f64,
 }
 
@@ -127,6 +128,7 @@ impl SlidingMedian {
         SlidingMedian {
             window,
             buf: VecDeque::with_capacity(window),
+            sorted: Vec::with_capacity(window),
             default,
         }
     }
@@ -135,138 +137,113 @@ impl SlidingMedian {
 impl Forecaster for SlidingMedian {
     fn observe(&mut self, value: f64) {
         if self.buf.len() == self.window {
-            self.buf.pop_front();
+            if let Some(old) = self.buf.pop_front() {
+                // Everything before `old`'s equal run is smaller, and `old`
+                // is the oldest of its run: the first bit-identical entry
+                // is the one to evict.
+                if let Some(at) = self
+                    .sorted
+                    .iter()
+                    .position(|x| x.to_bits() == old.to_bits())
+                {
+                    self.sorted.remove(at);
+                }
+            }
         }
         self.buf.push_back(value);
+        let at = self.sorted.partition_point(|x| *x <= value);
+        self.sorted.insert(at, value);
     }
     fn predict(&self) -> f64 {
-        if self.buf.is_empty() {
+        let mid = self.sorted.len() / 2;
+        let Some(&upper) = self.sorted.get(mid) else {
             return self.default;
+        };
+        if self.sorted.len() % 2 == 1 {
+            return upper;
         }
-        let mut v: Vec<f64> = self.buf.iter().copied().collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mid = v.len() / 2;
-        if v.len() % 2 == 1 {
-            v[mid]
-        } else {
-            0.5 * (v[mid - 1] + v[mid])
-        }
-    }
-    fn reset(&mut self) {
-        self.buf.clear();
+        self.sorted
+            .get(mid - 1)
+            .map_or(upper, |&lower| 0.5 * (lower + upper))
     }
 }
 
 /// NWS-style adaptive forecaster: runs last-value, windowed-mean and
 /// windowed-median side by side, tracks each predictor's recent mean absolute
 /// error, and answers with the currently best one.
+///
+/// Each observation scores every candidate once: its absolute error goes
+/// into a chronological ring, and the ring's mean is kept beside the
+/// candidate's next prediction. Predicting is an argmin over three
+/// numbers.
 #[derive(Debug, Clone)]
 pub struct Adaptive {
-    candidates: Vec<Candidate>,
+    last: LastValue,
+    mean: RunningMean,
+    median: SlidingMedian,
+    /// Per observation, the (last, mean, median) absolute errors, oldest
+    /// first.
+    errors: VecDeque<[f64; 3]>,
     err_window: usize,
-}
-
-#[derive(Debug, Clone)]
-struct Candidate {
-    kind: Kind,
-    errors: VecDeque<f64>,
-}
-
-#[derive(Debug, Clone)]
-enum Kind {
-    Last(LastValue),
-    Mean(RunningMean),
-    Median(SlidingMedian),
-}
-
-impl Kind {
-    fn observe(&mut self, v: f64) {
-        match self {
-            Kind::Last(f) => f.observe(v),
-            Kind::Mean(f) => f.observe(v),
-            Kind::Median(f) => f.observe(v),
-        }
-    }
-    fn predict(&self) -> f64 {
-        match self {
-            Kind::Last(f) => f.predict(),
-            Kind::Mean(f) => f.predict(),
-            Kind::Median(f) => f.predict(),
-        }
-    }
-    fn reset(&mut self) {
-        match self {
-            Kind::Last(f) => f.reset(),
-            Kind::Mean(f) => f.reset(),
-            Kind::Median(f) => f.reset(),
-        }
-    }
+    /// Each candidate's prediction of the next value.
+    next: [f64; 3],
+    /// Each candidate's mean error over `errors`; ∞ before any history.
+    mean_err: [f64; 3],
 }
 
 impl Adaptive {
     /// Standard NWS-like ensemble with the given smoothing window.
     pub fn new(window: usize, default: f64) -> Self {
+        let err_window = window.max(2) * 2;
         Adaptive {
-            candidates: vec![
-                Candidate {
-                    kind: Kind::Last(LastValue::new(default)),
-                    errors: VecDeque::new(),
-                },
-                Candidate {
-                    kind: Kind::Mean(RunningMean::new(window, default)),
-                    errors: VecDeque::new(),
-                },
-                Candidate {
-                    kind: Kind::Median(SlidingMedian::new(window, default)),
-                    errors: VecDeque::new(),
-                },
-            ],
-            err_window: window.max(2) * 2,
+            last: LastValue::new(default),
+            mean: RunningMean::new(window, default),
+            median: SlidingMedian::new(window, default),
+            errors: VecDeque::new(),
+            err_window,
+            next: [default; 3],
+            mean_err: [f64::INFINITY; 3],
         }
-    }
-
-    fn best(&self) -> &Candidate {
-        self.candidates
-            .iter()
-            .min_by(|a, b| {
-                mean_err(&a.errors)
-                    .partial_cmp(&mean_err(&b.errors))
-                    .unwrap()
-            })
-            .expect("at least one candidate")
-    }
-}
-
-fn mean_err(errors: &VecDeque<f64>) -> f64 {
-    if errors.is_empty() {
-        f64::INFINITY
-    } else {
-        errors.iter().sum::<f64>() / errors.len() as f64
     }
 }
 
 impl Forecaster for Adaptive {
     fn observe(&mut self, value: f64) {
-        let err_window = self.err_window;
-        for c in &mut self.candidates {
-            let e = (c.kind.predict() - value).abs();
-            if c.errors.len() == err_window {
-                c.errors.pop_front();
-            }
-            c.errors.push_back(e);
-            c.kind.observe(value);
+        if self.errors.len() == self.err_window {
+            self.errors.pop_front();
         }
+        self.errors.push_back(self.next.map(|p| (p - value).abs()));
+        self.last.observe(value);
+        self.mean.observe(value);
+        self.median.observe(value);
+        self.next = [
+            self.last.predict(),
+            self.mean.predict(),
+            self.median.predict(),
+        ];
+        // Three independent front-to-back sums in one pass: each is the
+        // same chain of additions as summing its ring alone.
+        let (mut last, mut mean, mut median) = (0.0, 0.0, 0.0);
+        for &[l, m, d] in &self.errors {
+            last += l;
+            mean += m;
+            median += d;
+        }
+        let n = self.errors.len() as f64;
+        self.mean_err = [last / n, mean / n, median / n];
     }
     fn predict(&self) -> f64 {
-        // Before any error history exists, all are tied at infinity; the
-        // first candidate (last-value) wins, which is the sane default.
-        self.best().kind.predict()
-    }
-    fn reset(&mut self) {
-        for c in &mut self.candidates {
-            c.errors.clear();
-            c.kind.reset();
+        // Only a strictly smaller error displaces the incumbent, so ties
+        // (all ∞ before any history) go to last-value, the sane default.
+        let [last, mean, median] = self.mean_err;
+        let [p_last, p_mean, p_median] = self.next;
+        let mut best = (last, p_last);
+        for candidate in [(mean, p_mean), (median, p_median)] {
+            if candidate.0.total_cmp(&best.0).is_lt() {
+                best = candidate;
+            }
         }
+        best.1
     }
 }
 
@@ -281,8 +258,6 @@ mod tests {
         f.observe(0.5);
         f.observe(0.7);
         assert_eq!(f.predict(), 0.7);
-        f.reset();
-        assert_eq!(f.predict(), 1.0);
     }
 
     #[test]
@@ -336,6 +311,15 @@ mod tests {
             (p - 0.9).abs() < 0.2,
             "adaptive should resist spikes, got {p}"
         );
+    }
+
+    #[test]
+    fn adaptive_survives_non_finite_input() {
+        let mut f = Adaptive::new(2, 1.0);
+        for v in [f64::INFINITY, 0.5, f64::NEG_INFINITY, f64::NAN, 0.5, 0.5] {
+            f.observe(v);
+            let _ = f.predict();
+        }
     }
 
     #[test]

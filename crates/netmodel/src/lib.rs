@@ -28,7 +28,7 @@ pub use calibrate::{verify_model, CalibrationOutcome, Calibrator, StalenessRepor
 pub use model::LatencyModel;
 
 use cbes_cluster::load::LoadState;
-use cbes_cluster::{LatencyProvider, NodeId};
+use cbes_cluster::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// Adjusts a no-load end-to-end latency for the current CPU and NIC load of
@@ -70,39 +70,9 @@ impl LoadAdjuster {
     }
 }
 
-/// A [`LatencyProvider`] view that layers a [`LoadAdjuster`] and a
-/// [`LoadState`] over a base no-load provider. This is what the CBES mapping
-/// evaluation consumes: current latencies `L_c` derived in `O(1)` per query
-/// from the calibrated model plus the monitor's per-node load snapshot.
-#[derive(Debug, Clone)]
-pub struct AdjustedLatency<'a, P: LatencyProvider> {
-    base: &'a P,
-    adjuster: LoadAdjuster,
-    load: &'a LoadState,
-}
-
-impl<'a, P: LatencyProvider> AdjustedLatency<'a, P> {
-    /// Wrap `base` with the given adjuster and load snapshot.
-    pub fn new(base: &'a P, adjuster: LoadAdjuster, load: &'a LoadState) -> Self {
-        AdjustedLatency {
-            base,
-            adjuster,
-            load,
-        }
-    }
-}
-
-impl<P: LatencyProvider> LatencyProvider for AdjustedLatency<'_, P> {
-    fn latency(&self, a: NodeId, b: NodeId, bytes: u64) -> f64 {
-        self.adjuster
-            .adjust(self.base.latency(a, b, bytes), self.load, a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbes_cluster::presets::two_switch_demo;
 
     #[test]
     fn idle_load_leaves_latency_unchanged() {
@@ -142,21 +112,5 @@ mod tests {
         load.set_cpu_avail(NodeId(1), 0.7);
         let f = adj.factor(&load, NodeId(0), NodeId(1));
         assert!((f - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adjusted_view_implements_latency_provider() {
-        let c = two_switch_demo();
-        let mut load = LoadState::idle(c.len());
-        load.set_cpu_avail(NodeId(0), 0.5);
-        let view = AdjustedLatency::new(&c, LoadAdjuster::default(), &load);
-        let raw = c.latency(NodeId(0), NodeId(1), 1024);
-        let adj = view.latency(NodeId(0), NodeId(1), 1024);
-        assert!(adj > raw);
-        // Pair not involving node 0 is unaffected.
-        assert_eq!(
-            view.latency(NodeId(1), NodeId(2), 1024),
-            c.latency(NodeId(1), NodeId(2), 1024)
-        );
     }
 }

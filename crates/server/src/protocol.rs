@@ -759,10 +759,12 @@ pub(crate) fn response_bytes(envelope: &ResponseEnvelope) -> Vec<u8> {
 ///
 /// Hot-path specialisation mirroring [`encode_response`]: the rigid
 /// compact encoding of the comparison shapes (`Compare` / `BestOf` /
-/// `Batch`) is recognised by a strict cursor parser; anything it does
+/// `Batch`) and of `ObserveLoad` (whose numbers must carry a `.` or an
+/// exponent) is recognised by a strict cursor parser; anything it does
 /// not match byte-for-byte — other variants, whitespace, escapes,
-/// malformed frames — falls back to the generic serde parse, so the
-/// accepted language (and every error message) is unchanged.
+/// integer-spelled loads, malformed frames — falls back to the generic
+/// serde parse, so the accepted language (and every error message) is
+/// unchanged. `tests/request_codec.rs` holds the two against each other.
 pub fn decode_request(line: &str) -> Result<RequestEnvelope, serde_json::Error> {
     if let Some(env) = decode_request_fast(line) {
         return Ok(env);
@@ -796,33 +798,36 @@ fn decode_request_fast(line: &str) -> Option<RequestEnvelope> {
     c.lit(b"{\"id\":")?;
     let id = c.u64()?;
     c.lit(b",\"request\":{\"")?;
-    let tag = c.until_quote(line)?;
-    c.lit(b":{\"app\":\"")?;
-    let app = c.until_quote(line)?.to_string();
-    c.lit(b",\"mappings\":[")?;
-    let mut mappings = Vec::new();
-    if !c.eat(b']') {
-        loop {
-            c.lit(b"{\"assign\":[")?;
-            let mut assign = Vec::new();
-            if !c.eat(b']') {
-                loop {
-                    assign.push(NodeId(u32::try_from(c.u64()?).ok()?));
-                    if c.eat(b']') {
-                        break;
-                    }
-                    c.lit(b",")?;
-                }
+    let request = match c.until_quote(line)? {
+        "ObserveLoad" => {
+            c.lit(b":{\"load\":{\"cpu_avail\":")?;
+            let cpu_avail = c.list(|c| c.f64(line))?;
+            c.lit(b",\"nic_load\":")?;
+            let nic_load = c.list(|c| c.f64(line))?;
+            c.lit(b"}}}")?;
+            Request::ObserveLoad {
+                load: LoadState::from_measured(cpu_avail, nic_load),
             }
-            c.lit(b"}")?;
-            mappings.push(Mapping::new(assign));
-            if c.eat(b']') {
-                break;
-            }
-            c.lit(b",")?;
         }
-    }
-    c.lit(b"}}")?;
+        tag => {
+            c.lit(b":{\"app\":\"")?;
+            let app = c.until_quote(line)?.to_string();
+            c.lit(b",\"mappings\":")?;
+            let mappings = c.list(|c| {
+                c.lit(b"{\"assign\":")?;
+                let assign = c.list(|c| Some(NodeId(u32::try_from(c.u64()?).ok()?)))?;
+                c.lit(b"}")?;
+                Some(Mapping::new(assign))
+            })?;
+            c.lit(b"}}")?;
+            match tag {
+                "Compare" => Request::Compare { app, mappings },
+                "BestOf" => Request::BestOf { app, mappings },
+                "Batch" => Request::Batch { app, mappings },
+                _ => return None,
+            }
+        }
+    };
     // The envelope tail is either `}` (untraced) or the exact trace
     // suffix the encoder emits — both fields, in order.
     let (trace_id, parent_span) = if c.eat(b'}') {
@@ -842,12 +847,6 @@ fn decode_request_fast(line: &str) -> Option<RequestEnvelope> {
     if c.pos != c.bytes.len() {
         return None;
     }
-    let request = match tag {
-        "Compare" => Request::Compare { app, mappings },
-        "BestOf" => Request::BestOf { app, mappings },
-        "Batch" => Request::Batch { app, mappings },
-        _ => return None,
-    };
     Some(RequestEnvelope::traced(id, request, trace_id, parent_span))
 }
 
@@ -894,6 +893,60 @@ impl<'a> Cursor<'a> {
             return None;
         }
         Some(value)
+    }
+
+    /// `[item,item,…]`, nothing but commas between the items.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.lit(b"[")?;
+        let mut items = Vec::new();
+        if !self.eat(b']') {
+            loop {
+                items.push(item(self)?);
+                if self.eat(b']') {
+                    break;
+                }
+                self.lit(b",")?;
+            }
+        }
+        Some(items)
+    }
+
+    /// A number spelled with a `.` or an exponent, over exactly the
+    /// span the generic parser's `number` would take, converted by the
+    /// same `str::parse::<f64>` it applies to that span; so a value
+    /// taken here is bit-identical to the generic parse, and a span
+    /// that `parse` rejects falls back with the same error. An integer
+    /// spelling is `None`: the generic parser reads those as `u64` or
+    /// `i64` first.
+    fn f64(&mut self, line: &'a str) -> Option<f64> {
+        let start = self.pos;
+        if !matches!(self.bytes.get(start), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        self.eat(b'-');
+        self.digits();
+        let mut float = false;
+        if self.eat(b'.') {
+            float = true;
+            self.digits();
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            float = true;
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            self.digits();
+        }
+        if !float {
+            return None;
+        }
+        line.get(start..self.pos)?.parse().ok()
+    }
+
+    fn digits(&mut self) {
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
     }
 
     /// Consume up to and including the next `"`, returning the span
@@ -1039,6 +1092,15 @@ pub(crate) mod tests {
                 app: "app with spaces + unicode é".into(),
                 mappings: vec![Mapping::new(vec![NodeId(u32::MAX)])],
             },
+            Request::ObserveLoad {
+                load: LoadState::from_measured(
+                    vec![0.25, 1.0, 1e-7, -0.0],
+                    vec![0.0, 0.1 + 0.2, 1e300, 5e-324],
+                ),
+            },
+            Request::ObserveLoad {
+                load: LoadState::idle(0),
+            },
         ];
         for request in shapes {
             let env = RequestEnvelope::new(3, request);
@@ -1078,6 +1140,10 @@ pub(crate) mod tests {
         let zeros = "{\"id\":07,\"request\":{\"Compare\":{\"app\":\"a\",\"mappings\":[]}}}";
         assert!(decode_request_fast(zeros).is_none());
         assert!(decode_request(zeros).is_ok());
+        // Integer-spelled loads are `u64`s to the generic parser first.
+        let ints = "{\"id\":1,\"request\":{\"ObserveLoad\":{\"load\":{\"cpu_avail\":[1],\"nic_load\":[0]}}}}";
+        assert!(decode_request_fast(ints).is_none());
+        assert!(decode_request(ints).is_ok());
         // Rejected by both: truncated frames, junk tails.
         for bad in [
             "{\"id\":5,\"request\":{\"Compare\":{\"app\":\"a\",\"mappings\":[]}}}junk",

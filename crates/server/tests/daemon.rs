@@ -177,6 +177,54 @@ fn malformed_lines_get_bad_request_with_id_zero() {
     handle.shutdown_and_join();
 }
 
+/// A sweep off the wire is unclamped and unchecked until the service
+/// looks at it, and `ObserveLoad` runs inline on the reactor: one bad
+/// frame must cost an error reply, not the daemon. A value that parses
+/// to infinity once turned the adaptive forecaster's running mean into
+/// NaN and panicked its argmin nine sweeps later; a `nic_load` column
+/// shorter than `cpu_avail` once indexed past its end.
+#[test]
+fn malformed_sweeps_get_typed_errors_and_leave_the_daemon_up() {
+    let service = Arc::new(CbesService::self_calibrated(
+        Arc::new(two_switch_demo()),
+        ForecastKind::Adaptive(8),
+    ));
+    let handle = Server::start(service.clone(), ServerConfig::default()).expect("bind loopback");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut call = |id: u64, cpu: &str, nic: &str| {
+        let frame = format!(
+            "{{\"id\":{id},\"request\":{{\"ObserveLoad\":{{\"load\":{{\"cpu_avail\":[{cpu}],\"nic_load\":[{nic}]}}}}}}}}\n"
+        );
+        writer.write_all(frame.as_bytes()).expect("write");
+        writer.flush().expect("flush");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        assert!(line.contains(&format!("\"id\":{id},")), "{line}");
+        assert!(line.contains(error_kind::SERVICE), "{line}");
+        line
+    };
+    let idle = ["0.0"; 8].join(",");
+    for id in 1..=10 {
+        let line = call(id, "1.0,1.0,1e999,1.0,1.0,1.0,1.0,1.0", &idle);
+        assert!(line.contains("node n2 is not a finite number"), "{line}");
+    }
+    let line = call(11, &["0.5"; 8].join(","), "0.0");
+    assert!(
+        line.contains("covers 1 nodes but the cluster has 8"),
+        "{line}"
+    );
+
+    let mut client = Client::connect(handle.addr()).expect("the daemon is still up");
+    assert_eq!(client.stats().expect("stats").epoch, 0);
+    assert_eq!(service.epoch(), 0, "a rejected sweep publishes nothing");
+    handle.shutdown_and_join();
+}
+
 /// Satellite requirement: N threads issuing `Compare` against the same
 /// snapshot epoch receive bit-identical predictions, and an `ObserveLoad`
 /// between epochs changes them deterministically.
