@@ -164,7 +164,7 @@ fn main() {
     let seed = args.seed;
 
     let start = Instant::now();
-    let per_client_results: Vec<(Vec<Duration>, usize)> = std::thread::scope(|s| {
+    let per_client_results: Vec<(Vec<Duration>, usize, (u64, u64))> = std::thread::scope(|s| {
         let joins: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let candidates = &candidates;
@@ -192,7 +192,7 @@ fn main() {
                         }
                         latencies.push(t0.elapsed());
                     }
-                    (latencies, errors)
+                    (latencies, errors, client.retry_tallies())
                 })
             })
             .collect();
@@ -203,10 +203,12 @@ fn main() {
     let sweeps = injector.join().expect("injector thread");
 
     let mut latencies: Vec<Duration> = Vec::with_capacity(total);
-    let mut errors = 0usize;
-    for (lat, err) in per_client_results {
+    let (mut errors, mut retries, mut giveups) = (0usize, 0u64, 0u64);
+    for (lat, err, (retried, gave_up)) in per_client_results {
         latencies.extend(lat);
         errors += err;
+        retries += retried;
+        giveups += gave_up;
     }
     latencies.sort_unstable();
     let req_per_s = total as f64 / elapsed.as_secs_f64();
@@ -230,13 +232,6 @@ fn main() {
         Ok(_) => false,
     };
     let stats = control.stats().expect("stats");
-    let snap = control.metrics().expect("metrics");
-    let retries = snap.counters.get("client.retries").copied().unwrap_or(0);
-    let giveups = snap
-        .counters
-        .get("client.retry_giveups")
-        .copied()
-        .unwrap_or(0);
     control.shutdown().expect("shutdown ack");
     let (served, served_errors) = handle.join();
 

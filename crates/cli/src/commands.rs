@@ -698,9 +698,9 @@ fn top_frame(
             continue;
         };
         let c = |key: &str| m.counters.get(key).copied().unwrap_or(0);
-        // A daemon serves requests; a router routes them. Summing the
-        // two counters gives one rate column for a mixed endpoint list.
-        let served_total = c(names::SERVER_SERVED) + c(names::ROUTER_ROUTED);
+        // A router's reply folds in its daemons', so `server.served`
+        // already counts every routed request once.
+        let served_total = c(names::SERVER_SERVED);
         // Rate-cap sheds are counted in `server.overloaded` too.
         let shed_total = c(names::SERVER_OVERLOADED);
         let base = prev.entry(addr.clone()).or_default();
@@ -1062,13 +1062,10 @@ pub fn request(parsed: &Parsed) -> Result<String, CliError> {
     // the trace context current, so the client stamps it onto the
     // outgoing envelope and every hop downstream joins the same trace.
     let trace_id = parsed.get_parsed("trace-id", 0u64)?;
-    let _span = (trace_id != 0 && action != Action::Trace).then(|| {
-        cbes_obs::Registry::global().spans().span_rooted(
-            cbes_obs::names::SPAN_CLI_REQUEST,
-            trace_id,
-            0,
-        )
-    });
+    // The span only has to make the context current; its ring is local.
+    let ring = cbes_obs::SpanRing::new(1);
+    let _span = (trace_id != 0 && action != Action::Trace)
+        .then(|| ring.span_rooted(cbes_obs::names::SPAN_CLI_REQUEST, trace_id, 0));
     let response = connect(parsed, addr)?.call(&request).map_err(client_err)?;
     render_reply(action, addr, parsed, response)
 }
@@ -1635,8 +1632,9 @@ mod tests {
         let out = metrics(&parsed(&["metrics", &addr, "--format", "json"])).unwrap();
         assert!(out.contains("\"server.queue_wait_us\""), "{out}");
 
-        // A traced request leaves connected spans behind: the CLI root
-        // plus the server-side action span on the same trace id.
+        // A traced request leaves connected spans behind in the daemon's
+        // one ring: the action span and the evaluation beneath it, on the
+        // trace id the CLI's root span made current.
         let out = request(&parsed(&[
             "request",
             &addr,
@@ -1651,8 +1649,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("epoch"), "{out}");
         let out = request(&parsed(&["request", &addr, "trace", "--trace-id", "7701"])).unwrap();
+        assert!(out.contains("2 span(s)"), "{out}");
         assert!(out.contains("compare"), "{out}");
-        assert!(out.contains("cli.request"), "{out}");
+        assert!(out.contains("core.evaluate_mapping"), "{out}");
         // Untraced requests never join a trace.
         let out = request(&parsed(&[
             "request",
@@ -1907,6 +1906,15 @@ mod tests {
         let row = top_row(&frame, &addr);
         assert_eq!(row[1..3], ["120", "5"], "{frame}");
         assert_eq!(row[3..6], ["207", "5000", "5000"], "{frame}");
+        // A router's reply carries its daemons' `server.served` and its
+        // own `router.routed` for the same requests: counted once.
+        let tier = cbes_obs::Registry::new();
+        tier.counter("server.served").add(10);
+        tier.counter("router.routed").add(10);
+        let router = "10.0.0.9:9077".to_string();
+        let rows = vec![(router.clone(), Some(tier.snapshot()))];
+        let frame = top_frame(&rows, &mut totals, Instant::now());
+        assert_eq!(top_row(&frame, &router)[1], "10", "{frame}");
         let err = top(&parsed(&["top"])).unwrap_err();
         assert!(err.to_string().contains("address"), "{err}");
         let err = top(&parsed(&["top", "127.0.0.1:1", "--iterations", "0"])).unwrap_err();

@@ -132,7 +132,6 @@ impl Monitor {
 
     /// The forecast load state for the next period.
     pub fn forecast(&self) -> LoadState {
-        let _t = cbes_netmodel::forecast::refresh_timer();
         let mut s = LoadState::idle(self.cpu.len());
         for (i, (cpu, nic)) in self.cpu.iter().zip(&self.nic).enumerate() {
             let id = NodeId(i as u32);

@@ -12,7 +12,7 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::error::ServiceError;
 use crate::eval::{tally, Evaluator, Prediction};
@@ -27,13 +27,15 @@ use cbes_netmodel::LoadAdjuster;
 use cbes_obs::{names, Counter, Gauge, Histogram, Registry};
 use parking_lot::RwLock;
 
-/// Handles into [`Registry::global`] for the service's hot paths,
-/// resolved once so per-request updates never touch the registry lock.
+/// Handles into the service's own [`Registry`] for its hot paths,
+/// resolved once at construction so per-request updates never touch the
+/// registry lock.
 struct CoreInstruments {
     compares: Arc<Counter>,
     predictions: Arc<Counter>,
     compare_us: Arc<Histogram>,
     epoch_publish_us: Arc<Histogram>,
+    forecast_refresh_us: Arc<Histogram>,
     epoch: Arc<Gauge>,
     health_transitions: Arc<Counter>,
     healthy: Arc<Gauge>,
@@ -41,22 +43,21 @@ struct CoreInstruments {
     down: Arc<Gauge>,
 }
 
-fn instruments() -> &'static CoreInstruments {
-    static INSTRUMENTS: OnceLock<CoreInstruments> = OnceLock::new();
-    INSTRUMENTS.get_or_init(|| {
-        let r = Registry::global();
+impl CoreInstruments {
+    fn new(r: &Registry) -> Self {
         CoreInstruments {
             compares: r.counter(names::CORE_COMPARES),
             predictions: r.counter(names::CORE_PREDICTIONS),
             compare_us: r.histogram(names::CORE_COMPARE_US),
             epoch_publish_us: r.histogram(names::CORE_EPOCH_PUBLISH_US),
+            forecast_refresh_us: r.histogram(names::NETMODEL_FORECAST_REFRESH_US),
             epoch: r.gauge(names::CORE_EPOCH),
             health_transitions: r.counter(names::CORE_HEALTH_TRANSITIONS),
             healthy: r.gauge(names::CORE_HEALTH_HEALTHY),
             suspect: r.gauge(names::CORE_HEALTH_SUSPECT),
             down: r.gauge(names::CORE_HEALTH_DOWN),
         }
-    })
+    }
 }
 
 /// A load forecast stamped with the observation epoch that produced it.
@@ -103,6 +104,9 @@ pub struct CbesService {
     /// Latest forecast; replaced wholesale on observation, so readers
     /// hold the lock only long enough to clone the `Arc`.
     cached: RwLock<Arc<EpochLoad>>,
+    /// This daemon's instruments, span ring and flight recorder.
+    obs: Arc<Registry>,
+    instruments: CoreInstruments,
 }
 
 impl CbesService {
@@ -120,6 +124,7 @@ impl CbesService {
             health: HealthView::all_healthy(n),
             model: no_load.clone(),
         });
+        let obs = Arc::new(Registry::new());
         CbesService {
             cluster,
             no_load,
@@ -128,6 +133,8 @@ impl CbesService {
             health: RwLock::new(HealthTracker::new(n, HealthPolicy::default())),
             epoch: AtomicU64::new(0),
             cached: RwLock::new(initial),
+            instruments: CoreInstruments::new(&obs),
+            obs,
         }
     }
 
@@ -153,6 +160,13 @@ impl CbesService {
     /// The application-profile registry.
     pub fn registry(&self) -> &ProfileRegistry {
         &self.registry
+    }
+
+    /// This daemon's metrics registry: the `core.*` instruments, the span
+    /// ring and the flight recorder. The server records into it too, so
+    /// one daemon answers `Metrics`, `Trace` and `DumpFlight` from it.
+    pub fn obs(&self) -> &Arc<Registry> {
+        &self.obs
     }
 
     /// Epoch of the forecast requests are currently evaluated against.
@@ -240,8 +254,8 @@ impl CbesService {
         {
             return Err(ServiceError::NonFiniteLoad(node as u32));
         }
-        let obs = instruments();
-        let _span = Registry::global().span(names::SPAN_CORE_PUBLISH_EPOCH);
+        let obs = &self.instruments;
+        let _span = self.obs.span(names::SPAN_CORE_PUBLISH_EPOCH);
         let publish = obs.epoch_publish_us.start_timer();
         let mut monitor = self.monitor.write();
         let mut tracker = self.health.write();
@@ -263,7 +277,9 @@ impl CbesService {
                 tracker.record_sweep(mask)
             }
         };
+        let refresh = obs.forecast_refresh_us.start_timer();
         let load = monitor.forecast();
+        drop(refresh);
         let health = tracker.view();
         let (h, s, d) = health.counts();
         // Epoch bump and cache swap stay under the monitor lock so two
@@ -359,8 +375,8 @@ impl CbesService {
     /// lock, bump the epoch by one, republish the cached forecast with
     /// `model` (or the current model when `None`).
     fn republish(&self, model: Option<Arc<dyn LatencyProvider + Send + Sync>>) -> u64 {
-        let obs = instruments();
-        let _span = Registry::global().span(names::SPAN_CORE_PUBLISH_EPOCH);
+        let obs = &self.instruments;
+        let _span = self.obs.span(names::SPAN_CORE_PUBLISH_EPOCH);
         let publish = obs.epoch_publish_us.start_timer();
         // The monitor write lock serialises activations with load
         // sweeps, so two publications can never race the epoch store
@@ -462,8 +478,8 @@ impl CbesService {
         // candidate's eq. 5 CPU shares count ranks in it.
         let mut ranks_on = vec![0u32; self.cluster.len()];
         self.validate(profile.num_procs(), mappings, &cached.health, &mut ranks_on)?;
-        let obs = instruments();
-        let span = Registry::global().span(names::SPAN_CORE_EVALUATE_MAPPING);
+        let obs = &self.instruments;
+        let span = self.obs.span(names::SPAN_CORE_EVALUATE_MAPPING);
         let predictions = Evaluator::new(&profile, &snap).predict_batch_in(mappings, &mut ranks_on);
         span.finish_into(&obs.compare_us);
         obs.compares.incr();
@@ -738,27 +754,42 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_and_epoch_publication_record_into_the_global_registry() {
-        let r = Registry::global();
-        let compares_before = r.counter("core.compares").get();
-        let hist_before = r.histogram("core.compare_us").count();
-        let publishes_before = r.histogram("core.epoch_publish_us").count();
-
+    fn evaluation_and_epoch_publication_record_into_the_services_registry() {
         let svc = demo_service();
         svc.compare("app", &[m(&[0, 1]), m(&[0, 4])])
             .expect("demo mappings are valid");
         svc.observe_load(&LoadState::idle(svc.cluster().len()))
             .expect("sweep covers every node");
 
-        // Other tests in this binary share the global registry, so check
-        // deltas, not absolutes.
-        let snap = r.snapshot();
-        assert!(snap.counters["core.compares"] > compares_before);
-        assert!(snap.counters["core.predictions"] >= 2);
-        assert!(snap.histograms["core.compare_us"].count > hist_before);
-        assert!(snap.histograms["core.epoch_publish_us"].count > publishes_before);
-        assert!(snap.gauges["core.epoch"] >= 1.0);
-        assert!(snap.spans_buffered >= 1, "spans land in the global ring");
+        // A second service in the same process counts for itself only.
+        let other = demo_service();
+        other.compare("app", &[m(&[0, 1])]).expect("valid");
+
+        let snap = svc.obs().snapshot();
+        assert_eq!(snap.counters[names::CORE_COMPARES], 1);
+        assert_eq!(snap.counters[names::CORE_PREDICTIONS], 2);
+        assert_eq!(snap.histograms[names::CORE_COMPARE_US].count, 1);
+        assert_eq!(snap.histograms[names::CORE_EPOCH_PUBLISH_US].count, 1);
+        assert_eq!(
+            snap.histograms[names::NETMODEL_FORECAST_REFRESH_US].count,
+            1
+        );
+        assert_eq!(snap.gauges[names::CORE_EPOCH], 1.0);
+        let spans: Vec<_> = svc
+            .obs()
+            .spans()
+            .snapshot()
+            .iter()
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                names::SPAN_CORE_EVALUATE_MAPPING,
+                names::SPAN_CORE_PUBLISH_EPOCH
+            ]
+        );
+        assert_eq!(other.obs().snapshot().counters[names::CORE_COMPARES], 1);
     }
 
     #[test]
@@ -821,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn health_gauges_land_in_the_global_registry() {
+    fn health_gauges_land_in_the_services_registry() {
         use crate::health::HealthPolicy;
         let svc = demo_service().with_health_policy(HealthPolicy {
             suspect_after: 0,
@@ -829,19 +860,18 @@ mod tests {
             suspect_cost_factor: 2.0,
         });
         let n = svc.cluster().len();
-        let r = Registry::global();
-        let before = r.counter("core.health.transitions").get();
         let mut mask = vec![true; n];
         mask[0] = false;
         for _ in 0..3 {
             svc.observe_load_partial(&LoadState::idle(n), &mask)
                 .expect("sweep covers every node");
         }
-        let snap = r.snapshot();
-        assert!(snap.counters["core.health.transitions"] > before);
-        assert!(snap.gauges.contains_key("core.health.healthy"));
-        assert!(snap.gauges.contains_key("core.health.suspect"));
-        assert!(snap.gauges.contains_key("core.health.down"));
+        // Node 0 goes healthy -> suspect -> down: two transitions.
+        let snap = svc.obs().snapshot();
+        assert_eq!(snap.counters[names::CORE_HEALTH_TRANSITIONS], 2);
+        assert_eq!(snap.gauges[names::CORE_HEALTH_HEALTHY], (n - 1) as f64);
+        assert_eq!(snap.gauges[names::CORE_HEALTH_SUSPECT], 0.0);
+        assert_eq!(snap.gauges[names::CORE_HEALTH_DOWN], 1.0);
     }
 
     #[test]

@@ -5,29 +5,9 @@
 
 use crate::model::LatencyModel;
 use cbes_cluster::{Cluster, NodeId};
-use cbes_obs::{names, Counter, Histogram, Registry};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Global-registry handles for calibration timing, resolved once.
-struct CalInstruments {
-    campaigns: Arc<Counter>,
-    round_us: Arc<Histogram>,
-}
-
-fn instruments() -> &'static CalInstruments {
-    static INSTRUMENTS: OnceLock<CalInstruments> = OnceLock::new();
-    INSTRUMENTS.get_or_init(|| {
-        let r = Registry::global();
-        CalInstruments {
-            campaigns: r.counter(names::NETMODEL_CALIBRATIONS),
-            round_us: r.histogram(names::NETMODEL_CALIBRATION_ROUND_US),
-        }
-    })
-}
 
 /// Configuration of the calibration campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,10 +95,7 @@ impl Calibrator {
             i * (n - 1) - i * i.saturating_sub(1) / 2 + (j - i - 1)
         };
 
-        let obs = instruments();
-        let _span = Registry::global().span(names::SPAN_NETMODEL_CALIBRATE);
         for round in &rounds {
-            let round_started = Instant::now();
             let mut round_cost = 0.0f64;
             for &(a, b) in round {
                 let (na, nb) = (NodeId(a as u32), NodeId(b as u32));
@@ -138,9 +115,7 @@ impl Calibrator {
                 round_cost = round_cost.max(pair_cost);
             }
             parallel_cost += round_cost;
-            obs.round_us.record_duration(round_started.elapsed());
         }
-        obs.campaigns.incr();
 
         CalibrationOutcome {
             model: LatencyModel::from_table(n, self.probe_sizes.clone(), table),
@@ -388,23 +363,6 @@ mod tests {
             .unwrap();
         let report = verify_model(&after, &out.model, 100, 10);
         assert!(report.is_stale(0.10), "{report:?}");
-    }
-
-    #[test]
-    fn calibration_times_every_clique_round() {
-        let r = Registry::global();
-        let rounds_before = r.histogram(names::NETMODEL_CALIBRATION_ROUND_US).count();
-        let campaigns_before = r.counter(names::NETMODEL_CALIBRATIONS).get();
-        let c = two_switch_demo();
-        let out = Calibrator::default().calibrate(&c);
-        // Other tests in this binary calibrate concurrently, so check
-        // lower bounds, not exact values.
-        assert!(
-            r.histogram(names::NETMODEL_CALIBRATION_ROUND_US).count()
-                >= rounds_before + out.rounds as u64,
-            "one timing sample per clique round"
-        );
-        assert!(r.counter(names::NETMODEL_CALIBRATIONS).get() > campaigns_before);
     }
 
     #[test]

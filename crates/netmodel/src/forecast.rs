@@ -12,24 +12,6 @@
 //! arithmetic.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
-
-use cbes_obs::{names, Histogram, HistogramTimer, Registry};
-
-/// Time one full forecast refresh (re-predicting every monitored series
-/// for the next period). The returned guard records the elapsed
-/// microseconds into the global `netmodel.forecast_refresh_us` histogram
-/// when dropped — callers wrap the refresh loop:
-///
-/// ```
-/// let _t = cbes_netmodel::forecast::refresh_timer();
-/// // ... call predict() across all per-node forecasters ...
-/// ```
-pub fn refresh_timer() -> HistogramTimer<'static> {
-    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
-    HIST.get_or_init(|| Registry::global().histogram(names::NETMODEL_FORECAST_REFRESH_US))
-        .start_timer()
-}
 
 /// A one-step-ahead forecaster over a scalar measurement stream.
 pub trait Forecaster {

@@ -1,5 +1,5 @@
 //! CBES observability: lock-free metric primitives, latency histograms,
-//! lightweight tracing spans, and a process-wide registry rendering one
+//! lightweight tracing spans, and a per-daemon registry rendering one
 //! JSON snapshot.
 //!
 //! CBES is a run-time service; its value proposition is that mapping
@@ -23,8 +23,8 @@
 //!   fires, debounced, off the hot path when idle.
 //! * [`Registry`] — a named collection of all of the above; one
 //!   [`Registry::snapshot`] renders every instrument as a serialisable
-//!   [`MetricsSnapshot`]. [`Registry::global`] is the process-wide
-//!   instance the library crates record into.
+//!   [`MetricsSnapshot`]. There is no process-wide instance: each
+//!   daemon and each router owns one and answers only for itself.
 //!
 //! Everything is hand-rolled on `std::sync::atomic` — no registry
 //! dependencies beyond the workspace's vendored stand-ins.

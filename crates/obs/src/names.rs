@@ -72,13 +72,6 @@ names! {
     /// Span: the router forwarding one request to the serving tier.
     pub const SPAN_ROUTER_FORWARD: &str = "router.forward";
 
-    // ---- client (the retry layer) --------------------------------------
-
-    /// Retry attempts made after shed/transport failures.
-    pub const CLIENT_RETRIES: &str = "client.retries";
-    /// Requests abandoned after exhausting the retry budget.
-    pub const CLIENT_RETRY_GIVEUPS: &str = "client.retry_giveups";
-
     // ---- router (cbes-router scale-out tier) ---------------------------
 
     /// Requests dispatched to their consistent-hash primary instance.
@@ -132,14 +125,8 @@ names! {
 
     // ---- netmodel ------------------------------------------------------
 
-    /// Calibration campaigns completed.
-    pub const NETMODEL_CALIBRATIONS: &str = "netmodel.calibrations";
-    /// Per-round calibration wall time, microseconds.
-    pub const NETMODEL_CALIBRATION_ROUND_US: &str = "netmodel.calibration_round_us";
     /// Forecast refresh latency, microseconds.
     pub const NETMODEL_FORECAST_REFRESH_US: &str = "netmodel.forecast_refresh_us";
-    /// Span: one full latency-calibration campaign.
-    pub const SPAN_NETMODEL_CALIBRATE: &str = "netmodel.calibrate";
 
     // ---- reconfig (artifact lifecycle) ---------------------------------
 

@@ -8,24 +8,25 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Default span-ring capacity for registries.
-const SPAN_CAPACITY: usize = 4096;
+/// Span-ring capacity of a registry. A daemon's one ring holds both its
+/// request spans and the core spans beneath them, so it is sized at what
+/// two rings of 4096 held between them.
+const SPAN_CAPACITY: usize = 8192;
 
 /// A registry of named counters, gauges, and histograms plus a span
 /// ring. Instrument lookup takes a short lock and returns an `Arc`;
 /// call sites cache the `Arc` and update it wait-free thereafter.
 ///
-/// [`Registry::global`] is the process-wide instance that the library
-/// crates (`cbes-core`, `cbes-netmodel`, ...) record into; servers and
-/// tests may also construct private registries to keep their metrics
-/// isolated per instance.
+/// There is no process-wide instance: each daemon (`CbesService`) and
+/// each router owns one, so several of them in one process never mix
+/// counts, spans or flight events.
 pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
-    spans: SpanRing,
+    spans: Arc<SpanRing>,
     flight: FlightRecorder,
 }
 
@@ -36,26 +37,15 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry with the default span capacity.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry::with_span_capacity(SPAN_CAPACITY)
-    }
-
-    /// An empty registry whose span ring holds `capacity` spans.
-    pub fn with_span_capacity(capacity: usize) -> Self {
         Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: SpanRing::new(capacity),
+            spans: Arc::new(SpanRing::new(SPAN_CAPACITY)),
             flight: FlightRecorder::new(),
         }
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     /// The counter named `name`, created on first use.
@@ -86,7 +76,7 @@ impl Registry {
     }
 
     /// This registry's span ring.
-    pub fn spans(&self) -> &SpanRing {
+    pub fn spans(&self) -> &Arc<SpanRing> {
         &self.spans
     }
 
@@ -270,13 +260,5 @@ mod tests {
         assert_eq!(s.counters[names::FLIGHT_EVENTS], 1);
         assert_eq!(s.counters[names::FLIGHT_DUMPS], 1);
         std::fs::remove_file(dump.expect("the first anomaly dumps")).ok();
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let c = Registry::global().counter("obs.test.singleton");
-        let before = c.get();
-        Registry::global().counter("obs.test.singleton").incr();
-        assert_eq!(c.get(), before + 1);
     }
 }

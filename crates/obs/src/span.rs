@@ -4,7 +4,7 @@
 //!
 //! A [`SpanGuard`] costs two clock reads (one at open, one at close) and
 //! one short mutex-guarded push on drop — cheap enough for request-rate events
-//! (per `Compare`, per calibration round), not meant for the inner SA
+//! (per `Compare`, per epoch publication), not meant for the inner SA
 //! loop (use the sched `TelemetrySink` there).
 //!
 //! Parent linkage is tracked per thread: a span opened while another is
@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The process-wide monotonic clock origin spans are stamped against.
@@ -60,8 +60,8 @@ thread_local! {
 
 /// Process-wide span id source. Ids are unique across *all* rings so the
 /// thread-local parent link stays unambiguous even when nested spans land
-/// in different rings (e.g. a server-registry request span enclosing a
-/// global-registry `compare` span).
+/// in different rings (e.g. a router and its daemons in one process, each
+/// recording into its own registry).
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Mint a process-unique, cross-process-unlikely-to-collide trace id
@@ -163,7 +163,7 @@ impl SpanRing {
         let parent = CURRENT_SPAN.with(|c| c.replace(id));
         let trace = CURRENT_TRACE.with(|c| c.get());
         SpanGuard {
-            ring: self,
+            ring: Some(RingRef::Borrowed(self)),
             name,
             id,
             parent,
@@ -184,7 +184,7 @@ impl SpanRing {
         let prev_span = CURRENT_SPAN.with(|c| c.replace(id));
         let prev_trace = CURRENT_TRACE.with(|c| c.replace(trace));
         SpanGuard {
-            ring: self,
+            ring: Some(RingRef::Borrowed(self)),
             name,
             id,
             parent: parent_span,
@@ -200,10 +200,16 @@ impl SpanRing {
     /// iteration and sees its reply in another). It joins `trace` under
     /// `parent_span` like [`Self::span_rooted`] but never touches the
     /// thread's span context, so other work on the thread does not nest
-    /// beneath it and the guard may be dropped in any order.
-    pub fn span_detached(&self, name: &'static str, trace: u64, parent_span: u64) -> SpanGuard<'_> {
+    /// beneath it and the guard may be dropped in any order. The guard
+    /// shares the ring, so it outlives the borrow that opened it.
+    pub fn span_detached(
+        self: &Arc<Self>,
+        name: &'static str,
+        trace: u64,
+        parent_span: u64,
+    ) -> SpanGuard<'static> {
         SpanGuard {
-            ring: self,
+            ring: Some(RingRef::Shared(self.clone())),
             name,
             id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
             parent: parent_span,
@@ -275,9 +281,17 @@ impl std::fmt::Debug for SpanRing {
 /// (span ids start at 1 and count up, so the value is never an id).
 const DETACHED: u64 = u64::MAX;
 
+/// The ring a guard records into: borrowed by a call-stack span, shared
+/// by a detached one.
+enum RingRef<'a> {
+    Borrowed(&'a SpanRing),
+    Shared(Arc<SpanRing>),
+}
+
 /// A live span; finishes (and records itself) on drop.
 pub struct SpanGuard<'a> {
-    ring: &'a SpanRing,
+    /// `None` once recorded.
+    ring: Option<RingRef<'a>>,
     name: &'static str,
     id: u64,
     parent: u64,
@@ -300,21 +314,28 @@ impl SpanGuard<'_> {
 
     /// Finish the span now and record its own duration into `hist`, so an
     /// interval that is both a span and a histogram sample is timed once.
-    pub fn finish_into(self, hist: &Histogram) {
-        hist.record(std::mem::ManuallyDrop::new(self).close());
+    pub fn finish_into(mut self, hist: &Histogram) {
+        hist.record(self.close());
     }
 
     /// Leave the thread's span context, read the clock, push the record;
-    /// returns the duration in microseconds. Runs exactly once per guard:
-    /// from `drop`, or from `finish_into` which skips `drop`.
+    /// returns the duration in microseconds. Records once per guard: from
+    /// `finish_into` or from `drop`, whichever comes first.
     fn close(&mut self) -> u64 {
+        let Some(ring) = self.ring.take() else {
+            return 0;
+        };
         if self.prev_span != DETACHED {
             CURRENT_SPAN.with(|c| c.set(self.prev_span));
             CURRENT_TRACE.with(|c| c.set(self.prev_trace));
         }
         let start_us = self.start.duration_since(process_epoch()).as_micros() as u64;
         let dur_us = self.start.elapsed().as_micros() as u64;
-        self.ring.push(SpanRecord {
+        let ring: &SpanRing = match &ring {
+            RingRef::Borrowed(ring) => ring,
+            RingRef::Shared(ring) => ring,
+        };
+        ring.push(SpanRecord {
             name: self.name,
             trace: self.trace,
             id: self.id,
@@ -475,7 +496,7 @@ mod tests {
 
     #[test]
     fn detached_spans_join_a_trace_without_entering_the_thread_context() {
-        let ring = SpanRing::new(16);
+        let ring = Arc::new(SpanRing::new(16));
         let first = ring.span_detached("router.forward", 77, 5);
         let second = ring.span_detached("router.forward", 78, 0);
         assert_eq!(current_trace(), None, "the thread stays untraced");

@@ -73,7 +73,10 @@ pub struct Membership {
     config: MembershipConfig,
     state: RwLock<State>,
     counters: Vec<InstanceCounters>,
-    /// Tier-wide aggregates in the process registry.
+    /// The router's one registry: the `router.*` instruments, the I/O
+    /// layer's counters, the forward spans and the flight recorder.
+    obs: Arc<Registry>,
+    /// Tier-wide aggregates in that registry.
     routed_total: Arc<Counter>,
     forwarded_total: Arc<Counter>,
     failed_over_total: Arc<Counter>,
@@ -86,7 +89,7 @@ impl Membership {
     /// A table over the static seed list `addrs`.
     pub fn new(addrs: Vec<String>, config: MembershipConfig) -> Arc<Membership> {
         let n = addrs.len();
-        let registry = Registry::global();
+        let obs = Arc::new(Registry::new());
         Arc::new(Membership {
             counters: (0..n)
                 .map(|_| InstanceCounters {
@@ -100,13 +103,20 @@ impl Membership {
                 epochs: vec![0; n],
                 heartbeats: 0,
             }),
-            routed_total: registry.counter(names::ROUTER_ROUTED),
-            forwarded_total: registry.counter(names::ROUTER_FORWARDED),
-            failed_over_total: registry.counter(names::ROUTER_FAILED_OVER),
+            routed_total: obs.counter(names::ROUTER_ROUTED),
+            forwarded_total: obs.counter(names::ROUTER_FORWARDED),
+            failed_over_total: obs.counter(names::ROUTER_FAILED_OVER),
             last_lag: AtomicU64::new(0),
+            obs,
             addrs,
             config,
         })
+    }
+
+    /// The router's registry, which a `Metrics`, `Trace` or `DumpFlight`
+    /// to the router adds to what its instances answer.
+    pub fn obs(&self) -> &Arc<Registry> {
+        &self.obs
     }
 
     /// The static seed addresses, in ring order.
@@ -149,7 +159,7 @@ impl Membership {
         let changed = state.tracker.record_sweep(&reported);
         let (h, s, d) = state.tracker.counts();
         drop(state);
-        let registry = Registry::global();
+        let registry = &self.obs;
         registry.counter(names::ROUTER_HEARTBEATS).incr();
         registry.counter(names::ROUTER_TRANSITIONS).add(changed);
         registry

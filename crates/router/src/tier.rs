@@ -20,7 +20,7 @@ use crate::membership::{Membership, MembershipConfig};
 use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
 use cbes_core::health::NodeHealth;
-use cbes_obs::{names, Counter, Registry};
+use cbes_obs::{names, Counter};
 use cbes_server::net::{self, encode_line, Control, Forward, Handler, NetHandle, NetMetrics};
 use cbes_server::protocol::{
     decode_request, encode, error_kind, route_key_hash, split_id, ActionSpec, ForwardMode, Request,
@@ -152,7 +152,7 @@ pub fn observe_tier(
             silent: silent.to_vec(),
         };
         let pushed = fan_out_counted(membership, &followers, &push);
-        let replications = Registry::global().counter(names::ROUTER_REPLICATIONS);
+        let replications = membership.obs().counter(names::ROUTER_REPLICATIONS);
         for (follower, reply) in pushed {
             // A failed push is left to the heartbeat: the instance will
             // age toward Down, and its lag shows in the gauge meanwhile.
@@ -182,16 +182,15 @@ impl RouterServer {
             addr: config.addr,
             ..ServerConfig::default()
         };
-        // The layer's `server.*` counters stay in a registry of the
-        // router's own: in the global one an in-process tier's `Metrics`
-        // replies would count the router's connections as a daemon's.
+        // One registry per router, held by its membership table: the
+        // layer's `server.*` counters live there beside `router.*`.
         let membership = Membership::new(config.seeds, config.membership);
-        let metrics = NetMetrics::new(&Arc::new(Registry::new()));
+        let metrics = NetMetrics::new(membership.obs());
         let net = net::start(&limits, metrics, |control| {
             Ok(Router {
                 ring: HashRing::new(membership.len()),
+                giveups: membership.obs().counter(names::ROUTER_GIVEUPS),
                 membership: membership.clone(),
-                giveups: Registry::global().counter(names::ROUTER_GIVEUPS),
                 net: control.clone(),
             })
         })?;
@@ -270,7 +269,7 @@ impl Handler for Router {
         // live trace context — every hop this dispatch forwards carries
         // the same trace id with the router's span as the remote parent.
         let _span = (envelope.trace_id != 0).then(|| {
-            Registry::global().spans().span_rooted(
+            self.membership.obs().spans().span_rooted(
                 names::SPAN_ROUTER_FORWARD,
                 envelope.trace_id,
                 envelope.parent_span,
@@ -321,7 +320,7 @@ impl Handler for Router {
         candidates.retain(|&i| membership.health(i) != NodeHealth::Down);
         let caller = envelope.parent_span;
         let span = (envelope.trace_id != 0).then(|| {
-            let hop = Registry::global().spans().span_detached(
+            let hop = membership.obs().spans().span_detached(
                 names::SPAN_ROUTER_FORWARD,
                 envelope.trace_id,
                 caller,
@@ -421,9 +420,15 @@ impl Router {
                     Response::Metrics { metrics } => Some(metrics),
                     _ => None,
                 });
+                // The router's own instruments join the instances' —
+                // `router.*` counts live nowhere else.
                 let merged = metrics.reduce(|mut merged, m| {
                     merged.merge(&m);
                     merged
+                });
+                let merged = merged.map(|mut tier| {
+                    tier.merge(&membership.obs().snapshot());
+                    tier
                 });
                 merged.map_or_else(unanswered, |metrics| Response::Metrics { metrics })
             }
@@ -440,13 +445,10 @@ impl Router {
                 // The router's own forwarding spans are part of the trace
                 // too — without them the tier-wide view has no root
                 // connecting the per-instance fragments.
-                let own = Registry::global().spans().of_trace(trace_id);
+                let own = membership.obs().spans().of_trace(trace_id);
                 let own = own.into_iter().map(SpanSnapshot::from);
                 let mut spans: Vec<SpanSnapshot> = fragments.flatten().chain(own).collect();
                 spans.sort_by_key(|a| (a.start_us, a.id));
-                // Instances sharing one process (in-proc tests) also share
-                // the global span ring; drop exact duplicates.
-                spans.dedup();
                 Response::Traces { trace_id, spans }
             }
             Request::ArtifactStatus => {
@@ -485,7 +487,7 @@ impl Router {
                 // recorder alongside the instances'. The first instance
                 // reply is relayed; the router's own dump answers only
                 // when no instance could.
-                let registry = Registry::global();
+                let registry = membership.obs();
                 let own = registry.flight().dump("on_demand", registry.spans());
                 let own = own.ok().map(|(path, events)| Response::FlightDumped {
                     path: path.display().to_string(),

@@ -545,8 +545,10 @@ pub struct Retrying {
     policy: RetryPolicy,
     rng: StdRng,
     conn: Option<Direct>,
-    retries: std::sync::Arc<cbes_obs::Counter>,
-    giveups: std::sync::Arc<cbes_obs::Counter>,
+    /// Replays made after shed/transport failures.
+    retries: u64,
+    /// Requests abandoned after exhausting the retry budget.
+    giveups: u64,
 }
 
 impl Client<Retrying> {
@@ -554,16 +556,22 @@ impl Client<Retrying> {
     /// dialled lazily on first use, with `io_timeout` bounding the dial
     /// and every read and write after it.
     pub fn retrying(addr: impl Into<String>, io_timeout: Duration, policy: RetryPolicy) -> Self {
-        let registry = cbes_obs::Registry::global();
         Client::over(Retrying {
             addr: addr.into(),
             io_timeout,
             rng: StdRng::seed_from_u64(policy.seed),
             policy,
             conn: None,
-            retries: registry.counter(cbes_obs::names::CLIENT_RETRIES),
-            giveups: registry.counter(cbes_obs::names::CLIENT_RETRY_GIVEUPS),
+            retries: 0,
+            giveups: 0,
         })
+    }
+
+    /// This client's `(retries, giveups)` so far: replays made after
+    /// shed/transport failures, and requests abandoned after exhausting
+    /// the retry budget.
+    pub fn retry_tallies(&self) -> (u64, u64) {
+        (self.transport.retries, self.transport.giveups)
     }
 }
 
@@ -613,10 +621,10 @@ impl Transport for Retrying {
             };
             retry += 1;
             if retry >= self.policy.max_attempts {
-                self.giveups.incr();
+                self.giveups += 1;
                 return outcome;
             }
-            self.retries.incr();
+            self.retries += 1;
             let backoff = self
                 .policy
                 .backoff(retry, &mut self.rng)

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use cbes_cluster::{ClusterSpec, LatencyProvider};
 use cbes_core::CbesService;
 use cbes_netmodel::LatencyModel;
-use cbes_obs::{names, Counter, Gauge, Registry};
+use cbes_obs::{names, Counter, Gauge};
 use cbes_reconfig::{
     ArtifactKind, ArtifactStore, InstanceStatus, ReconfigError, ServingLimits, StatusReport,
 };
@@ -121,15 +121,16 @@ impl ReconfigRuntime {
     /// whatever artifact the journal says should be serving, so a
     /// restarted daemon answers its first request under the recovered
     /// configuration. A recovered mid-soak artifact resumes its soak
-    /// with a fresh telemetry baseline.
+    /// with a fresh telemetry baseline. Its instruments and flight
+    /// events land in the service's registry.
     pub fn open(
         state_dir: PathBuf,
         service: Arc<CbesService>,
         limiter: Arc<RateLimiter>,
         boot_max_rps: f64,
-        registry: &Registry,
     ) -> Result<ReconfigRuntime, ReconfigError> {
         let store = ArtifactStore::open(state_dir)?;
+        let registry = service.obs().clone();
         let runtime = ReconfigRuntime {
             store,
             service,
@@ -170,7 +171,7 @@ impl ReconfigRuntime {
                     self.rollbacks.incr();
                     self.auto_rollbacks.incr();
                 } else {
-                    Registry::global().flight().record(
+                    self.service.obs().flight().record(
                         "reconfig",
                         format!(
                             "active artifact v{} failed to activate on restart: \
@@ -323,7 +324,7 @@ impl ReconfigRuntime {
                         // nothing was activated. Tell the operator and
                         // leave the evidence in the flight ring —
                         // swallowing this would strand the divergence.
-                        Registry::global().flight().record(
+                        self.service.obs().flight().record(
                             "reconfig",
                             format!(
                                 "compensating rollback of v{} failed: {rb} \
@@ -428,8 +429,7 @@ mod tests {
             ForecastKind::LastValue,
         ));
         let limiter = Arc::new(RateLimiter::new(0.0));
-        let registry = Registry::new();
-        let rt = ReconfigRuntime::open(dir, service.clone(), limiter.clone(), 0.0, &registry)
+        let rt = ReconfigRuntime::open(dir, service.clone(), limiter.clone(), 0.0)
             .expect("open runtime");
         (rt, service, limiter)
     }
@@ -548,9 +548,18 @@ mod tests {
         }
         std::fs::write(dir.join("artifacts").join("v1.json"), "not json").expect("corrupt payload");
         // An accepted artifact has no rollback edge: the daemon still
-        // boots, serving the boot configuration.
-        let (rt, _, limiter) = runtime_at(dir.clone());
+        // boots, serving the boot configuration, and the evidence lands
+        // in the flight ring the daemon dumps.
+        let (rt, service, limiter) = runtime_at(dir.clone());
         assert_eq!(limiter.rate_per_s(), 0.0, "boot cap reinstated");
+        let flight = service.obs().flight();
+        assert_eq!(flight.recorded(), 1);
+        let (dump, _) = flight
+            .dump("test", service.obs().spans())
+            .expect("dump written");
+        let text = std::fs::read_to_string(&dump).expect("dump readable");
+        let _ = std::fs::remove_file(&dump);
+        assert!(text.contains("reconfig"), "{text}");
         match rt.handle_status("127.0.0.1:0".parse().expect("addr")) {
             Response::ArtifactStatus { status } => {
                 let inst = &status.instances[0].status;

@@ -170,11 +170,12 @@ impl RateLimiter {
     }
 }
 
-/// The daemon's instruments: a private [`Registry`] per server instance
-/// (so several servers in one process never mix counts) with the
-/// hot-path handles cached as `Arc`s — workers update them wait-free,
-/// without touching the registry lock. The I/O layer's counters live in
-/// the same registry; `net` is this module's handle to them.
+/// The daemon's instruments, kept in its service's [`Registry`]
+/// ([`CbesService::obs`]), so one daemon has one registry and several
+/// daemons in one process never mix counts. The hot-path handles are
+/// cached as `Arc`s — workers update them wait-free, without touching
+/// the registry lock. The I/O layer's counters live in the same
+/// registry; `net` is this module's handle to them.
 struct ServerMetrics {
     registry: Arc<Registry>,
     net: Arc<NetMetrics>,
@@ -196,8 +197,7 @@ struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    fn new() -> Self {
-        let registry = Arc::new(Registry::new());
+    fn new(registry: Arc<Registry>) -> Self {
         ServerMetrics {
             net: NetMetrics::new(&registry),
             served: registry.counter(names::SERVER_SERVED),
@@ -223,15 +223,12 @@ impl ServerMetrics {
             .collect()
     }
 
-    /// This server's instruments merged with the process-wide registry
-    /// (the library crates — core, netmodel — record there).
+    /// Every instrument of this daemon: the server's and its service's.
     fn snapshot(&self, queue_depth: usize) -> MetricsSnapshot {
         self.registry
             .gauge(names::SERVER_QUEUE_DEPTH)
             .set(queue_depth as f64);
-        let mut snap = self.registry.snapshot();
-        snap.merge(&Registry::global().snapshot());
-        snap
+        self.registry.snapshot()
     }
 }
 
@@ -242,21 +239,14 @@ pub struct Server;
 impl Server {
     /// Bind `config.addr` and serve `service` until shut down.
     pub fn start(service: Arc<CbesService>, config: ServerConfig) -> std::io::Result<ServerHandle> {
-        let metrics = ServerMetrics::new();
-        let registry = metrics.registry.clone();
+        let metrics = ServerMetrics::new(service.obs().clone());
         let (served, errors) = (metrics.served.clone(), metrics.net.errors.clone());
         let net = net::start(&config, metrics.net.clone(), |control| {
             let rate = Arc::new(RateLimiter::new(config.max_rps));
             let reconfig = match config.state_dir.clone() {
                 Some(dir) => Some(
-                    ReconfigRuntime::open(
-                        dir,
-                        service.clone(),
-                        rate.clone(),
-                        config.max_rps,
-                        &registry,
-                    )
-                    .map_err(|e| std::io::Error::other(format!("artifact store: {e}")))?,
+                    ReconfigRuntime::open(dir, service.clone(), rate.clone(), config.max_rps)
+                        .map_err(|e| std::io::Error::other(format!("artifact store: {e}")))?,
                 ),
                 None => None,
             };
@@ -642,9 +632,8 @@ impl Daemon {
                 Err(e) => Response::service_error(&e),
             },
             Request::Trace { trace_id } => {
-                // Both rings can hold pieces of one trace: the request span
-                // lands in the server registry, the evaluation spans beneath
-                // it land in the global registry the library crates use.
+                // One ring holds the request span and the evaluation spans
+                // beneath it; by start time, a parent precedes its children.
                 let mut spans: Vec<SpanSnapshot> = metrics
                     .registry
                     .spans()
@@ -652,13 +641,6 @@ impl Daemon {
                     .into_iter()
                     .map(SpanSnapshot::from)
                     .collect();
-                spans.extend(
-                    Registry::global()
-                        .spans()
-                        .of_trace(trace_id)
-                        .into_iter()
-                        .map(SpanSnapshot::from),
-                );
                 spans.sort_by_key(|s| s.start_us);
                 Response::Traces { trace_id, spans }
             }
@@ -727,9 +709,10 @@ mod tests {
     fn daemon() -> Daemon {
         let cluster = Arc::new(cbes_cluster::presets::two_switch_demo());
         let forecast = cbes_core::monitor::ForecastKind::LastValue;
+        let service = Arc::new(CbesService::self_calibrated(cluster, forecast));
         Daemon {
-            service: Arc::new(CbesService::self_calibrated(cluster, forecast)),
-            metrics: ServerMetrics::new(),
+            metrics: ServerMetrics::new(service.obs().clone()),
+            service,
             rate: Arc::new(RateLimiter::new(0.0)),
             reconfig: None,
             net: idle_control(),
@@ -769,7 +752,7 @@ mod tests {
 
     #[test]
     fn unparseable_line_is_rejected_with_id_zero() {
-        let m = ServerMetrics::new();
+        let m = ServerMetrics::new(Arc::default());
         let unlimited = RateLimiter::new(0.0);
         let (reply, malformed) =
             *precheck(decode_request("{not json"), &unlimited, &m).expect_err("parse must fail");
@@ -780,23 +763,30 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merges_global_registry_and_names_instruments() {
-        let m = ServerMetrics::new();
-        m.served.add(3);
-        m.net.queue_wait.record(120);
-        m.service_time.record(450);
-        Registry::global()
-            .counter("obs.server_test.global_marker")
-            .incr();
-        let snap = m.snapshot(2);
-        assert_eq!(snap.counters["server.served"], 3);
-        assert_eq!(snap.gauges["server.queue_depth"], 2.0);
-        assert_eq!(snap.histograms["server.queue_wait_us"].count, 1);
-        assert_eq!(snap.histograms["server.service_time_us"].count, 1);
-        assert!(
-            snap.counters["obs.server_test.global_marker"] >= 1,
-            "global registry instruments appear in the merged snapshot"
-        );
+    fn snapshot_holds_its_own_services_instruments_and_no_one_elses() {
+        let (daemon, other) = (daemon(), daemon());
+        let sweep = |d: &Daemon| {
+            let idle = cbes_cluster::load::LoadState::idle(d.service.cluster().len());
+            d.service
+                .observe_load(&idle)
+                .expect("sweep covers every node");
+            d.execute(&stats_line(1));
+        };
+        sweep(&daemon);
+        sweep(&other);
+        sweep(&other);
+        daemon.metrics.net.queue_wait.record(120);
+        let snap = daemon.metrics.snapshot(2);
+        assert_eq!(snap.counters[names::SERVER_SERVED], 1);
+        assert_eq!(snap.gauges[names::SERVER_QUEUE_DEPTH], 2.0);
+        assert_eq!(snap.histograms[names::SERVER_QUEUE_WAIT_US].count, 1);
+        assert_eq!(snap.histograms[names::SERVER_SERVICE_TIME_US].count, 1);
+        assert_eq!(snap.gauges[names::CORE_EPOCH], 1.0);
+        assert_eq!(snap.histograms[names::CORE_EPOCH_PUBLISH_US].count, 1);
+        assert_eq!(snap.counters[names::CORE_COMPARES], 0);
+        let theirs = other.metrics.snapshot(0);
+        assert_eq!(theirs.counters[names::SERVER_SERVED], 2);
+        assert_eq!(theirs.histograms[names::CORE_EPOCH_PUBLISH_US].count, 2);
     }
 
     #[test]
@@ -814,7 +804,7 @@ mod tests {
 
     #[test]
     fn rate_cap_sheds_eval_requests_but_exempts_control_plane() {
-        let m = ServerMetrics::new();
+        let m = ServerMetrics::new(Arc::default());
         let rate = RateLimiter::new(0.001); // burst = 1 token
         let compare_line = encode(&RequestEnvelope::new(
             11,
@@ -855,7 +845,7 @@ mod tests {
 
     #[test]
     fn per_action_report_covers_every_action() {
-        let m = ServerMetrics::new();
+        let m = ServerMetrics::new(Arc::default());
         m.by_action[Request::Stats.kind() as usize].incr();
         let report = m.per_action();
         assert_eq!(report.len(), ACTIONS.len());
