@@ -4,10 +4,11 @@
 //! The schedulers, the orchestrator with its fault schedules, and the
 //! MPI simulator back the paper's reproducibility claims: the same seed
 //! must produce the same placement, the same fault timeline, the same
-//! remapping decisions, the same trace. A stray
+//! remapping decisions, the same trace; the daemon's and router's
+//! deadlines, rate cap and debounces must be drivable by a test. A stray
 //! `Instant::now()` or `thread_rng()` silently breaks that. Timing that
-//! genuinely needs a clock flows through `TelemetrySink::clock`, whose
-//! one real read carries a waiver.
+//! genuinely needs a clock flows through `TelemetrySink::clock` (one
+//! waived read) or a registry's `cbes_obs::Clock` (read in `cbes-obs`).
 //!
 //! `#[cfg(test)]` code is exempt — tests may time themselves.
 
@@ -16,10 +17,13 @@ use crate::rules::Workspace;
 use crate::source::SourceFile;
 
 /// Directory prefixes (workspace-relative) the rule applies to.
-const SCOPE_PREFIXES: [&str; 3] = [
+const SCOPE_PREFIXES: [&str; 6] = [
     "crates/sched/src/",
     "crates/runtime/src/",
     "crates/mpisim/src/",
+    "crates/core/src/",
+    "crates/server/src/",
+    "crates/router/src/",
 ];
 
 /// Run the rule over every file under [`SCOPE_PREFIXES`].
@@ -46,7 +50,7 @@ fn check(file: &SourceFile) -> Vec<Finding> {
                 &file.path,
                 t.line,
                 format!(
-                    "wall-clock read `{}::now` in deterministic decision code; route timing through `TelemetrySink::clock`",
+                    "wall-clock read `{}::now` in deterministic decision code; route timing through `TelemetrySink::clock` or the registry's `Clock`",
                     t.text
                 ),
             ));

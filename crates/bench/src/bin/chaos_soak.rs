@@ -1,8 +1,8 @@
-//! Chaos soak: retrying clients hammering a small-queue CBES daemon while
+//! Chaos soak: retrying clients hammering a rate-capped CBES daemon while
 //! the standard fault schedule plays out against its monitoring feed.
 //!
-//! The daemon runs the Centurion preset with a deliberately tiny admission
-//! queue, so bursts of concurrent `Compare` requests get load-shed with a
+//! The daemon runs the Centurion preset under an evaluation rate cap below
+//! what eight clients offer, so `Compare` bursts get load-shed with a
 //! `retry_after_ms` hint; every soak client is a retrying [`Client`] and
 //! must ride the sheds out. Meanwhile an injector thread replays
 //! [`FaultSchedule::standard`] in real time as partial monitoring sweeps:
@@ -39,8 +39,10 @@ use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 const WORKERS: usize = 4;
 const CLIENTS: usize = 8;
-/// Tiny on purpose: bursts from 8 clients must overflow it and get shed.
+/// Tiny, though a `Compare` mostly runs inline on the reactor, unqueued.
 const QUEUE: usize = 2;
+/// Evaluation cap, requests/s: below what 8 clients offer, so it sheds.
+const MAX_RPS: f64 = 10_000.0;
 /// Real-time seconds per schedule second: the standard schedule's crash at
 /// t=0.5 lands 0.125 s into the soak.
 const TIME_SCALE: f64 = 0.25;
@@ -100,6 +102,7 @@ fn main() {
             workers: WORKERS,
             queue_capacity: QUEUE,
             shed_retry_after: Duration::from_millis(1),
+            max_rps: MAX_RPS,
             ..ServerConfig::default()
         },
     )
@@ -113,7 +116,7 @@ fn main() {
     let faults = FaultSchedule::standard(n_nodes, 0);
     println!(
         "chaos_soak: centurion daemon on {addr}, {WORKERS} workers, queue {QUEUE}, \
-         {CLIENTS} retrying clients x {per_client} Compare requests, \
+         cap {MAX_RPS} evals/s, {CLIENTS} retrying clients x {per_client} Compare requests, \
          {} faults scheduled",
         faults.events().len()
     );
@@ -290,6 +293,7 @@ fn main() {
             "cluster": "centurion",
             "workers": WORKERS,
             "queue_capacity": QUEUE,
+            "max_rps": MAX_RPS,
             "clients": CLIENTS,
             "requests": total,
             "elapsed_s": elapsed.as_secs_f64(),

@@ -255,8 +255,7 @@ impl CbesService {
             return Err(ServiceError::NonFiniteLoad(node as u32));
         }
         let obs = &self.instruments;
-        let _span = self.obs.span(names::SPAN_CORE_PUBLISH_EPOCH);
-        let publish = obs.epoch_publish_us.start_timer();
+        let publish = self.obs.span(names::SPAN_CORE_PUBLISH_EPOCH);
         let mut monitor = self.monitor.write();
         let mut tracker = self.health.write();
         // Staleness check happens under the monitor lock so concurrent
@@ -264,6 +263,7 @@ impl CbesService {
         let current = self.epoch.load(Ordering::Acquire);
         if let Some(target) = target {
             if target <= current {
+                publish.finish_into(&obs.epoch_publish_us);
                 return Ok((current, false));
             }
         }
@@ -277,9 +277,10 @@ impl CbesService {
                 tracker.record_sweep(mask)
             }
         };
-        let refresh = obs.forecast_refresh_us.start_timer();
+        let refresh = self.obs.clock().now();
         let load = monitor.forecast();
-        drop(refresh);
+        let refresh = self.obs.clock().now().saturating_sub(refresh);
+        obs.forecast_refresh_us.record_duration(refresh);
         let health = tracker.view();
         let (h, s, d) = health.counts();
         // Epoch bump and cache swap stay under the monitor lock so two
@@ -297,7 +298,7 @@ impl CbesService {
             model,
         });
         drop(tracker);
-        drop(publish);
+        publish.finish_into(&obs.epoch_publish_us);
         obs.epoch.set(epoch as f64);
         obs.health_transitions.add(changed);
         obs.healthy.set(h as f64);
@@ -376,8 +377,7 @@ impl CbesService {
     /// `model` (or the current model when `None`).
     fn republish(&self, model: Option<Arc<dyn LatencyProvider + Send + Sync>>) -> u64 {
         let obs = &self.instruments;
-        let _span = self.obs.span(names::SPAN_CORE_PUBLISH_EPOCH);
-        let publish = obs.epoch_publish_us.start_timer();
+        let publish = self.obs.span(names::SPAN_CORE_PUBLISH_EPOCH);
         // The monitor write lock serialises activations with load
         // sweeps, so two publications can never race the epoch store
         // and cache swap below.
@@ -391,7 +391,7 @@ impl CbesService {
             health: current.health.clone(),
             model: model.unwrap_or_else(|| current.model.clone()),
         });
-        drop(publish);
+        publish.finish_into(&obs.epoch_publish_us);
         obs.epoch.set(epoch as f64);
         epoch
     }
@@ -904,6 +904,11 @@ mod tests {
             follower.current_load().load,
             leader.current_load().load,
             "stale replication must not disturb the snapshot"
+        );
+        let publish = follower.obs().snapshot().histograms[names::CORE_EPOCH_PUBLISH_US].count;
+        assert_eq!(
+            publish, 2,
+            "a stale replay still records its publish sample"
         );
 
         // Epoch gaps are fine: adopt epoch 5 directly, then a local

@@ -9,8 +9,7 @@
 //! a trigger fires. Automatic dumps are debounced so a sustained
 //! anomaly produces one file every few seconds, not thousands.
 
-use crate::span::{now_sec, now_us};
-use crate::SpanRing;
+use crate::{Clock, SpanRing};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -19,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum number of events retained in the ring; older events are
-/// evicted (and counted as dropped) once the ring is full.
+/// evicted once the ring is full.
 const FLIGHT_CAPACITY: usize = 1024;
 
 /// Minimum seconds between two automatic dumps from the same
@@ -34,7 +33,7 @@ pub const FLIGHT_DIR_ENV: &str = "CBES_FLIGHT_DIR";
 /// trace (if any) it was part of.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightEvent {
-    /// Microseconds since the process epoch.
+    /// Microseconds on the recorder's clock.
     pub at_us: u64,
     /// Short machine-readable event kind, e.g. `shed` or `health`.
     pub kind: String,
@@ -47,29 +46,22 @@ pub struct FlightEvent {
 /// Bounded ring of recent [`FlightEvent`]s with debounced auto-dump.
 pub struct FlightRecorder {
     events: Mutex<VecDeque<FlightEvent>>,
-    dropped: AtomicU64,
     recorded: AtomicU64,
     dumps: AtomicU64,
-    last_dump_sec: AtomicU64,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// First second of the clock at which an automatic dump may run.
+    next_dump_sec: AtomicU64,
+    clock: Clock,
 }
 
 impl FlightRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
+    /// Creates an empty recorder stamping events on `clock`.
+    pub fn new(clock: Clock) -> Self {
         FlightRecorder {
             events: Mutex::new(VecDeque::with_capacity(64)),
-            dropped: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
-            // u64::MAX would wrap the debounce check; 0 means "never
-            // dumped" and always permits the first dump.
-            last_dump_sec: AtomicU64::new(0),
+            next_dump_sec: AtomicU64::new(0),
+            clock,
         }
     }
 
@@ -77,7 +69,7 @@ impl FlightRecorder {
     /// `trace` is the owning trace id, or 0 when untraced.
     pub fn record(&self, kind: &str, detail: String, trace: u64) {
         let event = FlightEvent {
-            at_us: now_us(),
+            at_us: self.clock.now().as_micros() as u64,
             kind: kind.to_string(),
             detail,
             trace,
@@ -86,29 +78,14 @@ impl FlightRecorder {
         let mut events = self.events.lock();
         if events.len() == FLIGHT_CAPACITY {
             events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         events.push_back(event);
     }
 
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-
-    /// Total events recorded since process start (including evicted).
+    /// Total events recorded since process start (including the ones
+    /// evicted since, which are `recorded` minus what `snapshot` holds).
     pub fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// Events evicted unexported because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Dump files written, triggered or on demand.
@@ -127,14 +104,15 @@ impl FlightRecorder {
     /// was written; `None` when debounced or on I/O failure (a
     /// trigger must never take the serving path down).
     pub fn auto_dump(&self, reason: &str, spans: &SpanRing) -> Option<PathBuf> {
-        let now = now_sec();
-        let last = self.last_dump_sec.load(Ordering::Relaxed);
-        if last != 0 && now < last.saturating_add(DUMP_DEBOUNCE_SECS) {
+        let now = self.clock.now().as_secs();
+        let next = self.next_dump_sec.load(Ordering::Relaxed);
+        if now < next {
             return None;
         }
+        let after = now + DUMP_DEBOUNCE_SECS;
         if self
-            .last_dump_sec
-            .compare_exchange(last, now.max(1), Ordering::Relaxed, Ordering::Relaxed)
+            .next_dump_sec
+            .compare_exchange(next, after, Ordering::Relaxed, Ordering::Relaxed)
             .is_err()
         {
             // Another thread is dumping this second; one file is enough.
@@ -160,37 +138,41 @@ impl FlightRecorder {
         spans: &SpanRing,
     ) -> std::io::Result<(PathBuf, usize)> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!(
-            "cbes-flight-{}-{}.jsonl",
-            std::process::id(),
-            now_us()
-        ));
+        let at_us = self.clock.now().as_micros() as u64;
         let events = self.snapshot();
         let span_records = spans.snapshot();
         let mut out = Vec::with_capacity(4096);
         let header = serde_json::json!({
             "flight_dump": reason,
-            "at_us": now_us(),
+            "at_us": at_us,
             "pid": std::process::id(),
             "events": events.len(),
             "spans": span_records.len(),
         });
         out.extend_from_slice(header.to_string().as_bytes());
         out.push(b'\n');
-        for event in &events {
-            match serde_json::to_string(event) {
-                Ok(line) => {
-                    out.extend_from_slice(line.as_bytes());
-                    out.push(b'\n');
-                }
-                Err(_) => continue,
-            }
-        }
-        for record in &span_records {
-            out.extend_from_slice(record.to_json_line().as_bytes());
+        let events_json = events.iter().map(serde_json::to_string);
+        let spans_json = span_records.iter().map(serde_json::to_string);
+        for line in events_json.chain(spans_json).flatten() {
+            out.extend_from_slice(line.as_bytes());
             out.push(b'\n');
         }
-        let mut file = std::fs::File::create(&path)?;
+        // Never truncate another dump of the same instant (two registries
+        // of one process, or any two under a manual clock): take the next
+        // free suffix.
+        let stem = format!("cbes-flight-{}-{at_us}", std::process::id());
+        let mut suffix = 0u32;
+        let (path, mut file) = loop {
+            let path = match suffix {
+                0 => dir.join(format!("{stem}.jsonl")),
+                n => dir.join(format!("{stem}-{n}.jsonl")),
+            };
+            match std::fs::File::create_new(&path) {
+                Ok(file) => break (path, file),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => suffix += 1,
+                Err(e) => return Err(e),
+            }
+        };
         file.write_all(&out)?;
         self.dumps.fetch_add(1, Ordering::Relaxed);
         Ok((path, events.len()))
@@ -203,23 +185,22 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let recorder = FlightRecorder::new();
+        let recorder = FlightRecorder::new(Clock::default());
         for i in 0..(FLIGHT_CAPACITY + 10) {
             recorder.record("test", format!("event {i}"), 0);
         }
-        assert_eq!(recorder.len(), FLIGHT_CAPACITY);
-        assert_eq!(recorder.dropped(), 10);
-        assert_eq!(recorder.recorded(), (FLIGHT_CAPACITY + 10) as u64);
         let events = recorder.snapshot();
+        assert_eq!(events.len(), FLIGHT_CAPACITY);
+        assert_eq!(recorder.recorded(), (FLIGHT_CAPACITY + 10) as u64);
         assert_eq!(events[0].detail, "event 10");
         // Snapshot does not drain.
-        assert_eq!(recorder.len(), FLIGHT_CAPACITY);
+        assert_eq!(recorder.snapshot().len(), FLIGHT_CAPACITY);
     }
 
     #[test]
     fn dump_writes_header_events_and_spans() {
         let dir = std::env::temp_dir().join(format!("cbes-flight-test-{}", std::process::id()));
-        let recorder = FlightRecorder::new();
+        let recorder = FlightRecorder::new(Clock::default());
         recorder.record("shed", "queue full".to_string(), 7);
         let spans = SpanRing::new(8);
         drop(spans.span_rooted("test.span", 7, 0));
@@ -239,16 +220,18 @@ mod tests {
 
     #[test]
     fn auto_dump_debounces_repeated_triggers() {
-        let recorder = FlightRecorder::new();
+        let clock = Clock::manual();
+        let recorder = FlightRecorder::new(clock.clone());
         recorder.record("shed", "spike".to_string(), 0);
         let spans = SpanRing::new(8);
-        let first = recorder.auto_dump("shed_spike", &spans);
-        let second = recorder.auto_dump("shed_spike", &spans);
-        assert!(
-            second.is_none(),
-            "second trigger within debounce should not"
-        );
-        let first = first.expect("first trigger should dump");
+        let dump = || recorder.auto_dump("shed_spike", &spans);
+        let first = dump().expect("first trigger should dump");
+        assert!(dump().is_none(), "a second trigger at once is debounced");
+        clock.advance(std::time::Duration::from_secs(4));
+        assert!(dump().is_none(), "4 s later it still is");
+        clock.advance(std::time::Duration::from_secs(1));
+        let again = dump().expect("5 s after the first dump, the next one runs");
         std::fs::remove_file(first).ok();
+        std::fs::remove_file(again).ok();
     }
 }

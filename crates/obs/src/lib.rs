@@ -24,7 +24,8 @@
 //! * [`Registry`] — a named collection of all of the above; one
 //!   [`Registry::snapshot`] renders every instrument as a serialisable
 //!   [`MetricsSnapshot`]. There is no process-wide instance: each
-//!   daemon and each router owns one and answers only for itself.
+//!   daemon and each router owns one and answers only for itself, and
+//!   takes every reading of time from its [`Clock`] (a test's is manual).
 //!
 //! Everything is hand-rolled on `std::sync::atomic` — no registry
 //! dependencies beyond the workspace's vendored stand-ins.
@@ -32,13 +33,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod flight;
 pub mod metrics;
 pub mod names;
 pub mod registry;
 pub mod span;
 
+pub use clock::Clock;
 pub use flight::{FlightEvent, FlightRecorder};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricsSnapshot, Registry};
 pub use span::{current_trace, mint_trace_id, SpanGuard, SpanRecord, SpanRing};

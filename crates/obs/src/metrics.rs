@@ -8,7 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A monotonically increasing event count. An update is a single
 /// `fetch_add` — wait-free, shareable across threads. It has a cache
@@ -140,14 +139,6 @@ impl Histogram {
         self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Start a timer that records its elapsed microseconds on drop.
-    pub fn start_timer(&self) -> HistogramTimer<'_> {
-        HistogramTimer {
-            hist: self,
-            start: Instant::now(),
-        }
-    }
-
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -184,18 +175,6 @@ impl std::fmt::Debug for Histogram {
         f.debug_struct("Histogram")
             .field("count", &self.count())
             .finish()
-    }
-}
-
-/// Records elapsed wall time into a [`Histogram`] on drop.
-pub struct HistogramTimer<'a> {
-    hist: &'a Histogram,
-    start: Instant,
-}
-
-impl Drop for HistogramTimer<'_> {
-    fn drop(&mut self) {
-        self.hist.record_duration(self.start.elapsed());
     }
 }
 
@@ -526,15 +505,6 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: HistogramSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn timer_records_a_duration() {
-        let h = Histogram::new();
-        {
-            let _t = h.start_timer();
-        }
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! A named collection of instruments rendering one JSON snapshot.
 
+use crate::clock::Clock;
 use crate::flight::FlightRecorder;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::names;
@@ -28,6 +29,7 @@ pub struct Registry {
     histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
     spans: Arc<SpanRing>,
     flight: FlightRecorder,
+    clock: Clock,
 }
 
 impl Default for Registry {
@@ -37,15 +39,26 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An empty registry.
+    /// An empty registry on the default clock.
     pub fn new() -> Self {
+        Registry::with_clock(Clock::default())
+    }
+
+    /// An empty registry whose spans, flight events and owner read `clock`.
+    pub fn with_clock(clock: Clock) -> Self {
         Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Arc::new(SpanRing::new(SPAN_CAPACITY)),
-            flight: FlightRecorder::new(),
+            spans: Arc::new(SpanRing::with_clock(SPAN_CAPACITY, clock.clone())),
+            flight: FlightRecorder::new(clock.clone()),
+            clock,
         }
+    }
+
+    /// This registry's clock, its owner's one source of time.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     /// The counter named `name`, created on first use.
@@ -260,5 +273,27 @@ mod tests {
         assert_eq!(s.counters[names::FLIGHT_EVENTS], 1);
         assert_eq!(s.counters[names::FLIGHT_DUMPS], 1);
         std::fs::remove_file(dump.expect("the first anomaly dumps")).ok();
+    }
+
+    #[test]
+    fn two_registries_on_one_clock_dump_the_same_instant_to_two_files() {
+        let clock = Clock::manual();
+        let (a, b) = (
+            Registry::with_clock(clock.clone()),
+            Registry::with_clock(clock),
+        );
+        let dump = |r: &Registry, detail: &str| {
+            let path = r.anomaly("test_anomaly", Some(detail.to_string()));
+            path.expect("a first anomaly dumps")
+        };
+        let paths = [dump(&a, "from registry a"), dump(&b, "from registry b")];
+        assert_ne!(paths[0], paths[1], "one instant, two files");
+        let bodies = paths.map(|path| {
+            let body = std::fs::read_to_string(&path).expect("the dump is readable");
+            std::fs::remove_file(&path).ok();
+            body
+        });
+        assert!(bodies[0].contains("from registry a") && !bodies[0].contains("registry b"));
+        assert!(bodies[1].contains("from registry b") && !bodies[1].contains("registry a"));
     }
 }

@@ -2,10 +2,10 @@
 //! monotonic start, duration, and parent, collected into a bounded
 //! in-memory ring.
 //!
-//! A [`SpanGuard`] costs two clock reads (one at open, one at close) and
-//! one short mutex-guarded push on drop — cheap enough for request-rate events
-//! (per `Compare`, per epoch publication), not meant for the inner SA
-//! loop (use the sched `TelemetrySink` there).
+//! A [`SpanGuard`] costs two reads of its ring's [`Clock`] (one at open,
+//! one at close) and one short mutex-guarded push on drop — cheap enough
+//! for request-rate events (per `Compare`, per epoch publication), not
+//! meant for the inner SA loop (use the sched `TelemetrySink` there).
 //!
 //! Parent linkage is tracked per thread: a span opened while another is
 //! live on the same thread records that span as its parent, giving a
@@ -19,37 +19,15 @@
 //! — inherits that id. [`current_trace`] exposes the live `(trace,
 //! span)` pair so protocol clients can forward it on the wire.
 
+use crate::clock::Clock;
 use crate::metrics::Histogram;
 use parking_lot::Mutex;
+use serde::Serialize;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// The process-wide monotonic clock origin spans are stamped against.
-fn process_epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Seconds since the process epoch — the clock the flight recorder
-/// debounces its dumps on.
-pub(crate) fn now_sec() -> u64 {
-    process_epoch().elapsed().as_secs()
-}
-
-/// Microseconds since the process epoch.
-pub(crate) fn now_us() -> u64 {
-    process_epoch().elapsed().as_micros() as u64
-}
-
-/// The one clock read a span makes at open. The epoch is pinned first so
-/// the span's start offset is never taken against a later origin.
-fn open_clock() -> Instant {
-    process_epoch();
-    Instant::now()
-}
+use std::time::Duration;
 
 thread_local! {
     /// Id of the innermost live span on this thread (0 = none).
@@ -58,33 +36,37 @@ thread_local! {
     static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Process-wide span id source. Ids are unique across *all* rings so the
-/// thread-local parent link stays unambiguous even when nested spans land
-/// in different rings (e.g. a router and its daemons in one process, each
-/// recording into its own registry).
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Mint a process-unique, cross-process-unlikely-to-collide trace id
-/// (never 0). Built from a per-process random seed (so two clients
-/// minting concurrently do not collide) mixed with a process-local
-/// sequence number — no wall-clock involved.
-pub fn mint_trace_id() -> u64 {
+/// Draw `n` of this process's random sequence: a per-process random seed
+/// through the splitmix64 finalizer — no wall-clock involved.
+fn process_mix(n: u64) -> u64 {
     use std::hash::{BuildHasher, Hasher};
     static SEED: OnceLock<u64> = OnceLock::new();
-    static NEXT: AtomicU64 = AtomicU64::new(1);
     let seed = *SEED.get_or_init(|| {
         let state = std::collections::hash_map::RandomState::new();
         let mut h = state.build_hasher();
         h.write_u64(std::process::id() as u64);
         h.finish()
     });
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    // splitmix64 finalizer: full-period mix of seed + sequence.
     let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    let id = z ^ (z >> 31);
-    id.max(1)
+    z ^ (z >> 31)
+}
+
+/// Next span id: unique across *all* rings of the process (a router and
+/// its daemons in one process nest spans across rings), counting up from
+/// draw 0 below 2^63, so no id meets another process's parent id.
+fn next_span_id() -> u64 {
+    static NEXT: OnceLock<AtomicU64> = OnceLock::new();
+    let next = NEXT.get_or_init(|| AtomicU64::new((process_mix(0) >> 1).max(1)));
+    next.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Mint a process-unique, cross-process-unlikely-to-collide trace id
+/// (never 0): draws 1, 2, … of the process sequence.
+pub fn mint_trace_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    process_mix(NEXT.fetch_add(1, Ordering::Relaxed)).max(1)
 }
 
 /// The live trace context of this thread: `(trace_id, span_id)` of the
@@ -100,34 +82,23 @@ pub fn current_trace() -> Option<(u64, u64)> {
     }
 }
 
-/// One finished span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One finished span; it serialises as one JSONL export line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SpanRecord {
     /// Static span name (e.g. `"compare"`).
     pub name: &'static str,
     /// Trace this span belongs to (0 = untraced).
     pub trace: u64,
-    /// Unique id within this ring (1-based).
+    /// Unique in the process, counting up from a random per-process base.
     pub id: u64,
     /// Id of the enclosing span on the same thread (or the remote
     /// parent for rooted spans), 0 for roots.
     pub parent: u64,
-    /// Start offset in microseconds since the first span-related call in
-    /// this process (monotonic clock).
+    /// Start offset in microseconds on the ring's [`Clock`] (for the
+    /// default clock, since the process epoch).
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-}
-
-impl SpanRecord {
-    /// Render as one JSON line (the JSONL export format).
-    pub fn to_json_line(&self) -> String {
-        // Names are static identifiers — no escaping needed.
-        format!(
-            "{{\"name\":\"{}\",\"trace\":{},\"id\":{},\"parent\":{},\"start_us\":{},\"dur_us\":{}}}",
-            self.name, self.trace, self.id, self.parent, self.start_us, self.dur_us
-        )
-    }
 }
 
 struct RingInner {
@@ -141,17 +112,24 @@ struct RingInner {
 pub struct SpanRing {
     inner: Mutex<RingInner>,
     capacity: usize,
+    clock: Clock,
 }
 
 impl SpanRing {
-    /// A ring holding at most `capacity` finished spans.
+    /// A ring of at most `capacity` finished spans on the default clock.
     pub fn new(capacity: usize) -> Self {
+        SpanRing::with_clock(capacity, Clock::default())
+    }
+
+    /// A ring whose spans read `clock` (a registry passes its own).
+    pub(crate) fn with_clock(capacity: usize, clock: Clock) -> Self {
         SpanRing {
             inner: Mutex::new(RingInner {
                 records: VecDeque::with_capacity(capacity.min(1024)),
                 dropped: 0,
             }),
             capacity: capacity.max(1),
+            clock,
         }
     }
 
@@ -159,7 +137,7 @@ impl SpanRing {
     /// parent link and trace id are inherited from the innermost live
     /// span on this thread.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let id = next_span_id();
         let parent = CURRENT_SPAN.with(|c| c.replace(id));
         let trace = CURRENT_TRACE.with(|c| c.get());
         SpanGuard {
@@ -170,7 +148,7 @@ impl SpanRing {
             trace,
             prev_span: parent,
             prev_trace: trace,
-            start: open_clock(),
+            start: self.clock.now(),
         }
     }
 
@@ -180,7 +158,7 @@ impl SpanRing {
     /// opened on this thread — in any ring — nest beneath it and carry
     /// the same trace id; the previous context is restored afterwards.
     pub fn span_rooted(&self, name: &'static str, trace: u64, parent_span: u64) -> SpanGuard<'_> {
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+        let id = next_span_id();
         let prev_span = CURRENT_SPAN.with(|c| c.replace(id));
         let prev_trace = CURRENT_TRACE.with(|c| c.replace(trace));
         SpanGuard {
@@ -191,7 +169,7 @@ impl SpanRing {
             trace,
             prev_span,
             prev_trace,
-            start: open_clock(),
+            start: self.clock.now(),
         }
     }
 
@@ -211,12 +189,12 @@ impl SpanRing {
         SpanGuard {
             ring: Some(RingRef::Shared(self.clone())),
             name,
-            id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
+            id: next_span_id(),
             parent: parent_span,
             trace,
             prev_span: DETACHED,
             prev_trace: 0,
-            start: open_clock(),
+            start: self.clock.now(),
         }
     }
 
@@ -233,11 +211,6 @@ impl SpanRing {
     /// Spans evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
-    }
-
-    /// Take every buffered span, oldest first, leaving the ring empty.
-    pub fn drain(&self) -> Vec<SpanRecord> {
-        self.inner.lock().records.drain(..).collect()
     }
 
     /// Copy every buffered span, oldest first, *without* draining —
@@ -278,7 +251,7 @@ impl std::fmt::Debug for SpanRing {
 }
 
 /// `prev_span` of a guard that never entered the thread's span context
-/// (span ids start at 1 and count up, so the value is never an id).
+/// (span ids start below 2^63 and count up, so the value is never an id).
 const DETACHED: u64 = u64::MAX;
 
 /// The ring a guard records into: borrowed by a call-stack span, shared
@@ -298,7 +271,8 @@ pub struct SpanGuard<'a> {
     trace: u64,
     prev_span: u64,
     prev_trace: u64,
-    start: Instant,
+    /// The ring clock's reading at open.
+    start: Duration,
 }
 
 impl SpanGuard<'_> {
@@ -329,18 +303,17 @@ impl SpanGuard<'_> {
             CURRENT_SPAN.with(|c| c.set(self.prev_span));
             CURRENT_TRACE.with(|c| c.set(self.prev_trace));
         }
-        let start_us = self.start.duration_since(process_epoch()).as_micros() as u64;
-        let dur_us = self.start.elapsed().as_micros() as u64;
         let ring: &SpanRing = match &ring {
             RingRef::Borrowed(ring) => ring,
             RingRef::Shared(ring) => ring,
         };
+        let dur_us = ring.clock.now().saturating_sub(self.start).as_micros() as u64;
         ring.push(SpanRecord {
             name: self.name,
             trace: self.trace,
             id: self.id,
             parent: self.parent,
-            start_us,
+            start_us: self.start.as_micros() as u64,
             dur_us,
         });
         dur_us
@@ -366,34 +339,43 @@ mod tests {
         {
             let _b = ring.span("second");
         }
-        let spans = ring.drain();
+        let spans = ring.snapshot();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "first");
         assert_eq!(spans[1].name, "second");
         assert!(spans[0].start_us <= spans[1].start_us);
-        assert!(ring.is_empty());
     }
 
     #[test]
     fn finish_into_records_the_spans_own_duration_once() {
-        let ring = SpanRing::new(16);
+        let clock = Clock::manual();
+        let ring = SpanRing::with_clock(16, clock.clone());
         let hist = Histogram::new();
         {
             let _outer = ring.span("outer");
             let inner = ring.span("inner");
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            clock.advance(Duration::from_millis(2));
             inner.finish_into(&hist);
             // The thread's context is back at the outer span.
             let sibling = ring.span("sibling");
             assert_eq!(sibling.parent, _outer.id());
         }
-        let spans = ring.drain();
+        let spans = ring.snapshot();
         assert_eq!(spans.len(), 3, "finish_into must not record the span twice");
         assert_eq!(spans[0].name, "inner");
         let sample = hist.snapshot();
         assert_eq!(sample.count, 1);
         assert_eq!((sample.min, sample.max), (spans[0].dur_us, spans[0].dur_us));
-        assert!(spans[0].dur_us >= 2_000);
+        assert_eq!((spans[0].start_us, spans[0].dur_us), (0, 2_000));
+    }
+
+    #[test]
+    fn span_ids_count_up_from_a_random_base_that_stays_clear_of_detached() {
+        let ring = SpanRing::new(4);
+        let (a, b) = (ring.span("a").id(), ring.span("b").id());
+        assert!(b > a, "sequential within the process");
+        assert!(a > 1 && a < 1 << 63, "a random base, not 1: {a}");
+        assert_ne!(a, DETACHED);
     }
 
     #[test]
@@ -407,7 +389,7 @@ mod tests {
                 assert_eq!(inner.parent, outer_id);
             }
         }
-        let spans = ring.drain();
+        let spans = ring.snapshot();
         // Inner finishes (and records) first.
         assert_eq!(spans[0].name, "inner");
         assert_eq!(spans[1].name, "outer");
@@ -417,7 +399,7 @@ mod tests {
         {
             let _c = ring.span("after");
         }
-        assert_eq!(ring.drain()[0].parent, 0);
+        assert_eq!(ring.snapshot()[2].parent, 0);
     }
 
     #[test]
@@ -436,7 +418,12 @@ mod tests {
         {
             let _a = ring.span("alpha");
         }
-        let line = ring.drain()[0].to_json_line();
+        let mut record = ring.snapshot()[0];
+        (record.trace, record.id, record.start_us, record.dur_us) = (7, 9, 11, 13);
+        let line = serde_json::to_string(&record).expect("a record serialises");
+        let expected =
+            "{\"name\":\"alpha\",\"trace\":7,\"id\":9,\"parent\":0,\"start_us\":11,\"dur_us\":13}";
+        assert_eq!(line, expected);
         let v: serde_json::Value = serde_json::from_str(&line).expect("valid JSON");
         assert_eq!(v.get("name").and_then(|n| n.as_str()), Some("alpha"));
         assert!(v.get("dur_us").and_then(|d| d.as_u64()).is_some());
@@ -456,7 +443,7 @@ mod tests {
                 });
             }
         });
-        let spans = ring.drain();
+        let spans = ring.snapshot();
         assert_eq!(spans.len(), 400);
         let by_id: std::collections::HashMap<u64, &SpanRecord> =
             spans.iter().map(|s| (s.id, s)).collect();
@@ -487,10 +474,10 @@ mod tests {
             }
         }
         assert_eq!(current_trace(), None, "context restored after the root");
-        let root = &ring.drain()[0];
+        let root = &ring.snapshot()[0];
         assert_eq!(root.trace, 77);
         assert_eq!(root.parent, 5, "remote parent preserved");
-        let child = &other.drain()[0];
+        let child = &other.snapshot()[0];
         assert_eq!(child.trace, 77);
     }
 
@@ -508,7 +495,7 @@ mod tests {
         drop(first);
         drop(second);
         assert_eq!(current_trace(), None);
-        let spans = ring.drain();
+        let spans = ring.snapshot();
         assert_eq!(spans.len(), 3);
         assert_eq!((spans[1].trace, spans[1].parent), (77, 5));
         assert_eq!((spans[2].trace, spans[2].parent), (78, 0));

@@ -49,9 +49,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cbes_obs::{names, Counter, Histogram, Registry, SpanGuard};
+use cbes_obs::{names, Clock, Counter, Histogram, Registry, SpanGuard};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
 use crate::epoll::{PollEvent, Poller};
@@ -155,7 +155,8 @@ pub fn encode_line(envelope: &ResponseEnvelope) -> Vec<u8> {
 /// in whichever registry the owner passes — private per instance, so
 /// several servers (or a router beside its daemons) in one process
 /// never mix counts. Handles are cached `Arc`s: the reactor and
-/// workers update them wait-free.
+/// workers update them wait-free. The registry's clock is the layer's
+/// one source of time: deadlines, queue wait and the shed-spike second.
 pub struct NetMetrics {
     registry: Arc<Registry>,
     /// Error replies of any kind (the handler adds its own).
@@ -177,8 +178,6 @@ pub struct NetMetrics {
     /// The shed-spike trigger's one-second window, `second << 32 |
     /// sheds in that second`; only a shed touches it.
     shed_tally: AtomicU64,
-    /// Origin of the tally's second clock.
-    created: Instant,
 }
 
 impl NetMetrics {
@@ -195,7 +194,6 @@ impl NetMetrics {
             loop_wakeups: registry.counter(names::SERVER_LOOP_WAKEUPS),
             queue_wait: registry.histogram(names::SERVER_QUEUE_WAIT_US),
             shed_tally: AtomicU64::new(0),
-            created: Instant::now(),
             registry: registry.clone(),
         })
     }
@@ -203,20 +201,15 @@ impl NetMetrics {
     /// Count one `overloaded` shed and run the shed-spike flight
     /// trigger: one event at the threshold crossing and a (debounced)
     /// dump whenever this clock second's shed count sits at or above the
-    /// threshold.
-    pub(crate) fn shed_overloaded(&self) {
-        self.shed_at(self.created.elapsed().as_secs(), shed_spike_threshold());
-    }
-
-    /// [`Self::shed_overloaded`] in second `sec` of this layer's clock,
-    /// against a threshold of `spike` sheds (0 = no trigger). Returns
-    /// the dump file, if the trigger wrote one.
-    fn shed_at(&self, sec: u64, spike: u64) -> Option<PathBuf> {
+    /// threshold. Returns the dump file, if the trigger wrote one.
+    pub(crate) fn shed_overloaded(&self) -> Option<PathBuf> {
         self.overloaded.incr();
         self.errors.incr();
+        let spike = shed_spike_threshold();
         if spike == 0 {
             return None;
         }
+        let sec = self.registry.clock().now().as_secs();
         let bump = |tally: u64| {
             if tally >> 32 == sec {
                 tally + 1
@@ -264,7 +257,7 @@ enum Job {
         line: String,
         /// When the reactor queued this job; queue wait is measured
         /// from here to worker pickup.
-        admitted: Instant,
+        admitted: Duration,
     },
     /// Connect to upstream `.0` at `.1` within `.2` — the one blocking
     /// step of a relay.
@@ -345,7 +338,7 @@ fn try_admit(
         let job = Job::Frame {
             seq,
             line: line.to_string(),
-            admitted: Instant::now(),
+            admitted: metrics.registry.clock().now(),
         };
         match tx.try_send(job) {
             Ok(()) => return Ok(id),
@@ -404,7 +397,7 @@ struct PendingTable {
     /// attempt 0 is the request's own deadline, `n` a relayed entry's
     /// `n`th attempt's. Completed or cancelled seqs and attempts since
     /// given up linger here until their time pops them.
-    deadlines: BinaryHeap<Reverse<(Instant, u64, usize)>>,
+    deadlines: BinaryHeap<Reverse<(Duration, u64, usize)>>,
 }
 
 impl PendingTable {
@@ -415,7 +408,7 @@ impl PendingTable {
         }
     }
 
-    fn insert(&mut self, seq: u64, pending: Pending, deadline: Instant) {
+    fn insert(&mut self, seq: u64, pending: Pending, deadline: Duration) {
         self.by_seq.insert(seq, pending);
         self.deadlines.push(Reverse((deadline, seq, 0)));
     }
@@ -453,14 +446,14 @@ impl PendingTable {
 
     /// The earliest deadline, for sizing the poll wait. May be stale
     /// (a completed entry) — that only causes one early wakeup.
-    fn next_deadline(&self) -> Option<Instant> {
+    fn next_deadline(&self) -> Option<Duration> {
         self.deadlines.peek().map(|Reverse((d, ..))| *d)
     }
 
     /// Pop every deadline that has passed: entries past their own come
     /// out of the table (first list); relayed ones whose current
     /// attempt went unanswered stay in it (second list).
-    fn expire(&mut self, now: Instant) -> (Vec<(u64, Pending)>, Vec<u64>) {
+    fn expire(&mut self, now: Duration) -> (Vec<(u64, Pending)>, Vec<u64>) {
         let (mut timed_out, mut missed) = (Vec::new(), Vec::new());
         while let Some(Reverse((at, seq, attempt))) = self.deadlines.peek().copied() {
             if at > now {
@@ -743,10 +736,10 @@ pub fn start<H: Handler>(
         .map(|index| {
             let handler = handler.clone();
             let control = control.clone();
-            let queue_wait = metrics.queue_wait.clone();
+            let metrics = metrics.clone();
             let completion_tx = completion_tx.clone();
             std::thread::spawn(move || {
-                worker_loop(&*handler, index, &control, &queue_wait, &completion_tx)
+                worker_loop(&*handler, index, &control, &metrics, &completion_tx)
             })
         })
         .collect();
@@ -768,6 +761,7 @@ pub fn start<H: Handler>(
         control: control.clone(),
         handler,
         completion_rx,
+        clock: metrics.registry.clock().clone(),
         metrics,
         request_timeout: config.request_timeout,
         max_line_bytes: config.max_line_bytes.max(1),
@@ -812,7 +806,7 @@ fn worker_loop<H: Handler>(
     handler: &H,
     index: usize,
     control: &Control,
-    queue_wait: &Histogram,
+    metrics: &NetMetrics,
     completion_tx: &Sender<Completion>,
 ) {
     let (Some(own), Some(busy)) = (control.shards.get(index), control.busy.get(index)) else {
@@ -827,7 +821,8 @@ fn worker_loop<H: Handler>(
                 line,
                 admitted,
             } => {
-                queue_wait.record_duration(admitted.elapsed());
+                let waited = metrics.registry.clock().now().saturating_sub(admitted);
+                metrics.queue_wait.record_duration(waited);
                 let (bytes, malformed) = handler.execute(&line);
                 Completion::Reply {
                     seq,
@@ -866,6 +861,8 @@ struct Reactor<H: Handler> {
     control: Arc<Control>,
     handler: Arc<H>,
     completion_rx: Receiver<Completion>,
+    /// The metrics registry's clock, which every deadline reads.
+    clock: Clock,
     metrics: Arc<NetMetrics>,
     request_timeout: Duration,
     max_line_bytes: usize,
@@ -888,7 +885,7 @@ impl<H: Handler> Reactor<H> {
             }
             let mut timeout = POLL_INTERVAL;
             if let Some(deadline) = self.pending.next_deadline() {
-                timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
+                timeout = timeout.min(deadline.saturating_sub(self.clock.now()));
             }
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 // cbes-analyze: allow(blocking_hot_path, 1ms backoff after a poll error prevents a hot error spin; bounded and only on the failure path)
@@ -1094,8 +1091,8 @@ impl<H: Handler> Reactor<H> {
                     id,
                     relay: None,
                 };
-                self.pending
-                    .insert(seq, pending, Instant::now() + self.request_timeout);
+                let deadline = self.clock.now() + self.request_timeout;
+                self.pending.insert(seq, pending, deadline);
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.inflight += 1;
                 }
@@ -1143,8 +1140,8 @@ impl<H: Handler> Reactor<H> {
                 refusal: None,
             })),
         };
-        self.pending
-            .insert(seq, pending, Instant::now() + self.request_timeout);
+        let deadline = self.clock.now() + self.request_timeout;
+        self.pending.insert(seq, pending, deadline);
         self.attempt(seq);
     }
 
@@ -1178,7 +1175,7 @@ impl<H: Handler> Reactor<H> {
             push_frame(&mut conn.wbuf, seq, &relayed.forward.tail);
             self.touched.push(token);
         }
-        let due = Instant::now() + self.attempt_timeout;
+        let due = self.clock.now() + self.attempt_timeout;
         self.pending.deadlines.push(Reverse((due, seq, attempt)));
         if upstream.conn.is_none() && !std::mem::replace(&mut upstream.dialling, true) {
             let shards = self.shard_tx.len();
@@ -1445,7 +1442,7 @@ impl<H: Handler> Reactor<H> {
     /// relayed entry whose attempt went unanswered to its next
     /// candidate.
     fn expire_pending(&mut self) {
-        let (timed_out, missed) = self.pending.expire(Instant::now());
+        let (timed_out, missed) = self.pending.expire(self.clock.now());
         for (seq, p) in timed_out {
             self.metrics.timeouts.incr();
             self.metrics.errors.incr();
@@ -1572,32 +1569,33 @@ pub(crate) mod tests {
 
     #[test]
     fn shed_spike_fires_once_at_the_crossing_of_one_seconds_tally() {
-        let registry = Arc::new(Registry::new());
+        let clock = Clock::manual();
+        let registry = Arc::new(Registry::with_clock(clock.clone()));
         let m = NetMetrics::new(&registry);
         let flight = registry.flight();
+        clock.advance(Duration::from_millis(3_100));
         for _ in 1..SHED_SPIKE_DEFAULT {
-            assert!(m.shed_at(3, SHED_SPIKE_DEFAULT).is_none());
+            assert!(m.shed_overloaded().is_none());
         }
         assert_eq!(flight.recorded(), 0, "below the threshold: no event");
-        let dump = m.shed_at(3, SHED_SPIKE_DEFAULT);
+        clock.advance(Duration::from_millis(800));
+        let dump = m.shed_overloaded();
         let events = flight.snapshot();
         assert_eq!(events.len(), 1, "the crossing is one event");
         assert_eq!(events[0].kind, "shed_spike");
         assert_eq!(events[0].detail, "8 requests shed in the last second");
+        assert_eq!(events[0].at_us, 3_900_000);
         // Above the threshold the trigger only asks for the (debounced)
         // dump again.
-        assert!(m.shed_at(3, SHED_SPIKE_DEFAULT).is_none());
+        assert!(m.shed_overloaded().is_none());
         assert_eq!(flight.recorded(), 1);
         // A later second starts from one, wherever the last one ended.
+        clock.advance(Duration::from_millis(100));
         for _ in 1..SHED_SPIKE_DEFAULT {
-            assert!(m.shed_at(4, SHED_SPIKE_DEFAULT).is_none());
+            assert!(m.shed_overloaded().is_none());
         }
         assert_eq!(flight.recorded(), 1, "7 sheds in second 4 are no spike");
         assert_eq!(m.overloaded.get(), 2 * SHED_SPIKE_DEFAULT);
-        assert!(
-            m.shed_at(5, 0).is_none(),
-            "threshold 0 turns the trigger off"
-        );
         std::fs::remove_file(dump.expect("the crossing dumps")).ok();
     }
 
@@ -1621,7 +1619,7 @@ pub(crate) mod tests {
     #[test]
     fn pending_table_completes_expires_and_cancels() {
         let mut t = PendingTable::new();
-        let now = Instant::now();
+        let now = Duration::from_secs(1);
         let entry = |token, id| Pending {
             token,
             id,
@@ -1647,8 +1645,8 @@ pub(crate) mod tests {
     #[test]
     fn pending_table_tells_a_missed_attempt_from_a_missed_deadline() {
         let mut t = PendingTable::new();
-        let now = Instant::now();
         let ms = Duration::from_millis;
+        let now = ms(1_000);
         let forward = Forward {
             id: 11,
             tail: String::new(),

@@ -428,7 +428,7 @@ mod tests {
             Arc::new(two_switch_demo()),
             ForecastKind::LastValue,
         ));
-        let limiter = Arc::new(RateLimiter::new(0.0));
+        let limiter = Arc::new(RateLimiter::new(0.0, service.obs().clock().clone()));
         let rt = ReconfigRuntime::open(dir, service.clone(), limiter.clone(), 0.0)
             .expect("open runtime");
         (rt, service, limiter)

@@ -11,11 +11,11 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cbes_cluster::NodeId;
 use cbes_core::CbesService;
-use cbes_obs::{names, Counter, Histogram, MetricsSnapshot, Registry};
+use cbes_obs::{names, Clock, Counter, Histogram, MetricsSnapshot, Registry};
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
 use parking_lot::Mutex;
 
@@ -98,24 +98,26 @@ pub(crate) struct RateLimiter {
     /// Minimum `retry_after_ms` hint attached to rate-cap sheds.
     hint_ms: AtomicU64,
     state: Mutex<BucketState>,
+    clock: Clock,
 }
 
 #[derive(Debug)]
 struct BucketState {
     tokens: f64,
-    refilled: Instant,
+    refilled: Duration,
 }
 
 impl RateLimiter {
-    pub(crate) fn new(rate_per_s: f64) -> Self {
+    pub(crate) fn new(rate_per_s: f64, clock: Clock) -> Self {
         let rate = rate_per_s.max(0.0);
         RateLimiter {
             rate_bits: AtomicU64::new(rate.to_bits()),
             hint_ms: AtomicU64::new(0),
             state: Mutex::new(BucketState {
                 tokens: Self::burst_of(rate),
-                refilled: Instant::now(),
+                refilled: clock.now(),
             }),
+            clock,
         }
     }
 
@@ -132,7 +134,7 @@ impl RateLimiter {
         self.hint_ms.store(hint_ms, Ordering::Release);
         let mut s = self.state.lock();
         s.tokens = Self::burst_of(rate);
-        s.refilled = Instant::now();
+        s.refilled = self.clock.now();
     }
 
     /// The configured shed back-off hint floor, in milliseconds.
@@ -157,8 +159,8 @@ impl RateLimiter {
         let rate = rate.max(0.001);
         let burst = Self::burst_of(rate);
         let mut s = self.state.lock();
-        let now = Instant::now();
-        let dt = now.duration_since(s.refilled).as_secs_f64();
+        let now = self.clock.now();
+        let dt = now.saturating_sub(s.refilled).as_secs_f64();
         s.tokens = (s.tokens + dt * rate).min(burst);
         s.refilled = now;
         if s.tokens >= 1.0 {
@@ -193,7 +195,7 @@ struct ServerMetrics {
     last_flight_check: AtomicU64,
     /// Node health-transition count at the last anomaly sweep.
     last_health_transitions: AtomicU64,
-    start: Instant,
+    start: Duration,
 }
 
 impl ServerMetrics {
@@ -210,7 +212,7 @@ impl ServerMetrics {
                 .collect(),
             last_flight_check: AtomicU64::new(0),
             last_health_transitions: AtomicU64::new(0),
-            start: Instant::now(),
+            start: registry.clock().now(),
             registry,
         }
     }
@@ -242,7 +244,8 @@ impl Server {
         let metrics = ServerMetrics::new(service.obs().clone());
         let (served, errors) = (metrics.served.clone(), metrics.net.errors.clone());
         let net = net::start(&config, metrics.net.clone(), |control| {
-            let rate = Arc::new(RateLimiter::new(config.max_rps));
+            let rate = RateLimiter::new(config.max_rps, metrics.registry.clock().clone());
+            let rate = Arc::new(rate);
             let reconfig = match config.state_dir.clone() {
                 Some(dir) => Some(
                     ReconfigRuntime::open(dir, service.clone(), rate.clone(), config.max_rps)
@@ -427,23 +430,20 @@ impl Daemon {
         };
         let id = envelope.id;
         let spec = envelope.request.spec();
-        let picked_up = Instant::now();
-        let response = {
-            // A traced envelope joins the caller's trace: this request span
-            // (and every child span it opens — core evaluation, scheduler)
-            // carries the remote trace id and links to the remote parent.
-            let _span = if envelope.trace_id != 0 {
-                metrics.registry.spans().span_rooted(
-                    spec.name,
-                    envelope.trace_id,
-                    envelope.parent_span,
-                )
-            } else {
-                metrics.registry.span(spec.name)
-            };
-            self.handle_request(envelope.request)
+        // A traced envelope joins the caller's trace: this request span
+        // (and every child span it opens — core evaluation, scheduler)
+        // carries the remote trace id and links to the remote parent. Its
+        // duration is the request's service time.
+        let span = if envelope.trace_id != 0 {
+            metrics
+                .registry
+                .spans()
+                .span_rooted(spec.name, envelope.trace_id, envelope.parent_span)
+        } else {
+            metrics.registry.span(spec.name)
         };
-        metrics.service_time.record_duration(picked_up.elapsed());
+        let response = self.handle_request(envelope.request);
+        span.finish_into(&metrics.service_time);
         if let Some(counter) = metrics.by_action.get(spec.action as usize) {
             counter.incr();
         }
@@ -462,8 +462,8 @@ impl Daemon {
     /// swap and returns.
     fn flight_checks(&self) {
         let metrics = &self.metrics;
-        // +1 keeps the stamp nonzero so "never swept" stays distinguishable.
-        let now = metrics.start.elapsed().as_secs() + 1;
+        // The registry clock's second, +1 so "never swept" stays 0.
+        let now = metrics.registry.clock().now().as_secs() + 1;
         let prev_check = metrics.last_flight_check.swap(now, Ordering::Relaxed);
         if prev_check == now {
             return;
@@ -557,6 +557,7 @@ impl Daemon {
             }
             Request::Stats => {
                 let (healthy, suspect, down) = service.health_counts();
+                let uptime = metrics.registry.clock().now().saturating_sub(metrics.start);
                 Response::Stats {
                     stats: StatsReport {
                         served: metrics.served.get(),
@@ -575,7 +576,7 @@ impl Daemon {
                         health_transitions: service.health_transitions(),
                         dropped_connections: metrics.net.dropped_connections.get(),
                         per_action: metrics.per_action(),
-                        uptime_s: metrics.start.elapsed().as_secs_f64(),
+                        uptime_s: uptime.as_secs_f64(),
                     },
                 }
             }
@@ -713,7 +714,7 @@ mod tests {
         Daemon {
             metrics: ServerMetrics::new(service.obs().clone()),
             service,
-            rate: Arc::new(RateLimiter::new(0.0)),
+            rate: Arc::new(RateLimiter::new(0.0, Clock::default())),
             reconfig: None,
             net: idle_control(),
         }
@@ -753,7 +754,7 @@ mod tests {
     #[test]
     fn unparseable_line_is_rejected_with_id_zero() {
         let m = ServerMetrics::new(Arc::default());
-        let unlimited = RateLimiter::new(0.0);
+        let unlimited = RateLimiter::new(0.0, Clock::default());
         let (reply, malformed) =
             *precheck(decode_request("{not json"), &unlimited, &m).expect_err("parse must fail");
         assert_eq!(reply.id, 0);
@@ -791,21 +792,56 @@ mod tests {
 
     #[test]
     fn rate_limiter_drains_its_burst_and_refills() {
-        let limiter = RateLimiter::new(10.0); // burst = 2.5 tokens
+        let clock = Clock::manual();
+        let limiter = RateLimiter::new(10.0, clock.clone()); // burst = 2.5 tokens
         assert!(limiter.try_acquire().is_ok());
         assert!(limiter.try_acquire().is_ok());
         let wait = limiter
             .try_acquire()
             .expect_err("the burst is spent after two tokens");
         assert!(wait > Duration::ZERO && wait <= Duration::from_millis(100));
-        std::thread::sleep(Duration::from_millis(150));
+        assert!(limiter.try_acquire().is_err(), "no time passed, no token");
+        clock.advance(Duration::from_millis(150));
         assert!(limiter.try_acquire().is_ok(), "tokens refill over time");
+    }
+
+    #[test]
+    fn flight_checks_seed_then_report_a_transition_on_the_next_second() {
+        let clock = Clock::manual();
+        let mut daemon = daemon();
+        daemon.metrics = ServerMetrics::new(Arc::new(Registry::with_clock(clock.clone())));
+        let flight = daemon.metrics.registry.flight();
+        daemon.flight_checks();
+        // Node 0 falls silent until it turns suspect: one transition.
+        let service = &daemon.service;
+        let n = service.cluster().len();
+        let idle = cbes_cluster::load::LoadState::idle(n);
+        let reported: Vec<bool> = (0..n).map(|node| node != 0).collect();
+        for _ in 0..4 {
+            service
+                .observe_load_partial(&idle, &reported)
+                .expect("a valid sweep");
+        }
+        assert_eq!(service.health_transitions(), 1);
+        daemon.flight_checks();
+        assert_eq!(flight.recorded(), 0, "the same second trips nothing");
+        clock.advance(Duration::from_secs(1));
+        daemon.flight_checks();
+        let events = flight.snapshot();
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].kind, "health_transition");
+        assert_eq!(events[0].at_us, 1_000_000);
+        daemon.flight_checks();
+        assert_eq!(flight.recorded(), 1, "a transition is reported once");
+        assert_eq!(flight.dumps(), 1);
+        let dump = format!("cbes-flight-{}-1000000.jsonl", std::process::id());
+        std::fs::remove_file(std::env::temp_dir().join(dump)).ok();
     }
 
     #[test]
     fn rate_cap_sheds_eval_requests_but_exempts_control_plane() {
         let m = ServerMetrics::new(Arc::default());
-        let rate = RateLimiter::new(0.001); // burst = 1 token
+        let rate = RateLimiter::new(0.001, Clock::default()); // burst = 1 token
         let compare_line = encode(&RequestEnvelope::new(
             11,
             Request::Compare {
