@@ -91,51 +91,42 @@ impl ClusterBuilder {
         self
     }
 
-    /// Validate and finish: checks non-empty node set, positive physical
-    /// parameters, valid switch references, and switch-graph connectivity
-    /// (routes are pre-computed here).
+    /// Validate and finish: checks non-empty node set, finite positive
+    /// physical parameters, valid switch references, and switch-graph
+    /// connectivity (routes and the walks over them are pre-computed here).
     pub fn build(self) -> Result<Cluster, ClusterError> {
         if self.nodes.is_empty() {
             return Err(ClusterError::Empty);
         }
         for sw in &self.switches {
-            if sw.hop_latency <= 0.0 {
-                return Err(ClusterError::NonPositiveParameter("switch hop_latency"));
-            }
+            positive(sw.hop_latency, "switch hop_latency")?;
         }
         for l in &self.links {
-            if l.bandwidth <= 0.0 {
-                return Err(ClusterError::NonPositiveParameter("link bandwidth"));
-            }
-            if l.latency <= 0.0 {
-                return Err(ClusterError::NonPositiveParameter("link latency"));
-            }
+            positive(l.bandwidth, "link bandwidth")?;
+            positive(l.latency, "link latency")?;
         }
         for n in &self.nodes {
             if n.switch.index() >= self.switches.len() {
                 return Err(ClusterError::UnknownSwitch(n.switch));
             }
-            if n.speed <= 0.0 {
-                return Err(ClusterError::NonPositiveParameter("node speed"));
-            }
-            if n.nic_bandwidth <= 0.0 {
-                return Err(ClusterError::NonPositiveParameter("nic bandwidth"));
-            }
-            if n.nic_latency <= 0.0 {
-                return Err(ClusterError::NonPositiveParameter("nic latency"));
-            }
+            positive(n.speed, "node speed")?;
+            positive(n.nic_bandwidth, "nic bandwidth")?;
+            positive(n.nic_latency, "nic latency")?;
             if n.cpus == 0 {
                 return Err(ClusterError::NonPositiveParameter("cpus"));
             }
         }
-        let routes = Cluster::compute_routes(&self.switches, &self.links)?;
-        Ok(Cluster {
-            name: self.name,
-            nodes: self.nodes,
-            switches: self.switches,
-            links: self.links,
-            routes,
-        })
+        Cluster::assemble(self.name, self.nodes, self.switches, self.links)
+    }
+}
+
+/// A physical parameter must be finite and > 0: `inf` would make every
+/// latency through it `inf`, and NaN fails every comparison.
+fn positive(x: f64, what: &'static str) -> Result<(), ClusterError> {
+    if x.is_finite() && x > 0.0 {
+        Ok(())
+    } else {
+        Err(ClusterError::NonPositiveParameter(what))
     }
 }
 

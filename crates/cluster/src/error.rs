@@ -27,7 +27,8 @@ pub enum ClusterError {
     },
     /// The cluster has no nodes.
     Empty,
-    /// A physical parameter was non-positive (bandwidth, latency, speed...).
+    /// A physical parameter (bandwidth, latency, speed...) was not a
+    /// finite positive number.
     NonPositiveParameter(&'static str),
 }
 
@@ -44,7 +45,7 @@ impl fmt::Display for ClusterError {
             }
             ClusterError::Empty => write!(f, "cluster has no nodes"),
             ClusterError::NonPositiveParameter(p) => {
-                write!(f, "parameter `{p}` must be positive")
+                write!(f, "parameter `{p}` must be finite and positive")
             }
         }
     }

@@ -227,4 +227,29 @@ mod tests {
         spec.groups[0].switch = 99;
         assert!(spec.build().is_err());
     }
+
+    /// The JSON parser reads `1e999` as `inf`, which passes a `> 0` check:
+    /// each physical parameter spelled that way must still be refused.
+    #[test]
+    fn an_infinite_parameter_is_rejected_at_build() {
+        const MARK: f64 = 4242.4242;
+        let edits: [fn(&mut ClusterSpec); 6] = [
+            |s| s.switches[0].hop_latency = MARK,
+            |s| s.links[0].bandwidth = MARK,
+            |s| s.links[0].latency = MARK,
+            |s| s.groups[0].speed = MARK,
+            |s| s.groups[0].nic_bandwidth = MARK,
+            |s| s.groups[0].nic_latency = MARK,
+        ];
+        for edit in edits {
+            let mut spec = ClusterSpec::from_cluster(&two_switch_demo());
+            edit(&mut spec);
+            let json = spec.to_json().replace("4242.4242", "1e999");
+            let spec = ClusterSpec::from_json(&json).expect("1e999 parses");
+            assert!(
+                matches!(spec.build(), Err(ClusterError::NonPositiveParameter(_))),
+                "{json}"
+            );
+        }
+    }
 }

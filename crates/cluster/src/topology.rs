@@ -6,7 +6,7 @@ use crate::error::ClusterError;
 use crate::node::{Node, NodeId};
 use crate::LatencyProvider;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Identifier of a switch within a [`Cluster`].
@@ -94,16 +94,25 @@ const LOOPBACK: PathInfo = PathInfo {
 };
 
 /// An immutable heterogeneous cluster: nodes attached to a connected graph of
-/// switches. Built via [`crate::ClusterBuilder`]; all-pairs switch routes are
-/// pre-computed at construction time.
+/// switches. Built via [`crate::ClusterBuilder`]; all-pairs switch routes and
+/// the walks over them are pre-computed at construction time.
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    pub(crate) name: String,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) switches: Vec<Switch>,
-    pub(crate) links: Vec<Link>,
+    name: String,
+    nodes: Vec<Node>,
+    switches: Vec<Switch>,
+    links: Vec<Link>,
     /// `routes[a * S + b]` = (link index sequence) between switches a and b.
-    pub(crate) routes: Vec<Vec<u32>>,
+    routes: Vec<Vec<u32>>,
+    /// `port[n]` = node n's port: nodes with the same switch and bit-equal
+    /// NIC latency and bandwidth share one, because a walk reads nothing
+    /// else of a node.
+    port: Vec<u32>,
+    /// Number of distinct ports, `P`.
+    ports: usize,
+    /// `walks[p * P + q]` = `(base latency, bottleneck bandwidth)` of the
+    /// walk from port p to port q.
+    walks: Vec<(f64, f64)>,
 }
 
 impl Cluster {
@@ -182,15 +191,20 @@ impl Cluster {
         self.node(a).switch == self.node(b).switch
     }
 
-    /// The one walk over a route: `(base latency, bottleneck bandwidth,
-    /// route)` between two distinct nodes. [`Cluster::path`] and
-    /// [`Cluster::no_load_latency`] both read it, so their floating-point
-    /// additions happen in the same order.
-    fn walk(&self, a: NodeId, b: NodeId) -> (f64, f64, &[u32]) {
+    /// The stored switch route between two nodes' switches.
+    fn route(&self, na: &Node, nb: &Node) -> &[u32] {
+        &self.routes[na.switch.index() * self.switches.len() + nb.switch.index()]
+    }
+
+    /// The one walk over a route: `(base latency, bottleneck bandwidth)`
+    /// between two nodes. Only [`Cluster::assemble`] calls it, once per
+    /// ordered port pair; [`Cluster::path`] and [`Cluster::no_load_latency`]
+    /// read its result from `walks`, so every latency has the bits this
+    /// fold gives.
+    fn walk(&self, a: NodeId, b: NodeId) -> (f64, f64) {
         let na = self.node(a);
         let nb = self.node(b);
-        let s = self.switches.len();
-        let route = &self.routes[na.switch.index() * s + nb.switch.index()];
+        let route = self.route(na, nb);
 
         let mut base = na.nic_latency + nb.nic_latency;
         let mut bw = na.nic_bandwidth.min(nb.nic_bandwidth);
@@ -206,7 +220,14 @@ impl Cluster {
             base += self.switches[cur.index()].hop_latency;
         }
         debug_assert_eq!(cur, nb.switch, "route must terminate at b's switch");
-        (base, bw, route)
+        (base, bw)
+    }
+
+    /// The tabulated walk between two nodes: two port loads and a table
+    /// load.
+    #[inline]
+    fn walked(&self, a: NodeId, b: NodeId) -> (f64, f64) {
+        self.walks[self.port[a.index()] as usize * self.ports + self.port[b.index()] as usize]
     }
 
     /// Routing information between two (distinct) nodes.
@@ -217,7 +238,8 @@ impl Cluster {
         if a == b {
             return LOOPBACK;
         }
-        let (base_latency, bottleneck_bw, route) = self.walk(a, b);
+        let (base_latency, bottleneck_bw) = self.walked(a, b);
+        let route = self.route(self.node(a), self.node(b));
         PathInfo {
             base_latency,
             bottleneck_bw,
@@ -234,7 +256,7 @@ impl Cluster {
         if a == b {
             return LOOPBACK.latency(bytes);
         }
-        let (base, bw, _) = self.walk(a, b);
+        let (base, bw) = self.walked(a, b);
         serialised(base, bw, bytes)
     }
 
@@ -296,11 +318,49 @@ impl Cluster {
         out
     }
 
+    /// Finish a validated cluster: route every switch pair, intern each
+    /// node into its port `(switch, NIC latency bits, NIC bandwidth bits)`,
+    /// and walk each ordered port pair once. Parameters must be finite and
+    /// positive, so equal bits mean equal walks.
+    pub(crate) fn assemble(
+        name: String,
+        nodes: Vec<Node>,
+        switches: Vec<Switch>,
+        links: Vec<Link>,
+    ) -> Result<Cluster, ClusterError> {
+        let routes = Self::compute_routes(&switches, &links)?;
+        let mut ids = BTreeMap::new();
+        let mut reps = Vec::new();
+        let port = nodes
+            .iter()
+            .map(|n| {
+                let key = (n.switch, n.nic_latency.to_bits(), n.nic_bandwidth.to_bits());
+                *ids.entry(key).or_insert_with(|| {
+                    reps.push(n.id);
+                    reps.len() as u32 - 1
+                })
+            })
+            .collect();
+        let mut cluster = Cluster {
+            name,
+            nodes,
+            switches,
+            links,
+            routes,
+            port,
+            ports: reps.len(),
+            walks: Vec::new(),
+        };
+        cluster.walks = reps
+            .iter()
+            .flat_map(|&a| reps.iter().map(move |&b| (a, b)))
+            .map(|(a, b)| cluster.walk(a, b))
+            .collect();
+        Ok(cluster)
+    }
+
     /// Breadth-first all-pairs routes over the switch graph.
-    pub(crate) fn compute_routes(
-        switches: &[Switch],
-        links: &[Link],
-    ) -> Result<Vec<Vec<u32>>, ClusterError> {
+    fn compute_routes(switches: &[Switch], links: &[Link]) -> Result<Vec<Vec<u32>>, ClusterError> {
         let s = switches.len();
         let mut adj: Vec<Vec<(usize, u32)>> = vec![Vec::new(); s];
         for (li, l) in links.iter().enumerate() {
@@ -449,35 +509,50 @@ mod tests {
         assert_eq!(c.path(NodeId(0), NodeId(2)).link_indices, vec![0]);
     }
 
-    /// `no_load_latency` never builds a `PathInfo`, yet must answer with
-    /// the bits `path().latency()` has — every ordered pair of every
-    /// preset, loopback included — and `path()` must still hand out the
-    /// stored route.
-    #[test]
-    fn the_latency_walk_is_the_path_bit_for_bit() {
-        use crate::presets::{centurion, orange_grove, two_switch_demo};
-        for c in [centurion(), orange_grove(), two_switch_demo()] {
-            let s = c.switches.len();
-            for a in c.node_ids() {
-                for b in c.node_ids() {
-                    let path = c.path(a, b);
-                    for bytes in [0, 1, 1 << 10, 64 << 10, 1 << 30] {
-                        assert_eq!(
-                            c.no_load_latency(a, b, bytes).to_bits(),
-                            path.latency(bytes).to_bits(),
-                            "{} {a}->{b} at {bytes} B",
-                            c.name()
-                        );
-                    }
-                    if a == b {
-                        assert_eq!((path.switch_hops, path.link_indices.len()), (0, 0));
-                        continue;
-                    }
-                    let route = &c.routes[c.node(a).switch.index() * s + c.node(b).switch.index()];
-                    assert_eq!(&path.link_indices, route);
-                    assert_eq!(path.switch_hops as usize, route.len() + 1);
+    /// Every ordered pair, loopback included: `no_load_latency` and
+    /// `path().latency` read the port table, yet must give the bits a
+    /// direct walk gives, and `path()` must still hand out the stored
+    /// route.
+    fn assert_table_is_walk(c: &Cluster) {
+        for a in c.node_ids() {
+            for b in c.node_ids() {
+                let path = c.path(a, b);
+                let (base, bw, route, hops) = if a == b {
+                    (LOOPBACK.base_latency, LOOPBACK.bottleneck_bw, &[][..], 0)
+                } else {
+                    let (base, bw) = c.walk(a, b);
+                    let route = c.route(c.node(a), c.node(b));
+                    (base, bw, route, route.len() as u32 + 1)
+                };
+                assert_eq!((&path.link_indices[..], path.switch_hops), (route, hops));
+                for bytes in [0, 1, 1 << 10, 64 << 10, 1 << 30] {
+                    let want = serialised(base, bw, bytes).to_bits();
+                    assert_eq!(
+                        c.no_load_latency(a, b, bytes).to_bits(),
+                        want,
+                        "{a}->{b} {bytes} B"
+                    );
+                    assert_eq!(path.latency(bytes).to_bits(), want, "{a}->{b} {bytes} B");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_port_table_is_the_walk_bit_for_bit() {
+        use crate::presets::{centurion, orange_grove, two_switch_demo};
+        for (c, ports) in [
+            (centurion(), 8),
+            (orange_grove(), 5),
+            (two_switch_demo(), 2),
+        ] {
+            assert_eq!(
+                (c.ports, c.walks.len()),
+                (ports, ports * ports),
+                "{}",
+                c.name()
+            );
+            assert_table_is_walk(&c);
         }
     }
 
@@ -545,6 +620,38 @@ mod tests {
                 let l1 = c.no_load_latency(NodeId(a), NodeId(b), s + 1024);
                 prop_assert!(l0 > 0.0);
                 prop_assert!(l1 > l0);
+            }
+
+            /// A random switch tree whose nodes draw their NIC from 1–4
+            /// kinds, so ports both merge across nodes and split within
+            /// one switch: the table still answers every ordered pair
+            /// with the walk's bits. The kinds are a 2×2 grid, so two of
+            /// them can differ in latency alone or in bandwidth alone.
+            fn the_port_table_is_the_walk_on_generated_clusters(seed in 0u64..u64::MAX) {
+                use rand::{rngs::StdRng, RngExt, SeedableRng};
+                let mut rng = StdRng::seed_from_u64(seed);
+                let switches = rng.random_range(1u32..6);
+                let bws = [rng.random_range(1e6..1e8), rng.random_range(1e6..1e8)];
+                let lats = [rng.random_range(1e-6..1e-4), rng.random_range(1e-6..1e-4)];
+                let nics: Vec<(f64, f64)> = (0..rng.random_range(1usize..5))
+                    .map(|k| (bws[k % 2], lats[k / 2]))
+                    .collect();
+                let mut b = ClusterBuilder::new("generated");
+                for s in 0..switches {
+                    b = b.switch(24, rng.random_range(1e-6..1e-5), format!("s{s}"));
+                    if s > 0 {
+                        let up = SwitchId(rng.random_range(0..s));
+                        b = b.link(up, SwitchId(s), rng.random_range(1e6..1e9), rng.random_range(1e-6..1e-5));
+                    }
+                }
+                for _ in 0..rng.random_range(2..24) {
+                    let (bw, lat) = nics[rng.random_range(0..nics.len())];
+                    let sw = SwitchId(rng.random_range(0..switches));
+                    b = b.nodes(1, Architecture::Alpha, 533, 1, 1.0, sw, bw, lat);
+                }
+                let c = b.build().unwrap();
+                prop_assert!(c.ports <= nics.len() * switches as usize);
+                assert_table_is_walk(&c);
             }
         }
     }

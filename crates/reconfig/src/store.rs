@@ -158,17 +158,18 @@ pub fn validate_payload(
         ArtifactKind::ClusterPreset => {
             let spec: cbes_cluster::ClusterSpec = serde_json::from_str(payload)
                 .map_err(|e| ReconfigError::InvalidPayload(format!("cluster preset: {e}")))?;
-            let cluster = spec
-                .build()
-                .map_err(|e| ReconfigError::InvalidPayload(format!("cluster preset: {e}")))?;
+            // Count before building: `build` allocates every node, and a
+            // group's `count` is whatever `u32` the client sent.
+            let nodes: u64 = spec.groups.iter().map(|g| u64::from(g.count)).sum();
             if let Some(n) = expected_nodes {
-                if cluster.len() != n {
+                if nodes != n as u64 {
                     return Err(ReconfigError::InvalidPayload(format!(
-                        "cluster preset defines {} nodes but the cluster has {n}",
-                        cluster.len()
+                        "cluster preset defines {nodes} nodes but the cluster has {n}"
                     )));
                 }
             }
+            spec.build()
+                .map_err(|e| ReconfigError::InvalidPayload(format!("cluster preset: {e}")))?;
         }
         ArtifactKind::ServingLimits => {
             let limits: ServingLimits = serde_json::from_str(payload)
@@ -741,6 +742,27 @@ mod tests {
             Err(ReconfigError::InvalidPayload(_))
         ));
         // Nothing journalled by rejected stages.
+        assert_eq!(store.status().journal_records, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A ~200-byte preset claiming 2^32 - 1 nodes is refused on its
+    /// count, before `build` would allocate them all.
+    #[test]
+    fn an_oversized_preset_is_refused_before_it_is_built() {
+        let dir = scratch("oversized");
+        let store = ArtifactStore::open(&dir).expect("open");
+        let payload = "{\"name\":\"huge\",\"switches\":[{\"ports\":8,\"hop_latency\":1e-6,\
+            \"label\":\"s\"}],\"links\":[],\"groups\":[{\"count\":4294967295,\"arch\":\"Alpha\",\
+            \"clock_mhz\":533,\"cpus\":1,\"speed\":1.0,\"switch\":0,\"nic_bandwidth\":1e8,\
+            \"nic_latency\":1e-5}]}";
+        let start = std::time::Instant::now();
+        let err = store.stage(ArtifactKind::ClusterPreset, payload, Some(8));
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert!(
+            matches!(&err, Err(ReconfigError::InvalidPayload(d)) if d.contains("4294967295")),
+            "{err:?}"
+        );
         assert_eq!(store.status().journal_records, 0);
         let _ = fs::remove_dir_all(&dir);
     }

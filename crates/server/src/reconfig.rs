@@ -571,6 +571,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A preset whose node count or any physical parameter is out of
+    /// range is refused as a bad request and journals nothing: the
+    /// next good stage is still v1.
+    #[test]
+    fn out_of_range_presets_are_refused_without_journalling() {
+        let (rt, service) = runtime("bad-presets");
+        let spec = cbes_cluster::ClusterSpec::from_cluster(service.cluster());
+        let json = serde_json::to_string(&spec).expect("spec encodes");
+        // Each physical parameter in turn, spelled `1e999` (parsed as inf).
+        let params = "hop_latency \"bandwidth \"latency speed nic_bandwidth nic_latency";
+        let mut bad: Vec<String> = params
+            .split(' ')
+            .map(|p| {
+                let at = json.find(&format!("{p}\":")).expect("field present") + p.len() + 2;
+                let end = at + json[at..].find([',', '}']).expect("value ends");
+                format!("{}1e999{}", &json[..at], &json[end..])
+            })
+            .collect();
+        bad.push(json.replacen("\"count\":4", "\"count\":4294967295", 1));
+        for payload in &bad {
+            match rt.handle_stage("cluster_preset", payload) {
+                Response::Error { kind, message, .. } => {
+                    assert_eq!(kind, error_kind::BAD_REQUEST);
+                    assert!(message.contains("invalid payload"), "{message}");
+                }
+                other => panic!("expected a refusal of {payload}, got {other:?}"),
+            }
+        }
+        let (v, _, _) = ack(rt.handle_stage("cluster_preset", &json));
+        assert_eq!(v, 1, "a refused stage journalled a version");
+    }
+
     #[test]
     fn unknown_kind_and_missing_store_paths_reply_with_errors() {
         let (rt, _) = runtime("errors");
