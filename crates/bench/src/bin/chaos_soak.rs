@@ -95,7 +95,10 @@ fn main() {
             },
         ),
     );
-    service.registry().insert(ring_profile(8));
+    service
+        .registry()
+        .insert(ring_profile(8))
+        .expect("the ring profile compiles");
     let handle = Server::start(
         service,
         ServerConfig {

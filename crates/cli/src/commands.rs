@@ -434,7 +434,10 @@ pub fn serve(parsed: &Parsed) -> Result<String, CliError> {
         let loaded = cbes_core::registry::ProfileRegistry::load_dir(std::path::Path::new(dir))?;
         for app in loaded.names() {
             if let Some(p) = loaded.get(&app) {
-                service.registry().insert(p);
+                service
+                    .registry()
+                    .insert(p)
+                    .map_err(|e| CliError::domain(e.to_string()))?;
             }
         }
     }

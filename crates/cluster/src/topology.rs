@@ -75,14 +75,14 @@ impl PathInfo {
     /// fixed base latency plus serialisation at the bottleneck bandwidth.
     #[inline]
     pub fn latency(&self, bytes: u64) -> f64 {
-        serialised(self.base_latency, self.bottleneck_bw, bytes)
+        serialised(self.base_latency, self.bottleneck_bw, bytes as f64)
     }
 }
 
 /// Fixed base latency plus serialisation of `bytes` at bandwidth `bw`.
 #[inline]
-fn serialised(base: f64, bw: f64, bytes: u64) -> f64 {
-    base + bytes as f64 / bw
+fn serialised(base: f64, bw: f64, bytes: f64) -> f64 {
+    base + bytes / bw
 }
 
 /// Intra-node communication: a tiny loopback latency, very high bandwidth.
@@ -230,6 +230,32 @@ impl Cluster {
         self.walks[self.port[a.index()] as usize * self.ports + self.port[b.index()] as usize]
     }
 
+    /// Node `id`'s port, the key of [`Cluster::port_latency`]; `None` off
+    /// the cluster.
+    #[inline]
+    pub fn port(&self, id: NodeId) -> Option<u32> {
+        self.port.get(id.index()).copied()
+    }
+
+    /// No-load latency between two *distinct* nodes on ports `from` and
+    /// `to` for a message of `bytes` bytes (a float, as a compiled plan
+    /// stores it): one table load. [`Cluster::no_load_latency`] is this
+    /// after two port loads, so both give the same bits. A port off the
+    /// table costs `+∞`.
+    #[inline]
+    pub fn port_latency(&self, from: u32, to: u32, bytes: f64) -> f64 {
+        match self.walks.get(from as usize * self.ports + to as usize) {
+            Some(&(base, bw)) if (to as usize) < self.ports => serialised(base, bw, bytes),
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// A node's latency to itself: the loopback path.
+    #[inline]
+    pub fn loopback_latency(bytes: f64) -> f64 {
+        serialised(LOOPBACK.base_latency, LOOPBACK.bottleneck_bw, bytes)
+    }
+
     /// Routing information between two (distinct) nodes.
     ///
     /// For `a == b` (intra-node communication) a degenerate path with a tiny
@@ -254,10 +280,10 @@ impl Cluster {
     /// message group).
     pub fn no_load_latency(&self, a: NodeId, b: NodeId, bytes: u64) -> f64 {
         if a == b {
-            return LOOPBACK.latency(bytes);
+            return Self::loopback_latency(bytes as f64);
         }
-        let (base, bw) = self.walked(a, b);
-        serialised(base, bw, bytes)
+        let (from, to) = (self.port[a.index()], self.port[b.index()]);
+        self.port_latency(from, to, bytes as f64)
     }
 
     /// Maximum over minimum pairwise no-load latency at a representative
@@ -526,7 +552,7 @@ mod tests {
                 };
                 assert_eq!((&path.link_indices[..], path.switch_hops), (route, hops));
                 for bytes in [0, 1, 1 << 10, 64 << 10, 1 << 30] {
-                    let want = serialised(base, bw, bytes).to_bits();
+                    let want = serialised(base, bw, bytes as f64).to_bits();
                     assert_eq!(
                         c.no_load_latency(a, b, bytes).to_bits(),
                         want,

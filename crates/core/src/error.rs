@@ -40,6 +40,13 @@ pub enum ServiceError {
     },
     /// A load observation carried a non-finite value for the given node.
     NonFiniteLoad(u32),
+    /// A profile eqs. 5–8 cannot evaluate was refused at registration.
+    InvalidProfile {
+        /// The profile's name.
+        app: String,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -71,6 +78,9 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::NonFiniteLoad(n) => {
                 write!(f, "load observation for node n{n} is not a finite number")
+            }
+            ServiceError::InvalidProfile { app, reason } => {
+                write!(f, "profile `{app}` is invalid: {reason}")
             }
         }
     }

@@ -1,10 +1,12 @@
 //! The mapping evaluation operation — paper §3, equations 4–8.
 
+use crate::error::ServiceError;
 use crate::mapping::Mapping;
-use crate::snapshot::SystemSnapshot;
-use cbes_trace::analyze::theta;
-use cbes_trace::AppProfile;
+use crate::snapshot::{NoLoad, NodeRow, SystemSnapshot};
+use cbes_netmodel::{LatencyModel, Segment};
+use cbes_trace::{AppProfile, MessageGroup};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Cost breakdown for one process under an evaluated mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -45,13 +47,129 @@ pub(crate) fn tally(ranks_on: &mut [u32], mapping: &Mapping, enter: bool) {
     }
 }
 
+/// One rank of a [`Plan`].
+#[derive(Debug, Clone, Copy)]
+struct RankPlan {
+    rank: u32,
+    /// `X_i + O_i`.
+    work: f64,
+    /// `Speed_profile`.
+    speed: f64,
+    /// `λ_i`.
+    lambda: f64,
+    /// False when `C_i` is zero whatever the mapping: `λ_i = 0`, or no
+    /// message groups.
+    comm: bool,
+    /// `groups[start..mid]` are the rank's receives, `groups[mid..end]`
+    /// its sends.
+    start: u32,
+    mid: u32,
+    end: u32,
+}
+
+/// One message group of a [`Plan`], flattened to what eq. 6 reads.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    peer: u32,
+    bytes: f64,
+    count: f64,
+}
+
+/// A profile compiled for eqs. 5–8: per rank `X + O`, `Speed_profile`,
+/// `λ`, a comm flag and the range of its groups, and every message group
+/// as `(peer, bytes, count)` — receives, then sends, in profile order.
+/// Compiled once per registration (or per [`Evaluator::new`]), so no
+/// candidate re-reads the profile.
+#[derive(Debug, Clone)]
+pub(crate) struct Plan {
+    ranks: Vec<RankPlan>,
+    groups: Vec<Group>,
+}
+
+impl Plan {
+    /// Compile `profile`, refusing one eqs. 5–8 cannot evaluate: a rank
+    /// out of place, a peer outside the profile, a negative or non-finite
+    /// `x`, `o` or `λ`, or a non-positive or non-finite `Speed_profile`.
+    pub(crate) fn compile(profile: &AppProfile) -> Result<Plan, ServiceError> {
+        let n = profile.num_procs();
+        let refuse = |reason: String| {
+            Err(ServiceError::InvalidProfile {
+                app: profile.name.clone(),
+                reason,
+            })
+        };
+        for (i, p) in profile.procs.iter().enumerate() {
+            if p.rank != i {
+                return refuse(format!("procs[{i}] is rank {}", p.rank));
+            }
+            if let Some(g) = p.recvs.iter().chain(&p.sends).find(|g| g.peer >= n) {
+                return refuse(format!("rank {i} names peer {} of {n} ranks", g.peer));
+            }
+            for (field, v) in [("x", p.x), ("o", p.o), ("lambda", p.lambda)] {
+                if !(v.is_finite() && v >= 0.0) {
+                    return refuse(format!("rank {i} has {field} = {v}"));
+                }
+            }
+            if !(p.profile_speed.is_finite() && p.profile_speed > 0.0) {
+                return refuse(format!("rank {i} has profile_speed = {}", p.profile_speed));
+            }
+        }
+        Ok(Plan::build(profile))
+    }
+
+    /// Compile `profile` as it is (callers that bring their own profile).
+    fn build(profile: &AppProfile) -> Plan {
+        let mut groups = Vec::with_capacity(profile.procs.iter().map(|p| p.group_count()).sum());
+        let flat = |g: &MessageGroup| Group {
+            peer: u32::try_from(g.peer).unwrap_or(u32::MAX),
+            bytes: g.bytes as f64,
+            count: g.count as f64,
+        };
+        let ranks = profile
+            .procs
+            .iter()
+            .map(|p| {
+                let start = groups.len() as u32;
+                groups.extend(p.recvs.iter().map(flat));
+                let mid = groups.len() as u32;
+                groups.extend(p.sends.iter().map(flat));
+                RankPlan {
+                    rank: u32::try_from(p.rank).unwrap_or(u32::MAX),
+                    work: p.x + p.o,
+                    speed: p.profile_speed,
+                    lambda: p.lambda,
+                    comm: !(p.lambda == 0.0 || (p.sends.is_empty() && p.recvs.is_empty())),
+                    start,
+                    mid,
+                    end: groups.len() as u32,
+                }
+            })
+            .collect();
+        Plan { ranks, groups }
+    }
+
+    /// Each of `profile`'s groups, in plan order, located among `model`'s
+    /// probe sizes: what the model arm of eq. 6 reads instead of `bytes`.
+    pub(crate) fn segments(profile: &AppProfile, model: &LatencyModel) -> Vec<Segment> {
+        let groups = profile
+            .procs
+            .iter()
+            .flat_map(|p| p.recvs.iter().chain(&p.sends));
+        groups.map(|g| model.segment(g.bytes)).collect()
+    }
+}
+
 /// Evaluates candidate mappings for one application against one system
 /// snapshot: the paper's core mapping-evaluation operation. Every
 /// prediction the workspace makes — one mapping or a batch, with the
 /// per-rank breakdown or without, `CS` or `NCS` — is one pass of
-/// `Evaluator::evaluate`.
+/// `Evaluator::evaluate`, a fold over a compiled [`Plan`] and the
+/// snapshot's node table.
 pub struct Evaluator<'a> {
-    profile: &'a AppProfile,
+    plan: Cow<'a, Plan>,
+    /// The plan's groups located for the snapshot's model (empty on the
+    /// port table).
+    segments: Cow<'a, [Segment]>,
     snap: &'a SystemSnapshot<'a>,
 }
 
@@ -60,14 +178,32 @@ pub struct Evaluator<'a> {
 pub type BatchEvaluator<'a> = Evaluator<'a>;
 
 impl<'a> Evaluator<'a> {
-    /// An evaluator for `profile` under the conditions in `snap`.
+    /// An evaluator for `profile` under the conditions in `snap`: compiles
+    /// the profile's plan (and, on a calibrated model, its segments).
     pub fn new(profile: &'a AppProfile, snap: &'a SystemSnapshot<'a>) -> Self {
-        Evaluator { profile, snap }
+        let segments = match snap.no_load {
+            NoLoad::Ports(_) => Vec::new(),
+            NoLoad::Model(m) => Plan::segments(profile, m),
+        };
+        Evaluator {
+            plan: Cow::Owned(Plan::build(profile)),
+            segments: Cow::Owned(segments),
+            snap,
+        }
     }
 
-    /// The application profile being evaluated.
-    pub fn profile(&self) -> &AppProfile {
-        self.profile
+    /// An evaluator over a plan compiled earlier, with its groups located
+    /// for `snap`'s model (a registered profile's cached plan).
+    pub(crate) fn compiled(
+        plan: &'a Plan,
+        segments: &'a [Segment],
+        snap: &'a SystemSnapshot<'a>,
+    ) -> Self {
+        Evaluator {
+            plan: Cow::Borrowed(plan),
+            segments: Cow::Borrowed(segments),
+            snap,
+        }
     }
 
     /// A zeroed rank census, one slot per node, for [`Self::evaluate`].
@@ -84,11 +220,14 @@ impl<'a> Evaluator<'a> {
     /// a dedicated CPU; oversubscription divides the effective speed), and
     /// with health degradation: a node without availability (`Down`) costs
     /// `+∞`. Eq. 6+8 is `C_i = λ_i · Θ_i^M` with `Θ` summed over message
-    /// groups at current load-adjusted latencies; `comm: false` drops it.
+    /// groups at current load-adjusted latencies ([`NoLoad::current`]);
+    /// `comm: false` drops it. A rank or peer off the cluster costs `+∞`.
     ///
     /// `ranks_on` is the node-indexed rank census: all zero on entry and
     /// all zero again on return (only the mapping's own nodes are touched,
-    /// so a batch shares one buffer).
+    /// so a batch shares one buffer). `placed` is refilled with each
+    /// rank's node row, so a message group finds its peer's row in one
+    /// load (a batch shares it too).
     ///
     /// # Panics
     /// Panics if the mapping arity differs from the profile's process count
@@ -98,44 +237,95 @@ impl<'a> Evaluator<'a> {
         mapping: &Mapping,
         comm: bool,
         ranks_on: &mut [u32],
-        mut each: impl FnMut(ProcCost),
+        placed: &mut Vec<Option<&'a NodeRow>>,
+        each: impl FnMut(ProcCost),
     ) -> (usize, f64) {
         assert_eq!(
             mapping.len(),
-            self.profile.num_procs(),
+            self.plan.ranks.len(),
             "mapping arity must match profile"
         );
+        let snap: &'a SystemSnapshot<'a> = self.snap;
+        let (adj, rows): (_, &'a [NodeRow]) = (&snap.adjuster, &snap.rows);
+        placed.clear();
+        placed.extend(mapping.as_slice().iter().map(|n| rows.get(n.index())));
+        let placed = placed.as_slice();
         tally(ranks_on, mapping, true);
-        let nodes = self.snap.cluster.nodes();
+        // The provider's arm is picked once, so each message group's
+        // `L_c` is a direct, inlined call.
+        let best = match self.snap.no_load {
+            NoLoad::Ports(c) => self.fold(placed, comm, ranks_on, each, |src, dst, g, _| {
+                NoLoad::Ports(c).current(adj, src, dst, g.bytes, Segment::Clamp)
+            }),
+            NoLoad::Model(m) => {
+                let segments = &*self.segments;
+                self.fold(placed, comm, ranks_on, each, |src, dst, g, at| {
+                    segments.get(at).map_or(f64::INFINITY, |&seg| {
+                        NoLoad::Model(m).current(adj, src, dst, g.bytes, seg)
+                    })
+                })
+            }
+        };
+        tally(ranks_on, mapping, false);
+        (best.0, best.1.max(0.0))
+    }
+
+    /// [`Self::evaluate`]'s pass over the plan, with `latency(src, dst,
+    /// group, index)` for eq. 6's `L_c`.
+    #[inline]
+    fn fold(
+        &self,
+        placed: &[Option<&NodeRow>],
+        comm: bool,
+        ranks_on: &[u32],
+        mut each: impl FnMut(ProcCost),
+        latency: impl Fn(&NodeRow, &NodeRow, &Group, usize) -> f64,
+    ) -> (usize, f64) {
+        let row_of = |rank: u32| placed.get(rank as usize).copied().flatten();
+        let groups = &self.plan.groups;
         let mut best = (0usize, f64::NEG_INFINITY);
-        for p in &self.profile.procs {
-            let on = mapping.node(p.rank);
-            let r = match (nodes.get(on.index()), ranks_on.get(on.index())) {
-                (Some(node), Some(&ranks)) => {
-                    let acpu = self.snap.effective_acpu(on);
-                    if acpu <= 0.0 {
+        for p in &self.plan.ranks {
+            let me = row_of(p.rank);
+            let r = match me.and_then(|row| Some((row, *ranks_on.get(row.node as usize)?))) {
+                Some((row, ranks)) => {
+                    if row.acpu <= 0.0 {
                         f64::INFINITY
                     } else {
-                        let share = (node.cpus as f64 / ranks as f64).min(1.0);
-                        (p.x + p.o) * (p.profile_speed / (node.speed * share)) / acpu
+                        let share = (row.cpus / ranks as f64).min(1.0);
+                        p.work * (p.speed / (row.speed * share)) / row.acpu
                     }
                 }
                 // Off the cluster: as unmappable as a `Down` node.
-                _ => f64::INFINITY,
+                None => f64::INFINITY,
             };
-            let c = if !comm || p.lambda == 0.0 || (p.sends.is_empty() && p.recvs.is_empty()) {
-                0.0
-            } else {
-                p.lambda * theta(p.rank, &p.sends, &p.recvs, mapping.as_slice(), self.snap)
+            let c = match me {
+                Some(me) if comm && p.comm => {
+                    let (start, mid, end) = (p.start as usize, p.mid as usize, p.end as usize);
+                    let span = |from: usize, to: usize| {
+                        (from..to).zip(groups.get(from..to).unwrap_or_default())
+                    };
+                    let mut t = 0.0;
+                    for (at, g) in span(start, mid) {
+                        t += g.count
+                            * row_of(g.peer).map_or(f64::INFINITY, |src| latency(src, me, g, at));
+                    }
+                    for (at, g) in span(mid, end) {
+                        t += g.count
+                            * row_of(g.peer).map_or(f64::INFINITY, |dst| latency(me, dst, g, at));
+                    }
+                    p.lambda * t
+                }
+                _ if !(comm && p.comm) => 0.0,
+                // A rank off the cluster pays `+∞` for every group.
+                _ => f64::INFINITY,
             };
             let cost = ProcCost { r, c };
             if cost.total() > best.1 {
-                best = (p.rank, cost.total());
+                best = (p.rank as usize, cost.total());
             }
             each(cost);
         }
-        tally(ranks_on, mapping, false);
-        (best.0, best.1.max(0.0))
+        best
     }
 
     /// Predict the execution time of `mapping` (eq. 4), with the full
@@ -145,12 +335,22 @@ impl<'a> Evaluator<'a> {
     /// Panics if the mapping arity differs from the profile's process count
     /// (callers validate at the service boundary).
     pub fn predict(&self, mapping: &Mapping) -> Prediction {
-        self.predict_in(mapping, &mut self.census())
+        self.predict_in(mapping, &mut self.census(), &mut Vec::new())
     }
 
-    fn predict_in(&self, mapping: &Mapping, ranks_on: &mut [u32]) -> Prediction {
-        let mut per_proc = Vec::with_capacity(self.profile.num_procs());
-        let (bottleneck, time) = self.evaluate(mapping, true, ranks_on, |cost| per_proc.push(cost));
+    fn predict_in(
+        &self,
+        mapping: &Mapping,
+        ranks_on: &mut [u32],
+        placed: &mut Vec<Option<&'a NodeRow>>,
+    ) -> Prediction {
+        let mut per_proc = vec![ProcCost { r: 0.0, c: 0.0 }; self.plan.ranks.len()];
+        let mut slots = per_proc.iter_mut();
+        let (bottleneck, time) = self.evaluate(mapping, true, ranks_on, placed, |cost| {
+            if let Some(slot) = slots.next() {
+                *slot = cost;
+            }
+        });
         Prediction {
             time,
             bottleneck,
@@ -172,22 +372,27 @@ impl<'a> Evaluator<'a> {
         mappings: &[Mapping],
         ranks_on: &mut [u32],
     ) -> Vec<Prediction> {
+        let mut placed = Vec::new();
         mappings
             .iter()
-            .map(|m| self.predict_in(m, ranks_on))
+            .map(|m| self.predict_in(m, ranks_on, &mut placed))
             .collect()
     }
 
     /// Only the predicted time (the SA scheduler's energy function, called
     /// thousands of times per scheduling run).
     pub fn predict_time(&self, mapping: &Mapping) -> f64 {
-        self.evaluate(mapping, true, &mut self.census(), |_| {}).1
+        let (mut ranks_on, mut placed) = (self.census(), Vec::new());
+        self.evaluate(mapping, true, &mut ranks_on, &mut placed, |_| {})
+            .1
     }
 
     /// The NCS variant: eq. 4 with the communication term dropped. Scores
     /// mappings by computation alone; **not** a time prediction (paper §6).
     pub fn compute_only_score(&self, mapping: &Mapping) -> f64 {
-        self.evaluate(mapping, false, &mut self.census(), |_| {}).1
+        let (mut ranks_on, mut placed) = (self.census(), Vec::new());
+        self.evaluate(mapping, false, &mut ranks_on, &mut placed, |_| {})
+            .1
     }
 }
 

@@ -1,11 +1,50 @@
 //! The application-profile database (the paper's application-dedicated
 //! database tables).
 
+use crate::error::ServiceError;
+use crate::eval::Plan;
+use cbes_netmodel::{LatencyModel, Segment};
 use cbes_trace::AppProfile;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
+
+/// A registered profile beside the plan it compiled to, so replacing one
+/// replaces both.
+#[derive(Debug)]
+pub(crate) struct Compiled {
+    pub(crate) profile: Arc<AppProfile>,
+    pub(crate) plan: Plan,
+    /// The plan's groups located among the probe sizes of the calibrated
+    /// model last evaluated against, keyed by those sizes: a model with
+    /// other sizes (an `Apply`, a `Rollback`) misses and relocates.
+    located: RwLock<Option<Arc<Located>>>,
+}
+
+/// [`Plan::segments`] for one set of probe sizes.
+#[derive(Debug)]
+pub(crate) struct Located {
+    sizes: Vec<u64>,
+    pub(crate) segments: Vec<Segment>,
+}
+
+impl Compiled {
+    /// The plan's groups located for `model`.
+    pub(crate) fn located(&self, model: &LatencyModel) -> Arc<Located> {
+        if let Some(hit) = &*self.located.read() {
+            if hit.sizes == model.probe_sizes() {
+                return hit.clone();
+            }
+        }
+        let fresh = Arc::new(Located {
+            sizes: model.probe_sizes().to_vec(),
+            segments: Plan::segments(&self.profile, model),
+        });
+        *self.located.write() = Some(fresh.clone());
+        fresh
+    }
+}
 
 /// Thread-safe registry of application profiles keyed by name.
 ///
@@ -13,7 +52,7 @@ use std::sync::Arc;
 /// profiling subsystem inserts updated profiles.
 #[derive(Debug, Default)]
 pub struct ProfileRegistry {
-    map: RwLock<BTreeMap<String, Arc<AppProfile>>>,
+    map: RwLock<BTreeMap<String, Arc<Compiled>>>,
 }
 
 impl ProfileRegistry {
@@ -22,16 +61,31 @@ impl ProfileRegistry {
         Self::default()
     }
 
-    /// Insert (or replace) a profile under its own name.
-    pub fn insert(&self, profile: impl Into<Arc<AppProfile>>) {
+    /// Compile a profile and insert (or replace) it under its own name. A
+    /// profile that does not compile is refused and replaces nothing.
+    pub fn insert(&self, profile: impl Into<Arc<AppProfile>>) -> Result<(), ServiceError> {
         let profile = profile.into();
-        self.map.write().insert(profile.name.clone(), profile);
+        let plan = Plan::compile(&profile)?;
+        let compiled = Compiled {
+            profile: profile.clone(),
+            plan,
+            located: RwLock::new(None),
+        };
+        self.map
+            .write()
+            .insert(profile.name.clone(), Arc::new(compiled));
+        Ok(())
     }
 
     /// The profile for `name`, shared: a request borrows it for one
     /// evaluation, so the read lock covers a reference-count bump and
     /// not a deep copy.
     pub fn get(&self, name: &str) -> Option<Arc<AppProfile>> {
+        self.compiled(name).map(|c| c.profile.clone())
+    }
+
+    /// The profile for `name` with its compiled plan.
+    pub(crate) fn compiled(&self, name: &str) -> Option<Arc<Compiled>> {
         self.map.read().get(name).cloned()
     }
 
@@ -42,7 +96,7 @@ impl ProfileRegistry {
 
     /// Remove a profile; returns it if present.
     pub fn remove(&self, name: &str) -> Option<Arc<AppProfile>> {
-        self.map.write().remove(name)
+        self.map.write().remove(name).map(|c| c.profile.clone())
     }
 
     /// Names of all registered applications, sorted.
@@ -66,15 +120,16 @@ impl ProfileRegistry {
     pub fn save_dir(&self, dir: &Path) -> std::io::Result<usize> {
         std::fs::create_dir_all(dir)?;
         let map = self.map.read();
-        for (name, profile) in map.iter() {
+        for (name, compiled) in map.iter() {
             let file = format!("{}.profile.json", sanitise(name));
-            std::fs::write(dir.join(file), profile.to_json())?;
+            std::fs::write(dir.join(file), compiled.profile.to_json())?;
         }
         Ok(map.len())
     }
 
     /// Load every `*.profile.json` in `dir` into a fresh registry.
-    /// Malformed files are reported as errors, not skipped.
+    /// Malformed files, and profiles [`ProfileRegistry::insert`] refuses,
+    /// are reported as errors, not skipped.
     pub fn load_dir(dir: &Path) -> std::io::Result<Self> {
         let reg = ProfileRegistry::new();
         for entry in std::fs::read_dir(dir)? {
@@ -84,14 +139,15 @@ impl ProfileRegistry {
                 .and_then(|n| n.to_str())
                 .is_some_and(|n| n.ends_with(".profile.json"))
             {
-                let text = std::fs::read_to_string(&path)?;
-                let profile = AppProfile::from_json(&text).map_err(|e| {
+                let invalid = |e: &dyn std::fmt::Display| {
                     std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!("{}: {e}", path.display()),
                     )
-                })?;
-                reg.insert(profile);
+                };
+                let text = std::fs::read_to_string(&path)?;
+                let profile = AppProfile::from_json(&text).map_err(|e| invalid(&e))?;
+                reg.insert(profile).map_err(|e| invalid(&e))?;
             }
         }
         Ok(reg)
@@ -128,8 +184,9 @@ mod tests {
     fn insert_get_remove_roundtrip() {
         let r = ProfileRegistry::new();
         assert!(r.is_empty());
-        r.insert(profile("lu.A"));
-        r.insert(profile("hpl"));
+        r.insert(profile("lu.A"))
+            .expect("an empty profile compiles");
+        r.insert(profile("hpl")).expect("an empty profile compiles");
         assert_eq!(r.len(), 2);
         assert!(r.contains("lu.A"));
         assert_eq!(r.get("hpl").expect("hpl was just inserted").name, "hpl");
@@ -141,11 +198,11 @@ mod tests {
     #[test]
     fn insert_replaces_existing() {
         let r = ProfileRegistry::new();
-        r.insert(profile("app"));
+        r.insert(profile("app")).expect("an empty profile compiles");
         let mut p2 = profile("app");
         p2.arch_ratios
             .insert(cbes_cluster::Architecture::Alpha, 2.0);
-        r.insert(p2);
+        r.insert(p2).expect("an empty profile compiles");
         assert_eq!(r.len(), 1);
         assert_eq!(
             r.get("app")
@@ -159,8 +216,10 @@ mod tests {
     fn save_and_load_directory_roundtrip() {
         let dir = std::env::temp_dir().join(format!("cbes-reg-{}", std::process::id()));
         let r = ProfileRegistry::new();
-        r.insert(profile("lu.A.8"));
-        r.insert(profile("hpl/10000")); // hostile name gets sanitised
+        r.insert(profile("lu.A.8"))
+            .expect("an empty profile compiles");
+        r.insert(profile("hpl/10000"))
+            .expect("an empty profile compiles"); // hostile name gets sanitised
         assert_eq!(r.save_dir(&dir).expect("temp dir is writable"), 2);
         let loaded = ProfileRegistry::load_dir(&dir).expect("saved dir loads back");
         assert_eq!(loaded.len(), 2);
@@ -186,7 +245,8 @@ mod tests {
             .map(|i| {
                 let r = r.clone();
                 std::thread::spawn(move || {
-                    r.insert(profile(&format!("app{i}")));
+                    r.insert(profile(&format!("app{i}")))
+                        .expect("an empty profile compiles");
                     r.get(&format!("app{i}")).is_some()
                 })
             })

@@ -20,9 +20,9 @@ use crate::health::{HealthPolicy, HealthTracker, HealthView};
 use crate::mapping::Mapping;
 use crate::monitor::{ForecastKind, Monitor};
 use crate::registry::ProfileRegistry;
-use crate::snapshot::SystemSnapshot;
+use crate::snapshot::{node_table, NoLoad, NodeRow, Provider, SystemSnapshot};
 use cbes_cluster::load::LoadState;
-use cbes_cluster::{Cluster, LatencyProvider};
+use cbes_cluster::Cluster;
 use cbes_netmodel::LoadAdjuster;
 use cbes_obs::{names, Counter, Gauge, Histogram, Registry};
 use parking_lot::RwLock;
@@ -66,7 +66,8 @@ impl CoreInstruments {
 /// and health views: the cached `Arc<EpochLoad>` is the service's single
 /// atomic publication unit, so a request never sees a new model with an
 /// old epoch (or vice versa) — live reconfiguration is one `Arc` swap,
-/// exactly like a load sweep.
+/// exactly like a load sweep. So does the node table all three compile
+/// to, built once per publication.
 #[derive(Clone)]
 pub struct EpochLoad {
     /// Monotone counter: 0 before any observation, +1 per `observe_load`
@@ -77,7 +78,28 @@ pub struct EpochLoad {
     /// Per-node health classification as of that epoch.
     pub health: HealthView,
     /// The no-load latency model active as of that epoch.
-    pub model: Arc<dyn LatencyProvider + Send + Sync>,
+    pub model: Provider,
+    /// The node table of `load`, `health` and `model`.
+    rows: Vec<NodeRow>,
+}
+
+impl EpochLoad {
+    fn new(
+        cluster: &Cluster,
+        epoch: u64,
+        load: LoadState,
+        health: HealthView,
+        model: Provider,
+    ) -> Arc<Self> {
+        let rows = node_table(cluster, model.no_load(), &load, &health);
+        Arc::new(EpochLoad {
+            epoch,
+            load,
+            health,
+            model,
+            rows,
+        })
+    }
 }
 
 impl std::fmt::Debug for EpochLoad {
@@ -94,7 +116,7 @@ impl std::fmt::Debug for EpochLoad {
 /// serves mapping-comparison requests against the current snapshot.
 pub struct CbesService {
     cluster: Arc<Cluster>,
-    no_load: Arc<dyn LatencyProvider + Send + Sync>,
+    no_load: Provider,
     registry: ProfileRegistry,
     monitor: RwLock<Monitor>,
     /// Staleness-driven per-node health, updated alongside the monitor.
@@ -114,16 +136,13 @@ impl CbesService {
     /// and monitoring strategy.
     pub fn new(
         cluster: Arc<Cluster>,
-        no_load: Arc<dyn LatencyProvider + Send + Sync>,
+        no_load: impl Into<Provider>,
         forecast: ForecastKind,
     ) -> Self {
+        let no_load = no_load.into();
         let n = cluster.len();
-        let initial = Arc::new(EpochLoad {
-            epoch: 0,
-            load: LoadState::idle(n),
-            health: HealthView::all_healthy(n),
-            model: no_load.clone(),
-        });
+        let (load, health) = (LoadState::idle(n), HealthView::all_healthy(n));
+        let initial = EpochLoad::new(&cluster, 0, load, health, no_load.clone());
         let obs = Arc::new(Registry::new());
         CbesService {
             cluster,
@@ -148,8 +167,7 @@ impl CbesService {
     /// A service whose no-load latencies come from the cluster's own
     /// analytic topology model (no separate calibration).
     pub fn self_calibrated(cluster: Arc<Cluster>, forecast: ForecastKind) -> Self {
-        let no_load: Arc<dyn LatencyProvider + Send + Sync> = cluster.clone();
-        CbesService::new(cluster, no_load, forecast)
+        CbesService::new(cluster.clone(), cluster, forecast)
     }
 
     /// The cluster this service evaluates against.
@@ -291,12 +309,7 @@ impl CbesService {
         };
         self.epoch.store(epoch, Ordering::Release);
         let model = self.cached.read().model.clone();
-        *self.cached.write() = Arc::new(EpochLoad {
-            epoch,
-            load,
-            health,
-            model,
-        });
+        *self.cached.write() = EpochLoad::new(&self.cluster, epoch, load, health, model);
         drop(tracker);
         publish.finish_into(&obs.epoch_publish_us);
         obs.epoch.set(epoch as f64);
@@ -336,16 +349,17 @@ impl CbesService {
     /// because the snapshot borrows the epoch's latency model, which
     /// lives inside the cached [`EpochLoad`]: the caller must keep the
     /// `Arc` alive for as long as the snapshot is in use. In exchange,
-    /// everything a request reads — load, health, model, epoch — comes
-    /// from one atomic publication, and the snapshot borrows all of it:
-    /// a request copies the `Arc` and nothing per node.
+    /// everything a request reads — load, health, model, their node
+    /// table, epoch — comes from one atomic publication, and the snapshot
+    /// borrows all of it: a request copies the `Arc` and nothing per node.
     pub fn snapshot_of<'a>(&'a self, cached: &'a EpochLoad) -> SystemSnapshot<'a> {
         SystemSnapshot::build(
             &self.cluster,
-            &*cached.model,
+            cached.model.no_load(),
             LoadAdjuster::default(),
             Cow::Borrowed(&cached.load),
             Cow::Borrowed(&cached.health),
+            Cow::Borrowed(&cached.rows),
         )
     }
 
@@ -354,8 +368,8 @@ impl CbesService {
     /// and health views as a single `Arc` swap. In-flight requests
     /// finish against the epoch they pinned; every request admitted
     /// after the swap sees the new model. Returns the new epoch.
-    pub fn activate_provider(&self, provider: Arc<dyn LatencyProvider + Send + Sync>) -> u64 {
-        self.republish(Some(provider))
+    pub fn activate_provider(&self, provider: impl Into<Provider>) -> u64 {
+        self.republish(Some(provider.into()))
     }
 
     /// Reinstate the boot-time latency model (artifact rollback with no
@@ -375,7 +389,7 @@ impl CbesService {
     /// Shared activation path: serialise with observers on the monitor
     /// lock, bump the epoch by one, republish the cached forecast with
     /// `model` (or the current model when `None`).
-    fn republish(&self, model: Option<Arc<dyn LatencyProvider + Send + Sync>>) -> u64 {
+    fn republish(&self, model: Option<Provider>) -> u64 {
         let obs = &self.instruments;
         let publish = self.obs.span(names::SPAN_CORE_PUBLISH_EPOCH);
         // The monitor write lock serialises activations with load
@@ -385,12 +399,9 @@ impl CbesService {
         let current = self.cached.read().clone();
         let epoch = self.epoch.load(Ordering::Acquire) + 1;
         self.epoch.store(epoch, Ordering::Release);
-        *self.cached.write() = Arc::new(EpochLoad {
-            epoch,
-            load: current.load.clone(),
-            health: current.health.clone(),
-            model: model.unwrap_or_else(|| current.model.clone()),
-        });
+        let (load, health) = (current.load.clone(), current.health.clone());
+        let model = model.unwrap_or_else(|| current.model.clone());
+        *self.cached.write() = EpochLoad::new(&self.cluster, epoch, load, health, model);
         publish.finish_into(&obs.epoch_publish_us);
         obs.epoch.set(epoch as f64);
         epoch
@@ -467,9 +478,9 @@ impl CbesService {
         app: &str,
         mappings: &[Mapping],
     ) -> Result<(u64, Vec<Prediction>), ServiceError> {
-        let profile = self
+        let compiled = self
             .registry
-            .get(app)
+            .compiled(app)
             .ok_or_else(|| ServiceError::UnknownApp(app.to_string()))?;
         let cached = self.current_load();
         let epoch = cached.epoch;
@@ -477,10 +488,23 @@ impl CbesService {
         // The request's one per-node allocation: validation and every
         // candidate's eq. 5 CPU shares count ranks in it.
         let mut ranks_on = vec![0u32; self.cluster.len()];
-        self.validate(profile.num_procs(), mappings, &cached.health, &mut ranks_on)?;
+        self.validate(
+            compiled.profile.num_procs(),
+            mappings,
+            &cached.health,
+            &mut ranks_on,
+        )?;
         let obs = &self.instruments;
         let span = self.obs.span(names::SPAN_CORE_EVALUATE_MAPPING);
-        let predictions = Evaluator::new(&profile, &snap).predict_batch_in(mappings, &mut ranks_on);
+        let located = match snap.no_load {
+            NoLoad::Ports(_) => None,
+            NoLoad::Model(m) => Some(compiled.located(m)),
+        };
+        let segments = located
+            .as_ref()
+            .map_or(Default::default(), |l| l.segments.as_slice());
+        let predictions = Evaluator::compiled(&compiled.plan, segments, &snap)
+            .predict_batch_in(mappings, &mut ranks_on);
         span.finish_into(&obs.compare_us);
         obs.compares.incr();
         obs.predictions.add(predictions.len() as u64);
@@ -539,7 +563,7 @@ impl std::fmt::Debug for CbesService {
 mod tests {
     use super::*;
     use cbes_cluster::presets::two_switch_demo;
-    use cbes_cluster::NodeId;
+    use cbes_cluster::{LatencyProvider, NodeId};
     use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
     use std::collections::BTreeMap;
 
@@ -576,7 +600,9 @@ mod tests {
     fn demo_service() -> CbesService {
         let svc =
             CbesService::self_calibrated(Arc::new(two_switch_demo()), ForecastKind::LastValue);
-        svc.registry().insert(profile());
+        svc.registry()
+            .insert(profile())
+            .expect("the demo profile compiles");
         svc
     }
 
@@ -610,19 +636,23 @@ mod tests {
 
     #[test]
     fn activation_is_one_epoch_bump_and_pinned_snapshots_keep_their_model() {
-        struct Flat(f64);
-        impl cbes_cluster::LatencyProvider for Flat {
-            fn latency(&self, _: NodeId, _: NodeId, _: u64) -> f64 {
-                self.0
-            }
-        }
         let svc = demo_service();
+        // A calibrated model whose every pair costs 0.5 s at every size.
+        let n = svc.cluster().len();
+        let flat = || {
+            let pairs = cbes_netmodel::LatencyModel::pairs(n);
+            Arc::new(cbes_netmodel::LatencyModel::from_table(
+                n,
+                vec![64],
+                vec![0.5; pairs],
+            ))
+        };
         let base = svc.compare("app", &[m(&[0, 4])]).expect("valid")[0].clone();
         // An in-flight request pins the pre-activation epoch.
         let pinned = svc.current_load();
         let before = svc.epoch();
 
-        let epoch = svc.activate_provider(Arc::new(Flat(0.5)));
+        let epoch = svc.activate_provider(flat());
         assert_eq!(epoch, before + 1, "activation is exactly one epoch bump");
         assert_eq!(svc.epoch(), epoch);
 
@@ -653,7 +683,7 @@ mod tests {
         assert_eq!(restored, base);
 
         // Load observations carry the active model forward.
-        svc.activate_provider(Arc::new(Flat(0.5)));
+        svc.activate_provider(flat());
         svc.observe_load(&LoadState::idle(svc.cluster().len()))
             .expect("sweep covers every node");
         let swept = svc.current_load();

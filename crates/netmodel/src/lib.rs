@@ -25,7 +25,7 @@ pub mod forecast;
 pub mod model;
 
 pub use calibrate::{verify_model, CalibrationOutcome, Calibrator, StalenessReport};
-pub use model::LatencyModel;
+pub use model::{LatencyModel, Segment};
 
 use cbes_cluster::load::LoadState;
 use cbes_cluster::NodeId;
@@ -58,15 +58,15 @@ impl LoadAdjuster {
     /// Multiplicative load factor for a (src, dst) endpoint pair.
     #[inline]
     pub fn factor(&self, load: &LoadState, src: NodeId, dst: NodeId) -> f64 {
-        let cpu = (1.0 - load.cpu_avail(src)) + (1.0 - load.cpu_avail(dst));
-        let nic = load.nic_load(src) + load.nic_load(dst);
-        1.0 + self.alpha_cpu * cpu + self.beta_nic * nic
+        let idle = |n| (1.0 - load.cpu_avail(n), load.nic_load(n));
+        self.factor_of(idle(src), idle(dst))
     }
 
-    /// Adjust a no-load latency for current endpoint load.
+    /// The load factor from each endpoint's `(1 − ACPU, NIC)` — the one
+    /// definition of the formula, for callers that hoisted `1 − ACPU`.
     #[inline]
-    pub fn adjust(&self, no_load: f64, load: &LoadState, src: NodeId, dst: NodeId) -> f64 {
-        no_load * self.factor(load, src, dst)
+    pub fn factor_of(&self, src: (f64, f64), dst: (f64, f64)) -> f64 {
+        1.0 + self.alpha_cpu * (src.0 + dst.0) + self.beta_nic * (src.1 + dst.1)
     }
 }
 
@@ -79,7 +79,7 @@ mod tests {
         let adj = LoadAdjuster::default();
         let load = LoadState::idle(4);
         assert_eq!(adj.factor(&load, NodeId(0), NodeId(1)), 1.0);
-        assert_eq!(adj.adjust(1e-4, &load, NodeId(0), NodeId(1)), 1e-4);
+        assert_eq!(adj.factor_of((0.0, 0.0), (0.0, 0.0)), 1.0);
     }
 
     #[test]

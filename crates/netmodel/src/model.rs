@@ -20,6 +20,9 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
+    /// A node's latency to itself, whatever the size.
+    pub const LOOPBACK: f64 = 1e-6;
+
     /// Assemble a model from raw calibration data.
     ///
     /// `table` must hold `pairs(n) * sizes.len()` entries, pair-major, where
@@ -102,41 +105,110 @@ impl LatencyModel {
     /// and `b`. Self-pairs return a tiny loopback constant.
     pub fn no_load(&self, a: NodeId, b: NodeId, bytes: u64) -> f64 {
         if a == b {
-            return 1e-6;
+            return Self::LOOPBACK;
         }
-        let row = self.pair_index(a, b) * self.sizes.len();
-        let pts = &self.table[row..row + self.sizes.len()];
-        interpolate(&self.sizes, pts, bytes)
+        self.at(a.0, b.0, self.segment(bytes))
     }
+
+    /// Where `bytes` falls among the probe sizes: everything interpolation
+    /// reads of a message size. A compiled plan computes it once per
+    /// (message group, probe sizes), so the division leaves every query.
+    pub fn segment(&self, bytes: u64) -> Segment {
+        locate(&self.sizes, bytes)
+    }
+
+    /// [`LatencyModel::no_load`] between two *distinct* nodes at a size
+    /// already located by [`LatencyModel::segment`]: the same operations
+    /// in the same order, so the same bits. A pair the model does not
+    /// cover costs `+∞`.
+    #[inline]
+    pub fn at(&self, a: u32, b: u32, seg: Segment) -> f64 {
+        let (i, j) = if a < b { (a, b) } else { (b, a) };
+        if j as usize >= self.n {
+            return f64::INFINITY;
+        }
+        let row = self.pair_index(NodeId(i), NodeId(j)) * self.sizes.len();
+        match self.table.get(row..row + self.sizes.len()) {
+            Some(values) => read(values, seg),
+            None => f64::INFINITY,
+        }
+    }
+}
+
+/// Where a message size falls among a model's probe sizes
+/// ([`LatencyModel::segment`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Segment {
+    /// At or below the first probe (or a single probe): the first value.
+    Clamp,
+    /// Between probes `k` and `k + 1`, at fraction `t` of the way.
+    Within {
+        /// The segment's lower probe.
+        k: u32,
+        /// `(x − s_k) / (s_{k+1} − s_k)`.
+        t: f64,
+    },
+    /// At or beyond the last probe: the last segment's slope, extended.
+    Beyond {
+        /// `s_last − s_{last−1}`.
+        span: f64,
+        /// `x − s_last`.
+        dx: f64,
+    },
 }
 
 /// Piecewise-linear interpolation over `(sizes, values)`, extrapolating with
 /// the last segment's slope above the largest size and clamping to the first
 /// value below the smallest size.
+#[cfg(test)]
 fn interpolate(sizes: &[u64], values: &[f64], x: u64) -> f64 {
-    debug_assert_eq!(sizes.len(), values.len());
-    if sizes.len() == 1 {
-        return values[0];
+    read(values, locate(sizes, x))
+}
+
+/// The size half of [`interpolate`]: which segment `x` falls in.
+fn locate(sizes: &[u64], x: u64) -> Segment {
+    let Some(last) = sizes.len().checked_sub(1).filter(|&l| l > 0) else {
+        return Segment::Clamp;
+    };
+    if x <= sizes[0] {
+        // Below the smallest probe, pin at values[0] (latency is dominated
+        // by the fixed cost there).
+        return Segment::Clamp;
     }
     let xf = x as f64;
-    if x <= sizes[0] {
-        // Below the smallest probe, scale the serialisation part down
-        // linearly between 0 and the first probe, pinning at values[0] for
-        // simplicity (latency is dominated by the fixed cost there).
-        return values[0];
-    }
-    let last = sizes.len() - 1;
     if x >= sizes[last] {
         let s0 = sizes[last - 1] as f64;
         let s1 = sizes[last] as f64;
-        let slope = (values[last] - values[last - 1]) / (s1 - s0);
-        return values[last] + slope * (xf - s1);
+        return Segment::Beyond {
+            span: s1 - s0,
+            dx: xf - s1,
+        };
     }
     let k = sizes.partition_point(|&s| s <= x) - 1;
     let s0 = sizes[k] as f64;
     let s1 = sizes[k + 1] as f64;
-    let t = (xf - s0) / (s1 - s0);
-    values[k] + t * (values[k + 1] - values[k])
+    Segment::Within {
+        k: k as u32,
+        t: (xf - s0) / (s1 - s0),
+    }
+}
+
+/// The value half of [`interpolate`]: one pair's probe values at a located
+/// segment.
+#[inline]
+fn read(values: &[f64], seg: Segment) -> f64 {
+    match seg {
+        Segment::Clamp => values[0],
+        Segment::Within { k, t } => {
+            let k = k as usize;
+            values[k] + t * (values[k + 1] - values[k])
+        }
+        Segment::Beyond { span, dx } => {
+            let last = values.len() - 1;
+            let slope = (values[last] - values[last - 1]) / span;
+            values[last] + slope * dx
+        }
+    }
 }
 
 impl LatencyProvider for LatencyModel {

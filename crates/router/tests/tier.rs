@@ -168,6 +168,18 @@ fn router_proxy_routes_merges_and_reports() {
 
     let mut c =
         Client::connect_timeout(router.addr(), Duration::from_secs(2)).expect("router answers");
+    // A broadcast of a profile no daemon can evaluate is refused, and
+    // arms nothing: the tier keeps both instances and keeps serving.
+    let mut bad = profile("app");
+    bad.procs[1].x = -1.0;
+    match c.register_profile(bad) {
+        Err(cbes_server::client::ClientError::Server { kind, .. }) => {
+            assert_eq!(kind, error_kind::SERVICE)
+        }
+        other => panic!("expected a service error, got {other:?}"),
+    }
+    assert!(c.compare("app", &[mapping(&[0, 1])]).is_err());
+    assert_eq!(router.membership().counts().0, 2);
     c.register_profile(profile("app"))
         .expect("broadcast registration");
     let (_, preds) = c

@@ -4,13 +4,13 @@ use crate::error::RuntimeError;
 use crate::faults::FaultSchedule;
 use crate::phased::PhasedApp;
 use cbes_cluster::load::LoadTimeline;
-use cbes_cluster::{Cluster, LatencyProvider, NodeId};
+use cbes_cluster::{Cluster, NodeId};
 use cbes_core::eval::Evaluator;
 use cbes_core::health::{HealthPolicy, HealthTracker, NodeHealth};
 use cbes_core::mapping::Mapping;
 use cbes_core::monitor::{ForecastKind, Monitor};
 use cbes_core::remap::{RemapAnalysis, RemapDecision};
-use cbes_core::snapshot::SystemSnapshot;
+use cbes_core::snapshot::{NoLoad, SystemSnapshot};
 use cbes_mpisim::{simulate, SimConfig};
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
 use cbes_trace::profile::merge_profiles;
@@ -93,7 +93,7 @@ impl RunReport {
 /// phase boundary.
 pub struct Orchestrator<'a> {
     cluster: &'a Cluster,
-    latency: &'a dyn LatencyProvider,
+    latency: NoLoad<'a>,
     config: RuntimeConfig,
 }
 
@@ -102,12 +102,12 @@ impl<'a> Orchestrator<'a> {
     /// source.
     pub fn new(
         cluster: &'a Cluster,
-        latency: &'a dyn LatencyProvider,
+        latency: impl Into<NoLoad<'a>>,
         config: RuntimeConfig,
     ) -> Self {
         Orchestrator {
             cluster,
-            latency,
+            latency: latency.into(),
             config,
         }
     }

@@ -29,7 +29,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cbes_cluster::{ClusterSpec, LatencyProvider};
+use cbes_cluster::ClusterSpec;
 use cbes_core::CbesService;
 use cbes_netmodel::LatencyModel;
 use cbes_obs::{names, Counter, Gauge};
@@ -221,9 +221,8 @@ impl ReconfigRuntime {
             ArtifactKind::ClusterPreset => {
                 let spec: ClusterSpec = serde_json::from_str(payload).map_err(|e| e.to_string())?;
                 let cluster = spec.build().map_err(|e| e.to_string())?;
-                let provider: Arc<dyn LatencyProvider + Send + Sync> = Arc::new(cluster);
                 self.limiter.set_limits(self.boot_max_rps, 0);
-                Ok(self.service.activate_provider(provider))
+                Ok(self.service.activate_provider(Arc::new(cluster)))
             }
             ArtifactKind::ServingLimits => {
                 let limits: ServingLimits =

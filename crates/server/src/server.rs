@@ -494,8 +494,10 @@ impl Daemon {
             Request::RegisterProfile { profile } => {
                 let app = profile.name.clone();
                 let procs = profile.num_procs();
-                service.registry().insert(profile);
-                Response::Registered { app, procs }
+                match service.registry().insert(profile) {
+                    Ok(()) => Response::Registered { app, procs },
+                    Err(e) => Response::service_error(&e),
+                }
             }
             Request::Compare { app, mappings } => match service.compare_stamped(&app, &mappings) {
                 Ok((epoch, predictions)) => Response::Predictions { epoch, predictions },

@@ -124,6 +124,47 @@ fn full_request_cycle_over_the_wire() {
     assert_eq!(errors, 0, "no request in this test should error");
 }
 
+/// A profile eqs. 5–8 cannot evaluate — here rank 0 sends to a rank the
+/// profile does not have — is refused at registration with kind
+/// `service`; it registers nothing, and the daemon keeps serving.
+#[test]
+fn a_malformed_profile_is_refused_and_the_daemon_keeps_serving() {
+    let (handle, service) = demo_server(1);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut bad = ring_profile("bad", 2);
+    bad.procs[0].sends[0].peer = 7;
+    match client.register_profile(bad) {
+        Err(ClientError::Server { kind, message, .. }) => {
+            assert_eq!(kind, error_kind::SERVICE);
+            assert!(message.contains("peer 7"), "{message}");
+        }
+        other => panic!("expected a service error, got {other:?}"),
+    }
+    assert!(client.compare("bad", &[m(&[0, 1])]).is_err());
+    // A value no client would encode, but one that parses to infinity.
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let frame = cbes_server::protocol::encode(&cbes_server::protocol::RequestEnvelope::new(
+        9,
+        cbes_server::protocol::Request::RegisterProfile {
+            profile: ring_profile("inf", 2),
+        },
+    ));
+    let frame = frame.replacen("\"x\":5.0", "\"x\":1e999", 1) + "\n";
+    (&stream).write_all(frame.as_bytes()).expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains(error_kind::SERVICE), "{line}");
+    assert!(line.contains("x = inf"), "{line}");
+    assert_eq!(client.stats().expect("stats").profiles, 0);
+    client
+        .register_profile(ring_profile("ring", 2))
+        .expect("register");
+    client.compare("ring", &[m(&[0, 1])]).expect("compare");
+    assert_eq!(service.registry().names(), ["ring"]);
+    handle.shutdown_and_join();
+}
+
 #[test]
 fn service_errors_come_back_typed() {
     let (handle, _service) = demo_server(1);
@@ -607,7 +648,10 @@ fn retrying_client_rides_out_a_late_starting_server() {
             Arc::new(two_switch_demo()),
             ForecastKind::LastValue,
         ));
-        service.registry().insert(ring_profile("ring", 2));
+        service
+            .registry()
+            .insert(ring_profile("ring", 2))
+            .expect("the ring profile compiles");
         Server::start(
             service,
             ServerConfig {

@@ -103,13 +103,16 @@ fn service_request_flow() {
         &SimConfig::default().with_seed(4),
     )
     .expect("profiling run");
-    service.registry().insert(cbes::trace::extract_profile(
-        &app.name,
-        &run.trace,
-        &cluster,
-        &prof,
-        &calib.model,
-    ));
+    service
+        .registry()
+        .insert(cbes::trace::extract_profile(
+            &app.name,
+            &run.trace,
+            &cluster,
+            &prof,
+            &calib.model,
+        ))
+        .expect("an extracted profile compiles");
 
     let near = Mapping::new(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     let far = Mapping::new(vec![NodeId(0), NodeId(4), NodeId(1), NodeId(5)]);

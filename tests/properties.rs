@@ -32,10 +32,61 @@ fn demo_profile(n: usize, compute: f64, msgs: u64, bytes: u64) -> AppProfile {
     }
 }
 
+/// Eq. 6's `L_c` as the paper writes it: the provider's no-load latency
+/// times the load adjuster's factor, read straight off a `LoadState`.
+struct Paper<'a> {
+    no_load: cbes::core::snapshot::NoLoad<'a>,
+    load: &'a LoadState,
+}
+
+impl LatencyProvider for Paper<'_> {
+    fn latency(&self, a: NodeId, b: NodeId, bytes: u64) -> f64 {
+        let no_load = match self.no_load {
+            // The model's values at its own probes are its table entries.
+            cbes::core::snapshot::NoLoad::Model(m) if a != b => {
+                let sizes = m.probe_sizes();
+                let values: Vec<f64> = sizes.iter().map(|&s| m.no_load(a, b, s)).collect();
+                interpolate(sizes, &values, bytes)
+            }
+            other => other.latency(a, b, bytes),
+        };
+        no_load * LoadAdjuster::default().factor(self.load, a, b)
+    }
+}
+
+/// `LatencyModel`'s piecewise-linear interpolation as it was written
+/// before a plan located each message size once: the reference the
+/// located form is held to.
+fn interpolate(sizes: &[u64], values: &[f64], x: u64) -> f64 {
+    if sizes.len() == 1 || x <= sizes[0] {
+        return values[0];
+    }
+    let xf = x as f64;
+    let last = sizes.len() - 1;
+    if x >= sizes[last] {
+        let s0 = sizes[last - 1] as f64;
+        let s1 = sizes[last] as f64;
+        let slope = (values[last] - values[last - 1]) / (s1 - s0);
+        return values[last] + slope * (xf - s1);
+    }
+    let k = sizes.partition_point(|&s| s <= x) - 1;
+    let s0 = sizes[k] as f64;
+    let s1 = sizes[k + 1] as f64;
+    let t = (xf - s0) / (s1 - s0);
+    values[k] + t * (values[k + 1] - values[k])
+}
+
 /// Eq. 4–8 as the paper writes them, one rank at a time, sharing nothing
-/// with `Evaluator` but eq. 6's `theta`: the reference its predictions are
-/// held to. `comm: false` is the NCS score, eq. 4 without `C_i`.
-fn oracle(profile: &AppProfile, snap: &SystemSnapshot, m: &Mapping, comm: bool) -> Prediction {
+/// with `Evaluator`'s compiled plan and node table: eq. 6 is `theta` over
+/// `latency`. The reference its predictions are held to. `comm: false`
+/// is the NCS score, eq. 4 without `C_i`.
+fn oracle(
+    profile: &AppProfile,
+    snap: &SystemSnapshot,
+    latency: &impl LatencyProvider,
+    m: &Mapping,
+    comm: bool,
+) -> Prediction {
     use cbes::core::eval::ProcCost;
     let per_proc: Vec<ProcCost> = profile
         .procs
@@ -50,7 +101,8 @@ fn oracle(profile: &AppProfile, snap: &SystemSnapshot, m: &Mapping, comm: bool) 
             } else {
                 (p.x + p.o) * (p.profile_speed / (snap.speed(node) * share)) / acpu
             };
-            let theta = cbes::trace::analyze::theta(p.rank, &p.sends, &p.recvs, m.as_slice(), snap);
+            let theta =
+                cbes::trace::analyze::theta(p.rank, &p.sends, &p.recvs, m.as_slice(), latency);
             let c = if comm { p.lambda * theta } else { 0.0 };
             ProcCost { r, c }
         })
@@ -125,16 +177,23 @@ proptest! {
     /// compute only — answers with exactly the oracle's bits, over random
     /// profiles (ranks with `λ_i = 0`, ranks with no message groups),
     /// random loads, `Suspect` and `Down` nodes, and mappings drawn with
-    /// replacement so 1-CPU nodes get oversubscribed — against a snapshot
-    /// that owns its state and against the one a service publishes
-    /// (`current_load` + `snapshot_of`, which borrows the epoch) after
-    /// sweeps that leave the same nodes loaded, `Suspect` and `Down`. A
-    /// batch with repeated candidates equals a fresh `Evaluator` per
-    /// candidate: the rank census it reuses is back at zero between them.
+    /// replacement so nodes get shared — on both providers (the port
+    /// table, and a calibrated model with message sizes below its first
+    /// probe, on probes, between them and beyond the last), against a
+    /// snapshot that owns its state and against the one a service
+    /// publishes (`current_load` + `snapshot_of`, which borrows the
+    /// epoch) after sweeps that leave the same nodes loaded, `Suspect`
+    /// and `Down`. A batch with repeated candidates equals a fresh
+    /// `Evaluator` per candidate: the rank census it reuses is back at
+    /// zero between them. The served path itself — the registry's cached
+    /// plan — gives the same bits for every candidate it accepts (nodes
+    /// co-located up to their CPUs), before and after a model swap and
+    /// back, and after a re-registration under the same name.
     #[test]
     fn evaluator_matches_the_equations_bit_for_bit(seed in 0u64..1_000_000) {
         use cbes::core::health::{HealthPolicy, HealthView, NodeHealth};
         use cbes::core::monitor::ForecastKind;
+        use cbes::core::snapshot::NoLoad;
         use cbes::trace::MessageGroup;
         use rand::{RngExt, SeedableRng};
         use std::sync::Arc;
@@ -142,11 +201,31 @@ proptest! {
         let cluster = Arc::new(cbes::cluster::presets::two_switch_demo());
         let n = rng.random_range(2usize..10);
 
+        // Two calibrated models: per pair, a latency that grows with size
+        // by a pair-specific amount, over different probe sizes.
+        let pairs = LatencyModel::pairs(cluster.len());
+        let mut calibrated = |probes: &[u64]| {
+            let table = (0..pairs)
+                .flat_map(|_| {
+                    let mut v = rng.random_range(1e-5..1e-4);
+                    let steps: Vec<f64> = probes.iter().map(|_| rng.random_range(1e-6..1e-4)).collect();
+                    steps.into_iter().map(move |d| { v += d; v })
+                })
+                .collect();
+            Arc::new(LatencyModel::from_table(cluster.len(), probes.to_vec(), table))
+        };
+        let probes = [512u64, 4096, 32768];
+        let (model, other) = (calibrated(&probes), calibrated(&[1024, 65536]));
+
         let groups = |rng: &mut rand::rngs::StdRng| -> Vec<MessageGroup> {
             (0..rng.random_range(0usize..4))
                 .map(|_| MessageGroup {
                     peer: rng.random_range(0..n),
-                    bytes: rng.random_range(1u64..100_000),
+                    bytes: if rng.random_range(0..4) == 0 {
+                        probes[rng.random_range(0..probes.len())]
+                    } else {
+                        rng.random_range(1u64..100_000)
+                    },
                     count: rng.random_range(1u64..200),
                 })
                 .collect()
@@ -177,9 +256,12 @@ proptest! {
             };
         }
         let suspect_cost_factor = rng.random_range(1.5..4.0);
-        let mut owned = SystemSnapshot::no_load(&cluster, &*cluster);
-        owned.set_load(load.clone());
-        owned.set_health(HealthView::new(states.clone(), suspect_cost_factor));
+        let mut owned_ports = SystemSnapshot::no_load(&cluster, &*cluster);
+        let mut owned_model = SystemSnapshot::no_load(&cluster, &*model);
+        for snap in [&mut owned_ports, &mut owned_model] {
+            snap.set_load(load.clone());
+            snap.set_health(HealthView::new(states.clone(), suspect_cost_factor));
+        }
 
         // The same picture as a service comes to hold it: a node silent
         // for one sweep is `Suspect`, for two `Down`.
@@ -191,23 +273,62 @@ proptest! {
         }
         let epoch = service.current_load();
         let served = service.snapshot_of(&epoch);
-        prop_assert_eq!(served.health_view(), owned.health_view());
+        prop_assert_eq!(served.health_view(), owned_ports.health_view());
 
-        let mut mappings: Vec<Mapping> = (0..4)
+        let mut mappings: Vec<Mapping> = (0..6)
             .map(|_| Mapping::new((0..n).map(|_| NodeId(rng.random_range(0u32..8))).collect()))
             .collect();
         mappings.extend_from_within(..2);
-        for snap in [&owned, &served] {
+        for (snap, latency) in [
+            (&owned_ports, Paper { no_load: NoLoad::Ports(&cluster), load: &load }),
+            (&owned_model, Paper { no_load: NoLoad::Model(&model), load: &load }),
+            (&served, Paper { no_load: NoLoad::Ports(&cluster), load: &epoch.load }),
+        ] {
             let ev = Evaluator::new(&profile, snap);
             let batch = ev.predict_batch(&mappings);
             for (m, batched) in mappings.iter().zip(&batch) {
-                let want = oracle(&profile, snap, m, true);
+                let want = oracle(&profile, snap, &latency, m, true);
                 prop_assert_eq!(bits(&ev.predict(m)), bits(&want));
                 prop_assert_eq!(bits(batched), bits(&want));
                 prop_assert_eq!(bits(batched), bits(&Evaluator::new(&profile, snap).predict(m)));
                 prop_assert_eq!(ev.predict_time(m).to_bits(), want.time.to_bits());
-                let ncs = oracle(&profile, snap, m, false);
+                let ncs = oracle(&profile, snap, &latency, m, false);
                 prop_assert_eq!(ev.compute_only_score(m).to_bits(), ncs.time.to_bits());
+            }
+        }
+
+        // The served path, through the registry's cached plan: on the
+        // boot port table, on a swapped-in model, on one with other probe
+        // sizes (whose segments the cache must not serve from the first),
+        // back on the first, back on the boot table, and after the same
+        // name is registered again with other work. Only candidates the
+        // service accepts are compared.
+        service.registry().insert(profile.clone()).expect("a generated profile compiles");
+        let mut heavier = profile.clone();
+        for p in &mut heavier.procs {
+            p.x *= 1.5;
+        }
+        for step in 0..6 {
+            match step {
+                1 | 3 => { service.activate_provider(model.clone()); }
+                2 => { service.activate_provider(other.clone()); }
+                4 => { service.activate_boot_provider(); }
+                5 => service.registry().insert(heavier.clone()).expect("a scaled profile compiles"),
+                _ => {}
+            }
+            let registered = if step == 5 { &heavier } else { &profile };
+            let no_load = match step {
+                1 | 3 => NoLoad::Model(&model),
+                2 => NoLoad::Model(&other),
+                _ => NoLoad::Ports(&cluster),
+            };
+            let epoch = service.current_load();
+            let snap = service.snapshot_of(&epoch);
+            let latency = Paper { no_load, load: &epoch.load };
+            for m in &mappings {
+                if let Ok(got) = service.compare("oracle", std::slice::from_ref(m)) {
+                    prop_assert_eq!(bits(&got[0]), bits(&oracle(registered, &snap, &latency, m, true)));
+                }
             }
         }
     }
@@ -239,7 +360,7 @@ proptest! {
 
         let procs = rng.random_range(1..usable.len().min(6) + 1);
         let profile = demo_profile(procs, 1.0, 5, 2048);
-        service.registry().insert(profile.clone());
+        service.registry().insert(profile.clone()).expect("the ring profile compiles");
         // Good candidates (distinct usable nodes), then one drawn with
         // replacement from a range two past the cluster's end at an arity
         // that is sometimes off by one, then perhaps another good one.
