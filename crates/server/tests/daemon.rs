@@ -208,12 +208,18 @@ fn malformed_lines_get_bad_request_with_id_zero() {
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
 
-    writer.write_all(b"this is not json\n").expect("write");
-    writer.flush().expect("flush");
     let mut line = String::new();
-    reader.read_line(&mut line).expect("read");
-    assert!(line.contains("\"id\":0"), "{line}");
-    assert!(line.contains(error_kind::BAD_REQUEST), "{line}");
+    // The second nests past the reader's depth limit. Read without one,
+    // its recursion overflows the reactor's stack and aborts the daemon.
+    for frame in ["this is not json".to_string(), "[".repeat(60_000)] {
+        writer.write_all(frame.as_bytes()).expect("write");
+        writer.write_all(b"\n").expect("write");
+        writer.flush().expect("flush");
+        line.clear();
+        reader.read_line(&mut line).expect("read");
+        assert!(line.contains("\"id\":0"), "{line}");
+        assert!(line.contains(error_kind::BAD_REQUEST), "{line}");
+    }
 
     handle.shutdown_and_join();
 }
@@ -527,6 +533,66 @@ fn oversized_frames_get_a_typed_error_and_the_connection_survives() {
     reader.read_line(&mut line).expect("read");
     assert!(line.contains("\"id\":7"), "{line}");
     assert!(!line.contains(error_kind::FRAME_TOO_LARGE), "{line}");
+
+    handle.shutdown_and_join();
+}
+
+/// A frame the cursor decoder declines (here for the space after its
+/// id) is decoded by the generic reader on the reactor, in time linear
+/// in its bytes. One connection sends 32 `Compare` frames, each one
+/// `app` name just under a 256 KiB `max_line_bytes`; all 32 are
+/// answered within `BOUND`, and a second connection is served
+/// meanwhile. A debug build takes ~0.2 s; a reader that re-validates
+/// the rest of the frame per character spends ~2 s on each frame, so
+/// the cap is 4× the default to keep the two far apart.
+#[test]
+fn frames_near_the_line_cap_decode_in_linear_time() {
+    const CAP: usize = 256 * 1024;
+    const BOUND: Duration = Duration::from_secs(3);
+    let service = Arc::new(CbesService::self_calibrated(
+        Arc::new(two_switch_demo()),
+        ForecastKind::LastValue,
+    ));
+    let config = ServerConfig {
+        workers: 2,
+        max_line_bytes: CAP,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(service, config).expect("bind loopback");
+    let app = "x".repeat(CAP - 1024);
+    let mut other = Client::connect_timeout(handle.addr(), BOUND).expect("connect");
+    other
+        .register_profile(ring_profile(&app, 2))
+        .expect("register");
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(BOUND)).expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let frames: String = (1..=32)
+        .map(|id| {
+            format!(
+                "{{\"id\":{id}, \"request\":{{\"Compare\":{{\"app\":\"{app}\",\
+                 \"mappings\":[{{\"assign\":[0,1]}}]}}}}}}\n"
+            )
+        })
+        .collect();
+
+    let start = Instant::now();
+    let sender = std::thread::spawn(move || writer.write_all(frames.as_bytes()));
+    let (_, preds) = other
+        .compare(&app, &[m(&[0, 1])])
+        .expect("compare answered meanwhile");
+    assert_eq!(preds.len(), 1);
+    let mut line = String::new();
+    for id in 1..=32 {
+        line.clear();
+        reader.read_line(&mut line).expect("reply within the bound");
+        let typed = format!("{{\"id\":{id},\"response\":{{\"Predictions\"");
+        assert!(line.starts_with(&typed), "{line}");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < BOUND, "32 frames took {elapsed:?}");
+    sender.join().expect("sender").expect("write");
 
     handle.shutdown_and_join();
 }
