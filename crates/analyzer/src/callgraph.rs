@@ -282,11 +282,6 @@ impl CallGraph {
         pred
     }
 
-    /// The file path of the fn at `i`'s crate prefix.
-    pub fn crate_prefix_of(&self, i: usize) -> &str {
-        &self.crate_of[i]
-    }
-
     /// The witness call path from an entry to `target`, as fn names
     /// joined with arrows, given a predecessor map from
     /// [`CallGraph::reachable_from`].
@@ -501,6 +496,6 @@ mod tests {
         let caller = g.fns_named("caller")[0];
         let resolved = g.resolve_for(caller, "observe");
         assert_eq!(resolved.len(), 1, "same-crate candidate wins");
-        assert_eq!(g.crate_prefix_of(resolved[0]), "crates/core");
+        assert_eq!(g.crate_of[resolved[0]], "crates/core");
     }
 }

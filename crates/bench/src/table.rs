@@ -76,16 +76,6 @@ pub fn secs(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Format a percentage with one decimal, e.g. `9.3`.
-pub fn pct(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-/// Format a ± half-width, e.g. `±0.012`.
-pub fn pm(x: f64) -> String {
-    format!("±{x:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +104,5 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(secs(2.8474), "2.847");
-        assert_eq!(pct(9.29), "9.3");
-        assert_eq!(pm(0.0123), "±0.012");
     }
 }

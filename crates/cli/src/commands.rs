@@ -72,14 +72,20 @@ fn workload_from(parsed: &Parsed) -> Result<Workload, CliError> {
     })
 }
 
+/// `node` itself, or a usage error when `cluster` has no such node.
+fn in_cluster(node: NodeId, cluster: &Cluster) -> Result<NodeId, CliError> {
+    if node.index() < cluster.len() {
+        Ok(node)
+    } else {
+        Err(CliError::usage(format!("node {node} outside the cluster")))
+    }
+}
+
 fn load_from(parsed: &Parsed, cluster: &Cluster) -> Result<LoadState, CliError> {
     let mut load = LoadState::idle(cluster.len());
     if let Some(spec) = parsed.get("load") {
         for (node, avail) in parse_load_list(spec)? {
-            if node.index() >= cluster.len() {
-                return Err(CliError::usage(format!("node {node} outside the cluster")));
-            }
-            load.set_cpu_avail(node, avail);
+            load.set_cpu_avail(in_cluster(node, cluster)?, avail);
         }
     }
     Ok(load)
@@ -226,7 +232,9 @@ pub fn profile(parsed: &Parsed) -> Result<String, CliError> {
 pub fn predict(parsed: &Parsed) -> Result<String, CliError> {
     let c = preset(parsed.positional0()?)?;
     let profile = read_profile(parsed.require("profile")?)?;
-    let mapping = Mapping::new(parse_node_list(parsed.require("mapping")?)?);
+    let nodes = parse_node_list(parsed.require("mapping")?)?;
+    let nodes = nodes.into_iter().map(|n| in_cluster(n, &c));
+    let mapping = Mapping::new(nodes.collect::<Result<_, _>>()?);
     if mapping.len() != profile.num_procs() {
         return Err(CliError::usage(format!(
             "mapping lists {} nodes but the profile has {} processes",
@@ -2125,6 +2133,30 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("quantum"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn predict_rejects_nodes_outside_the_cluster() {
+        let dir = std::env::temp_dir().join(format!("cbes-cli-predict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ps = dir.join("p.json").to_str().unwrap().to_string();
+        let argv = |line: String| parsed(&line.split_whitespace().collect::<Vec<_>>());
+        profile(&argv(format!(
+            "profile demo --workload ep --class S --ranks 4 --out {ps}"
+        )))
+        .unwrap();
+        let run = |mapping: &str| {
+            predict(&argv(format!(
+                "predict demo --profile {ps} --mapping {mapping}"
+            )))
+        };
+        assert!(run("0,1,2,3").is_ok());
+        for mapping in ["0,1,2,999", "4294967295,1,2,3"] {
+            let err = run(mapping).expect_err(mapping);
+            assert_eq!(err.exit_code(), 2, "{mapping}: {err}");
+            assert!(err.to_string().contains("outside the cluster"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,6 +1,5 @@
 //! Error types for cluster construction and queries.
 
-use crate::node::NodeId;
 use crate::topology::SwitchId;
 use std::fmt;
 
@@ -9,8 +8,6 @@ use std::fmt;
 pub enum ClusterError {
     /// A node referenced a switch id that was never declared.
     UnknownSwitch(SwitchId),
-    /// A node id outside the cluster was used.
-    UnknownNode(NodeId),
     /// A link referenced an undeclared switch.
     BadLink {
         /// One link endpoint.
@@ -36,7 +33,6 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::UnknownSwitch(s) => write!(f, "unknown switch {s}"),
-            ClusterError::UnknownNode(n) => write!(f, "unknown node {n}"),
             ClusterError::BadLink { a, b } => {
                 write!(f, "link references undeclared switch ({a} - {b})")
             }

@@ -76,14 +76,6 @@ impl LoadState {
     pub fn set_nic_load(&mut self, node: NodeId, load: f64) {
         self.nic_load[node.index()] = load.clamp(0.0, 0.99);
     }
-
-    /// Apply a uniform CPU availability to every node.
-    pub fn with_uniform_cpu(mut self, avail: f64) -> Self {
-        for v in &mut self.cpu_avail {
-            *v = avail.clamp(0.01, 1.0);
-        }
-        self
-    }
 }
 
 /// A deterministic, piecewise description of how one node's load evolves.

@@ -53,38 +53,9 @@ pub struct Node {
     pub nic_latency: f64,
 }
 
-impl Node {
-    /// Seconds needed on this node to execute work that takes `ref_seconds`
-    /// on the reference (speed 1.0) architecture, ignoring load.
-    #[inline]
-    pub fn compute_time(&self, ref_seconds: f64) -> f64 {
-        ref_seconds / self.speed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn node(speed: f64) -> Node {
-        Node {
-            id: NodeId(0),
-            arch: Architecture::Alpha,
-            clock_mhz: 533,
-            cpus: 1,
-            speed,
-            switch: SwitchId(0),
-            nic_bandwidth: 12.5e6,
-            nic_latency: 35e-6,
-        }
-    }
-
-    #[test]
-    fn compute_time_scales_inversely_with_speed() {
-        assert_eq!(node(1.0).compute_time(2.0), 2.0);
-        assert!((node(0.5).compute_time(2.0) - 4.0).abs() < 1e-12);
-        assert!((node(2.0).compute_time(2.0) - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn node_id_display_and_index() {

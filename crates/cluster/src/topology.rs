@@ -156,13 +156,6 @@ impl Cluster {
         &self.nodes[id.index()]
     }
 
-    /// Checked lookup of a node.
-    pub fn try_node(&self, id: NodeId) -> Result<&Node, ClusterError> {
-        self.nodes
-            .get(id.index())
-            .ok_or(ClusterError::UnknownNode(id))
-    }
-
     /// Iterator over all node ids in order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)
@@ -175,20 +168,6 @@ impl Cluster {
             .filter(|n| n.arch == arch)
             .map(|n| n.id)
             .collect()
-    }
-
-    /// Ids of all nodes attached to the given switch.
-    pub fn nodes_on_switch(&self, sw: SwitchId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| n.switch == sw)
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// True when both nodes hang off the same switch.
-    pub fn same_switch(&self, a: NodeId, b: NodeId) -> bool {
-        self.node(a).switch == self.node(b).switch
     }
 
     /// The stored switch route between two nodes' switches.
@@ -505,13 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn same_switch_detection() {
-        let c = two_switch();
-        assert!(c.same_switch(NodeId(0), NodeId(1)));
-        assert!(!c.same_switch(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
     fn self_path_is_loopback() {
         let c = two_switch();
         let p = c.path(NodeId(1), NodeId(1));
@@ -520,11 +492,10 @@ mod tests {
     }
 
     #[test]
-    fn nodes_by_arch_and_switch() {
+    fn nodes_by_arch_filters() {
         let c = two_switch();
         assert_eq!(c.nodes_by_arch(Architecture::Alpha).len(), 2);
         assert_eq!(c.nodes_by_arch(Architecture::Sparc).len(), 0);
-        assert_eq!(c.nodes_on_switch(SwitchId(1)).len(), 2);
     }
 
     #[test]

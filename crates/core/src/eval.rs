@@ -401,7 +401,7 @@ mod tests {
     use super::*;
     use cbes_cluster::load::LoadState;
     use cbes_cluster::presets::two_switch_demo;
-    use cbes_cluster::{Architecture, NodeId};
+    use cbes_cluster::NodeId;
     use cbes_netmodel::LoadAdjuster;
     use cbes_trace::{MessageGroup, ProcessProfile};
     use std::collections::BTreeMap;
@@ -619,12 +619,5 @@ mod tests {
         // Mappings that avoid the down node are unaffected.
         let clean = ev.predict(&Mapping::new(vec![NodeId(0), NodeId(1)]));
         assert!(clean.time.is_finite());
-    }
-
-    #[test]
-    fn arch_ratio_map_is_available_for_reporting() {
-        let mut p = profile();
-        p.arch_ratios.insert(Architecture::Sparc, 0.65);
-        assert_eq!(p.arch_ratio(Architecture::Sparc), 0.65);
     }
 }

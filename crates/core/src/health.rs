@@ -77,14 +77,6 @@ impl HealthPolicy {
             NodeHealth::Healthy
         }
     }
-
-    /// Classify every node given per-node ages.
-    pub fn view(&self, ages: &[u64]) -> HealthView {
-        HealthView {
-            states: ages.iter().map(|&a| self.classify(a)).collect(),
-            suspect_cost_factor: self.suspect_cost_factor.max(1.0),
-        }
-    }
 }
 
 /// A point-in-time health classification of every node, carried by
@@ -156,16 +148,6 @@ impl HealthView {
             }
         }
         c
-    }
-
-    /// Nodes currently classified `Down`.
-    pub fn down_nodes(&self) -> Vec<NodeId> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == NodeHealth::Down)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
     }
 }
 
@@ -324,7 +306,7 @@ mod tests {
             2.0,
         );
         assert_eq!(v.counts(), (1, 1, 1));
-        assert_eq!(v.down_nodes(), vec![NodeId(1)]);
+        assert_eq!(v.health(NodeId(1)), NodeHealth::Down);
         assert!(v.is_usable(NodeId(0)));
         assert!(!v.is_usable(NodeId(1)));
         // Out-of-range nodes read as healthy.

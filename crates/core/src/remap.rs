@@ -64,13 +64,6 @@ pub enum RemapDecision {
     },
 }
 
-impl RemapDecision {
-    /// True when the decision is to migrate.
-    pub fn should_remap(&self) -> bool {
-        matches!(self, RemapDecision::Remap { .. })
-    }
-}
-
 /// Cost/benefit analysis of remapping a running application.
 #[derive(Debug, Clone)]
 pub struct RemapAnalysis {
@@ -186,7 +179,7 @@ mod tests {
         };
         // Move rank 0 off the loaded node early in the run.
         let d = analysis.decide(&ev, &m(&[0, 1]), &m(&[2, 1]), 0.1);
-        assert!(d.should_remap(), "{d:?}");
+        assert!(matches!(d, RemapDecision::Remap { .. }), "{d:?}");
     }
 
     #[test]
@@ -200,7 +193,7 @@ mod tests {
         let analysis = RemapAnalysis::default();
         // 99.9% done: the leftover saving cannot amortise migration.
         let d = analysis.decide(&ev, &m(&[0, 1]), &m(&[2, 1]), 0.999);
-        assert!(!d.should_remap(), "{d:?}");
+        assert!(!matches!(d, RemapDecision::Remap { .. }), "{d:?}");
     }
 
     #[test]
@@ -231,6 +224,6 @@ mod tests {
             threshold: 1e9,
         };
         let d = analysis.decide(&ev, &m(&[0, 4]), &m(&[0, 1]), 0.0);
-        assert!(!d.should_remap());
+        assert!(!matches!(d, RemapDecision::Remap { .. }));
     }
 }

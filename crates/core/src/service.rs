@@ -382,7 +382,8 @@ impl CbesService {
     /// Bump the snapshot epoch without changing the model, load, or
     /// health views, republishing the current configuration so the
     /// change is observable tier-wide. Returns the new epoch.
-    pub fn bump_epoch(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bump_epoch(&self) -> u64 {
         self.republish(None)
     }
 

@@ -270,11 +270,6 @@ impl<'a> SystemSnapshot<'a> {
         self.health.is_usable(node)
     }
 
-    /// The full health view carried by this snapshot.
-    pub fn health_view(&self) -> &HealthView {
-        &self.health
-    }
-
     /// Replace the health view (e.g. with a fresh tracker classification).
     pub fn set_health(&mut self, health: HealthView) {
         self.rows = Cow::Owned(node_table(self.cluster, self.no_load, &self.load, &health));

@@ -722,7 +722,10 @@ mod tests {
             &p,
             &[NodeId(0), NodeId(1), NodeId(2)],
             &idle(&c),
-            &cfg().without_contention(),
+            &SimConfig {
+                contention: false,
+                ..cfg()
+            },
         )
         .unwrap();
         assert!(

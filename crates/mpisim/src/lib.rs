@@ -100,12 +100,6 @@ impl SimConfig {
         self
     }
 
-    /// Disable contention modelling.
-    pub fn without_contention(mut self) -> Self {
-        self.contention = false;
-        self
-    }
-
     /// Architecture efficiency factor for `arch` (default 1.0).
     pub fn arch_factor(&self, arch: Architecture) -> f64 {
         self.arch_factors.get(&arch).copied().unwrap_or(1.0)
@@ -118,10 +112,10 @@ mod tests {
 
     #[test]
     fn config_builders_compose() {
-        let c = SimConfig::default()
-            .with_seed(9)
-            .noiseless()
-            .without_contention();
+        let c = SimConfig {
+            contention: false,
+            ..SimConfig::default().with_seed(9).noiseless()
+        };
         assert_eq!(c.seed, 9);
         assert_eq!(c.compute_noise, 0.0);
         assert!(!c.contention);

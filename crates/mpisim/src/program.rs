@@ -103,39 +103,6 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Total nominal compute seconds per rank (reference architecture).
-    pub fn compute_per_rank(&self) -> Vec<f64> {
-        self.procs
-            .iter()
-            .map(|ops| {
-                ops.iter()
-                    .map(|op| match op {
-                        Op::Compute { seconds } => *seconds,
-                        _ => 0.0,
-                    })
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// Total message count and payload bytes over the whole program.
-    pub fn message_totals(&self) -> (u64, u64) {
-        let mut count = 0u64;
-        let mut bytes = 0u64;
-        for ops in &self.procs {
-            for op in ops {
-                match *op {
-                    Op::Send { bytes: b, .. } | Op::SendRecv { bytes: b, .. } => {
-                        count += 1;
-                        bytes += b;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        (count, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -151,8 +118,6 @@ mod tests {
         p.push_all(Op::Barrier);
         assert_eq!(p.num_ranks(), 2);
         assert_eq!(p.total_ops(), 5);
-        assert_eq!(p.compute_per_rank(), vec![1.0, 0.0]);
-        assert_eq!(p.message_totals(), (1, 100));
     }
 
     #[test]
@@ -184,19 +149,5 @@ mod tests {
         p.push(1, Op::Recv { from: 0 });
         p.push(2, Op::Send { to: 0, bytes: 10 });
         assert_eq!(p.validate(), Ok(()));
-    }
-
-    #[test]
-    fn sendrecv_counts_as_one_message() {
-        let mut p = Program::new(2);
-        p.push(
-            0,
-            Op::SendRecv {
-                to: 1,
-                bytes: 64,
-                from: 1,
-            },
-        );
-        assert_eq!(p.message_totals(), (1, 64));
     }
 }

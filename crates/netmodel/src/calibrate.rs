@@ -139,58 +139,6 @@ pub(crate) fn gauss_factor(rng: &mut StdRng, sigma: f64) -> f64 {
     (1.0 + sigma * z).max(0.2)
 }
 
-/// Result of spot-checking a calibrated model against fresh measurements
-/// (is the off-line calibration still valid, e.g. after recabling?).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StalenessReport {
-    /// Pairs spot-checked.
-    pub checked: usize,
-    /// Mean relative deviation between model and fresh measurement.
-    pub mean_rel_dev: f64,
-    /// Worst relative deviation observed.
-    pub max_rel_dev: f64,
-}
-
-impl StalenessReport {
-    /// True when the model deviates beyond `tol` anywhere.
-    pub fn is_stale(&self, tol: f64) -> bool {
-        self.max_rel_dev > tol
-    }
-}
-
-/// Spot-check `model` against `sample` fresh pair measurements on the
-/// (current) cluster. A cheap O(sample) probe instead of a full O(N²)
-/// recalibration — run it when predictions start drifting.
-pub fn verify_model(
-    cluster: &Cluster,
-    model: &crate::model::LatencyModel,
-    sample: usize,
-    seed: u64,
-) -> StalenessReport {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = cluster.len();
-    let mut devs = Vec::with_capacity(sample.max(1));
-    for _ in 0..sample.max(1) {
-        let a = rng.random_range(0..n as u32);
-        let mut b = rng.random_range(0..n as u32 - 1);
-        if b >= a {
-            b += 1;
-        }
-        let size = *[512u64, 4096, 65536]
-            .get(rng.random_range(0..3usize))
-            .expect("index in range");
-        let fresh =
-            cluster.no_load_latency(NodeId(a), NodeId(b), size) * gauss_factor(&mut rng, 0.01);
-        let predicted = model.no_load(NodeId(a), NodeId(b), size);
-        devs.push(((predicted - fresh) / fresh).abs());
-    }
-    StalenessReport {
-        checked: devs.len(),
-        mean_rel_dev: devs.iter().sum::<f64>() / devs.len() as f64,
-        max_rel_dev: devs.iter().copied().fold(0.0, f64::max),
-    }
-}
-
 /// Partition all unordered pairs of `0..n` into rounds of pairwise-disjoint
 /// pairs (a proper edge colouring of `K_n` via the circle method).
 ///
@@ -312,57 +260,6 @@ mod tests {
             let truth = c.no_load_latency(a, b, s);
             assert!((out.model.no_load(a, b, s) - truth).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn fresh_calibration_is_not_stale() {
-        let c = two_switch_demo();
-        let out = Calibrator::default().calibrate(&c);
-        let report = verify_model(&c, &out.model, 50, 9);
-        assert_eq!(report.checked, 50);
-        assert!(!report.is_stale(0.10), "{report:?}");
-        assert!(report.mean_rel_dev < 0.05);
-    }
-
-    #[test]
-    fn topology_change_is_detected_as_stale() {
-        // Calibrate on the demo cluster, then "recable" it: a much slower
-        // inter-switch link. The old model must flag as stale.
-        let before = two_switch_demo();
-        let out = Calibrator::default().calibrate(&before);
-        let after = cbes_cluster::ClusterBuilder::new("recabled")
-            .switch(24, 5e-6 * 50.0, "edge-0")
-            .switch(24, 5e-6 * 50.0, "edge-1")
-            .link(
-                cbes_cluster::SwitchId(0),
-                cbes_cluster::SwitchId(1),
-                12.5e6,
-                400e-6 * 50.0, // 100x the original link latency
-            )
-            .nodes(
-                4,
-                cbes_cluster::Architecture::Alpha,
-                533,
-                1,
-                1.0,
-                cbes_cluster::SwitchId(0),
-                12.5e6,
-                35e-6 * 50.0,
-            )
-            .nodes(
-                4,
-                cbes_cluster::Architecture::IntelPII,
-                400,
-                2,
-                0.85,
-                cbes_cluster::SwitchId(1),
-                12.5e6,
-                35e-6 * 50.0,
-            )
-            .build()
-            .unwrap();
-        let report = verify_model(&after, &out.model, 100, 10);
-        assert!(report.is_stale(0.10), "{report:?}");
     }
 
     #[test]

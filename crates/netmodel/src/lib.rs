@@ -24,7 +24,7 @@ pub mod calibrate;
 pub mod forecast;
 pub mod model;
 
-pub use calibrate::{verify_model, CalibrationOutcome, Calibrator, StalenessReport};
+pub use calibrate::{CalibrationOutcome, Calibrator};
 pub use model::{LatencyModel, Segment};
 
 use cbes_cluster::load::LoadState;

@@ -55,14 +55,8 @@ impl HashRing {
     /// A ring of `instances` instances with [`DEFAULT_VNODES`] points
     /// each.
     pub fn new(instances: usize) -> HashRing {
-        HashRing::with_vnodes(instances, DEFAULT_VNODES)
-    }
-
-    /// A ring with an explicit virtual-node count (≥ 1 per instance).
-    pub fn with_vnodes(instances: usize, vnodes: usize) -> HashRing {
-        let vnodes = vnodes.max(1);
         let mut points: Vec<(u64, usize)> = (0..instances)
-            .flat_map(|i| (0..vnodes).map(move |v| (point_hash(i, v), i)))
+            .flat_map(|i| (0..DEFAULT_VNODES).map(move |v| (point_hash(i, v), i)))
             .collect();
         points.sort_unstable();
         HashRing { points, instances }

@@ -1,6 +1,6 @@
 //! Phase-structured applications.
 
-use cbes_mpisim::{Op, Program};
+use cbes_mpisim::Program;
 
 /// An application split into sequential phases (the paper's execution-trace
 //  *segments*): each phase is a complete sub-program over the same ranks,
@@ -35,40 +35,6 @@ impl PhasedApp {
         }
     }
 
-    /// Split a monolithic program at its `Op::Segment` markers: ops before
-    /// the first marker form phase 0, each marker starts a new phase.
-    /// Programs without markers become a single phase.
-    pub fn from_segmented(name: impl Into<String>, program: &Program) -> Self {
-        let n = program.num_ranks();
-        let mut phases: Vec<Program> = vec![Program::new(n)];
-        // Map segment id -> phase index, in order of first appearance.
-        let mut seen: Vec<u32> = Vec::new();
-        for (rank, ops) in program.procs.iter().enumerate() {
-            let mut current = 0usize;
-            for op in ops {
-                if let Op::Segment(id) = op {
-                    current = match seen.iter().position(|s| s == id) {
-                        Some(pos) => pos + 1,
-                        None => {
-                            seen.push(*id);
-                            while phases.len() < seen.len() + 1 {
-                                phases.push(Program::new(n));
-                            }
-                            seen.len()
-                        }
-                    };
-                    continue;
-                }
-                phases[current].push(rank, *op);
-            }
-        }
-        // Drop empty leading phase when the program starts with a marker.
-        if phases[0].total_ops() == 0 && phases.len() > 1 {
-            phases.remove(0);
-        }
-        PhasedApp::new(name, phases)
-    }
-
     /// Number of ranks.
     pub fn num_ranks(&self) -> usize {
         self.phases[0].num_ranks()
@@ -83,39 +49,6 @@ impl PhasedApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_segmented_splits_at_markers() {
-        let mut p = Program::new(2);
-        p.push_all(Op::Compute { seconds: 1.0 });
-        p.push_all(Op::Segment(7));
-        p.push_all(Op::Compute { seconds: 2.0 });
-        p.push_all(Op::Segment(9));
-        p.push_all(Op::Compute { seconds: 3.0 });
-        let app = PhasedApp::from_segmented("a", &p);
-        assert_eq!(app.num_phases(), 3);
-        assert_eq!(app.phases[0].compute_per_rank(), vec![1.0, 1.0]);
-        assert_eq!(app.phases[1].compute_per_rank(), vec![2.0, 2.0]);
-        assert_eq!(app.phases[2].compute_per_rank(), vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn leading_marker_does_not_create_empty_phase() {
-        let mut p = Program::new(1);
-        p.push_all(Op::Segment(1));
-        p.push_all(Op::Compute { seconds: 1.0 });
-        let app = PhasedApp::from_segmented("a", &p);
-        assert_eq!(app.num_phases(), 1);
-    }
-
-    #[test]
-    fn unmarked_program_is_one_phase() {
-        let mut p = Program::new(3);
-        p.push_all(Op::Compute { seconds: 1.0 });
-        let app = PhasedApp::from_segmented("a", &p);
-        assert_eq!(app.num_phases(), 1);
-        assert_eq!(app.num_ranks(), 3);
-    }
 
     #[test]
     #[should_panic(expected = "same rank count")]

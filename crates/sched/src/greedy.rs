@@ -146,6 +146,11 @@ mod tests {
         let req = ScheduleRequest::new(&p, &snap, &pool);
         let r = GreedyScheduler::new().schedule(&req).unwrap();
         let m = r.mapping.as_slice();
-        assert!(c.same_switch(m[0], m[1]), "got {:?}", r.mapping);
+        assert_eq!(
+            c.node(m[0]).switch,
+            c.node(m[1]).switch,
+            "got {:?}",
+            r.mapping
+        );
     }
 }

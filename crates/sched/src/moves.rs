@@ -57,11 +57,6 @@ impl SearchState {
         }
     }
 
-    /// Wrap an existing assignment, with the given spare nodes.
-    pub fn from_parts(assigned: Vec<NodeId>, spare: Vec<NodeId>) -> Self {
-        SearchState { assigned, spare }
-    }
-
     /// The current assignment as a [`Mapping`].
     pub fn mapping(&self) -> Mapping {
         Mapping::new(self.assigned.clone())

@@ -338,8 +338,6 @@ mod tests {
 
         // One on_move per iteration; the initial state is the extra eval.
         assert_eq!(sink.moves(), r.evaluations - 1);
-        assert_eq!(sink.restart_energies(), &[r.score]);
-        assert!(sink.moves_per_sec() > 0.0);
 
         // The cooling schedule spans several temperature decades, and the
         // cold tail accepts no more often than the hot start.
@@ -352,7 +350,7 @@ mod tests {
         let last = stages.last().unwrap();
         assert!(first.decade > last.decade, "temperature must fall");
         assert!(
-            first.acceptance_rate() >= last.acceptance_rate(),
+            first.accepted * last.proposed >= last.accepted * first.proposed,
             "hot stage {first:?} must accept at least as often as cold {last:?}"
         );
 

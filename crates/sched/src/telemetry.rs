@@ -3,8 +3,8 @@
 //! The hot loop is generic over [`TelemetrySink`], so the disabled path
 //! ([`NullSink`]) monomorphises to nothing — no allocation, no branch,
 //! no clock read per move. [`RecordingSink`] aggregates per-temperature
-//! acceptance rates, the best-energy trace, and the move rate, for
-//! diagnosing cooling schedules on real runs.
+//! acceptance counts and the best-energy trace, for diagnosing cooling
+//! schedules on real runs.
 //!
 //! All wall-clock reads in the scheduler crate go through
 //! [`TelemetrySink::clock`], so tests can substitute a deterministic
@@ -67,27 +67,13 @@ pub struct StageStats {
     pub accepted: u64,
 }
 
-impl StageStats {
-    /// Fraction of proposed moves that were accepted.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.proposed == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.proposed as f64
-        }
-    }
-}
-
-/// Aggregating sink: per-temperature-decade acceptance rates, the
-/// best-energy trace, restart outcomes, and the observed move rate.
+/// Aggregating sink: per-temperature-decade acceptance counts and the
+/// best-energy trace.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingSink {
     stages: Vec<StageStats>,
     best_trace: Vec<(u64, f64)>,
-    restarts: Vec<f64>,
     moves: u64,
-    first_move: Option<Duration>,
-    last_move: Option<Duration>,
 }
 
 impl RecordingSink {
@@ -113,34 +99,10 @@ impl RecordingSink {
     pub fn best_trace(&self) -> &[(u64, f64)] {
         &self.best_trace
     }
-
-    /// Best energy reached by each finished restart.
-    pub fn restart_energies(&self) -> &[f64] {
-        &self.restarts
-    }
-
-    /// Observed move throughput (moves per second between the first and
-    /// last recorded move); 0 before two moves have been seen.
-    pub fn moves_per_sec(&self) -> f64 {
-        match (self.first_move, self.last_move) {
-            (Some(first), Some(last)) if self.moves > 1 => {
-                let secs = last.saturating_sub(first).as_secs_f64();
-                if secs > 0.0 {
-                    self.moves as f64 / secs
-                } else {
-                    0.0
-                }
-            }
-            _ => 0.0,
-        }
-    }
 }
 
 impl TelemetrySink for RecordingSink {
     fn on_move(&mut self, temp: f64, accepted: bool) {
-        let now = self.clock();
-        self.first_move.get_or_insert(now);
-        self.last_move = Some(now);
         self.moves += 1;
         let decade = temp.log10().floor() as i32;
         match self.stages.last_mut() {
@@ -160,9 +122,7 @@ impl TelemetrySink for RecordingSink {
         self.best_trace.push((eval, energy));
     }
 
-    fn on_restart(&mut self, best_energy: f64) {
-        self.restarts.push(best_energy);
-    }
+    fn on_restart(&mut self, _best_energy: f64) {}
 }
 
 #[cfg(test)]
@@ -182,19 +142,17 @@ mod tests {
         assert_eq!(stages[0].proposed, 2);
         assert_eq!(stages[0].accepted, 1);
         assert_eq!(stages[1].decade, -2);
-        assert!((stages[1].acceptance_rate() - 1.0).abs() < 1e-12);
-        assert_eq!(stages[2].acceptance_rate(), 0.0);
+        assert_eq!((stages[1].proposed, stages[1].accepted), (1, 1));
+        assert_eq!((stages[2].proposed, stages[2].accepted), (1, 0));
         assert_eq!(sink.moves(), 4);
     }
 
     #[test]
-    fn traces_and_restarts_accumulate() {
+    fn best_trace_accumulates() {
         let mut sink = RecordingSink::new();
         sink.on_improvement(1, 9.0);
         sink.on_improvement(40, 7.5);
-        sink.on_restart(7.5);
         assert_eq!(sink.best_trace(), &[(1, 9.0), (40, 7.5)]);
-        assert_eq!(sink.restart_energies(), &[7.5]);
     }
 
     #[test]

@@ -42,16 +42,6 @@ pub struct ProcessProfile {
 }
 
 impl ProcessProfile {
-    /// Total message bytes sent by this process.
-    pub fn bytes_sent(&self) -> u64 {
-        self.sends.iter().map(|g| g.bytes * g.count).sum()
-    }
-
-    /// Total message count sent by this process.
-    pub fn messages_sent(&self) -> u64 {
-        self.sends.iter().map(|g| g.count).sum()
-    }
-
     /// Total number of message groups (the evaluation-cost driver the paper
     /// identifies: complex communication patterns make each mapping
     /// evaluation more expensive).
@@ -99,11 +89,6 @@ impl AppProfile {
         } else {
             1.0
         }
-    }
-
-    /// Relative speed of `arch` for this application (1.0 when unmeasured).
-    pub fn arch_ratio(&self, arch: Architecture) -> f64 {
-        self.arch_ratios.get(&arch).copied().unwrap_or(1.0)
     }
 
     /// Serialise to JSON.
@@ -160,13 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn arch_ratio_defaults_to_one() {
-        let a = app();
-        assert_eq!(a.arch_ratio(Architecture::Sparc), 0.65);
-        assert_eq!(a.arch_ratio(Architecture::IntelPII), 1.0);
-    }
-
-    #[test]
     fn profile_json_roundtrip() {
         let a = app();
         let back = AppProfile::from_json(&a.to_json()).unwrap();
@@ -176,8 +154,6 @@ mod tests {
     #[test]
     fn per_process_accessors() {
         let p = proc_profile(0, 1.0, 1.0);
-        assert_eq!(p.bytes_sent(), 10 * 1024);
-        assert_eq!(p.messages_sent(), 10);
         assert_eq!(p.group_count(), 2);
     }
 

@@ -171,7 +171,7 @@ fn remap_analysis_flow() {
         threshold: 0.05,
     };
     let early = analysis.decide(&ev, &current, &candidate, 0.05);
-    assert!(early.should_remap(), "{early:?}");
+    assert!(matches!(early, RemapDecision::Remap { .. }), "{early:?}");
     let late = analysis.decide(&ev, &current, &candidate, 0.999);
-    assert!(!late.should_remap(), "{late:?}");
+    assert!(!matches!(late, RemapDecision::Remap { .. }), "{late:?}");
 }

@@ -273,7 +273,13 @@ proptest! {
         }
         let epoch = service.current_load();
         let served = service.snapshot_of(&epoch);
-        prop_assert_eq!(served.health_view(), owned_ports.health_view());
+        for node in cluster.node_ids() {
+            prop_assert_eq!(served.health(node), owned_ports.health(node));
+            prop_assert_eq!(
+                served.effective_acpu(node).to_bits(),
+                owned_ports.effective_acpu(node).to_bits()
+            );
+        }
 
         let mut mappings: Vec<Mapping> = (0..6)
             .map(|_| Mapping::new((0..n).map(|_| NodeId(rng.random_range(0u32..8))).collect()))

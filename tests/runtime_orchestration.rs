@@ -1,5 +1,6 @@
 //! Integration test of the run-time orchestration loop through the facade:
-//! phase execution, monitoring, remap decisions and migration accounting.
+//! phase execution, monitoring, remap decisions, migration accounting and
+//! per-phase profiles from segment markers.
 
 use cbes::cluster::load::{LoadPattern, LoadTimeline};
 use cbes::core::remap::{MigrationCost, RemapAnalysis};
@@ -77,19 +78,48 @@ fn remap_only_happens_when_it_pays() {
 }
 
 #[test]
-fn phased_app_from_segment_markers_runs() {
+fn segment_markers_split_a_run_into_phase_profiles() {
     let cluster = cbes::cluster::presets::two_switch_demo();
     let calib = Calibrator::default().calibrate(&cluster);
-    let mut program = Program::new(4);
+    let n = 4;
+    let mut program = Program::new(n);
     program.push_all(Op::Compute { seconds: 0.05 });
+    for r in 0..n {
+        program.push(
+            r,
+            Op::SendRecv {
+                to: (r + 1) % n,
+                bytes: 1024,
+                from: (r + n - 1) % n,
+            },
+        );
+    }
     program.push_all(Op::Segment(1));
-    program.push_all(Op::Compute { seconds: 0.05 });
-    let app = PhasedApp::from_segmented("seg", &program);
-    assert_eq!(app.num_phases(), 2);
-    let pool: Vec<NodeId> = cluster.node_ids().collect();
-    let orch = Orchestrator::new(&cluster, &calib.model, cheap_runtime());
-    let report = orch
-        .run(&app, &pool, &LoadTimeline::idle(cluster.len()))
-        .expect("segmented run");
-    assert_eq!(report.phases.len(), 2);
+    program.push_all(Op::Compute { seconds: 0.10 });
+    let mapping: Vec<NodeId> = cluster.node_ids().take(n).collect();
+    let run = simulate(
+        &cluster,
+        &program,
+        &mapping,
+        &LoadState::idle(cluster.len()),
+        &SimConfig::default().noiseless(),
+    )
+    .expect("segmented run");
+
+    let whole = extract_profile("seg", &run.trace, &cluster, &mapping, &calib.model);
+    let segments =
+        cbes::trace::extract_segment_profiles("seg", &run.trace, &cluster, &mapping, &calib.model);
+    assert_eq!(segments.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+    let (first, second) = (&segments[&0], &segments[&1]);
+    assert_eq!(second.name, "seg#1");
+    for rank in 0..n {
+        // The exchange precedes the marker, so only phase 0 communicates.
+        assert_eq!(first.procs[rank].sends.len(), 1);
+        assert!(second.procs[rank].sends.is_empty());
+        // Phase 1 computes twice as long as phase 0 on the same node.
+        let ratio = second.procs[rank].x / first.procs[rank].x;
+        assert!((ratio - 2.0).abs() < 1e-9, "rank {rank}: {ratio}");
+        let sum = first.procs[rank].x + second.procs[rank].x;
+        assert!((sum - whole.procs[rank].x).abs() < 1e-12);
+    }
 }
