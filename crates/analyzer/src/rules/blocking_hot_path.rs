@@ -10,8 +10,8 @@
 //! channel `recv()` — is flagged with a witness call path. Code that
 //! runs on the reactor thread is held to more: there a deadline does
 //! not excuse a wait on a peer, so `connect_timeout` and a client
-//! round trip (`.request(..)`, `.round_trip(..)`) are findings too. The one place a relay
-//! may dial is a job on the worker pool.
+//! round trip (`.call(..)`, `.request(..)`, `.round_trip(..)`) are findings too. The one
+//! place a relay may dial is a job on the worker pool.
 //!
 //! Deliberate blocking (a worker's idle wait on its shard channel, the
 //! journal's durability contract) is waived at the site with a reason,
@@ -58,7 +58,6 @@ pub const ENTRY_POINTS: &[(&str, &str, Thread)] = &[
 /// and manufacture impossible reachability chains.
 pub const NON_CALLEE_MODULES: &[&str] = &[
     "crates/server/src/client.rs",
-    "crates/router/src/client.rs",
     "crates/cli/src/",
     "crates/bench/src/",
 ];
@@ -97,7 +96,7 @@ fn blocking_sites(src: &SourceFile, start: usize, end: usize, reactor: bool) -> 
             "connect_timeout" if reactor && called && path => {
                 Some("blocking connect on the reactor thread")
             }
-            "request" | "round_trip" if reactor && called && method => {
+            "call" | "request" | "round_trip" if reactor && called && method => {
                 Some("client round trip on the reactor thread")
             }
             _ => None,
@@ -236,5 +235,13 @@ mod tests {
         ]);
         assert_eq!(findings.len(), 2, "{findings:#?}");
         assert!(findings[0].message.contains("relay -> probe"));
+        // `call` is the client's one verb: a pooled, already-dialled
+        // client asked from a relay hook still waits on a peer.
+        let findings = run(&[(
+            "crates/router/src/tier.rs",
+            "fn relay(&self, c: &mut Client, req: &Request) { c.call(&req); }",
+        )]);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(findings[0].message.contains("client round trip"));
     }
 }

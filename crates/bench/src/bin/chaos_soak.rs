@@ -34,7 +34,7 @@ use cbes_core::mapping::Mapping;
 use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
 use cbes_runtime::FaultSchedule;
-use cbes_server::{Client, RetryPolicy, Server, ServerConfig};
+use cbes_server::{Client, Request, Response, RetryPolicy, Server, ServerConfig};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 const WORKERS: usize = 4;
@@ -147,10 +147,10 @@ fn main() {
                 // The injector is a plain (non-retrying) client: observe
                 // sweeps are not idempotent. A shed sweep is just skipped
                 // — the next one lands 5 ms later.
-                match feed.observe_partial(&load, &silent) {
-                    Ok(_) => sweeps += 1,
+                match feed.call(&Request::ObservePartial { load, silent }) {
+                    Ok(Response::LoadObserved { .. }) => sweeps += 1,
                     Err(e) if e.is_shed() => {}
-                    Err(e) => panic!("injector sweep failed terminally: {e}"),
+                    other => panic!("injector sweep failed terminally: {other:?}"),
                 }
                 std::thread::sleep(SWEEP_PERIOD);
             }
@@ -166,14 +166,19 @@ fn main() {
         Mapping::new((60..68).map(NodeId).collect()),
         Mapping::new((0..8).map(|i| NodeId(i * 16 + 2)).collect()),
     ];
-    let victim_mapping = vec![Mapping::new((0..8).map(NodeId).collect())];
+    let compare = |mappings: Vec<Mapping>| Request::Compare {
+        app: "ring".to_string(),
+        mappings,
+    };
+    let soak_compare = compare(candidates);
+    let victim_compare = compare(vec![Mapping::new((0..8).map(NodeId).collect())]);
     let seed = args.seed;
 
     let start = Instant::now();
     let per_client_results: Vec<(Vec<Duration>, usize, (u64, u64))> = std::thread::scope(|s| {
         let joins: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let candidates = &candidates;
+                let soak_compare = &soak_compare;
                 s.spawn(move || {
                     let mut client = Client::retrying(
                         addr.to_string(),
@@ -189,11 +194,13 @@ fn main() {
                     let mut errors = 0usize;
                     for _ in 0..per_client {
                         let t0 = Instant::now();
-                        match client.compare("ring", candidates) {
-                            Ok((_, preds)) => assert_eq!(preds.len(), 3),
-                            Err(e) => {
+                        match client.call(soak_compare) {
+                            Ok(Response::Predictions { predictions, .. }) => {
+                                assert_eq!(predictions.len(), 3)
+                            }
+                            outcome => {
                                 errors += 1;
-                                eprintln!("request failed after retries: {e}");
+                                eprintln!("request failed after retries: {outcome:?}");
                             }
                         }
                         latencies.push(t0.elapsed());
@@ -226,7 +233,7 @@ fn main() {
     // mode: by now the scheduled crash has aged node 0 to `Down`, so a
     // mapping proposing it must draw the typed rejection, not a number.
     let mut control = Client::connect(addr).expect("connect control");
-    let down_rejected = match control.compare("ring", &victim_mapping) {
+    let down_rejected = match control.call(&victim_compare) {
         Err(e) => {
             let msg = e.to_string();
             assert!(
@@ -238,7 +245,8 @@ fn main() {
         Ok(_) => false,
     };
     let stats = control.stats().expect("stats");
-    control.shutdown().expect("shutdown ack");
+    let ack = control.call(&Request::Shutdown).expect("shutdown ack");
+    assert_eq!(ack, Response::ShuttingDown);
     let (served, served_errors) = handle.join();
 
     // Shed rate over everything that reached admission.

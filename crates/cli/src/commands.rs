@@ -467,14 +467,15 @@ pub fn serve(parsed: &Parsed) -> Result<String, CliError> {
 
 /// The `--timeout SECONDS` I/O deadline for client commands; a dead or
 /// wedged daemon then surfaces as an error instead of a hang.
-fn client_timeout(parsed: &Parsed) -> Result<std::time::Duration, CliError> {
+fn client_timeout(parsed: &Parsed) -> Result<Duration, CliError> {
     let secs = parsed.get_parsed("timeout", 10.0f64)?;
-    if !(secs > 0.0 && secs.is_finite()) {
-        return Err(CliError::usage(format!(
-            "--timeout must be a positive number of seconds, got `{secs}`"
-        )));
+    // `try_from` refuses NaN, infinities, negatives and ~1.8e19 s up.
+    match Duration::try_from_secs_f64(secs) {
+        Ok(timeout) if secs > 0.0 => Ok(timeout),
+        _ => Err(CliError::usage(format!(
+            "--timeout must be a positive number of seconds below 1.8e19, got `{secs}`"
+        ))),
     }
-    Ok(std::time::Duration::from_secs_f64(secs))
 }
 
 /// Connect to a daemon with the `--timeout` deadline applied to the
@@ -982,10 +983,14 @@ fn render_reply(
             prediction,
         } => {
             let mappings = parse_mapping_list(parsed.require("mappings")?)?;
+            let n = mappings.len();
+            let best = mappings.get(index).ok_or_else(|| {
+                CliError::Transport(format!("reply names candidate #{index} of {n}"))
+            })?;
             let _ = writeln!(
                 out,
-                "epoch {epoch}: best is #{index} {}: {:.4} s",
-                mappings[index], prediction.time
+                "epoch {epoch}: best is #{index} {best}: {:.4} s",
+                prediction.time
             );
         }
         Response::Scheduled {
@@ -1318,36 +1323,44 @@ pub fn route(parsed: &Parsed) -> Result<String, CliError> {
         .map_err(|_| CliError::usage("`route` needs a subcommand (serve | status | where)"))?;
     match sub {
         "serve" => route_serve(parsed),
-        "status" => {
+        "status" | "where" => {
             let addr = parsed
                 .positional
                 .get(1)
                 .map(String::as_str)
-                .ok_or_else(|| CliError::usage("`route status` needs the router address"))?;
-            let mut client = connect(parsed, addr)?;
-            let report = client.membership().map_err(client_err)?;
-            Ok(membership_table(&report))
-        }
-        "where" => {
-            let addr = parsed
-                .positional
-                .get(1)
-                .map(String::as_str)
-                .ok_or_else(|| CliError::usage("`route where` needs the router address"))?;
-            let cluster = parsed.get("cluster").unwrap_or("default");
-            let app = parsed.require("app")?;
-            let mut client = connect(parsed, addr)?;
-            let (hash, primary, replicas) = client.route(cluster, app).map_err(client_err)?;
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "({cluster}, {app}) -> {hash:#018x} -> instance {} at {}",
-                primary.index, primary.addr
-            );
-            for r in &replicas {
-                let _ = writeln!(out, "  replica: instance {} at {}", r.index, r.addr);
+                .ok_or_else(|| {
+                    CliError::usage(format!("`route {sub}` needs the router address"))
+                })?;
+            let verb = if sub == "status" {
+                "membership"
+            } else {
+                "route"
+            };
+            let request = request_from_args(verb, parsed)?;
+            match connect(parsed, addr)?.call(&request).map_err(client_err)? {
+                Response::Membership { membership } => Ok(membership_table(&membership)),
+                Response::Routed {
+                    hash,
+                    primary,
+                    replicas,
+                } => {
+                    let cluster = parsed.get("cluster").unwrap_or("default");
+                    let app = parsed.require("app")?;
+                    let mut out = String::new();
+                    let _ = writeln!(
+                        out,
+                        "({cluster}, {app}) -> {hash:#018x} -> instance {} at {}",
+                        primary.index, primary.addr
+                    );
+                    for r in &replicas {
+                        let _ = writeln!(out, "  replica: instance {} at {}", r.index, r.addr);
+                    }
+                    Ok(out)
+                }
+                other => Err(CliError::Transport(format!(
+                    "unexpected reply to `route {sub}`: {other:?}"
+                ))),
             }
-            Ok(out)
         }
         other => Err(CliError::usage(format!(
             "unknown route subcommand `{other}` (want serve | status | where)"
@@ -2060,17 +2073,32 @@ mod tests {
 
     #[test]
     fn nonpositive_timeout_is_a_usage_error() {
-        let err = request(&parsed(&[
-            "request",
-            "127.0.0.1:1",
-            "stats",
-            "--timeout",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("--timeout"), "{err}");
-        let err = metrics(&parsed(&["metrics", "127.0.0.1:1", "--timeout", "-1"])).unwrap_err();
-        assert!(err.to_string().contains("--timeout"), "{err}");
+        // `1e20` s is positive and finite but overflows a `Duration`.
+        for secs in ["0", "-1", "1e20"] {
+            let args = ["request", "127.0.0.1:1", "stats", "--timeout", secs];
+            let err = request(&parsed(&args)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(err.to_string().contains("--timeout"), "{err}");
+            let err = metrics(&parsed(&["metrics", "127.0.0.1:1", "--timeout", secs])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+        }
+    }
+
+    #[test]
+    fn a_best_index_past_the_mappings_is_a_transport_error() {
+        let args = ["request", "127.0.0.1:1", "best-of", "--mappings", "0,1;2,3"];
+        let reply = Response::Best {
+            epoch: 0,
+            index: 5,
+            prediction: cbes_core::eval::Prediction {
+                time: 1.0,
+                bottleneck: 0,
+                per_proc: Vec::new(),
+            },
+        };
+        let err = render_reply(Action::BestOf, "127.0.0.1:1", &parsed(&args), reply).unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err}");
+        assert!(err.to_string().contains("candidate #5 of 2"), "{err}");
     }
 
     #[test]

@@ -87,6 +87,24 @@ fn mapping(ids: &[u32]) -> Mapping {
     Mapping::new(ids.iter().map(|&i| NodeId(i)).collect())
 }
 
+fn compare(app: &str, mappings: Vec<Mapping>) -> Request {
+    Request::Compare {
+        app: app.to_string(),
+        mappings,
+    }
+}
+
+/// Register `profile(app)` through `client` (a router broadcasts it).
+fn register(client: &mut Client, app: &str) {
+    let reply = client.call(&Request::RegisterProfile {
+        profile: profile(app),
+    });
+    assert!(
+        matches!(reply, Ok(Response::Registered { .. })),
+        "{reply:?}"
+    );
+}
+
 #[test]
 fn observations_replicate_from_leader_to_followers() {
     let instances: Vec<ServerHandle> = (0..3).map(|_| start_instance()).collect();
@@ -172,29 +190,47 @@ fn router_proxy_routes_merges_and_reports() {
     // arms nothing: the tier keeps both instances and keeps serving.
     let mut bad = profile("app");
     bad.procs[1].x = -1.0;
-    match c.register_profile(bad) {
+    match c.call(&Request::RegisterProfile { profile: bad }) {
         Err(cbes_server::client::ClientError::Server { kind, .. }) => {
             assert_eq!(kind, error_kind::SERVICE)
         }
         other => panic!("expected a service error, got {other:?}"),
     }
-    assert!(c.compare("app", &[mapping(&[0, 1])]).is_err());
+    let one = compare("app", vec![mapping(&[0, 1])]);
+    assert!(c.call(&one).is_err());
     assert_eq!(router.membership().counts().0, 2);
-    c.register_profile(profile("app"))
-        .expect("broadcast registration");
-    let (_, preds) = c
-        .compare("app", &[mapping(&[0, 1])])
-        .expect("hash-forwarded compare");
-    assert_eq!(preds.len(), 1);
+    register(&mut c, "app");
+    let reply = c.call(&one).expect("hash-forwarded compare");
+    assert!(
+        matches!(&reply, Response::Predictions { predictions, .. } if predictions.len() == 1),
+        "{reply:?}"
+    );
 
-    let (hash, primary, replicas) = c.route("demo", "app").expect("local route answer");
+    let route = Request::Route {
+        cluster: "demo".to_string(),
+        app: "app".to_string(),
+    };
+    let reply = c.call(&route).expect("local route answer");
+    let Response::Routed {
+        hash,
+        primary,
+        replicas,
+    } = reply
+    else {
+        panic!("expected a route, got {reply:?}")
+    };
     assert_eq!(hash, cbes_server::route_key_hash("demo", "app"));
     assert_eq!(replicas.len(), 1);
     assert_ne!(primary.index, replicas[0].index);
 
-    let report = c.membership().expect("local membership answer");
-    assert_eq!(report.instances.len(), 2);
-    assert_eq!(report.cluster, "demo");
+    let reply = c
+        .call(&Request::Membership)
+        .expect("local membership answer");
+    assert!(
+        matches!(&reply, Response::Membership { membership }
+            if membership.instances.len() == 2 && membership.cluster == "demo"),
+        "{reply:?}"
+    );
 
     let stats = c.stats().expect("merged stats");
     assert!(stats.served >= 2, "tier-wide served count is merged");
@@ -216,7 +252,8 @@ fn router_proxy_routes_merges_and_reports() {
     }
 
     // Shutdown through the router drains the whole tier.
-    c.shutdown().expect("broadcast shutdown");
+    let ack = c.call(&Request::Shutdown).expect("broadcast shutdown");
+    assert_eq!(ack, Response::ShuttingDown);
     for h in instances {
         h.join();
     }
@@ -288,14 +325,26 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
 
     // Stage + apply broadcast to every instance; each journals v1 and
     // flips with exactly one epoch bump.
-    let limits = r#"{"max_rps": 50.0, "shed_retry_after_ms": 5}"#;
-    let (v, state, _) = c.stage("serving_limits", limits).expect("tier-wide stage");
-    assert_eq!((v, state.as_str()), (1, "staged"));
-    let (_, state, _) = c.apply().expect("tier-wide apply");
-    assert_eq!(state, "soaking");
+    let stage = Request::Stage {
+        kind: "serving_limits".to_string(),
+        payload: r#"{"max_rps": 50.0, "shed_retry_after_ms": 5}"#.to_string(),
+    };
+    let reply = c.call(&stage).expect("tier-wide stage");
+    assert!(
+        matches!(&reply, Response::ArtifactAck { version: 1, state, .. } if state == "staged"),
+        "{reply:?}"
+    );
+    let reply = c.call(&Request::Apply).expect("tier-wide apply");
+    assert!(
+        matches!(&reply, Response::ArtifactAck { state, .. } if state == "soaking"),
+        "{reply:?}"
+    );
 
     // The merged status carries one row per instance, sorted by address.
-    let status = c.artifact_status().expect("merged status");
+    let reply = c.call(&Request::ArtifactStatus).expect("merged status");
+    let Response::ArtifactStatus { status } = reply else {
+        panic!("expected a status, got {reply:?}")
+    };
     assert_eq!(status.instances.len(), 2, "one lifecycle row per instance");
     let mut sorted = status
         .instances
@@ -327,7 +376,10 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
     }
 
     // A lifecycle refusal from any instance is relayed with its address.
-    match c.accept().and_then(|_| c.accept()) {
+    match c
+        .call(&Request::Accept)
+        .and_then(|_| c.call(&Request::Accept))
+    {
         Err(cbes_server::client::ClientError::Server { message, .. }) => {
             assert!(
                 seeds.iter().any(|s| message.contains(s.as_str())),
@@ -337,7 +389,8 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
         other => panic!("second accept must be refused tier-wide, got {other:?}"),
     }
 
-    c.shutdown().expect("broadcast shutdown");
+    let ack = c.call(&Request::Shutdown).expect("broadcast shutdown");
+    assert_eq!(ack, Response::ShuttingDown);
     for h in instances {
         h.join();
     }
@@ -470,24 +523,24 @@ fn wire_shutdown_answers_a_pipelined_window_in_full() {
     let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
     let mut control =
         Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
-    control
-        .register_profile(profile("app"))
-        .expect("broadcast registration");
+    register(&mut control, "app");
 
     const WINDOW: u64 = 48;
     let (mut stream, mut reader) = raw_connection(&router);
     let window: String = (1..=WINDOW)
         .map(|id| {
-            let request = Request::Compare {
-                app: "app".to_string(),
-                mappings: vec![mapping(&[0, 1])],
-            };
-            encode(&RequestEnvelope::new(id, request)) + "\n"
+            encode(&RequestEnvelope::new(
+                id,
+                compare("app", vec![mapping(&[0, 1])]),
+            )) + "\n"
         })
         .collect();
     stream.write_all(window.as_bytes()).expect("write");
     // The window is in flight; the tier is told to drain from elsewhere.
-    control.shutdown().expect("broadcast shutdown");
+    let ack = control
+        .call(&Request::Shutdown)
+        .expect("broadcast shutdown");
+    assert_eq!(ack, Response::ShuttingDown);
     // Drain sheds come from the reactor and may overtake replies still
     // being computed, so the window is matched by id, not by position.
     let mut answered = Vec::new();
@@ -539,12 +592,21 @@ fn restarted_backend_is_redialled_without_a_failover() {
     let router = quiet_router(seeds.clone());
     let mut c =
         Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
-    c.register_profile(profile("app"))
-        .expect("broadcast registration");
-    let (_, primary, replicas) = c.route("demo", "app").expect("local route answer");
-    let first = c
-        .compare("app", &[mapping(&[0, 1])])
-        .expect("routed over a fresh connection");
+    register(&mut c, "app");
+    let route = Request::Route {
+        cluster: "demo".to_string(),
+        app: "app".to_string(),
+    };
+    let reply = c.call(&route).expect("local route answer");
+    let Response::Routed {
+        primary, replicas, ..
+    } = reply
+    else {
+        panic!("expected a route, got {reply:?}")
+    };
+    let one = compare("app", vec![mapping(&[0, 1])]);
+    let first = c.call(&one).expect("routed over a fresh connection");
+    assert!(matches!(first, Response::Predictions { .. }), "{first:?}");
 
     // Kill the key's owner and bring it back on the same port (same
     // service, so the profile is still registered). The router's worker
@@ -554,7 +616,7 @@ fn restarted_backend_is_redialled_without_a_failover() {
     instances[primary.index] = Some(serve(&services[primary.index], primary.addr.clone()));
 
     let second = c
-        .compare("app", &[mapping(&[0, 1])])
+        .call(&one)
         .expect("the same router connection still gets an answer");
     assert_eq!(first, second, "same service, same epoch, same prediction");
     let report = router.membership().report();
@@ -574,11 +636,7 @@ fn restarted_backend_is_redialled_without_a_failover() {
 }
 
 fn compare_line(id: u64, app: &str, mappings: Vec<Mapping>) -> String {
-    let request = Request::Compare {
-        app: app.to_string(),
-        mappings,
-    };
-    encode(&RequestEnvelope::new(id, request)) + "\n"
+    encode(&RequestEnvelope::new(id, compare(app, mappings))) + "\n"
 }
 
 fn next_line(reader: &mut BufReader<TcpStream>) -> String {
@@ -600,9 +658,7 @@ fn two_connections_reusing_ids_each_get_their_own_replies_byte_for_byte() {
     let mut control =
         Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
     for app in ["left", "right"] {
-        control
-            .register_profile(profile(app))
-            .expect("broadcast registration");
+        register(&mut control, app);
     }
     // Same ids on both connections, different questions behind them.
     const WINDOW: u64 = 64;
@@ -694,10 +750,9 @@ fn tier_with_a_mute_primary(
     hang_up_after: Option<usize>,
 ) -> (RouterTierHandle, ServerHandle, usize, usize) {
     let real = start_instance();
-    Client::connect_timeout(real.addr(), Duration::from_secs(2))
-        .expect("instance answers")
-        .register_profile(profile(app))
-        .expect("direct registration");
+    let mut direct =
+        Client::connect_timeout(real.addr(), Duration::from_secs(2)).expect("instance answers");
+    register(&mut direct, app);
     let mute = mute_backend(stats_of(&real.addr().to_string()), hang_up_after);
     let owner = cbes_router::HashRing::new(2)
         .primary(route_key_hash("demo", app))
@@ -855,14 +910,9 @@ fn a_traced_compare_through_the_router_yields_one_connected_chain() {
     let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
     let mut control =
         Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
-    control
-        .register_profile(profile("app"))
-        .expect("broadcast registration");
+    register(&mut control, "app");
     let trace_id = cbes_obs::mint_trace_id();
-    let request = Request::Compare {
-        app: "app".to_string(),
-        mappings: vec![mapping(&[0, 1])],
-    };
+    let request = compare("app", vec![mapping(&[0, 1])]);
     let (mut stream, mut reader) = raw_connection(&router);
     let line = encode(&RequestEnvelope::traced(3, request, trace_id, 41)) + "\n";
     stream.write_all(line.as_bytes()).expect("write");
@@ -870,7 +920,12 @@ fn a_traced_compare_through_the_router_yields_one_connected_chain() {
     assert_eq!(reply.id, 3);
     assert!(matches!(reply.response, Response::Predictions { .. }));
 
-    let (_, spans) = control.trace(trace_id).expect("tier-wide trace");
+    let reply = control
+        .call(&Request::Trace { trace_id })
+        .expect("tier-wide trace");
+    let Response::Traces { spans, .. } = reply else {
+        panic!("expected spans, got {reply:?}")
+    };
     let named = |name: &str| {
         let mut matching = spans.iter().filter(|s| s.name == name);
         let span = matching.next().unwrap_or_else(|| panic!("no {name} span"));
@@ -904,9 +959,7 @@ fn a_client_that_never_reads_is_not_read_from_until_it_does() {
     let router = quiet_router_waiting(seeds, ServerConfig::default().request_timeout);
     let mut control =
         Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
-    control
-        .register_profile(profile("app"))
-        .expect("broadcast registration");
+    register(&mut control, "app");
     let served = || -> u64 {
         let compares = |h: &ServerHandle| stats_of(&h.addr().to_string()).per_action["compare"];
         instances.iter().map(compares).sum()

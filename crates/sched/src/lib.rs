@@ -28,7 +28,7 @@ pub use greedy::GreedyScheduler;
 pub use ncs::NcsScheduler;
 pub use random::RandomScheduler;
 pub use sa::{SaConfig, SaScheduler};
-pub use telemetry::{NullSink, RecordingSink, StageStats, TelemetrySink};
+pub use telemetry::{NullSink, TelemetrySink};
 
 use cbes_cluster::NodeId;
 use cbes_core::eval::Evaluator;

@@ -2,9 +2,9 @@
 //!
 //! The hot loop is generic over [`TelemetrySink`], so the disabled path
 //! ([`NullSink`]) monomorphises to nothing — no allocation, no branch,
-//! no clock read per move. [`RecordingSink`] aggregates per-temperature
-//! acceptance counts and the best-energy trace, for diagnosing cooling
-//! schedules on real runs.
+//! no clock read per move. The test-only `RecordingSink` aggregates
+//! per-temperature acceptance counts and the best-energy trace, so tests
+//! can check a cooling schedule on a real run.
 //!
 //! All wall-clock reads in the scheduler crate go through
 //! [`TelemetrySink::clock`], so tests can substitute a deterministic
@@ -57,8 +57,9 @@ impl TelemetrySink for NullSink {
 
 /// Acceptance statistics for one temperature decade of the cooling
 /// schedule (all moves proposed while `10^decade <= temp < 10^(decade+1)`).
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageStats {
+pub(crate) struct StageStats {
     /// `floor(log10(temperature))` for this stage.
     pub decade: i32,
     /// Moves proposed in this stage.
@@ -69,13 +70,15 @@ pub struct StageStats {
 
 /// Aggregating sink: per-temperature-decade acceptance counts and the
 /// best-energy trace.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct RecordingSink {
+pub(crate) struct RecordingSink {
     stages: Vec<StageStats>,
     best_trace: Vec<(u64, f64)>,
     moves: u64,
 }
 
+#[cfg(test)]
 impl RecordingSink {
     /// An empty sink.
     pub fn new() -> Self {
@@ -101,6 +104,7 @@ impl RecordingSink {
     }
 }
 
+#[cfg(test)]
 impl TelemetrySink for RecordingSink {
     fn on_move(&mut self, temp: f64, accepted: bool) {
         self.moves += 1;

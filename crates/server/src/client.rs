@@ -5,17 +5,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use cbes_cluster::load::LoadState;
-use cbes_core::eval::Prediction;
-use cbes_core::mapping::Mapping;
 use cbes_obs::MetricsSnapshot;
-use cbes_trace::AppProfile;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::protocol::{
-    encode, envelope, error_kind, InstanceInfo, MembershipReport, Request, Response,
-    ResponseEnvelope, SpanSnapshot, StatsReport,
+    encode, envelope, error_kind, Request, Response, ResponseEnvelope, StatsReport,
 };
 
 /// A client-side failure: transport, protocol, or a server error reply.
@@ -66,8 +61,7 @@ impl From<std::io::Error> for ClientError {
 }
 
 /// How a [`Client`] gets one request answered. [`Direct`] is a live
-/// connection; [`Retrying`] layers re-dial and replay over it; a test
-/// or a simulation can stand in its own.
+/// connection; [`Retrying`] layers re-dial and replay over it.
 pub trait Transport {
     /// Send `request` and wait for the reply envelope. Error replies
     /// are envelopes, not `Err`.
@@ -83,10 +77,10 @@ pub struct Direct {
     next_id: u64,
 }
 
-/// A blocking client of a CBES daemon or router: one typed method per
-/// action (and [`Client::call`] for a [`Request`] built elsewhere) over
-/// a [`Transport`] — a plain connection unless built with
-/// [`Client::retrying`].
+/// A blocking client of a CBES daemon or router: [`Client::call`] sends
+/// any [`Request`] over a [`Transport`] — a plain connection unless
+/// built with [`Client::retrying`]. [`Client::stats`] and
+/// [`Client::metrics`] unwrap the two reads monitoring tools poll.
 #[derive(Debug)]
 pub struct Client<T: Transport = Direct> {
     transport: T,
@@ -189,19 +183,16 @@ impl Transport for Direct {
 }
 
 impl<T: Transport> Client<T> {
-    /// A client over a transport of the caller's own.
-    pub fn over(transport: T) -> Self {
-        Client { transport }
-    }
-
     /// Send one request and wait for its reply envelope. Error replies
-    /// are returned as envelopes, not `Err` — use [`Client::call`] or
-    /// the typed helpers for automatic error conversion.
+    /// are returned as envelopes, not `Err` — use [`Client::call`] for
+    /// automatic error conversion.
     pub fn request(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
         self.transport.round_trip(request)
     }
 
     /// Send a request and surface error replies as [`ClientError::Server`].
+    /// This is the one way to ask for an action; the caller matches the
+    /// [`Response`] variant its action answers with.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         match self.request(request)?.response {
             Response::Error {
@@ -217,126 +208,13 @@ impl<T: Transport> Client<T> {
         }
     }
 
-    /// Register (or replace) an application profile.
-    pub fn register_profile(&mut self, profile: AppProfile) -> Result<(), ClientError> {
-        match self.call(&Request::RegisterProfile { profile })? {
-            Response::Registered { .. } => Ok(()),
-            other => Err(unexpected("Registered", &other)),
-        }
-    }
-
-    /// Predict execution times for candidate mappings; returns the
-    /// snapshot epoch and one prediction per mapping, in request order.
-    pub fn compare(
-        &mut self,
-        app: &str,
-        mappings: &[Mapping],
-    ) -> Result<(u64, Vec<Prediction>), ClientError> {
-        self.predictions(Request::Compare {
-            app: app.to_string(),
-            mappings: mappings.to_vec(),
-        })
-    }
-
-    /// Evaluate many candidate mappings in one round-trip; every
-    /// prediction in the reply was computed against the single returned
-    /// snapshot epoch. Equivalent to one `compare` per candidate at
-    /// that epoch, amortised server-side.
-    pub fn batch(
-        &mut self,
-        app: &str,
-        mappings: &[Mapping],
-    ) -> Result<(u64, Vec<Prediction>), ClientError> {
-        self.predictions(Request::Batch {
-            app: app.to_string(),
-            mappings: mappings.to_vec(),
-        })
-    }
-
-    fn predictions(&mut self, request: Request) -> Result<(u64, Vec<Prediction>), ClientError> {
-        match self.call(&request)? {
-            Response::Predictions { epoch, predictions } => Ok((epoch, predictions)),
-            other => Err(unexpected("Predictions", &other)),
-        }
-    }
-
-    /// The index and prediction of the fastest candidate mapping.
-    pub fn best_of(
-        &mut self,
-        app: &str,
-        mappings: &[Mapping],
-    ) -> Result<(u64, usize, Prediction), ClientError> {
-        let request = Request::BestOf {
-            app: app.to_string(),
-            mappings: mappings.to_vec(),
-        };
-        match self.call(&request)? {
-            Response::Best {
-                epoch,
-                index,
-                prediction,
-            } => Ok((epoch, index, prediction)),
-            other => Err(unexpected("Best", &other)),
-        }
-    }
-
-    /// Run the server-side scheduler over a node pool; returns the epoch,
-    /// the chosen mapping, and its predicted time.
-    pub fn schedule(
-        &mut self,
-        app: &str,
-        pool: &[u32],
-        iters: u32,
-        seed: u64,
-    ) -> Result<(u64, Mapping, f64), ClientError> {
-        let request = Request::Schedule {
-            app: app.to_string(),
-            pool: pool.to_vec(),
-            iters,
-            seed,
-        };
-        match self.call(&request)? {
-            Response::Scheduled {
-                epoch,
-                mapping,
-                predicted_time,
-                ..
-            } => Ok((epoch, mapping, predicted_time)),
-            other => Err(unexpected("Scheduled", &other)),
-        }
-    }
-
-    /// Feed one monitoring sweep; returns the new snapshot epoch.
-    pub fn observe_load(&mut self, load: &LoadState) -> Result<u64, ClientError> {
-        self.observed(Request::ObserveLoad { load: load.clone() })
-    }
-
-    /// Feed one *partial* monitoring sweep: the nodes in `silent`
-    /// delivered no measurement and age toward `Suspect`/`Down` under the
-    /// server's health policy. Returns the new snapshot epoch.
-    pub fn observe_partial(
-        &mut self,
-        load: &LoadState,
-        silent: &[u32],
-    ) -> Result<u64, ClientError> {
-        self.observed(Request::ObservePartial {
-            load: load.clone(),
-            silent: silent.to_vec(),
-        })
-    }
-
-    fn observed(&mut self, request: Request) -> Result<u64, ClientError> {
-        match self.call(&request)? {
-            Response::LoadObserved { epoch } => Ok(epoch),
-            other => Err(unexpected("LoadObserved", &other)),
-        }
-    }
-
     /// Read the server's counters.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
         match self.call(&Request::Stats)? {
             Response::Stats { stats } => Ok(stats),
-            other => Err(unexpected("Stats", &other)),
+            other => Err(ClientError::Protocol(format!(
+                "expected Stats, got {other:?}"
+            ))),
         }
     }
 
@@ -344,142 +222,11 @@ impl<T: Transport> Client<T> {
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
         match self.call(&Request::Metrics)? {
             Response::Metrics { metrics } => Ok(metrics),
-            other => Err(unexpected("Metrics", &other)),
+            other => Err(ClientError::Protocol(format!(
+                "expected Metrics, got {other:?}"
+            ))),
         }
     }
-
-    /// Ask which instance owns the `(cluster, app)` routing key; returns
-    /// the key hash, the owning primary, and its failover replicas (empty
-    /// when talking to a standalone daemon).
-    pub fn route(
-        &mut self,
-        cluster: &str,
-        app: &str,
-    ) -> Result<(u64, InstanceInfo, Vec<InstanceInfo>), ClientError> {
-        let request = Request::Route {
-            cluster: cluster.to_string(),
-            app: app.to_string(),
-        };
-        match self.call(&request)? {
-            Response::Routed {
-                hash,
-                primary,
-                replicas,
-            } => Ok((hash, primary, replicas)),
-            other => Err(unexpected("Routed", &other)),
-        }
-    }
-
-    /// Push a leader-published sweep at a fixed epoch (snapshot
-    /// replication). Returns the receiver's epoch and whether the sweep
-    /// was applied (`false` means the receiver was already newer).
-    pub fn replicate(
-        &mut self,
-        epoch: u64,
-        load: &LoadState,
-        silent: &[u32],
-    ) -> Result<(u64, bool), ClientError> {
-        let request = Request::Replicate {
-            epoch,
-            load: load.clone(),
-            silent: silent.to_vec(),
-        };
-        match self.call(&request)? {
-            Response::Replicated { epoch, applied } => Ok((epoch, applied)),
-            other => Err(unexpected("Replicated", &other)),
-        }
-    }
-
-    /// Read the serving tier's membership table (a standalone daemon
-    /// reports a single-instance view of itself).
-    pub fn membership(&mut self) -> Result<MembershipReport, ClientError> {
-        match self.call(&Request::Membership)? {
-            Response::Membership { membership } => Ok(membership),
-            other => Err(unexpected("Membership", &other)),
-        }
-    }
-
-    /// Fetch every buffered span belonging to `trace_id` from the
-    /// server's rings (a routed tier merges spans from every instance
-    /// plus the router's own forwarding spans).
-    pub fn trace(&mut self, trace_id: u64) -> Result<(u64, Vec<SpanSnapshot>), ClientError> {
-        match self.call(&Request::Trace { trace_id })? {
-            Response::Traces { trace_id, spans } => Ok((trace_id, spans)),
-            other => Err(unexpected("Traces", &other)),
-        }
-    }
-
-    /// Force an unconditional flight-recorder dump; returns the dump
-    /// file path and the number of events written (a routed tier dumps
-    /// on every instance and reports the first reply).
-    pub fn dump_flight(&mut self) -> Result<(String, u64), ClientError> {
-        match self.call(&Request::DumpFlight)? {
-            Response::FlightDumped { path, events } => Ok((path, events)),
-            other => Err(unexpected("FlightDumped", &other)),
-        }
-    }
-
-    /// Stage a configuration artifact (validated and journalled, not
-    /// yet activated). Returns `(version, state, epoch)` from the ack;
-    /// `state` is `"staged"` on success.
-    pub fn stage(&mut self, kind: &str, payload: &str) -> Result<(u64, String, u64), ClientError> {
-        self.acked(Request::Stage {
-            kind: kind.to_string(),
-            payload: payload.to_string(),
-        })
-    }
-
-    /// Activate the staged artifact under a soak (one epoch bump).
-    pub fn apply(&mut self) -> Result<(u64, String, u64), ClientError> {
-        self.acked(Request::Apply)
-    }
-
-    /// Promote the soaking artifact to active.
-    pub fn accept(&mut self) -> Result<(u64, String, u64), ClientError> {
-        self.acked(Request::Accept)
-    }
-
-    /// Abandon the soaking artifact and reinstate the previous
-    /// configuration (one more epoch bump).
-    pub fn rollback(&mut self, reason: &str) -> Result<(u64, String, u64), ClientError> {
-        self.acked(Request::Rollback {
-            reason: reason.to_string(),
-        })
-    }
-
-    /// A lifecycle verb's receipt: `(version, state, epoch)`.
-    fn acked(&mut self, request: Request) -> Result<(u64, String, u64), ClientError> {
-        match self.call(&request)? {
-            Response::ArtifactAck {
-                version,
-                state,
-                epoch,
-            } => Ok((version, state, epoch)),
-            other => Err(unexpected("ArtifactAck", &other)),
-        }
-    }
-
-    /// Read the artifact lifecycle state (tier-wide through a router:
-    /// one entry per usable instance).
-    pub fn artifact_status(&mut self) -> Result<cbes_reconfig::StatusReport, ClientError> {
-        match self.call(&Request::ArtifactStatus)? {
-            Response::ArtifactStatus { status } => Ok(status),
-            other => Err(unexpected("ArtifactStatus", &other)),
-        }
-    }
-
-    /// Ask the server to drain and exit. The acknowledgement arrives
-    /// before the drain completes.
-    pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected("ShuttingDown", &other)),
-        }
-    }
-}
-
-fn unexpected(wanted: &str, got: &Response) -> ClientError {
-    ClientError::Protocol(format!("expected {wanted} reply, got {got:?}"))
 }
 
 /// Retry tuning for [`Client::retrying`]: exponential backoff with
@@ -556,7 +303,7 @@ impl Client<Retrying> {
     /// dialled lazily on first use, with `io_timeout` bounding the dial
     /// and every read and write after it.
     pub fn retrying(addr: impl Into<String>, io_timeout: Duration, policy: RetryPolicy) -> Self {
-        Client::over(Retrying {
+        let transport = Retrying {
             addr: addr.into(),
             io_timeout,
             rng: StdRng::seed_from_u64(policy.seed),
@@ -564,7 +311,8 @@ impl Client<Retrying> {
             conn: None,
             retries: 0,
             giveups: 0,
-        })
+        };
+        Client { transport }
     }
 
     /// This client's `(retries, giveups)` so far: replays made after

@@ -16,7 +16,7 @@ use cbes_core::CbesService;
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
 use cbes_server::client::ClientError;
 use cbes_server::protocol::error_kind;
-use cbes_server::{Client, Server, ServerConfig};
+use cbes_server::{Client, Request, Response, Server, ServerConfig};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 fn ring_profile(name: &str, procs: usize) -> AppProfile {
@@ -65,48 +65,82 @@ fn m(ids: &[u32]) -> Mapping {
     Mapping::new(ids.iter().map(|&i| NodeId(i)).collect())
 }
 
+fn compare(app: &str, mappings: &[Mapping]) -> Request {
+    Request::Compare {
+        app: app.to_string(),
+        mappings: mappings.to_vec(),
+    }
+}
+
+/// Register `profile` over the wire, as a profiling agent would.
+fn register(client: &mut Client, profile: AppProfile) {
+    let reply = client.call(&Request::RegisterProfile { profile });
+    assert!(
+        matches!(reply, Ok(Response::Registered { .. })),
+        "{reply:?}"
+    );
+}
+
 #[test]
 fn full_request_cycle_over_the_wire() {
     let (handle, _service) = demo_server(2);
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    client
-        .register_profile(ring_profile("ring", 2))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 2));
 
-    let (epoch, preds) = client
-        .compare("ring", &[m(&[0, 1]), m(&[0, 4])])
-        .expect("compare");
+    let reply = client.call(&compare("ring", &[m(&[0, 1]), m(&[0, 4])]));
+    let Ok(Response::Predictions { epoch, predictions }) = reply else {
+        panic!("expected predictions, got {reply:?}")
+    };
     assert_eq!(epoch, 0, "no load observed yet");
-    assert_eq!(preds.len(), 2);
+    assert_eq!(predictions.len(), 2);
     assert!(
-        preds[0].time < preds[1].time,
+        predictions[0].time < predictions[1].time,
         "same-switch mapping must be predicted faster"
     );
 
-    let (_, index, best) = client
-        .best_of("ring", &[m(&[0, 4]), m(&[0, 1])])
-        .expect("best_of");
-    assert_eq!(index, 1);
-    assert!(best.time > 0.0);
+    let best_of = Request::BestOf {
+        app: "ring".to_string(),
+        mappings: vec![m(&[0, 4]), m(&[0, 1])],
+    };
+    let reply = client.call(&best_of).expect("best_of");
+    assert!(
+        matches!(&reply, Response::Best { index: 1, prediction, .. } if prediction.time > 0.0),
+        "{reply:?}"
+    );
 
     // A monitoring sweep bumps the epoch and shifts predictions.
     let mut load = LoadState::idle(8);
     load.set_cpu_avail(NodeId(0), 0.25);
-    let epoch = client.observe_load(&load).expect("observe");
-    assert_eq!(epoch, 1);
-    let (epoch2, loaded) = client.compare("ring", &[m(&[0, 1])]).expect("compare");
-    assert_eq!(epoch2, 1);
+    let observed = client.call(&Request::ObserveLoad { load });
+    assert!(matches!(observed, Ok(Response::LoadObserved { epoch: 1 })));
+    let reply = client
+        .call(&compare("ring", &[m(&[0, 1])]))
+        .expect("compare");
     assert!(
-        loaded[0].time > preds[0].time,
-        "a loaded node must slow the prediction"
+        matches!(&reply, Response::Predictions { epoch: 1, predictions: loaded }
+            if loaded[0].time > predictions[0].time),
+        "a loaded node must slow the prediction: {reply:?}"
     );
 
     // Server-side scheduling over the whole pool avoids the loaded node.
-    let pool: Vec<u32> = (0..8).collect();
-    let (_, mapping, predicted) = client.schedule("ring", &pool, 0, 7).expect("schedule");
+    let schedule = Request::Schedule {
+        app: "ring".to_string(),
+        pool: (0..8).collect(),
+        iters: 0,
+        seed: 7,
+    };
+    let reply = client.call(&schedule).expect("schedule");
+    let Response::Scheduled {
+        mapping,
+        predicted_time,
+        ..
+    } = reply
+    else {
+        panic!("expected a schedule, got {reply:?}")
+    };
     assert_eq!(mapping.len(), 2);
-    assert!(predicted > 0.0);
+    assert!(predicted_time > 0.0);
     assert!(
         !mapping.as_slice().contains(&NodeId(0)),
         "scheduler should avoid the loaded node, got {mapping}"
@@ -118,7 +152,8 @@ fn full_request_cycle_over_the_wire() {
     assert_eq!(stats.profiles, 1);
     assert_eq!(stats.workers, 2);
 
-    client.shutdown().expect("shutdown ack");
+    let ack = client.call(&Request::Shutdown).expect("shutdown ack");
+    assert_eq!(ack, Response::ShuttingDown);
     let (served, errors) = handle.join();
     assert!(served >= 7);
     assert_eq!(errors, 0, "no request in this test should error");
@@ -133,14 +168,14 @@ fn a_malformed_profile_is_refused_and_the_daemon_keeps_serving() {
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut bad = ring_profile("bad", 2);
     bad.procs[0].sends[0].peer = 7;
-    match client.register_profile(bad) {
+    match client.call(&Request::RegisterProfile { profile: bad }) {
         Err(ClientError::Server { kind, message, .. }) => {
             assert_eq!(kind, error_kind::SERVICE);
             assert!(message.contains("peer 7"), "{message}");
         }
         other => panic!("expected a service error, got {other:?}"),
     }
-    assert!(client.compare("bad", &[m(&[0, 1])]).is_err());
+    assert!(client.call(&compare("bad", &[m(&[0, 1])])).is_err());
     // A value no client would encode, but one that parses to infinity.
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -157,10 +192,12 @@ fn a_malformed_profile_is_refused_and_the_daemon_keeps_serving() {
     assert!(line.contains(error_kind::SERVICE), "{line}");
     assert!(line.contains("x = inf"), "{line}");
     assert_eq!(client.stats().expect("stats").profiles, 0);
-    client
-        .register_profile(ring_profile("ring", 2))
-        .expect("register");
-    client.compare("ring", &[m(&[0, 1])]).expect("compare");
+    register(&mut client, ring_profile("ring", 2));
+    let reply = client.call(&compare("ring", &[m(&[0, 1])]));
+    assert!(
+        matches!(reply, Ok(Response::Predictions { .. })),
+        "{reply:?}"
+    );
     assert_eq!(service.registry().names(), ["ring"]);
     handle.shutdown_and_join();
 }
@@ -169,12 +206,10 @@ fn a_malformed_profile_is_refused_and_the_daemon_keeps_serving() {
 fn service_errors_come_back_typed() {
     let (handle, _service) = demo_server(1);
     let mut client = Client::connect(handle.addr()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 2))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 2));
 
     // Unknown application.
-    match client.compare("nope", &[m(&[0, 1])]) {
+    match client.call(&compare("nope", &[m(&[0, 1])])) {
         Err(cbes_server::client::ClientError::Server { kind, message, .. }) => {
             assert_eq!(kind, error_kind::SERVICE);
             assert!(message.contains("nope"), "{message}");
@@ -184,7 +219,7 @@ fn service_errors_come_back_typed() {
 
     // Oversubscription is rejected at the service boundary: node 0 is a
     // single-CPU Alpha, so two ranks on it are refused.
-    match client.compare("ring", &[m(&[0, 0])]) {
+    match client.call(&compare("ring", &[m(&[0, 0])])) {
         Err(cbes_server::client::ClientError::Server { kind, message, .. }) => {
             assert_eq!(kind, error_kind::SERVICE);
             assert!(message.contains("n0"), "{message}");
@@ -194,9 +229,12 @@ fn service_errors_come_back_typed() {
 
     // A short load sweep is refused without bumping the epoch.
     let short = LoadState::idle(3);
-    assert!(client.observe_load(&short).is_err());
-    let (epoch, _) = client.compare("ring", &[m(&[0, 1])]).expect("compare");
-    assert_eq!(epoch, 0, "rejected sweep must not bump the epoch");
+    assert!(client.call(&Request::ObserveLoad { load: short }).is_err());
+    let reply = client.call(&compare("ring", &[m(&[0, 1])]));
+    assert!(
+        matches!(reply, Ok(Response::Predictions { epoch: 0, .. })),
+        "rejected sweep must not bump the epoch: {reply:?}"
+    );
 
     handle.shutdown_and_join();
 }
@@ -281,21 +319,25 @@ fn concurrent_compares_are_bit_identical_within_an_epoch() {
     let addr = handle.addr();
     {
         let mut client = Client::connect(addr).expect("connect");
-        client
-            .register_profile(ring_profile("ring", 4))
-            .expect("register");
+        register(&mut client, ring_profile("ring", 4));
     }
-    let mappings = [m(&[0, 1, 2, 3]), m(&[0, 4, 1, 5]), m(&[4, 5, 6, 7])];
+    let request = compare(
+        "ring",
+        &[m(&[0, 1, 2, 3]), m(&[0, 4, 1, 5]), m(&[4, 5, 6, 7])],
+    );
 
     let collect = |expect_epoch: u64| -> Vec<Vec<u64>> {
         let results: Vec<(u64, Vec<u64>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
-                    let mappings = &mappings;
+                    let request = &request;
                     s.spawn(move || {
                         let mut client = Client::connect(addr).expect("connect");
-                        let (epoch, preds) = client.compare("ring", mappings).expect("compare");
-                        let bits: Vec<u64> = preds.iter().map(|p| p.time.to_bits()).collect();
+                        let reply = client.call(request);
+                        let Ok(Response::Predictions { epoch, predictions }) = reply else {
+                            panic!("expected predictions, got {reply:?}")
+                        };
+                        let bits = predictions.iter().map(|p| p.time.to_bits()).collect();
                         (epoch, bits)
                     })
                 })
@@ -349,13 +391,10 @@ fn concurrent_compares_are_bit_identical_within_an_epoch() {
 fn metrics_histograms_are_sane_and_counts_match_served() {
     let (handle, _service) = demo_server(2);
     let mut client = Client::connect(handle.addr()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 2))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 2));
+    let request = compare("ring", &[m(&[0, 1]), m(&[0, 4])]);
     for _ in 0..32 {
-        client
-            .compare("ring", &[m(&[0, 1]), m(&[0, 4])])
-            .expect("compare");
+        client.call(&request).expect("compare");
     }
 
     let stats = client.stats().expect("stats");
@@ -384,7 +423,8 @@ fn metrics_histograms_are_sane_and_counts_match_served() {
         "every request leaves a span in the ring"
     );
 
-    client.shutdown().expect("shutdown ack");
+    let ack = client.call(&Request::Shutdown).expect("shutdown ack");
+    assert_eq!(ack, Response::ShuttingDown);
     handle.join();
 }
 
@@ -408,9 +448,7 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
     .expect("bind loopback");
     let addr = handle.addr();
     let mut client = Client::connect(addr).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 2))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 2));
 
     // Calibrate SA speed offline, then size a schedule request to ~1.5 s
     // — five request timeouts — so it reliably hogs the single worker.
@@ -428,7 +466,12 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
 
     let blocker = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect");
-        c.schedule("ring", &(0..8).collect::<Vec<u32>>(), iters, 1)
+        c.call(&Request::Schedule {
+            app: "ring".to_string(),
+            pool: (0..8).collect(),
+            iters,
+            seed: 1,
+        })
     });
 
     // While the worker is pinned: the first compare fills the one-slot
@@ -437,7 +480,7 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
     let (mut saw_timeout, mut saw_overload) = (false, false);
     for _ in 0..40 {
         let mut c = Client::connect(addr).expect("connect");
-        match c.compare("ring", &[m(&[0, 1])]) {
+        match c.call(&compare("ring", &[m(&[0, 1])])) {
             Ok(_) => {}
             Err(ClientError::Server { kind, .. }) if kind == error_kind::TIMEOUT => {
                 saw_timeout = true;
@@ -561,9 +604,7 @@ fn frames_near_the_line_cap_decode_in_linear_time() {
     let handle = Server::start(service, config).expect("bind loopback");
     let app = "x".repeat(CAP - 1024);
     let mut other = Client::connect_timeout(handle.addr(), BOUND).expect("connect");
-    other
-        .register_profile(ring_profile(&app, 2))
-        .expect("register");
+    register(&mut other, ring_profile(&app, 2));
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.set_read_timeout(Some(BOUND)).expect("timeout");
     let mut writer = stream.try_clone().expect("clone");
@@ -579,10 +620,11 @@ fn frames_near_the_line_cap_decode_in_linear_time() {
 
     let start = Instant::now();
     let sender = std::thread::spawn(move || writer.write_all(frames.as_bytes()));
-    let (_, preds) = other
-        .compare(&app, &[m(&[0, 1])])
-        .expect("compare answered meanwhile");
-    assert_eq!(preds.len(), 1);
+    let reply = other.call(&compare(&app, &[m(&[0, 1])]));
+    assert!(
+        matches!(&reply, Ok(Response::Predictions { predictions, .. }) if predictions.len() == 1),
+        "compare answered meanwhile: {reply:?}"
+    );
     let mut line = String::new();
     for id in 1..=32 {
         line.clear();
@@ -651,9 +693,7 @@ fn repeated_malformed_frames_exhaust_the_error_budget() {
 fn partial_sweeps_drive_health_over_the_wire() {
     let (handle, _service) = demo_server(2);
     let mut client = Client::connect(handle.addr()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 2))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 2));
 
     let stats = client.stats().expect("stats");
     assert_eq!((stats.healthy, stats.suspect, stats.down), (8, 0, 0));
@@ -661,8 +701,13 @@ fn partial_sweeps_drive_health_over_the_wire() {
     // Node 3 goes silent; with the default policy (suspect after 3
     // stale sweeps, down after 8) nine partial sweeps kill it.
     let load = LoadState::idle(8);
-    for _ in 0..9 {
-        client.observe_partial(&load, &[3]).expect("sweep");
+    let sweep = Request::ObservePartial {
+        load: load.clone(),
+        silent: vec![3],
+    };
+    for epoch in 1..=9 {
+        let reply = client.call(&sweep).expect("sweep");
+        assert_eq!(reply, Response::LoadObserved { epoch });
     }
     let stats = client.stats().expect("stats");
     assert_eq!((stats.healthy, stats.suspect, stats.down), (7, 0, 1));
@@ -670,16 +715,23 @@ fn partial_sweeps_drive_health_over_the_wire() {
     assert_eq!(stats.per_action["observe_partial"], 9);
 
     // The scheduler must route around the down node even when asked for it.
-    let (_, mapping, _) = client
-        .schedule("ring", &(0..8).collect::<Vec<u32>>(), 0, 11)
-        .expect("schedule");
+    let schedule = Request::Schedule {
+        app: "ring".to_string(),
+        pool: (0..8).collect(),
+        iters: 0,
+        seed: 11,
+    };
+    let reply = client.call(&schedule).expect("schedule");
+    let Response::Scheduled { mapping, .. } = reply else {
+        panic!("expected a schedule, got {reply:?}")
+    };
     assert!(
         !mapping.as_slice().contains(&NodeId(3)),
         "down node must not be assigned, got {mapping}"
     );
 
     // A mapping naming the down node is refused with a typed error.
-    match client.compare("ring", &[m(&[3, 4])]) {
+    match client.call(&compare("ring", &[m(&[3, 4])])) {
         Err(ClientError::Server { kind, message, .. }) => {
             assert_eq!(kind, error_kind::SERVICE);
             assert!(message.contains("n3"), "{message}");
@@ -688,7 +740,10 @@ fn partial_sweeps_drive_health_over_the_wire() {
     }
 
     // A full sweep revives the node.
-    client.observe_load(&load).expect("full sweep");
+    let reply = client
+        .call(&Request::ObserveLoad { load })
+        .expect("full sweep");
+    assert_eq!(reply, Response::LoadObserved { epoch: 10 });
     let stats = client.stats().expect("stats");
     assert_eq!((stats.healthy, stats.suspect, stats.down), (8, 0, 0));
 
@@ -741,8 +796,11 @@ fn retrying_client_rides_out_a_late_starting_server() {
             seed: 3,
         },
     );
-    let (_, preds) = client.compare("ring", &[m(&[0, 1])]).expect("retry");
-    assert_eq!(preds.len(), 1);
+    let reply = client.call(&compare("ring", &[m(&[0, 1])])).expect("retry");
+    assert!(
+        matches!(&reply, Response::Predictions { predictions, .. } if predictions.len() == 1),
+        "{reply:?}"
+    );
     let stats = client.stats().expect("stats over the pooled connection");
     assert!(stats.served >= 1);
 
@@ -754,9 +812,7 @@ fn shutdown_drains_and_answers_every_request() {
     let (handle, _service) = demo_server(2);
     let addr = handle.addr();
     let mut client = Client::connect(addr).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 2))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 2));
 
     // Issue a burst from several threads, then shut down; every request
     // issued before the drain must still get exactly one reply.
@@ -767,9 +823,9 @@ fn shutdown_drains_and_answers_every_request() {
                     let mut client = Client::connect(addr).expect("connect");
                     let mut ok = 0usize;
                     for _ in 0..25 {
-                        match client.compare("ring", &[m(&[0, 1])]) {
-                            Ok(_) => ok += 1,
-                            Err(e) => panic!("pre-shutdown request failed: {e}"),
+                        match client.call(&compare("ring", &[m(&[0, 1])])) {
+                            Ok(Response::Predictions { .. }) => ok += 1,
+                            other => panic!("pre-shutdown request failed: {other:?}"),
                         }
                     }
                     ok
@@ -780,7 +836,8 @@ fn shutdown_drains_and_answers_every_request() {
     });
     assert_eq!(answered, 100);
 
-    client.shutdown().expect("shutdown ack");
+    let ack = client.call(&Request::Shutdown).expect("shutdown ack");
+    assert_eq!(ack, Response::ShuttingDown);
     let (served, _errors) = handle.join();
     assert!(
         served >= 102,
@@ -825,21 +882,37 @@ fn artifact_lifecycle_over_the_wire_survives_a_restart() {
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Nothing soaking yet: apply/accept/rollback are lifecycle errors.
-    for err in [client.apply(), client.accept(), client.rollback("nothing")] {
-        match err {
+    let rollback = |reason: &str| Request::Rollback {
+        reason: reason.to_string(),
+    };
+    for verb in [Request::Apply, Request::Accept, rollback("nothing")] {
+        match client.call(&verb) {
             Err(ClientError::Server { kind, .. }) => assert_eq!(kind, error_kind::BAD_REQUEST),
             other => panic!("expected lifecycle error, got {other:?}"),
         }
     }
 
     // Stage → apply (one epoch bump) → rollback (one more).
-    let limits = r#"{"max_rps": 50.0, "shed_retry_after_ms": 5}"#;
-    let (v1, state, epoch0) = client.stage("serving_limits", limits).expect("stage");
-    assert_eq!((v1, state.as_str()), (1, "staged"));
-    let (_, state, epoch1) = client.apply().expect("apply");
-    assert_eq!(state, "soaking");
-    assert_eq!(epoch1, epoch0 + 1, "apply is exactly one epoch bump");
-    let status = client.artifact_status().expect("status");
+    let stage = Request::Stage {
+        kind: "serving_limits".to_string(),
+        payload: r#"{"max_rps": 50.0, "shed_retry_after_ms": 5}"#.to_string(),
+    };
+    let ack = |version, state: &str, epoch| Response::ArtifactAck {
+        version,
+        state: state.to_string(),
+        epoch,
+    };
+    assert_eq!(client.call(&stage).expect("stage"), ack(1, "staged", 0));
+    let applied = client.call(&Request::Apply).expect("apply");
+    assert_eq!(
+        applied,
+        ack(1, "soaking", 1),
+        "apply is exactly one epoch bump"
+    );
+    let reply = client.call(&Request::ArtifactStatus).expect("status");
+    let Response::ArtifactStatus { status } = reply else {
+        panic!("expected a status, got {reply:?}")
+    };
     assert_eq!(status.instances.len(), 1);
     assert!(status.instances[0].reconfigurable);
     assert_eq!(
@@ -850,23 +923,38 @@ fn artifact_lifecycle_over_the_wire_survives_a_restart() {
             .map(|s| s.version),
         Some(1)
     );
-    let (_, state, epoch2) = client.rollback("operator says no").expect("rollback");
-    assert_eq!(state, "rolled_back");
-    assert_eq!(epoch2, epoch1 + 1, "rollback is exactly one epoch bump");
+    let rolled = client
+        .call(&rollback("operator says no"))
+        .expect("rollback");
+    assert_eq!(
+        rolled,
+        ack(1, "rolled_back", 2),
+        "rollback is exactly one epoch bump"
+    );
 
     // Stage → apply → accept, then restart on the same state dir: the
     // journal replay must recover v2 as the active, serving artifact.
-    let (v2, _, _) = client.stage("serving_limits", limits).expect("stage v2");
-    assert_eq!(v2, 2);
-    client.apply().expect("apply v2");
-    let (_, state, _) = client.accept().expect("accept v2");
-    assert_eq!(state, "active");
-    client.shutdown().expect("shutdown");
+    assert_eq!(client.call(&stage).expect("stage v2"), ack(2, "staged", 2));
+    assert_eq!(
+        client.call(&Request::Apply).expect("apply v2"),
+        ack(2, "soaking", 3)
+    );
+    assert_eq!(
+        client.call(&Request::Accept).expect("accept v2"),
+        ack(2, "active", 3)
+    );
+    let ack = client.call(&Request::Shutdown).expect("shutdown");
+    assert_eq!(ack, Response::ShuttingDown);
     handle.join();
 
     let handle = start(state_dir.clone());
     let mut client = Client::connect(handle.addr()).expect("reconnect");
-    let status = client.artifact_status().expect("status after restart");
+    let reply = client
+        .call(&Request::ArtifactStatus)
+        .expect("status after restart");
+    let Response::ArtifactStatus { status } = reply else {
+        panic!("expected a status, got {reply:?}")
+    };
     assert_eq!(
         status.instances[0]
             .status
@@ -876,7 +964,8 @@ fn artifact_lifecycle_over_the_wire_survives_a_restart() {
         Some(2)
     );
     assert!(status.instances[0].status.soaking.is_none());
-    client.shutdown().expect("shutdown");
+    let ack = client.call(&Request::Shutdown).expect("shutdown");
+    assert_eq!(ack, Response::ShuttingDown);
     handle.join();
     let _ = std::fs::remove_dir_all(&state_dir);
 }
@@ -885,7 +974,11 @@ fn artifact_lifecycle_over_the_wire_survives_a_restart() {
 fn artifact_verbs_without_a_state_dir_reply_bad_request() {
     let (handle, _service) = demo_server(1);
     let mut client = Client::connect(handle.addr()).expect("connect");
-    match client.stage("serving_limits", "{}") {
+    let stage = Request::Stage {
+        kind: "serving_limits".to_string(),
+        payload: "{}".to_string(),
+    };
+    match client.call(&stage) {
         Err(ClientError::Server { kind, message, .. }) => {
             assert_eq!(kind, error_kind::BAD_REQUEST);
             assert!(message.contains("--state-dir"), "{message}");
@@ -894,7 +987,10 @@ fn artifact_verbs_without_a_state_dir_reply_bad_request() {
     }
     // Status still answers, flagged as not reconfigurable, so a mixed
     // tier merge reports every instance.
-    let status = client.artifact_status().expect("status");
-    assert_eq!(status.instances.len(), 1);
-    assert!(!status.instances[0].reconfigurable);
+    let reply = client.call(&Request::ArtifactStatus).expect("status");
+    assert!(
+        matches!(&reply, Response::ArtifactStatus { status }
+            if status.instances.len() == 1 && !status.instances[0].reconfigurable),
+        "{reply:?}"
+    );
 }

@@ -12,7 +12,7 @@ use cbes_cluster::NodeId;
 use cbes_core::mapping::Mapping;
 use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
-use cbes_server::{Client, Server, ServerConfig};
+use cbes_server::{Client, Request, Response, Server, ServerConfig};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 fn ring_profile(name: &str, procs: usize) -> AppProfile {
@@ -47,6 +47,23 @@ fn demo_server(config: ServerConfig) -> cbes_server::ServerHandle {
         ForecastKind::LastValue,
     ));
     Server::start(service, config).expect("bind loopback")
+}
+
+/// Drain the daemon over a fresh connection and wait for it to exit.
+fn shut_down(handle: cbes_server::ServerHandle) {
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let ack = client.call(&Request::Shutdown).expect("shutdown");
+    assert_eq!(ack, Response::ShuttingDown);
+    handle.join();
+}
+
+/// Register `profile` over the wire, as a profiling agent would.
+fn register(client: &mut Client, profile: AppProfile) {
+    let reply = client.call(&Request::RegisterProfile { profile });
+    assert!(
+        matches!(reply, Ok(Response::Registered { .. })),
+        "{reply:?}"
+    );
 }
 
 fn m(ids: &[u32]) -> Mapping {
@@ -112,9 +129,7 @@ fn split_writes_reassemble_into_whole_frames() {
 
     drop(writer);
     drop(reader);
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client.shutdown().expect("shutdown");
-    handle.join();
+    shut_down(handle);
 }
 
 #[test]
@@ -143,9 +158,7 @@ fn interleaved_pipelining_answers_every_id_in_order() {
 
     drop(writer);
     drop(reader);
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client.shutdown().expect("shutdown");
-    handle.join();
+    shut_down(handle);
 }
 
 /// Deterministic xorshift64* generator — the fuzz corpus must be
@@ -236,9 +249,7 @@ fn malformed_frame_fuzz_never_wedges_the_decoder() {
         );
     }
 
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client.shutdown().expect("shutdown");
-    handle.join();
+    shut_down(handle);
 }
 
 #[test]
@@ -247,16 +258,21 @@ fn batch_is_a_single_round_trip_with_one_epoch_stamp() {
     // carrying every prediction and exactly one epoch field.
     let handle = demo_server(ServerConfig::default());
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 4))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 4));
     // `Batch` is `Compare` under another verb: the same candidates get
     // the same epoch and the same predictions in the same order.
     let pool = candidates(16);
-    assert_eq!(
-        client.batch("ring", &pool).expect("batch"),
-        client.compare("ring", &pool).expect("compare")
-    );
+    let batch = Request::Batch {
+        app: "ring".to_string(),
+        mappings: pool.clone(),
+    };
+    let compare = Request::Compare {
+        app: "ring".to_string(),
+        mappings: pool.clone(),
+    };
+    let reply = client.call(&batch).expect("batch");
+    assert!(matches!(reply, Response::Predictions { .. }), "{reply:?}");
+    assert_eq!(reply, client.call(&compare).expect("compare"));
     drop(client);
 
     let mappings_json: Vec<String> = pool
@@ -292,9 +308,7 @@ fn batch_is_a_single_round_trip_with_one_epoch_stamp() {
 
     drop(writer);
     drop(reader);
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client.shutdown().expect("shutdown");
-    handle.join();
+    shut_down(handle);
 }
 
 #[test]
@@ -307,9 +321,7 @@ fn pipelined_evaluations_stay_ordered_under_load() {
         ..ServerConfig::default()
     });
     let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 4))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 4));
     drop(client);
 
     let stream = TcpStream::connect(handle.addr()).expect("connect");
@@ -344,9 +356,7 @@ fn pipelined_evaluations_stay_ordered_under_load() {
 
     drop(writer);
     drop(reader);
-    let mut client = Client::connect(handle.addr().to_string()).expect("connect");
-    client.shutdown().expect("shutdown");
-    handle.join();
+    shut_down(handle);
 }
 
 /// A frame is what it decodes to, not what its leading bytes spell. A
@@ -360,9 +370,7 @@ fn a_disguised_schedule_does_not_run_on_the_reactor() {
         ..ServerConfig::default()
     });
     let mut client = Client::connect(handle.addr()).expect("connect");
-    client
-        .register_profile(ring_profile("ring", 4))
-        .expect("register");
+    register(&mut client, ring_profile("ring", 4));
     // Consecutive connections pin to different workers.
     let mut a = TcpStream::connect(handle.addr()).expect("connect");
     let mut b = TcpStream::connect(handle.addr()).expect("connect");
@@ -389,6 +397,7 @@ fn a_disguised_schedule_does_not_run_on_the_reactor() {
         reply.contains("\"id\":1") && reply.contains("Scheduled"),
         "{reply}"
     );
-    client.shutdown().expect("shutdown");
+    let ack = client.call(&Request::Shutdown).expect("shutdown");
+    assert_eq!(ack, Response::ShuttingDown);
     handle.join();
 }

@@ -1,5 +1,5 @@
 //! The serving layer end to end, in one process: start the daemon, feed
-//! it a real LU profile, fire 100 concurrent `Compare` requests over
+//! it a real LU profile, fire 100 concurrent `BestOf` requests over
 //! loopback sockets, and read the counters back.
 //!
 //! ```text
@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use cbes::prelude::*;
-use cbes::server::{Client, Server, ServerConfig};
+use cbes::server::{Client, Request, Response, Server, ServerConfig};
 
 fn main() {
     // ── 1. Stand up the service: demo cluster, calibrated latency model,
@@ -46,27 +46,36 @@ fn main() {
     .expect("profiling run");
     let profile = extract_profile(&app.name, &run.trace, &cluster, &prof, &calib.model);
     let mut client = Client::connect(addr).expect("connect");
-    client.register_profile(profile).expect("register");
+    let registered = client.call(&Request::RegisterProfile { profile });
+    assert!(
+        matches!(registered, Ok(Response::Registered { .. })),
+        "{registered:?}"
+    );
     println!("registered `{}`", app.name);
 
-    // ── 3. 100 concurrent Compare requests from 10 client threads, all
+    // ── 3. 100 concurrent BestOf requests from 10 client threads, all
     //       against the same snapshot epoch.
-    let candidates = [
+    let candidates = vec![
         Mapping::new(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]),
         Mapping::new(vec![NodeId(0), NodeId(4), NodeId(1), NodeId(5)]),
         Mapping::new(vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)]),
     ];
-    let name = &app.name;
+    let best_of = Request::BestOf {
+        app: app.name.clone(),
+        mappings: candidates.clone(),
+    };
     let best_counts: Vec<usize> = std::thread::scope(|s| {
         let joins: Vec<_> = (0..10)
             .map(|_| {
-                let candidates = &candidates;
+                let best_of = &best_of;
                 s.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect");
                     let mut best = 0usize;
                     for _ in 0..10 {
-                        let (_, index, _) = client.best_of(name, candidates).expect("best_of");
-                        best = index;
+                        match client.call(best_of).expect("best_of") {
+                            Response::Best { index, .. } => best = index,
+                            other => panic!("expected Best, got {other:?}"),
+                        }
                     }
                     best
                 })
@@ -89,7 +98,8 @@ fn main() {
         "server counters: {} served, {} errors, {} connections, epoch {}",
         stats.served, stats.errors, stats.connections, stats.epoch
     );
-    client.shutdown().expect("shutdown ack");
+    let ack = client.call(&Request::Shutdown).expect("shutdown ack");
+    assert_eq!(ack, Response::ShuttingDown);
     let (served, errors) = handle.join();
     println!("drained: {served} requests served, {errors} errors");
 }
