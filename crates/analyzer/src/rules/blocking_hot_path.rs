@@ -10,8 +10,9 @@
 //! channel `recv()` — is flagged with a witness call path. Code that
 //! runs on the reactor thread is held to more: there a deadline does
 //! not excuse a wait on a peer, so `connect_timeout` and a client
-//! round trip (`.call(..)`, `.request(..)`, `.round_trip(..)`) are findings too. The one
-//! place a relay may dial is a job on the worker pool.
+//! round trip (`.call(..)`, `.request(..)`, `.round_trip(..)`, and the
+//! fan-out `Client::call_each(..)`) are findings too. The one place a
+//! relay may dial is a job on the worker pool.
 //!
 //! Deliberate blocking (a worker's idle wait on its shard channel, the
 //! journal's durability contract) is waived at the site with a reason,
@@ -96,7 +97,9 @@ fn blocking_sites(src: &SourceFile, start: usize, end: usize, reactor: bool) -> 
             "connect_timeout" if reactor && called && path => {
                 Some("blocking connect on the reactor thread")
             }
-            "call" | "request" | "round_trip" if reactor && called && method => {
+            "call" | "request" | "round_trip" | "call_each"
+                if reactor && called && (method || path) =>
+            {
                 Some("client round trip on the reactor thread")
             }
             _ => None,
@@ -240,6 +243,13 @@ mod tests {
         let findings = run(&[(
             "crates/router/src/tier.rs",
             "fn relay(&self, c: &mut Client, req: &Request) { c.call(&req); }",
+        )]);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(findings[0].message.contains("client round trip"));
+        // So is its fan-out form, which waits on every peer it asks.
+        let findings = run(&[(
+            "crates/router/src/tier.rs",
+            "fn relay(&self, cs: &mut [Client], req: &Request) { Client::call_each(cs, req); }",
         )]);
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert!(findings[0].message.contains("client round trip"));

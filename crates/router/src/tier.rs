@@ -46,18 +46,43 @@ pub struct TierConfig {
 /// reply, an error reply being a [`ClientError::Server`].
 pub type Replies = Vec<(usize, Result<Response, ClientError>)>;
 
-/// Ask each of `targets` (seed indices) `request`, one after the other,
-/// each over a connection dialled for it within the probe timeout. The
+/// Ask each of `targets` (seed indices) `request`, over an idle pooled
+/// connection to it or else one dialled within the probe timeout, with
+/// the request written to every target before any reply is read. The
 /// only place the router dials an instance: the heartbeat, the
 /// replication push and every worker-run forwarding mode go through it.
+/// Nothing is re-sent. A connection goes back to the pool only after a
+/// complete exchange: a reply, or an error reply other than
+/// `shutting_down`.
 pub fn fan_out(membership: &Membership, targets: &[usize], request: &Request) -> Replies {
     let timeout = membership.config().probe_timeout;
-    let ask = |i: usize| {
+    let dial = |i: usize| {
         let addr = membership.addrs().get(i);
         let addr = addr.ok_or_else(|| ClientError::Protocol(format!("no instance #{i}")))?;
-        Client::connect_timeout(addr.as_str(), timeout)?.call(request)
+        Client::connect_timeout(addr.as_str(), timeout)
     };
-    targets.iter().map(|&i| (i, ask(i))).collect()
+    let (mut replies, mut open): (Replies, Vec<_>) = (Vec::new(), Vec::new());
+    for &i in targets {
+        match membership.take_idle(i).map_or_else(|| dial(i), Ok) {
+            Ok(client) => open.push((i, client)),
+            Err(e) => replies.push((i, Err(e))),
+        }
+    }
+    let (asked, mut clients): (Vec<usize>, Vec<Client>) = open.into_iter().unzip();
+    let answers = Client::call_each(&mut clients, request);
+    for ((i, client), reply) in asked.into_iter().zip(clients).zip(answers) {
+        let complete = match &reply {
+            Err(ClientError::Server { kind, .. }) => kind != error_kind::SHUTTING_DOWN,
+            other => other.is_ok(),
+        };
+        if complete {
+            membership.keep_idle(i, client);
+        }
+        replies.push((i, reply));
+    }
+    // Target order, which the folds' "first" and failure lists follow.
+    replies.sort_by_key(|&(i, _)| targets.iter().position(|&t| t == i));
+    replies
 }
 
 /// [`fan_out`] for a request the tier was sent (the heartbeat's probes
@@ -252,7 +277,7 @@ struct Router {
 }
 
 impl Handler for Router {
-    /// The worker-run verbs: each dials per forward and waits on a peer,
+    /// The worker-run verbs: each asks through `fan_out` and waits on a peer,
     /// so none runs on the reactor (`inline` stays `None`). A frame
     /// that does not decode is refused here too, unattributable (id 0)
     /// and as a strike against its connection.

@@ -22,7 +22,7 @@ use cbes_server::protocol::{
     encode, error_kind, route_key_hash, split_id, Action, Request, RequestEnvelope, Response,
     StatsReport, ACTIONS,
 };
-use cbes_server::{Client, ResponseEnvelope, Server, ServerConfig, ServerHandle};
+use cbes_server::{Client, ClientError, ResponseEnvelope, Server, ServerConfig, ServerHandle};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 fn profile(name: &str) -> AppProfile {
@@ -51,19 +51,25 @@ fn profile(name: &str) -> AppProfile {
     }
 }
 
-fn start_instance() -> ServerHandle {
-    let service = Arc::new(CbesService::self_calibrated(
+fn demo_service() -> Arc<CbesService> {
+    Arc::new(CbesService::self_calibrated(
         Arc::new(two_switch_demo()),
         ForecastKind::LastValue,
-    ));
-    Server::start(
-        service,
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("loopback bind succeeds")
+    ))
+}
+
+/// A daemon serving `service` on `addr` (port 0 picks a free one).
+fn serve(service: &Arc<CbesService>, addr: &str) -> ServerHandle {
+    let config = ServerConfig {
+        addr: addr.to_string(),
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    Server::start(service.clone(), config).expect("loopback bind succeeds")
+}
+
+fn start_instance() -> ServerHandle {
+    serve(&demo_service(), "127.0.0.1:0")
 }
 
 fn tier_membership(addrs: Vec<String>) -> Arc<Membership> {
@@ -564,25 +570,10 @@ fn wire_shutdown_answers_a_pipelined_window_in_full() {
 
 #[test]
 fn restarted_backend_is_redialled_without_a_failover() {
-    let services: Vec<Arc<CbesService>> = (0..2)
-        .map(|_| {
-            Arc::new(CbesService::self_calibrated(
-                Arc::new(two_switch_demo()),
-                ForecastKind::LastValue,
-            ))
-        })
-        .collect();
-    let serve = |service: &Arc<CbesService>, addr: String| {
-        let config = ServerConfig {
-            addr,
-            workers: 2,
-            ..ServerConfig::default()
-        };
-        Server::start(service.clone(), config).expect("loopback bind succeeds")
-    };
+    let services: Vec<Arc<CbesService>> = (0..2).map(|_| demo_service()).collect();
     let mut instances: Vec<Option<ServerHandle>> = services
         .iter()
-        .map(|s| Some(serve(s, "127.0.0.1:0".to_string())))
+        .map(|s| Some(serve(s, "127.0.0.1:0")))
         .collect();
     let seeds: Vec<String> = instances
         .iter()
@@ -613,7 +604,7 @@ fn restarted_backend_is_redialled_without_a_failover() {
     // is left holding a dead socket to it.
     let dead = instances[primary.index].take().expect("still running");
     dead.shutdown_and_join();
-    instances[primary.index] = Some(serve(&services[primary.index], primary.addr.clone()));
+    instances[primary.index] = Some(serve(&services[primary.index], &primary.addr));
 
     let second = c
         .call(&one)
@@ -631,6 +622,38 @@ fn restarted_backend_is_redialled_without_a_failover() {
 
     router.shutdown_and_join();
     for h in instances.into_iter().flatten() {
+        h.shutdown_and_join();
+    }
+}
+
+#[test]
+fn a_restarted_backend_is_redialled_by_the_next_broadcast() {
+    let services: Vec<Arc<CbesService>> = (0..2).map(|_| demo_service()).collect();
+    let mut instances: Vec<ServerHandle> =
+        services.iter().map(|s| serve(s, "127.0.0.1:0")).collect();
+    let seeds: Vec<String> = instances.iter().map(|h| h.addr().to_string()).collect();
+    let router = quiet_router(seeds.clone());
+    let mut c =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    // The broadcast leaves an idle connection to each backend pooled.
+    register(&mut c, "before");
+
+    // Restart one backend on its port: its pooled connection is closed.
+    if let Some(dead) = instances.pop() {
+        dead.shutdown_and_join();
+    }
+    instances.push(serve(&services[1], &seeds[1]));
+
+    register(&mut c, "after");
+    assert!(services[1].registry().get("after").is_some());
+    let membership = router.membership();
+    let probes = probe_instances(membership);
+    assert!(probes.iter().all(Option::is_some), "{probes:?}");
+    membership.record_probes(&probes);
+    assert_eq!(membership.counts(), (2, 0, 0));
+
+    router.shutdown_and_join();
+    for h in instances {
         h.shutdown_and_join();
     }
 }
@@ -709,12 +732,16 @@ fn two_connections_reusing_ids_each_get_their_own_replies_byte_for_byte() {
 
 /// A backend that answers heartbeat probes like a healthy instance but
 /// swallows every other frame; with `hang_up_after: Some(n)` it closes
-/// a connection once it has swallowed `n` frames from it.
-fn mute_backend(stats: StatsReport, hang_up_after: Option<usize>) -> String {
+/// a connection once it has swallowed `n` frames from it. Returns its
+/// address and a count of the connections it accepted.
+fn mute_backend(stats: StatsReport, hang_up_after: Option<usize>) -> (String, Arc<AtomicU64>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind succeeds");
     let addr = listener.local_addr().expect("bound").to_string();
+    let accepts = Arc::new(AtomicU64::new(0));
+    let accepted = accepts.clone();
     std::thread::spawn(move || {
         for stream in listener.incoming().flatten() {
+            accepted.fetch_add(1, Ordering::SeqCst);
             let stats = stats.clone();
             std::thread::spawn(move || {
                 let mut swallowed = 0;
@@ -739,7 +766,7 @@ fn mute_backend(stats: StatsReport, hang_up_after: Option<usize>) -> String {
             });
         }
     });
-    addr
+    (addr, accepts)
 }
 
 /// A router over one mute backend and one real instance holding
@@ -753,7 +780,7 @@ fn tier_with_a_mute_primary(
     let mut direct =
         Client::connect_timeout(real.addr(), Duration::from_secs(2)).expect("instance answers");
     register(&mut direct, app);
-    let mute = mute_backend(stats_of(&real.addr().to_string()), hang_up_after);
+    let (mute, _) = mute_backend(stats_of(&real.addr().to_string()), hang_up_after);
     let owner = cbes_router::HashRing::new(2)
         .primary(route_key_hash("demo", app))
         .expect("non-empty ring");
@@ -857,7 +884,7 @@ fn giving_up_on_a_key_is_counted_and_a_drain_is_not() {
     // drain is answered `shutting_down`: the tier going away, not a key
     // nobody could serve.
     let real = start_instance();
-    let mute = mute_backend(stats_of(&real.addr().to_string()), None);
+    let (mute, _) = mute_backend(stats_of(&real.addr().to_string()), None);
     let router = quiet_router_waiting(vec![mute], Duration::from_millis(200));
     let (mut stream, mut reader) = raw_connection(&router);
     stream.write_all(line.as_bytes()).expect("write");
@@ -871,6 +898,83 @@ fn giving_up_on_a_key_is_counted_and_a_drain_is_not() {
     assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
     assert_eq!(giveups(&router), 0, "a drain is not a give-up");
     router.join();
+    real.shutdown_and_join();
+}
+
+#[test]
+fn broadcasts_and_heartbeats_reuse_their_connections() {
+    let instances: Vec<ServerHandle> = (0..2).map(|_| start_instance()).collect();
+    let seeds: Vec<String> = instances.iter().map(|h| h.addr().to_string()).collect();
+    let accepted = || {
+        seeds
+            .iter()
+            .map(|a| stats_of(a).connections)
+            .collect::<Vec<_>>()
+    };
+    let before = accepted();
+    let router = RouterServer::start(TierConfig {
+        addr: "127.0.0.1:0".to_string(),
+        seeds: seeds.clone(),
+        membership: MembershipConfig {
+            cluster: "demo".to_string(),
+            heartbeat: Duration::from_millis(10),
+            ..MembershipConfig::default()
+        },
+    })
+    .expect("router binds loopback");
+    let mut c =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    let swept = router.membership().report().heartbeats;
+    for app in 0..50 {
+        register(&mut c, &format!("app{app}"));
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while router.membership().report().heartbeats < swept + 4 {
+        assert!(Instant::now() < deadline, "the heartbeat stopped sweeping");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Per backend: the heartbeat's pooled connection, one worker's, the
+    // relay socket (unused here) and this last `Stats` read.
+    for (was, is) in before.iter().zip(accepted()) {
+        assert!(is - was <= 4, "{} connections accepted", is - was);
+    }
+    router.shutdown_and_join();
+    for h in instances {
+        h.shutdown_and_join();
+    }
+}
+
+#[test]
+fn a_timed_out_exchange_is_dropped_not_pooled() {
+    let real = start_instance();
+    let (mute, accepts) = mute_backend(stats_of(&real.addr().to_string()), None);
+    let router = quiet_router_waiting(
+        vec![real.addr().to_string(), mute.clone()],
+        Duration::from_millis(200),
+    );
+    let mut c =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
+    let mut accepted = Vec::new();
+    for app in ["first", "second"] {
+        let reply = c.call(&Request::RegisterProfile {
+            profile: profile(app),
+        });
+        let Err(ClientError::Server { message, .. }) = reply else {
+            panic!("expected a partial broadcast, got {reply:?}");
+        };
+        assert!(message.starts_with("partial broadcast: 1/2 "), "{message}");
+        assert!(
+            message.contains(&format!("{mute}: unreachable: ")),
+            "{message}"
+        );
+        accepted.push(accepts.load(Ordering::SeqCst));
+    }
+    assert_eq!(
+        accepted[1],
+        accepted[0] + 1,
+        "the second broadcast dials the mute backend afresh"
+    );
+    router.shutdown_and_join();
     real.shutdown_and_join();
 }
 

@@ -121,6 +121,37 @@ impl Client {
         let transport = Direct::dial(addr, timeout)?;
         Ok(Client { transport })
     }
+
+    /// [`Client::call`] over several connections: `request` is written
+    /// once to every client before any reply is read, so the caller
+    /// waits about one round trip, not one per client. A client whose
+    /// write failed is not read from. Replies are in client order.
+    pub fn call_each(
+        clients: &mut [Client],
+        request: &Request,
+    ) -> Vec<Result<Response, ClientError>> {
+        let sent: Vec<_> = clients
+            .iter_mut()
+            .map(|c| c.transport.send(request))
+            .collect();
+        let replies = clients.iter_mut().zip(sent);
+        replies
+            .map(|(c, sent)| answer(c.transport.receive(sent?)?))
+            .collect()
+    }
+
+    /// True when this connection can carry another request: nothing
+    /// unread is buffered or waiting, and the daemon has not closed it.
+    /// A non-blocking peek, so it never waits on the peer.
+    pub fn is_idle(&self) -> bool {
+        let Direct { reader, writer, .. } = &self.transport;
+        if !reader.buffer().is_empty() || writer.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let peeked = writer.peek(&mut [0u8; 1]);
+        let blocking = writer.set_nonblocking(false).is_ok();
+        blocking && matches!(peeked, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
+    }
 }
 
 impl Direct {
@@ -144,21 +175,22 @@ impl Direct {
         conn.writer.set_write_timeout(Some(timeout))?;
         Ok(conn)
     }
-}
 
-impl Transport for Direct {
-    /// When the calling thread is inside an open span (see
-    /// [`cbes_obs::current_trace`]), the envelope carries that trace id
-    /// and span id so the server joins the caller's trace; otherwise
-    /// the envelope is untraced and the wire shape is unchanged.
-    fn round_trip(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
+    /// Write `request` under the next id and return the id. Inside an
+    /// open span (see [`cbes_obs::current_trace`]) the envelope carries
+    /// its trace and span ids, so the server joins the caller's trace.
+    fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         let mut line = encode(&envelope(id, request, cbes_obs::current_trace()));
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
+        Ok(id)
+    }
 
+    /// Wait for the reply to request `id`.
+    fn receive(&mut self, id: u64) -> Result<ResponseEnvelope, ClientError> {
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply)?;
         if n == 0 {
@@ -182,6 +214,30 @@ impl Transport for Direct {
     }
 }
 
+impl Transport for Direct {
+    fn round_trip(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
+        let id = self.send(request)?;
+        self.receive(id)
+    }
+}
+
+/// A reply envelope as [`Client::call`] returns it: an error reply
+/// becomes [`ClientError::Server`].
+fn answer(envelope: ResponseEnvelope) -> Result<Response, ClientError> {
+    match envelope.response {
+        Response::Error {
+            kind,
+            message,
+            retry_after_ms,
+        } => Err(ClientError::Server {
+            kind,
+            message,
+            retry_after_ms,
+        }),
+        other => Ok(other),
+    }
+}
+
 impl<T: Transport> Client<T> {
     /// Send one request and wait for its reply envelope. Error replies
     /// are returned as envelopes, not `Err` — use [`Client::call`] for
@@ -194,18 +250,7 @@ impl<T: Transport> Client<T> {
     /// This is the one way to ask for an action; the caller matches the
     /// [`Response`] variant its action answers with.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        match self.request(request)?.response {
-            Response::Error {
-                kind,
-                message,
-                retry_after_ms,
-            } => Err(ClientError::Server {
-                kind,
-                message,
-                retry_after_ms,
-            }),
-            other => Ok(other),
-        }
+        answer(self.request(request)?)
     }
 
     /// Read the server's counters.
