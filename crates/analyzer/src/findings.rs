@@ -165,20 +165,20 @@ mod tests {
     #[test]
     fn counts_split_waived_from_unwaived() {
         let mut report = Report {
-            rules_run: vec!["panic_path"],
+            rules_run: vec!["metric_names"],
             ..Report::default()
         };
         let finding = |line, message| Finding {
-            rule: "panic_path",
+            rule: "metric_names",
             ..Finding::new("a.rs", line, message)
         };
-        report.findings.push(finding(3, "unwrap"));
-        let mut waived = finding(9, "index");
+        report.findings.push(finding(3, "literal name"));
+        let mut waived = finding(9, "literal name");
         waived.waived = true;
         waived.reason = Some("bounded".to_string());
         report.findings.push(waived);
         let counts = report.counts_by_rule();
-        assert_eq!(counts["panic_path"], (1, 1));
+        assert_eq!(counts["metric_names"], (1, 1));
         assert_eq!(report.unwaived().count(), 1);
     }
 
@@ -190,13 +190,13 @@ mod tests {
     #[test]
     fn json_report_contains_findings() {
         let mut report = Report {
-            rules_run: vec!["determinism"],
+            rules_run: vec!["lock_order"],
             files_scanned: 2,
             ..Report::default()
         };
         report.findings.push(Finding {
-            rule: "determinism",
-            ..Finding::new("sched/sa.rs", 7, "Instant::now in decision path")
+            rule: "lock_order",
+            ..Finding::new("sched/sa.rs", 7, "lock taken out of rank order")
         });
         let json = report.render_json();
         assert!(json.contains("\"unwaived_count\": 1"));

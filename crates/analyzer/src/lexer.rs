@@ -359,9 +359,9 @@ mod tests {
 
     #[test]
     fn comments_are_collected_with_lines() {
-        let (_, comments) = lex("x();\n// cbes-analyze: allow(panic_path, reason here)\ny();");
+        let (_, comments) = lex("x();\n// cbes-analyze: allow(metric_names, reason here)\ny();");
         assert_eq!(comments.len(), 1);
         assert_eq!(comments[0].line, 2);
-        assert!(comments[0].text.contains("allow(panic_path"));
+        assert!(comments[0].text.contains("allow(metric_names"));
     }
 }

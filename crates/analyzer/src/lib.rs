@@ -3,9 +3,9 @@
 //!
 //! A dependency-free Rust lexer plus a rule engine enforcing the
 //! invariants the serving stack depends on but the compiler cannot
-//! see: panic-free request handling ([`rules::panic_path`]), seeded
-//! determinism in decision code ([`rules::determinism`]) and
-//! centralised metric naming ([`rules::metric_names`]).
+//! see: centralised metric naming ([`rules::metric_names`]). Panic-free
+//! request handling and seeded determinism are clippy lints instead
+//! (see [`rules`]).
 //!
 //! On top of the flat stream sit a brace-aware token-tree parser
 //! ([`token_tree`]) and a workspace call graph ([`callgraph`]), which

@@ -3,6 +3,13 @@
 //! summary `--help` prints, and the function that runs it. Each rule
 //! module owns its scoping behind that one `run`; the engine only loops
 //! the selected rows.
+//!
+//! What a token can show, the compiler holds instead: panic-free request
+//! handling is clippy's `unwrap_used`, `indexing_slicing` and panic-family
+//! lints in the roots of `cbes-core`, `cbes-server`, `cbes-router` and
+//! `cbes-netmodel`, and seeded determinism is the root `clippy.toml`'s
+//! `disallowed-methods`. The rules here need what clippy lacks: the call
+//! graph, a lock rank order, or one module's `unsafe` allowlist.
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
@@ -10,11 +17,9 @@ use crate::source::SourceFile;
 use std::cell::OnceCell;
 
 pub mod blocking_hot_path;
-pub mod determinism;
 pub mod error_swallow;
 pub mod lock_order;
 pub mod metric_names;
-pub mod panic_path;
 pub mod unsafe_audit;
 
 /// What a rule reads: every source file of the tree, parsed once, and
@@ -55,16 +60,6 @@ pub struct Rule {
 /// in DESIGN.md §10 (`tests/analyzer_fixtures.rs` holds the two
 /// together).
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "panic_path",
-        summary: "no unwrap, panic!-family macro or index expression on the request path",
-        run: panic_path::run,
-    },
-    Rule {
-        id: "determinism",
-        summary: "no wall-clock or entropy read in seeded decision code",
-        run: determinism::run,
-    },
     Rule {
         id: "metric_names",
         summary: "metric names come from cbes_obs::names, never from a literal",

@@ -214,21 +214,24 @@ mod tests {
     #[test]
     fn waivers_parse_rule_and_reason() {
         let src = "
-            // cbes-analyze: allow(panic_path, index is bounded by construction)
+            // cbes-analyze: allow(metric_names, a name bounded to this test)
             a[i];
         ";
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.waivers.len(), 1);
-        assert_eq!(f.waivers[0].rule, "panic_path");
+        assert_eq!(f.waivers[0].rule, "metric_names");
         assert!(f.waivers[0].reason.contains("bounded"));
-        assert!(f.waiver_for("panic_path", 3).is_some(), "covers next line");
-        assert!(f.waiver_for("panic_path", 4).is_none());
-        assert!(f.waiver_for("determinism", 3).is_none(), "rule must match");
+        assert!(
+            f.waiver_for("metric_names", 3).is_some(),
+            "covers next line"
+        );
+        assert!(f.waiver_for("metric_names", 4).is_none());
+        assert!(f.waiver_for("lock_order", 3).is_none(), "rule must match");
     }
 
     #[test]
     fn malformed_waivers_are_reported() {
-        let f = SourceFile::parse("x.rs", "// cbes-analyze: allow(panic_path)\nx();");
+        let f = SourceFile::parse("x.rs", "// cbes-analyze: allow(metric_names)\nx();");
         assert!(f.waivers.is_empty());
         assert_eq!(f.bad_waivers.len(), 1);
         let f = SourceFile::parse("x.rs", "// cbes-analyze: please ignore\nx();");

@@ -77,35 +77,26 @@ fn clean_fixture_has_no_findings_under_every_rule() {
 
 #[test]
 fn violations_fixture_counts_are_exact() {
-    let report = run(
-        fixture("violations"),
-        &["panic_path", "determinism", "metric_names"],
-    );
+    let report = run(fixture("violations"), &["metric_names"]);
     let by_rule = report.counts_by_rule();
     let count = |rule: &str| by_rule.get(rule).copied().unwrap_or((0, 0));
 
     // (unwaived, waived) per rule.
-    assert_eq!(count("panic_path"), (3, 1), "{:#?}", report.findings);
-    assert_eq!(count("determinism"), (2, 1), "{:#?}", report.findings);
-    assert_eq!(count("metric_names"), (1, 0), "{:#?}", report.findings);
+    assert_eq!(count("metric_names"), (1, 1), "{:#?}", report.findings);
     assert_eq!(count(WAIVER), (1, 0), "{:#?}", report.findings);
-    assert_eq!(report.findings.len(), 9);
-    assert_eq!(report.unwaived().count(), 7);
-    assert_eq!(report.waived().count(), 2);
+    assert_eq!(report.findings.len(), 3);
+    assert_eq!(report.unwaived().count(), 2);
+    assert_eq!(report.waived().count(), 1);
 }
 
 #[test]
 fn violations_fixture_findings_land_on_the_right_sites() {
-    let report = run(fixture("violations"), &["panic_path", "determinism"]);
+    let report = run(fixture("violations"), &["metric_names"]);
     let unwaived: Vec<(&str, &str)> = report
         .unwaived()
         .map(|f| (f.rule, f.file.as_str()))
         .collect();
-    assert!(unwaived.contains(&("panic_path", "crates/server/src/protocol.rs")));
-    assert!(unwaived.contains(&("panic_path", "crates/core/src/service.rs")));
-    assert!(unwaived.contains(&("panic_path", "crates/core/src/monitor.rs")));
-    assert!(unwaived.contains(&("determinism", "crates/sched/src/lib.rs")));
-    assert!(unwaived.contains(&("determinism", "crates/server/src/net.rs")));
+    assert!(unwaived.contains(&("metric_names", "crates/server/src/server.rs")));
     assert!(unwaived.contains(&(WAIVER, "crates/core/src/registry.rs")));
 
     let waived: Vec<&str> = report.waived().map(|f| f.file.as_str()).collect();
@@ -226,7 +217,7 @@ fn error_swallow_fixture_counts_are_exact() {
 fn the_real_workspace_stays_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = run(root, &table_ids());
-    assert_eq!(report.rules_run.len(), 7);
+    assert_eq!(report.rules_run.len(), 5);
     let unwaived: Vec<_> = report.unwaived().collect();
     assert!(
         unwaived.is_empty(),
@@ -237,7 +228,7 @@ fn the_real_workspace_stays_clean() {
     // that must update this count and the DESIGN.md §15 accounting.
     assert_eq!(
         report.waived().count(),
-        5,
+        4,
         "waiver accounting drifted: {:#?}",
         report.waived().collect::<Vec<_>>()
     );
@@ -259,13 +250,13 @@ fn cli_exits_one_on_unwaived_findings() {
         .arg("--root")
         .arg(fixture("violations"))
         .arg("--rules")
-        .arg("panic_path,determinism,metric_names")
+        .arg("metric_names")
         .output()
         .expect("analyzer binary runs");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("error: [panic_path]"), "{text}");
-    assert!(text.contains("waived: [determinism]"), "{text}");
+    assert!(text.contains("error: [metric_names]"), "{text}");
+    assert!(text.contains("waived: [metric_names]"), "{text}");
 }
 
 #[test]
@@ -325,7 +316,7 @@ fn cli_writes_the_json_report() {
         .arg("--root")
         .arg(fixture("violations"))
         .arg("--rules")
-        .arg("panic_path,determinism,metric_names")
+        .arg("metric_names")
         .arg("--json")
         .arg(&path)
         .output()
@@ -333,7 +324,7 @@ fn cli_writes_the_json_report() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let json = std::fs::read_to_string(&path).expect("json report written");
     std::fs::remove_file(&path).ok();
-    assert!(json.contains("\"unwaived_count\": 7"), "{json}");
-    assert!(json.contains("\"waived_count\": 2"), "{json}");
+    assert!(json.contains("\"unwaived_count\": 2"), "{json}");
+    assert!(json.contains("\"waived_count\": 1"), "{json}");
     assert!(json.contains("\"rule\": \"metric_names\""), "{json}");
 }

@@ -19,6 +19,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![allow(clippy::disallowed_methods, reason = "timing is this crate's job")]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbes_bench::args::ExpArgs;
-use cbes_bench::save_json;
+use cbes_bench::{save_json, RESULTS_DIR};
 use cbes_cluster::load::LoadState;
 use cbes_cluster::{presets, NodeId};
 use cbes_core::health::HealthPolicy;
@@ -299,6 +300,7 @@ fn main() {
         && sweeps > 20;
 
     let saved = save_json(
+        RESULTS_DIR,
         "chaos_soak",
         &serde_json::json!({
             "cluster": "centurion",

@@ -105,9 +105,12 @@ pub fn find(name: &str) -> Result<&'static Experiment, String> {
 /// working directory.
 pub const RESULTS_DIR: &str = "results";
 
-/// Write an artifact as pretty JSON to `results/<name>.json`.
-pub fn save_json(name: &str, value: &serde_json::Value) -> std::io::Result<()> {
-    let dir = std::path::Path::new(RESULTS_DIR);
+/// Where `--full` writes them instead, so neither scale overwrites the other.
+pub const FULL_RESULTS_DIR: &str = "results/full";
+
+/// Write an artifact as pretty JSON to `<dir>/<name>.json`.
+pub fn save_json(dir: &str, name: &str, value: &serde_json::Value) -> std::io::Result<()> {
+    let dir = std::path::Path::new(dir);
     std::fs::create_dir_all(dir)?;
     let text = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
     std::fs::write(dir.join(format!("{name}.json")), text)

@@ -253,13 +253,11 @@ pub fn predict(parsed: &Parsed) -> Result<String, CliError> {
         "predicted execution time: {:.4} s (bottleneck rank {})",
         pred.time, pred.bottleneck
     );
-    for (rank, cost) in pred.per_proc.iter().enumerate() {
+    for (cost, (rank, node)) in pred.per_proc.iter().zip(mapping.iter()) {
         let _ = writeln!(
             out,
-            "  rank {rank}: R = {:.4}s, C = {:.4}s on {}",
-            cost.r,
-            cost.c,
-            mapping.node(rank)
+            "  rank {rank}: R = {:.4}s, C = {:.4}s on {node}",
+            cost.r, cost.c
         );
     }
     Ok(out)

@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(clippy::disallowed_methods, reason = "timing is this crate's job")]
 
 pub mod args;
 pub mod commands;

@@ -197,8 +197,7 @@ impl HealthTracker {
 
     /// Record a sweep in which every node reported.
     pub fn record_full_sweep(&mut self) -> u64 {
-        let n = self.last_seen.len();
-        self.record_sweep_internal(|_| true, n)
+        self.record_sweep_internal(std::iter::repeat(true))
     }
 
     /// Record a sweep in which only nodes with `reported[i] == true`
@@ -206,30 +205,25 @@ impl HealthTracker {
     /// sweep caused.
     pub fn record_sweep(&mut self, reported: &[bool]) -> u64 {
         assert_eq!(reported.len(), self.last_seen.len(), "node count mismatch");
-        let n = self.last_seen.len();
-        self.record_sweep_internal(|i| reported[i], n)
+        self.record_sweep_internal(reported.iter().copied())
     }
 
-    fn record_sweep_internal(&mut self, reported: impl Fn(usize) -> bool, n: usize) -> u64 {
+    fn record_sweep_internal(&mut self, reported: impl Iterator<Item = bool>) -> u64 {
         self.sweeps += 1;
         let mut changed = 0u64;
-        for i in 0..n {
-            if reported(i) {
-                self.last_seen[i] = self.sweeps;
+        let nodes = self.last_seen.iter_mut().zip(&mut self.states);
+        for ((last_seen, state), reported) in nodes.zip(reported) {
+            if reported {
+                *last_seen = self.sweeps;
             }
-            let next = self.policy.classify(self.sweeps - self.last_seen[i]);
-            if next != self.states[i] {
-                self.states[i] = next;
+            let next = self.policy.classify(self.sweeps - *last_seen);
+            if next != *state {
+                *state = next;
                 changed += 1;
             }
         }
         self.transitions += changed;
         changed
-    }
-
-    /// Age (in sweeps) of `node`'s last report.
-    pub fn age(&self, node: NodeId) -> u64 {
-        self.sweeps - self.last_seen[node.index()]
     }
 
     /// Current classification of every node.

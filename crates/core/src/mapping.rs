@@ -32,6 +32,7 @@ impl Mapping {
 
     /// Node assigned to `rank`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "the caller keeps rank < len()")]
     pub fn node(&self, rank: usize) -> NodeId {
         self.assign[rank]
     }
@@ -50,7 +51,8 @@ impl Mapping {
     pub fn is_injective(&self) -> bool {
         let mut seen: Vec<NodeId> = self.assign.clone();
         seen.sort_unstable();
-        seen.windows(2).all(|w| w[0] != w[1])
+        seen.dedup();
+        seen.len() == self.assign.len()
     }
 
     /// Ranks whose node differs between `self` and `other` (the processes a
@@ -67,6 +69,7 @@ impl Mapping {
     }
 
     /// Replace the node of one rank (used by scheduler move operators).
+    #[expect(clippy::indexing_slicing, reason = "the caller keeps rank < len()")]
     pub fn set(&mut self, rank: usize, node: NodeId) {
         self.assign[rank] = node;
     }

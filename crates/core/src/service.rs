@@ -719,22 +719,25 @@ mod tests {
     fn errors_are_reported() {
         let svc = demo_service();
         assert_eq!(
-            svc.compare("nope", &[m(&[0, 1])]).unwrap_err(),
+            svc.compare("nope", &[m(&[0, 1])])
+                .expect_err("an unregistered app is refused"),
             ServiceError::UnknownApp("nope".into())
         );
         assert_eq!(
-            svc.compare("app", &[]).unwrap_err(),
+            svc.compare("app", &[]).expect_err("no mappings is refused"),
             ServiceError::EmptyRequest
         );
         assert!(matches!(
-            svc.compare("app", &[m(&[0])]).unwrap_err(),
+            svc.compare("app", &[m(&[0])])
+                .expect_err("one rank short is refused"),
             ServiceError::ArityMismatch {
                 expected: 2,
                 got: 1
             }
         ));
         assert_eq!(
-            svc.compare("app", &[m(&[0, 99])]).unwrap_err(),
+            svc.compare("app", &[m(&[0, 99])])
+                .expect_err("a node outside the cluster is refused"),
             ServiceError::BadNode(99)
         );
     }
@@ -744,7 +747,8 @@ mod tests {
         let svc = demo_service();
         // Node 0 is a 1-CPU Alpha: two ranks there must be refused.
         assert_eq!(
-            svc.compare("app", &[m(&[0, 0])]).unwrap_err(),
+            svc.compare("app", &[m(&[0, 0])])
+                .expect_err("two ranks on one CPU are refused"),
             ServiceError::Oversubscribed {
                 node: 0,
                 ranks: 2,
@@ -760,7 +764,8 @@ mod tests {
         let svc = demo_service();
         let n = svc.cluster().len();
         assert_eq!(
-            svc.observe_load(&LoadState::idle(2)).unwrap_err(),
+            svc.observe_load(&LoadState::idle(2))
+                .expect_err("a two-node sweep is refused"),
             ServiceError::LoadArityMismatch {
                 expected: n,
                 got: 2
@@ -768,7 +773,8 @@ mod tests {
         );
         let short_nic = LoadState::from_measured(vec![1.0; n], vec![0.0; n - 1]);
         assert_eq!(
-            svc.observe_load(&short_nic).unwrap_err(),
+            svc.observe_load(&short_nic)
+                .expect_err("a short NIC column is refused"),
             ServiceError::LoadArityMismatch {
                 expected: n,
                 got: n - 1
@@ -778,7 +784,8 @@ mod tests {
         nic[3] = f64::NAN;
         let nan = LoadState::from_measured(vec![1.0; n], nic);
         assert_eq!(
-            svc.observe_replicated(9, &nan, None).unwrap_err(),
+            svc.observe_replicated(9, &nan, None)
+                .expect_err("a NaN load is refused"),
             ServiceError::NonFiniteLoad(3)
         );
         assert_eq!(svc.epoch(), 0, "failed observation must not bump epoch");
@@ -843,7 +850,8 @@ mod tests {
         assert_eq!(svc.health_counts(), (n - 1, 0, 1));
         assert!(svc.health_transitions() >= 2);
         assert_eq!(
-            svc.compare("app", &[m(&[0, 1])]).unwrap_err(),
+            svc.compare("app", &[m(&[0, 1])])
+                .expect_err("a down node is refused"),
             ServiceError::NodeDown(0)
         );
         // Mappings avoiding the down node still evaluate.

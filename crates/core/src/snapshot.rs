@@ -254,6 +254,10 @@ impl<'a> SystemSnapshot<'a> {
     /// `Down` nodes report zero availability (infinite compute cost —
     /// unmappable).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one row per cluster node, so any node of the cluster is in range, as in `Cluster::node`"
+    )]
     pub fn effective_acpu(&self, node: NodeId) -> f64 {
         self.rows[node.index()].acpu
     }

@@ -107,7 +107,12 @@ impl Calibrator {
                         acc += truth * gauss_factor(&mut rng, self.noise);
                     }
                     let measured = acc / self.reps as f64;
-                    table[index(na, nb) * nsizes + k] = measured;
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "index(a, b) < npairs for a < b < n, and k < nsizes"
+                    )]
+                    let slot = &mut table[index(na, nb) * nsizes + k];
+                    *slot = measured;
                     // Round-trip per rep.
                     pair_cost += 2.0 * truth * self.reps as f64;
                 }
@@ -156,8 +161,7 @@ pub fn round_robin_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
     let mut rounds = Vec::with_capacity(m - 1);
     for _ in 0..m - 1 {
         let mut round = Vec::with_capacity(m / 2);
-        for k in 0..m / 2 {
-            let (a, b) = (ring[k], ring[m - 1 - k]);
+        for (&a, &b) in ring.iter().zip(ring.iter().rev()).take(m / 2) {
             // `n` (the bye marker when n is odd) sits out.
             if a < n && b < n {
                 round.push((a.min(b), a.max(b)));
@@ -165,7 +169,9 @@ pub fn round_robin_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
         }
         rounds.push(round);
         // Rotate all but the first element.
-        ring[1..].rotate_right(1);
+        if let Some((_, rest)) = ring.split_first_mut() {
+            rest.rotate_right(1);
+        }
     }
     rounds
 }

@@ -34,7 +34,7 @@ impl LatencyModel {
     pub fn from_table(n: usize, sizes: Vec<u64>, table: Vec<f64>) -> Self {
         assert!(!sizes.is_empty(), "at least one probe size required");
         assert!(
-            sizes.windows(2).all(|w| w[0] < w[1]),
+            sizes.is_sorted_by(|a, b| a < b),
             "probe sizes must be strictly increasing"
         );
         assert_eq!(table.len(), Self::pairs(n) * sizes.len());
@@ -82,7 +82,7 @@ impl LatencyModel {
         if self.sizes.is_empty() {
             return Err("model has no probe sizes".to_string());
         }
-        if !self.sizes.windows(2).all(|w| w[0] < w[1]) {
+        if !self.sizes.is_sorted_by(|a, b| a < b) {
             return Err("probe sizes are not strictly increasing".to_string());
         }
         let want = Self::pairs(self.n) * self.sizes.len();
@@ -166,6 +166,10 @@ fn interpolate(sizes: &[u64], values: &[f64], x: u64) -> f64 {
 }
 
 /// The size half of [`interpolate`]: which segment `x` falls in.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "past the guard `last >= 1`, and sizes[0] < x < sizes[last] puts k in 0..last"
+)]
 fn locate(sizes: &[u64], x: u64) -> Segment {
     let Some(last) = sizes.len().checked_sub(1).filter(|&l| l > 0) else {
         return Segment::Clamp;
@@ -196,6 +200,11 @@ fn locate(sizes: &[u64], x: u64) -> Segment {
 /// The value half of [`interpolate`]: one pair's probe values at a located
 /// segment.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`at` passes a row of sizes.len() values and `seg` was located over those sizes, \
+              which `validate` keeps non-empty: Within has k + 1 < len, Beyond has len >= 2"
+)]
 fn read(values: &[f64], seg: Segment) -> f64 {
     match seg {
         Segment::Clamp => values[0],

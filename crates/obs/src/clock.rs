@@ -6,6 +6,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The origin of every default clock: the first reading in the process.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one real read of the time for every daemon and router"
+)]
 fn process_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)

@@ -87,13 +87,11 @@ impl HashRing {
             return out;
         }
         let key = mix(key_hash);
-        let start = self
+        // Walk clockwise from the key, wrapping to the first point.
+        let (before, from) = self
             .points
-            .partition_point(|&(point, _)| point < key)
-            // partition_point == len means the key wraps to the first point.
-            % self.points.len();
-        for step in 0..self.points.len() {
-            let (_, instance) = self.points[(start + step) % self.points.len()];
+            .split_at(self.points.partition_point(|&(point, _)| point < key));
+        for &(_, instance) in from.iter().chain(before) {
             if !out.contains(&instance) {
                 out.push(instance);
                 if out.len() == count.min(self.instances) {

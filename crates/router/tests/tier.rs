@@ -111,6 +111,19 @@ fn register(client: &mut Client, app: &str) {
     );
 }
 
+/// Poll `done` every `step_ms` until it holds, failing with `what` after
+/// `secs` seconds' worth of polls. It counts polls instead of reading the
+/// clock.
+fn wait_until(what: &str, secs: u64, step_ms: u64, mut done: impl FnMut() -> bool) {
+    for _ in 0..secs * 1000 / step_ms {
+        if done() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(step_ms));
+    }
+    assert!(done(), "{what}");
+}
+
 #[test]
 fn observations_replicate_from_leader_to_followers() {
     let instances: Vec<ServerHandle> = (0..3).map(|_| start_instance()).collect();
@@ -181,14 +194,12 @@ fn router_proxy_routes_merges_and_reports() {
     })
     .expect("router binds loopback");
     // Wait for the first heartbeat to mark instances healthy.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while router.membership().counts().0 < 2 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "heartbeat never marked the instances healthy"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until(
+        "heartbeat never marked the instances healthy",
+        5,
+        10,
+        || router.membership().counts().0 >= 2,
+    );
 
     let mut c =
         Client::connect_timeout(router.addr(), Duration::from_secs(2)).expect("router answers");
@@ -274,23 +285,13 @@ fn heartbeat_thread_marks_dead_instances_down() {
     let stop = Arc::new(AtomicBool::new(false));
     let hb = cbes_router::tier::spawn_heartbeat(membership.clone(), stop.clone());
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while membership.counts().0 < 2 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "instances never healthy"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until("instances never healthy", 5, 10, || {
+        membership.counts().0 >= 2
+    });
     b.shutdown_and_join();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while membership.counts().2 < 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "dead instance never marked down"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until("dead instance never marked down", 5, 10, || {
+        membership.counts().2 >= 1
+    });
     assert_eq!(membership.leader(), Some(0));
     stop.store(true, std::sync::atomic::Ordering::Release);
     hb.join().expect("heartbeat thread exits");
@@ -317,14 +318,12 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
         },
     })
     .expect("router binds loopback");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while router.membership().counts().0 < 2 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "heartbeat never marked the instances healthy"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_until(
+        "heartbeat never marked the instances healthy",
+        5,
+        10,
+        || router.membership().counts().0 >= 2,
+    );
 
     let mut c =
         Client::connect_timeout(router.addr(), Duration::from_secs(2)).expect("router answers");
@@ -443,14 +442,9 @@ fn quiet_router_waiting(seeds: Vec<String>, probe_timeout: Duration) -> RouterTi
         },
     })
     .expect("router binds loopback");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while router.membership().report().heartbeats == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "heartbeat never swept"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("heartbeat never swept", 5, 5, || {
+        router.membership().report().heartbeats > 0
+    });
     assert_eq!(router.membership().counts(), (expected, 0, 0));
     router
 }
@@ -820,6 +814,10 @@ fn a_window_in_flight_on_a_dying_primary_is_answered_once_by_the_replica() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds how long the router takes to answer"
+)]
 fn a_silent_primary_costs_one_probe_timeout_not_the_request_deadline() {
     let (router, real, _, replica) = tier_with_a_mute_primary("app", None);
     let (mut stream, mut reader) = raw_connection(&router);
@@ -928,11 +926,9 @@ fn broadcasts_and_heartbeats_reuse_their_connections() {
     for app in 0..50 {
         register(&mut c, &format!("app{app}"));
     }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while router.membership().report().heartbeats < swept + 4 {
-        assert!(Instant::now() < deadline, "the heartbeat stopped sweeping");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("the heartbeat stopped sweeping", 5, 5, || {
+        router.membership().report().heartbeats >= swept + 4
+    });
     // Per backend: the heartbeat's pooled connection, one worker's, the
     // relay socket (unused here) and this last `Stats` read.
     for (was, is) in before.iter().zip(accepted()) {
@@ -1077,11 +1073,9 @@ fn a_client_that_never_reads_is_not_read_from_until_it_does() {
         .map(|id| compare_line(id, "app", vec![mapping(&[0, 1]); 400]))
         .collect();
     stream.write_all(burst.as_bytes()).expect("write");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while served() < HEAVY {
-        assert!(Instant::now() < deadline, "the burst was never evaluated");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_until("the burst was never evaluated", 30, 20, || {
+        served() >= HEAVY
+    });
     // Nothing has been read, so the replies sit in the router — which
     // therefore takes nothing more from this client: more than the
     // kernel absorbs cannot be written.

@@ -8,8 +8,8 @@
 //!
 //! All wall-clock reads in the scheduler crate go through
 //! [`TelemetrySink::clock`], so tests can substitute a deterministic
-//! clock and `cbes-analyze`'s determinism rule can pin the single
-//! waived `Instant::now` call site to [`monotonic`].
+//! clock; clippy's `disallowed_methods` (root `clippy.toml`) pins the
+//! single `Instant::now` call site to [`monotonic`].
 
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -17,9 +17,13 @@ use std::time::{Duration, Instant};
 /// Time elapsed since the crate's private monotonic epoch (the first
 /// call). The only real clock read in the scheduler crate; everything
 /// else asks a [`TelemetrySink`] for the time.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned wall-clock read; every scheduler path reaches it through \
+              TelemetrySink::clock so tests can override it"
+)]
 pub(crate) fn monotonic() -> Duration {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    // cbes-analyze: allow(determinism, the one sanctioned wall-clock read; every scheduler path reaches it through TelemetrySink::clock so tests can override it)
     EPOCH.get_or_init(Instant::now).elapsed()
 }
 

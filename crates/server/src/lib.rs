@@ -2,9 +2,27 @@
 //! mapping-evaluation requests over newline-delimited JSON.
 
 #![deny(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod client;
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "the epoll FFI; `cbes-analyze`'s `unsafe_audit` holds each block to a SAFETY: comment"
+)]
 pub mod epoll;
 pub mod net;
 pub mod protocol;

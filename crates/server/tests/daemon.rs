@@ -431,6 +431,10 @@ fn metrics_histograms_are_sane_and_counts_match_served() {
 /// Satellite requirement: the overload (queue-full) and deadline-timeout
 /// reply paths are counted accurately in both `Stats` and `Metrics`.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test sizes a schedule to outlast the request timeout by timing it"
+)]
 fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
     let service = Arc::new(CbesService::self_calibrated(
         Arc::new(two_switch_demo()),
@@ -589,6 +593,10 @@ fn oversized_frames_get_a_typed_error_and_the_connection_survives() {
 /// the rest of the frame per character spends ~2 s on each frame, so
 /// the cap is 4× the default to keep the two far apart.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds how long 32 near-cap frames take"
+)]
 fn frames_near_the_line_cap_decode_in_linear_time() {
     const CAP: usize = 256 * 1024;
     const BOUND: Duration = Duration::from_secs(3);

@@ -158,6 +158,10 @@ fn jitter_is_deterministic_per_seed_and_varies_across_seeds() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test checks that the client waited out the hints"
+)]
 fn retry_after_hint_stretches_the_backoff() {
     // Two sheds with a 120 ms hint, then success. The policy's own
     // backoff is ~1 ms, so the observed latency is dominated by the
