@@ -14,7 +14,7 @@
 //! fan-out `Client::call_each(..)`) are findings too. The one place a
 //! relay may dial is a job on the worker pool.
 //!
-//! Deliberate blocking (a worker's idle wait on its shard channel, the
+//! Deliberate blocking (a worker's idle wait on the job queue, the
 //! journal's durability contract) is waived at the site with a reason,
 //! so every blocking call on the hot path is a reviewed decision.
 

@@ -1,5 +1,5 @@
 //! The I/O layer: a readiness-based event loop (one reactor thread over
-//! the [`crate::epoll`] shim) feeding a sharded worker pool, so idle
+//! the [`crate::epoll`] shim) feeding a worker pool, so idle
 //! connections cost a few buffered bytes instead of a thread. It knows
 //! nothing about what a frame means: a [`Handler`] turns one request
 //! line into one reply line, and both the daemon ([`crate::server`])
@@ -8,9 +8,8 @@
 //! The reactor owns the non-blocking listener and every connection:
 //! it accepts, reassembles newline-delimited frames from per-connection
 //! read buffers, and runs admission control per complete line. Admitted
-//! lines are `try_send`-ed to the connection's shard queue (connections
-//! pin to `token % workers`, so one connection's replies keep FIFO
-//! order); a full shard answers immediately with a structured
+//! lines are `try_send`-ed to the one bounded job queue every worker
+//! takes from; a full queue answers immediately with a structured
 //! `overloaded` error and the advertised back-off hint. Workers run the
 //! handler off the reactor thread, then push the finished bytes back
 //! over a completion channel and nudge the reactor with a wake byte. A
@@ -18,26 +17,27 @@
 //! request that misses it is answered with a `timeout` error by the
 //! reactor and the worker's late reply is dropped.
 //!
-//! Reply ordering: admitted requests on one connection are answered in
-//! arrival order (same shard, FIFO queue). Reactor-immediate replies —
-//! shed, oversized-frame, timeout — may overtake replies still being
-//! computed, which is why every reply carries the request id.
+//! Reply ordering: every admitted frame takes a slot in its
+//! connection's reply ledger, and replies leave it in arrival order
+//! however many workers run the frames. Worker-run and relayed frames
+//! keep separate lanes, each ordered within itself, not against the
+//! other. Shed and oversized-frame replies take no slot and may
+//! overtake, which is why every reply carries the request id.
 //!
 //! Relaying: a frame [`Handler::relay`] answers with a [`Forward`]
 //! never leaves the reactor thread. It is written — the reactor's
 //! sequence number as its id — to one shared non-blocking socket per
 //! upstream, and the reply line is matched by that number in the
-//! [`PendingTable`], given its client's id back and queued on the client
-//! connection byte for byte. An attempt that is refused, missed or cut
-//! off moves the entry to its next candidate. One connection's relayed
-//! replies keep arrival order among themselves (not against its
-//! worker-run frames). The one blocking step, the dial, is a worker job.
+//! [`PendingTable`], given its client's id back and filed in its
+//! client connection's relayed lane byte for byte. An attempt that is
+//! refused, missed or cut off moves the entry to its next candidate.
+//! The one blocking step, the dial, is a worker job.
 //!
 //! Shutdown: [`Control::shutdown`] flips the flag and wakes the
 //! reactor. The reactor stops accepting, answers any newly-read line
 //! with a `shutting_down` shed, drains outstanding completions, flushes
 //! write buffers, and exits once every admitted request is answered;
-//! dropping the shard senders then disconnects the workers. Every
+//! dropping the job queue's sender then disconnects the workers. Every
 //! admitted request is answered.
 
 use std::cmp::Reverse;
@@ -46,7 +46,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -247,7 +247,7 @@ fn shed_spike_threshold() -> u64 {
     env_u64(&CACHE, "CBES_FLIGHT_SHED_SPIKE", SHED_SPIKE_DEFAULT)
 }
 
-/// Work travelling to a worker shard.
+/// Work travelling to the worker pool.
 enum Job {
     /// One admitted request line.
     Frame {
@@ -321,8 +321,8 @@ fn shed(id: u64, kind: &str, message: &str, retry_after_ms: u64) -> Box<Response
     Box::new(ResponseEnvelope { id, response })
 }
 
-/// Push one line through admission control: draining servers and full
-/// or disconnected shards shed immediately, everything else queues.
+/// Push one line through admission control: draining servers and a full
+/// or disconnected job queue shed immediately, everything else queues.
 /// `Ok` is the peeked envelope id, used for a timeout reply should the
 /// deadline pass first; `Err` is the shed reply.
 fn try_admit(
@@ -565,11 +565,18 @@ impl FrameBuf {
     }
 }
 
+/// A frame's place in a reply ledger: its sequence number, then its
+/// reply line and strike bit once they are in.
+type Slot = (u64, Option<(Vec<u8>, bool)>);
+
+/// The reply-ledger lanes of a connection's worker-run and relayed
+/// frames.
+const WORKER_LANE: usize = 0;
+const RELAY_LANE: usize = 1;
+
 /// One live connection owned by the reactor.
 struct Conn {
     stream: TcpStream,
-    /// Worker shard this connection's requests pin to.
-    shard: usize,
     frames: FrameBuf,
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written.
@@ -577,35 +584,33 @@ struct Conn {
     /// Consecutive malformed frames; reset by any well-formed reply,
     /// fatal past the policy budget.
     strikes: u32,
-    /// Admitted requests not yet answered.
-    inflight: usize,
     /// Peer half-closed; finish in-flight replies, then close.
     eof: bool,
     /// Close as soon as the write buffer drains (strike budget spent).
     closing: bool,
     /// Current poller interest, to skip redundant `modify` calls.
     interest: (bool, bool),
-    /// Relayed frames not yet answered, in arrival order, each with its
-    /// reply once that is in: replies leave from the front only.
-    order: VecDeque<(u64, Option<Vec<u8>>)>,
+    /// The reply ledger: admitted frames not yet answered, in arrival
+    /// order. Replies leave a lane from the front only; worker-run and
+    /// relayed frames keep separate lanes, so neither waits for the
+    /// other.
+    lanes: [VecDeque<Slot>; 2],
     /// `Some(i)`: not a client but the socket dialled to upstream `i`.
     upstream: Option<usize>,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, shard: usize) -> Self {
+    fn new(stream: TcpStream) -> Self {
         Conn {
             stream,
-            shard,
             frames: FrameBuf::new(),
             wbuf: Vec::new(),
             wpos: 0,
             strikes: 0,
-            inflight: 0,
             eof: false,
             closing: false,
             interest: (true, false),
-            order: VecDeque::new(),
+            lanes: [VecDeque::new(), VecDeque::new()],
             upstream: None,
         }
     }
@@ -634,11 +639,13 @@ pub struct Control {
     shutdown: Arc<AtomicBool>,
     /// Write end of the wake channel.
     wake_tx: TcpStream,
-    /// Receive ends of the shard queues, one per worker.
-    shards: Vec<Receiver<Job>>,
-    /// Per-shard "worker is executing" flags; the reactor only runs a
-    /// frame inline when the target shard is drained *and* idle.
-    busy: Vec<AtomicBool>,
+    /// Worker threads.
+    workers: usize,
+    /// Receive end of the job queue every worker takes from.
+    queue: Receiver<Job>,
+    /// Workers executing a job; the reactor only runs a frame inline
+    /// when the queue is drained *and* this is zero.
+    busy: AtomicUsize,
 }
 
 impl Control {
@@ -647,14 +654,14 @@ impl Control {
         self.addr
     }
 
-    /// Worker threads (= queue shards).
+    /// Worker threads.
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.workers
     }
 
-    /// Admitted requests waiting on any shard queue.
+    /// Admitted requests waiting on the job queue.
     pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|rx| rx.len()).sum()
+        self.queue.len()
     }
 
     /// True once shutdown has been triggered.
@@ -709,17 +716,15 @@ pub fn start<H: Handler>(
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let worker_count = config.workers.max(1);
-    let per_shard = (config.queue_capacity / worker_count).max(1);
-    let (shard_tx, shards) = (0..worker_count)
-        .map(|_| channel::bounded::<Job>(per_shard))
-        .unzip();
+    let (job_tx, queue) = channel::bounded::<Job>(config.queue_capacity.max(1));
     let (wake_tx, wake_rx) = wake_pair()?;
     let control = Arc::new(Control {
         addr: listener.local_addr()?,
         shutdown: Arc::new(AtomicBool::new(false)),
         wake_tx,
-        shards,
-        busy: (0..worker_count).map(|_| AtomicBool::new(false)).collect(),
+        workers: worker_count,
+        queue,
+        busy: AtomicUsize::new(0),
     });
     let handler = Arc::new(handler(&control)?);
     let (upstreams, attempt_timeout) = handler.upstreams();
@@ -733,14 +738,12 @@ pub fn start<H: Handler>(
     poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
     let (completion_tx, completion_rx) = channel::unbounded::<Completion>();
     let workers: Vec<_> = (0..worker_count)
-        .map(|index| {
+        .map(|_| {
             let handler = handler.clone();
             let control = control.clone();
             let metrics = metrics.clone();
             let completion_tx = completion_tx.clone();
-            std::thread::spawn(move || {
-                worker_loop(&*handler, index, &control, &metrics, &completion_tx)
-            })
+            std::thread::spawn(move || worker_loop(&*handler, &control, &metrics, &completion_tx))
         })
         .collect();
     let reactor = Reactor {
@@ -757,7 +760,7 @@ pub fn start<H: Handler>(
         attempt_timeout,
         relay_capacity: config.queue_capacity.max(1),
         touched: Vec::new(),
-        shard_tx,
+        job_tx,
         control: control.clone(),
         handler,
         completion_rx,
@@ -804,17 +807,13 @@ impl Drop for NetHandle {
 
 fn worker_loop<H: Handler>(
     handler: &H,
-    index: usize,
     control: &Control,
     metrics: &NetMetrics,
     completion_tx: &Sender<Completion>,
 ) {
-    let (Some(own), Some(busy)) = (control.shards.get(index), control.busy.get(index)) else {
-        return;
-    };
-    // cbes-analyze: allow(blocking_hot_path, the worker's idle park on its own shard queue is the designed wait point; the reactor never calls recv)
-    while let Ok(job) = own.recv() {
-        busy.store(true, Ordering::Release);
+    // cbes-analyze: allow(blocking_hot_path, the worker's idle park on the shared job queue is the designed wait point; the reactor never calls recv)
+    while let Ok(job) = control.queue.recv() {
+        control.busy.fetch_add(1, Ordering::AcqRel);
         let completion = match job {
             Job::Frame {
                 seq,
@@ -836,7 +835,7 @@ fn worker_loop<H: Handler>(
         };
         let _ = completion_tx.send(completion);
         control.wake();
-        busy.store(false, Ordering::Release);
+        control.busy.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -857,7 +856,7 @@ struct Reactor<H: Handler> {
     relay_capacity: usize,
     /// Connections with output queued since the last flush pass.
     touched: Vec<u64>,
-    shard_tx: Vec<Sender<Job>>,
+    job_tx: Sender<Job>,
     control: Arc<Control>,
     handler: Arc<H>,
     completion_rx: Receiver<Completion>,
@@ -920,8 +919,8 @@ impl<H: Handler> Reactor<H> {
                 self.flush_conn(token);
             }
         }
-        // Dropping self drops the shard senders; workers exit on the
-        // disconnect. The listener and every connection close with it.
+        // Dropping self drops the job queue's sender; workers exit on
+        // the disconnect. The listener and every connection close with it.
     }
 
     /// Stop accepting: deregister (and thereby stop watching) the
@@ -949,7 +948,6 @@ impl<H: Handler> Reactor<H> {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    let shard = (token % self.shard_tx.len().max(1) as u64) as usize;
                     if self
                         .poller
                         .register(stream.as_raw_fd(), token, true, false)
@@ -958,7 +956,7 @@ impl<H: Handler> Reactor<H> {
                         continue;
                     }
                     self.metrics.connections.incr();
-                    self.conns.insert(token, Conn::new(stream, shard));
+                    self.conns.insert(token, Conn::new(stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1046,12 +1044,6 @@ impl<H: Handler> Reactor<H> {
         if trimmed.is_empty() {
             return;
         }
-        let Some(shard) = self.conns.get(&token).map(|c| c.shard) else {
-            return;
-        };
-        let Some(tx) = self.shard_tx.get(shard) else {
-            return;
-        };
         let seq = self.next_seq;
         self.next_seq += 1;
         let draining = self.control.is_shutting_down();
@@ -1068,7 +1060,7 @@ impl<H: Handler> Reactor<H> {
         // on the worker pool, a bounded-cost request is cheaper to run
         // right here than to bounce through two thread handoffs (which
         // dominate the round trip — the eval itself is microseconds).
-        if !draining && self.pool_idle(shard) {
+        if !draining && self.pool_idle() {
             if let Some((bytes, malformed)) = self.handler.inline(trimmed) {
                 // The worker path records queue wait at pickup; inline
                 // pickup is immediate, so the sample is zero by definition.
@@ -1079,7 +1071,7 @@ impl<H: Handler> Reactor<H> {
         }
         match try_admit(
             trimmed,
-            tx,
+            &self.job_tx,
             seq,
             draining,
             &self.metrics,
@@ -1094,7 +1086,7 @@ impl<H: Handler> Reactor<H> {
                 let deadline = self.clock.now() + self.request_timeout;
                 self.pending.insert(seq, pending, deadline);
                 if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.inflight += 1;
+                    conn.lanes[WORKER_LANE].push_back((seq, None));
                 }
             }
             Err(shed) => self.queue_reply(token, &encode_line(&shed), false),
@@ -1104,15 +1096,13 @@ impl<H: Handler> Reactor<H> {
     /// The pool is quiescent — no pending replies, no queued jobs, no
     /// executing worker: the only state in which the reactor offers a
     /// frame to [`Handler::inline`].
-    fn pool_idle(&self, shard: usize) -> bool {
-        let queued = self.shard_tx.get(shard).is_some_and(|tx| !tx.is_empty());
-        let busy = self.control.busy.get(shard);
-        let busy = busy.is_some_and(|b| b.load(Ordering::Acquire));
-        self.pending.is_empty() && !queued && !busy
+    fn pool_idle(&self) -> bool {
+        let busy = self.control.busy.load(Ordering::Acquire);
+        self.pending.is_empty() && self.job_tx.is_empty() && busy == 0
     }
 
     /// Admit one frame to the relay: a pending entry under the request
-    /// deadline and a place in its connection's reply order, then the
+    /// deadline and a slot in its connection's relayed lane, then the
     /// first attempt. Past the in-flight bound it is shed instead.
     fn relay(&mut self, token: u64, seq: u64, forward: Forward) {
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -1128,8 +1118,7 @@ impl<H: Handler> Reactor<H> {
             );
             return self.queue_reply(token, &encode_line(&reply), false);
         }
-        conn.inflight += 1;
-        conn.order.push_back((seq, None));
+        conn.lanes[RELAY_LANE].push_back((seq, None));
         let pending = Pending {
             token,
             id: forward.id,
@@ -1146,8 +1135,8 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Send a relayed entry to its next candidate: behind whatever that
-    /// upstream's socket has queued, or once a socket is dialled (by
-    /// whichever worker has queue room). With no candidate left the
+    /// upstream's socket has queued, or once a socket is dialled (by a
+    /// worker, if the job queue has room). With no candidate left the
     /// entry is answered for good: with the last refusal an upstream
     /// gave, else the handler's own word.
     fn attempt(&mut self, seq: u64) {
@@ -1165,7 +1154,7 @@ impl<H: Handler> Reactor<H> {
                 Some(tail) => push_frame(&mut bytes, p.id, &tail),
                 None => bytes = self.handler.unroutable(p.id),
             }
-            return self.answer_in_order(p.token, seq, bytes);
+            return self.answer_in_order(p.token, seq, bytes, false);
         };
         relayed.tried += 1;
         relayed.upstream = i;
@@ -1178,13 +1167,8 @@ impl<H: Handler> Reactor<H> {
         let due = self.clock.now() + self.attempt_timeout;
         self.pending.deadlines.push(Reverse((due, seq, attempt)));
         if upstream.conn.is_none() && !std::mem::replace(&mut upstream.dialling, true) {
-            let shards = self.shard_tx.len();
-            let queued = (0..shards).any(|k| {
-                let job = Job::Dial(i, upstream.addr.clone(), self.attempt_timeout);
-                let tx = self.shard_tx.get((i + k) % shards);
-                tx.is_some_and(|tx| tx.try_send(job).is_ok())
-            });
-            if !queued {
+            let job = Job::Dial(i, upstream.addr.clone(), self.attempt_timeout);
+            if self.job_tx.try_send(job).is_err() {
                 self.dialled(i, Err(std::io::ErrorKind::WouldBlock.into()));
             }
         }
@@ -1209,7 +1193,7 @@ impl<H: Handler> Reactor<H> {
         match registered {
             Ok(stream) => {
                 self.next_token += 1;
-                let mut conn = Conn::new(stream, 0);
+                let mut conn = Conn::new(stream);
                 conn.upstream = Some(i);
                 for seq in self.pending.on_upstream(i) {
                     let tail = self.pending.relayed_mut(seq).map(|r| &r.forward.tail);
@@ -1255,32 +1239,29 @@ impl<H: Handler> Reactor<H> {
         self.handler.relayed(i, primary);
         let mut bytes = Vec::with_capacity(tail.len() + 32);
         push_frame(&mut bytes, p.id, tail);
-        self.answer_in_order(p.token, seq, bytes);
+        self.answer_in_order(p.token, seq, bytes, false);
     }
 
-    /// File the final reply to relayed frame `seq` in its connection's
-    /// order and queue whatever is now at the front with its reply in.
-    fn answer_in_order(&mut self, token: u64, seq: u64, bytes: Vec<u8>) {
+    /// File the final reply to admitted frame `seq` in its slot of its
+    /// connection's ledger, the only way an admitted frame is answered,
+    /// and queue whatever is now at the front of that lane with its
+    /// reply in.
+    fn answer_in_order(&mut self, token: u64, seq: u64, bytes: Vec<u8>, malformed: bool) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let slot = conn.order.binary_search_by_key(&seq, |slot| slot.0);
-        let Some(slot) = slot.ok().and_then(|at| conn.order.get_mut(at)) else {
+        let found = conn.lanes.iter_mut().enumerate().find_map(|(lane, slots)| {
+            let at = slots.binary_search_by_key(&seq, |slot| slot.0).ok()?;
+            Some((lane, slots.get_mut(at)?))
+        });
+        let Some((lane, slot)) = found else {
             return;
         };
-        slot.1 = Some(bytes);
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.order.front().is_none_or(|slot| slot.1.is_none()) {
-                break;
-            }
-            let Some((_, Some(bytes))) = conn.order.pop_front() else {
-                break;
-            };
-            conn.inflight = conn.inflight.saturating_sub(1);
-            self.queue_reply(token, &bytes, false);
+        slot.1 = Some((bytes, malformed));
+        while let Some((_, Some((bytes, malformed)))) = (self.conns.get_mut(&token))
+            .and_then(|c| c.lanes.get_mut(lane)?.pop_front_if(|slot| slot.1.is_some()))
+        {
+            self.queue_reply(token, &bytes, malformed);
         }
         self.touched.push(token);
     }
@@ -1358,7 +1339,7 @@ impl<H: Handler> Reactor<H> {
             conn.wpos = 0;
         }
         let flushed = conn.wbuf.is_empty();
-        let done = conn.closing || (conn.eof && conn.inflight == 0);
+        let done = conn.closing || (conn.eof && conn.lanes.iter().all(VecDeque::is_empty));
         if failed || (flushed && done) {
             self.close_conn(token);
         } else {
@@ -1405,16 +1386,6 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Queue the reply to one worker-run request; its connection is
-    /// flushed with the rest of the batch.
-    fn answer(&mut self, p: &Pending, bytes: &[u8], malformed: bool) {
-        if let Some(conn) = self.conns.get_mut(&p.token) {
-            conn.inflight = conn.inflight.saturating_sub(1);
-        }
-        self.queue_reply(p.token, bytes, malformed);
-        self.touched.push(p.token);
-    }
-
     /// Deliver finished worker replies to their connections, and
     /// finished dials to their upstreams.
     fn drain_completions(&mut self) {
@@ -1429,7 +1400,7 @@ impl<H: Handler> Reactor<H> {
                     // answered) or its connection closed. Either way
                     // the reply is dropped.
                     if let Some(p) = self.pending.complete(seq) {
-                        self.answer(&p, &bytes, malformed);
+                        self.answer_in_order(p.token, seq, bytes, malformed);
                     }
                 }
                 Completion::Dialled(upstream, stream) => self.dialled(upstream, stream),
@@ -1453,11 +1424,7 @@ impl<H: Handler> Reactor<H> {
                     format!("no reply within {:?}", self.request_timeout),
                 ),
             };
-            let bytes = encode_line(&envelope);
-            match p.relay {
-                Some(_) => self.answer_in_order(p.token, seq, bytes),
-                None => self.answer(&p, &bytes, false),
-            }
+            self.answer_in_order(p.token, seq, encode_line(&envelope), false);
         }
         for seq in missed {
             self.attempt(seq);
@@ -1481,8 +1448,9 @@ pub(crate) mod tests {
             addr: wake_tx.local_addr().expect("connected"),
             shutdown: Arc::default(),
             wake_tx,
-            shards: Vec::new(),
-            busy: Vec::new(),
+            workers: 0,
+            queue: channel::bounded(1).1,
+            busy: AtomicUsize::new(0),
         })
     }
 
@@ -1609,10 +1577,10 @@ pub(crate) mod tests {
         assert_eq!(reply.id, 5);
         assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
         assert_eq!(rx.len(), 0);
-        // A disconnected shard (workers gone) sheds the same way.
+        // A disconnected queue (workers gone) sheds the same way.
         drop(rx);
         let reply = try_admit(&stats_line(6), &tx, 2, false, &m, 25)
-            .expect_err("a dead shard must not admit");
+            .expect_err("a dead queue must not admit");
         assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
     }
 

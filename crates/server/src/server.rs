@@ -31,10 +31,11 @@ use crate::reconfig::{not_reconfigurable, unreconfigurable_status, ReconfigRunti
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Worker threads (= queue shards) executing admitted requests.
+    /// Worker threads executing admitted requests, all taking from one
+    /// admission queue.
     pub workers: usize,
-    /// Total admission queue capacity, split evenly across the worker
-    /// shards; beyond it requests get `overloaded`.
+    /// Total admission queue capacity: requests admitted but not yet
+    /// picked up by a worker. Beyond it requests get `overloaded`.
     pub queue_capacity: usize,
     /// Per-request deadline from admission to reply.
     pub request_timeout: Duration,

@@ -371,7 +371,7 @@ fn a_disguised_schedule_does_not_run_on_the_reactor() {
     });
     let mut client = Client::connect(handle.addr()).expect("connect");
     register(&mut client, ring_profile("ring", 4));
-    // Consecutive connections pin to different workers.
+    // Two workers: one anneals A's schedule while the other is free.
     let mut a = TcpStream::connect(handle.addr()).expect("connect");
     let mut b = TcpStream::connect(handle.addr()).expect("connect");
     let mut b_reader = BufReader::new(b.try_clone().expect("clone"));

@@ -34,11 +34,14 @@ fn id_of(line: &str) -> &str {
 
 /// A handler that echoes the frame's id. A line containing `hold`
 /// announces itself on `entered` and then blocks until `release`
-/// yields, so a test decides exactly when a worker is busy. A line
-/// containing `pad` is answered at [`PADDED`] bytes.
+/// yields, so a test decides exactly when a worker is busy; one
+/// containing `gate` does the same on `gate`, so a test can free two
+/// held frames in the order it chooses. A line containing `pad` is
+/// answered at [`PADDED`] bytes.
 struct Echo {
     entered: Sender<()>,
     release: Receiver<()>,
+    gate: Receiver<()>,
     /// Frames executed so far, on any thread.
     executed: Arc<AtomicU64>,
 }
@@ -58,9 +61,11 @@ impl Handler for Echo {
     }
 
     fn execute(&self, line: &str) -> (Vec<u8>, bool) {
-        if line.contains("hold") {
-            let _ = self.entered.send(());
-            let _ = self.release.recv();
+        for (word, gate) in [("hold", &self.release), ("gate", &self.gate)] {
+            if line.contains(word) {
+                let _ = self.entered.send(());
+                let _ = gate.recv();
+            }
         }
         let served = SERVED.with(|s| s.replace(s.get() + 1) + 1);
         self.executed.fetch_add(1, Ordering::Release);
@@ -77,18 +82,21 @@ struct EchoServer {
     handle: NetHandle,
     entered: Receiver<()>,
     release: Sender<()>,
+    gate: Sender<()>,
     executed: Arc<AtomicU64>,
 }
 
 fn echo_server(config: ServerConfig) -> EchoServer {
     let (entered_tx, entered) = channel::unbounded();
     let (release, release_rx) = channel::unbounded();
+    let (gate, gate_rx) = channel::unbounded();
     let executed = Arc::new(AtomicU64::new(0));
     let metrics = NetMetrics::new(&Arc::new(Registry::new()));
     let handle = net::start(&config, metrics, |_| {
         Ok(Echo {
             entered: entered_tx,
             release: release_rx,
+            gate: gate_rx,
             executed: executed.clone(),
         })
     })
@@ -97,6 +105,7 @@ fn echo_server(config: ServerConfig) -> EchoServer {
         handle,
         entered,
         release,
+        gate,
         executed,
     }
 }
@@ -129,7 +138,7 @@ fn echo_handler_sees_reassembled_frames_in_pipelined_order() {
     stream.write_all(b"\"x\":0}\n").expect("write");
     assert_eq!(read_line(&mut reader), "{\"id\":1,\"nth\":1}");
     // A pipelined window is answered completely and in order by the
-    // one worker the connection pins to (its thread counts calls).
+    // pool's one worker (its thread counts calls).
     let window: String = (2..=21).map(|id| format!("{{\"id\":{id}}}\n")).collect();
     stream.write_all(window.as_bytes()).expect("write");
     for id in 2..=21u64 {
@@ -149,7 +158,7 @@ fn echo_handler_sees_reassembled_frames_in_pipelined_order() {
 }
 
 #[test]
-fn full_shard_sheds_and_missed_deadlines_time_out() {
+fn full_queue_sheds_and_missed_deadlines_time_out() {
     let mut server = echo_server(ServerConfig {
         workers: 1,
         queue_capacity: 1,
@@ -158,7 +167,7 @@ fn full_shard_sheds_and_missed_deadlines_time_out() {
     });
     let (mut stream, mut reader) = connect(&server);
     // Frame 1 occupies the worker; only then do 2 and 3 arrive, so
-    // 2 takes the single queue slot and 3 finds the shard full.
+    // 2 takes the single queue slot and 3 finds the queue full.
     stream.write_all(b"{\"id\":1,\"hold\":1}\n").expect("write");
     server.entered.recv().expect("the worker picked frame 1 up");
     stream
@@ -190,6 +199,55 @@ fn full_shard_sheds_and_missed_deadlines_time_out() {
         .send(())
         .expect("worker is parked on the gate");
     assert_eq!(read_line(&mut reader), "{\"id\":4,\"nth\":3}");
+    server.handle.control().shutdown();
+    server.handle.join();
+}
+
+#[test]
+fn one_connections_frames_share_the_pool_and_answer_in_arrival_order() {
+    let mut server = echo_server(ServerConfig {
+        workers: 2,
+        queue_capacity: 2,
+        ..ServerConfig::default()
+    });
+    let (mut stream, mut reader) = connect(&server);
+    // Two frames of one connection run at once, one per worker: frame
+    // 1 waits on `release`, frame 2 on `gate`.
+    stream
+        .write_all(b"{\"id\":1,\"hold\":1}\n{\"id\":2,\"gate\":1}\n")
+        .expect("write");
+    for _ in 0..2 {
+        server
+            .entered
+            .recv_timeout(Duration::from_secs(5))
+            .expect("both workers take a frame of the one connection");
+    }
+    // With both workers held, the queue's two slots are what is left of
+    // the admission bound: 3 and 4 wait in them and 5 is shed.
+    stream
+        .write_all(b"{\"id\":3}\n{\"id\":4}\n{\"id\":5}\n")
+        .expect("write");
+    let shed: ResponseEnvelope =
+        serde_json::from_str(&read_line(&mut reader)).expect("a typed shed reply");
+    assert_eq!(shed.id, 5, "the queue holds two frames, whoever sent them");
+    assert_eq!(error_kind_of(&shed), error_kind::OVERLOADED);
+    // Frame 2 finishes first and its worker runs 3 and 4 behind it;
+    // their replies wait for frame 1's.
+    server.gate.send(()).expect("frame 2 is parked on the gate");
+    for _ in 0..500 {
+        if server.executed.load(Ordering::Acquire) == 3 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.executed.load(Ordering::Acquire), 3);
+    server
+        .release
+        .send(())
+        .expect("frame 1 is parked on the gate");
+    for id in 1..=4 {
+        assert_eq!(id_of(&read_line(&mut reader)), id.to_string());
+    }
     server.handle.control().shutdown();
     server.handle.join();
 }
