@@ -8,21 +8,24 @@
 //! The reactor owns the non-blocking listener and every connection:
 //! it accepts, reassembles newline-delimited frames from per-connection
 //! read buffers, and runs admission control per complete line. Admitted
-//! lines are `try_send`-ed to the one bounded job queue every worker
-//! takes from; a full queue answers immediately with a structured
-//! `overloaded` error and the advertised back-off hint. Workers run the
-//! handler off the reactor thread, then push the finished bytes back
-//! over a completion channel and nudge the reactor with a wake byte. A
-//! [`PendingTable`] enforces the per-request deadline: an admitted
-//! request that misses it is answered with a `timeout` error by the
-//! reactor and the worker's late reply is dropped.
+//! lines go to the one job queue every worker takes from; past
+//! `queue_capacity` frames waiting for a worker, a line is answered
+//! immediately with a structured `overloaded` error and the advertised
+//! back-off hint. Workers run the handler off the reactor thread, then
+//! push the finished bytes back over a completion channel and nudge the
+//! reactor with a wake byte. A [`PendingTable`] enforces the
+//! per-request deadline: an admitted request that misses it is answered
+//! with a `timeout` error by the reactor and the worker's late reply is
+//! dropped.
 //!
-//! Reply ordering: every admitted frame takes a slot in its
-//! connection's reply ledger, and replies leave it in arrival order
-//! however many workers run the frames. Worker-run and relayed frames
-//! keep separate lanes, each ordered within itself, not against the
-//! other. Shed and oversized-frame replies take no slot and may
-//! overtake, which is why every reply carries the request id.
+//! Ordering: while frames of a connection are queued or executing, its
+//! next ones are held, and go to one worker together once those finish,
+//! so a connection's frames run in arrival order. Every admitted
+//! frame takes a slot in its connection's reply ledger, and replies
+//! leave it in arrival order. Worker-run and relayed frames keep
+//! separate lanes, each ordered within itself, not against the other.
+//! Shed and oversized-frame replies take no slot and may overtake,
+//! which is why every reply carries the request id.
 //!
 //! Relaying: a frame [`Handler::relay`] answers with a [`Forward`]
 //! never leaves the reactor thread. It is written — the reactor's
@@ -81,9 +84,10 @@ const SHUTTING_DOWN_TAIL: &str = ",\"response\":{\"Error\":{\"kind\":\"shutting_
 /// Calls are monomorphised per handler; there is no `dyn` dispatch on
 /// the frame path.
 pub trait Handler: Send + Sync + 'static {
-    /// Run `line` on the reactor thread — asked only when the whole
-    /// pool is idle — and answer as [`Self::execute`] does, or `None`
-    /// (the default) to queue it for a worker. Must be `None` for
+    /// Run `line` on the reactor thread — asked only when nothing is
+    /// pending or queued and a worker is free — and answer as
+    /// [`Self::execute`] does, or `None` (the default) to queue it for a
+    /// worker. Must be `None` for
     /// anything that can block on a disk or a peer, or whose cost the
     /// caller controls: decide from the decoded frame, not its bytes.
     fn inline(&self, _line: &str) -> Option<(Vec<u8>, bool)> {
@@ -247,16 +251,19 @@ fn shed_spike_threshold() -> u64 {
     env_u64(&CACHE, "CBES_FLIGHT_SHED_SPIKE", SHED_SPIKE_DEFAULT)
 }
 
-/// Work travelling to the worker pool.
+/// Work travelling to the worker pool; one message on the job queue is
+/// a run of one connection's frames, executed in order, or one dial.
 enum Job {
     /// One admitted request line.
     Frame {
+        /// The connection that sent it.
+        token: u64,
         /// Reactor-assigned sequence; keys the [`PendingTable`] entry.
         seq: u64,
         /// The raw frame; the worker parses it off the reactor thread.
         line: String,
-        /// When the reactor queued this job; queue wait is measured
-        /// from here to worker pickup.
+        /// When the reactor admitted it; queue wait is measured from
+        /// here to worker pickup.
         admitted: Duration,
     },
     /// Connect to upstream `.0` at `.1` within `.2` — the one blocking
@@ -267,6 +274,7 @@ enum Job {
 /// A worker's result travelling back to the reactor.
 enum Completion {
     Reply {
+        token: u64,
         seq: u64,
         /// The encoded reply line, newline included.
         bytes: Vec<u8>,
@@ -321,14 +329,16 @@ fn shed(id: u64, kind: &str, message: &str, retry_after_ms: u64) -> Box<Response
     Box::new(ResponseEnvelope { id, response })
 }
 
-/// Push one line through admission control: draining servers and a full
-/// or disconnected job queue shed immediately, everything else queues.
-/// `Ok` is the peeked envelope id, used for a timeout reply should the
-/// deadline pass first; `Err` is the shed reply.
-fn try_admit(
+/// Push one line from connection `token` through admission control:
+/// while draining, or when `send` finds the queue full or disconnected,
+/// the line is shed; otherwise `send` has queued the job or held it for
+/// its connection. `Ok` is the peeked envelope id, used for
+/// a timeout reply should the deadline pass first; `Err` is the shed
+/// reply.
+fn try_admit<T>(
     line: &str,
-    tx: &Sender<Job>,
-    seq: u64,
+    send: impl FnOnce(Job) -> Result<(), TrySendError<T>>,
+    (token, seq): (u64, u64),
     draining: bool,
     metrics: &NetMetrics,
     shed_retry_after_ms: u64,
@@ -336,11 +346,12 @@ fn try_admit(
     let id = peek_id(line);
     if !draining {
         let job = Job::Frame {
+            token,
             seq,
             line: line.to_string(),
             admitted: metrics.registry.clock().now(),
         };
-        match tx.try_send(job) {
+        match send(job) {
             Ok(()) => return Ok(id),
             Err(TrySendError::Full(_)) => {
                 metrics.shed_overloaded();
@@ -595,6 +606,12 @@ struct Conn {
     /// relayed frames keep separate lanes, so neither waits for the
     /// other.
     lanes: [VecDeque<Slot>; 2],
+    /// Worker-run frames on the job queue or a worker.
+    running: usize,
+    /// Worker-run frames admitted while others run, oldest first. When
+    /// the last of those finishes, timed out or not, they go to one
+    /// worker together.
+    held: Vec<Job>,
     /// `Some(i)`: not a client but the socket dialled to upstream `i`.
     upstream: Option<usize>,
 }
@@ -611,6 +628,8 @@ impl Conn {
             closing: false,
             interest: (true, false),
             lanes: [VecDeque::new(), VecDeque::new()],
+            running: 0,
+            held: Vec::new(),
             upstream: None,
         }
     }
@@ -642,9 +661,12 @@ pub struct Control {
     /// Worker threads.
     workers: usize,
     /// Receive end of the job queue every worker takes from.
-    queue: Receiver<Job>,
+    queue: Receiver<Vec<Job>>,
+    /// Admitted frames no worker has picked up, queued or held: the
+    /// reactor counts them in, the worker that picks one up out.
+    waiting: AtomicUsize,
     /// Workers executing a job; the reactor only runs a frame inline
-    /// when the queue is drained *and* this is zero.
+    /// when the queue is drained *and* this is below `workers`.
     busy: AtomicUsize,
 }
 
@@ -659,9 +681,10 @@ impl Control {
         self.workers
     }
 
-    /// Admitted requests waiting on the job queue.
+    /// Admitted requests no worker has picked up: on the job queue or
+    /// held behind their connection's running frames.
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.waiting.load(Ordering::Acquire)
     }
 
     /// True once shutdown has been triggered.
@@ -716,7 +739,8 @@ pub fn start<H: Handler>(
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let worker_count = config.workers.max(1);
-    let (job_tx, queue) = channel::bounded::<Job>(config.queue_capacity.max(1));
+    // Bounded by admission: `queue_capacity` waiting frames.
+    let (job_tx, queue) = channel::unbounded::<Vec<Job>>();
     let (wake_tx, wake_rx) = wake_pair()?;
     let control = Arc::new(Control {
         addr: listener.local_addr()?,
@@ -724,6 +748,7 @@ pub fn start<H: Handler>(
         wake_tx,
         workers: worker_count,
         queue,
+        waiting: AtomicUsize::new(0),
         busy: AtomicUsize::new(0),
     });
     let handler = Arc::new(handler(&control)?);
@@ -758,7 +783,7 @@ pub fn start<H: Handler>(
         pending: PendingTable::new(),
         upstreams: upstreams.collect(),
         attempt_timeout,
-        relay_capacity: config.queue_capacity.max(1),
+        capacity: config.queue_capacity.max(1),
         touched: Vec::new(),
         job_tx,
         control: control.clone(),
@@ -812,29 +837,34 @@ fn worker_loop<H: Handler>(
     completion_tx: &Sender<Completion>,
 ) {
     // cbes-analyze: allow(blocking_hot_path, the worker's idle park on the shared job queue is the designed wait point; the reactor never calls recv)
-    while let Ok(job) = control.queue.recv() {
+    while let Ok(jobs) = control.queue.recv() {
         control.busy.fetch_add(1, Ordering::AcqRel);
-        let completion = match job {
-            Job::Frame {
-                seq,
-                line,
-                admitted,
-            } => {
-                let waited = metrics.registry.clock().now().saturating_sub(admitted);
-                metrics.queue_wait.record_duration(waited);
-                let (bytes, malformed) = handler.execute(&line);
-                Completion::Reply {
+        for job in jobs {
+            let completion = match job {
+                Job::Frame {
+                    token,
                     seq,
-                    bytes,
-                    malformed,
+                    line,
+                    admitted,
+                } => {
+                    control.waiting.fetch_sub(1, Ordering::AcqRel);
+                    let waited = metrics.registry.clock().now().saturating_sub(admitted);
+                    metrics.queue_wait.record_duration(waited);
+                    let (bytes, malformed) = handler.execute(&line);
+                    Completion::Reply {
+                        token,
+                        seq,
+                        bytes,
+                        malformed,
+                    }
                 }
-            }
-            Job::Dial(i, addr, timeout) => {
-                Completion::Dialled(i, crate::client::dial(addr.as_str(), timeout))
-            }
-        };
-        let _ = completion_tx.send(completion);
-        control.wake();
+                Job::Dial(i, addr, timeout) => {
+                    Completion::Dialled(i, crate::client::dial(addr.as_str(), timeout))
+                }
+            };
+            let _ = completion_tx.send(completion);
+            control.wake();
+        }
         control.busy.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -852,11 +882,13 @@ struct Reactor<H: Handler> {
     upstreams: Vec<Upstream>,
     /// Deadline for one upstream dial and for one attempt's reply.
     attempt_timeout: Duration,
-    /// Most requests in flight at once before a relayed frame is shed.
-    relay_capacity: usize,
+    /// `queue_capacity`: most frames admitted but not picked up (see
+    /// [`Control::queue_depth`]), and most requests in flight before a
+    /// relayed frame is shed.
+    capacity: usize,
     /// Connections with output queued since the last flush pass.
     touched: Vec<u64>,
-    job_tx: Sender<Job>,
+    job_tx: Sender<Vec<Job>>,
     control: Arc<Control>,
     handler: Arc<H>,
     completion_rx: Receiver<Completion>,
@@ -1056,11 +1088,11 @@ impl<H: Handler> Reactor<H> {
         if let Some(forward) = forward {
             return self.relay(token, seq, forward);
         }
-        // Inline fast path: when nothing is queued or executing anywhere
-        // on the worker pool, a bounded-cost request is cheaper to run
+        // Inline fast path: when nothing is pending or queued and a
+        // worker is free, a bounded-cost request is cheaper to run
         // right here than to bounce through two thread handoffs (which
         // dominate the round trip — the eval itself is microseconds).
-        if !draining && self.pool_idle() {
+        if !draining && self.pool_idle(token) {
             if let Some((bytes, malformed)) = self.handler.inline(trimmed) {
                 // The worker path records queue wait at pickup; inline
                 // pickup is immediate, so the sample is zero by definition.
@@ -1069,15 +1101,36 @@ impl<H: Handler> Reactor<H> {
                 return;
             }
         }
-        match try_admit(
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let (running, room) = (conn.running > 0, self.control.queue_depth() < self.capacity);
+        let (held, waiting) = (&mut conn.held, &self.control.waiting);
+        // Behind a frame of its own connection, a frame is held, not
+        // queued: one connection's frames run one at a time, in order.
+        let send = |job| {
+            if !room {
+                return Err(TrySendError::Full(Vec::new()));
+            }
+            waiting.fetch_add(1, Ordering::AcqRel);
+            if running {
+                held.push(job);
+                return Ok(());
+            }
+            self.job_tx.try_send(vec![job])
+        };
+        let admitted = try_admit(
             trimmed,
-            &self.job_tx,
-            seq,
+            send,
+            (token, seq),
             draining,
             &self.metrics,
             self.shed_retry_after_ms,
-        ) {
+        );
+        match admitted {
             Ok(id) => {
+                conn.running = conn.running.max(1);
+                conn.lanes[WORKER_LANE].push_back((seq, None));
                 let pending = Pending {
                     token,
                     id,
@@ -1085,20 +1138,34 @@ impl<H: Handler> Reactor<H> {
                 };
                 let deadline = self.clock.now() + self.request_timeout;
                 self.pending.insert(seq, pending, deadline);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.lanes[WORKER_LANE].push_back((seq, None));
-                }
             }
             Err(shed) => self.queue_reply(token, &encode_line(&shed), false),
         }
     }
 
-    /// The pool is quiescent — no pending replies, no queued jobs, no
-    /// executing worker: the only state in which the reactor offers a
-    /// frame to [`Handler::inline`].
-    fn pool_idle(&self) -> bool {
+    /// One of connection `token`'s worker-run frames finished. Once
+    /// none runs, the frames held meanwhile go to one worker as a run.
+    fn finished(&mut self, token: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.running = conn.running.saturating_sub(1);
+        if conn.running == 0 && !conn.held.is_empty() {
+            let run = std::mem::take(&mut conn.held);
+            conn.running = run.len();
+            // Only a dead pool refuses it; the frames then time out.
+            let _ = self.job_tx.try_send(run);
+        }
+    }
+
+    /// No reply is pending, no job is queued, a worker is free, and
+    /// none still runs connection `token`'s last frame: the only state
+    /// in which the reactor offers a frame to [`Handler::inline`].
+    fn pool_idle(&self, token: u64) -> bool {
         let busy = self.control.busy.load(Ordering::Acquire);
-        self.pending.is_empty() && self.job_tx.is_empty() && busy == 0
+        let running = self.conns.get(&token).is_some_and(|c| c.running > 0);
+        let quiet = self.pending.is_empty() && self.job_tx.is_empty();
+        quiet && busy < self.control.workers && !running
     }
 
     /// Admit one frame to the relay: a pending entry under the request
@@ -1108,7 +1175,7 @@ impl<H: Handler> Reactor<H> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if self.pending.len() >= self.relay_capacity {
+        if self.pending.len() >= self.capacity {
             self.metrics.shed_overloaded();
             let reply = shed(
                 forward.id,
@@ -1135,10 +1202,10 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Send a relayed entry to its next candidate: behind whatever that
-    /// upstream's socket has queued, or once a socket is dialled (by a
-    /// worker, if the job queue has room). With no candidate left the
-    /// entry is answered for good: with the last refusal an upstream
-    /// gave, else the handler's own word.
+    /// upstream's socket has queued, or once a worker has dialled a
+    /// socket. With no candidate left the entry is answered for good:
+    /// with the last refusal an upstream gave, else the handler's own
+    /// word.
     fn attempt(&mut self, seq: u64) {
         let Some(relayed) = self.pending.relayed_mut(seq) else {
             return;
@@ -1168,7 +1235,7 @@ impl<H: Handler> Reactor<H> {
         self.pending.deadlines.push(Reverse((due, seq, attempt)));
         if upstream.conn.is_none() && !std::mem::replace(&mut upstream.dialling, true) {
             let job = Job::Dial(i, upstream.addr.clone(), self.attempt_timeout);
-            if self.job_tx.try_send(job).is_err() {
+            if self.job_tx.try_send(vec![job]).is_err() {
                 self.dialled(i, Err(std::io::ErrorKind::WouldBlock.into()));
             }
         }
@@ -1373,6 +1440,9 @@ impl<H: Handler> Reactor<H> {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        self.control
+            .waiting
+            .fetch_sub(conn.held.len(), Ordering::AcqRel);
         match conn.upstream {
             // Cancel in-flight requests: their late completions are
             // dropped (nobody is left to read the replies).
@@ -1392,6 +1462,7 @@ impl<H: Handler> Reactor<H> {
         while let Ok(completion) = self.completion_rx.try_recv() {
             match completion {
                 Completion::Reply {
+                    token,
                     seq,
                     bytes,
                     malformed,
@@ -1402,6 +1473,7 @@ impl<H: Handler> Reactor<H> {
                     if let Some(p) = self.pending.complete(seq) {
                         self.answer_in_order(p.token, seq, bytes, malformed);
                     }
+                    self.finished(token);
                 }
                 Completion::Dialled(upstream, stream) => self.dialled(upstream, stream),
             }
@@ -1450,6 +1522,7 @@ pub(crate) mod tests {
             wake_tx,
             workers: 0,
             queue: channel::bounded(1).1,
+            waiting: AtomicUsize::new(0),
             busy: AtomicUsize::new(0),
         })
     }
@@ -1507,8 +1580,9 @@ pub(crate) mod tests {
     #[test]
     fn try_admit_queues_with_the_peeked_id() {
         let (tx, rx) = channel::bounded::<Job>(1);
+        let send = |job| tx.try_send(job);
         let m = NetMetrics::new(&Arc::new(Registry::new()));
-        let admitted = try_admit(&stats_line(3), &tx, 11, false, &m, 25);
+        let admitted = try_admit(&stats_line(3), send, (0, 11), false, &m, 25);
         assert_eq!(admitted.expect("an empty queue admits"), 3);
         match rx.recv().expect("the job was queued") {
             Job::Frame { seq, line, .. } => assert_eq!((seq, line), (11, stats_line(3))),
@@ -1520,9 +1594,10 @@ pub(crate) mod tests {
     #[test]
     fn full_queue_is_answered_with_overloaded() {
         let (tx, _rx) = channel::bounded::<Job>(1);
+        let send = |job| tx.try_send(job);
         let m = NetMetrics::new(&Arc::new(Registry::new()));
-        try_admit(&stats_line(1), &tx, 1, false, &m, 25).expect("first admit must queue");
-        let reply = try_admit(&stats_line(7), &tx, 2, false, &m, 25)
+        try_admit(&stats_line(1), send, (0, 1), false, &m, 25).expect("first admit must queue");
+        let reply = try_admit(&stats_line(7), send, (0, 2), false, &m, 25)
             .expect_err("the one-slot queue was full");
         assert_eq!(reply.id, 7, "overload reply still echoes the id");
         assert_eq!(error_kind_of(&reply), error_kind::OVERLOADED);
@@ -1570,16 +1645,17 @@ pub(crate) mod tests {
     #[test]
     fn draining_or_disconnected_queue_means_shutting_down() {
         let (tx, rx) = channel::bounded::<Job>(1);
+        let send = |job| tx.try_send(job);
         let m = NetMetrics::new(&Arc::new(Registry::new()));
         // Draining sheds without consuming a queue slot.
-        let reply = try_admit(&stats_line(5), &tx, 1, true, &m, 25)
+        let reply = try_admit(&stats_line(5), send, (0, 1), true, &m, 25)
             .expect_err("a draining server must not admit");
         assert_eq!(reply.id, 5);
         assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
         assert_eq!(rx.len(), 0);
         // A disconnected queue (workers gone) sheds the same way.
         drop(rx);
-        let reply = try_admit(&stats_line(6), &tx, 2, false, &m, 25)
+        let reply = try_admit(&stats_line(6), send, (0, 2), false, &m, 25)
             .expect_err("a dead queue must not admit");
         assert_eq!(error_kind_of(&reply), error_kind::SHUTTING_DOWN);
     }

@@ -15,8 +15,10 @@ use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
 use cbes_server::client::ClientError;
-use cbes_server::protocol::error_kind;
-use cbes_server::{Client, Request, Response, Server, ServerConfig};
+use cbes_server::protocol::{encode, error_kind};
+use cbes_server::{
+    Client, Request, RequestEnvelope, Response, ResponseEnvelope, Server, ServerConfig,
+};
 use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
 
 fn ring_profile(name: &str, procs: usize) -> AppProfile {
@@ -536,6 +538,114 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
     assert!(snap.counters["server.served"] >= stats.served);
     assert!(snap.histograms["server.queue_wait_us"].count >= 1);
 
+    handle.shutdown_and_join();
+}
+
+/// One connection's pipelined frames run in arrival order even when the
+/// pool is busy and they go to workers: while another client's
+/// `Schedule` holds one of three workers, each `Compare` right behind
+/// the `RegisterProfile` it needs finds its profile, and of two sweeps
+/// the later one is published last.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test sizes a schedule to outlast a pipelined window by timing it"
+)]
+fn pipelined_frames_run_in_arrival_order_while_the_pool_is_busy() {
+    let (handle, service) = demo_server(3);
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    register(&mut client, ring_profile("ring", 2));
+
+    // Size a schedule to about a second, as the overload test does.
+    let profile = service.registry().get("ring").expect("registered");
+    let cached = service.current_load();
+    let snapshot = service.snapshot_of(&cached);
+    let pool: Vec<NodeId> = (0..8).map(NodeId).collect();
+    let request = ScheduleRequest::new(&profile, &snapshot, &pool);
+    let mut cfg = SaConfig::fast(1);
+    cfg.iters = 50_000;
+    let t0 = Instant::now();
+    SaScheduler::new(cfg).schedule(&request).expect("calibrate");
+    let per_iter = t0.elapsed().as_secs_f64() / 50_000.0;
+    let iters = ((1.0 / per_iter) as u64).clamp(100_000, 100_000_000) as u32;
+    let blocker = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).expect("connect");
+        c.call(&Request::Schedule {
+            app: "ring".to_string(),
+            pool: (0..8).collect(),
+            iters,
+            seed: 1,
+        })
+    });
+    std::thread::sleep(Duration::from_millis(100));
+
+    let sweep = |cpu| {
+        let mut load = LoadState::idle(8);
+        load.set_cpu_avail(NodeId(0), cpu);
+        Request::ObserveLoad { load }
+    };
+    let mut requests = Vec::new();
+    for i in 0..16 {
+        let name = format!("p{i}");
+        // 300 groups a rank: decoding the profile takes a worker far
+        // longer than the reactor takes to admit the compare behind it.
+        let mut profile = ring_profile(&name, 2);
+        for rank in &mut profile.procs {
+            let (send, recv) = (rank.sends[0], rank.recvs[0]);
+            rank.sends.resize(300, send);
+            rank.recvs.resize(300, recv);
+        }
+        requests.push(Request::RegisterProfile { profile });
+        requests.push(compare(&name, &[m(&[0, 1])]));
+    }
+    requests.extend([sweep(0.25), sweep(0.75)]);
+    let mut window = String::new();
+    for (id, request) in (1..).zip(&requests) {
+        window.push_str(&encode(&RequestEnvelope::new(id, request.clone())));
+        window.push('\n');
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(window.as_bytes()).expect("write");
+    let replies: Vec<ResponseEnvelope> = (0..requests.len())
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            serde_json::from_str(&line).expect("a reply envelope")
+        })
+        .collect();
+    assert!(!blocker.is_finished(), "the schedule outlasted the window");
+
+    for (id, reply) in (1..).zip(&replies) {
+        assert_eq!(reply.id, id, "replies leave in arrival order");
+    }
+    for pair in replies[..32].chunks(2) {
+        assert!(
+            matches!(pair[0].response, Response::Registered { .. }),
+            "{pair:?}"
+        );
+        assert!(
+            matches!(pair[1].response, Response::Predictions { .. }),
+            "a compare ran before the profile it follows was registered: {pair:?}"
+        );
+    }
+    let epochs: Vec<_> = replies[32..]
+        .iter()
+        .map(|reply| match reply.response {
+            Response::LoadObserved { epoch } => epoch,
+            ref other => panic!("expected a sweep ack, got {other:?}"),
+        })
+        .collect();
+    assert!(
+        epochs[0] < epochs[1],
+        "sweeps published out of order: {epochs:?}"
+    );
+    let scheduled = blocker.join().expect("blocker thread");
+    assert!(
+        matches!(scheduled, Ok(Response::Scheduled { .. })),
+        "{scheduled:?}"
+    );
     handle.shutdown_and_join();
 }
 

@@ -204,50 +204,60 @@ fn full_queue_sheds_and_missed_deadlines_time_out() {
 }
 
 #[test]
-fn one_connections_frames_share_the_pool_and_answer_in_arrival_order() {
+fn a_connections_frames_run_in_arrival_order_on_any_free_worker() {
     let mut server = echo_server(ServerConfig {
         workers: 2,
         queue_capacity: 2,
         ..ServerConfig::default()
     });
-    let (mut stream, mut reader) = connect(&server);
-    // Two frames of one connection run at once, one per worker: frame
-    // 1 waits on `release`, frame 2 on `gate`.
-    stream
-        .write_all(b"{\"id\":1,\"hold\":1}\n{\"id\":2,\"gate\":1}\n")
-        .expect("write");
+    let (mut a, mut a_reader) = connect(&server);
+    // Frame 1 of A holds one worker; the other serves every other
+    // connection, one after another.
+    a.write_all(b"{\"id\":1,\"hold\":1}\n").expect("write");
+    server
+        .entered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a worker takes frame 1");
     for _ in 0..2 {
-        server
-            .entered
-            .recv_timeout(Duration::from_secs(5))
-            .expect("both workers take a frame of the one connection");
+        let (mut other, mut other_reader) = connect(&server);
+        other.write_all(b"{\"id\":9}\n").expect("write");
+        let reply = read_line(&mut other_reader);
+        assert!(
+            reply.starts_with("{\"id\":9,\"nth\":"),
+            "served, not timed out: {reply}"
+        );
     }
-    // With both workers held, the queue's two slots are what is left of
-    // the admission bound: 3 and 4 wait in them and 5 is shed.
-    stream
-        .write_all(b"{\"id\":3}\n{\"id\":4}\n{\"id\":5}\n")
+    // A pipelines 2, 3 and 4 behind its running frame. They are held
+    // until it finishes, though a worker is free, and count against the
+    // queue's two slots as queued frames do: 4 is shed.
+    a.write_all(b"{\"id\":2,\"gate\":1}\n{\"id\":3}\n{\"id\":4}\n")
         .expect("write");
     let shed: ResponseEnvelope =
-        serde_json::from_str(&read_line(&mut reader)).expect("a typed shed reply");
-    assert_eq!(shed.id, 5, "the queue holds two frames, whoever sent them");
+        serde_json::from_str(&read_line(&mut a_reader)).expect("a typed shed reply");
+    assert_eq!(shed.id, 4, "one connection's frames may fill the queue");
     assert_eq!(error_kind_of(&shed), error_kind::OVERLOADED);
-    // Frame 2 finishes first and its worker runs 3 and 4 behind it;
-    // their replies wait for frame 1's.
-    server.gate.send(()).expect("frame 2 is parked on the gate");
-    for _ in 0..500 {
-        if server.executed.load(Ordering::Acquire) == 3 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(server.executed.load(Ordering::Acquire), 3);
+    assert_eq!(server.handle.control().queue_depth(), 2);
+    assert!(
+        server
+            .entered
+            .recv_timeout(Duration::from_millis(200))
+            .is_err(),
+        "frame 2 waits for frame 1 to finish"
+    );
+    // Frame 1 finishes, then 2 runs, then 3; replies leave in that order.
     server
         .release
         .send(())
-        .expect("frame 1 is parked on the gate");
-    for id in 1..=4 {
-        assert_eq!(id_of(&read_line(&mut reader)), id.to_string());
+        .expect("frame 1 is parked on release");
+    server
+        .entered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("frame 2 runs once frame 1 is done");
+    server.gate.send(()).expect("frame 2 is parked on the gate");
+    for id in 1..=3 {
+        assert_eq!(id_of(&read_line(&mut a_reader)), id.to_string());
     }
+    assert_eq!(server.handle.control().queue_depth(), 0, "nothing is held");
     server.handle.control().shutdown();
     server.handle.join();
 }
