@@ -4,17 +4,15 @@
 //! A dependency-free Rust lexer plus a rule engine enforcing the
 //! invariants the serving stack depends on but the compiler cannot
 //! see: centralised metric naming ([`rules::metric_names`]). Panic-free
-//! request handling and seeded determinism are clippy lints instead
-//! (see [`rules`]).
+//! request handling, seeded determinism, the `unsafe` allowlist and the
+//! crash-safety discards are compiler lints instead (see [`rules`]).
 //!
 //! On top of the flat stream sit a brace-aware token-tree parser
 //! ([`token_tree`]) and a workspace call graph ([`callgraph`]), which
 //! power the structural rules: canonical lock ordering
-//! ([`rules::lock_order`]), no blocking primitives reachable from the
-//! event loop ([`rules::blocking_hot_path`]), audited `unsafe` blocks
-//! ([`rules::unsafe_audit`]), and no swallowed `Result`s in
-//! crash-safety-critical paths ([`rules::error_swallow`]). Every rule is
-//! one row of [`rules::RULES`].
+//! ([`rules::lock_order`]) and no blocking primitives reachable from the
+//! event loop ([`rules::blocking_hot_path`]). Every rule is one row of
+//! [`rules::RULES`].
 //!
 //! Run it from the workspace root:
 //!

@@ -8,8 +8,10 @@
 //! handling is clippy's `unwrap_used`, `indexing_slicing` and panic-family
 //! lints in the roots of `cbes-core`, `cbes-server`, `cbes-router` and
 //! `cbes-netmodel`, and seeded determinism is the root `clippy.toml`'s
-//! `disallowed-methods`. The rules here need what clippy lacks: the call
-//! graph, a lock rank order, or one module's `unsafe` allowlist.
+//! `disallowed-methods`. The `unsafe` allowlist and the crash-safety
+//! discards are compiler lints too (DESIGN.md §15). The rules here need
+//! what clippy lacks: the call graph, a lock rank order, or (until the
+//! metric names are a type) the `cbes_obs::names` constants.
 
 use crate::callgraph::CallGraph;
 use crate::findings::Finding;
@@ -17,10 +19,8 @@ use crate::source::SourceFile;
 use std::cell::OnceCell;
 
 pub mod blocking_hot_path;
-pub mod error_swallow;
 pub mod lock_order;
 pub mod metric_names;
-pub mod unsafe_audit;
 
 /// What a rule reads: every source file of the tree, parsed once, and
 /// the call graph over them, built when the first rule asks for it.
@@ -74,16 +74,6 @@ pub const RULES: &[Rule] = &[
         id: "blocking_hot_path",
         summary: "no blocking primitive reachable from an event-loop entry point",
         run: blocking_hot_path::run,
-    },
-    Rule {
-        id: "unsafe_audit",
-        summary: "unsafe only in allowlisted modules, only as SAFETY:-commented blocks",
-        run: unsafe_audit::run,
-    },
-    Rule {
-        id: "error_swallow",
-        summary: "no discarded Result on crash-safety paths, no ignored fsync anywhere",
-        run: error_swallow::run,
     },
 ];
 

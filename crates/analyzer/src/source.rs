@@ -78,9 +78,6 @@ pub struct SourceFile {
     pub path: String,
     /// The token stream (comments excluded).
     pub tokens: Vec<Token>,
-    /// Every comment, in source order — rules that audit comment
-    /// conventions (`// SAFETY:`) read these.
-    pub comments: Vec<Comment>,
     /// Parsed waiver annotations.
     pub waivers: Vec<Waiver>,
     /// Malformed waiver annotations.
@@ -99,7 +96,6 @@ impl SourceFile {
         SourceFile {
             path: path.into(),
             tokens,
-            comments,
             waivers,
             bad_waivers,
             test_ranges,

@@ -173,51 +173,10 @@ fn blocking_fixture_counts_are_exact() {
 }
 
 #[test]
-fn unsafe_audit_fixture_counts_are_exact() {
-    let report = run(fixture("unsafe_audit"), &["unsafe_audit"]);
-    let by_rule = report.counts_by_rule();
-    // Undocumented block + non-block `unsafe fn` in the allowlisted
-    // module, plus any unsafe at all outside it. The documented block
-    // in epoll.rs stays clean.
-    assert_eq!(
-        by_rule.get("unsafe_audit").copied(),
-        Some((3, 0)),
-        "{:#?}",
-        report.findings
-    );
-    let files: Vec<&str> = report.unwaived().map(|f| f.file.as_str()).collect();
-    assert!(files.contains(&"crates/core/src/fast.rs"), "{files:#?}");
-}
-
-#[test]
-fn error_swallow_fixture_counts_are_exact() {
-    let report = run(fixture("error_swallow"), &["error_swallow"]);
-    let by_rule = report.counts_by_rule();
-    // Two critical-path discards plus one workspace-wide fsync discard;
-    // propagation and value-position `.ok()` stay clean.
-    assert_eq!(
-        by_rule.get("error_swallow").copied(),
-        Some((3, 0)),
-        "{:#?}",
-        report.findings
-    );
-    let files: Vec<&str> = report.unwaived().map(|f| f.file.as_str()).collect();
-    assert_eq!(
-        files
-            .iter()
-            .filter(|f| **f == "crates/reconfig/src/store.rs")
-            .count(),
-        2,
-        "{files:#?}"
-    );
-    assert!(files.contains(&"crates/server/src/flush.rs"), "{files:#?}");
-}
-
-#[test]
 fn the_real_workspace_stays_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = run(root, &table_ids());
-    assert_eq!(report.rules_run.len(), 5);
+    assert_eq!(report.rules_run.len(), 3);
     let unwaived: Vec<_> = report.unwaived().collect();
     assert!(
         unwaived.is_empty(),

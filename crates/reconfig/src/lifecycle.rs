@@ -16,6 +16,17 @@
 //!   without a preceding `apply` is rejected);
 //! * the accepted artifact only ever changes through `accept`.
 
+// A crash-safety path: it discards no value and drops no `Result`
+// (CI's `-D warnings` makes these errors).
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::let_underscore_untyped,
+        clippy::unused_result_ok
+    )
+)]
+
 use serde::{Deserialize, Serialize};
 
 /// Journal operation names, the closed vocabulary of [`JournalRecord::op`].

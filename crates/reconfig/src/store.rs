@@ -29,6 +29,17 @@
 //! until it is reopened: reopening replays and truncates the journal,
 //! the one recovery path the crash suite proves.
 
+// A crash-safety path: it discards no value and drops no `Result`
+// (CI's `-D warnings` makes these errors).
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::let_underscore_untyped,
+        clippy::unused_result_ok
+    )
+)]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -3,8 +3,11 @@
 //!
 //! Every `unsafe` block in the crate lives in this module, and each is
 //! a single audited syscall: `epoll_create1`, `epoll_ctl`, `epoll_wait`
-//! and `close`. Callers only see the safe [`Poller`] surface — register
-//! file descriptors with a `u64` token and an interest pair, then
+//! and `close`. The crate root's `deny(unsafe_code)` keeps `unsafe`
+//! here, clippy holds each block to one operation under a `// SAFETY:`
+//! comment, and a CI grep keeps out `unsafe fn`, `impl` and `trait`.
+//! Callers only see the safe [`Poller`] surface — register file
+//! descriptors with a `u64` token and an interest pair, then
 //! [`Poller::wait`] for [`PollEvent`]s. It is level-triggered, so a fd
 //! stays ready until the caller drains it; the reactor relies on that
 //! to avoid losing partial reads.

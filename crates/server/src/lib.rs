@@ -3,6 +3,8 @@
 
 #![deny(unsafe_code)]
 #![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::multiple_unsafe_ops_per_block,
     clippy::unwrap_used,
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
@@ -21,7 +23,7 @@
 pub mod client;
 #[expect(
     unsafe_code,
-    reason = "the epoll FFI; `cbes-analyze`'s `unsafe_audit` holds each block to a SAFETY: comment"
+    reason = "the epoll FFI: one syscall per block, each under a SAFETY: comment (clippy holds both)"
 )]
 pub mod epoll;
 pub mod net;

@@ -26,6 +26,17 @@
 //! concurrent rollback's restore such that the serving path ends up on
 //! an artifact the store records as rolled back.
 
+// A crash-safety path: it discards no value and drops no `Result`
+// (CI's `-D warnings` makes these errors).
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::let_underscore_must_use,
+        clippy::let_underscore_untyped,
+        clippy::unused_result_ok
+    )
+)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

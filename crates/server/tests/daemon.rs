@@ -482,12 +482,15 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
 
     // While the worker is pinned: the first compare fills the one-slot
     // queue and times out at 300 ms; the next bounces off the full queue
-    // with an immediate overload reply.
+    // with an immediate overload reply. Until the schedule reaches the
+    // worker, compares run inline and succeed, so the loop is bounded by
+    // a deadline well past the schedule's ~1.5 s, not by a count.
     let (mut saw_timeout, mut saw_overload) = (false, false);
-    for _ in 0..40 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
         let mut c = Client::connect(addr).expect("connect");
         match c.call(&compare("ring", &[m(&[0, 1])])) {
-            Ok(_) => {}
+            Ok(_) => std::thread::sleep(Duration::from_millis(5)),
             Err(ClientError::Server { kind, .. }) if kind == error_kind::TIMEOUT => {
                 saw_timeout = true;
             }

@@ -263,6 +263,55 @@ fn a_connections_frames_run_in_arrival_order_on_any_free_worker() {
 }
 
 #[test]
+fn a_client_that_hangs_up_on_held_frames_gives_their_queue_slots_back() {
+    let mut server = echo_server(ServerConfig {
+        workers: 1,
+        queue_capacity: 2,
+        ..ServerConfig::default()
+    });
+    let (mut a, a_reader) = connect(&server);
+    // A's frame 1 holds the worker, 2 and 3 are held behind it and fill
+    // both queue slots, and 4 is shed.
+    a.write_all(b"{\"id\":1,\"hold\":1}\n").expect("write");
+    server
+        .entered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the worker takes frame 1");
+    a.write_all(b"{\"id\":2}\n{\"id\":3}\n{\"id\":4}\n")
+        .expect("write");
+    a.peek(&mut [0u8; 1]).expect("frame 4's shed reply arrives");
+    assert_eq!(server.handle.control().queue_depth(), 2);
+    // A closes with that reply unread, so the kernel resets the
+    // connection and the reactor drops it, held frames and all.
+    drop((a, a_reader));
+    let mut depth = usize::MAX;
+    for _ in 0..500 {
+        depth = server.handle.control().queue_depth();
+        if depth == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(depth, 0, "the dropped frames still count as queued");
+    // Both slots are free again: B's two frames are admitted, not shed.
+    let (mut b, mut b_reader) = connect(&server);
+    b.write_all(b"{\"id\":5}\n{\"id\":6}\n").expect("write");
+    server
+        .release
+        .send(())
+        .expect("frame 1 is parked on release");
+    for id in [5, 6] {
+        let reply = read_line(&mut b_reader);
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{id},\"nth\":")),
+            "served, not shed: {reply}"
+        );
+    }
+    server.handle.control().shutdown();
+    server.handle.join();
+}
+
+#[test]
 fn a_peer_that_never_reads_its_replies_is_not_read_from() {
     let mut server = echo_server(ServerConfig::default());
     let (stream, mut reader) = connect(&server);
