@@ -47,106 +47,137 @@ impl Forecaster for LastValue {
     }
 }
 
-/// Mean of the most recent `window` measurements.
+/// The most recent `window` measurements of a series, their running sum
+/// and, when a median reads them, the same values in the order a stable
+/// sort of the window gives: a new value goes in after its equals, and
+/// the evicted (oldest) value leaves from the front of its equal run.
+/// The mean and the median are then a division and two loads.
 #[derive(Debug, Clone)]
-pub struct RunningMean {
+struct Window {
+    ring: VecDeque<f64>,
     window: usize,
-    buf: VecDeque<f64>,
     sum: f64,
+    /// The sorted copy in its first `ring.len()` slots: `window` slots
+    /// when a median reads the window, none otherwise.
+    sorted: Box<[f64]>,
     default: f64,
 }
+
+impl Window {
+    fn new(window: usize, default: f64, median: bool) -> Self {
+        assert!(window >= 1, "window must be at least 1");
+        Window {
+            ring: VecDeque::with_capacity(window),
+            window,
+            sum: 0.0,
+            sorted: vec![0.0; if median { window } else { 0 }].into_boxed_slice(),
+            default,
+        }
+    }
+
+    fn push(&mut self, value: f64) {
+        let full = self.ring.len() == self.window;
+        let old = full.then(|| self.ring.pop_front()).flatten();
+        self.ring.push_back(value);
+        if let Some(old) = old {
+            self.sum -= old;
+        }
+        self.sum += value;
+        if let Some(live) = self.sorted.get_mut(..self.ring.len()) {
+            sort_in(live, old, value);
+        }
+    }
+
+    fn mean(&self) -> f64 {
+        if self.ring.is_empty() {
+            self.default
+        } else {
+            self.sum / self.ring.len() as f64
+        }
+    }
+
+    fn median(&self) -> f64 {
+        let live = self.sorted.get(..self.ring.len()).unwrap_or(&[]);
+        let mid = live.len() / 2;
+        match (live.get(mid), live.len() % 2) {
+            (None, _) => self.default,
+            (Some(&upper), 1) => upper,
+            (Some(&upper), _) => live
+                .get(mid - 1)
+                .map_or(upper, |&lower| 0.5 * (lower + upper)),
+        }
+    }
+}
+
+/// Move `value` into a sorted copy whose last slot is free, or holds
+/// `old`, the value it evicts: a remove, then an insert at the
+/// `partition_point`. Each is a pass of swaps over every slot, whose
+/// trip count and moves do not branch on the values.
+fn sort_in(live: &mut [f64], old: Option<f64>, value: f64) {
+    let n = live.len() - 1;
+    if let Some(old) = old {
+        // Everything before `old`'s equal run is smaller, and `old` is
+        // the oldest of its run: the first bit-identical entry leaves,
+        // bubbled up to the last slot.
+        let mut r = n;
+        for (i, x) in live.iter().enumerate().rev() {
+            if x.to_bits() == old.to_bits() {
+                r = i;
+            }
+        }
+        for i in 0..n {
+            live.swap(i, i + usize::from(i >= r));
+        }
+    }
+    let p = live
+        .get(..n)
+        .map_or(0, |v| v.partition_point(|x| *x <= value));
+    if let Some(slot) = live.get_mut(n) {
+        *slot = value;
+    }
+    for i in (0..n).rev() {
+        live.swap(i, i + usize::from(i >= p));
+    }
+}
+
+/// Mean of the most recent `window` measurements.
+#[derive(Debug, Clone)]
+pub struct RunningMean(Window);
 
 impl RunningMean {
     /// A windowed mean forecaster. `window` must be ≥ 1.
     pub fn new(window: usize, default: f64) -> Self {
-        assert!(window >= 1, "window must be at least 1");
-        RunningMean {
-            window,
-            buf: VecDeque::with_capacity(window),
-            sum: 0.0,
-            default,
-        }
+        RunningMean(Window::new(window, default, false))
     }
 }
 
 impl Forecaster for RunningMean {
     fn observe(&mut self, value: f64) {
-        if self.buf.len() == self.window {
-            if let Some(old) = self.buf.pop_front() {
-                self.sum -= old;
-            }
-        }
-        self.buf.push_back(value);
-        self.sum += value;
+        self.0.push(value);
     }
     fn predict(&self) -> f64 {
-        if self.buf.is_empty() {
-            self.default
-        } else {
-            self.sum / self.buf.len() as f64
-        }
+        self.0.mean()
     }
 }
 
 /// Median of the most recent `window` measurements — robust to the short
 /// transient spikes the paper found harmless.
-///
-/// Beside the chronological window it keeps the same values in the order
-/// a stable sort of that window gives: a new value goes in after its
-/// equals, and the evicted (oldest) value leaves from the front of its
-/// equal run. The median is then two loads.
 #[derive(Debug, Clone)]
-pub struct SlidingMedian {
-    window: usize,
-    buf: VecDeque<f64>,
-    sorted: Vec<f64>,
-    default: f64,
-}
+pub struct SlidingMedian(Window);
 
 impl SlidingMedian {
     /// A windowed median forecaster. `window` must be ≥ 1.
     pub fn new(window: usize, default: f64) -> Self {
-        assert!(window >= 1, "window must be at least 1");
-        SlidingMedian {
-            window,
-            buf: VecDeque::with_capacity(window),
-            sorted: Vec::with_capacity(window),
-            default,
-        }
+        SlidingMedian(Window::new(window, default, true))
     }
 }
 
 impl Forecaster for SlidingMedian {
     fn observe(&mut self, value: f64) {
-        if self.buf.len() == self.window {
-            if let Some(old) = self.buf.pop_front() {
-                // Everything before `old`'s equal run is smaller, and `old`
-                // is the oldest of its run: the first bit-identical entry
-                // is the one to evict.
-                if let Some(at) = self
-                    .sorted
-                    .iter()
-                    .position(|x| x.to_bits() == old.to_bits())
-                {
-                    self.sorted.remove(at);
-                }
-            }
-        }
-        self.buf.push_back(value);
-        let at = self.sorted.partition_point(|x| *x <= value);
-        self.sorted.insert(at, value);
+        self.0.push(value);
     }
     fn predict(&self) -> f64 {
-        let mid = self.sorted.len() / 2;
-        let Some(&upper) = self.sorted.get(mid) else {
-            return self.default;
-        };
-        if self.sorted.len() % 2 == 1 {
-            return upper;
-        }
-        self.sorted
-            .get(mid - 1)
-            .map_or(upper, |&lower| 0.5 * (lower + upper))
+        self.0.median()
     }
 }
 
@@ -154,15 +185,14 @@ impl Forecaster for SlidingMedian {
 /// windowed-median side by side, tracks each predictor's recent mean absolute
 /// error, and answers with the currently best one.
 ///
-/// Each observation scores every candidate once: its absolute error goes
-/// into a chronological ring, and the ring's mean is kept beside the
+/// The mean and the median read one shared window. Each observation
+/// scores every candidate once: its absolute error goes into a
+/// chronological ring, and the ring's mean is kept beside the
 /// candidate's next prediction. Predicting is an argmin over three
 /// numbers.
 #[derive(Debug, Clone)]
 pub struct Adaptive {
-    last: LastValue,
-    mean: RunningMean,
-    median: SlidingMedian,
+    window: Window,
     /// Per observation, the (last, mean, median) absolute errors, oldest
     /// first.
     errors: VecDeque<[f64; 3]>,
@@ -176,13 +206,10 @@ pub struct Adaptive {
 impl Adaptive {
     /// Standard NWS-like ensemble with the given smoothing window.
     pub fn new(window: usize, default: f64) -> Self {
-        let err_window = window.max(2) * 2;
         Adaptive {
-            last: LastValue::new(default),
-            mean: RunningMean::new(window, default),
-            median: SlidingMedian::new(window, default),
-            errors: VecDeque::new(),
-            err_window,
+            window: Window::new(window, default, true),
+            errors: VecDeque::with_capacity(window.max(2) * 2),
+            err_window: window.max(2) * 2,
             next: [default; 3],
             mean_err: [f64::INFINITY; 3],
         }
@@ -195,14 +222,8 @@ impl Forecaster for Adaptive {
             self.errors.pop_front();
         }
         self.errors.push_back(self.next.map(|p| (p - value).abs()));
-        self.last.observe(value);
-        self.mean.observe(value);
-        self.median.observe(value);
-        self.next = [
-            self.last.predict(),
-            self.mean.predict(),
-            self.median.predict(),
-        ];
+        self.window.push(value);
+        self.next = [value, self.window.mean(), self.window.median()];
         // Three independent front-to-back sums in one pass: each is the
         // same chain of additions as summing its ring alone.
         let (mut last, mut mean, mut median) = (0.0, 0.0, 0.0);

@@ -43,9 +43,10 @@
 //! dropping the job queue's sender then disconnects the workers. Every
 //! admitted request is answered.
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
@@ -526,44 +527,32 @@ impl FrameBuf {
     /// Fold `chunk` into the buffer, emitting an event per completed
     /// (or over-cap) frame, in wire order.
     fn ingest(&mut self, mut chunk: &[u8], max_line_bytes: usize, out: &mut Vec<FrameEvent>) {
-        loop {
-            let newline = chunk.iter().position(|&b| b == b'\n');
-            if self.discarding {
-                match newline {
-                    Some(i) => {
-                        self.discarding = false;
-                        chunk = chunk.get(i + 1..).unwrap_or(&[]);
-                    }
-                    None => return,
-                }
+        while let Some(i) = find_newline(chunk) {
+            let head = chunk.get(..i).unwrap_or(&[]);
+            chunk = chunk.get(i + 1..).unwrap_or(&[]);
+            if std::mem::take(&mut self.discarding) {
                 continue;
             }
-            match newline {
-                Some(i) => {
-                    let head = chunk.get(..i).unwrap_or(&[]);
-                    chunk = chunk.get(i + 1..).unwrap_or(&[]);
-                    if self.rbuf.len() + head.len() > max_line_bytes {
-                        // The frame completed (newline seen), so no
-                        // discard state is needed beyond dropping it.
-                        self.rbuf.clear();
-                        out.push(FrameEvent::Oversized);
-                    } else {
-                        let mut line = std::mem::take(&mut self.rbuf);
-                        line.extend_from_slice(head);
-                        out.push(FrameEvent::Line(line));
-                    }
-                }
-                None => {
-                    if self.rbuf.len() + chunk.len() > max_line_bytes {
-                        self.rbuf.clear();
-                        self.discarding = true;
-                        out.push(FrameEvent::Oversized);
-                    } else {
-                        self.rbuf.extend_from_slice(chunk);
-                    }
-                    return;
-                }
+            if self.rbuf.len() + head.len() > max_line_bytes {
+                // The frame completed (newline seen), so no discard
+                // state is needed beyond dropping it.
+                self.rbuf.clear();
+                out.push(FrameEvent::Oversized);
+            } else {
+                let mut line = std::mem::take(&mut self.rbuf);
+                line.extend_from_slice(head);
+                out.push(FrameEvent::Line(line));
             }
+        }
+        if self.discarding {
+            return;
+        }
+        if self.rbuf.len() + chunk.len() > max_line_bytes {
+            self.rbuf.clear();
+            self.discarding = true;
+            out.push(FrameEvent::Oversized);
+        } else {
+            self.rbuf.extend_from_slice(chunk);
         }
     }
 
@@ -574,6 +563,22 @@ impl FrameBuf {
         }
         Some(std::mem::take(&mut self.rbuf))
     }
+}
+
+/// The index of the first `\n` in `bytes`, found by the slice reader's
+/// `skip_until`: the standard library's word-at-a-time `memchr`.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let mut rest = bytes;
+    let through = rest.skip_until(b'\n').unwrap_or(0);
+    through
+        .checked_sub(1)
+        .filter(|&i| bytes.get(i) == Some(&b'\n'))
+}
+
+/// A frame's text: its bytes when `from_utf8` (a word at a time) finds
+/// them UTF-8, else the lossy decode, which walks a byte at a time.
+fn frame_text(line: &[u8]) -> Cow<'_, str> {
+    std::str::from_utf8(line).map_or_else(|_| String::from_utf8_lossy(line), Cow::Borrowed)
 }
 
 /// A frame's place in a reply ledger: its sequence number, then its
@@ -785,6 +790,8 @@ pub fn start<H: Handler>(
         attempt_timeout,
         capacity: config.queue_capacity.max(1),
         touched: Vec::new(),
+        scratch: vec![0; 16 * 1024].into_boxed_slice(),
+        frames: Vec::new(),
         job_tx,
         control: control.clone(),
         handler,
@@ -888,6 +895,10 @@ struct Reactor<H: Handler> {
     capacity: usize,
     /// Connections with output queued since the last flush pass.
     touched: Vec<u64>,
+    /// Every connection's socket reads land here, 16 KiB at a time.
+    scratch: Box<[u8]>,
+    /// The frames one read completed, handled before the next read.
+    frames: Vec<FrameEvent>,
     job_tx: Sender<Vec<Job>>,
     control: Arc<Control>,
     handler: Arc<H>,
@@ -1020,8 +1031,6 @@ impl<H: Handler> Reactor<H> {
     /// is not read further: what it has already sent waits in the
     /// kernel until [`Self::update_interest`] sees the output drain.
     fn conn_readable(&mut self, token: u64) {
-        let mut scratch = [0u8; 16 * 1024];
-        let mut frames: Vec<FrameEvent> = Vec::new();
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -1033,14 +1042,15 @@ impl<H: Handler> Reactor<H> {
             // An upstream's replies are its own to size; a client's
             // frames are capped.
             let cap = upstream.map_or(self.max_line_bytes, |_| usize::MAX);
-            match conn.stream.read(&mut scratch) {
+            match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
                     conn.eof = true;
-                    frames.extend(conn.frames.take_residual().map(FrameEvent::Line));
+                    let residual = conn.frames.take_residual();
+                    self.frames.extend(residual.map(FrameEvent::Line));
                 }
                 Ok(n) => {
-                    let chunk = scratch.get(..n).unwrap_or(&[]);
-                    conn.frames.ingest(chunk, cap, &mut frames);
+                    let chunk = self.scratch.get(..n).unwrap_or(&[]);
+                    conn.frames.ingest(chunk, cap, &mut self.frames);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1050,6 +1060,7 @@ impl<H: Handler> Reactor<H> {
                 }
             }
             let eof = conn.eof;
+            let mut frames = std::mem::take(&mut self.frames);
             for frame in frames.drain(..) {
                 match (frame, upstream) {
                     (FrameEvent::Line(line), None) => self.handle_line(token, &line),
@@ -1058,6 +1069,7 @@ impl<H: Handler> Reactor<H> {
                     (FrameEvent::Oversized, Some(_)) => {}
                 }
             }
+            self.frames = frames;
             // Also updates interest (EOF drops read interest so a
             // half-closed socket stops waking the loop) and closes the
             // connection if it is already fully answered.
@@ -1071,7 +1083,7 @@ impl<H: Handler> Reactor<H> {
     /// Route one complete frame: relayed, run inline, or through
     /// admission control to a worker.
     fn handle_line(&mut self, token: u64, line: &[u8]) {
-        let text = String::from_utf8_lossy(line);
+        let text = frame_text(line);
         let trimmed = text.trim();
         if trimmed.is_empty() {
             return;
@@ -1286,7 +1298,7 @@ impl<H: Handler> Reactor<H> {
     /// it was sent under, given its client's id back, and queued as it
     /// is. A `shutting_down` refusal is not relayed but failed over.
     fn upstream_line(&mut self, i: usize, line: &[u8]) {
-        let text = String::from_utf8_lossy(line);
+        let text = frame_text(line);
         let Some((seq, tail)) = split_id(text.trim()) else {
             return;
         };
@@ -1723,6 +1735,30 @@ pub(crate) mod tests {
         assert_eq!(t.expire(now + ms(50)).1, [1]);
         let (timed_out, missed) = t.expire(now + ms(100));
         assert!(missed.is_empty() && timed_out.len() == 1 && t.is_empty());
+    }
+
+    /// The newline search against the byte walk it replaced: strings of
+    /// every length up to 40 with a newline at every offset up to 17,
+    /// some with more in the same word, from every start alignment.
+    #[test]
+    fn newline_search_agrees_with_a_byte_walk() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(40);
+        for (len, at) in (0..=40usize).flat_map(|len| (0..=17usize).map(move |at| (len, at))) {
+            let mut bytes: Vec<u8> = (0..len)
+                .map(|_| rng.random_range(0u32..256) as u8)
+                .collect();
+            for extra in [0, 1, 3, 7].into_iter().take(rng.random_range(1usize..5)) {
+                if let Some(b) = bytes.get_mut(at + extra) {
+                    *b = b'\n';
+                }
+            }
+            for tail in (0..=len.min(8)).filter_map(|start| bytes.get(start..)) {
+                let walk = tail.iter().position(|&b| b == b'\n');
+                assert_eq!(find_newline(tail), walk, "{tail:?}");
+            }
+        }
     }
 
     #[test]

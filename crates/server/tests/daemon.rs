@@ -1115,3 +1115,47 @@ fn artifact_verbs_without_a_state_dir_reply_bad_request() {
         "{reply:?}"
     );
 }
+
+/// A frame's bytes become text through a lossy UTF-8 decode: a byte
+/// that is not UTF-8 reads as U+FFFD and the frame is answered as that
+/// text. The replies are pinned byte for byte, for a stray `0xFF`
+/// inside an app name and as a line's first byte; the connection then
+/// keeps serving.
+#[test]
+fn frames_that_are_not_utf8_are_answered_as_their_lossy_text() {
+    let (handle, _service) = demo_server(1);
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let cases: [(&[u8], &[u8]); 3] = [
+        (
+            b"{\"id\":7,\"request\":{\"Compare\":{\"app\":\"lu\xffS\",\"mappings\":[{\"assign\":[0,1]}]}}}\n",
+            b"{\"id\":7,\"response\":{\"Error\":{\"kind\":\"service\",\
+              \"message\":\"no profile registered for `lu\xef\xbf\xbdS`\",\"retry_after_ms\":0}}}\n",
+        ),
+        (
+            b"\xff{\"id\":8,\"request\":\"Stats\"}\n",
+            b"{\"id\":0,\"response\":{\"Error\":{\"kind\":\"bad_request\",\
+              \"message\":\"expected a JSON value at byte 0\",\"retry_after_ms\":0}}}\n",
+        ),
+        (
+            b"{\"id\":9,\"request\":\"Stats\"}\n",
+            b"{\"id\":9,\"response\":{\"Stats\"",
+        ),
+    ];
+    let mut line = Vec::new();
+    for (frame, want) in cases {
+        writer.write_all(frame).expect("write");
+        line.clear();
+        reader.read_until(b'\n', &mut line).expect("read");
+        assert!(
+            line.starts_with(want),
+            "{:?}",
+            String::from_utf8_lossy(&line)
+        );
+    }
+    handle.shutdown_and_join();
+}
