@@ -31,21 +31,29 @@ pub enum Thread {
     Worker,
 }
 
-/// Hot-path entry points, as `(file, fn name, thread)`: the I/O layer's
-/// event loop and poll dispatch, its upstream-socket path, and the
-/// worker pool's run loop. The layer reaches a handler only through
-/// generic `Handler` calls, which name resolution binds to the
-/// same-crate daemon; the router's handler is therefore listed itself —
-/// `execute` is a worker-side wait the reactor never reaches (its
-/// `inline` hook is the default `None`), the relay hooks run on the
-/// reactor.
+/// The I/O layer's connection core, whose event methods the reactor calls.
+const CORE: &str = "crates/server/src/net/sansio.rs";
+
+/// Hot-path entry points, as `(file, fn name, thread)`: the epoll
+/// driver's event loop and poll dispatch, the connection core's event
+/// methods (a driver calls each on its reactor thread), and the worker
+/// pool's run loop. The layer reaches a handler only through generic
+/// `Handler` calls, which name resolution binds to the same-crate
+/// daemon; the router's handler is therefore listed itself — `execute`
+/// is a worker-side wait the reactor never reaches (its `inline` hook
+/// is the default `None`), the relay hooks run on the reactor.
 pub const ENTRY_POINTS: &[(&str, &str, Thread)] = &[
     ("crates/server/src/net.rs", "run", Thread::Reactor),
-    ("crates/server/src/net.rs", "upstream_line", Thread::Reactor),
-    ("crates/server/src/net.rs", "attempt", Thread::Reactor),
-    ("crates/server/src/net.rs", "dialled", Thread::Reactor),
     ("crates/server/src/net.rs", "worker_loop", Thread::Worker),
     ("crates/server/src/epoll.rs", "wait", Thread::Reactor),
+    (CORE, "accepted", Thread::Reactor),
+    (CORE, "received", Thread::Reactor),
+    (CORE, "wrote", Thread::Reactor),
+    (CORE, "hung_up", Thread::Reactor),
+    (CORE, "completed", Thread::Reactor),
+    (CORE, "dialled", Thread::Reactor),
+    (CORE, "drain", Thread::Reactor),
+    (CORE, "tick", Thread::Reactor),
     ("crates/router/src/tier.rs", "execute", Thread::Worker),
     ("crates/router/src/tier.rs", "relay", Thread::Reactor),
     ("crates/router/src/tier.rs", "relayed", Thread::Reactor),
@@ -216,6 +224,17 @@ mod tests {
                let _soon = rx.recv_timeout(d); }",
         )]);
         assert_eq!(findings.len(), 2, "{findings:#?}");
+    }
+
+    #[test]
+    fn the_cores_event_methods_are_reactor_entries() {
+        let findings = run(&[(
+            "crates/server/src/net/sansio.rs",
+            "fn received(&mut self) { self.admit(); }\n\
+             fn admit(&mut self) { let _c = TcpStream::connect_timeout(&addr, d); }",
+        )]);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(findings[0].message.contains("received -> admit"));
     }
 
     #[test]

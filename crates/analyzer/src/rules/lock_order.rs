@@ -11,8 +11,9 @@
 //! 2. artifact store `inner` (journal + lifecycle state)
 //! 3. reconfig `soak` (soak monitor state)
 //! 4. server rate-limiter bucket `state`
-//! 5. router membership `state`
-//! 6. core service `monitor` → `health` → `cached`, profile `map`
+//! 5. router membership `state`, then its `idle` connection pools
+//! 6. core service `monitor` → `health` → `cached`, profile `map`, a
+//!    compiled profile's `located` segments
 //! 7. obs leaf locks (registry maps, span buffer, flight ring) —
 //!    always innermost, so instrumentation can run under any of the
 //!    above.
@@ -75,6 +76,12 @@ pub const LOCK_TABLE: &[NamedLock] = &[
         label: "membership.state",
     },
     NamedLock {
+        file: "crates/router/src/membership.rs",
+        field: "idle",
+        rank: 46,
+        label: "membership.idle",
+    },
+    NamedLock {
         file: "crates/core/src/service.rs",
         field: "monitor",
         rank: 50,
@@ -97,6 +104,12 @@ pub const LOCK_TABLE: &[NamedLock] = &[
         field: "map",
         rank: 55,
         label: "registry.map",
+    },
+    NamedLock {
+        file: "crates/core/src/registry.rs",
+        field: "located",
+        rank: 56,
+        label: "registry.located",
     },
     NamedLock {
         file: "crates/obs/src/registry.rs",
@@ -427,6 +440,24 @@ mod tests {
              let _t = self.transition.lock(); }",
         )]);
         assert!(findings.is_empty(), "{findings:#?}");
+    }
+
+    #[test]
+    fn the_idle_pools_and_located_segments_are_ranked() {
+        // Each taken before a lower-ranked lock is an inversion.
+        let findings = run(&[(
+            "crates/router/src/membership.rs",
+            "fn bad(&self, idle: &Mutex<Vec<Client>>) { let _i = idle.lock(); \
+             let _s = self.state.read(); }",
+        )]);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(findings[0].message.contains("membership.idle"));
+        let findings = run(&[(
+            "crates/core/src/registry.rs",
+            "fn bad(&self) { let _l = self.located.read(); let _m = self.map.write(); }",
+        )]);
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(findings[0].message.contains("registry.located"));
     }
 
     #[test]
