@@ -4,10 +4,9 @@
 //! every scanned file; call sites are `ident ( ... )` sequences inside
 //! a body. Resolution is by bare name across the whole workspace — an
 //! over-approximation that errs toward *more* edges, which is the safe
-//! direction for reachability rules (`blocking_hot_path`) and lock-set
-//! propagation (`lock_order`). A stoplist keeps ubiquitous std-style
-//! method names (`new`, `get`, `push`, ...) from welding every file to
-//! every other.
+//! direction for a reachability rule (`blocking_hot_path`). A stoplist
+//! keeps ubiquitous std-style method names (`new`, `get`, `push`, ...)
+//! from welding every file to every other.
 
 use crate::source::SourceFile;
 use crate::token_tree::{self, Delim, TokenTree};
@@ -124,26 +123,14 @@ pub struct FnDef {
     pub src: usize,
     /// Bare function name (no path, no generics).
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token-index extent `[start, end]` of the body brace group in the
     /// defining file's token stream, delimiters included.
     pub body: (usize, usize),
     /// Whether the definition sits inside `#[cfg(test)]` code.
     pub in_test: bool,
-    /// Call sites inside the body, in source order.
-    pub calls: Vec<CallSite>,
-}
-
-/// One `callee(...)` site inside a function body.
-#[derive(Debug)]
-pub struct CallSite {
-    /// Bare callee name.
-    pub name: String,
-    /// 1-based line of the call.
-    pub line: u32,
-    /// Token index of the callee identifier in the caller's file.
-    pub token: usize,
+    /// Bare callee names of the `callee(...)` sites inside the body, in
+    /// source order.
+    pub calls: Vec<String>,
 }
 
 /// The workspace call graph.
@@ -197,21 +184,17 @@ impl CallGraph {
     }
 
     /// Resolve a call to `name` made from `caller`: nothing for
-    /// stoplisted names; otherwise the nearest-scoped same-named fns —
-    /// same file if any, else same crate, else the whole workspace.
-    /// The caller itself is never a candidate (self-recursion adds no
-    /// information to closure or reachability rules).
-    pub fn resolve_for(&self, caller: usize, name: &str) -> Vec<usize> {
-        self.resolve_for_admitted(caller, name, &|_, _| true)
-    }
-
-    /// [`CallGraph::resolve_for`] with an admission predicate applied
-    /// *before* scope preference. Filtering first matters: when a name
-    /// is defined both in an excluded module (say, a same-crate client
-    /// stub) and in a legitimate callee elsewhere, rejecting after
-    /// tiering would pick the excluded nearest match and drop the edge
-    /// entirely, hiding the real one.
-    pub fn resolve_for_admitted(
+    /// stoplisted names; otherwise the nearest-scoped same-named fns
+    /// that `admit` accepts — same file if any, else same crate, else
+    /// the whole workspace. The caller itself is never a candidate
+    /// (self-recursion adds no information to a reachability rule).
+    ///
+    /// Admission applies *before* scope preference. Filtering first
+    /// matters: when a name is defined both in an excluded module (say,
+    /// a same-crate client stub) and in a legitimate callee elsewhere,
+    /// rejecting after tiering would pick the excluded nearest match and
+    /// drop the edge entirely, hiding the real one.
+    pub fn resolve_for(
         &self,
         caller: usize,
         name: &str,
@@ -267,7 +250,7 @@ impl CallGraph {
                 // Admission runs inside resolution so an excluded
                 // nearest-scope candidate cannot shadow an admitted
                 // farther one.
-                callees.extend(self.resolve_for_admitted(at, &call.name, admit));
+                callees.extend(self.resolve_for(at, call, admit));
             }
             for next in callees {
                 if self.fns[next].in_test {
@@ -359,7 +342,6 @@ fn collect_fns(src: &SourceFile, src_idx: usize, siblings: &[TokenTree], out: &m
         out.push(FnDef {
             src: src_idx,
             name,
-            line: tokens[fn_tok].line,
             body: extent,
             in_test: src.in_test_code(fn_tok),
             calls,
@@ -386,7 +368,7 @@ fn collect_fns(src: &SourceFile, src_idx: usize, siblings: &[TokenTree], out: &m
 /// groups. Macro invocations (`name!(...)`) are naturally excluded by
 /// the interposed `!` leaf; `fn name(...)` declarations by the leading
 /// `fn`.
-fn collect_calls(tokens: &[crate::lexer::Token], siblings: &[TokenTree], out: &mut Vec<CallSite>) {
+fn collect_calls(tokens: &[crate::lexer::Token], siblings: &[TokenTree], out: &mut Vec<String>) {
     for (i, node) in siblings.iter().enumerate() {
         if let Some(g) = node.as_group() {
             collect_calls(tokens, &g.children, out);
@@ -413,11 +395,7 @@ fn collect_calls(tokens: &[crate::lexer::Token], siblings: &[TokenTree], out: &m
             .and_then(|n| n.as_group())
             .is_some_and(|g| g.delim == Delim::Paren);
         if followed_by_paren {
-            out.push(CallSite {
-                name: name.to_string(),
-                line: tokens[t].line,
-                token: t,
-            });
+            out.push(name.to_string());
         }
     }
 }
@@ -444,7 +422,7 @@ mod tests {
         )]);
         assert_eq!(g.fns.len(), 2);
         let outer = &g.fns[g.fns_named("outer")[0]];
-        let names: Vec<&str> = outer.calls.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> = outer.calls.iter().map(String::as_str).collect();
         assert!(names.contains(&"helper"), "{names:?}");
         assert!(names.contains(&"method"), "{names:?}");
         assert!(!names.contains(&"skip"), "macro is not a call: {names:?}");
@@ -482,8 +460,12 @@ mod tests {
     fn stoplisted_names_resolve_to_no_edges() {
         let (_, g) = graph(&[("a.rs", "fn get() {} fn caller() { get(); }")]);
         let caller = g.fns_named("caller")[0];
-        assert!(g.resolve_for(caller, "get").is_empty());
-        assert_eq!(g.resolve_for(caller, "caller").len(), 0, "never self");
+        assert!(g.resolve_for(caller, "get", &|_, _| true).is_empty());
+        assert_eq!(
+            g.resolve_for(caller, "caller", &|_, _| true).len(),
+            0,
+            "never self"
+        );
     }
 
     #[test]
@@ -494,7 +476,7 @@ mod tests {
             ("crates/router/src/membership.rs", "fn observe() {}"),
         ]);
         let caller = g.fns_named("caller")[0];
-        let resolved = g.resolve_for(caller, "observe");
+        let resolved = g.resolve_for(caller, "observe", &|_, _| true);
         assert_eq!(resolved.len(), 1, "same-crate candidate wins");
         assert_eq!(g.crate_of[resolved[0]], "crates/core");
     }

@@ -190,17 +190,17 @@ mod tests {
     #[test]
     fn json_report_contains_findings() {
         let mut report = Report {
-            rules_run: vec!["lock_order"],
+            rules_run: vec!["blocking_hot_path"],
             files_scanned: 2,
             ..Report::default()
         };
         report.findings.push(Finding {
-            rule: "lock_order",
-            ..Finding::new("sched/sa.rs", 7, "lock taken out of rank order")
+            rule: "blocking_hot_path",
+            ..Finding::new("server/net.rs", 7, "blocking call on the reactor")
         });
         let json = report.render_json();
         assert!(json.contains("\"unwaived_count\": 1"));
-        assert!(json.contains("\"file\": \"sched/sa.rs\""));
+        assert!(json.contains("\"file\": \"server/net.rs\""));
         assert!(json.contains("\"line\": 7"));
     }
 }

@@ -9,8 +9,7 @@
 //!
 //! On top of the flat stream sit a brace-aware token-tree parser
 //! ([`token_tree`]) and a workspace call graph ([`callgraph`]), which
-//! power the structural rules: canonical lock ordering
-//! ([`rules::lock_order`]) and no blocking primitives reachable from the
+//! power the structural rule: no blocking primitives reachable from the
 //! event loop ([`rules::blocking_hot_path`]). Every rule is one row of
 //! [`rules::RULES`].
 //!

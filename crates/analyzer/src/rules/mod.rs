@@ -9,8 +9,9 @@
 //! lints in the roots of `cbes-core`, `cbes-server`, `cbes-router` and
 //! `cbes-netmodel`, and seeded determinism is the root `clippy.toml`'s
 //! `disallowed-methods`. The `unsafe` allowlist and the crash-safety
-//! discards are compiler lints too (DESIGN.md §15). The rules here need
-//! what clippy lacks: the call graph, a lock rank order, or (until the
+//! discards are compiler lints too, and the lock order is part of each
+//! lock's type, checked on every debug-build acquisition (DESIGN.md §15).
+//! The rules here need what clippy lacks: the call graph, or (until the
 //! metric names are a type) the `cbes_obs::names` constants.
 
 use crate::callgraph::CallGraph;
@@ -19,7 +20,6 @@ use crate::source::SourceFile;
 use std::cell::OnceCell;
 
 pub mod blocking_hot_path;
-pub mod lock_order;
 pub mod metric_names;
 
 /// What a rule reads: every source file of the tree, parsed once, and
@@ -64,11 +64,6 @@ pub const RULES: &[Rule] = &[
         id: "metric_names",
         summary: "metric names come from cbes_obs::names, never from a literal",
         run: metric_names::run,
-    },
-    Rule {
-        id: "lock_order",
-        summary: "nested lock acquisitions follow the canonical rank order",
-        run: lock_order::run,
     },
     Rule {
         id: "blocking_hot_path",

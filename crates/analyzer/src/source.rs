@@ -222,7 +222,10 @@ mod tests {
             "covers next line"
         );
         assert!(f.waiver_for("metric_names", 4).is_none());
-        assert!(f.waiver_for("lock_order", 3).is_none(), "rule must match");
+        assert!(
+            f.waiver_for("blocking_hot_path", 3).is_none(),
+            "rule must match"
+        );
     }
 
     #[test]

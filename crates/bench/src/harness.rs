@@ -10,7 +10,6 @@ use cbes_mpisim::{simulate, SimConfig};
 use cbes_netmodel::calibrate::{CalibrationOutcome, Calibrator};
 use cbes_trace::{extract_profile, AppProfile};
 use cbes_workloads::Workload;
-use parking_lot::Mutex;
 
 /// A cluster plus its off-line calibration — everything an experiment needs
 /// to profile, predict and "measure".
@@ -108,7 +107,6 @@ impl Testbed {
 }
 
 /// Map `f` over `items` using all available cores, preserving order.
-/// Falls back to sequential execution for a single item.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -116,30 +114,24 @@ where
     F: Fn(T) -> R + Sync,
 {
     let n = items.len();
-    if n <= 1 {
-        return items.into_iter().map(f).collect();
-    }
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n);
-    let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().rev().collect());
-    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let next = queue.lock().pop();
-                match next {
-                    Some((i, t)) => {
-                        let r = f(t);
-                        done.lock().push((i, r));
-                    }
-                    None => break,
-                }
-            });
-        }
+    let (queue, jobs) = crossbeam::channel::unbounded();
+    for job in items.into_iter().enumerate() {
+        assert!(queue.send(job).is_ok(), "the receiver outlives the sends");
+    }
+    drop(queue);
+    let mut out: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| s.spawn(|| jobs.iter().map(|(i, t)| (i, f(t))).collect::<Vec<_>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a parallel_map worker panicked"))
+            .collect()
     });
-    let mut out = done.into_inner();
     out.sort_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, r)| r).collect()
 }

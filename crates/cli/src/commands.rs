@@ -449,6 +449,7 @@ pub fn serve(parsed: &Parsed) -> Result<String, CliError> {
     }
 
     let workers = config.workers;
+    let obs = service.obs().clone();
     let handle = cbes_server::Server::start(service, config)?;
     let addr = handle.addr();
     // The daemon blocks in join() until a Shutdown request, so report
@@ -459,8 +460,18 @@ pub fn serve(parsed: &Parsed) -> Result<String, CliError> {
     }
     let (served, errors) = handle.join();
     Ok(format!(
-        "cbes-server on {addr} drained: {served} requests served, {errors} errors\n"
+        "cbes-server on {addr} drained: {served} requests served, {errors} errors\n{}",
+        dump_lines(&obs)
     ))
+}
+
+/// A drain summary's line per flight dump file `registry` wrote.
+fn dump_lines(registry: &cbes_obs::Registry) -> String {
+    let paths = registry.flight().dumped();
+    paths
+        .iter()
+        .map(|p| format!("flight dump: {}\n", p.display()))
+        .collect()
 }
 
 /// The `--timeout SECONDS` I/O deadline for client commands; a dead or
@@ -1409,8 +1420,10 @@ fn route_serve(parsed: &Parsed) -> Result<String, CliError> {
     handle.join();
     let report = table.report();
     Ok(format!(
-        "cbes-router on {addr} drained: {} heartbeat sweeps, {} health transitions\n",
-        report.heartbeats, report.transitions
+        "cbes-router on {addr} drained: {} heartbeat sweeps, {} health transitions\n{}",
+        report.heartbeats,
+        report.transitions,
+        dump_lines(table.obs())
     ))
 }
 
@@ -1691,6 +1704,8 @@ mod tests {
         // The flight recorder dumps on demand.
         let out = request(&parsed(&["request", &addr, "dump-flight"])).unwrap();
         assert!(out.contains("flight recorder dumped"), "{out}");
+        let dump = out.trim_end().rsplit(" to ").next().unwrap();
+        std::fs::remove_file(dump).unwrap();
 
         // One `top` frame renders a row for the endpoint.
         let out = top(&parsed(&["top", &addr, "--iterations", "1"])).unwrap();

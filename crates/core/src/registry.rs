@@ -4,8 +4,8 @@
 use crate::error::ServiceError;
 use crate::eval::Plan;
 use cbes_netmodel::{LatencyModel, Segment};
+use cbes_obs::lock::{rank, RwLock};
 use cbes_trace::AppProfile;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ pub(crate) struct Compiled {
     /// The plan's groups located among the probe sizes of the calibrated
     /// model last evaluated against, keyed by those sizes: a model with
     /// other sizes (an `Apply`, a `Rollback`) misses and relocates.
-    located: RwLock<Option<Arc<Located>>>,
+    located: RwLock<Option<Arc<Located>>, { rank::REGISTRY_LOCATED }>,
 }
 
 /// [`Plan::segments`] for one set of probe sizes.
@@ -52,7 +52,7 @@ impl Compiled {
 /// profiling subsystem inserts updated profiles.
 #[derive(Debug, Default)]
 pub struct ProfileRegistry {
-    map: RwLock<BTreeMap<String, Arc<Compiled>>>,
+    map: RwLock<BTreeMap<String, Arc<Compiled>>, { rank::REGISTRY_MAP }>,
 }
 
 impl ProfileRegistry {

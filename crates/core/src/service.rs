@@ -24,8 +24,8 @@ use crate::snapshot::{node_table, NoLoad, NodeRow, Provider, SystemSnapshot};
 use cbes_cluster::load::LoadState;
 use cbes_cluster::Cluster;
 use cbes_netmodel::LoadAdjuster;
+use cbes_obs::lock::{rank, RwLock};
 use cbes_obs::{names, Counter, Gauge, Histogram, Registry};
-use parking_lot::RwLock;
 
 /// Handles into the service's own [`Registry`] for its hot paths,
 /// resolved once at construction so per-request updates never touch the
@@ -118,14 +118,14 @@ pub struct CbesService {
     cluster: Arc<Cluster>,
     no_load: Provider,
     registry: ProfileRegistry,
-    monitor: RwLock<Monitor>,
+    monitor: RwLock<Monitor, { rank::SERVICE_MONITOR }>,
     /// Staleness-driven per-node health, updated alongside the monitor.
-    health: RwLock<HealthTracker>,
+    health: RwLock<HealthTracker, { rank::SERVICE_HEALTH }>,
     /// Epoch of the cached forecast, readable without any lock.
     epoch: AtomicU64,
     /// Latest forecast; replaced wholesale on observation, so readers
     /// hold the lock only long enough to clone the `Arc`.
-    cached: RwLock<Arc<EpochLoad>>,
+    cached: RwLock<Arc<EpochLoad>, { rank::SERVICE_CACHED }>,
     /// This daemon's instruments, span ring and flight recorder.
     obs: Arc<Registry>,
     instruments: CoreInstruments,

@@ -1,0 +1,174 @@
+//! Two relations between the service's answers, over generated profiles,
+//! loads and mappings, on both no-load providers (the port table and a
+//! calibrated `LatencyModel`):
+//!
+//! - NCS bounds CS: the compute-only score never exceeds the predicted
+//!   time, and equals it bit for bit when every rank's `C_i` is zero;
+//! - a batch is its candidates: `compare` over a permuted candidate list
+//!   returns the permuted predictions, bit for bit.
+
+use cbes_cluster::load::LoadState;
+use cbes_cluster::presets::two_switch_demo;
+use cbes_cluster::{Cluster, NodeId};
+use cbes_core::snapshot::Provider;
+use cbes_core::{CbesService, Evaluator, ForecastKind, Mapping, Prediction, SystemSnapshot};
+use cbes_netmodel::LatencyModel;
+use cbes_trace::{AppProfile, MessageGroup, ProcessProfile};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// A calibrated model over `cluster`: per pair, a latency that grows with
+/// message size by a pair-specific amount.
+fn calibrated(cluster: &Cluster, rng: &mut StdRng) -> LatencyModel {
+    let probes = vec![512u64, 4096, 32768];
+    let table = (0..LatencyModel::pairs(cluster.len()))
+        .flat_map(|_| {
+            let mut v = rng.random_range(1e-5..1e-4);
+            let steps: Vec<f64> = probes
+                .iter()
+                .map(|_| rng.random_range(1e-6..1e-4))
+                .collect();
+            steps.into_iter().map(move |d| {
+                v += d;
+                v
+            })
+        })
+        .collect();
+    LatencyModel::from_table(cluster.len(), probes, table)
+}
+
+/// `n` ranks with random work and message groups (none when `silent`).
+fn profile(n: usize, silent: bool, rng: &mut StdRng) -> AppProfile {
+    let groups = |rng: &mut StdRng| -> Vec<MessageGroup> {
+        let k = if silent {
+            0
+        } else {
+            rng.random_range(0usize..4)
+        };
+        (0..k)
+            .map(|_| MessageGroup {
+                peer: rng.random_range(0..n),
+                bytes: rng.random_range(1u64..100_000),
+                count: rng.random_range(1u64..200),
+            })
+            .collect()
+    };
+    let procs = (0..n)
+        .map(|rank| ProcessProfile {
+            rank,
+            x: rng.random_range(0.0..20.0),
+            o: rng.random_range(0.0..1.0),
+            b: 0.1,
+            sends: groups(rng),
+            recvs: groups(rng),
+            profile_speed: rng.random_range(0.5..1.5),
+            lambda: rng.random_range(0.1..1.5),
+        })
+        .collect();
+    AppProfile {
+        name: "app".into(),
+        procs,
+        arch_ratios: BTreeMap::new(),
+    }
+}
+
+/// A random load over every node of `cluster`.
+fn load(cluster: &Cluster, rng: &mut StdRng) -> LoadState {
+    let mut load = LoadState::idle(cluster.len());
+    for node in cluster.node_ids() {
+        load.set_cpu_avail(node, rng.random_range(0.05..1.0));
+        load.set_nic_load(node, rng.random_range(0.0..0.9));
+    }
+    load
+}
+
+/// A mapping of `n` ranks that co-locates ranks only up to each node's
+/// CPUs, so the service accepts it.
+fn mapping(cluster: &Cluster, n: usize, rng: &mut StdRng) -> Mapping {
+    let mut free: Vec<u32> = cluster.nodes().iter().map(|node| node.cpus).collect();
+    let nodes = (0..n)
+        .map(|_| loop {
+            let at = rng.random_range(0..free.len());
+            if free[at] > 0 {
+                free[at] -= 1;
+                break NodeId(at as u32);
+            }
+        })
+        .collect();
+    Mapping::new(nodes)
+}
+
+/// A prediction as raw bits, so equality means every bit and not `==` on
+/// floats.
+fn bits(p: &Prediction) -> (u64, usize, Vec<(u64, u64)>) {
+    let per_proc = p.per_proc.iter().map(|c| (c.r.to_bits(), c.c.to_bits()));
+    (p.time.to_bits(), p.bottleneck, per_proc.collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `C_i ≥ 0`, so dropping it (NCS) never raises a rank's cost nor the
+    /// maximum over ranks; with every `C_i` zero (no message groups) the
+    /// two folds are the same sum, bit for bit.
+    #[test]
+    fn ncs_bounds_cs_and_meets_it_without_communication(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cluster = two_switch_demo();
+        let model = calibrated(&cluster, &mut rng);
+        let n = rng.random_range(1usize..10);
+        let (talks, silent) = (profile(n, false, &mut rng), profile(n, true, &mut rng));
+        let load = load(&cluster, &mut rng);
+        let mut ports = SystemSnapshot::no_load(&cluster, &cluster);
+        let mut calibrated = SystemSnapshot::no_load(&cluster, &model);
+        for snap in [&mut ports, &mut calibrated] {
+            snap.set_load(load.clone());
+        }
+        // With replacement: ranks may oversubscribe a node.
+        let mappings: Vec<Mapping> = (0..8)
+            .map(|_| Mapping::new((0..n).map(|_| NodeId(rng.random_range(0u32..8))).collect()))
+            .collect();
+        for snap in [&ports, &calibrated] {
+            let (cs, ncs) = (Evaluator::new(&talks, snap), Evaluator::new(&silent, snap));
+            for m in &mappings {
+                let (time, score) = (cs.predict_time(m), cs.compute_only_score(m));
+                prop_assert!(score <= time, "NCS {score} > CS {time} for {m:?}");
+                prop_assert_eq!(ncs.compute_only_score(m).to_bits(), ncs.predict_time(m).to_bits());
+            }
+        }
+    }
+
+    /// The service evaluates every candidate of a request against one
+    /// snapshot and one rank census, so a candidate's prediction cannot
+    /// depend on its neighbours or its place in the list.
+    #[test]
+    fn a_permuted_batch_returns_the_permuted_predictions(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cluster = Arc::new(two_switch_demo());
+        let model = Arc::new(calibrated(&cluster, &mut rng));
+        let n = rng.random_range(1usize..10);
+        let app = profile(n, false, &mut rng);
+        let load = load(&cluster, &mut rng);
+        let mut candidates: Vec<Mapping> =
+            (0..rng.random_range(1usize..12)).map(|_| mapping(&cluster, n, &mut rng)).collect();
+        candidates.extend_from_within(..1);
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..i + 1));
+        }
+        let permuted: Vec<Mapping> = order.iter().map(|&i| candidates[i].clone()).collect();
+        for provider in [Provider::from(cluster.clone()), Provider::from(model.clone())] {
+            let service = CbesService::new(cluster.clone(), provider, ForecastKind::LastValue);
+            service.registry().insert(app.clone()).expect("a generated profile compiles");
+            service.observe_load(&load).expect("a sweep covers every node");
+            let want = service.compare("app", &candidates).expect("every candidate fits");
+            let got = service.compare("app", &permuted).expect("the same candidates fit");
+            for (k, &i) in order.iter().enumerate() {
+                prop_assert_eq!(bits(&got[k]), bits(&want[i]), "candidate {} at {}", i, k);
+            }
+        }
+    }
+}

@@ -9,8 +9,8 @@
 //! a trigger fires. Automatic dumps are debounced so a sustained
 //! anomaly produces one file every few seconds, not thousands.
 
+use crate::lock::{rank, Mutex};
 use crate::{Clock, SpanRing};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -20,6 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Maximum number of events retained in the ring; older events are
 /// evicted once the ring is full.
 const FLIGHT_CAPACITY: usize = 1024;
+
+/// Dump paths a recorder remembers for [`FlightRecorder::dumped`]; it
+/// forgets older ones (the files stay).
+const DUMPS_KEPT: usize = 16;
 
 /// Minimum seconds between two automatic dumps from the same
 /// recorder. On-demand dumps (`dump`) ignore the debounce.
@@ -43,9 +47,15 @@ pub struct FlightEvent {
     pub trace: u64,
 }
 
+/// The recorder's locked state: recent events, and where it dumped them.
+struct Ring {
+    events: VecDeque<FlightEvent>,
+    dumped: VecDeque<PathBuf>,
+}
+
 /// Bounded ring of recent [`FlightEvent`]s with debounced auto-dump.
 pub struct FlightRecorder {
-    events: Mutex<VecDeque<FlightEvent>>,
+    ring: Mutex<Ring, { rank::FLIGHT_EVENTS }>,
     recorded: AtomicU64,
     dumps: AtomicU64,
     /// First second of the clock at which an automatic dump may run.
@@ -57,7 +67,10 @@ impl FlightRecorder {
     /// Creates an empty recorder stamping events on `clock`.
     pub fn new(clock: Clock) -> Self {
         FlightRecorder {
-            events: Mutex::new(VecDeque::with_capacity(64)),
+            ring: Mutex::new(Ring {
+                events: VecDeque::with_capacity(64),
+                dumped: VecDeque::new(),
+            }),
             recorded: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
             next_dump_sec: AtomicU64::new(0),
@@ -75,7 +88,7 @@ impl FlightRecorder {
             trace,
         };
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut events = self.events.lock();
+        let events = &mut self.ring.lock().events;
         if events.len() == FLIGHT_CAPACITY {
             events.pop_front();
         }
@@ -95,7 +108,12 @@ impl FlightRecorder {
 
     /// Copies the buffered events without draining them.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        self.events.lock().iter().cloned().collect()
+        self.ring.lock().events.iter().cloned().collect()
+    }
+
+    /// The files of this recorder's most recent dumps, oldest first.
+    pub fn dumped(&self) -> Vec<PathBuf> {
+        self.ring.lock().dumped.iter().cloned().collect()
     }
 
     /// Dumps the recorder (and a snapshot of `spans`) to a JSONL file
@@ -175,6 +193,11 @@ impl FlightRecorder {
         };
         file.write_all(&out)?;
         self.dumps.fetch_add(1, Ordering::Relaxed);
+        let dumped = &mut self.ring.lock().dumped;
+        if dumped.len() == DUMPS_KEPT {
+            dumped.pop_front();
+        }
+        dumped.push_back(path.clone());
         Ok((path, events.len()))
     }
 }
@@ -231,7 +254,9 @@ mod tests {
         assert!(dump().is_none(), "4 s later it still is");
         clock.advance(std::time::Duration::from_secs(1));
         let again = dump().expect("5 s after the first dump, the next one runs");
-        std::fs::remove_file(first).ok();
-        std::fs::remove_file(again).ok();
+        assert_eq!(recorder.dumped(), [first, again]);
+        for path in recorder.dumped() {
+            std::fs::remove_file(path).ok();
+        }
     }
 }

@@ -27,6 +27,10 @@
 //!   daemon and each router owns one and answers only for itself, and
 //!   takes every reading of time from its [`Clock`] (a test's is manual).
 //!
+//! * [`lock`] — the workspace's ranked `Mutex`/`RwLock`: each lock's
+//!   place in the lock order is part of its type, and debug builds
+//!   check every acquisition against it.
+//!
 //! Everything is hand-rolled on `std::sync::atomic` — no registry
 //! dependencies beyond the workspace's vendored stand-ins.
 
@@ -35,6 +39,7 @@
 
 pub mod clock;
 pub mod flight;
+pub mod lock;
 pub mod metrics;
 pub mod names;
 pub mod registry;

@@ -2,10 +2,10 @@
 
 use crate::clock::Clock;
 use crate::flight::FlightRecorder;
+use crate::lock::{rank, Mutex};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::names;
 use crate::span::{SpanGuard, SpanRing};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -24,9 +24,9 @@ const SPAN_CAPACITY: usize = 8192;
 /// each router owns one, so several of them in one process never mix
 /// counts, spans or flight events.
 pub struct Registry {
-    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
+    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>, { rank::OBS_COUNTERS }>,
+    gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>, { rank::OBS_GAUGES }>,
+    histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>, { rank::OBS_HISTOGRAMS }>,
     spans: Arc<SpanRing>,
     flight: FlightRecorder,
     clock: Clock,

@@ -20,8 +20,8 @@
 //! span)` pair so protocol clients can forward it on the wire.
 
 use crate::clock::Clock;
+use crate::lock::{rank, Mutex};
 use crate::metrics::Histogram;
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -110,7 +110,7 @@ struct RingInner {
 /// evicted and counted in [`SpanRing::dropped`] — recording never blocks
 /// on a slow consumer.
 pub struct SpanRing {
-    inner: Mutex<RingInner>,
+    inner: Mutex<RingInner, { rank::SPANS_INNER }>,
     capacity: usize,
     clock: Clock,
 }

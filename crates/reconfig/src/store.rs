@@ -44,7 +44,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use parking_lot::{Mutex, MutexGuard};
+use cbes_obs::lock::{rank, Mutex, MutexGuard};
 
 use crate::lifecycle::{
     op, ArtifactKind, ArtifactRef, JournalRecord, Lifecycle, LifecycleError, Soak,
@@ -224,7 +224,7 @@ pub struct RolledBack {
 pub struct ArtifactStore {
     dir: PathBuf,
     hook: Option<FaultHook>,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner, { rank::STORE_INNER }>,
 }
 
 struct Inner {
@@ -373,7 +373,7 @@ impl ArtifactStore {
     }
 
     /// Lock the store for a transition, refusing once an append failed.
-    fn begin(&self) -> Result<MutexGuard<'_, Inner>, ReconfigError> {
+    fn begin(&self) -> Result<MutexGuard<'_, Inner, { rank::STORE_INNER }>, ReconfigError> {
         let inner = self.inner.lock();
         match &inner.journal_fault {
             Some(detail) => Err(ReconfigError::JournalFailed(detail.clone())),

@@ -13,10 +13,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbes_core::health::{HealthPolicy, HealthTracker, NodeHealth};
+use cbes_obs::lock::{rank, Mutex, RwLock};
 use cbes_obs::{names, Counter, Registry};
 use cbes_server::protocol::{InstanceInfo, MembershipReport};
 use cbes_server::Client;
-use parking_lot::{Mutex, RwLock};
 
 /// Tuning for the membership table and its heartbeat loop.
 #[derive(Debug, Clone)]
@@ -72,13 +72,13 @@ struct InstanceCounters {
 pub struct Membership {
     addrs: Vec<String>,
     config: MembershipConfig,
-    state: RwLock<State>,
+    state: RwLock<State, { rank::MEMBERSHIP_STATE }>,
     counters: Vec<InstanceCounters>,
     /// Per instance, the connections `fan_out` finished an exchange on.
     /// Locked only to push or pop, never across I/O or under `state`.
     /// Each caller gives back the one connection it took, so the pool
     /// never outgrows the callers: the router's workers and heartbeat.
-    idle: Vec<Mutex<Vec<Client>>>,
+    idle: Vec<Mutex<Vec<Client>, { rank::MEMBERSHIP_IDLE }>>,
     /// The router's one registry: the `router.*` instruments, the I/O
     /// layer's counters, the forward spans and the flight recorder.
     obs: Arc<Registry>,
@@ -373,6 +373,13 @@ impl std::fmt::Debug for Membership {
 mod tests {
     use super::*;
 
+    /// Remove the flight dumps `m`'s sweeps triggered.
+    fn remove_dumps(m: &Membership) {
+        for path in m.obs().flight().dumped() {
+            std::fs::remove_file(path).ok();
+        }
+    }
+
     fn table(n: usize) -> Arc<Membership> {
         Membership::new(
             (0..n).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect(),
@@ -408,6 +415,7 @@ mod tests {
         assert_eq!(report.instances[0].health, "down");
         assert_eq!(report.leader, Some(1));
         assert!(report.instances[1].leader);
+        remove_dumps(&m);
     }
 
     #[test]
@@ -419,6 +427,7 @@ mod tests {
         m.record_probes(&[Some(3), Some(3)]);
         assert_eq!(m.counts(), (2, 0, 0));
         assert_eq!(m.leader(), Some(0));
+        remove_dumps(&m);
     }
 
     #[test]
@@ -432,6 +441,7 @@ mod tests {
         }
         assert_eq!(m.counts(), (2, 0, 1));
         assert_eq!(m.replication_lag(), 0);
+        remove_dumps(&m);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use cbes_core::health::HealthPolicy;
 use cbes_core::mapping::Mapping;
 use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
+use cbes_obs::Registry;
 use cbes_router::membership::{Membership, MembershipConfig};
 use cbes_router::tier::{observe_tier, probe_instances, RouterServer, TierConfig};
 use cbes_router::RouterTierHandle;
@@ -171,6 +172,7 @@ fn observations_replicate_from_leader_to_followers() {
     for h in handles.into_iter().flatten() {
         h.shutdown_and_join();
     }
+    remove_dumps(membership.obs());
 }
 
 #[test]
@@ -296,11 +298,13 @@ fn heartbeat_thread_marks_dead_instances_down() {
     stop.store(true, std::sync::atomic::Ordering::Release);
     hb.join().expect("heartbeat thread exits");
     a.shutdown_and_join();
+    remove_dumps(membership.obs());
 }
 
 #[test]
 fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
     let (state_root, instances) = reconfigurable_instances("cbes-tier-artifacts");
+    let instances: Vec<ServerHandle> = instances.into_iter().map(|(h, _)| h).collect();
     let seeds: Vec<String> = instances.iter().map(|h| h.addr().to_string()).collect();
     let router = RouterServer::start(TierConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -405,21 +409,30 @@ fn artifact_verbs_broadcast_tier_wide_and_status_merges_per_instance() {
 
 /// Two instances with artifact stores of their own under a fresh
 /// `<temp>/<tag>-<pid>`, which is returned for the test to remove.
-fn reconfigurable_instances(tag: &str) -> (std::path::PathBuf, Vec<ServerHandle>) {
+fn reconfigurable_instances(tag: &str) -> (std::path::PathBuf, Vec<(ServerHandle, Arc<Registry>)>) {
     let state_root = std::env::temp_dir().join(format!("{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state_root);
     let start = |slot: usize| {
         let cluster = Arc::new(two_switch_demo());
         let service = CbesService::self_calibrated(cluster, ForecastKind::LastValue);
+        let obs = service.obs().clone();
         let config = ServerConfig {
             workers: 1,
             state_dir: Some(state_root.join(format!("i{slot}"))),
             ..ServerConfig::default()
         };
-        Server::start(Arc::new(service), config).expect("loopback bind succeeds")
+        let handle = Server::start(Arc::new(service), config).expect("loopback bind succeeds");
+        (handle, obs)
     };
     let instances = (0..2).map(start).collect();
     (state_root, instances)
+}
+
+/// Remove the flight dump files `registry` wrote.
+fn remove_dumps(registry: &Registry) {
+    for path in registry.flight().dumped() {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// A router over `seeds` whose heartbeat sweeps once at start and then
@@ -1139,7 +1152,12 @@ mod common;
 #[test]
 fn every_row_of_the_action_table_is_answered_through_the_router() {
     let (state_root, instances) = reconfigurable_instances("cbes-tier-rows");
-    let router = quiet_router(instances.iter().map(|h| h.addr().to_string()).collect());
+    let router = quiet_router(
+        instances
+            .iter()
+            .map(|(h, _)| h.addr().to_string())
+            .collect(),
+    );
     let mut c =
         Client::connect_timeout(router.addr(), Duration::from_secs(10)).expect("router answers");
     let mut requests = common::one_of_each();
@@ -1178,12 +1196,12 @@ fn every_row_of_the_action_table_is_answered_through_the_router() {
             assert_eq!(kind, error_kind::SERVICE, "{name}: {message}");
             assert!(message.starts_with("broadcast refused by every instance"));
         }
-        if let Response::FlightDumped { path, .. } = &reply {
-            let _ = std::fs::remove_file(path);
-        }
     }
-    for h in instances {
+    // The tier dumped every recorder, the router's and both instances'.
+    remove_dumps(router.membership().obs());
+    for (h, obs) in instances {
         h.join();
+        remove_dumps(&obs);
     }
     router.join();
     let _ = std::fs::remove_dir_all(&state_root);

@@ -8,24 +8,9 @@
 //!
 //! All wall-clock reads in the scheduler crate go through
 //! [`TelemetrySink::clock`], so tests can substitute a deterministic
-//! clock; clippy's `disallowed_methods` (root `clippy.toml`) pins the
-//! single `Instant::now` call site to [`monotonic`].
+//! clock; its default reads the process clock of `cbes_obs::Clock`.
 
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
-
-/// Time elapsed since the crate's private monotonic epoch (the first
-/// call). The only real clock read in the scheduler crate; everything
-/// else asks a [`TelemetrySink`] for the time.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the one sanctioned wall-clock read; every scheduler path reaches it through \
-              TelemetrySink::clock so tests can override it"
-)]
-pub(crate) fn monotonic() -> Duration {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed()
-}
+use std::time::Duration;
 
 /// Observer for one scheduling run's annealing loop. All methods have
 /// `&mut self` receivers so sinks can aggregate without interior
@@ -41,7 +26,7 @@ pub trait TelemetrySink {
     /// time themselves by differencing two reads, so only monotonicity
     /// matters. Override in tests for a deterministic clock.
     fn clock(&mut self) -> Duration {
-        monotonic()
+        cbes_obs::Clock::default().now()
     }
 }
 

@@ -43,11 +43,11 @@ use std::sync::Arc;
 use cbes_cluster::ClusterSpec;
 use cbes_core::CbesService;
 use cbes_netmodel::LatencyModel;
+use cbes_obs::lock::{rank, Mutex};
 use cbes_obs::{names, Counter, Gauge};
 use cbes_reconfig::{
     ArtifactKind, ArtifactStore, InstanceStatus, ReconfigError, ServingLimits, StatusReport,
 };
-use parking_lot::Mutex;
 
 use crate::protocol::{error_kind, Response};
 use crate::server::RateLimiter;
@@ -77,8 +77,8 @@ pub(crate) struct ReconfigRuntime {
     /// of every state-changing verb, so store state and serving state
     /// move atomically with respect to each other. Ordered before the
     /// store's own journal lock and the `soak` lock.
-    transition: Mutex<()>,
-    soak: Mutex<Option<SoakState>>,
+    transition: Mutex<(), { rank::RECONFIG_TRANSITION }>,
+    soak: Mutex<Option<SoakState>, { rank::RECONFIG_SOAK }>,
     staged: Arc<Counter>,
     applies: Arc<Counter>,
     accepts: Arc<Counter>,

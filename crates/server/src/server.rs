@@ -15,9 +15,9 @@ use std::time::Duration;
 
 use cbes_cluster::NodeId;
 use cbes_core::CbesService;
+use cbes_obs::lock::{rank, Mutex};
 use cbes_obs::{names, Clock, Counter, Histogram, MetricsSnapshot, Registry};
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
-use parking_lot::Mutex;
 
 use crate::net::{self, encode_line, env_u64, Control, Handler, NetHandle, NetMetrics};
 use crate::protocol::{
@@ -98,7 +98,7 @@ pub(crate) struct RateLimiter {
     rate_bits: AtomicU64,
     /// Minimum `retry_after_ms` hint attached to rate-cap sheds.
     hint_ms: AtomicU64,
-    state: Mutex<BucketState>,
+    state: Mutex<BucketState, { rank::RATE_LIMITER_STATE }>,
     clock: Clock,
 }
 

@@ -542,6 +542,10 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
     assert!(snap.histograms["server.queue_wait_us"].count >= 1);
 
     handle.shutdown_and_join();
+    // The shed spike dumped the flight recorder.
+    for path in service.obs().flight().dumped() {
+        std::fs::remove_file(path).expect("the dump is there to remove");
+    }
 }
 
 /// One connection's pipelined frames run in arrival order even when the

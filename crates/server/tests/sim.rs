@@ -11,9 +11,10 @@
 //! list, and `run_seed(seed)` replays it exactly.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
+use cbes_obs::lock::Mutex;
 use cbes_obs::{Clock, Registry};
 use cbes_server::net::{self, Action, Control, Core, Done, Forward, Handler, Job, NetMetrics};
 use cbes_server::protocol::split_id;
@@ -23,6 +24,8 @@ use rand::{RngExt, SeedableRng};
 
 /// Length of the reply to a `pad` frame.
 const PADDED: usize = 8 * 1024;
+/// The echo log's rank: a leaf, held under no other lock and over none.
+const LOG_RANK: u32 = u32::MAX;
 /// Deadline for one upstream dial and one relayed attempt.
 const ATTEMPT: Duration = Duration::from_millis(30);
 
@@ -44,7 +47,7 @@ fn number_after(line: &str, key: &str) -> u64 {
 /// one containing `pad` is answered at [`PADDED`] bytes.
 struct Echo {
     /// `(client, frame id, ran inline)`, in execution order.
-    log: Mutex<Vec<(u64, u64, bool)>>,
+    log: Mutex<Vec<(u64, u64, bool)>, LOG_RANK>,
     upstreams: usize,
 }
 
@@ -52,7 +55,7 @@ impl Echo {
     fn answer(&self, line: &str, inline: bool) -> (Vec<u8>, bool) {
         let id = number_after(line, "\"id\":");
         let client = number_after(line, "\"c\":");
-        self.log.lock().expect("log").push((client, id, inline));
+        self.log.lock().push((client, id, inline));
         let mut reply = format!("{{\"id\":{id},\"ran\":{}}}", u8::from(inline));
         if line.contains("pad") {
             reply.push_str(&" ".repeat(PADDED - 1 - reply.len()));
@@ -62,7 +65,7 @@ impl Echo {
     }
 
     fn ran(&self) -> Vec<(u64, u64, bool)> {
-        self.log.lock().expect("log").clone()
+        self.log.lock().clone()
     }
 }
 
