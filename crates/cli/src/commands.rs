@@ -730,7 +730,7 @@ fn top_frame(
         (base.served, base.shed) = (served_total, shed_total);
         let service_time = m
             .histograms
-            .get(names::SERVER_SERVICE_TIME_US)
+            .get(names::SERVER_SERVICE_TIME_US.as_str())
             .cloned()
             .unwrap_or_default();
         let frames = &mut base.service_time;
@@ -907,9 +907,6 @@ fn request_from_args(verb: &str, parsed: &Parsed) -> Result<Request, CliError> {
             load: sweep_from(parsed, nodes()?)?,
             silent: silent_from(parsed)?,
         },
-        Action::Stats => Request::Stats,
-        Action::Metrics => Request::Metrics,
-        Action::Shutdown => Request::Shutdown,
         Action::Route => Request::Route {
             cluster: parsed.get("cluster").unwrap_or("default").to_string(),
             app: app()?,
@@ -928,7 +925,6 @@ fn request_from_args(verb: &str, parsed: &Parsed) -> Result<Request, CliError> {
                 silent: silent_from(parsed)?,
             }
         }
-        Action::Membership => Request::Membership,
         Action::Trace => match parsed.get_parsed("trace-id", 0u64)? {
             0 => {
                 return Err(CliError::usage(
@@ -938,17 +934,16 @@ fn request_from_args(verb: &str, parsed: &Parsed) -> Result<Request, CliError> {
             }
             trace_id => Request::Trace { trace_id },
         },
-        Action::DumpFlight => Request::DumpFlight,
         Action::Stage => Request::Stage {
             kind: parsed.require("kind")?.to_string(),
             payload: artifact_payload(parsed)?,
         },
-        Action::Apply => Request::Apply,
-        Action::Accept => Request::Accept,
         Action::Rollback => Request::Rollback {
             reason: rollback_reason(parsed).to_string(),
         },
-        Action::ArtifactStatus => Request::ArtifactStatus,
+        // The rest carry no field: the row's wire tag is the request.
+        _ => serde_json::from_str(&format!("\"{}\"", spec.tag))
+            .map_err(|e| CliError::usage(format!("`{verb}` takes no flags here: {e}")))?,
     })
 }
 
@@ -1438,6 +1433,7 @@ fn parse_mapping_list(s: &str) -> Result<Vec<Mapping>, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbes_obs::names;
 
     fn parsed(v: &[&str]) -> Parsed {
         Parsed::parse(v.iter().map(|s| s.to_string())).unwrap()
@@ -1529,8 +1525,8 @@ mod tests {
         let candidates = ["--app", "ep.S.2", "--mappings", "0,1;4,5"];
         let sweep = ["--nodes", "8", "--load", "0=0.3"];
         for spec in ACTIONS {
-            // Exhaustive, like `request_from_args`: a new action needs
-            // its flags here before this compiles.
+            // Exhaustive: a new action needs its flags here before this
+            // compiles, and an arm in `request_from_args` before it passes.
             let flags: &[&str] = match spec.action {
                 Action::RegisterProfile => &["--profile", &ps],
                 Action::Compare | Action::BestOf | Action::Batch => &candidates,
@@ -1927,12 +1923,12 @@ mod tests {
     #[test]
     fn top_frame_renders_windowed_rates_and_quantiles() {
         let r = cbes_obs::Registry::new();
-        r.counter("server.served").add(120);
+        r.counter(names::SERVER_SERVED).add(120);
         // Rate-cap sheds are a subset of `overloaded`, not beside it.
-        r.counter("server.overloaded").add(5);
-        r.counter("server.rate_limited").add(3);
+        r.counter(names::SERVER_OVERLOADED).add(5);
+        r.counter(names::SERVER_RATE_LIMITED).add(3);
         for v in [100, 207, 5000] {
-            r.histogram("server.service_time_us").record(v);
+            r.histogram(names::SERVER_SERVICE_TIME_US).record(v);
         }
         let addr = "10.0.0.1:9077".to_string();
         let mut totals = TopTotals::new();
@@ -1946,8 +1942,8 @@ mod tests {
         // A router's reply carries its daemons' `server.served` and its
         // own `router.routed` for the same requests: counted once.
         let tier = cbes_obs::Registry::new();
-        tier.counter("server.served").add(10);
-        tier.counter("router.routed").add(10);
+        tier.counter(names::SERVER_SERVED).add(10);
+        tier.counter(names::ROUTER_ROUTED).add(10);
         let router = "10.0.0.9:9077".to_string();
         let rows = vec![(router.clone(), Some(tier.snapshot()))];
         let frame = top_frame(&rows, &mut totals, Instant::now());
@@ -1963,7 +1959,7 @@ mod tests {
         let addr = "10.0.0.1:9077".to_string();
         let mut totals = TopTotals::new();
         let r = cbes_obs::Registry::new();
-        let service_time = r.histogram("server.service_time_us");
+        let service_time = r.histogram(names::SERVER_SERVICE_TIME_US);
         let t0 = Instant::now();
         let mut frame_at = |secs: u64| {
             let snap = r.snapshot();
@@ -1998,15 +1994,15 @@ mod tests {
         let now = Instant::now();
         // Frame 1: 120 served, two of them timed.
         let r = cbes_obs::Registry::new();
-        r.counter("server.served").add(120);
-        r.histogram("server.service_time_us").record(40);
-        r.histogram("server.service_time_us").record(40);
+        r.counter(names::SERVER_SERVED).add(120);
+        r.histogram(names::SERVER_SERVICE_TIME_US).record(40);
+        r.histogram(names::SERVER_SERVICE_TIME_US).record(40);
         top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals, now);
         // The endpoint restarts: its instruments reset below the
         // baseline. The deltas must clamp at zero, not underflow.
         let r = cbes_obs::Registry::new();
-        r.counter("server.served").add(5);
-        r.histogram("server.service_time_us").record(40);
+        r.counter(names::SERVER_SERVED).add(5);
+        r.histogram(names::SERVER_SERVICE_TIME_US).record(40);
         let frame = top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals, now);
         assert_eq!(
             top_row(&frame, &addr)[1..6],
@@ -2020,12 +2016,12 @@ mod tests {
         assert!(totals.is_empty(), "down endpoints lose their baseline");
         // ...so the frame after it comes back starts fresh.
         let r = cbes_obs::Registry::new();
-        r.counter("server.served").add(7);
+        r.counter(names::SERVER_SERVED).add(7);
         let frame = top_frame(&[(addr.clone(), Some(r.snapshot()))], &mut totals, now);
         assert_eq!(top_row(&frame, &addr)[1], "7", "{frame}");
         // One dead endpoint must not hide the live one next to it.
         let r = cbes_obs::Registry::new();
-        r.counter("server.served").add(9);
+        r.counter(names::SERVER_SERVED).add(9);
         let frame = top_frame(
             &[
                 ("10.0.0.2:9077".to_string(), None),

@@ -804,15 +804,13 @@ mod tests {
         other.compare("app", &[m(&[0, 1])]).expect("valid");
 
         let snap = svc.obs().snapshot();
-        assert_eq!(snap.counters[names::CORE_COMPARES], 1);
-        assert_eq!(snap.counters[names::CORE_PREDICTIONS], 2);
-        assert_eq!(snap.histograms[names::CORE_COMPARE_US].count, 1);
-        assert_eq!(snap.histograms[names::CORE_EPOCH_PUBLISH_US].count, 1);
-        assert_eq!(
-            snap.histograms[names::NETMODEL_FORECAST_REFRESH_US].count,
-            1
-        );
-        assert_eq!(snap.gauges[names::CORE_EPOCH], 1.0);
+        let hists = &snap.histograms;
+        assert_eq!(snap.counters[names::CORE_COMPARES.as_str()], 1);
+        assert_eq!(snap.counters[names::CORE_PREDICTIONS.as_str()], 2);
+        assert_eq!(hists[names::CORE_COMPARE_US.as_str()].count, 1);
+        assert_eq!(hists[names::CORE_EPOCH_PUBLISH_US.as_str()].count, 1);
+        assert_eq!(hists[names::NETMODEL_FORECAST_REFRESH_US.as_str()].count, 1);
+        assert_eq!(snap.gauges[names::CORE_EPOCH.as_str()], 1.0);
         let spans: Vec<_> = svc
             .obs()
             .spans()
@@ -823,11 +821,12 @@ mod tests {
         assert_eq!(
             spans,
             [
-                names::SPAN_CORE_EVALUATE_MAPPING,
-                names::SPAN_CORE_PUBLISH_EPOCH
+                names::SPAN_CORE_EVALUATE_MAPPING.as_str(),
+                names::SPAN_CORE_PUBLISH_EPOCH.as_str()
             ]
         );
-        assert_eq!(other.obs().snapshot().counters[names::CORE_COMPARES], 1);
+        let theirs = other.obs().snapshot();
+        assert_eq!(theirs.counters[names::CORE_COMPARES.as_str()], 1);
     }
 
     #[test]
@@ -907,10 +906,11 @@ mod tests {
         }
         // Node 0 goes healthy -> suspect -> down: two transitions.
         let snap = svc.obs().snapshot();
-        assert_eq!(snap.counters[names::CORE_HEALTH_TRANSITIONS], 2);
-        assert_eq!(snap.gauges[names::CORE_HEALTH_HEALTHY], (n - 1) as f64);
-        assert_eq!(snap.gauges[names::CORE_HEALTH_SUSPECT], 0.0);
-        assert_eq!(snap.gauges[names::CORE_HEALTH_DOWN], 1.0);
+        let gauges = &snap.gauges;
+        assert_eq!(snap.counters[names::CORE_HEALTH_TRANSITIONS.as_str()], 2);
+        assert_eq!(gauges[names::CORE_HEALTH_HEALTHY.as_str()], (n - 1) as f64);
+        assert_eq!(gauges[names::CORE_HEALTH_SUSPECT.as_str()], 0.0);
+        assert_eq!(gauges[names::CORE_HEALTH_DOWN.as_str()], 1.0);
     }
 
     #[test]
@@ -944,7 +944,8 @@ mod tests {
             leader.current_load().load,
             "stale replication must not disturb the snapshot"
         );
-        let publish = follower.obs().snapshot().histograms[names::CORE_EPOCH_PUBLISH_US].count;
+        let publish =
+            follower.obs().snapshot().histograms[names::CORE_EPOCH_PUBLISH_US.as_str()].count;
         assert_eq!(
             publish, 2,
             "a stale replay still records its publish sample"

@@ -7,7 +7,9 @@
 //! The recorder is deliberately cheap: recording an event is one
 //! mutex push into a `VecDeque`, and nothing is written to disk until
 //! a trigger fires. Automatic dumps are debounced so a sustained
-//! anomaly produces one file every few seconds, not thousands.
+//! anomaly produces one file every few seconds, not thousands. A
+//! trigger only asks for its dump ([`FlightRecorder::defer_dump`]), since
+//! it may fire on the reactor; the owner's next sweep writes it.
 
 use crate::lock::{rank, Mutex};
 use crate::{Clock, SpanRing};
@@ -47,10 +49,12 @@ pub struct FlightEvent {
     pub trace: u64,
 }
 
-/// The recorder's locked state: recent events, and where it dumped them.
+/// The recorder's locked state: recent events, where it dumped them,
+/// and the reason of a dump a trigger left to the next sweep.
 struct Ring {
     events: VecDeque<FlightEvent>,
     dumped: VecDeque<PathBuf>,
+    deferred: Option<&'static str>,
 }
 
 /// Bounded ring of recent [`FlightEvent`]s with debounced auto-dump.
@@ -70,6 +74,7 @@ impl FlightRecorder {
             ring: Mutex::new(Ring {
                 events: VecDeque::with_capacity(64),
                 dumped: VecDeque::new(),
+                deferred: None,
             }),
             recorded: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
@@ -139,6 +144,19 @@ impl FlightRecorder {
         self.dump(reason, spans).ok().map(|(path, _)| path)
     }
 
+    /// Ask for an [`Self::auto_dump`] tagged `reason` without writing
+    /// anything: the next [`Self::dump_deferred`] runs it, tagged with
+    /// the first reason asked for since the last.
+    pub fn defer_dump(&self, reason: &'static str) {
+        self.ring.lock().deferred.get_or_insert(reason);
+    }
+
+    /// Run the automatic dump a trigger deferred, if one is waiting.
+    pub fn dump_deferred(&self, spans: &SpanRing) -> Option<PathBuf> {
+        let reason = self.ring.lock().deferred.take()?;
+        self.auto_dump(reason, spans)
+    }
+
     /// Unconditionally dumps the recorder (and a snapshot of `spans`)
     /// to a JSONL file, returning the path and the number of events
     /// written. Used by the on-demand `DumpFlight` protocol action.
@@ -155,6 +173,7 @@ impl FlightRecorder {
         reason: &str,
         spans: &SpanRing,
     ) -> std::io::Result<(PathBuf, usize)> {
+        crate::lock::blocking("a flight-recorder dump");
         std::fs::create_dir_all(dir)?;
         let at_us = self.clock.now().as_micros() as u64;
         let events = self.snapshot();
@@ -226,7 +245,7 @@ mod tests {
         let recorder = FlightRecorder::new(Clock::default());
         recorder.record("shed", "queue full".to_string(), 7);
         let spans = SpanRing::new(8);
-        drop(spans.span_rooted("test.span", 7, 0));
+        drop(spans.span_rooted(&crate::names::Name("test.span"), 7, 0));
         let (path, events) = recorder
             .dump_into(&dir, "test_trigger", &spans)
             .expect("flight dump should write");
@@ -258,5 +277,28 @@ mod tests {
         for path in recorder.dumped() {
             std::fs::remove_file(path).ok();
         }
+    }
+
+    #[test]
+    fn a_deferred_dump_waits_for_the_sweep_and_is_debounced() {
+        let clock = Clock::manual();
+        let recorder = FlightRecorder::new(clock.clone());
+        let spans = SpanRing::new(8);
+        assert!(recorder.dump_deferred(&spans).is_none(), "nothing deferred");
+        {
+            // Deferring is what a reactor may do: it writes nothing.
+            let _reactor = crate::lock::reactor();
+            recorder.record("shed", "spike".to_string(), 0);
+            recorder.defer_dump("shed_spike");
+            recorder.defer_dump("shed_spike");
+        }
+        assert!(recorder.dumped().is_empty());
+        let path = recorder.dump_deferred(&spans).expect("the sweep dumps");
+        assert!(recorder.dump_deferred(&spans).is_none(), "taken once");
+        recorder.defer_dump("shed_spike");
+        assert!(recorder.dump_deferred(&spans).is_none(), "debounced");
+        let body = std::fs::read_to_string(&path).expect("dump is readable");
+        assert!(body.contains("\"flight_dump\":\"shed_spike\""), "{body}");
+        std::fs::remove_file(path).ok();
     }
 }

@@ -15,11 +15,21 @@
 //! The root `clippy.toml` bans the raw `parking_lot` and `std::sync`
 //! locks everywhere else, so a lock without a rank does not compile
 //! under `-D warnings`.
+//!
+//! The same thread-local bookkeeping holds the reactor's one rule: the
+//! thread that drives the connection core waits on nothing but its
+//! poll. That thread marks itself with [`reactor`] for as long as it
+//! drives the core, and each blocking primitive the workspace wraps
+//! (the artifact store's fsyncs, the flight recorder's file write, the
+//! client's dial and round trip) calls [`blocking`] first, which panics
+//! in a debug build on a marked thread, naming the primitive and its
+//! caller. Release builds compile the check out.
 #![expect(
     clippy::disallowed_types,
     reason = "the one module that wraps the raw locks, each under a rank"
 )]
 
+use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 
 /// Declares the rank table once: a const per lock in [`rank`], and the
@@ -123,6 +133,45 @@ mod held {
                 held.remove(at);
             }
         });
+    }
+}
+
+thread_local! {
+    /// Whether this thread holds the reactor role (debug builds only).
+    static REACTOR: Cell<bool> = const { Cell::new(false) };
+}
+
+/// This thread drives the connection core until the guard drops: a
+/// [`blocking`] call on it panics in a debug build.
+#[must_use = "the thread leaves the reactor role when the guard drops"]
+pub struct Reactor {
+    was: bool,
+}
+
+/// Take the reactor role for this thread until the returned guard drops.
+pub fn reactor() -> Reactor {
+    let was = cfg!(debug_assertions) && REACTOR.try_with(|r| r.replace(true)).unwrap_or(false);
+    Reactor { was }
+}
+
+impl Drop for Reactor {
+    fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            let _ = REACTOR.try_with(|r| r.set(self.was));
+        }
+    }
+}
+
+/// Declare that the caller is about to wait on a disk or a peer through
+/// `primitive`. On a thread in the [`reactor`] role a debug build panics,
+/// naming the primitive and the caller; in a release build the check is
+/// a constant `false`, and compiles to nothing.
+#[cfg_attr(debug_assertions, track_caller)]
+#[inline]
+pub fn blocking(primitive: &str) {
+    if cfg!(debug_assertions) && REACTOR.try_with(Cell::get).unwrap_or(false) {
+        let caller = std::panic::Location::caller();
+        panic!("blocking call on the reactor thread: {primitive} at {caller}");
     }
 }
 
@@ -300,6 +349,29 @@ mod tests {
         // With nothing held, the middle rank is free again.
         let _h = between.write();
         let _c = inner.read();
+    }
+
+    #[test]
+    fn a_blocking_call_panics_only_in_the_reactor_role() {
+        blocking("an fsync off the reactor");
+        let msg = violation(|| {
+            let _reactor = reactor();
+            blocking("`Store::append` fsync");
+        });
+        assert!(msg.starts_with("blocking call on the reactor thread: `Store::append` fsync at "));
+        assert!(msg.contains("lock.rs"), "names its caller: {msg}");
+        // The unwind dropped the role; a nested role restores the outer.
+        blocking("after the reactor");
+        let outer = reactor();
+        drop(reactor());
+        assert!(catch_unwind(|| blocking("still the reactor")).is_err());
+        drop(outer);
+        blocking("off again");
+        // The role is the thread's: another thread may block.
+        let _reactor = reactor();
+        std::thread::spawn(|| blocking("a worker"))
+            .join()
+            .expect("a worker may block");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::clock::Clock;
 use crate::flight::FlightRecorder;
 use crate::lock::{rank, Mutex};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::names;
+use crate::names::{self, Name};
 use crate::span::{SpanGuard, SpanRing};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -62,28 +62,28 @@ impl Registry {
     }
 
     /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
+    pub fn counter(&self, name: &'static Name) -> Arc<Counter> {
         self.counters
             .lock()
-            .entry(name)
+            .entry(name.as_str())
             .or_insert_with(|| Arc::new(Counter::new()))
             .clone()
     }
 
     /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
+    pub fn gauge(&self, name: &'static Name) -> Arc<Gauge> {
         self.gauges
             .lock()
-            .entry(name)
+            .entry(name.as_str())
             .or_insert_with(|| Arc::new(Gauge::new()))
             .clone()
     }
 
     /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
+    pub fn histogram(&self, name: &'static Name) -> Arc<Histogram> {
         self.histograms
             .lock()
-            .entry(name)
+            .entry(name.as_str())
             .or_insert_with(|| Arc::new(Histogram::new()))
             .clone()
     }
@@ -94,7 +94,7 @@ impl Registry {
     }
 
     /// Open a span on this registry's ring.
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+    pub fn span(&self, name: &'static Name) -> SpanGuard<'_> {
         self.spans.span(name)
     }
 
@@ -104,15 +104,24 @@ impl Registry {
     }
 
     /// The one anomaly path every trigger takes: record `detail` as a
-    /// `kind` flight event, then ask for the debounced dump of the
-    /// recorder and this registry's span ring. A sustained anomaly whose
-    /// event is already in the ring passes `None` and only asks again.
-    /// Returns the dump file, if one was written.
-    pub fn anomaly(&self, kind: &str, detail: Option<String>) -> Option<PathBuf> {
+    /// `kind` flight event, then ask for a debounced dump of the recorder
+    /// and this registry's span ring, which the owner's next sweep writes
+    /// ([`Self::dump_deferred`]): a trigger may fire on the reactor, and
+    /// the reactor writes no file. A sustained anomaly whose event is
+    /// already in the ring passes `None` and only asks again.
+    pub fn anomaly(&self, kind: &'static str, detail: Option<String>) {
         if let Some(detail) = detail {
             self.flight.record(kind, detail, 0);
         }
-        self.flight.auto_dump(kind, &self.spans)
+        self.flight.defer_dump(kind);
+    }
+
+    /// Write the dump an [`Self::anomaly`] asked for, if one is waiting
+    /// and the debounce allows it. The daemon's once-per-second sweep and
+    /// the router's heartbeat call it, off the reactor. Returns the dump
+    /// file, if one was written.
+    pub fn dump_deferred(&self) -> Option<PathBuf> {
+        self.flight.dump_deferred(&self.spans)
     }
 
     /// Render every instrument into one serialisable snapshot: one entry
@@ -208,12 +217,12 @@ mod tests {
     #[test]
     fn instruments_are_shared_by_name() {
         let r = Registry::new();
-        r.counter("requests").add(3);
-        r.counter("requests").add(2);
-        assert_eq!(r.counter("requests").get(), 5);
-        r.gauge("depth").set(7.0);
-        r.histogram("lat").record(10);
-        r.histogram("lat").record(20);
+        r.counter(&Name("requests")).add(3);
+        r.counter(&Name("requests")).add(2);
+        assert_eq!(r.counter(&Name("requests")).get(), 5);
+        r.gauge(&Name("depth")).set(7.0);
+        r.histogram(&Name("lat")).record(10);
+        r.histogram(&Name("lat")).record(20);
         let s = r.snapshot();
         assert_eq!(s.counters["requests"], 5);
         assert_eq!(s.gauges["depth"], 7.0);
@@ -223,10 +232,10 @@ mod tests {
     #[test]
     fn snapshot_serialises_and_roundtrips() {
         let r = Registry::new();
-        r.counter("a").incr();
-        r.histogram("h").record(42);
+        r.counter(&Name("a")).incr();
+        r.histogram(&Name("h")).record(42);
         {
-            let _s = r.span("req");
+            let _s = r.span(&Name("req"));
         }
         let snap = r.snapshot();
         assert_eq!(snap.spans_buffered, 1);
@@ -238,11 +247,11 @@ mod tests {
     fn merge_namespaced_registries() {
         let a = Registry::new();
         let b = Registry::new();
-        a.counter("server.served").add(10);
-        b.counter("core.compares").add(4);
-        b.counter("server.served").add(1);
-        a.histogram("lat").record(5);
-        b.histogram("lat").record(500);
+        a.counter(&Name("server.served")).add(10);
+        b.counter(&Name("core.compares")).add(4);
+        b.counter(&Name("server.served")).add(1);
+        a.histogram(&Name("lat")).record(5);
+        b.histogram(&Name("lat")).record(500);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.counters["server.served"], 11);
@@ -255,23 +264,25 @@ mod tests {
     #[test]
     fn snapshot_is_cumulative_only_and_exposes_loss_counters() {
         let r = Registry::new();
-        r.counter("req").add(4);
-        r.histogram("lat").record(100);
+        r.counter(&Name("req")).add(4);
+        r.histogram(&Name("lat")).record(100);
         let s = r.snapshot();
         assert_eq!(s.counters["req"], 4);
-        assert_eq!(s.counters[names::SPANS_DROPPED], 0);
-        assert_eq!(s.counters[names::FLIGHT_EVENTS], 0);
+        assert_eq!(s.counters[names::SPANS_DROPPED.as_str()], 0);
+        assert_eq!(s.counters[names::FLIGHT_EVENTS.as_str()], 0);
         assert_eq!(s.histograms.len(), 1);
         let keys = s.counters.keys().chain(s.histograms.keys());
         assert_eq!(keys.filter(|k| k.contains('#')).count(), 0, "{s:?}");
         // An anomaly is one event and (debounced) one dump, both counted
         // by the recorder itself; asking again adds neither.
-        assert_eq!(s.counters[names::FLIGHT_DUMPS], 0);
-        let dump = r.anomaly("test_anomaly", Some("detail".to_string()));
-        assert!(r.anomaly("test_anomaly", None).is_none(), "debounced");
+        assert_eq!(s.counters[names::FLIGHT_DUMPS.as_str()], 0);
+        r.anomaly("test_anomaly", Some("detail".to_string()));
+        let dump = r.dump_deferred();
+        r.anomaly("test_anomaly", None);
+        assert!(r.dump_deferred().is_none(), "debounced");
         let s = r.snapshot();
-        assert_eq!(s.counters[names::FLIGHT_EVENTS], 1);
-        assert_eq!(s.counters[names::FLIGHT_DUMPS], 1);
+        assert_eq!(s.counters[names::FLIGHT_EVENTS.as_str()], 1);
+        assert_eq!(s.counters[names::FLIGHT_DUMPS.as_str()], 1);
         std::fs::remove_file(dump.expect("the first anomaly dumps")).ok();
     }
 
@@ -283,8 +294,8 @@ mod tests {
             Registry::with_clock(clock),
         );
         let dump = |r: &Registry, detail: &str| {
-            let path = r.anomaly("test_anomaly", Some(detail.to_string()));
-            path.expect("a first anomaly dumps")
+            r.anomaly("test_anomaly", Some(detail.to_string()));
+            r.dump_deferred().expect("a first anomaly dumps")
         };
         let paths = [dump(&a, "from registry a"), dump(&b, "from registry b")];
         assert_ne!(paths[0], paths[1], "one instant, two files");

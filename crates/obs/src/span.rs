@@ -22,6 +22,7 @@
 use crate::clock::Clock;
 use crate::lock::{rank, Mutex};
 use crate::metrics::Histogram;
+use crate::names::Name;
 use serde::Serialize;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -136,13 +137,13 @@ impl SpanRing {
     /// Open a span; it records itself into the ring when dropped. The
     /// parent link and trace id are inherited from the innermost live
     /// span on this thread.
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
+    pub fn span(&self, name: &'static Name) -> SpanGuard<'_> {
         let id = next_span_id();
         let parent = CURRENT_SPAN.with(|c| c.replace(id));
         let trace = CURRENT_TRACE.with(|c| c.get());
         SpanGuard {
             ring: Some(RingRef::Borrowed(self)),
-            name,
+            name: name.as_str(),
             id,
             parent,
             trace,
@@ -157,13 +158,13 @@ impl SpanRing {
     /// root) and its trace id is `trace`. Until the guard drops, spans
     /// opened on this thread — in any ring — nest beneath it and carry
     /// the same trace id; the previous context is restored afterwards.
-    pub fn span_rooted(&self, name: &'static str, trace: u64, parent_span: u64) -> SpanGuard<'_> {
+    pub fn span_rooted(&self, name: &'static Name, trace: u64, parent_span: u64) -> SpanGuard<'_> {
         let id = next_span_id();
         let prev_span = CURRENT_SPAN.with(|c| c.replace(id));
         let prev_trace = CURRENT_TRACE.with(|c| c.replace(trace));
         SpanGuard {
             ring: Some(RingRef::Borrowed(self)),
-            name,
+            name: name.as_str(),
             id,
             parent: parent_span,
             trace,
@@ -182,13 +183,13 @@ impl SpanRing {
     /// shares the ring, so it outlives the borrow that opened it.
     pub fn span_detached(
         self: &Arc<Self>,
-        name: &'static str,
+        name: &'static Name,
         trace: u64,
         parent_span: u64,
     ) -> SpanGuard<'static> {
         SpanGuard {
             ring: Some(RingRef::Shared(self.clone())),
-            name,
+            name: name.as_str(),
             id: next_span_id(),
             parent: parent_span,
             trace,
@@ -334,10 +335,10 @@ mod tests {
     fn spans_record_name_duration_and_order() {
         let ring = SpanRing::new(16);
         {
-            let _a = ring.span("first");
+            let _a = ring.span(&Name("first"));
         }
         {
-            let _b = ring.span("second");
+            let _b = ring.span(&Name("second"));
         }
         let spans = ring.snapshot();
         assert_eq!(spans.len(), 2);
@@ -352,12 +353,12 @@ mod tests {
         let ring = SpanRing::with_clock(16, clock.clone());
         let hist = Histogram::new();
         {
-            let _outer = ring.span("outer");
-            let inner = ring.span("inner");
+            let _outer = ring.span(&Name("outer"));
+            let inner = ring.span(&Name("inner"));
             clock.advance(Duration::from_millis(2));
             inner.finish_into(&hist);
             // The thread's context is back at the outer span.
-            let sibling = ring.span("sibling");
+            let sibling = ring.span(&Name("sibling"));
             assert_eq!(sibling.parent, _outer.id());
         }
         let spans = ring.snapshot();
@@ -372,7 +373,7 @@ mod tests {
     #[test]
     fn span_ids_count_up_from_a_random_base_that_stays_clear_of_detached() {
         let ring = SpanRing::new(4);
-        let (a, b) = (ring.span("a").id(), ring.span("b").id());
+        let (a, b) = (ring.span(&Name("a")).id(), ring.span(&Name("b")).id());
         assert!(b > a, "sequential within the process");
         assert!(a > 1 && a < 1 << 63, "a random base, not 1: {a}");
         assert_ne!(a, DETACHED);
@@ -382,10 +383,10 @@ mod tests {
     fn nesting_links_parents_on_one_thread() {
         let ring = SpanRing::new(16);
         {
-            let outer = ring.span("outer");
+            let outer = ring.span(&Name("outer"));
             let outer_id = outer.id();
             {
-                let inner = ring.span("inner");
+                let inner = ring.span(&Name("inner"));
                 assert_eq!(inner.parent, outer_id);
             }
         }
@@ -397,7 +398,7 @@ mod tests {
         assert_eq!(spans[1].parent, 0, "outer is a root span");
         // A span opened after both must be a root again.
         {
-            let _c = ring.span("after");
+            let _c = ring.span(&Name("after"));
         }
         assert_eq!(ring.snapshot()[2].parent, 0);
     }
@@ -406,7 +407,7 @@ mod tests {
     fn ring_is_bounded_and_counts_evictions() {
         let ring = SpanRing::new(4);
         for _ in 0..10 {
-            let _s = ring.span("x");
+            let _s = ring.span(&Name("x"));
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.dropped(), 6);
@@ -416,7 +417,7 @@ mod tests {
     fn jsonl_export_is_parseable() {
         let ring = SpanRing::new(8);
         {
-            let _a = ring.span("alpha");
+            let _a = ring.span(&Name("alpha"));
         }
         let mut record = ring.snapshot()[0];
         (record.trace, record.id, record.start_us, record.dur_us) = (7, 9, 11, 13);
@@ -437,8 +438,8 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        let _outer = ring.span("t-outer");
-                        let _inner = ring.span("t-inner");
+                        let _outer = ring.span(&Name("t-outer"));
+                        let _inner = ring.span(&Name("t-inner"));
                     }
                 });
             }
@@ -463,12 +464,12 @@ mod tests {
         let other = SpanRing::new(16);
         assert_eq!(current_trace(), None, "untraced outside any root");
         {
-            let root = ring.span_rooted("server.request", 77, 5);
+            let root = ring.span_rooted(&Name("server.request"), 77, 5);
             assert_eq!(root.trace(), 77);
             assert_eq!(current_trace(), Some((77, root.id())));
             {
                 // A child in a *different* ring still inherits the trace.
-                let child = other.span("core.evaluate");
+                let child = other.span(&Name("core.evaluate"));
                 assert_eq!(child.trace(), 77);
                 assert_eq!(child.parent, root.id());
             }
@@ -484,11 +485,11 @@ mod tests {
     #[test]
     fn detached_spans_join_a_trace_without_entering_the_thread_context() {
         let ring = Arc::new(SpanRing::new(16));
-        let first = ring.span_detached("router.forward", 77, 5);
-        let second = ring.span_detached("router.forward", 78, 0);
+        let first = ring.span_detached(&Name("router.forward"), 77, 5);
+        let second = ring.span_detached(&Name("router.forward"), 78, 0);
         assert_eq!(current_trace(), None, "the thread stays untraced");
         {
-            let unrelated = ring.span("stats");
+            let unrelated = ring.span(&Name("stats"));
             assert_eq!((unrelated.trace(), unrelated.parent), (0, 0));
         }
         // Finished out of order, as replies arrive.
@@ -505,13 +506,13 @@ mod tests {
     fn of_trace_filters_without_draining() {
         let ring = SpanRing::new(16);
         {
-            let _a = ring.span_rooted("a", 11, 0);
+            let _a = ring.span_rooted(&Name("a"), 11, 0);
         }
         {
-            let _b = ring.span_rooted("b", 22, 0);
+            let _b = ring.span_rooted(&Name("b"), 22, 0);
         }
         {
-            let _c = ring.span("untraced");
+            let _c = ring.span(&Name("untraced"));
         }
         let t11 = ring.of_trace(11);
         assert_eq!(t11.len(), 1);

@@ -287,6 +287,7 @@ impl ArtifactStore {
                     .open(&journal_path)
                     .map_err(io_err(&journal_path))?;
                 f.set_len(valid_len as u64).map_err(io_err(&journal_path))?;
+                cbes_obs::lock::blocking("artifact-store fsync");
                 f.sync_all().map_err(io_err(&journal_path))?;
             }
         }
@@ -389,7 +390,7 @@ impl ArtifactStore {
         self.at(&format!("reconfig.journal.{}.pre", record.op), &path)?;
         journal.write_all(line.as_bytes()).map_err(io_err(&path))?;
         journal.flush().map_err(io_err(&path))?;
-        // cbes-analyze: allow(blocking_hot_path, journal durability contract: the fsync runs on the worker executing the artifact verb, never on the reactor)
+        cbes_obs::lock::blocking("artifact-store fsync");
         journal.sync_data().map_err(io_err(&path))?;
         self.at(&format!("reconfig.journal.{}.post", record.op), &path)
     }
@@ -423,7 +424,7 @@ impl ArtifactStore {
         {
             let mut f = File::create(&tmp).map_err(io_err(&tmp))?;
             f.write_all(payload.as_bytes()).map_err(io_err(&tmp))?;
-            // cbes-analyze: allow(blocking_hot_path, payload durability contract: stage runs on the worker that received the verb, and the payload must be on disk before the journal references it)
+            cbes_obs::lock::blocking("artifact-store fsync");
             f.sync_all().map_err(io_err(&tmp))?;
         }
         self.at("reconfig.stage.payload_tmp", &tmp)?;

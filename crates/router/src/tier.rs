@@ -108,12 +108,15 @@ pub fn probe_instances(membership: &Membership) -> Vec<Option<u64>> {
 }
 
 /// Run the heartbeat loop until `shutdown` flips: probe all instances,
-/// feed the sweep to the membership table, sleep one interval.
+/// feed the sweep to the membership table, write the flight dump any
+/// trigger asked for (the reactor's shed spike included), sleep one
+/// interval.
 pub fn heartbeat_loop(membership: &Arc<Membership>, shutdown: &AtomicBool) {
     let interval = membership.config().heartbeat;
     while !shutdown.load(Ordering::Acquire) {
         let probes = probe_instances(membership);
         membership.record_probes(&probes);
+        membership.obs().dump_deferred();
         // Sleep in small slices so shutdown is prompt.
         let mut left = interval;
         while !left.is_zero() && !shutdown.load(Ordering::Acquire) {
@@ -509,16 +512,26 @@ impl Router {
             }
             Request::DumpFlight => {
                 // The router is part of the tier: it dumps its own
-                // recorder alongside the instances'. The first instance
-                // reply is relayed; the router's own dump answers only
-                // when no instance could.
+                // recorder alongside the instances'. The reply names every
+                // file, the router's first, and counts every event.
                 let registry = membership.obs();
                 let own = registry.flight().dump("on_demand", registry.spans());
-                let own = own.ok().map(|(path, events)| Response::FlightDumped {
-                    path: path.display().to_string(),
-                    events: events as u64,
+                let own = own
+                    .ok()
+                    .map(|(path, events)| (path.display().to_string(), events as u64));
+                let theirs = parts(ask(Broadcast), |reply| match reply {
+                    Response::FlightDumped { path, events } => Some((path, events)),
+                    _ => None,
                 });
-                first_ack(ask(Broadcast)).or(own).unwrap_or_else(unanswered)
+                let (paths, counts): (Vec<String>, Vec<u64>) =
+                    own.into_iter().chain(theirs).unzip();
+                if paths.is_empty() {
+                    return unanswered();
+                }
+                Response::FlightDumped {
+                    path: paths.join(", "),
+                    events: counts.iter().sum(),
+                }
             }
             Request::Route { cluster, app } => {
                 implements(Local);

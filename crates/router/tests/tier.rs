@@ -1196,8 +1196,26 @@ fn every_row_of_the_action_table_is_answered_through_the_router() {
             assert_eq!(kind, error_kind::SERVICE, "{name}: {message}");
             assert!(message.starts_with("broadcast refused by every instance"));
         }
+        // The tier dumped every recorder, the router's and both
+        // instances', and the reply alone names each file.
+        if let Response::FlightDumped { path, events } = &reply {
+            let files: Vec<&str> = path.split(", ").collect();
+            assert_eq!(files.len(), 3, "{path}");
+            let mut written = 0;
+            for file in files {
+                let body = std::fs::read_to_string(file).expect("each named file exists");
+                let header: serde_json::Value =
+                    serde_json::from_str(body.lines().next().expect("a header")).expect("JSON");
+                written += header
+                    .get("events")
+                    .and_then(|n| n.as_u64())
+                    .expect("a count");
+                std::fs::remove_file(file).expect("removed");
+            }
+            assert_eq!(*events, written, "the events are summed");
+        }
     }
-    // The tier dumped every recorder, the router's and both instances'.
+    // A trigger may have dumped too; the test leaves no file behind.
     remove_dumps(router.membership().obs());
     for (h, obs) in instances {
         h.join();

@@ -1,5 +1,7 @@
 //! Blocking client for the CBES daemon: one request, one reply, over
-//! newline-delimited JSON.
+//! newline-delimited JSON. Every dial and round trip waits on a peer, so
+//! a debug build panics if the reactor thread tries one
+//! ([`cbes_obs::lock::blocking`]).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -89,6 +91,7 @@ pub struct Client<T: Transport = Direct> {
 /// Connect to the first address `addr` resolves to that accepts within
 /// `timeout`.
 pub(crate) fn dial<A: ToSocketAddrs>(addr: A, timeout: Duration) -> std::io::Result<TcpStream> {
+    cbes_obs::lock::blocking("`Client` dial");
     let mut last = std::io::Error::new(
         std::io::ErrorKind::InvalidInput,
         "address resolved to no socket addresses",
@@ -107,6 +110,7 @@ impl Client {
     /// blocks indefinitely. Prefer [`Client::connect_timeout`] for
     /// anything interactive.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client, ClientError> {
+        cbes_obs::lock::blocking("`Client` dial");
         let transport = Direct::over(TcpStream::connect(addr)?)?;
         Ok(Client { transport })
     }
@@ -180,6 +184,7 @@ impl Direct {
     /// open span (see [`cbes_obs::current_trace`]) the envelope carries
     /// its trace and span ids, so the server joins the caller's trace.
     fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
+        cbes_obs::lock::blocking("`Client` round trip");
         let id = self.next_id;
         self.next_id += 1;
         let mut line = encode(&envelope(id, request, cbes_obs::current_trace()));

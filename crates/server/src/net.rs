@@ -55,7 +55,6 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -189,15 +188,17 @@ impl NetMetrics {
     }
 
     /// Count one `overloaded` shed and run the shed-spike flight
-    /// trigger: one event at the threshold crossing and a (debounced)
-    /// dump whenever this clock second's shed count sits at or above the
-    /// threshold. Returns the dump file, if the trigger wrote one.
-    pub(crate) fn shed_overloaded(&self) -> Option<PathBuf> {
+    /// trigger: one event at the threshold crossing, and a (debounced)
+    /// dump asked for whenever this clock second's shed count sits at or
+    /// above the threshold. A shed may happen on the reactor, which
+    /// writes no file: the owner's sweep writes the dump
+    /// ([`Registry::dump_deferred`]).
+    pub(crate) fn shed_overloaded(&self) {
         self.overloaded.incr();
         self.errors.incr();
         let spike = shed_spike_threshold();
         if spike == 0 {
-            return None;
+            return;
         }
         let sec = self.registry.clock().now().as_secs();
         let bump = |tally: u64| {
@@ -212,11 +213,11 @@ impl NetMetrics {
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| Some(bump(t)));
         let recent = bump(prev) & u64::from(u32::MAX);
         if recent < spike {
-            return None;
+            return;
         }
         let crossing = recent == spike;
         let detail = crossing.then(|| format!("{recent} requests shed in the last second"));
-        self.registry.anomaly("shed_spike", detail)
+        self.registry.anomaly("shed_spike", detail);
     }
 }
 
@@ -445,7 +446,7 @@ fn worker_loop<H: Handler>(
     queue: &Receiver<Work>,
     completion_tx: &Sender<Completion>,
 ) {
-    // cbes-analyze: allow(blocking_hot_path, the worker's idle park on the shared job queue is the designed wait point; the reactor never calls recv)
+    // The idle park on the shared job queue is a worker's designed wait.
     while let Ok(work) = queue.recv() {
         match work {
             Work::Run(jobs) => {
@@ -485,14 +486,18 @@ struct Driver<H: Handler> {
 
 impl<H: Handler> Driver<H> {
     /// The event loop. The core's next deadline is its only timer; the
-    /// shutdown flag is read when the wake pair fires.
+    /// shutdown flag is read when the wake pair fires. The thread holds
+    /// the reactor role throughout, so a debug build panics on any
+    /// blocking primitive the core or a handler hook reaches.
     fn run(mut self) {
+        let _reactor = cbes_obs::lock::reactor();
         let mut events: Vec<PollEvent> = Vec::new();
         while !self.core.drained() {
             let deadline = self.core.next_deadline();
             let timeout = deadline.map(|d| d.saturating_sub(self.clock.now()));
             if self.poller.wait(&mut events, timeout).is_err() {
-                // cbes-analyze: allow(blocking_hot_path, 1ms backoff after a poll error prevents a hot error spin; bounded and only on the failure path)
+                // The reactor's one sleep: a 1 ms backoff after a poll
+                // error keeps it from spinning hot, only on that path.
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
@@ -706,28 +711,34 @@ pub(crate) mod tests {
         let m = NetMetrics::new(&registry);
         let flight = registry.flight();
         clock.advance(Duration::from_millis(3_100));
+        let reactor = cbes_obs::lock::reactor();
         for _ in 1..SHED_SPIKE_DEFAULT {
-            assert!(m.shed_overloaded().is_none());
+            m.shed_overloaded();
         }
         assert_eq!(flight.recorded(), 0, "below the threshold: no event");
         clock.advance(Duration::from_millis(800));
-        let dump = m.shed_overloaded();
+        m.shed_overloaded();
         let events = flight.snapshot();
         assert_eq!(events.len(), 1, "the crossing is one event");
         assert_eq!(events[0].kind, "shed_spike");
         assert_eq!(events[0].detail, "8 requests shed in the last second");
         assert_eq!(events[0].at_us, 3_900_000);
-        // Above the threshold the trigger only asks for the (debounced)
-        // dump again.
-        assert!(m.shed_overloaded().is_none());
+        // Above the threshold the trigger only asks for the dump again.
+        m.shed_overloaded();
         assert_eq!(flight.recorded(), 1);
+        // The reactor wrote nothing; the sweep writes one debounced dump.
+        assert!(flight.dumped().is_empty());
+        drop(reactor);
+        let dump = registry.dump_deferred().expect("the sweep dumps");
+        assert!(registry.dump_deferred().is_none());
         // A later second starts from one, wherever the last one ended.
         clock.advance(Duration::from_millis(100));
         for _ in 1..SHED_SPIKE_DEFAULT {
-            assert!(m.shed_overloaded().is_none());
+            m.shed_overloaded();
         }
         assert_eq!(flight.recorded(), 1, "7 sheds in second 4 are no spike");
+        assert!(registry.dump_deferred().is_none(), "and ask for no dump");
         assert_eq!(m.overloaded.get(), 2 * SHED_SPIKE_DEFAULT);
-        std::fs::remove_file(dump.expect("the crossing dumps")).ok();
+        std::fs::remove_file(dump).ok();
     }
 }

@@ -12,6 +12,7 @@ use cbes_cluster::NodeId;
 use cbes_core::eval::Prediction;
 use cbes_core::mapping::Mapping;
 use cbes_core::ServiceError;
+use cbes_obs::names::Name;
 use cbes_obs::MetricsSnapshot;
 use cbes_trace::AppProfile;
 use serde::{Deserialize, Serialize};
@@ -195,9 +196,11 @@ pub struct ActionSpec {
     /// The action, whose discriminant is the row's position in
     /// [`ACTIONS`].
     pub action: Action,
-    /// Canonical name: span name, [`StatsReport::per_action`] key, and
-    /// (with `_` as `-`) the `cbes request` verb.
+    /// Canonical name: [`StatsReport::per_action`] key and (with `_` as
+    /// `-`) the `cbes request` verb.
     pub name: &'static str,
+    /// The name again, as the name of its request span.
+    pub span: &'static Name,
     /// The `Request` variant name, as a frame spells it on the wire.
     pub tag: &'static str,
     /// Runs the evaluation engine (eq. 4–8 or the scheduler). Only
@@ -211,13 +214,14 @@ pub struct ActionSpec {
     pub idempotent: bool,
     /// May run on the daemon's reactor thread. The others block on CPU
     /// or disk for unbounded time — `Schedule` has a caller-controlled
-    /// annealing budget, the artifact verbs fsync the reconfig journal,
-    /// `DumpFlight` writes the flight file — and always queue.
+    /// annealing budget, the artifact verbs fsync the reconfig journal
+    /// (`ArtifactStatus` waits on the store lock an append holds across
+    /// its fsync), `DumpFlight` writes the flight file — and always queue.
     pub inline: bool,
     /// How the routing tier forwards it.
     pub forward: ForwardMode,
-    /// Name of its served-requests counter.
-    pub counter: &'static str,
+    /// Name of its served-requests counter, `server.action.<name>`.
+    pub counter: &'static Name,
     /// A second `cbes request` verb, shown in usage instead of the
     /// derived one.
     pub alias: Option<&'static str>,
@@ -254,17 +258,22 @@ macro_rules! action_table {
 
         impl Action {
             /// This action's row of the table.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the action table mints each action's span and counter name"
+            )]
             pub const fn spec(self) -> &'static ActionSpec {
                 match self {
                     $(Action::$Variant => &ActionSpec {
                         action: Action::$Variant,
                         name: $name,
+                        span: const { &Name::new($name) },
                         tag: stringify!($Variant),
                         eval: action_table!(@eval $class),
                         idempotent: action_table!(@idempotent $replay),
                         inline: action_table!(@inline $thread),
                         forward: ForwardMode::$forward,
-                        counter: concat!("server.action.", $name),
+                        counter: const { &Name::new(concat!("server.action.", $name)) },
                         alias: action_table!(@alias $($alias)?),
                     },)*
                 }
@@ -307,7 +316,7 @@ action_table! {
     Apply           = "apply":            control, once,   queued, Broadcast;
     Accept          = "accept":           control, once,   queued, Broadcast;
     Rollback        = "rollback":         control, once,   queued, Broadcast;
-    ArtifactStatus  = "artifact_status":  control, once,   inline, Merge;
+    ArtifactStatus  = "artifact_status":  control, once,   queued, Merge;
 }
 
 impl Request {
@@ -421,9 +430,11 @@ pub enum Response {
     },
     /// Receipt for a `DumpFlight` request: where the dump landed.
     FlightDumped {
-        /// Path of the JSONL dump file on the answering instance.
+        /// Path of the JSONL dump file on the answering instance. A
+        /// router's reply lists its own file and then each instance's,
+        /// separated by `, `.
         path: String,
-        /// Flight-recorder events written into the dump.
+        /// Flight-recorder events written into the dump (or the dumps).
         events: u64,
     },
     /// Receipt for an artifact lifecycle verb (`Stage`, `Apply`,
@@ -1273,7 +1284,11 @@ pub(crate) mod tests {
             let request = sample(spec.action);
             assert_eq!(request.spec(), spec);
             assert_eq!(ActionSpec::by_tag(spec.tag), Some(spec));
-            assert_eq!(spec.counter, format!("server.action.{}", spec.name));
+            assert_eq!(
+                spec.counter.as_str(),
+                format!("server.action.{}", spec.name)
+            );
+            assert_eq!(spec.span.as_str(), spec.name);
             // The tag is the variant name: the name without its underscores.
             assert_eq!(spec.tag.to_lowercase(), spec.name.replace('_', ""));
             for env in [

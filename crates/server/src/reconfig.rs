@@ -427,10 +427,20 @@ mod tests {
     use cbes_cluster::presets::two_switch_demo;
     use cbes_core::ForecastKind;
 
-    fn scratch(tag: &str) -> PathBuf {
+    /// A state directory the test owns: emptied before use, removed
+    /// when dropped.
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         let dir = std::env::temp_dir().join(format!("cbes-runtime-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
+        Scratch(dir)
     }
 
     fn runtime_at(dir: PathBuf) -> (ReconfigRuntime, Arc<CbesService>, Arc<RateLimiter>) {
@@ -444,9 +454,10 @@ mod tests {
         (rt, service, limiter)
     }
 
-    fn runtime(tag: &str) -> (ReconfigRuntime, Arc<CbesService>) {
-        let (rt, service, _) = runtime_at(scratch(tag));
-        (rt, service)
+    fn runtime(tag: &str) -> (ReconfigRuntime, Arc<CbesService>, Scratch) {
+        let dir = scratch(tag);
+        let (rt, service, _) = runtime_at(dir.0.clone());
+        (rt, service, dir)
     }
 
     fn model_json(n: usize) -> String {
@@ -472,7 +483,7 @@ mod tests {
 
     #[test]
     fn apply_bumps_the_epoch_exactly_once_and_rollback_once_more() {
-        let (rt, service) = runtime("epochs");
+        let (rt, service, _dir) = runtime("epochs");
         let (v, state, _) = ack(rt.handle_stage("serving_limits", &limits(40.0)));
         assert_eq!((v, state.as_str()), (1, "staged"));
         let before = service.epoch();
@@ -488,7 +499,7 @@ mod tests {
 
     #[test]
     fn accept_promotes_without_an_epoch_bump() {
-        let (rt, service) = runtime("accept");
+        let (rt, service, _dir) = runtime("accept");
         ack(rt.handle_stage("serving_limits", &limits(40.0)));
         let (_, _, apply_epoch) = ack(rt.handle_apply(0));
         let (v, state, epoch) = ack(rt.handle_accept());
@@ -499,7 +510,8 @@ mod tests {
 
     #[test]
     fn activating_a_different_kind_resets_the_other_overlay_aspect() {
-        let (rt, service, limiter) = runtime_at(scratch("overlay"));
+        let dir = scratch("overlay");
+        let (rt, service, limiter) = runtime_at(dir.0.clone());
         // Accept a serving-limits overlay: admission capped at 40 rps.
         ack(rt.handle_stage("serving_limits", &limits(40.0)));
         ack(rt.handle_apply(0));
@@ -523,7 +535,8 @@ mod tests {
 
     #[test]
     fn resume_rolls_back_a_soaking_artifact_that_no_longer_activates() {
-        let dir = scratch("resume-soak-fallback");
+        let scratch = scratch("resume-soak-fallback");
+        let dir = &scratch.0;
         {
             let (rt, _, _) = runtime_at(dir.clone());
             ack(rt.handle_stage("serving_limits", &limits(40.0)));
@@ -544,12 +557,12 @@ mod tests {
             }
             other => panic!("expected ArtifactStatus, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_serves_boot_when_the_accepted_artifact_no_longer_activates() {
-        let dir = scratch("resume-active-fallback");
+        let scratch = scratch("resume-active-fallback");
+        let dir = &scratch.0;
         {
             let (rt, _, _) = runtime_at(dir.clone());
             ack(rt.handle_stage("serving_limits", &limits(40.0)));
@@ -578,7 +591,6 @@ mod tests {
             }
             other => panic!("expected ArtifactStatus, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A preset whose node count or any physical parameter is out of
@@ -586,7 +598,7 @@ mod tests {
     /// next good stage is still v1.
     #[test]
     fn out_of_range_presets_are_refused_without_journalling() {
-        let (rt, service) = runtime("bad-presets");
+        let (rt, service, _dir) = runtime("bad-presets");
         let spec = cbes_cluster::ClusterSpec::from_cluster(service.cluster());
         let json = serde_json::to_string(&spec).expect("spec encodes");
         // Each physical parameter in turn, spelled `1e999` (parsed as inf).
@@ -615,7 +627,7 @@ mod tests {
 
     #[test]
     fn unknown_kind_and_missing_store_paths_reply_with_errors() {
-        let (rt, _) = runtime("errors");
+        let (rt, _, _dir) = runtime("errors");
         assert!(matches!(
             rt.handle_stage("firmware", "{}"),
             Response::Error { .. }

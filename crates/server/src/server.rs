@@ -2,7 +2,8 @@
 //! owns sockets, framing, admission, deadlines and the drain; this
 //! module is what a frame *means* — parse, rate-gate, execute against
 //! the [`CbesService`], encode — plus the daemon's once-per-second
-//! anomaly sweep (flight triggers, artifact soak monitor).
+//! anomaly sweep (flight triggers, artifact soak monitor), which writes
+//! files and so runs only on a worker.
 //!
 //! Shutdown: a `Shutdown` request (or [`ServerHandle::shutdown`]) asks
 //! the layer to drain; every admitted request is answered first.
@@ -191,8 +192,8 @@ struct ServerMetrics {
     service_time: Arc<Histogram>,
     /// Served-request counters, one per row of [`ACTIONS`], in order.
     by_action: Vec<Arc<Counter>>,
-    /// Second stamp of the last once-per-second anomaly sweep
-    /// ([`Daemon::flight_checks`]); 0 = never swept.
+    /// Clock second of the last once-per-second anomaly sweep
+    /// ([`Daemon::flight_checks`]); the start's second until the first.
     last_flight_check: AtomicU64,
     /// Node health-transition count at the last anomaly sweep.
     last_health_transitions: AtomicU64,
@@ -211,7 +212,7 @@ impl ServerMetrics {
                 .iter()
                 .map(|spec| registry.counter(spec.counter))
                 .collect(),
-            last_flight_check: AtomicU64::new(0),
+            last_flight_check: AtomicU64::new(registry.clock().now().as_secs()),
             last_health_transitions: AtomicU64::new(0),
             start: registry.clock().now(),
             registry,
@@ -408,8 +409,13 @@ impl Handler for Daemon {
     /// [`inline`](crate::protocol::ActionSpec::inline) runs on the
     /// reactor, and the row is read off the envelope that then runs: no
     /// frame the decoder accepts can be taken for another action's. One
-    /// that does not decode is refused on the spot.
+    /// that does not decode is refused on the spot. The frame on which
+    /// the once-per-second sweep falls due queues, so a worker runs the
+    /// sweep.
     fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
+        if self.metrics.last_flight_check.load(Ordering::Relaxed) != self.second() {
+            return None;
+        }
         match decode_request(line) {
             Ok(envelope) if !envelope.request.spec().inline => None,
             decoded => Some(self.serve(decoded)),
@@ -417,7 +423,9 @@ impl Handler for Daemon {
     }
 
     fn execute(&self, line: &str) -> (Vec<u8>, bool) {
-        self.serve(decode_request(line))
+        let reply = self.serve(decode_request(line));
+        self.flight_checks();
+        reply
     }
 }
 
@@ -439,9 +447,9 @@ impl Daemon {
             metrics
                 .registry
                 .spans()
-                .span_rooted(spec.name, envelope.trace_id, envelope.parent_span)
+                .span_rooted(spec.span, envelope.trace_id, envelope.parent_span)
         } else {
-            metrics.registry.span(spec.name)
+            metrics.registry.span(spec.span)
         };
         let response = self.handle_request(envelope.request);
         span.finish_into(&metrics.service_time);
@@ -452,31 +460,30 @@ impl Daemon {
             metrics.net.errors.incr();
         }
         metrics.served.incr();
-        self.flight_checks();
         (encode_line(&ResponseEnvelope { id, response }), false)
     }
 
-    /// Once-per-second anomaly sweep run by whichever request first
-    /// crosses a second boundary: a node health-state transition trips a
-    /// (debounced) flight dump, and a soaking artifact is checked against
-    /// its shed budget. Every other request of the second pays one atomic
-    /// swap and returns.
+    /// The registry clock's second, which the sweep runs once in.
+    fn second(&self) -> u64 {
+        self.metrics.registry.clock().now().as_secs()
+    }
+
+    /// Once-per-second anomaly sweep, run on a worker by whichever
+    /// request first crosses a second boundary: a soaking artifact is
+    /// checked against its shed budget, a node health-state transition is
+    /// a flight event, and the (debounced) dump any trigger asked for
+    /// since the last sweep is written. Every other request of the second
+    /// pays one atomic swap and returns.
     fn flight_checks(&self) {
         let metrics = &self.metrics;
-        // The registry clock's second, +1 so "never swept" stays 0.
-        let now = metrics.registry.clock().now().as_secs() + 1;
-        let prev_check = metrics.last_flight_check.swap(now, Ordering::Relaxed);
-        if prev_check == now {
+        let now = self.second();
+        if metrics.last_flight_check.swap(now, Ordering::Relaxed) == now {
             return;
         }
         let transitions = self.service.health_transitions();
         let prev_transitions = metrics
             .last_health_transitions
             .swap(transitions, Ordering::Relaxed);
-        if prev_check == 0 {
-            // First sweep only seeds the baselines.
-            return;
-        }
         if let Some(runtime) = &self.reconfig {
             soak_check(runtime, metrics);
         }
@@ -485,6 +492,7 @@ impl Daemon {
             let detail = format!("{changed} node health transition(s) since the last sweep");
             metrics.registry.anomaly("health_transition", Some(detail));
         }
+        metrics.registry.dump_deferred();
     }
 
     fn handle_request(&self, request: Request) -> Response {
@@ -725,7 +733,16 @@ mod tests {
 
     #[test]
     fn the_reactor_runs_a_frame_only_if_the_row_it_decodes_to_says_so() {
-        let daemon = daemon();
+        let clock = Clock::manual();
+        let mut daemon = daemon();
+        daemon.metrics = ServerMetrics::new(Arc::new(Registry::with_clock(clock.clone())));
+        // The frame on which a new second's sweep falls due queues, and
+        // the worker that runs it sweeps.
+        assert!(daemon.inline(&stats_line(1)).is_some());
+        clock.advance(Duration::from_secs(1));
+        assert!(daemon.inline(&stats_line(2)).is_none());
+        daemon.execute(&stats_line(2));
+        assert!(daemon.inline(&stats_line(3)).is_some());
         // A member the decoder ignores, spelled the way a cheap action's
         // frame begins, ahead of the request itself.
         let decoy = "{\"id\":1,\"x\":{\"request\":\"Stats\"},";
@@ -744,11 +761,10 @@ mod tests {
             .filter(|s| !s.inline)
             .map(|s| s.action)
             .collect();
-        use Action::{Accept, Apply, DumpFlight, Rollback, Schedule, Stage};
-        assert_eq!(
-            queued,
-            [Schedule, DumpFlight, Stage, Apply, Accept, Rollback]
-        );
+        use Action::{Accept, Apply, ArtifactStatus as Status, DumpFlight, Rollback};
+        use Action::{Schedule, Stage};
+        let blocking = [Schedule, DumpFlight, Stage, Apply, Accept, Rollback, Status];
+        assert_eq!(queued, blocking);
         // What does not decode is refused on the spot, as a strike.
         let (_, malformed) = daemon.inline("{not json").expect("no worker needed");
         assert!(malformed);
@@ -781,16 +797,18 @@ mod tests {
         sweep(&other);
         daemon.metrics.net.queue_wait.record(120);
         let snap = daemon.metrics.snapshot(2);
-        assert_eq!(snap.counters[names::SERVER_SERVED], 1);
-        assert_eq!(snap.gauges[names::SERVER_QUEUE_DEPTH], 2.0);
-        assert_eq!(snap.histograms[names::SERVER_QUEUE_WAIT_US].count, 1);
-        assert_eq!(snap.histograms[names::SERVER_SERVICE_TIME_US].count, 1);
-        assert_eq!(snap.gauges[names::CORE_EPOCH], 1.0);
-        assert_eq!(snap.histograms[names::CORE_EPOCH_PUBLISH_US].count, 1);
-        assert_eq!(snap.counters[names::CORE_COMPARES], 0);
+        let (counters, gauges, hists) = (&snap.counters, &snap.gauges, &snap.histograms);
+        assert_eq!(counters[names::SERVER_SERVED.as_str()], 1);
+        assert_eq!(gauges[names::SERVER_QUEUE_DEPTH.as_str()], 2.0);
+        assert_eq!(hists[names::SERVER_QUEUE_WAIT_US.as_str()].count, 1);
+        assert_eq!(hists[names::SERVER_SERVICE_TIME_US.as_str()].count, 1);
+        assert_eq!(gauges[names::CORE_EPOCH.as_str()], 1.0);
+        assert_eq!(hists[names::CORE_EPOCH_PUBLISH_US.as_str()].count, 1);
+        assert_eq!(counters[names::CORE_COMPARES.as_str()], 0);
         let theirs = other.metrics.snapshot(0);
-        assert_eq!(theirs.counters[names::SERVER_SERVED], 2);
-        assert_eq!(theirs.histograms[names::CORE_EPOCH_PUBLISH_US].count, 2);
+        assert_eq!(theirs.counters[names::SERVER_SERVED.as_str()], 2);
+        let publishes = &theirs.histograms[names::CORE_EPOCH_PUBLISH_US.as_str()];
+        assert_eq!(publishes.count, 2);
     }
 
     #[test]

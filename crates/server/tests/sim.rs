@@ -2,7 +2,9 @@
 //! socket, no sleep. Bytes reach the core in chunks the test or the seed
 //! chooses, the pool's jobs are picked up, started and finished in the
 //! order it chooses, time is a manual clock, and a dial connects an
-//! in-memory link to a scripted upstream peer.
+//! in-memory link to a scripted upstream peer. The thread holds the
+//! reactor role except while it runs a job, as the epoll driver's
+//! reactor and workers do, so a blocking call the core reaches panics.
 //!
 //! The first six tests are the deterministic twins of the socket tests
 //! in `tests/net.rs`. The property test drives 1,000 seeded schedules
@@ -14,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cbes_obs::lock::Mutex;
+use cbes_obs::lock::{reactor, Mutex, Reactor};
 use cbes_obs::{Clock, Registry};
 use cbes_server::net::{self, Action, Control, Core, Done, Forward, Handler, Job, NetMetrics};
 use cbes_server::protocol::split_id;
@@ -182,14 +184,16 @@ struct Sim {
     dials: Vec<usize>,
     /// An action that broke a rule of the driver contract.
     violations: Vec<String>,
+    /// The thread's reactor role, put down while a job runs.
+    reactor: Option<Reactor>,
 }
 
 impl Sim {
-    /// A sim recording into `registry`, whose clock is not the sim's:
-    /// when it never moves, the shed-spike trigger stays in one second
-    /// and dumps at most once however many seeds share it.
-    fn new(config: &ServerConfig, upstreams: usize, registry: &Arc<Registry>) -> Sim {
-        let metrics = NetMetrics::new(registry);
+    /// A sim whose registry reads the sim's clock.
+    fn new(config: &ServerConfig, upstreams: usize) -> Sim {
+        let clock = Clock::manual();
+        let registry = Arc::new(Registry::with_clock(clock.clone()));
+        let metrics = NetMetrics::new(&registry);
         let addr = "127.0.0.1:0".parse().expect("literal address");
         let echo = |_: &Arc<Control>| {
             Ok(Echo {
@@ -203,19 +207,19 @@ impl Sim {
             core,
             workers: (0..control.workers()).map(|_| Worker::default()).collect(),
             control,
-            registry: registry.clone(),
+            registry,
             metrics,
-            clock: Clock::manual(),
+            clock,
             peers: BTreeMap::new(),
             queue: VecDeque::new(),
             dials: Vec::new(),
             violations: Vec::new(),
+            reactor: Some(reactor()),
         }
     }
 
-    /// A sim with a registry of its own.
     fn with(config: ServerConfig) -> Sim {
-        Sim::new(&config, 0, &frozen_registry())
+        Sim::new(&config, 0)
     }
 
     fn counter(&self, name: &str) -> u64 {
@@ -359,7 +363,9 @@ impl Sim {
     fn start(&mut self, w: usize) {
         let worker = &mut self.workers[w];
         let job = worker.run.pop_front().expect("a frame to start");
+        self.reactor = None;
         let done = job.run(self.core.handler().as_ref(), &self.control, &self.metrics);
+        self.reactor = Some(reactor());
         self.workers[w].done = Some(done);
     }
 
@@ -394,11 +400,6 @@ impl Sim {
         self.clock.advance(by);
         self.end_turn();
     }
-}
-
-/// A registry whose clock never moves.
-fn frozen_registry() -> Arc<Registry> {
-    Arc::new(Registry::with_clock(Clock::manual()))
 }
 
 /// A reply's id: every reply leads with it.
@@ -914,11 +915,11 @@ impl Sim {
 /// schedule of up to 400 ops, then let everything finish, drain, and
 /// check every client against its script. Every op goes to `ops` as it
 /// is taken; `Err` says which rule broke.
-fn run_seed(seed: u64, registry: &Arc<Registry>, ops: &mut Vec<Op>) -> Result<Transcript, String> {
+fn run_seed(seed: u64, ops: &mut Vec<Op>) -> Result<Transcript, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = config_for(&mut rng);
     let upstreams = 2 * rng.random_range(0..2usize);
-    let mut sim = Sim::new(&config, upstreams, registry);
+    let mut sim = Sim::new(&config, upstreams);
     let mut clients = Vec::new();
     for c in 1..=rng.random_range(1..4u64) {
         let window = match rng.random_range(0..3) {
@@ -1092,45 +1093,27 @@ fn check_client(client: &Client, peer: &Peer, strike_budget: u32) -> Result<(), 
     Ok(())
 }
 
-/// The flight dump a frozen registry's shed-spike writes, if any.
-fn remove_spike_dump(registry: &Registry) {
-    if registry.flight().dumps() == 0 {
-        return;
-    }
-    let dir = std::env::var_os("CBES_FLIGHT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir);
-    let dump = dir.join(format!("cbes-flight-{}-0.jsonl", std::process::id()));
-    std::fs::remove_file(dump).ok();
-}
-
 #[test]
 fn every_admitted_frame_is_answered_once_in_arrival_order_over_1000_schedules() {
-    let registry = frozen_registry();
     for seed in 0..1_000 {
         let mut ops = Vec::new();
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_seed(seed, &registry, &mut ops)
-        }));
+        let run =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_seed(seed, &mut ops)));
         let failure = match run {
             Ok(Ok(_)) => continue,
             Ok(Err(failure)) => failure,
             Err(_) => "the driver panicked".to_string(),
         };
-        remove_spike_dump(&registry);
         panic!("seed {seed}: {failure}\nops: {ops:?}\nreplay: run_seed({seed}, ..)");
     }
-    remove_spike_dump(&registry);
 }
 
 #[test]
 fn a_seed_replays_exactly() {
-    let registry = frozen_registry();
-    let run = |seed| run_seed(seed, &registry, &mut Vec::new()).expect("a passing seed");
+    let run = |seed| run_seed(seed, &mut Vec::new()).expect("a passing seed");
     for seed in [3, 17, 400] {
         let (first, again) = (run(seed), run(seed));
         assert_eq!(format!("{:?}", first.ops), format!("{:?}", again.ops));
         assert_eq!(first.received, again.received);
     }
-    remove_spike_dump(&registry);
 }
