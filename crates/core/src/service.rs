@@ -164,6 +164,14 @@ impl CbesService {
         self
     }
 
+    /// The same service recording into `obs`, whose clock it then reads
+    /// (say, one manual clock for every daemon a simulation hosts).
+    pub fn with_obs(mut self, obs: Arc<Registry>) -> Self {
+        self.instruments = CoreInstruments::new(&obs);
+        self.obs = obs;
+        self
+    }
+
     /// A service whose no-load latencies come from the cluster's own
     /// analytic topology model (no separate calibration).
     pub fn self_calibrated(cluster: Arc<Cluster>, forecast: ForecastKind) -> Self {

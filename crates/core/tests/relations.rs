@@ -1,11 +1,14 @@
-//! Two relations between the service's answers, over generated profiles,
+//! Relations between the service's answers, over generated profiles,
 //! loads and mappings, on both no-load providers (the port table and a
 //! calibrated `LatencyModel`):
 //!
 //! - NCS bounds CS: the compute-only score never exceeds the predicted
 //!   time, and equals it bit for bit when every rank's `C_i` is zero;
 //! - a batch is its candidates: `compare` over a permuted candidate list
-//!   returns the permuted predictions, bit for bit.
+//!   returns the permuted predictions, bit for bit;
+//! - more load never helps: less CPU on one node lowers no `R_i`, no
+//!   `C_i` and not `S_M`, and raises the `R_i` of every working rank
+//!   placed there; a busier NIC on one node lowers no `C_i`.
 
 use cbes_cluster::load::LoadState;
 use cbes_cluster::presets::two_switch_demo;
@@ -168,6 +171,74 @@ proptest! {
             let got = service.compare("app", &permuted).expect("the same candidates fit");
             for (k, &i) in order.iter().enumerate() {
                 prop_assert_eq!(bits(&got[k]), bits(&want[i]), "candidate {} at {}", i, k);
+            }
+        }
+    }
+
+    /// Eq. 5 divides a rank's work by its node's `ACPU`, and eq. 6's load
+    /// factor grows with `1 − ACPU`: lowering one node's `cpu_avail`
+    /// raises the `R_i` of every working rank placed there, lowers no
+    /// `R_i` or `C_i` anywhere, and so never lowers `S_M`.
+    #[test]
+    fn less_cpu_on_a_node_never_lowers_a_cost(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cluster = two_switch_demo();
+        let model = calibrated(&cluster, &mut rng);
+        let n = rng.random_range(1usize..10);
+        let app = profile(n, false, &mut rng);
+        let m = mapping(&cluster, n, &mut rng);
+        let before = load(&cluster, &mut rng);
+        let node = NodeId(rng.random_range(0u32..8));
+        let mut after = before.clone();
+        after.set_cpu_avail(node, before.cpu_avail(node) * rng.random_range(0.1..0.99));
+        for calibrated_arm in [false, true] {
+            let [was, is] = [&before, &after].map(|load| {
+                let mut snap = match calibrated_arm {
+                    false => SystemSnapshot::no_load(&cluster, &cluster),
+                    true => SystemSnapshot::no_load(&cluster, &model),
+                };
+                snap.set_load(load.clone());
+                Evaluator::new(&app, &snap).predict(&m)
+            });
+            prop_assert!(is.time >= was.time, "S_M {} -> {}", was.time, is.time);
+            for (rank, (a, b)) in was.per_proc.iter().zip(&is.per_proc).enumerate() {
+                prop_assert!(b.r >= a.r && b.c >= a.c, "rank {}: {:?} -> {:?}", rank, a, b);
+                let works = app.procs[rank].x > 0.0;
+                if works && m.node(rank) == node {
+                    prop_assert!(b.r > a.r, "rank {} on {:?}: R_i {} -> {}", rank, node, a.r, b.r);
+                }
+            }
+        }
+    }
+
+    /// Eq. 6's load factor grows with each endpoint's NIC load: raising
+    /// one node's `nic_load` lowers no `C_i` and leaves every `R_i` as
+    /// it was, bit for bit.
+    #[test]
+    fn a_busier_nic_never_lowers_a_communication_cost(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cluster = two_switch_demo();
+        let model = calibrated(&cluster, &mut rng);
+        let n = rng.random_range(1usize..10);
+        let app = profile(n, false, &mut rng);
+        let m = mapping(&cluster, n, &mut rng);
+        let before = load(&cluster, &mut rng);
+        let node = NodeId(rng.random_range(0u32..8));
+        let mut after = before.clone();
+        let nic = before.nic_load(node);
+        after.set_nic_load(node, nic + (1.0 - nic) * rng.random_range(0.01..1.0));
+        for calibrated_arm in [false, true] {
+            let [was, is] = [&before, &after].map(|load| {
+                let mut snap = match calibrated_arm {
+                    false => SystemSnapshot::no_load(&cluster, &cluster),
+                    true => SystemSnapshot::no_load(&cluster, &model),
+                };
+                snap.set_load(load.clone());
+                Evaluator::new(&app, &snap).predict(&m)
+            });
+            for (rank, (a, b)) in was.per_proc.iter().zip(&is.per_proc).enumerate() {
+                prop_assert!(b.c >= a.c, "rank {}: C_i {} -> {}", rank, a.c, b.c);
+                prop_assert_eq!(b.r.to_bits(), a.r.to_bits(), "rank {}", rank);
             }
         }
     }

@@ -23,14 +23,21 @@
 //! (the artifact store's fsyncs, the flight recorder's file write, the
 //! client's dial and round trip) calls [`blocking`] first, which panics
 //! in a debug build on a marked thread, naming the primitive and its
-//! caller. Release builds compile the check out.
+//! caller. Release builds compile the check out. The two waits no peer
+//! or disk ends, a sleep and a channel receive, have their one home here
+//! too ([`sleep`], [`recv`], [`recv_timeout`]), checked the same way;
+//! `clippy.toml` bans the raw ones everywhere else.
 #![expect(
     clippy::disallowed_types,
-    reason = "the one module that wraps the raw locks, each under a rank"
+    clippy::disallowed_methods,
+    reason = "the one module that wraps the raw locks (each under a rank) and the raw waits"
 )]
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
+use std::time::Duration;
+
+use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError};
 
 /// Declares the rank table once: a const per lock in [`rank`], and the
 /// label a violation names it by.
@@ -65,8 +72,6 @@ ranks! {
     RATE_LIMITER_STATE = 40, "rate_limiter.state";
     /// The router's membership table.
     MEMBERSHIP_STATE = 45, "membership.state";
-    /// One instance's idle connection pool in the router.
-    MEMBERSHIP_IDLE = 46, "membership.idle";
     /// The service's load monitor.
     SERVICE_MONITOR = 50, "service.monitor";
     /// The service's node-health tracker.
@@ -173,6 +178,34 @@ pub fn blocking(primitive: &str) {
         let caller = std::panic::Location::caller();
         panic!("blocking call on the reactor thread: {primitive} at {caller}");
     }
+}
+
+/// Sleep for `duration`, a [`blocking`] wait.
+#[cfg_attr(debug_assertions, track_caller)]
+pub fn sleep(duration: Duration) {
+    blocking("a sleep");
+    std::thread::sleep(duration);
+}
+
+/// The reactor's own wait: the epoll driver's backoff after a poll
+/// error, which runs on the reactor by design and so is not checked.
+pub fn unchecked_sleep(duration: Duration) {
+    std::thread::sleep(duration);
+}
+
+/// Wait for the next message on `rx`, a [`blocking`] wait.
+#[cfg_attr(debug_assertions, track_caller)]
+pub fn recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    blocking("a channel receive");
+    rx.recv()
+}
+
+/// Wait up to `timeout` for the next message on `rx`, a [`blocking`]
+/// wait.
+#[cfg_attr(debug_assertions, track_caller)]
+pub fn recv_timeout<T>(rx: &Receiver<T>, timeout: Duration) -> Result<T, RecvTimeoutError> {
+    blocking("a channel receive");
+    rx.recv_timeout(timeout)
 }
 
 /// A guard of a ranked lock: derefs to what the inner guard holds, and
@@ -321,12 +354,12 @@ mod tests {
 
     #[test]
     fn a_same_rank_nesting_panics() {
-        let pools: Vec<Mutex<Vec<u8>, MEMBERSHIP_IDLE>> = vec![Mutex::default(), Mutex::default()];
+        let buckets: Vec<Mutex<u8, RATE_LIMITER_STATE>> = vec![Mutex::default(), Mutex::default()];
         let msg = violation(|| {
-            let _a = pools[0].lock();
-            let _b = pools[1].lock();
+            let _a = buckets[0].lock();
+            let _b = buckets[1].lock();
         });
-        assert!(msg.contains("`membership.idle` (rank 46) while holding `membership.idle`"));
+        assert!(msg.contains("`rate_limiter.state` (rank 40) while holding `rate_limiter.state`"));
         let state = RwLock::<u8, MEMBERSHIP_STATE>::new(0);
         let msg = violation(|| {
             let _outer = state.read();
@@ -367,6 +400,24 @@ mod tests {
         assert!(catch_unwind(|| blocking("still the reactor")).is_err());
         drop(outer);
         blocking("off again");
+        // The wrapped waits are blocking calls like any other.
+        let (tx, rx) = crossbeam::channel::unbounded::<u8>();
+        tx.send(1).expect("the receiver is open");
+        assert_eq!(recv(&rx), Ok(1));
+        sleep(Duration::ZERO);
+        let msg = violation(|| {
+            let _reactor = reactor();
+            sleep(Duration::ZERO);
+        });
+        assert!(
+            msg.starts_with("blocking call on the reactor thread: a sleep at "),
+            "{msg}"
+        );
+        let msg = violation(|| {
+            let _reactor = reactor();
+            let _ = recv_timeout(&rx, Duration::ZERO);
+        });
+        assert!(msg.starts_with("blocking call on the reactor thread: a channel receive"));
         // The role is the thread's: another thread may block.
         let _reactor = reactor();
         std::thread::spawn(|| blocking("a worker"))

@@ -13,12 +13,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbes_core::health::{HealthPolicy, HealthTracker, NodeHealth};
-use cbes_obs::lock::{rank, Mutex, RwLock};
+use cbes_obs::lock::{rank, RwLock};
 use cbes_obs::{names, Counter, Registry};
 use cbes_server::protocol::{InstanceInfo, MembershipReport};
-use cbes_server::Client;
 
-/// Tuning for the membership table and its heartbeat loop.
+/// Tuning for the membership table and its heartbeat.
 #[derive(Debug, Clone)]
 pub struct MembershipConfig {
     /// Cluster name the tier serves (the first half of routing keys).
@@ -65,8 +64,8 @@ struct InstanceCounters {
     failed_over: Counter,
 }
 
-/// The shared membership table: seed addresses, health, epochs,
-/// per-instance routing counters and idle connections. Cheap to share
+/// The shared membership table: seed addresses, health, epochs and
+/// per-instance routing counters. Cheap to share
 /// (`Arc<Membership>`); the health/epoch state sits behind one
 /// short-held lock while the counters are atomics.
 pub struct Membership {
@@ -74,11 +73,6 @@ pub struct Membership {
     config: MembershipConfig,
     state: RwLock<State, { rank::MEMBERSHIP_STATE }>,
     counters: Vec<InstanceCounters>,
-    /// Per instance, the connections `fan_out` finished an exchange on.
-    /// Locked only to push or pop, never across I/O or under `state`.
-    /// Each caller gives back the one connection it took, so the pool
-    /// never outgrows the callers: the router's workers and heartbeat.
-    idle: Vec<Mutex<Vec<Client>, { rank::MEMBERSHIP_IDLE }>>,
     /// The router's one registry: the `router.*` instruments, the I/O
     /// layer's counters, the forward spans and the flight recorder.
     obs: Arc<Registry>,
@@ -92,10 +86,14 @@ pub struct Membership {
 }
 
 impl Membership {
-    /// A table over the static seed list `addrs`.
-    pub fn new(addrs: Vec<String>, config: MembershipConfig) -> Arc<Membership> {
+    /// A table over the static seed list `addrs`, recording into `obs`,
+    /// the router's one registry, whose clock the router reads.
+    pub fn new(
+        addrs: Vec<String>,
+        config: MembershipConfig,
+        obs: Arc<Registry>,
+    ) -> Arc<Membership> {
         let n = addrs.len();
-        let obs = Arc::new(Registry::new());
         Arc::new(Membership {
             counters: (0..n)
                 .map(|_| InstanceCounters {
@@ -104,7 +102,6 @@ impl Membership {
                     failed_over: Counter::new(),
                 })
                 .collect(),
-            idle: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             state: RwLock::new(State {
                 tracker: HealthTracker::new(n, config.policy),
                 epochs: vec![0; n],
@@ -144,20 +141,6 @@ impl Membership {
     /// The table's configuration.
     pub fn config(&self) -> &MembershipConfig {
         &self.config
-    }
-
-    /// An idle connection to `instance` that is still good to ask (see
-    /// [`Client::is_idle`]); pooled ones that are not are dropped here.
-    pub(crate) fn take_idle(&self, instance: usize) -> Option<Client> {
-        let idle = self.idle.get(instance)?;
-        std::iter::from_fn(|| idle.lock().pop()).find(Client::is_idle)
-    }
-
-    /// Pool a connection to `instance` after a complete exchange on it.
-    pub(crate) fn keep_idle(&self, instance: usize, client: Client) {
-        if let Some(idle) = self.idle.get(instance) {
-            idle.lock().push(client);
-        }
     }
 
     /// Record one heartbeat sweep: `probes[i]` is `Some(epoch)` when
@@ -391,6 +374,7 @@ mod tests {
                 },
                 ..MembershipConfig::default()
             },
+            Arc::default(),
         )
     }
 

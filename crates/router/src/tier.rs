@@ -1,35 +1,38 @@
-//! The tier runtime: heartbeat probing, leader-driven snapshot
-//! replication, and a proxy daemon speaking the ordinary CBES wire
-//! protocol.
+//! The tier runtime: a proxy daemon speaking the ordinary CBES wire
+//! protocol, as a handler on the daemon's I/O layer. It reaches its
+//! instances only through that layer's core: hash-routed evaluations are
+//! relayed, every other forwarded action is a scatter the core writes
+//! once to each target and gathers for a fold here, and the heartbeat
+//! is a scatter of `Stats` probes the core sends on its own clock. The
+//! router opens no socket and runs no thread of its own.
 //!
 //! Replication is leader-push: monitoring sweeps go to the leader
 //! (lowest usable instance), which assigns the epoch; the router then
-//! relays the same sweep to every other usable instance as
-//! `Replicate { epoch, .. }`. Followers adopt an epoch at most once,
-//! so the push is idempotent, and because the push happens inline the
-//! steady-state staleness between leader and followers is bounded by
-//! one in-flight sweep — the heartbeat publishes the measured bound as
-//! the `router.replication_lag_epochs` gauge.
+//! pushes the same sweep to every other usable instance as
+//! `Replicate { epoch, .. }` before it answers. Followers adopt an
+//! epoch at most once, so the push is idempotent, and the staleness
+//! between leader and followers is bounded by the sweeps in flight —
+//! the heartbeat publishes the measured bound as the
+//! `router.replication_lag_epochs` gauge.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::membership::{Membership, MembershipConfig};
 use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
 use cbes_core::health::NodeHealth;
 use cbes_obs::{names, Counter};
-use cbes_server::net::{self, encode_line, Control, Forward, Handler, NetHandle, NetMetrics};
+use cbes_server::client::decode_reply;
+use cbes_server::net::{
+    self, encode_line, Control, Core, Forward, Gathered, Handler, NetHandle, NetMetrics, Next,
+    Route, Scatter, Upstreams, Wake,
+};
 use cbes_server::protocol::{
     decode_request, encode, error_kind, route_key_hash, split_id, ActionSpec, ForwardMode, Request,
-    Response, ResponseEnvelope, SpanSnapshot, StatsReport,
+    RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport,
 };
-use cbes_server::{Client, ClientError, ServerConfig};
-
-/// How often the sleeping heartbeat re-checks the shutdown flag.
-const HEARTBEAT_SLICE: Duration = Duration::from_millis(50);
+use cbes_server::{ClientError, ServerConfig};
 
 /// Configuration for [`RouterServer::start`].
 #[derive(Debug, Clone)]
@@ -42,157 +45,10 @@ pub struct TierConfig {
     pub membership: MembershipConfig,
 }
 
-/// What a fan-out came back with: each target's seed index and its
-/// reply, an error reply being a [`ClientError::Server`].
-pub type Replies = Vec<(usize, Result<Response, ClientError>)>;
-
-/// Ask each of `targets` (seed indices) `request`, over an idle pooled
-/// connection to it or else one dialled within the probe timeout, with
-/// the request written to every target before any reply is read. The
-/// only place the router dials an instance: the heartbeat, the
-/// replication push and every worker-run forwarding mode go through it.
-/// Nothing is re-sent. A connection goes back to the pool only after a
-/// complete exchange: a reply, or an error reply other than
-/// `shutting_down`.
-pub fn fan_out(membership: &Membership, targets: &[usize], request: &Request) -> Replies {
-    let timeout = membership.config().probe_timeout;
-    let dial = |i: usize| {
-        let addr = membership.addrs().get(i);
-        let addr = addr.ok_or_else(|| ClientError::Protocol(format!("no instance #{i}")))?;
-        Client::connect_timeout(addr.as_str(), timeout)
-    };
-    let (mut replies, mut open): (Replies, Vec<_>) = (Vec::new(), Vec::new());
-    for &i in targets {
-        match membership.take_idle(i).map_or_else(|| dial(i), Ok) {
-            Ok(client) => open.push((i, client)),
-            Err(e) => replies.push((i, Err(e))),
-        }
-    }
-    let (asked, mut clients): (Vec<usize>, Vec<Client>) = open.into_iter().unzip();
-    let answers = Client::call_each(&mut clients, request);
-    for ((i, client), reply) in asked.into_iter().zip(clients).zip(answers) {
-        let complete = match &reply {
-            Err(ClientError::Server { kind, .. }) => kind != error_kind::SHUTTING_DOWN,
-            other => other.is_ok(),
-        };
-        if complete {
-            membership.keep_idle(i, client);
-        }
-        replies.push((i, reply));
-    }
-    // Target order, which the folds' "first" and failure lists follow.
-    replies.sort_by_key(|&(i, _)| targets.iter().position(|&t| t == i));
-    replies
-}
-
-/// [`fan_out`] for a request the tier was sent (the heartbeat's probes
-/// are the router's own questions), under the one forwarding rule: an
-/// instance that answered with a non-error reply is counted as served.
-fn fan_out_counted(membership: &Membership, targets: &[usize], request: &Request) -> Replies {
-    let replies = fan_out(membership, targets, request);
-    let served = replies.iter().filter(|(_, reply)| reply.is_ok());
-    served.for_each(|(i, _)| membership.count_forwarded(*i));
-    replies
-}
-
-/// Probe every instance once: a `Stats` round-trip within the probe
-/// timeout, yielding the instance's epoch. Returns one entry per seed.
-pub fn probe_instances(membership: &Membership) -> Vec<Option<u64>> {
-    let everyone: Vec<usize> = (0..membership.len()).collect();
-    let probes = fan_out(membership, &everyone, &Request::Stats).into_iter();
-    let epoch = |reply| match reply {
-        Ok(Response::Stats { stats }) => Some(stats.epoch),
-        _ => None,
-    };
-    probes.map(|(_, reply)| epoch(reply)).collect()
-}
-
-/// Run the heartbeat loop until `shutdown` flips: probe all instances,
-/// feed the sweep to the membership table, write the flight dump any
-/// trigger asked for (the reactor's shed spike included), sleep one
-/// interval.
-pub fn heartbeat_loop(membership: &Arc<Membership>, shutdown: &AtomicBool) {
-    let interval = membership.config().heartbeat;
-    while !shutdown.load(Ordering::Acquire) {
-        let probes = probe_instances(membership);
-        membership.record_probes(&probes);
-        membership.obs().dump_deferred();
-        // Sleep in small slices so shutdown is prompt.
-        let mut left = interval;
-        while !left.is_zero() && !shutdown.load(Ordering::Acquire) {
-            let slice = left.min(HEARTBEAT_SLICE);
-            std::thread::sleep(slice);
-            left = left.saturating_sub(slice);
-        }
-    }
-}
-
-/// Spawn [`heartbeat_loop`] on its own thread.
-pub fn spawn_heartbeat(membership: Arc<Membership>, shutdown: Arc<AtomicBool>) -> JoinHandle<()> {
-    std::thread::spawn(move || heartbeat_loop(&membership, &shutdown))
-}
-
-/// Publish one monitoring sweep through the tier: the leader observes
-/// it (assigning the epoch), then every other usable instance receives
-/// it as `Replicate { epoch, .. }`. A dead leader is skipped in favour
-/// of the next usable instance, whose replicated epoch keeps the line
-/// monotone. Returns the published epoch.
-pub fn observe_tier(
-    membership: &Membership,
-    load: &LoadState,
-    silent: &[u32],
-) -> Result<u64, ClientError> {
-    let (mut order, leader) = (membership.usable(), membership.leader());
-    order.sort_by_key(|&i| Some(i) != leader);
-    let observe = match silent {
-        [] => Request::ObserveLoad { load: load.clone() },
-        _ => Request::ObservePartial {
-            load: load.clone(),
-            silent: silent.to_vec(),
-        },
-    };
-    let mut last = ClientError::Io(std::io::Error::new(
-        std::io::ErrorKind::NotConnected,
-        "no usable instance to observe through",
-    ));
-    for (slot, &i) in order.iter().enumerate() {
-        // One candidate at a time: the first to take the sweep assigns
-        // its epoch.
-        let epoch = match fan_out_counted(membership, &[i], &observe).pop() {
-            Some((_, Ok(Response::LoadObserved { epoch }))) => epoch,
-            Some((_, Err(e))) => {
-                last = e;
-                continue;
-            }
-            other => {
-                last = ClientError::Protocol(format!("expected LoadObserved reply, got {other:?}"));
-                continue;
-            }
-        };
-        membership.note_epoch(i, epoch);
-        if slot > 0 {
-            membership.count_failed_over(i);
-        }
-        let followers: Vec<usize> = order.iter().copied().filter(|&f| f != i).collect();
-        let push = Request::Replicate {
-            epoch,
-            load: load.clone(),
-            silent: silent.to_vec(),
-        };
-        let pushed = fan_out_counted(membership, &followers, &push);
-        let replications = membership.obs().counter(names::ROUTER_REPLICATIONS);
-        for (follower, reply) in pushed {
-            // A failed push is left to the heartbeat: the instance will
-            // age toward Down, and its lag shows in the gauge meanwhile.
-            if let Ok(Response::Replicated { epoch: theirs, .. }) = reply {
-                membership.note_epoch(follower, theirs.max(epoch));
-                replications.incr();
-            }
-        }
-        return Ok(epoch);
-    }
-    Err(last)
-}
+/// What a scatter came back with: each target's seed index and its
+/// reply, an error reply being a [`ClientError::Server`] and a target
+/// that gave none a [`ClientError::Io`] naming the miss.
+type Replies = Vec<(usize, Result<Response, ClientError>)>;
 
 /// The routing proxy daemon: the [`cbes_server::net`] I/O layer's second
 /// handler. It heartbeats its seeds and answers the CBES wire protocol
@@ -203,8 +59,8 @@ pub fn observe_tier(
 pub struct RouterServer;
 
 impl RouterServer {
-    /// Bind `config.addr`, start the heartbeat, and serve until shut
-    /// down.
+    /// Bind `config.addr` and serve until shut down; the first
+    /// heartbeat goes out at once.
     pub fn start(config: TierConfig) -> std::io::Result<RouterTierHandle> {
         let limits = ServerConfig {
             addr: config.addr,
@@ -212,21 +68,32 @@ impl RouterServer {
         };
         // One registry per router, held by its membership table: the
         // layer's `server.*` counters live there beside `router.*`.
-        let membership = Membership::new(config.seeds, config.membership);
+        let membership = Membership::new(config.seeds, config.membership, Arc::default());
+        let net = net::start(&limits, |addr, wake| {
+            RouterServer::assemble(&membership, addr, wake)
+        })?;
+        Ok(RouterTierHandle { net, membership })
+    }
+
+    /// The router over `membership` and the core that serves it, built
+    /// for a driver to run (no socket is bound): `addr` is what it
+    /// reports as its own, `wake` what a shutdown calls. The core's
+    /// upstreams are the seeds, and its clock is the registry's.
+    pub fn assemble(
+        membership: &Arc<Membership>,
+        addr: SocketAddr,
+        wake: Wake,
+    ) -> std::io::Result<(Arc<Control>, Core<impl Handler>)> {
         let metrics = NetMetrics::new(membership.obs());
-        let net = net::start(&limits, metrics, |control| {
+        let obs = membership.obs();
+        net::assemble(&ServerConfig::default(), addr, metrics, wake, |control| {
             Ok(Router {
                 ring: HashRing::new(membership.len()),
-                giveups: membership.obs().counter(names::ROUTER_GIVEUPS),
+                giveups: obs.counter(names::ROUTER_GIVEUPS),
+                replications: obs.counter(names::ROUTER_REPLICATIONS),
                 membership: membership.clone(),
                 net: control.clone(),
             })
-        })?;
-        let heartbeat = spawn_heartbeat(membership.clone(), net.control().shutdown_flag());
-        Ok(RouterTierHandle {
-            net,
-            membership,
-            heartbeat,
         })
     }
 }
@@ -236,7 +103,6 @@ impl RouterServer {
 pub struct RouterTierHandle {
     net: NetHandle,
     membership: Arc<Membership>,
-    heartbeat: JoinHandle<()>,
 }
 
 impl RouterTierHandle {
@@ -259,7 +125,6 @@ impl RouterTierHandle {
     /// local [`Self::shutdown`] — and its threads exit.
     pub fn join(mut self) {
         self.net.join();
-        let _ = self.heartbeat.join();
     }
 
     /// Trigger shutdown and wait for the router's threads to exit.
@@ -276,14 +141,55 @@ struct Router {
     ring: HashRing,
     /// Hash-routed requests answered `no usable instance owns this key`.
     giveups: Arc<Counter>,
+    /// Followers that acknowledged a `Replicate` push.
+    replications: Arc<Counter>,
     net: Arc<Control>,
 }
 
+/// What a scatter's fold makes of its replies: one variant per way a
+/// forwarding mode answers.
+enum Fold {
+    /// The heartbeat's `Stats` probes, one per seed.
+    Probes,
+    /// `merge` rows.
+    Stats,
+    Metrics,
+    Trace(u64),
+    ArtifactStatus,
+    /// `broadcast` rows every instance must hold alike.
+    AllOrError,
+    /// `replicate`: the first ack.
+    FirstAck,
+    Shutdown,
+    DumpFlight,
+    /// `leader`, first phase: the sweep, offered to one instance.
+    Observe(Box<Sweep>),
+    /// `leader`, second phase: the epoch the leader assigned, pushed to
+    /// the followers.
+    Push(u64),
+}
+
+/// A monitoring sweep on its way through the tier.
+struct Sweep {
+    /// The sweep as its client framed it, after the id.
+    tail: String,
+    load: LoadState,
+    silent: Vec<u32>,
+    /// The trace id and this hop's span, for the push.
+    trace: (u64, u64),
+    /// The usable instances, the leader first.
+    order: Vec<usize>,
+    /// Which of them has it: the first to take it assigns its epoch.
+    slot: usize,
+}
+
 impl Handler for Router {
-    /// The worker-run verbs: each asks through `fan_out` and waits on a peer,
-    /// so none runs on the reactor (`inline` stays `None`). A frame
-    /// that does not decode is refused here too, unattributable (id 0)
-    /// and as a strike against its connection.
+    type Gather = Fold;
+
+    /// Only `local` rows reach a worker: each is answered from the
+    /// router's own state. A frame that does not decode is refused here
+    /// too, unattributable (id 0) and as a strike against its
+    /// connection.
     fn execute(&self, line: &str) -> (Vec<u8>, bool) {
         let envelope = match decode_request(line) {
             Ok(envelope) => envelope,
@@ -292,10 +198,6 @@ impl Handler for Router {
                 return (encode_line(&ResponseEnvelope { id: 0, response }), true);
             }
         };
-        // A traced envelope joins the caller's trace here, and —
-        // because `Client::request` stamps outgoing envelopes from the
-        // live trace context — every hop this dispatch forwards carries
-        // the same trace id with the router's span as the remote parent.
         let _span = (envelope.trace_id != 0).then(|| {
             self.membership.obs().spans().span_rooted(
                 names::SPAN_ROUTER_FORWARD,
@@ -303,49 +205,72 @@ impl Handler for Router {
                 envelope.parent_span,
             )
         });
-        let response = self.dispatch(&envelope.request);
+        let membership = &self.membership;
+        let response = match &envelope.request {
+            Request::Route { cluster, app } => {
+                let hash = route_key_hash(cluster, app);
+                let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
+                let report = membership.report();
+                let mut infos = candidates
+                    .iter()
+                    .filter_map(|&i| report.instances.get(i).cloned());
+                match infos.next() {
+                    Some(primary) => Response::Routed {
+                        hash,
+                        primary,
+                        replicas: infos.collect(),
+                    },
+                    None => {
+                        let why = "the tier has no seeded instances";
+                        Response::error(error_kind::SERVICE, why)
+                    }
+                }
+            }
+            Request::Membership => Response::Membership {
+                membership: membership.report(),
+            },
+            // `forward` sends every other row on the reactor; one that
+            // reached a worker is a stray, refused like any other.
+            _ => {
+                let why = "forwarded requests are not executed";
+                Response::error(error_kind::BAD_REQUEST, why)
+            }
+        };
         let id = envelope.id;
         (encode_line(&ResponseEnvelope { id, response }), false)
     }
 
-    fn upstreams(&self) -> (Vec<String>, Duration) {
-        let membership = &self.membership;
-        (
-            membership.addrs().to_vec(),
-            membership.config().probe_timeout,
-        )
+    fn upstreams(&self) -> Upstreams {
+        let config = self.membership.config();
+        Upstreams {
+            addrs: self.membership.addrs().to_vec(),
+            attempt_timeout: config.probe_timeout,
+            heartbeat: Some(config.heartbeat),
+        }
     }
 
-    /// Hash-routed evaluations never reach a worker: the reactor relays
-    /// them to the key's owner. The frame is validated and keyed here —
-    /// one that does not decode is left to `execute` to refuse, never
-    /// forwarded, so no peer can spend the shared backend socket's
-    /// strike budget — and goes out as the bytes it came in, minus its
-    /// id and, when traced, with this hop's span as its parent. Only a
-    /// frame not in the canonical spelling is re-encoded.
-    fn relay(&self, line: &str) -> Option<Forward> {
+    /// Every row but the `local` ones leaves on the reactor, planned by
+    /// one `match` over the decoded request with no wildcard: a new
+    /// action without an arm does not compile. Each arm names the mode
+    /// it implements, and a debug build holds that to the action
+    /// table's `forward` column. The frame is validated here — one that
+    /// does not decode is left to `execute` to refuse, never forwarded,
+    /// so no peer can spend a backend link's strike budget — and goes
+    /// out as the bytes it came in, minus its id and, when traced, with
+    /// this hop's span as its parent. Only a frame not in the canonical
+    /// spelling is re-encoded.
+    fn forward(&self, line: &str) -> Option<Forward<Fold>> {
         let canonical = split_id(line).map(|(_, tail)| tail);
-        // What is visibly not hash-routed is not parsed twice.
+        // What is visibly answered locally is not parsed twice.
         let tag = canonical.and_then(|tail| tail.strip_prefix(",\"request\":"));
         let tag = tag.and_then(|rest| rest.strip_prefix('"').or(rest.strip_prefix("{\"")));
         let tag = tag.and_then(|rest| rest.split('"').next());
-        let mode = tag.map(|tag| ActionSpec::by_tag(tag).map(|spec| spec.forward));
-        if mode.is_some_and(|mode| mode != Some(ForwardMode::Hash)) {
+        let mode = tag.and_then(|tag| Some(ActionSpec::by_tag(tag)?.forward));
+        if mode == Some(ForwardMode::Local) {
             return None;
         }
         let mut envelope = decode_request(line).ok()?;
-        let (Request::Compare { app, .. }
-        | Request::BestOf { app, .. }
-        | Request::Schedule { app, .. }
-        | Request::Batch { app, .. }) = &envelope.request
-        else {
-            return None;
-        };
         let membership = &self.membership;
-        let hash = route_key_hash(&membership.config().cluster, app);
-        let mut candidates = self.ring.candidates(hash, membership.config().replicas + 1);
-        let primary = candidates.first().copied().unwrap_or(usize::MAX);
-        candidates.retain(|&i| membership.health(i) != NodeHealth::Down);
         let caller = envelope.parent_span;
         let span = (envelope.trace_id != 0).then(|| {
             let hop = membership.obs().spans().span_detached(
@@ -375,12 +300,87 @@ impl Handler for Router {
             Some(tail) => tail,
             None => split_id(&encode(&envelope))?.1.to_string(),
         };
+        let spec = envelope.request.spec();
+        let implements = |mode: ForwardMode| debug_assert_eq!(spec.forward, mode, "{}", spec.name);
+        // `Merge` and `Broadcast` both go to every usable instance; they
+        // differ in what the fold makes of the replies.
+        let everyone = |mode: ForwardMode, fold| {
+            implements(mode);
+            (membership.usable(), fold)
+        };
+        let trace = (envelope.trace_id, envelope.parent_span);
+        let observe = |load, silent| {
+            implements(ForwardMode::Leader);
+            let (mut order, leader) = (membership.usable(), membership.leader());
+            order.sort_by_key(|&i| Some(i) != leader);
+            let first = order.iter().copied().take(1).collect();
+            let sweep = Sweep {
+                tail: tail.clone(),
+                load,
+                silent,
+                trace,
+                order,
+                slot: 0,
+            };
+            (first, Fold::Observe(Box::new(sweep)))
+        };
+        use ForwardMode::{Broadcast, Hash, Local, Merge};
+        let (targets, state) = match envelope.request {
+            Request::Compare { app, .. }
+            | Request::BestOf { app, .. }
+            | Request::Schedule { app, .. }
+            | Request::Batch { app, .. } => {
+                implements(Hash);
+                let hash = route_key_hash(&membership.config().cluster, &app);
+                let mut candidates = self.ring.candidates(hash, membership.config().replicas + 1);
+                let primary = candidates.first().copied().unwrap_or(usize::MAX);
+                candidates.retain(|&i| membership.health(i) != NodeHealth::Down);
+                let route = Route::Relay {
+                    tail,
+                    candidates,
+                    primary,
+                };
+                let id = envelope.id;
+                return Some(Forward { id, span, route });
+            }
+            Request::ObserveLoad { load } => observe(load, Vec::new()),
+            Request::ObservePartial { load, silent } => observe(load, silent),
+            Request::Stats => everyone(Merge, Fold::Stats),
+            Request::Metrics => everyone(Merge, Fold::Metrics),
+            Request::Trace { trace_id } => everyone(Merge, Fold::Trace(trace_id)),
+            Request::ArtifactStatus => everyone(Merge, Fold::ArtifactStatus),
+            // What every instance must hold alike is all-or-error: a
+            // profile one instance missed makes every key it owns answer
+            // `unknown app`, which no failover repairs.
+            Request::RegisterProfile { .. }
+            | Request::Stage { .. }
+            | Request::Apply
+            | Request::Accept
+            | Request::Rollback { .. } => everyone(Broadcast, Fold::AllOrError),
+            Request::Replicate { .. } => everyone(Broadcast, Fold::FirstAck),
+            Request::Shutdown => {
+                // Draining the tier drains the router too. Its own drain
+                // starts first, so a request that finds every instance
+                // already gone is told `shutting_down`; the drain lets
+                // this scatter out, as it does every forward before it.
+                self.net.shutdown();
+                everyone(Broadcast, Fold::Shutdown)
+            }
+            Request::DumpFlight => everyone(Broadcast, Fold::DumpFlight),
+            Request::Route { .. } | Request::Membership => {
+                implements(Local);
+                return None;
+            }
+        };
+        let route = Route::Scatter(Scatter {
+            tail,
+            targets,
+            state,
+        });
         Some(Forward {
             id: envelope.id,
-            tail,
-            candidates,
-            primary,
             span,
+            route,
         })
     }
 
@@ -402,49 +402,71 @@ impl Handler for Router {
         };
         encode_line(&ResponseEnvelope { id, response })
     }
-}
 
-impl Router {
-    /// Answer one worker-run request. The match is over the request
-    /// itself and has no wildcard, so an action without an arm does not
-    /// compile. Each arm names the forwarding mode it implements where it
-    /// picks its targets; the action table's `forward` column *declares*
-    /// that mode (the relay and DESIGN §11 read the column), and a debug
-    /// build holds the two together.
-    fn dispatch(&self, request: &Request) -> Response {
-        use ForwardMode::{Broadcast, Hash, Leader, Local, Merge};
+    /// A `Stats` probe to every seed, answered or not.
+    fn probe(&self) -> Option<Scatter<Fold>> {
+        let line = encode(&RequestEnvelope::new(0, Request::Stats));
+        Some(Scatter {
+            tail: split_id(&line)?.1.to_string(),
+            targets: (0..self.membership.len()).collect(),
+            state: Fold::Probes,
+        })
+    }
+
+    /// Each fold, on a worker. One rule counts `forwarded`: an instance
+    /// that answered a request of the tier's (not a heartbeat probe)
+    /// with a non-error reply.
+    fn gathered(&self, fold: Fold, gathered: Vec<Gathered>) -> Next<Fold> {
         let membership = &self.membership;
-        let implements = |mode: ForwardMode| {
-            debug_assert_eq!(request.spec().forward, mode, "{}", request.spec().name);
-        };
-        // `Merge` and `Broadcast` both go to every usable instance; they
-        // differ in what is made of the replies.
-        let ask = |mode: ForwardMode| {
-            implements(mode);
-            fan_out_counted(membership, &membership.usable(), request)
-        };
-        let observe = |load: &LoadState, silent: &[u32]| {
-            implements(Leader);
-            match observe_tier(membership, load, silent) {
-                Ok(epoch) => Response::LoadObserved { epoch },
-                Err(e) => Response::error(error_kind::SERVICE, e.to_string()),
-            }
-        };
-        let first_ack = |replies: Replies| replies.into_iter().find_map(|(_, reply)| reply.ok());
+        let replies: Replies = gathered
+            .into_iter()
+            .map(|(i, reply)| match reply {
+                Ok(line) => (i, decode_reply(&line)),
+                Err(miss) => (i, Err(std::io::Error::other(miss.to_string()).into())),
+            })
+            .collect();
+        if !matches!(fold, Fold::Probes) {
+            let served = replies.iter().filter(|(_, reply)| reply.is_ok());
+            served.for_each(|(i, _)| membership.count_forwarded(*i));
+        }
         let unanswered = || Response::error(error_kind::SERVICE, "no usable instance answered");
-        match request {
-            Request::ObserveLoad { load } => observe(load, &[]),
-            Request::ObservePartial { load, silent } => observe(load, silent),
-            Request::Stats => {
-                let stats = parts(ask(Merge), |reply| match reply {
+        Next::Reply(match fold {
+            Fold::Probes => {
+                let epoch = |reply| match reply {
+                    Ok(Response::Stats { stats }) => Some(stats.epoch),
+                    _ => None,
+                };
+                let probes: Vec<_> = replies.into_iter().map(|(_, r)| epoch(r)).collect();
+                membership.record_probes(&probes);
+                // Any flight trigger's dump, the reactor's shed spike
+                // included, is written here, off the reactor.
+                membership.obs().dump_deferred();
+                // No client asks for the heartbeat's answer.
+                Response::ShuttingDown
+            }
+            Fold::Observe(sweep) => return self.observed(*sweep, replies),
+            Fold::Push(epoch) => {
+                for (follower, reply) in replies {
+                    // A failed push is left to the heartbeat: the instance
+                    // will age toward Down, and its lag shows in the gauge
+                    // meanwhile.
+                    if let Ok(Response::Replicated { epoch: theirs, .. }) = reply {
+                        membership.note_epoch(follower, theirs.max(epoch));
+                        self.replications.incr();
+                    }
+                }
+                Response::LoadObserved { epoch }
+            }
+            Fold::Stats => {
+                let stats = parts(replies, |reply| match reply {
                     Response::Stats { stats } => Some(stats),
                     _ => None,
                 });
                 let merged = stats.reduce(merge_stats);
                 merged.map_or_else(unanswered, |stats| Response::Stats { stats })
             }
-            Request::Metrics => {
-                let metrics = parts(ask(Merge), |reply| match reply {
+            Fold::Metrics => {
+                let metrics = parts(replies, |reply| match reply {
                     Response::Metrics { metrics } => Some(metrics),
                     _ => None,
                 });
@@ -460,15 +482,14 @@ impl Router {
                 });
                 merged.map_or_else(unanswered, |metrics| Response::Metrics { metrics })
             }
-            Request::Trace { trace_id } => {
-                let trace_id = *trace_id;
-                let mut fragments = parts(ask(Merge), |reply| match reply {
+            Fold::Trace(trace_id) => {
+                let mut fragments = parts(replies, |reply| match reply {
                     Response::Traces { spans, .. } => Some(spans),
                     _ => None,
                 })
                 .peekable();
                 if fragments.peek().is_none() {
-                    return unanswered();
+                    return Next::Reply(unanswered());
                 }
                 // The router's own forwarding spans are part of the trace
                 // too — without them the tier-wide view has no root
@@ -479,38 +500,27 @@ impl Router {
                 spans.sort_by_key(|a| (a.start_us, a.id));
                 Response::Traces { trace_id, spans }
             }
-            Request::ArtifactStatus => {
-                let mut rows = parts(ask(Merge), |reply| match reply {
+            Fold::ArtifactStatus => {
+                let mut rows = parts(replies, |reply| match reply {
                     Response::ArtifactStatus { status } => Some(status.instances),
                     _ => None,
                 })
                 .peekable();
                 if rows.peek().is_none() {
-                    return unanswered();
+                    return Next::Reply(unanswered());
                 }
                 let mut instances: Vec<_> = rows.flatten().collect();
                 instances.sort_by(|a, b| a.addr.cmp(&b.addr));
                 let status = cbes_reconfig::StatusReport { instances };
                 Response::ArtifactStatus { status }
             }
-            // What every instance must hold alike is all-or-error: a
-            // profile one instance missed makes every key it owns answer
-            // `unknown app`, which no failover repairs.
-            Request::RegisterProfile { .. }
-            | Request::Stage { .. }
-            | Request::Apply
-            | Request::Accept
-            | Request::Rollback { .. } => all_or_error(membership.addrs(), ask(Broadcast)),
-            Request::Replicate { .. } => first_ack(ask(Broadcast)).unwrap_or_else(unanswered),
-            Request::Shutdown => {
-                // Draining the tier drains the router too. Its own drain
-                // starts first, so a request that finds every instance
-                // already gone is told `shutting_down`.
-                self.net.shutdown();
-                ask(Broadcast);
-                Response::ShuttingDown
+            Fold::AllOrError => all_or_error(membership.addrs(), replies),
+            Fold::FirstAck => {
+                let first = replies.into_iter().find_map(|(_, reply)| reply.ok());
+                first.unwrap_or_else(unanswered)
             }
-            Request::DumpFlight => {
+            Fold::Shutdown => Response::ShuttingDown,
+            Fold::DumpFlight => {
                 // The router is part of the tier: it dumps its own
                 // recorder alongside the instances'. The reply names every
                 // file, the router's first, and counts every event.
@@ -519,59 +529,79 @@ impl Router {
                 let own = own
                     .ok()
                     .map(|(path, events)| (path.display().to_string(), events as u64));
-                let theirs = parts(ask(Broadcast), |reply| match reply {
+                let theirs = parts(replies, |reply| match reply {
                     Response::FlightDumped { path, events } => Some((path, events)),
                     _ => None,
                 });
                 let (paths, counts): (Vec<String>, Vec<u64>) =
                     own.into_iter().chain(theirs).unzip();
                 if paths.is_empty() {
-                    return unanswered();
+                    return Next::Reply(unanswered());
                 }
                 Response::FlightDumped {
                     path: paths.join(", "),
                     events: counts.iter().sum(),
                 }
             }
-            Request::Route { cluster, app } => {
-                implements(Local);
-                let hash = route_key_hash(cluster, app);
-                let candidates = self.ring.candidates(hash, membership.config().replicas + 1);
-                let report = membership.report();
-                let mut infos = candidates
-                    .iter()
-                    .filter_map(|&i| report.instances.get(i).cloned());
-                let Some(primary) = infos.next() else {
-                    let why = "the tier has no seeded instances";
-                    return Response::error(error_kind::SERVICE, why);
-                };
-                let replicas = infos.collect();
-                Response::Routed {
-                    hash,
-                    primary,
-                    replicas,
+        })
+    }
+}
+
+impl Router {
+    /// `leader`, first phase folded: the instance that took the sweep
+    /// assigned its epoch, which every other usable instance is then
+    /// pushed as a `Replicate`. One that did not take it passes the
+    /// sweep to the next usable instance, whose replicated epoch keeps
+    /// the line monotone.
+    fn observed(&self, mut sweep: Sweep, replies: Replies) -> Next<Fold> {
+        let membership = &self.membership;
+        let failure = match replies.into_iter().next() {
+            Some((i, Ok(Response::LoadObserved { epoch }))) => {
+                membership.note_epoch(i, epoch);
+                if sweep.slot > 0 {
+                    membership.count_failed_over(i);
                 }
+                let followers: Vec<usize> = sweep.order.into_iter().filter(|&f| f != i).collect();
+                if followers.is_empty() {
+                    return Next::Reply(Response::LoadObserved { epoch });
+                }
+                let (load, silent) = (sweep.load, sweep.silent);
+                let push = Request::Replicate {
+                    epoch,
+                    load,
+                    silent,
+                };
+                let (trace_id, parent) = sweep.trace;
+                let line = encode(&RequestEnvelope::traced(0, push, trace_id, parent));
+                let tail = split_id(&line).map_or_else(String::new, |(_, tail)| tail.to_string());
+                return Next::Scatter(Scatter {
+                    tail,
+                    targets: followers,
+                    state: Fold::Push(epoch),
+                });
             }
-            Request::Membership => {
-                implements(Local);
-                let membership = membership.report();
-                Response::Membership { membership }
+            Some((_, Err(e))) => e,
+            Some((_, Ok(other))) => {
+                ClientError::Protocol(format!("expected LoadObserved reply, got {other:?}"))
             }
-            // Hash-routed requests are relayed on the reactor; one that
-            // reached a worker is a stray, refused like any other.
-            Request::Compare { .. }
-            | Request::BestOf { .. }
-            | Request::Schedule { .. }
-            | Request::Batch { .. } => {
-                implements(Hash);
-                let why = "hash-routed requests are relayed, not executed";
-                Response::error(error_kind::BAD_REQUEST, why)
-            }
+            None => ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotConnected,
+                "no usable instance to observe through",
+            )),
+        };
+        sweep.slot += 1;
+        match sweep.order.get(sweep.slot).copied() {
+            Some(next) => Next::Scatter(Scatter {
+                tail: sweep.tail.clone(),
+                targets: vec![next],
+                state: Fold::Observe(Box::new(sweep)),
+            }),
+            None => Next::Reply(Response::error(error_kind::SERVICE, failure.to_string())),
         }
     }
 }
 
-/// What each instance that answered a fan-out contributes to a merged
+/// What each instance that answered a scatter contributes to a merged
 /// reply: `part` of its reply, in target order. An instance that was
 /// unreachable, refused, or answered something else contributes nothing.
 fn parts<T>(replies: Replies, part: fn(Response) -> Option<T>) -> impl Iterator<Item = T> {
@@ -665,7 +695,7 @@ mod tests {
                 retry_after_ms: 0,
             })
         };
-        let unreachable = || Err(ClientError::Protocol("hung up".to_string()));
+        let unreachable = || Err(std::io::Error::other("the link closed").into());
         let error = |replies| match all_or_error(&addrs, replies) {
             Response::Error { kind, message, .. } if kind == error_kind::SERVICE => message,
             other => panic!("expected a service error, got {other:?}"),

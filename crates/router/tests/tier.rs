@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,8 +16,8 @@ use cbes_core::mapping::Mapping;
 use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
 use cbes_obs::Registry;
-use cbes_router::membership::{Membership, MembershipConfig};
-use cbes_router::tier::{observe_tier, probe_instances, RouterServer, TierConfig};
+use cbes_router::membership::MembershipConfig;
+use cbes_router::tier::{RouterServer, TierConfig};
 use cbes_router::RouterTierHandle;
 use cbes_server::protocol::{
     encode, error_kind, route_key_hash, split_id, Action, Request, RequestEnvelope, Response,
@@ -73,10 +73,13 @@ fn start_instance() -> ServerHandle {
     serve(&demo_service(), "127.0.0.1:0")
 }
 
-fn tier_membership(addrs: Vec<String>) -> Arc<Membership> {
-    Membership::new(
-        addrs,
-        MembershipConfig {
+/// A router over `seeds` that heartbeats every 20 ms and marks an
+/// instance down after 3 missed probes.
+fn heartbeating_router(seeds: Vec<String>) -> RouterTierHandle {
+    let router = RouterServer::start(TierConfig {
+        addr: "127.0.0.1:0".to_string(),
+        seeds,
+        membership: MembershipConfig {
             cluster: "demo".to_string(),
             heartbeat: Duration::from_millis(20),
             probe_timeout: Duration::from_millis(500),
@@ -87,7 +90,16 @@ fn tier_membership(addrs: Vec<String>) -> Arc<Membership> {
             },
             replicas: 1,
         },
-    )
+    })
+    .expect("router binds loopback");
+    let expected = router.membership().len();
+    wait_until(
+        "heartbeat never marked the instances healthy",
+        5,
+        10,
+        || router.membership().counts().0 == expected,
+    );
+    router
 }
 
 fn mapping(ids: &[u32]) -> Mapping {
@@ -120,55 +132,64 @@ fn wait_until(what: &str, secs: u64, step_ms: u64, mut done: impl FnMut() -> boo
         if done() {
             return;
         }
-        std::thread::sleep(Duration::from_millis(step_ms));
+        cbes_obs::lock::sleep(Duration::from_millis(step_ms));
     }
     assert!(done(), "{what}");
+}
+
+/// The epoch the tier assigned to one monitoring sweep sent through `c`.
+fn observe(c: &mut Client, load: &LoadState) -> u64 {
+    let load = load.clone();
+    match c.call(&Request::ObserveLoad { load }) {
+        Ok(Response::LoadObserved { epoch }) => epoch,
+        other => panic!("expected LoadObserved, got {other:?}"),
+    }
 }
 
 #[test]
 fn observations_replicate_from_leader_to_followers() {
     let instances: Vec<ServerHandle> = (0..3).map(|_| start_instance()).collect();
     let addrs: Vec<String> = instances.iter().map(|h| h.addr().to_string()).collect();
-    let membership = tier_membership(addrs.clone());
-    membership.record_probes(&probe_instances(&membership));
+    let router = heartbeating_router(addrs.clone());
+    let membership = router.membership().clone();
+    let mut c =
+        Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
 
     let n = two_switch_demo().len();
     let mut load = LoadState::idle(n);
     load.set_cpu_avail(NodeId(0), 0.5);
-    let epoch = observe_tier(&membership, &load, &[]).expect("leader is up");
-    assert_eq!(epoch, 1);
+    assert_eq!(observe(&mut c, &load), 1);
     // Every instance is now at the same epoch: staleness 0.
     for addr in &addrs {
-        let mut c = Client::connect_timeout(addr.as_str(), Duration::from_millis(500))
-            .expect("instance is up");
-        assert_eq!(c.stats().expect("stats answers").epoch, 1);
+        assert_eq!(stats_of(addr).epoch, 1);
     }
-    membership.record_probes(&probe_instances(&membership));
     assert_eq!(membership.replication_lag(), 0);
     // Sweeps racing the heartbeat: whatever a probe catches mid-push,
     // followers are never seen more than two epochs behind the leader.
     for sweep in 2..=6 {
-        let epoch = observe_tier(&membership, &load, &[]).expect("leader is up");
-        assert_eq!(epoch, sweep);
-        assert!(membership.replication_lag() <= 2);
-        membership.record_probes(&probe_instances(&membership));
+        assert_eq!(observe(&mut c, &load), sweep);
         assert!(membership.replication_lag() <= 2);
     }
 
-    // Kill the leader: the next sweep goes through a follower, and the
-    // epoch line keeps rising from the replicated value.
+    // Kill the leader: once the heartbeat marks it down, the next sweep
+    // goes through a follower, and the epoch line keeps rising from the
+    // replicated value.
     let leader = membership.leader().expect("tier has a leader");
     let mut handles: Vec<Option<ServerHandle>> = instances.into_iter().map(Some).collect();
     if let Some(dead) = handles.get_mut(leader).and_then(Option::take) {
         dead.shutdown_and_join();
     }
-    for _ in 0..5 {
-        membership.record_probes(&probe_instances(&membership));
-    }
-    let epoch = observe_tier(&membership, &load, &[]).expect("a follower takes over");
-    assert_eq!(epoch, 7, "epoch continuity across leader failover");
+    wait_until("the dead leader was never marked down", 5, 10, || {
+        membership.counts().2 == 1
+    });
+    assert_eq!(
+        observe(&mut c, &load),
+        7,
+        "epoch continuity across leader failover"
+    );
     assert!(membership.replication_lag() <= 2);
 
+    router.shutdown_and_join();
     for h in handles.into_iter().flatten() {
         h.shutdown_and_join();
     }
@@ -283,20 +304,14 @@ fn router_proxy_routes_merges_and_reports() {
 fn heartbeat_thread_marks_dead_instances_down() {
     let a = start_instance();
     let b = start_instance();
-    let membership = tier_membership(vec![a.addr().to_string(), b.addr().to_string()]);
-    let stop = Arc::new(AtomicBool::new(false));
-    let hb = cbes_router::tier::spawn_heartbeat(membership.clone(), stop.clone());
-
-    wait_until("instances never healthy", 5, 10, || {
-        membership.counts().0 >= 2
-    });
+    let router = heartbeating_router(vec![a.addr().to_string(), b.addr().to_string()]);
+    let membership = router.membership().clone();
     b.shutdown_and_join();
     wait_until("dead instance never marked down", 5, 10, || {
         membership.counts().2 >= 1
     });
     assert_eq!(membership.leader(), Some(0));
-    stop.store(true, std::sync::atomic::Ordering::Release);
-    hb.join().expect("heartbeat thread exits");
+    router.shutdown_and_join();
     a.shutdown_and_join();
     remove_dumps(membership.obs());
 }
@@ -642,10 +657,10 @@ fn a_restarted_backend_is_redialled_by_the_next_broadcast() {
     let router = quiet_router(seeds.clone());
     let mut c =
         Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
-    // The broadcast leaves an idle connection to each backend pooled.
+    // The broadcast leaves the router's link to each backend up.
     register(&mut c, "before");
 
-    // Restart one backend on its port: its pooled connection is closed.
+    // Restart one backend on its port: its link closes.
     if let Some(dead) = instances.pop() {
         dead.shutdown_and_join();
     }
@@ -653,11 +668,8 @@ fn a_restarted_backend_is_redialled_by_the_next_broadcast() {
 
     register(&mut c, "after");
     assert!(services[1].registry().get("after").is_some());
-    let membership = router.membership();
-    let probes = probe_instances(membership);
-    assert!(probes.iter().all(Option::is_some), "{probes:?}");
-    membership.record_probes(&probes);
-    assert_eq!(membership.counts(), (2, 0, 0));
+    let stats = c.stats().expect("merged stats");
+    assert_eq!(stats.workers, 4, "both instances answered the merge");
 
     router.shutdown_and_join();
     for h in instances {
@@ -737,11 +749,22 @@ fn two_connections_reusing_ids_each_get_their_own_replies_byte_for_byte() {
     }
 }
 
+/// How a [`mute_backend`] treats every frame but a heartbeat probe.
+#[derive(Clone, Copy, PartialEq)]
+enum Silence {
+    /// Swallows it.
+    Mute,
+    /// Swallows it, and closes the connection once it has swallowed
+    /// this many.
+    HangUpAfter(usize),
+    /// Answers it only when the next one arrives: every reply is late.
+    Lagging,
+}
+
 /// A backend that answers heartbeat probes like a healthy instance but
-/// swallows every other frame; with `hang_up_after: Some(n)` it closes
-/// a connection once it has swallowed `n` frames from it. Returns its
-/// address and a count of the connections it accepted.
-fn mute_backend(stats: StatsReport, hang_up_after: Option<usize>) -> (String, Arc<AtomicU64>) {
+/// not, or not in time, any other frame. Returns its address and a count
+/// of the connections it accepted.
+fn mute_backend(stats: StatsReport, silence: Silence) -> (String, Arc<AtomicU64>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind succeeds");
     let addr = listener.local_addr().expect("bound").to_string();
     let accepts = Arc::new(AtomicU64::new(0));
@@ -751,23 +774,34 @@ fn mute_backend(stats: StatsReport, hang_up_after: Option<usize>) -> (String, Ar
             accepted.fetch_add(1, Ordering::SeqCst);
             let stats = stats.clone();
             std::thread::spawn(move || {
-                let mut swallowed = 0;
+                let (mut swallowed, mut owed) = (0, None);
+                let reply = |id, response| {
+                    let line = encode(&ResponseEnvelope { id, response }) + "\n";
+                    (&stream).write_all(line.as_bytes())
+                };
                 for line in BufReader::new(&stream).lines().map_while(Result::ok) {
+                    let id = split_id(&line).map_or(0, |(id, _)| id);
                     if line.contains("\"Stats\"") {
-                        let id = split_id(&line).map_or(0, |(id, _)| id);
-                        let response = Response::Stats {
-                            stats: stats.clone(),
-                        };
-                        let reply = encode(&ResponseEnvelope { id, response }) + "\n";
-                        if (&stream).write_all(reply.as_bytes()).is_err() {
+                        let stats = stats.clone();
+                        if reply(id, Response::Stats { stats }).is_err() {
                             return;
                         }
                         continue;
                     }
                     swallowed += 1;
-                    if hang_up_after == Some(swallowed) {
+                    if silence == Silence::HangUpAfter(swallowed) {
                         let _ = stream.shutdown(Shutdown::Both);
                         return;
+                    }
+                    if silence == Silence::Lagging {
+                        let app = "late".to_string();
+                        let late = owed.replace(id);
+                        let failed = late.is_some_and(|late| {
+                            reply(late, Response::Registered { app, procs: 2 }).is_err()
+                        });
+                        if failed {
+                            return;
+                        }
                     }
                 }
             });
@@ -781,13 +815,13 @@ fn mute_backend(stats: StatsReport, hang_up_after: Option<usize>) -> (String, Ar
 /// instance, mute index, real index)`.
 fn tier_with_a_mute_primary(
     app: &str,
-    hang_up_after: Option<usize>,
+    silence: Silence,
 ) -> (RouterTierHandle, ServerHandle, usize, usize) {
     let real = start_instance();
     let mut direct =
         Client::connect_timeout(real.addr(), Duration::from_secs(2)).expect("instance answers");
     register(&mut direct, app);
-    let (mute, _) = mute_backend(stats_of(&real.addr().to_string()), hang_up_after);
+    let (mute, _) = mute_backend(stats_of(&real.addr().to_string()), silence);
     let owner = cbes_router::HashRing::new(2)
         .primary(route_key_hash("demo", app))
         .expect("non-empty ring");
@@ -799,7 +833,8 @@ fn tier_with_a_mute_primary(
 #[test]
 fn a_window_in_flight_on_a_dying_primary_is_answered_once_by_the_replica() {
     const WINDOW: u64 = 32;
-    let (router, real, primary, replica) = tier_with_a_mute_primary("app", Some(WINDOW as usize));
+    let (router, real, primary, replica) =
+        tier_with_a_mute_primary("app", Silence::HangUpAfter(WINDOW as usize));
     let (mut stream, mut reader) = raw_connection(&router);
     let window: String = (1..=WINDOW)
         .map(|id| compare_line(id, "app", vec![mapping(&[0, 1])]))
@@ -832,7 +867,7 @@ fn a_window_in_flight_on_a_dying_primary_is_answered_once_by_the_replica() {
     reason = "the test bounds how long the router takes to answer"
 )]
 fn a_silent_primary_costs_one_probe_timeout_not_the_request_deadline() {
-    let (router, real, _, replica) = tier_with_a_mute_primary("app", None);
+    let (router, real, _, replica) = tier_with_a_mute_primary("app", Silence::Mute);
     let (mut stream, mut reader) = raw_connection(&router);
     let asked = Instant::now();
     let window: String = (1..=8)
@@ -895,7 +930,7 @@ fn giving_up_on_a_key_is_counted_and_a_drain_is_not() {
     // drain is answered `shutting_down`: the tier going away, not a key
     // nobody could serve.
     let real = start_instance();
-    let (mute, _) = mute_backend(stats_of(&real.addr().to_string()), None);
+    let (mute, _) = mute_backend(stats_of(&real.addr().to_string()), Silence::Mute);
     let router = quiet_router_waiting(vec![mute], Duration::from_millis(200));
     let (mut stream, mut reader) = raw_connection(&router);
     stream.write_all(line.as_bytes()).expect("write");
@@ -942,10 +977,10 @@ fn broadcasts_and_heartbeats_reuse_their_connections() {
     wait_until("the heartbeat stopped sweeping", 5, 5, || {
         router.membership().report().heartbeats >= swept + 4
     });
-    // Per backend: the heartbeat's pooled connection, one worker's, the
-    // relay socket (unused here) and this last `Stats` read.
+    // Per backend: the router's one link, which every probe, broadcast
+    // and relay shares, and this last `Stats` read.
     for (was, is) in before.iter().zip(accepted()) {
-        assert!(is - was <= 4, "{} connections accepted", is - was);
+        assert!(is - was <= 2, "{} connections accepted", is - was);
     }
     router.shutdown_and_join();
     for h in instances {
@@ -953,18 +988,20 @@ fn broadcasts_and_heartbeats_reuse_their_connections() {
     }
 }
 
+/// An exchange that missed its deadline is not taken for the next one
+/// on the same link: the backend's late reply to one broadcast arrives
+/// while the next is out, and is dropped.
 #[test]
 fn a_timed_out_exchange_is_dropped_not_pooled() {
     let real = start_instance();
-    let (mute, accepts) = mute_backend(stats_of(&real.addr().to_string()), None);
+    let (lagging, accepts) = mute_backend(stats_of(&real.addr().to_string()), Silence::Lagging);
     let router = quiet_router_waiting(
-        vec![real.addr().to_string(), mute.clone()],
+        vec![real.addr().to_string(), lagging.clone()],
         Duration::from_millis(200),
     );
     let mut c =
         Client::connect_timeout(router.addr(), Duration::from_secs(5)).expect("router answers");
-    let mut accepted = Vec::new();
-    for app in ["first", "second"] {
+    for app in ["first", "second", "third"] {
         let reply = c.call(&Request::RegisterProfile {
             profile: profile(app),
         });
@@ -972,16 +1009,13 @@ fn a_timed_out_exchange_is_dropped_not_pooled() {
             panic!("expected a partial broadcast, got {reply:?}");
         };
         assert!(message.starts_with("partial broadcast: 1/2 "), "{message}");
-        assert!(
-            message.contains(&format!("{mute}: unreachable: ")),
-            "{message}"
-        );
-        accepted.push(accepts.load(Ordering::SeqCst));
+        let missed = format!("{lagging}: unreachable: connection error: no reply within");
+        assert!(message.contains(&missed), "{message}");
     }
     assert_eq!(
-        accepted[1],
-        accepted[0] + 1,
-        "the second broadcast dials the mute backend afresh"
+        accepts.load(Ordering::SeqCst),
+        1,
+        "one link carried every exchange"
     );
     router.shutdown_and_join();
     real.shutdown_and_join();
@@ -1106,7 +1140,7 @@ fn a_client_that_never_reads_is_not_read_from_until_it_does() {
     };
     let mut before = u64::MAX;
     let stalled_at = loop {
-        std::thread::sleep(Duration::from_millis(300));
+        cbes_obs::lock::sleep(Duration::from_millis(300));
         let now = sent.load(Ordering::Acquire);
         if now == before {
             break now;

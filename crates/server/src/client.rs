@@ -125,37 +125,6 @@ impl Client {
         let transport = Direct::dial(addr, timeout)?;
         Ok(Client { transport })
     }
-
-    /// [`Client::call`] over several connections: `request` is written
-    /// once to every client before any reply is read, so the caller
-    /// waits about one round trip, not one per client. A client whose
-    /// write failed is not read from. Replies are in client order.
-    pub fn call_each(
-        clients: &mut [Client],
-        request: &Request,
-    ) -> Vec<Result<Response, ClientError>> {
-        let sent: Vec<_> = clients
-            .iter_mut()
-            .map(|c| c.transport.send(request))
-            .collect();
-        let replies = clients.iter_mut().zip(sent);
-        replies
-            .map(|(c, sent)| answer(c.transport.receive(sent?)?))
-            .collect()
-    }
-
-    /// True when this connection can carry another request: nothing
-    /// unread is buffered or waiting, and the daemon has not closed it.
-    /// A non-blocking peek, so it never waits on the peer.
-    pub fn is_idle(&self) -> bool {
-        let Direct { reader, writer, .. } = &self.transport;
-        if !reader.buffer().is_empty() || writer.set_nonblocking(true).is_err() {
-            return false;
-        }
-        let peeked = writer.peek(&mut [0u8; 1]);
-        let blocking = writer.set_nonblocking(false).is_ok();
-        blocking && matches!(peeked, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
-    }
 }
 
 impl Direct {
@@ -179,11 +148,14 @@ impl Direct {
         conn.writer.set_write_timeout(Some(timeout))?;
         Ok(conn)
     }
+}
 
-    /// Write `request` under the next id and return the id. Inside an
-    /// open span (see [`cbes_obs::current_trace`]) the envelope carries
-    /// its trace and span ids, so the server joins the caller's trace.
-    fn send(&mut self, request: &Request) -> Result<u64, ClientError> {
+impl Transport for Direct {
+    /// Write `request` under the next id and wait for its reply. Inside
+    /// an open span (see [`cbes_obs::current_trace`]) the envelope
+    /// carries its trace and span ids, so the server joins the caller's
+    /// trace.
+    fn round_trip(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
         cbes_obs::lock::blocking("`Client` round trip");
         let id = self.next_id;
         self.next_id += 1;
@@ -191,14 +163,8 @@ impl Direct {
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
-        Ok(id)
-    }
-
-    /// Wait for the reply to request `id`.
-    fn receive(&mut self, id: u64) -> Result<ResponseEnvelope, ClientError> {
         let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
+        if self.reader.read_line(&mut reply)? == 0 {
             // A transport condition, not a protocol violation: the peer
             // hung up mid-conversation. Classified as I/O so retrying
             // callers know to reconnect.
@@ -207,8 +173,7 @@ impl Direct {
                 "server closed the connection",
             )));
         }
-        let envelope: ResponseEnvelope = serde_json::from_str(reply.trim())
-            .map_err(|e| ClientError::Protocol(format!("bad reply: {e}")))?;
+        let envelope = parse(&reply)?;
         if envelope.id != id && envelope.id != 0 {
             return Err(ClientError::Protocol(format!(
                 "reply id {} does not match request id {id}",
@@ -219,11 +184,14 @@ impl Direct {
     }
 }
 
-impl Transport for Direct {
-    fn round_trip(&mut self, request: &Request) -> Result<ResponseEnvelope, ClientError> {
-        let id = self.send(request)?;
-        self.receive(id)
-    }
+fn parse(line: &str) -> Result<ResponseEnvelope, ClientError> {
+    serde_json::from_str(line.trim()).map_err(|e| ClientError::Protocol(format!("bad reply: {e}")))
+}
+
+/// One reply line as [`Client::call`] returns its reply: an error reply
+/// becomes [`ClientError::Server`].
+pub fn decode_reply(line: &str) -> Result<Response, ClientError> {
+    answer(parse(line)?)
 }
 
 /// A reply envelope as [`Client::call`] returns it: an error reply
@@ -428,7 +396,7 @@ impl Transport for Retrying {
                 .backoff(retry, &mut self.rng)
                 .max(Duration::from_millis(hint_ms));
             if !backoff.is_zero() {
-                std::thread::sleep(backoff);
+                cbes_obs::lock::sleep(backoff);
             }
         }
     }

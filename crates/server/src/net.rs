@@ -6,15 +6,15 @@
 //!
 //! The layer is a core and a driver. The [`Core`] (`net/sansio.rs`) is
 //! the connection state machine: it reassembles newline-delimited
-//! frames, runs admission per complete line, keeps the [`Forward`]
-//! relay's upstream state, each connection's reply ledger and the
-//! deadline table, and drains — taking events with `now` from the
-//! registry clock and returning [`Action`]s. It holds no socket,
-//! thread or clock. This file is the production driver: one reactor
-//! thread over the [`crate::epoll`] shim that owns the listener, every
-//! socket, the wake pair and the worker pool, and carries the core's
-//! actions out. A seeded in-memory driver (`tests/sim.rs`) runs the
-//! same core on one thread.
+//! frames, runs admission per complete line, keeps every upstream link
+//! with the [`Forward`]s on it, the heartbeat, each connection's reply
+//! ledger and the deadline table, and drains — taking events with `now`
+//! from the registry clock and returning [`Action`]s. It holds no
+//! socket, thread or clock. This file is the production driver: one
+//! reactor thread over the [`crate::epoll`] shim that owns the listener,
+//! every socket, the wake pair and the worker pool, and carries the
+//! core's actions out. A seeded in-memory driver
+//! (`tests/common/sim.rs`) runs the same core on one thread.
 //!
 //! Admission: an admitted line goes to the one job queue every worker
 //! takes from; past `queue_capacity` frames waiting for a worker, a line
@@ -29,19 +29,24 @@
 //! next ones are held, and go to one worker together once those finish,
 //! so a connection's frames run in arrival order. Every admitted
 //! frame takes a slot in its connection's reply ledger, and replies
-//! leave it in arrival order. Worker-run and relayed frames keep
+//! leave it in arrival order. Worker-run and forwarded frames keep
 //! separate lanes, each ordered within itself, not against the other.
 //! Shed and oversized-frame replies take no slot and may overtake,
 //! which is why every reply carries the request id.
 //!
-//! Relaying: a frame [`Handler::relay`] answers with a [`Forward`]
-//! never leaves the reactor thread. It is written — the core's
-//! sequence number as its id — to one shared non-blocking socket per
-//! upstream, and the reply line is matched by that number, given its
-//! client's id back and filed in its client connection's relayed lane
-//! byte for byte. An attempt that is refused, missed or cut off moves
-//! the entry to its next candidate. The one blocking step, the dial, is
-//! a worker job.
+//! Forwarding: every byte between a handler and its upstreams goes
+//! through the core, over at most one non-blocking link per upstream,
+//! each frame under the core's own id. A frame [`Handler::forward`]
+//! answers with a [`Route::Relay`] never leaves the reactor thread: its
+//! reply line is matched by that id, given its client's id back and
+//! filed in its client connection's forwarded lane byte for byte, and an
+//! attempt that is refused, missed or cut off moves the entry to its
+//! next candidate. A [`Route::Scatter`] is written once on each
+//! target's link; one reply per target, or a [`Miss`] at the attempt
+//! deadline, is gathered and folded on a worker ([`Handler::gathered`])
+//! into the client's reply or the next phase. The heartbeat is such a
+//! scatter, sent by the core's clock ([`Handler::probe`]). The one
+//! blocking step, the dial, is a worker job.
 //!
 //! Shutdown: [`Control::shutdown`] flips the flag and wakes the
 //! reactor, which tells the core to drain: it stops accepting, answers
@@ -67,7 +72,8 @@ use crate::epoll::{PollEvent, Poller};
 use crate::protocol::{error_kind, response_bytes, Response, ResponseEnvelope};
 use crate::server::ServerConfig;
 
-pub use sansio::{Action, Core, Done, Job};
+pub use sansio::{Action, Core, Done, Gathered, Job, Miss};
+use sansio::{Answer, Work};
 
 /// Reactor poll token of the listening socket.
 const LISTENER_TOKEN: u64 = 0;
@@ -78,6 +84,11 @@ const WAKE_TOKEN: u64 = 1;
 /// Calls are monomorphised per handler; there is no `dyn` dispatch on
 /// the frame path.
 pub trait Handler: Send + Sync + 'static {
+    /// What a scatter carries to [`Self::gathered`] besides the replies:
+    /// the handler's own state for the fold (`()` for one that never
+    /// scatters).
+    type Gather: Send + 'static;
+
     /// Run `line` on the reactor thread — asked only when nothing is
     /// pending or queued and a worker is free — and answer as
     /// [`Self::execute`] does, or `None` (the default) to queue it for a
@@ -92,17 +103,16 @@ pub trait Handler: Send + Sync + 'static {
     /// and whether it counts as a malformed-frame strike.
     fn execute(&self, line: &str) -> (Vec<u8>, bool);
 
-    /// The backends the reactor may relay frames to — a [`Forward`]
-    /// names them by position — and the deadline for one dial and for
-    /// one attempt's reply. Read once at start.
-    fn upstreams(&self) -> (Vec<String>, Duration) {
-        (Vec::new(), Duration::ZERO)
+    /// The backends the core may forward frames to — a [`Forward`] names
+    /// them by position — and its timing. Read once at start.
+    fn upstreams(&self) -> Upstreams {
+        Upstreams::default()
     }
 
-    /// `Some` to relay `line` instead of executing it. Runs on the
+    /// `Some` to forward `line` instead of executing it. Runs on the
     /// reactor thread for every frame, so it must not block; the
-    /// default relays nothing and compiles away.
-    fn relay(&self, _line: &str) -> Option<Forward> {
+    /// default forwards nothing and compiles away.
+    fn forward(&self, _line: &str) -> Option<Forward<Self::Gather>> {
         None
     }
 
@@ -116,21 +126,82 @@ pub trait Handler: Send + Sync + 'static {
         let response = Response::error(error_kind::SERVICE, "no upstream answered");
         encode_line(&ResponseEnvelope { id, response })
     }
+
+    /// The scatter the core sends every [`Upstreams::heartbeat`], the
+    /// first at start. Runs on the reactor thread.
+    fn probe(&self) -> Option<Scatter<Self::Gather>> {
+        None
+    }
+
+    /// Fold what one phase of a scatter gathered — each target's reply
+    /// line or [`Miss`], in target order — into the client's reply, or
+    /// into the next phase. Runs on a worker.
+    fn gathered(&self, _state: Self::Gather, _replies: Vec<Gathered>) -> Next<Self::Gather> {
+        Next::Reply(Response::error(
+            error_kind::SERVICE,
+            "nothing was scattered",
+        ))
+    }
 }
 
-/// One frame to relay.
-pub struct Forward {
-    /// The client's id, put back on the reply.
+/// The backends a handler reaches through the core.
+#[derive(Debug, Default)]
+pub struct Upstreams {
+    /// Their addresses; a [`Forward`] names them by position.
+    pub addrs: Vec<String>,
+    /// Deadline for one dial, one relayed attempt's reply and one
+    /// scatter phase.
+    pub attempt_timeout: Duration,
+    /// How long after one [`Handler::probe`] scatter is folded the next
+    /// is sent; `None` sends none.
+    pub heartbeat: Option<Duration>,
+}
+
+/// One frame to forward.
+pub struct Forward<G> {
+    /// The client's id, put back on its reply.
     pub id: u64,
-    /// The frame after its id digits (`,"request":…}`), as
-    /// [`split_id`] cuts it; sent behind the reactor's own id.
-    pub tail: String,
-    /// Upstreams to try, in order; an attempt that fails moves on.
-    pub candidates: Vec<usize>,
-    /// The upstream [`Handler::relayed`] is told was the first choice.
-    pub primary: usize,
     /// Finished (dropped) when the frame is answered, however that is.
     pub span: Option<SpanGuard<'static>>,
+    /// Where it goes.
+    pub route: Route<G>,
+}
+
+/// How a [`Forward`] reaches its upstreams.
+pub enum Route<G> {
+    /// To the first candidate that answers; its reply goes to the client
+    /// byte for byte.
+    Relay {
+        /// The frame after its id digits (`,"request":…}`), as
+        /// [`crate::protocol::split_id`] cuts it; sent behind the core's
+        /// own id.
+        tail: String,
+        /// Upstreams to try, in order; an attempt that fails moves on.
+        candidates: Vec<usize>,
+        /// The upstream [`Handler::relayed`] is told was the first choice.
+        primary: usize,
+    },
+    /// To each target once, for [`Handler::gathered`] to fold.
+    Scatter(Scatter<G>),
+}
+
+/// One phase of a scatter.
+pub struct Scatter<G> {
+    /// The frame after its id digits, written once on each target's
+    /// link: no failover, no re-send.
+    pub tail: String,
+    /// The upstreams to ask, in the order the fold sees their replies.
+    pub targets: Vec<usize>,
+    /// The handler's state for the fold.
+    pub state: G,
+}
+
+/// What [`Handler::gathered`] makes of a phase.
+pub enum Next<G> {
+    /// The client's reply.
+    Reply(Response),
+    /// Another phase, gathered and folded in turn.
+    Scatter(Scatter<G>),
 }
 
 /// One reply envelope as a wire line, newline included.
@@ -238,19 +309,24 @@ fn shed_spike_threshold() -> u64 {
     env_u64(&CACHE, "CBES_FLIGHT_SHED_SPIKE", SHED_SPIKE_DEFAULT)
 }
 
+/// What [`Control::shutdown`] calls to get a driver's attention.
+pub type Wake = Box<dyn Fn() + Send + Sync>;
+
 /// What the reactor, the workers, the handler and the owning handle
 /// share about one running layer: the bound address, the load figures a
-/// `Stats` reply reports, and the shutdown trigger.
+/// `Stats` reply reports, the layer's instruments, and the shutdown
+/// trigger.
 pub struct Control {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
     /// Gets the driver's attention; its loop then reads the flag.
-    wake: Box<dyn Fn() + Send + Sync>,
+    wake: Wake,
     /// Worker threads.
     workers: usize,
     /// Admitted frames no worker has picked up, queued or held: the
     /// core counts them in, the worker that picks one up out.
     waiting: Arc<AtomicUsize>,
+    metrics: Arc<NetMetrics>,
 }
 
 impl Control {
@@ -275,12 +351,6 @@ impl Control {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// The shutdown flag itself, for threads outside the layer that
-    /// stop with it (the router's heartbeat).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
-    }
-
     /// Trigger the drain without waiting for it.
     pub fn shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::AcqRel) {
@@ -289,20 +359,32 @@ impl Control {
     }
 }
 
-impl Job {
-    /// Run this frame as a worker does: it leaves the backlog
+impl<G> Job<G> {
+    /// Run this job as a worker does. A frame leaves the backlog
     /// ([`Control::queue_depth`]), its queue wait is recorded on the
-    /// registry clock, and the handler executes it.
-    pub fn run<H: Handler>(self, handler: &H, control: &Control, metrics: &NetMetrics) -> Done {
-        control.waiting.fetch_sub(1, Ordering::AcqRel);
-        let waited = metrics.registry.clock().now().saturating_sub(self.admitted);
-        metrics.queue_wait.record_duration(waited);
-        let (reply, malformed) = handler.execute(&self.line);
+    /// registry clock, and the handler executes it; a scatter's replies
+    /// go to [`Handler::gathered`].
+    pub fn run<H: Handler<Gather = G>>(self, handler: &H, control: &Control) -> Done<G> {
+        let answer = match self.work {
+            Work::Frame(line) => {
+                control.waiting.fetch_sub(1, Ordering::AcqRel);
+                let metrics = &control.metrics;
+                let waited = metrics.registry.clock().now().saturating_sub(self.admitted);
+                metrics.queue_wait.record_duration(waited);
+                let (reply, malformed) = handler.execute(&line);
+                Answer::Frame(reply, malformed)
+            }
+            Work::Fold(id, state, replies) => match handler.gathered(state, replies) {
+                Next::Reply(response) => {
+                    Answer::Folded(Ok(encode_line(&ResponseEnvelope { id, response })))
+                }
+                Next::Scatter(next) => Answer::Folded(Err(next)),
+            },
+        };
         Done {
             token: self.token,
             seq: self.seq,
-            reply,
-            malformed,
+            answer,
         }
     }
 }
@@ -310,20 +392,23 @@ impl Job {
 /// Build the layer's [`Control`], the handler around it, and the
 /// [`Core`] that serves the handler, for a driver to run: `addr` is what
 /// the layer reports as bound, `wake` what [`Control::shutdown`] calls to
-/// get the driver's attention.
+/// get the driver's attention. The layer counts into `metrics`, the same
+/// handle the handler sheds through, so the shed-spike trigger sees both
+/// kinds of shed.
 pub fn assemble<H: Handler>(
     config: &ServerConfig,
     addr: SocketAddr,
     metrics: Arc<NetMetrics>,
-    wake: Box<dyn Fn() + Send + Sync>,
+    wake: Wake,
     handler: impl FnOnce(&Arc<Control>) -> std::io::Result<H>,
 ) -> std::io::Result<(Arc<Control>, Core<H>)> {
     let control = Arc::new(Control {
         addr,
-        shutdown: Arc::default(),
+        shutdown: AtomicBool::new(false),
         wake,
         workers: config.workers.max(1),
         waiting: Arc::default(),
+        metrics: metrics.clone(),
     });
     let handler = Arc::new(handler(&control)?);
     let waiting = control.waiting.clone();
@@ -344,39 +429,33 @@ fn wake_pair() -> std::io::Result<(TcpStream, TcpStream)> {
     Ok((tx, rx))
 }
 
-/// Bind `config.addr`, build the handler around the layer's
-/// [`Control`] (the address is known, no thread runs yet) and start
-/// serving: the reactor thread and `config.workers` workers. The layer
-/// counts into `metrics`, the same handle the handler sheds through, so
-/// the shed-spike trigger sees both kinds of shed.
+/// Bind `config.addr`, have `assemble` build the layer for the bound
+/// address and the wake pair (no thread runs yet), and start serving:
+/// the reactor thread and `config.workers` workers.
 pub fn start<H: Handler>(
     config: &ServerConfig,
-    metrics: Arc<NetMetrics>,
-    handler: impl FnOnce(&Arc<Control>) -> std::io::Result<H>,
+    assemble: impl FnOnce(SocketAddr, Wake) -> std::io::Result<(Arc<Control>, Core<H>)>,
 ) -> std::io::Result<NetHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let (wake_tx, wake_rx) = wake_pair()?;
     // A full wake buffer is fine: unread bytes already guarantee a wakeup.
     let wake = Box::new(move || drop((&wake_tx).write(&[1u8])));
-    let addr = listener.local_addr()?;
-    let (control, core) = assemble(config, addr, metrics.clone(), wake, handler)?;
+    let (control, core) = assemble(listener.local_addr()?, wake)?;
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
     poller.register(wake_rx.as_raw_fd(), WAKE_TOKEN, true, false)?;
     // Bounded by admission: `queue_capacity` waiting frames.
-    let (jobs, queue) = channel::unbounded::<Work>();
-    let (completion_tx, completions) = channel::unbounded::<Completion>();
+    let (jobs, queue) = channel::unbounded::<Task<H::Gather>>();
+    let (completion_tx, completions) = channel::unbounded::<Completion<H::Gather>>();
     let workers: Vec<_> = (0..control.workers)
         .map(|_| {
-            let handler = core.handler().clone();
-            let (control, metrics) = (control.clone(), metrics.clone());
+            let (handler, control) = (core.handler().clone(), control.clone());
             let (queue, completion_tx) = (queue.clone(), completion_tx.clone());
-            std::thread::spawn(move || {
-                worker_loop(&*handler, &control, &metrics, &queue, &completion_tx)
-            })
+            std::thread::spawn(move || worker_loop(&*handler, &control, &queue, &completion_tx))
         })
         .collect();
+    let metrics = &control.metrics;
     let driver = Driver {
         core,
         poller,
@@ -385,9 +464,9 @@ pub fn start<H: Handler>(
         streams: HashMap::new(),
         jobs,
         completions,
-        control: control.clone(),
         clock: metrics.registry.clock().clone(),
         loop_wakeups: metrics.loop_wakeups.clone(),
+        control: control.clone(),
         scratch: vec![0; 16 * 1024].into_boxed_slice(),
     };
     let mut threads = vec![std::thread::spawn(move || driver.run())];
@@ -423,18 +502,17 @@ impl Drop for NetHandle {
     }
 }
 
-/// Work travelling to the worker pool: a run of one connection's
-/// frames, executed in order, or one dial.
-enum Work {
-    Run(Vec<Job>),
+/// What travels to the worker pool: jobs to run in order, or one dial.
+enum Task<G> {
+    Run(Vec<Job<G>>),
     /// Connect to upstream `.0` at `.1` within `.2` — the one blocking
-    /// step of a relay.
+    /// step of forwarding.
     Dial(usize, String, Duration),
 }
 
 /// A worker's result travelling back to the reactor.
-enum Completion {
-    Done(Done),
+enum Completion<G> {
+    Done(Done<G>),
     /// The socket (or not) for upstream `.0`.
     Dialled(usize, std::io::Result<TcpStream>),
 }
@@ -442,21 +520,19 @@ enum Completion {
 fn worker_loop<H: Handler>(
     handler: &H,
     control: &Control,
-    metrics: &NetMetrics,
-    queue: &Receiver<Work>,
-    completion_tx: &Sender<Completion>,
+    queue: &Receiver<Task<H::Gather>>,
+    completion_tx: &Sender<Completion<H::Gather>>,
 ) {
     // The idle park on the shared job queue is a worker's designed wait.
-    while let Ok(work) = queue.recv() {
-        match work {
-            Work::Run(jobs) => {
+    while let Ok(task) = cbes_obs::lock::recv(queue) {
+        match task {
+            Task::Run(jobs) => {
                 for job in jobs {
-                    let _ =
-                        completion_tx.send(Completion::Done(job.run(handler, control, metrics)));
+                    let _ = completion_tx.send(Completion::Done(job.run(handler, control)));
                     (control.wake)();
                 }
             }
-            Work::Dial(i, addr, timeout) => {
+            Task::Dial(i, addr, timeout) => {
                 let stream = crate::client::dial(addr.as_str(), timeout);
                 let _ = completion_tx.send(Completion::Dialled(i, stream));
                 (control.wake)();
@@ -474,8 +550,8 @@ struct Driver<H: Handler> {
     listener: TcpListener,
     wake_rx: TcpStream,
     streams: HashMap<u64, TcpStream>,
-    jobs: Sender<Work>,
-    completions: Receiver<Completion>,
+    jobs: Sender<Task<H::Gather>>,
+    completions: Receiver<Completion<H::Gather>>,
     control: Arc<Control>,
     /// The metrics registry's clock, the `now` of every event.
     clock: Clock,
@@ -498,7 +574,7 @@ impl<H: Handler> Driver<H> {
             if self.poller.wait(&mut events, timeout).is_err() {
                 // The reactor's one sleep: a 1 ms backoff after a poll
                 // error keeps it from spinning hot, only on that path.
-                std::thread::sleep(Duration::from_millis(1));
+                cbes_obs::lock::unchecked_sleep(Duration::from_millis(1));
                 continue;
             }
             if !events.is_empty() {
@@ -520,13 +596,13 @@ impl<H: Handler> Driver<H> {
             }
             while let Ok(completion) = self.completions.try_recv() {
                 match completion {
-                    Completion::Done(done) => self.core.completed(done),
+                    Completion::Done(done) => self.core.completed(done, self.clock.now()),
                     Completion::Dialled(i, stream) => self.dialled(i, stream),
                 }
             }
-            // Timeouts, then one write per connection for everything the
-            // batch queued: worker replies, relayed replies, frames for
-            // upstreams.
+            // Timeouts and due phases, then one write per connection for
+            // everything the batch queued: worker replies, relayed
+            // replies, frames for upstreams.
             self.core.tick(self.clock.now());
             self.apply();
         }
@@ -551,9 +627,9 @@ impl<H: Handler> Driver<H> {
                     }
                 }
                 // Only a dead pool refuses work; its frames then time out.
-                Action::Run(run) => drop(self.jobs.send(Work::Run(run))),
+                Action::Run(run) => drop(self.jobs.send(Task::Run(run))),
                 Action::Dial(i, addr, timeout) => {
-                    if self.jobs.send(Work::Dial(i, addr, timeout)).is_err() {
+                    if self.jobs.send(Task::Dial(i, addr, timeout)).is_err() {
                         self.core.dialled(i, false, self.clock.now());
                     }
                 }
@@ -690,10 +766,11 @@ pub(crate) mod tests {
     pub(crate) fn idle_control() -> Arc<Control> {
         Arc::new(Control {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            shutdown: Arc::default(),
+            shutdown: AtomicBool::new(false),
             wake: Box::new(|| {}),
             workers: 0,
             waiting: Arc::default(),
+            metrics: NetMetrics::new(&Arc::default()),
         })
     }
 

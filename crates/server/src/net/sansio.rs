@@ -2,26 +2,29 @@
 //! decides, apart from the sockets, threads and clock it decides about.
 //!
 //! A driver feeds the [`Core`] events — a peer accepted, bytes read, a
-//! socket written or failed, a worker's frame done, an upstream dialled,
+//! socket written or failed, a worker's job done, an upstream dialled,
 //! the drain begun, the clock moved — each with `now` from the registry
 //! clock, and carries out the [`Action`]s it returns: write a
-//! connection's output, change its interest, close it, hand a run of
-//! frames to a worker, dial an upstream. The core owns every
-//! connection's protocol state (reassembly, write buffer, the two-lane
-//! reply ledger, held runs, strikes), the [`PendingTable`] of deadlines,
-//! the relay's upstream state, admission and the drain; its next
-//! deadline is the driver's only timer. `net.rs` holds the epoll driver;
-//! `crates/server/tests/sim.rs` holds a seeded single-threaded one.
+//! connection's output, change its interest, close it, hand jobs to a
+//! worker, dial an upstream. The core owns every connection's protocol
+//! state (reassembly, write buffer, the two-lane reply ledger, held runs,
+//! strikes), the [`PendingTable`] of deadlines, every upstream link with
+//! the relays and scatters on it, the heartbeat, admission and the
+//! drain; its next deadline is the driver's only timer. `net.rs` holds
+//! the epoll driver; `crates/server/tests/common/sim.rs` a seeded
+//! single-threaded one.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::io::BufRead;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use super::{encode_line, Forward, Handler, NetMetrics};
+use cbes_obs::SpanGuard;
+
+use super::{encode_line, Forward, Handler, NetMetrics, Route, Scatter};
 use crate::protocol::{error_kind, split_id, Response, ResponseEnvelope};
 use crate::server::ServerConfig;
 
@@ -33,8 +36,12 @@ const FLUSH_HIGH_WATER: usize = 64 * 1024;
 /// every daemon emits: the relay fails such a reply over unparsed.
 const SHUTTING_DOWN_TAIL: &str = ",\"response\":{\"Error\":{\"kind\":\"shutting_down\"";
 
+/// The sequence number of the heartbeat's scatters, which answer no
+/// admitted request (those count from 1).
+const HEARTBEAT: u64 = 0;
+
 /// What the core asks its driver to do, in order.
-pub enum Action {
+pub enum Action<G> {
     /// Write what [`Core::output`] holds for the connection, then report
     /// with [`Core::wrote`] (or [`Core::hung_up`]). Sent even with
     /// nothing to write: the report settles the connection's fate.
@@ -43,36 +50,77 @@ pub enum Action {
     Interest(u64, bool, bool),
     /// Close the connection; the core has forgotten it.
     Close(u64),
-    /// Give one connection's frames to one worker, to run in order.
-    Run(Vec<Job>),
+    /// Give these jobs to one worker, to run in order: one connection's
+    /// frames, or one scatter's fold.
+    Run(Vec<Job<G>>),
     /// Connect to upstream `.0` at `.1` within `.2`, then report with
     /// [`Core::dialled`].
     Dial(usize, String, Duration),
 }
 
-/// One admitted request line, travelling to a worker.
-pub struct Job {
-    /// The connection that sent it.
+/// Work for a worker, travelling from the core.
+pub struct Job<G> {
+    /// The connection that sent the frame (0 for a fold).
     pub(super) token: u64,
-    /// The core's sequence number; keys its deadline entry.
+    /// The core's sequence number of the request; keys its deadline
+    /// entry.
     pub(super) seq: u64,
-    /// The raw frame; the worker parses it off the reactor thread.
-    pub(super) line: String,
     /// When it was admitted; queue wait is measured from here to pickup.
     pub(super) admitted: Duration,
+    pub(super) work: Work<G>,
+}
+
+/// What a [`Job`] asks of the handler.
+pub(super) enum Work<G> {
+    /// Execute one admitted request line; the worker parses it off the
+    /// reactor thread.
+    Frame(String),
+    /// Fold what one scatter gathered, for the client's id `.0`.
+    Fold(u64, G, Vec<Gathered>),
 }
 
 /// A worker's answer to one [`Job`], travelling back to the core.
-pub struct Done {
+pub struct Done<G> {
     pub(super) token: u64,
     pub(super) seq: u64,
-    /// The encoded reply line, newline included.
-    pub(super) reply: Vec<u8>,
-    /// True when the reply is a framing strike (`bad_request`).
-    pub(super) malformed: bool,
+    pub(super) answer: Answer<G>,
 }
 
-/// Append `{"id":<id>` + `tail` + newline: a relayed frame or reply
+/// What a worker made of a [`Job`].
+pub(super) enum Answer<G> {
+    /// A frame's encoded reply line, newline included, and whether it is
+    /// a framing strike (`bad_request`).
+    Frame(Vec<u8>, bool),
+    /// A fold's reply line, or the next phase to scatter.
+    Folded(Result<Vec<u8>, Scatter<G>>),
+}
+
+/// One target of a scatter and what it came back with: its reply line,
+/// or why there is none.
+pub type Gathered = (usize, Result<String, Miss>);
+
+/// Why a scatter's target gave no reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Miss {
+    /// The dial to it failed (or it is no upstream the core knows).
+    Dial,
+    /// Nothing came back within the attempt deadline.
+    Deadline,
+    /// Its link closed with the frame on it.
+    HungUp,
+}
+
+impl std::fmt::Display for Miss {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Miss::Dial => "dial failed",
+            Miss::Deadline => "no reply within the attempt deadline",
+            Miss::HungUp => "the link closed",
+        })
+    }
+}
+
+/// Append `{"id":<id>` + `tail` + newline: a forwarded frame or reply
 /// under the id its next hop knows it by.
 fn push_frame(buf: &mut Vec<u8>, id: u64, tail: &str) {
     buf.extend_from_slice(b"{\"id\":");
@@ -126,27 +174,54 @@ fn shed(id: u64, kind: &str, message: &str, retry_after_ms: u64) -> Box<Response
 }
 
 /// One in-flight admitted request. The deadline lives in the table's
-/// heap; the entry itself only needs routing identity — plus, for a
-/// relayed frame, what it takes to send it again.
+/// heap; the entry itself only needs routing identity, and for a
+/// forwarded frame the hop's span, finished (dropped) when the request
+/// is answered, however that is.
 struct Pending {
     token: u64,
     id: u64,
-    relay: Option<Box<Relayed>>,
+    _span: Option<Box<SpanGuard<'static>>>,
 }
 
-/// The relay half of a [`Pending`] entry.
-struct Relayed {
-    /// What to send, and again on the next attempt.
-    forward: Forward,
-    /// How many of the candidates have been tried; the current attempt
-    /// is number `tried`, counting from 1.
+/// One phase of a forward: the frame written once on each target's link
+/// under the phase's own id, and what has come back. Kept apart from the
+/// [`PendingTable`], so a phase outlives a client that hangs up or times
+/// out: a verb it sent still runs once, and a scatter's fold still runs.
+struct Phase<G> {
+    /// The request it answers, or [`HEARTBEAT`].
+    seq: u64,
+    tail: String,
+    /// Each target in order, with its outcome once in.
+    targets: Vec<(usize, Option<Result<String, Miss>>)>,
+    then: Then<G>,
+}
+
+/// What a [`Phase`] comes to.
+enum Then<G> {
+    /// A relay attempt, to one target: its reply goes to the client byte
+    /// for byte; a refusal or a miss moves the frame on.
+    Relay(Relay),
+    /// A scatter: the replies go to [`Handler::gathered`] on a worker.
+    Fold(G),
+}
+
+/// A relayed frame's candidates and how far down them it is.
+struct Relay {
+    candidates: Vec<usize>,
+    /// The candidate [`Handler::relayed`] is told was the first choice.
+    primary: usize,
+    /// Candidates tried, the current attempt's included.
     tried: usize,
-    /// The upstream the current attempt went to; replies from any
-    /// other are stale.
-    upstream: usize,
     /// An upstream's `shutting_down` reply (after its id): the answer
     /// if no later candidate does better.
     refusal: Option<String>,
+}
+
+impl<G> Phase<G> {
+    /// Whether upstream `i` still owes this phase a reply.
+    fn awaits(&self, i: usize) -> bool {
+        self.targets.iter().any(|(t, got)| *t == i && got.is_none())
+    }
 }
 
 /// The deadline ledger for admitted requests: completions consume
@@ -154,11 +229,9 @@ struct Relayed {
 /// connection cancels its entries so late replies are dropped.
 struct PendingTable {
     by_seq: HashMap<u64, Pending>,
-    /// Min-heap of `(deadline, seq, attempt)` with lazy deletion:
-    /// attempt 0 is the request's own deadline, `n` a relayed entry's
-    /// `n`th attempt's. Completed or cancelled seqs and attempts since
-    /// given up linger here until their time pops them.
-    deadlines: BinaryHeap<Reverse<(Duration, u64, usize)>>,
+    /// Min-heap of `(deadline, seq)` with lazy deletion: completed or
+    /// cancelled seqs linger here until their time pops them.
+    deadlines: BinaryHeap<Reverse<(Duration, u64)>>,
 }
 
 impl PendingTable {
@@ -171,26 +244,7 @@ impl PendingTable {
 
     fn insert(&mut self, seq: u64, pending: Pending, deadline: Duration) {
         self.by_seq.insert(seq, pending);
-        self.deadlines.push(Reverse((deadline, seq, 0)));
-    }
-
-    /// The relay half of a live entry.
-    fn relayed_mut(&mut self, seq: u64) -> Option<&mut Relayed> {
-        self.by_seq.get_mut(&seq)?.relay.as_deref_mut()
-    }
-
-    /// Live entries whose current attempt went to `upstream`, oldest
-    /// first.
-    fn on_upstream(&self, upstream: usize) -> Vec<u64> {
-        let on = |p: &Pending| p.relay.as_ref().is_some_and(|r| r.upstream == upstream);
-        let mut seqs: Vec<u64> = self
-            .by_seq
-            .iter()
-            .filter(|(_, p)| on(p))
-            .map(|(&s, _)| s)
-            .collect();
-        seqs.sort_unstable();
-        seqs
+        self.deadlines.push(Reverse((deadline, seq)));
     }
 
     /// Claim the entry for a finished request; `None` means it already
@@ -208,26 +262,20 @@ impl PendingTable {
     /// The earliest deadline. May be stale (a completed entry) — that
     /// only causes one early wakeup.
     fn next_deadline(&self) -> Option<Duration> {
-        self.deadlines.peek().map(|Reverse((d, ..))| *d)
+        self.deadlines.peek().map(|Reverse((d, _))| *d)
     }
 
-    /// Pop every deadline that has passed: entries past their own come
-    /// out of the table (first list); relayed ones whose current
-    /// attempt went unanswered stay in it (second list).
-    fn expire(&mut self, now: Duration) -> (Vec<(u64, Pending)>, Vec<u64>) {
-        let (mut timed_out, mut missed) = (Vec::new(), Vec::new());
-        while let Some(Reverse((at, seq, attempt))) = self.deadlines.peek().copied() {
+    /// Take out every entry whose deadline has passed.
+    fn expire(&mut self, now: Duration) -> Vec<(u64, Pending)> {
+        let mut timed_out = Vec::new();
+        while let Some(Reverse((at, seq))) = self.deadlines.peek().copied() {
             if at > now {
                 break;
             }
             self.deadlines.pop();
-            if attempt == 0 {
-                timed_out.extend(self.by_seq.remove(&seq).map(|p| (seq, p)));
-            } else if self.relayed_mut(seq).is_some_and(|r| r.tried == attempt) {
-                missed.push(seq);
-            }
+            timed_out.extend(self.by_seq.remove(&seq).map(|p| (seq, p)));
         }
-        (timed_out, missed)
+        timed_out
     }
 
     /// Cancel every entry belonging to a closed connection.
@@ -334,13 +382,13 @@ fn frame_text(line: &[u8]) -> Cow<'_, str> {
 /// reply line and strike bit once they are in.
 type Slot = (u64, Option<(Vec<u8>, bool)>);
 
-/// The reply-ledger lanes of a connection's worker-run and relayed
+/// The reply-ledger lanes of a connection's worker-run and forwarded
 /// frames.
 const WORKER_LANE: usize = 0;
-const RELAY_LANE: usize = 1;
+const FORWARD_LANE: usize = 1;
 
 /// One live connection: a client, or the link to one upstream.
-struct Conn {
+struct Conn<G> {
     frames: FrameBuf,
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written.
@@ -356,7 +404,7 @@ struct Conn {
     interest: (bool, bool),
     /// The reply ledger: admitted frames not yet answered, in arrival
     /// order. Replies leave a lane from the front only; worker-run and
-    /// relayed frames keep separate lanes, so neither waits for the
+    /// forwarded frames keep separate lanes, so neither waits for the
     /// other.
     lanes: [VecDeque<Slot>; 2],
     /// Worker-run frames handed to the pool and not back yet.
@@ -364,12 +412,12 @@ struct Conn {
     /// Worker-run frames admitted while others run, oldest first. When
     /// the last of those finishes, timed out or not, they go to one
     /// worker together.
-    held: Vec<Job>,
+    held: Vec<Job<G>>,
     /// `Some(i)`: not a client but the link dialled to upstream `i`.
     upstream: Option<usize>,
 }
 
-impl Conn {
+impl<G> Conn<G> {
     fn new(upstream: Option<usize>) -> Self {
         Conn {
             frames: FrameBuf::new(),
@@ -392,13 +440,13 @@ impl Conn {
     }
 }
 
-/// One backend relayed frames go to, over at most one link.
+/// One backend frames are forwarded to, over at most one link.
 struct Upstream {
     addr: String,
     /// Token of its [`Conn`] while connected.
     conn: Option<u64>,
-    /// A dial is out; with neither, the next frame starts one. Entries
-    /// attempted meanwhile are written when it connects.
+    /// A dial is out; with neither, the next frame starts one. Frames
+    /// for it meanwhile are written when it connects.
     dialling: bool,
 }
 
@@ -407,15 +455,25 @@ struct Upstream {
 pub struct Core<H: Handler> {
     handler: Arc<H>,
     metrics: Arc<NetMetrics>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Conn<H::Gather>>,
     next_token: u64,
     next_seq: u64,
     pending: PendingTable,
     upstreams: Vec<Upstream>,
-    /// Deadline for one upstream dial and for one attempt's reply.
+    /// Forwarding phases in flight, by the id their frames went out
+    /// under.
+    phases: BTreeMap<u64, Phase<H::Gather>>,
+    /// Min-heap of `(deadline, id)` of the phases, lazily deleted.
+    phase_deadlines: BinaryHeap<Reverse<(Duration, u64)>>,
+    /// Deadline for one upstream dial, one relay attempt's reply and
+    /// one scatter phase.
     attempt_timeout: Duration,
+    /// How long after one heartbeat's fold the next is sent.
+    heartbeat: Option<Duration>,
+    /// When the next heartbeat is due; `None` while one is out.
+    heartbeat_due: Option<Duration>,
     /// `queue_capacity`: most frames admitted but not picked up, and
-    /// most requests in flight before a relayed frame is shed.
+    /// most requests in flight before a forwarded frame is shed.
     capacity: usize,
     workers: usize,
     /// Admitted frames no worker has picked up, queued or held: counted
@@ -423,13 +481,13 @@ pub struct Core<H: Handler> {
     /// held frames of a closed connection). `Control::queue_depth`
     /// reads the same counter.
     waiting: Arc<AtomicUsize>,
-    /// Frames and dials handed to the pool that have not come back.
+    /// Jobs and dials handed to the pool that have not come back.
     in_pool: usize,
     /// Connections with output queued since the last tick.
     touched: Vec<u64>,
     /// The frames one chunk completed, handled before the next chunk.
     frames: Vec<FrameEvent>,
-    actions: VecDeque<Action>,
+    actions: VecDeque<Action<H::Gather>>,
     request_timeout: Duration,
     max_line_bytes: usize,
     max_consecutive_errors: u32,
@@ -445,8 +503,8 @@ impl<H: Handler> Core<H> {
         waiting: Arc<AtomicUsize>,
         workers: usize,
     ) -> Self {
-        let (upstreams, attempt_timeout) = handler.upstreams();
-        let upstreams = upstreams.into_iter().map(|addr| Upstream {
+        let upstreams = handler.upstreams();
+        let links = upstreams.addrs.into_iter().map(|addr| Upstream {
             addr,
             conn: None,
             dialling: false,
@@ -457,12 +515,17 @@ impl<H: Handler> Core<H> {
             conns: HashMap::new(),
             // Tokens 0 and 1 are the driver's own (listener, wake).
             next_token: 2,
-            // From 1: id 0 on a relayed reply is an upstream's
+            // From 1: id 0 on a forwarded reply is an upstream's
             // "unattributable", never one of ours.
             next_seq: 1,
             pending: PendingTable::new(),
-            upstreams: upstreams.collect(),
-            attempt_timeout,
+            upstreams: links.collect(),
+            phases: BTreeMap::new(),
+            phase_deadlines: BinaryHeap::new(),
+            attempt_timeout: upstreams.attempt_timeout,
+            heartbeat: upstreams.heartbeat,
+            // The first heartbeat goes out at the first tick.
+            heartbeat_due: upstreams.heartbeat.map(|_| Duration::ZERO),
             capacity: config.queue_capacity.max(1),
             workers,
             waiting,
@@ -484,20 +547,23 @@ impl<H: Handler> Core<H> {
     }
 
     /// The next thing for the driver to do, in the order decided.
-    pub fn next_action(&mut self) -> Option<Action> {
+    pub fn next_action(&mut self) -> Option<Action<H::Gather>> {
         self.actions.pop_front()
     }
 
     /// When the driver must call [`Self::tick`] next, if ever.
     pub fn next_deadline(&self) -> Option<Duration> {
-        self.pending.next_deadline()
+        let phase = self.phase_deadlines.peek().map(|Reverse((d, _))| *d);
+        let heartbeat = self.heartbeat_due.filter(|_| !self.draining);
+        let due = [self.pending.next_deadline(), phase, heartbeat];
+        due.into_iter().flatten().min()
     }
 
     /// Draining, every admitted request answered and every client's
     /// output written: the driver may stop. Output still queued for an
     /// upstream answers nobody.
     pub fn drained(&self) -> bool {
-        let flushed = |c: &Conn| c.upstream.is_some() || c.wbuf.is_empty();
+        let flushed = |c: &Conn<_>| c.upstream.is_some() || c.wbuf.is_empty();
         self.draining && self.pending.is_empty() && self.conns.values().all(flushed)
     }
 
@@ -514,8 +580,9 @@ impl<H: Handler> Core<H> {
         Some(token)
     }
 
-    /// Begin the drain: nothing new is admitted, relayed or accepted.
-    /// True the first time, when the driver stops listening.
+    /// Begin the drain: nothing new is admitted, forwarded or accepted,
+    /// and no heartbeat is sent; what is already forwarded goes on. True
+    /// the first time, when the driver stops listening.
     pub fn drain(&mut self) -> bool {
         !std::mem::replace(&mut self.draining, true)
     }
@@ -608,14 +675,29 @@ impl<H: Handler> Core<H> {
         self.close(token, now);
     }
 
-    /// A worker finished one frame. The reply is filed unless the frame
-    /// timed out or its connection went away; once none of the
+    /// A worker finished one job. A frame's reply is filed unless the
+    /// frame timed out or its connection went away; once none of the
     /// connection's frames runs, the ones held meanwhile go to one
-    /// worker as a run.
-    pub fn completed(&mut self, done: Done) {
+    /// worker as a run. A fold's reply is filed the same way, or its
+    /// next phase scattered.
+    pub fn completed(&mut self, done: Done<H::Gather>, now: Duration) {
         self.in_pool = self.in_pool.saturating_sub(1);
+        let (reply, malformed) = match done.answer {
+            Answer::Frame(reply, malformed) => (reply, malformed),
+            Answer::Folded(Err(next)) => return self.scatter(done.seq, next, now),
+            Answer::Folded(Ok(_)) if done.seq == HEARTBEAT => {
+                self.heartbeat_due = self.heartbeat.map(|every| now + every);
+                return;
+            }
+            Answer::Folded(Ok(reply)) => {
+                if let Some(p) = self.pending.complete(done.seq) {
+                    self.answer_in_order(p.token, done.seq, reply, false);
+                }
+                return;
+            }
+        };
         if let Some(p) = self.pending.complete(done.seq) {
-            self.answer_in_order(p.token, done.seq, done.reply, done.malformed);
+            self.answer_in_order(p.token, done.seq, reply, malformed);
         }
         let Some(conn) = self.conns.get_mut(&done.token) else {
             return;
@@ -630,23 +712,21 @@ impl<H: Handler> Core<H> {
     }
 
     /// The dial to upstream `i` finished. Connected, its link is served
-    /// under the returned token and its first write is every entry still
-    /// waiting for it, oldest first; failed, they all move on to their
-    /// next candidates.
+    /// under the returned token and its first write is every phase still
+    /// waiting for it, oldest first; failed, they count it missed.
     pub fn dialled(&mut self, i: usize, connected: bool, now: Duration) -> Option<u64> {
         self.in_pool = self.in_pool.saturating_sub(1);
         let upstream = self.upstreams.get_mut(i)?;
         upstream.dialling = false;
         if !connected {
-            self.fail_over(i, now);
+            self.missed(i, Miss::Dial, now);
             return None;
         }
         let token = self.next_token;
         self.next_token += 1;
         let mut conn = Conn::new(Some(i));
-        for seq in self.pending.on_upstream(i) {
-            let tail = self.pending.relayed_mut(seq).map(|r| &r.forward.tail);
-            push_frame(&mut conn.wbuf, seq, tail.map_or("", String::as_str));
+        for (&id, phase) in self.phases.iter().filter(|(_, p)| p.awaits(i)) {
+            push_frame(&mut conn.wbuf, id, &phase.tail);
         }
         upstream.conn = Some(token);
         self.conns.insert(token, conn);
@@ -656,12 +736,12 @@ impl<H: Handler> Core<H> {
 
     /// The clock reads `now`: every admitted request whose deadline
     /// passed is answered with a `timeout` error (a late reply is
-    /// dropped), every relayed entry whose attempt went unanswered moves
-    /// to its next candidate, and every connection with new output is
-    /// flushed — one write for everything queued since the last tick.
+    /// dropped), every phase past its attempt deadline concludes with
+    /// what it has, a heartbeat due is sent, and every connection with
+    /// new output is flushed — one write for everything queued since the
+    /// last tick.
     pub fn tick(&mut self, now: Duration) {
-        let (timed_out, missed) = self.pending.expire(now);
-        for (seq, p) in timed_out {
+        for (seq, p) in self.pending.expire(now) {
             self.metrics.timeouts.incr();
             self.metrics.errors.incr();
             let envelope = ResponseEnvelope {
@@ -673,8 +753,18 @@ impl<H: Handler> Core<H> {
             };
             self.answer_in_order(p.token, seq, encode_line(&envelope), false);
         }
-        for seq in missed {
-            self.attempt(seq, now);
+        while let Some(&Reverse((at, id))) = self.phase_deadlines.peek() {
+            if at > now {
+                break;
+            }
+            self.phase_deadlines.pop();
+            self.conclude(id, now);
+        }
+        if !self.draining && self.heartbeat_due.is_some_and(|due| due <= now) {
+            self.heartbeat_due = None;
+            if let Some(probe) = self.handler.probe() {
+                self.scatter(HEARTBEAT, probe, now);
+            }
         }
         let mut touched = std::mem::take(&mut self.touched);
         touched.sort_unstable();
@@ -683,7 +773,7 @@ impl<H: Handler> Core<H> {
         self.touched = touched;
     }
 
-    /// Route one complete frame: relayed, run inline, or through
+    /// Route one complete frame: forwarded, run inline, or through
     /// admission to a worker.
     fn handle_line(&mut self, token: u64, line: &[u8], now: Duration) {
         let text = frame_text(line);
@@ -694,8 +784,8 @@ impl<H: Handler> Core<H> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if !self.draining {
-            if let Some(forward) = self.handler.relay(trimmed) {
-                return self.relay(token, seq, forward, now);
+            if let Some(forward) = self.handler.forward(trimmed) {
+                return self.forward(token, seq, forward, now);
             }
             // Inline fast path: when the pool is idle, a bounded-cost
             // request is cheaper to run right here than to bounce
@@ -742,8 +832,8 @@ impl<H: Handler> Core<H> {
         let job = Job {
             token,
             seq,
-            line: line.to_string(),
             admitted: now,
+            work: Work::Frame(line.to_string()),
         };
         if conn.running > 0 {
             conn.held.push(job);
@@ -756,7 +846,7 @@ impl<H: Handler> Core<H> {
         let pending = Pending {
             token,
             id,
-            relay: None,
+            _span: None,
         };
         self.pending
             .insert(seq, pending, now + self.request_timeout);
@@ -771,10 +861,11 @@ impl<H: Handler> Core<H> {
         self.pending.is_empty() && self.in_pool < self.workers && !running
     }
 
-    /// Admit one frame to the relay: a pending entry under the request
-    /// deadline and a slot in its connection's relayed lane, then the
-    /// first attempt. Past the in-flight bound it is shed instead.
-    fn relay(&mut self, token: u64, seq: u64, forward: Forward, now: Duration) {
+    /// Admit one frame to forwarding: a pending entry under the request
+    /// deadline and a slot in its connection's forwarded lane, then the
+    /// relay's first attempt or the scatter's first phase. Past the
+    /// in-flight bound it is shed instead.
+    fn forward(&mut self, token: u64, seq: u64, forward: Forward<H::Gather>, now: Duration) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -788,86 +879,204 @@ impl<H: Handler> Core<H> {
             );
             return self.queue_reply(token, &encode_line(&reply), false);
         }
-        conn.lanes[RELAY_LANE].push_back((seq, None));
+        conn.lanes[FORWARD_LANE].push_back((seq, None));
         let pending = Pending {
             token,
             id: forward.id,
-            relay: Some(Box::new(Relayed {
-                forward,
-                tried: 0,
-                upstream: usize::MAX,
-                refusal: None,
-            })),
+            _span: forward.span.map(Box::new),
         };
         self.pending
             .insert(seq, pending, now + self.request_timeout);
-        self.attempt(seq, now);
+        match forward.route {
+            Route::Relay {
+                tail,
+                candidates,
+                primary,
+            } => {
+                let relay = Relay {
+                    candidates,
+                    primary,
+                    tried: 0,
+                    refusal: None,
+                };
+                self.attempt(seq, tail, relay, now);
+            }
+            Route::Scatter(scatter) => self.scatter(seq, scatter, now),
+        }
     }
 
-    /// Send a relayed entry to its next candidate: behind whatever that
-    /// upstream's link has queued, or once a dial has connected one.
-    /// With no candidate left the entry is answered for good: with the
-    /// last refusal an upstream gave, else the handler's own word.
-    fn attempt(&mut self, seq: u64, now: Duration) {
-        let Some(relayed) = self.pending.relayed_mut(seq) else {
+    /// Send a relayed frame to its next candidate, as a phase of one
+    /// target. With no candidate left it is answered for good: with the
+    /// last refusal an upstream gave, else the handler's own word. A
+    /// frame whose request timed out or whose client left goes no
+    /// further.
+    fn attempt(&mut self, seq: u64, tail: String, mut relay: Relay, now: Duration) {
+        if !self.pending.by_seq.contains_key(&seq) {
+            return;
+        }
+        if let Some(&i) = relay.candidates.get(relay.tried) {
+            relay.tried += 1;
+            return self.phase(seq, tail, vec![i], Then::Relay(relay), now);
+        }
+        let Some(p) = self.pending.complete(seq) else {
             return;
         };
-        let next = relayed.forward.candidates.get(relayed.tried).copied();
-        let Some((i, upstream)) = next.and_then(|i| Some((i, self.upstreams.get_mut(i)?))) else {
-            let Some(p) = self.pending.complete(seq) else {
-                return;
-            };
-            self.metrics.errors.incr();
-            let mut bytes = Vec::new();
-            match p.relay.and_then(|r| r.refusal) {
-                Some(tail) => push_frame(&mut bytes, p.id, &tail),
-                None => bytes = self.handler.unroutable(p.id),
-            }
-            return self.answer_in_order(p.token, seq, bytes, false);
+        self.metrics.errors.incr();
+        let mut bytes = Vec::new();
+        match relay.refusal {
+            Some(refusal) => push_frame(&mut bytes, p.id, &refusal),
+            None => bytes = self.handler.unroutable(p.id),
+        }
+        self.answer_in_order(p.token, seq, bytes, false);
+    }
+
+    fn scatter(&mut self, seq: u64, scatter: Scatter<H::Gather>, now: Duration) {
+        let then = Then::Fold(scatter.state);
+        self.phase(seq, scatter.tail, scatter.targets, then, now);
+    }
+
+    /// Write one phase once on each target's link (or once a dial
+    /// connects it), under an id of its own, with no re-send: a verb
+    /// that must run once runs at most once per target. It concludes
+    /// when every target has answered or missed, or at the attempt
+    /// deadline, whichever is first.
+    fn phase(
+        &mut self,
+        seq: u64,
+        tail: String,
+        to: Vec<usize>,
+        then: Then<H::Gather>,
+        now: Duration,
+    ) {
+        let id = self.next_seq;
+        self.next_seq += 1;
+        let mut targets = Vec::with_capacity(to.len());
+        for i in to {
+            let sent = self.send(i, id, &tail);
+            targets.push((i, (!sent).then_some(Err(Miss::Dial))));
+        }
+        let waiting = targets.iter().any(|(_, got)| got.is_none());
+        let phase = Phase {
+            seq,
+            tail,
+            targets,
+            then,
         };
-        relayed.tried += 1;
-        relayed.upstream = i;
-        let attempt = relayed.tried;
-        let connected = upstream.conn.and_then(|token| self.conns.get_mut(&token));
-        if let Some((token, conn)) = upstream.conn.zip(connected) {
-            push_frame(&mut conn.wbuf, seq, &relayed.forward.tail);
-            self.touched.push(token);
-        }
-        let due = now + self.attempt_timeout;
-        self.pending.deadlines.push(Reverse((due, seq, attempt)));
-        if upstream.conn.is_none() && !std::mem::replace(&mut upstream.dialling, true) {
-            self.in_pool += 1;
-            let dial = Action::Dial(i, upstream.addr.clone(), self.attempt_timeout);
-            self.actions.push_back(dial);
+        self.phases.insert(id, phase);
+        match waiting {
+            true => (self.phase_deadlines).push(Reverse((now + self.attempt_timeout, id))),
+            false => self.conclude(id, now),
         }
     }
 
-    /// Upstream `i` is gone (its dial failed or its link closed): every
-    /// entry waiting on it moves to its next candidate.
-    fn fail_over(&mut self, i: usize, now: Duration) {
-        for seq in self.pending.on_upstream(i) {
-            self.attempt(seq, now);
+    /// Write frame `id` on upstream `i`'s link, or start the dial whose
+    /// link [`Self::dialled`] writes it on. False if there is no
+    /// upstream `i`.
+    fn send(&mut self, i: usize, id: u64, tail: &str) -> bool {
+        let Some(upstream) = self.upstreams.get_mut(i) else {
+            return false;
+        };
+        match upstream
+            .conn
+            .and_then(|token| Some((token, self.conns.get_mut(&token)?)))
+        {
+            Some((token, conn)) => {
+                push_frame(&mut conn.wbuf, id, tail);
+                self.touched.push(token);
+            }
+            None if !std::mem::replace(&mut upstream.dialling, true) => {
+                self.in_pool += 1;
+                let dial = Action::Dial(i, upstream.addr.clone(), self.attempt_timeout);
+                self.actions.push_back(dial);
+            }
+            None => {}
+        }
+        true
+    }
+
+    /// Upstream `i` will not answer what it owes (its dial failed or its
+    /// link closed): each phase waiting on it counts `miss` for it, and
+    /// one with nothing left to wait for concludes.
+    fn missed(&mut self, i: usize, miss: Miss, now: Duration) {
+        let mut complete = Vec::new();
+        for (&id, phase) in self.phases.iter_mut().filter(|(_, p)| p.awaits(i)) {
+            let owed = phase
+                .targets
+                .iter_mut()
+                .filter(|(t, got)| *t == i && got.is_none());
+            owed.for_each(|(_, got)| *got = Some(Err(miss)));
+            if phase.targets.iter().all(|(_, got)| got.is_some()) {
+                complete.push(id);
+            }
+        }
+        for id in complete {
+            self.conclude(id, now);
         }
     }
 
-    /// One reply line from upstream `i`: matched by the sequence number
-    /// it was sent under, given its client's id back, and queued as it
-    /// is. A `shutting_down` refusal is not relayed but failed over.
+    /// Phase `id` has every outcome it will get; a target that still
+    /// owes a reply missed it, and a later reply is dropped. A relay
+    /// attempt moves on; a scatter goes to a worker to fold.
+    fn conclude(&mut self, id: u64, now: Duration) {
+        let Some(phase) = self.phases.remove(&id) else {
+            return;
+        };
+        if self.phases.is_empty() {
+            self.phase_deadlines.clear();
+        }
+        let state = match phase.then {
+            Then::Relay(relay) => return self.attempt(phase.seq, phase.tail, relay, now),
+            Then::Fold(state) => state,
+        };
+        let client = self.pending.by_seq.get(&phase.seq).map_or(0, |p| p.id);
+        let missed = |got: Option<_>| got.unwrap_or(Err(Miss::Deadline));
+        let replies = phase.targets.into_iter();
+        let replies = replies.map(|(i, got)| (i, missed(got))).collect();
+        self.in_pool += 1;
+        self.actions.push_back(Action::Run(vec![Job {
+            token: 0,
+            seq: phase.seq,
+            admitted: now,
+            work: Work::Fold(client, state, replies),
+        }]));
+    }
+
+    /// One reply line from upstream `i`, matched by the id it was sent
+    /// under to a phase that still waits for `i`. A scatter keeps it for
+    /// the fold. A relay gives it its client's id back and queues it as
+    /// it is, but a `shutting_down` refusal is not relayed: the frame
+    /// moves on.
     fn upstream_line(&mut self, i: usize, line: &[u8], now: Duration) {
         let text = frame_text(line);
-        let Some((seq, tail)) = split_id(text.trim()) else {
+        let Some((id, tail)) = split_id(text.trim()) else {
             return;
         };
-        // No live entry: it timed out or its client went away. Another
-        // upstream's entry: this attempt was already given up.
-        let Some(relayed) = self.pending.relayed_mut(seq).filter(|r| r.upstream == i) else {
+        // No phase waits for it: the attempt or the phase was given up.
+        let Some(phase) = self.phases.get_mut(&id).filter(|p| p.awaits(i)) else {
             return;
+        };
+        let relay = match &mut phase.then {
+            Then::Relay(relay) => relay,
+            Then::Fold(_) => {
+                let owed = phase
+                    .targets
+                    .iter_mut()
+                    .find(|(t, got)| *t == i && got.is_none());
+                if let Some((_, got)) = owed {
+                    *got = Some(Ok(text.trim().to_string()));
+                }
+                if phase.targets.iter().all(|(_, got)| got.is_some()) {
+                    self.conclude(id, now);
+                }
+                return;
+            }
         };
         if tail.starts_with(SHUTTING_DOWN_TAIL) {
-            relayed.refusal = Some(tail.to_string());
-            return self.attempt(seq, now);
+            relay.refusal = Some(tail.to_string());
+            return self.conclude(id, now);
         }
-        let primary = relayed.forward.primary == i;
+        let (seq, primary) = (phase.seq, relay.primary == i);
+        self.phases.remove(&id);
         let Some(p) = self.pending.complete(seq) else {
             return;
         };
@@ -938,8 +1147,8 @@ impl<H: Handler> Core<H> {
     /// Forget a connection and tell the driver to close it. A client's
     /// in-flight requests are cancelled (late completions are dropped:
     /// nobody is left to read them) and its held frames give their
-    /// queue slots back; an upstream's entries move to their next
-    /// candidates.
+    /// queue slots back; the phases on an upstream's link count it
+    /// missed.
     fn close(&mut self, token: u64, now: Duration) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
@@ -952,7 +1161,7 @@ impl<H: Handler> Core<H> {
                 if let Some(upstream) = self.upstreams.get_mut(i) {
                     upstream.conn = None;
                 }
-                self.fail_over(i, now);
+                self.missed(i, Miss::HungUp, now);
             }
         }
     }
@@ -1014,7 +1223,7 @@ mod tests {
         let entry = |token, id| Pending {
             token,
             id,
-            relay: None,
+            _span: None,
         };
         t.insert(1, entry(100, 11), now + Duration::from_millis(10));
         t.insert(2, entry(100, 12), now + Duration::from_secs(60));
@@ -1025,51 +1234,12 @@ mod tests {
         assert!(t.complete(1).is_none(), "a reply is delivered exactly once");
         t.drop_conn(200);
         assert!(t.complete(3).is_none(), "cancelled with its connection");
-        assert!(t.expire(now).0.is_empty(), "nothing is due yet");
-        let (due, _) = t.expire(now + Duration::from_secs(120));
+        assert!(t.expire(now).is_empty(), "nothing is due yet");
+        let due = t.expire(now + Duration::from_secs(120));
         assert_eq!(due.len(), 1, "only the live entry expires");
         assert_eq!(due.first().map(|(seq, p)| (*seq, p.id)), Some((2, 12)));
         assert!(t.is_empty());
         assert_eq!(t.next_deadline(), None, "the heap backlog is cleared");
-    }
-
-    #[test]
-    fn pending_table_tells_a_missed_attempt_from_a_missed_deadline() {
-        let mut t = PendingTable::new();
-        let ms = Duration::from_millis;
-        let now = ms(1_000);
-        let forward = Forward {
-            id: 11,
-            tail: String::new(),
-            candidates: vec![0, 1],
-            primary: 0,
-            span: None,
-        };
-        let relayed = Relayed {
-            forward,
-            tried: 1,
-            upstream: 0,
-            refusal: None,
-        };
-        let pending = Pending {
-            token: 100,
-            id: 11,
-            relay: Some(Box::new(relayed)),
-        };
-        t.insert(1, pending, now + ms(100));
-        t.deadlines.push(Reverse((now + ms(5), 1, 1)));
-        assert_eq!(t.on_upstream(0), [1]);
-        assert!(t.on_upstream(1).is_empty());
-        assert_eq!(t.expire(now + ms(5)).1, [1], "the first attempt's time");
-        // The entry moved on: the first attempt's time no longer counts.
-        let r = t.relayed_mut(1).expect("still live");
-        (r.upstream, r.tried) = (1, 2);
-        t.deadlines.push(Reverse((now + ms(5), 1, 1)));
-        t.deadlines.push(Reverse((now + ms(50), 1, 2)));
-        assert!(t.expire(now + ms(10)).1.is_empty(), "given up already");
-        assert_eq!(t.expire(now + ms(50)).1, [1]);
-        let (timed_out, missed) = t.expire(now + ms(100));
-        assert!(missed.is_empty() && timed_out.len() == 1 && t.is_empty());
     }
 
     /// The newline search against the byte walk it replaced: strings of

@@ -20,7 +20,7 @@ use cbes_obs::lock::{rank, Mutex};
 use cbes_obs::{names, Clock, Counter, Histogram, MetricsSnapshot, Registry};
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
 
-use crate::net::{self, encode_line, env_u64, Control, Handler, NetHandle, NetMetrics};
+use crate::net::{self, encode_line, env_u64, Control, Core, Handler, NetHandle, NetMetrics, Wake};
 use crate::protocol::{
     decode_request, error_kind, route_key_hash, InstanceInfo, MembershipReport, Request,
     RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
@@ -243,9 +243,29 @@ pub struct Server;
 impl Server {
     /// Bind `config.addr` and serve `service` until shut down.
     pub fn start(service: Arc<CbesService>, config: ServerConfig) -> std::io::Result<ServerHandle> {
+        let registry = service.obs().clone();
+        let net = net::start(&config, |addr, wake| {
+            Server::assemble(service, &config, addr, wake)
+        })?;
+        Ok(ServerHandle {
+            net,
+            served: registry.counter(names::SERVER_SERVED),
+            errors: registry.counter(names::SERVER_ERRORS),
+        })
+    }
+
+    /// The daemon serving `service` and the core that serves it, built
+    /// for a driver to run (no socket is bound): `addr` is what it
+    /// reports as its own, `wake` what a shutdown calls. A daemon
+    /// forwards nothing, so its core has no upstream.
+    pub fn assemble(
+        service: Arc<CbesService>,
+        config: &ServerConfig,
+        addr: SocketAddr,
+        wake: Wake,
+    ) -> std::io::Result<(Arc<Control>, Core<impl Handler>)> {
         let metrics = ServerMetrics::new(service.obs().clone());
-        let (served, errors) = (metrics.served.clone(), metrics.net.errors.clone());
-        let net = net::start(&config, metrics.net.clone(), |control| {
+        net::assemble(config, addr, metrics.net.clone(), wake, |control| {
             let rate = RateLimiter::new(config.max_rps, metrics.registry.clock().clone());
             let rate = Arc::new(rate);
             let reconfig = match config.state_dir.clone() {
@@ -262,11 +282,6 @@ impl Server {
                 reconfig,
                 net: control.clone(),
             })
-        })?;
-        Ok(ServerHandle {
-            net,
-            served,
-            errors,
         })
     }
 }
@@ -405,6 +420,8 @@ struct Daemon {
 }
 
 impl Handler for Daemon {
+    type Gather = ();
+
     /// Only a frame whose row of the action table is marked
     /// [`inline`](crate::protocol::ActionSpec::inline) runs on the
     /// reactor, and the row is read off the envelope that then runs: no

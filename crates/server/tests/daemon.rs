@@ -490,7 +490,7 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
     while Instant::now() < deadline {
         let mut c = Client::connect(addr).expect("connect");
         match c.call(&compare("ring", &[m(&[0, 1])])) {
-            Ok(_) => std::thread::sleep(Duration::from_millis(5)),
+            Ok(_) => cbes_obs::lock::sleep(Duration::from_millis(5)),
             Err(ClientError::Server { kind, .. }) if kind == error_kind::TIMEOUT => {
                 saw_timeout = true;
             }
@@ -519,7 +519,7 @@ fn overload_and_timeout_paths_are_counted_in_stats_and_metrics() {
                 Ok(s) => break s,
                 Err(_) if tries < 200 => {
                     tries += 1;
-                    std::thread::sleep(Duration::from_millis(50));
+                    cbes_obs::lock::sleep(Duration::from_millis(50));
                 }
                 Err(e) => panic!("stats never came back: {e}"),
             }
@@ -585,7 +585,7 @@ fn pipelined_frames_run_in_arrival_order_while_the_pool_is_busy() {
             seed: 1,
         })
     });
-    std::thread::sleep(Duration::from_millis(100));
+    cbes_obs::lock::sleep(Duration::from_millis(100));
 
     let sweep = |cpu| {
         let mut load = LoadState::idle(8);
@@ -889,7 +889,7 @@ fn retrying_client_rides_out_a_late_starting_server() {
     };
 
     let starter = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(200));
+        cbes_obs::lock::sleep(Duration::from_millis(200));
         let service = Arc::new(CbesService::self_calibrated(
             Arc::new(two_switch_demo()),
             ForecastKind::LastValue,
@@ -970,7 +970,7 @@ fn shutdown_drains_and_answers_every_request() {
     );
 
     // Connections after the drain are refused or closed immediately.
-    std::thread::sleep(Duration::from_millis(50));
+    cbes_obs::lock::sleep(Duration::from_millis(50));
     match TcpStream::connect(addr) {
         Err(_) => {}
         Ok(stream) => {

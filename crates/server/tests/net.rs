@@ -56,6 +56,8 @@ thread_local! {
 }
 
 impl Handler for Echo {
+    type Gather = ();
+
     fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
         line.contains("inline").then(|| self.execute(line))
     }
@@ -64,7 +66,7 @@ impl Handler for Echo {
         for (word, gate) in [("hold", &self.release), ("gate", &self.gate)] {
             if line.contains(word) {
                 let _ = self.entered.send(());
-                let _ = gate.recv();
+                let _ = cbes_obs::lock::recv(gate);
             }
         }
         let served = SERVED.with(|s| s.replace(s.get() + 1) + 1);
@@ -92,13 +94,14 @@ fn echo_server(config: ServerConfig) -> EchoServer {
     let (gate, gate_rx) = channel::unbounded();
     let executed = Arc::new(AtomicU64::new(0));
     let metrics = NetMetrics::new(&Arc::new(Registry::new()));
-    let handle = net::start(&config, metrics, |_| {
-        Ok(Echo {
-            entered: entered_tx,
-            release: release_rx,
-            gate: gate_rx,
-            executed: executed.clone(),
-        })
+    let echo = Echo {
+        entered: entered_tx,
+        release: release_rx,
+        gate: gate_rx,
+        executed: executed.clone(),
+    };
+    let handle = net::start(&config, |addr, wake| {
+        net::assemble(&config, addr, metrics, wake, |_| Ok(echo))
     })
     .expect("loopback bind succeeds");
     EchoServer {
@@ -134,7 +137,7 @@ fn echo_handler_sees_reassembled_frames_in_pipelined_order() {
     let (mut stream, mut reader) = connect(&server);
     // One frame split across two writes reassembles into one call.
     stream.write_all(b"{\"id\":1,").expect("write");
-    std::thread::sleep(Duration::from_millis(20));
+    cbes_obs::lock::sleep(Duration::from_millis(20));
     stream.write_all(b"\"x\":0}\n").expect("write");
     assert_eq!(read_line(&mut reader), "{\"id\":1,\"nth\":1}");
     // A pipelined window is answered completely and in order by the
@@ -169,7 +172,7 @@ fn full_queue_sheds_and_missed_deadlines_time_out() {
     // Frame 1 occupies the worker; only then do 2 and 3 arrive, so
     // 2 takes the single queue slot and 3 finds the queue full.
     stream.write_all(b"{\"id\":1,\"hold\":1}\n").expect("write");
-    server.entered.recv().expect("the worker picked frame 1 up");
+    cbes_obs::lock::recv(&server.entered).expect("the worker picked frame 1 up");
     stream
         .write_all(b"{\"id\":2,\"hold\":1}\n{\"id\":3}\n")
         .expect("write");
@@ -192,7 +195,7 @@ fn full_queue_sheds_and_missed_deadlines_time_out() {
         .release
         .send(())
         .expect("worker is parked on the gate");
-    server.entered.recv().expect("the worker picked frame 2 up");
+    cbes_obs::lock::recv(&server.entered).expect("the worker picked frame 2 up");
     stream.write_all(b"{\"id\":4}\n").expect("write");
     server
         .release
@@ -214,9 +217,7 @@ fn a_connections_frames_run_in_arrival_order_on_any_free_worker() {
     // Frame 1 of A holds one worker; the other serves every other
     // connection, one after another.
     a.write_all(b"{\"id\":1,\"hold\":1}\n").expect("write");
-    server
-        .entered
-        .recv_timeout(Duration::from_secs(5))
+    cbes_obs::lock::recv_timeout(&server.entered, Duration::from_secs(5))
         .expect("a worker takes frame 1");
     for _ in 0..2 {
         let (mut other, mut other_reader) = connect(&server);
@@ -238,10 +239,7 @@ fn a_connections_frames_run_in_arrival_order_on_any_free_worker() {
     assert_eq!(error_kind_of(&shed), error_kind::OVERLOADED);
     assert_eq!(server.handle.control().queue_depth(), 2);
     assert!(
-        server
-            .entered
-            .recv_timeout(Duration::from_millis(200))
-            .is_err(),
+        cbes_obs::lock::recv_timeout(&server.entered, Duration::from_millis(200)).is_err(),
         "frame 2 waits for frame 1 to finish"
     );
     // Frame 1 finishes, then 2 runs, then 3; replies leave in that order.
@@ -249,9 +247,7 @@ fn a_connections_frames_run_in_arrival_order_on_any_free_worker() {
         .release
         .send(())
         .expect("frame 1 is parked on release");
-    server
-        .entered
-        .recv_timeout(Duration::from_secs(5))
+    cbes_obs::lock::recv_timeout(&server.entered, Duration::from_secs(5))
         .expect("frame 2 runs once frame 1 is done");
     server.gate.send(()).expect("frame 2 is parked on the gate");
     for id in 1..=3 {
@@ -273,9 +269,7 @@ fn a_client_that_hangs_up_on_held_frames_gives_their_queue_slots_back() {
     // A's frame 1 holds the worker, 2 and 3 are held behind it and fill
     // both queue slots, and 4 is shed.
     a.write_all(b"{\"id\":1,\"hold\":1}\n").expect("write");
-    server
-        .entered
-        .recv_timeout(Duration::from_secs(5))
+    cbes_obs::lock::recv_timeout(&server.entered, Duration::from_secs(5))
         .expect("the worker takes frame 1");
     a.write_all(b"{\"id\":2}\n{\"id\":3}\n{\"id\":4}\n")
         .expect("write");
@@ -290,7 +284,7 @@ fn a_client_that_hangs_up_on_held_frames_gives_their_queue_slots_back() {
         if depth == 0 {
             break;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        cbes_obs::lock::sleep(Duration::from_millis(10));
     }
     assert_eq!(depth, 0, "the dropped frames still count as queued");
     // Both slots are free again: B's two frames are admitted, not shed.
@@ -330,7 +324,7 @@ fn a_peer_that_never_reads_its_replies_is_not_read_from() {
     // replies: execution stalls far short of the burst.
     let mut before = u64::MAX;
     let stalled_at = loop {
-        std::thread::sleep(Duration::from_millis(200));
+        cbes_obs::lock::sleep(Duration::from_millis(200));
         let now = server.executed.load(Ordering::Acquire);
         if now == before {
             break now;

@@ -1,10 +1,6 @@
-//! The I/O layer's core on a seeded in-memory driver: one thread, no
-//! socket, no sleep. Bytes reach the core in chunks the test or the seed
-//! chooses, the pool's jobs are picked up, started and finished in the
-//! order it chooses, time is a manual clock, and a dial connects an
-//! in-memory link to a scripted upstream peer. The thread holds the
-//! reactor role except while it runs a job, as the epoll driver's
-//! reactor and workers do, so a blocking call the core reaches panics.
+//! The I/O layer's core on the seeded in-memory driver
+//! (`common/sim.rs`), against an echo handler: a dial connects an
+//! in-memory link to a scripted upstream peer.
 //!
 //! The first six tests are the deterministic twins of the socket tests
 //! in `tests/net.rs`. The property test drives 1,000 seeded schedules
@@ -12,13 +8,13 @@
 //! against a model of what it sent; a failure prints its seed and op
 //! list, and `run_seed(seed)` replays it exactly.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cbes_obs::lock::{reactor, Mutex, Reactor};
+use cbes_obs::lock::{reactor, Mutex};
 use cbes_obs::{Clock, Registry};
-use cbes_server::net::{self, Action, Control, Core, Done, Forward, Handler, Job, NetMetrics};
+use cbes_server::net::{self, Control, Forward, Handler, NetMetrics, Route, Upstreams};
 use cbes_server::protocol::split_id;
 use cbes_server::{ResponseEnvelope, ServerConfig};
 use rand::rngs::StdRng;
@@ -72,6 +68,8 @@ impl Echo {
 }
 
 impl Handler for Echo {
+    type Gather = ();
+
     fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
         line.contains("inline").then(|| self.answer(line, true))
     }
@@ -80,14 +78,15 @@ impl Handler for Echo {
         self.answer(line, false)
     }
 
-    fn upstreams(&self) -> (Vec<String>, Duration) {
-        (
-            (0..self.upstreams).map(|i| format!("up{i}")).collect(),
-            ATTEMPT,
-        )
+    fn upstreams(&self) -> Upstreams {
+        Upstreams {
+            addrs: (0..self.upstreams).map(|i| format!("up{i}")).collect(),
+            attempt_timeout: ATTEMPT,
+            heartbeat: None,
+        }
     }
 
-    fn relay(&self, line: &str) -> Option<Forward> {
+    fn forward(&self, line: &str) -> Option<Forward<()>> {
         if self.upstreams == 0 || !line.contains("relay") {
             return None;
         }
@@ -96,103 +95,27 @@ impl Handler for Echo {
         let candidates = (0..self.upstreams)
             .map(|k| (primary + k) % self.upstreams)
             .collect();
+        let tail = tail.to_string();
         Some(Forward {
             id,
-            tail: tail.to_string(),
-            candidates,
-            primary,
             span: None,
+            route: Route::Relay {
+                tail,
+                candidates,
+                primary,
+            },
         })
     }
 }
 
-/// The far side of one connection: a client, or an upstream peer.
-#[derive(Default)]
-struct Peer {
-    /// Bytes it sent that the core has not read yet.
-    outbox: VecDeque<u8>,
-    /// Bytes the core wrote to it.
-    inbox: Vec<u8>,
-    /// How many bytes of `inbox` it has read as lines.
-    read: usize,
-    /// What one write can still hand it before it reads.
-    room: usize,
-    /// What it takes when it reads: `room` is refilled to this.
-    window: usize,
-    /// The interest the core asked for: read, write.
-    interest: (bool, bool),
-    /// The core closed it.
-    closed: bool,
-    /// It half-closed after its last byte.
-    eof: bool,
-    eof_delivered: bool,
-    /// Bytes of its script the core has read.
-    delivered: usize,
-    /// `Some(i)`: the link to upstream `i`.
-    upstream: Option<usize>,
-}
+#[path = "common/sim.rs"]
+mod driver;
+use driver::{Peer, PoolOp, Sim};
 
-impl Peer {
-    fn client(window: usize) -> Self {
-        Peer {
-            room: window,
-            window,
-            interest: (true, false),
-            ..Peer::default()
-        }
-    }
-
-    /// The complete lines written to it since it last looked.
-    fn lines(&mut self) -> Vec<String> {
-        let unread = &self.inbox[self.read..];
-        let end = unread
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |i| i + 1);
-        self.read += end;
-        let text = String::from_utf8_lossy(&unread[..end]).to_string();
-        text.lines().map(str::to_string).collect()
-    }
-}
-
-/// One pool worker: the rest of its run, and the frame it has executed
-/// but not yet reported.
-#[derive(Default)]
-struct Worker {
-    run: VecDeque<Job>,
-    done: Option<Done>,
-}
-
-impl Worker {
-    fn idle(&self) -> bool {
-        self.run.is_empty() && self.done.is_none()
-    }
-}
-
-/// The in-memory driver.
-struct Sim {
-    core: Core<Echo>,
-    control: Arc<Control>,
-    registry: Arc<Registry>,
-    metrics: Arc<NetMetrics>,
-    clock: Clock,
-    peers: BTreeMap<u64, Peer>,
-    /// Runs handed to the pool that no worker has taken.
-    queue: VecDeque<Vec<Job>>,
-    workers: Vec<Worker>,
-    /// Upstreams with a dial out, in the order the core asked.
-    dials: Vec<usize>,
-    /// An action that broke a rule of the driver contract.
-    violations: Vec<String>,
-    /// The thread's reactor role, put down while a job runs.
-    reactor: Option<Reactor>,
-}
-
-impl Sim {
-    /// A sim whose registry reads the sim's clock.
-    fn new(config: &ServerConfig, upstreams: usize) -> Sim {
-        let clock = Clock::manual();
-        let registry = Arc::new(Registry::with_clock(clock.clone()));
+impl Sim<Echo> {
+    /// A sim of one echo core whose registry reads the sim's clock.
+    fn echoing(config: &ServerConfig, upstreams: usize) -> Sim<Echo> {
+        let registry = Arc::new(Registry::with_clock(Clock::manual()));
         let metrics = NetMetrics::new(&registry);
         let addr = "127.0.0.1:0".parse().expect("literal address");
         let echo = |_: &Arc<Control>| {
@@ -201,204 +124,16 @@ impl Sim {
                 upstreams,
             })
         };
-        let (control, core) =
-            net::assemble(config, addr, metrics.clone(), Box::new(|| {}), echo).expect("builds");
-        Sim {
-            core,
-            workers: (0..control.workers()).map(|_| Worker::default()).collect(),
-            control,
-            registry,
-            metrics,
-            clock,
-            peers: BTreeMap::new(),
-            queue: VecDeque::new(),
-            dials: Vec::new(),
-            violations: Vec::new(),
-            reactor: Some(reactor()),
-        }
+        let assembled = net::assemble(config, addr, metrics, Box::new(|| {}), echo);
+        Sim::new(registry, assembled.expect("builds"))
     }
 
-    fn with(config: ServerConfig) -> Sim {
-        Sim::new(&config, 0)
-    }
-
-    fn counter(&self, name: &str) -> u64 {
-        self.registry
-            .snapshot()
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    fn now(&self) -> Duration {
-        self.clock.now()
+    fn with(config: ServerConfig) -> Sim<Echo> {
+        Sim::echoing(&config, 0)
     }
 
     fn echo(&self) -> &Echo {
         self.core.handler()
-    }
-
-    /// End of one loop iteration, as the epoll driver ends it: the tick,
-    /// then every action.
-    fn end_turn(&mut self) {
-        self.core.tick(self.now());
-        self.apply();
-    }
-
-    fn apply(&mut self) {
-        while let Some(action) = self.core.next_action() {
-            match action {
-                Action::Flush(token) => self.flush(token),
-                Action::Interest(token, read, write) => match self.peers.get_mut(&token) {
-                    Some(peer) if !peer.closed => peer.interest = (read, write),
-                    _ => self.violations.push(format!("interest for closed {token}")),
-                },
-                Action::Close(token) => match self.peers.get_mut(&token) {
-                    Some(peer) if !peer.closed => peer.closed = true,
-                    _ => self.violations.push(format!("second close of {token}")),
-                },
-                Action::Run(run) => self.queue.push_back(run),
-                Action::Dial(i, addr, timeout) => {
-                    assert_eq!((addr, timeout), (format!("up{i}"), ATTEMPT));
-                    self.dials.push(i);
-                }
-            }
-        }
-    }
-
-    /// Hand the peer what fits in its room, and report it.
-    fn flush(&mut self, token: u64) {
-        let out = self.core.output(token);
-        let Some(peer) = self.peers.get_mut(&token) else {
-            return;
-        };
-        if peer.closed {
-            if !out.is_empty() {
-                self.violations.push(format!("output for closed {token}"));
-            }
-            return;
-        }
-        let n = out.len().min(peer.room);
-        peer.inbox.extend_from_slice(&out[..n]);
-        peer.room -= n;
-        let now = self.now();
-        self.core.wrote(token, n, now);
-    }
-
-    fn connect(&mut self, window: usize) -> Option<u64> {
-        let token = self.core.accepted();
-        if let Some(token) = token {
-            self.peers.insert(token, Peer::client(window));
-        }
-        self.end_turn();
-        token
-    }
-
-    /// Whether the driver would read `token` now.
-    fn readable(&self, token: u64) -> bool {
-        let peer = &self.peers[&token];
-        let more = !peer.outbox.is_empty() || (peer.eof && !peer.eof_delivered);
-        more && !peer.closed && peer.interest.0 && self.core.wants_read(token)
-    }
-
-    /// The core reads up to `n` of the peer's bytes (its EOF, once they
-    /// are all read), as one chunk.
-    fn deliver(&mut self, token: u64, n: usize) {
-        let now = self.now();
-        let peer = self.peers.get_mut(&token).expect("known peer");
-        let take = n.min(peer.outbox.len());
-        let chunk: Vec<u8> = peer.outbox.drain(..take).collect();
-        peer.delivered += take;
-        if chunk.is_empty() {
-            peer.eof_delivered = true;
-        }
-        self.core.received(token, &chunk, now);
-        self.apply();
-    }
-
-    /// Queue `bytes` from `token` and read them the way the epoll driver
-    /// does: 16 KiB chunks while the core wants them.
-    fn send(&mut self, token: u64, bytes: &[u8]) {
-        self.peers
-            .get_mut(&token)
-            .expect("known peer")
-            .outbox
-            .extend(bytes);
-        while self.readable(token) {
-            self.deliver(token, 16 * 1024);
-        }
-        self.end_turn();
-    }
-
-    /// The peer reads everything it was sent: its room is back and, if
-    /// the core is waiting to write, the socket turns writable.
-    fn read_all(&mut self, token: u64) -> Vec<String> {
-        let peer = self.peers.get_mut(&token).expect("known peer");
-        peer.room = peer.window;
-        if peer.interest.1 && !peer.closed {
-            self.flush(token);
-        }
-        self.apply();
-        self.peers.get_mut(&token).expect("known peer").lines()
-    }
-
-    fn hang_up(&mut self, token: u64) {
-        let now = self.now();
-        self.core.hung_up(token, now);
-        self.end_turn();
-    }
-
-    /// Worker `w` takes the next run off the queue, if it is free.
-    fn pick(&mut self, w: usize) -> bool {
-        if !self.workers[w].idle() || self.queue.is_empty() {
-            return false;
-        }
-        self.workers[w].run = self.queue.pop_front().expect("non-empty").into();
-        true
-    }
-
-    /// Worker `w` executes the next frame of its run; the reply waits
-    /// until [`Self::finish`] hands it back.
-    fn start(&mut self, w: usize) {
-        let worker = &mut self.workers[w];
-        let job = worker.run.pop_front().expect("a frame to start");
-        self.reactor = None;
-        let done = job.run(self.core.handler().as_ref(), &self.control, &self.metrics);
-        self.reactor = Some(reactor());
-        self.workers[w].done = Some(done);
-    }
-
-    fn finish(&mut self, w: usize) {
-        let done = self.workers[w].done.take().expect("a frame to finish");
-        self.core.completed(done);
-        self.end_turn();
-    }
-
-    /// Every worker runs what it has and the queue empties.
-    fn settle(&mut self) {
-        loop {
-            let mut moved = false;
-            for w in 0..self.workers.len() {
-                if self.workers[w].done.is_some() {
-                    self.finish(w);
-                    moved = true;
-                } else if !self.workers[w].run.is_empty() {
-                    self.start(w);
-                    moved = true;
-                } else {
-                    moved |= self.pick(w);
-                }
-            }
-            if !moved {
-                return;
-            }
-        }
-    }
-
-    fn advance(&mut self, by: Duration) {
-        self.clock.advance(by);
-        self.end_turn();
     }
 }
 
@@ -642,16 +377,6 @@ fn a_timed_out_frame_still_running_leaves_the_inline_path_open() {
     assert_eq!(sim.read_all(a), ["{\"id\":3,\"ran\":0}"]);
 }
 
-impl Sim {
-    /// Worker `w` runs its whole run.
-    fn settle_worker(&mut self, w: usize) {
-        while !self.workers[w].run.is_empty() {
-            self.start(w);
-            self.finish(w);
-        }
-    }
-}
-
 /// What one frame of a client's script is.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
@@ -691,9 +416,7 @@ enum Op {
     /// Client `.0` reads what it was sent.
     Read(u64),
     HangUp(u64),
-    Pick(usize),
-    Start(usize),
-    Finish(usize),
+    Pool(PoolOp),
     /// The `.0`th dial out completes, connected or not.
     Dial(usize, bool),
     /// The upstream on link `.0` takes the frames written to it.
@@ -765,7 +488,7 @@ fn script_for(rng: &mut StdRng, c: u64, relay: bool) -> (Vec<u8>, Vec<Frame>, bo
     (bytes, frames, residual)
 }
 
-impl Sim {
+impl Sim<Echo> {
     /// The upstream on link `token` takes every frame written to it and
     /// treats each as the seed says.
     fn serve(&mut self, token: u64, rng: &mut StdRng) {
@@ -804,21 +527,14 @@ impl Sim {
                 client.expect("a client").replies.extend(lines);
             }
             Op::HangUp(token) => {
-                self.core.hung_up(token, self.now());
+                let now = self.now();
+                let _reactor = reactor();
+                self.core.hung_up(token, now);
                 let client = clients.iter_mut().find(|c| c.token == token);
                 client.expect("a client").hung_up = true;
             }
-            Op::Pick(w) => drop(self.pick(w)),
-            Op::Start(w) => self.start(w),
-            Op::Finish(w) => self.finish(w),
-            Op::Dial(k, connected) => {
-                let upstream = self.dials.remove(k);
-                if let Some(token) = self.core.dialled(upstream, connected, self.now()) {
-                    let mut link = Peer::client(usize::MAX);
-                    link.upstream = Some(upstream);
-                    self.peers.insert(token, link);
-                }
-            }
+            Op::Pool(op) => self.pool(op),
+            Op::Dial(k, connected) => drop(self.dialled(k, connected)),
             Op::Serve(token) => self.serve(token, rng),
             Op::Advance(by) => self.clock.advance(by),
             Op::Shutdown => drop(self.core.drain()),
@@ -844,15 +560,7 @@ impl Sim {
                 ops.push(Op::HangUp(token));
             }
         }
-        for (w, worker) in self.workers.iter().enumerate() {
-            if worker.done.is_some() {
-                ops.push(Op::Finish(w));
-            } else if !worker.run.is_empty() {
-                ops.push(Op::Start(w));
-            } else if !self.queue.is_empty() {
-                ops.push(Op::Pick(w));
-            }
-        }
+        ops.extend(self.pool_ops().into_iter().map(Op::Pool));
         for k in 0..self.dials.len() {
             ops.push(Op::Dial(k, rng.random_range(0..8) > 0));
         }
@@ -884,15 +592,7 @@ impl Sim {
                     _ => {}
                 }
             }
-            for (w, worker) in self.workers.iter().enumerate() {
-                if worker.done.is_some() {
-                    next.push(Op::Finish(w));
-                } else if !worker.run.is_empty() {
-                    next.push(Op::Start(w));
-                } else if !self.queue.is_empty() {
-                    next.push(Op::Pick(w));
-                }
-            }
+            next.extend(self.pool_ops().into_iter().map(Op::Pool));
             if !self.dials.is_empty() {
                 next.push(Op::Dial(0, true));
             }
@@ -919,7 +619,7 @@ fn run_seed(seed: u64, ops: &mut Vec<Op>) -> Result<Transcript, String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = config_for(&mut rng);
     let upstreams = 2 * rng.random_range(0..2usize);
-    let mut sim = Sim::new(&config, upstreams);
+    let mut sim = Sim::echoing(&config, upstreams);
     let mut clients = Vec::new();
     for c in 1..=rng.random_range(1..4u64) {
         let window = match rng.random_range(0..3) {
@@ -1115,5 +815,70 @@ fn a_seed_replays_exactly() {
         let (first, again) = (run(seed), run(seed));
         assert_eq!(format!("{:?}", first.ops), format!("{:?}", again.ops));
         assert_eq!(first.received, again.received);
+    }
+}
+
+mod common;
+
+/// A fresh daemon's first pipelined window — 24 registrations and then
+/// the first asks, in one chunk — is answered on the reactor: no frame
+/// goes to the pool. `compare_*`'s set-up times exactly this path, and a
+/// first window sent to a worker read +20 % there.
+#[test]
+fn a_fresh_daemons_first_window_is_answered_inline() {
+    use cbes_core::monitor::ForecastKind;
+    use cbes_core::CbesService;
+    use cbes_server::protocol::{encode, Request, RequestEnvelope};
+    use cbes_server::{Response, Server};
+
+    let registry = Arc::new(Registry::with_clock(Clock::manual()));
+    let cluster = Arc::new(cbes_cluster::presets::two_switch_demo());
+    let service = CbesService::self_calibrated(cluster, ForecastKind::LastValue);
+    let service = Arc::new(service.with_obs(registry.clone()));
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let addr = "127.0.0.1:0".parse().expect("literal address");
+    let daemon = Server::assemble(service, &config, addr, Box::new(|| {}));
+    let mut sim = Sim::new(registry, daemon.expect("builds"));
+    let c = sim.connect(usize::MAX).expect("accepted");
+    let mut requests = common::one_of_each().into_iter();
+    let (Some(Request::RegisterProfile { profile }), Some(compare)) =
+        (requests.next(), requests.next())
+    else {
+        panic!("the table's first two rows are a registration and a compare");
+    };
+    let mut window: Vec<Request> = (0..24)
+        .map(|k| {
+            let mut profile = profile.clone();
+            profile.name = if k == 0 {
+                profile.name
+            } else {
+                format!("app{k}")
+            };
+            Request::RegisterProfile { profile }
+        })
+        .collect();
+    window.extend(std::iter::repeat_n(compare, 8));
+    let bytes: String = (1..)
+        .zip(&window)
+        .map(|(id, request)| encode(&RequestEnvelope::new(id, request.clone())) + "\n")
+        .collect();
+    sim.send(c, bytes.as_bytes());
+    assert!(
+        sim.queue.is_empty(),
+        "a frame of the window went to the pool"
+    );
+    let replies = sim.read_all(c);
+    assert_eq!(replies.len(), window.len());
+    for ((id, request), line) in (1..).zip(&window).zip(&replies) {
+        let reply = envelope(line);
+        assert_eq!(reply.id, id);
+        match (request, reply.response) {
+            (Request::RegisterProfile { .. }, Response::Registered { .. }) => {}
+            (Request::Compare { .. }, Response::Predictions { epoch: 0, .. }) => {}
+            (_, other) => panic!("frame {id} answered {other:?}"),
+        }
     }
 }

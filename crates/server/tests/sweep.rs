@@ -64,9 +64,9 @@ fn a_soak_rollback_due_on_an_inline_frame_is_journalled_by_a_worker() {
     // A token refills within a second. Then, on an idle daemon, the
     // first frame of a new clock second is the one the sweep falls due on.
     let clock = service.obs().clock();
-    std::thread::sleep(Duration::from_millis(1_050));
+    cbes_obs::lock::sleep(Duration::from_millis(1_050));
     let into_second = clock.now().subsec_micros();
-    std::thread::sleep(Duration::from_micros(
+    cbes_obs::lock::sleep(Duration::from_micros(
         u64::from(1_000_000 - into_second) + 20_000,
     ));
     let reply = client.call(compare).expect("the frame is answered");
