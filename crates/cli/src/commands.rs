@@ -9,10 +9,12 @@ use cbes_core::mapping::Mapping;
 use cbes_core::snapshot::SystemSnapshot;
 use cbes_mpisim::{simulate as sim_run, SimConfig};
 use cbes_netmodel::calibrate::Calibrator;
+use cbes_obs::MetricsSnapshot;
 use cbes_sched::{
     GaConfig, GeneticScheduler, GreedyScheduler, NcsScheduler, RandomScheduler, SaConfig,
     SaScheduler, ScheduleRequest, Scheduler,
 };
+use cbes_server::net::STAGE_NAMES;
 use cbes_server::protocol::{Action, ActionSpec, Request, Response, ACTIONS};
 use cbes_trace::{extract_profile, AppProfile, TraceStats};
 use cbes_workloads::suite::{self, SuiteParams};
@@ -567,8 +569,9 @@ fn stats_table(s: &cbes_server::protocol::StatsReport) -> String {
     aligned_table(&rows)
 }
 
-/// Summarise a metrics snapshot: counters, gauges, and latency
-/// histograms with their key percentiles (all durations microseconds).
+/// Summarise a metrics snapshot: counters, gauges, and the latency
+/// histograms that hold a sample, with their key percentiles (all
+/// durations microseconds).
 fn metrics_table(m: &cbes_obs::MetricsSnapshot) -> String {
     let mut out = String::new();
     if !m.counters.is_empty() {
@@ -591,23 +594,14 @@ fn metrics_table(m: &cbes_obs::MetricsSnapshot) -> String {
     }
     if !m.histograms.is_empty() {
         let _ = writeln!(out, "histograms (us):");
-        let rows: Vec<(String, String)> = m
-            .histograms
-            .iter()
+        let rows: Vec<(String, String)> = (m.histograms.iter())
+            .filter(|(_, h)| !h.is_empty())
             .map(|(k, h)| {
-                let v = if h.is_empty() {
-                    "empty".to_string()
-                } else {
-                    format!(
-                        "count {}  mean {:.0}  p50 {}  p90 {}  p99 {}  max {}",
-                        h.count,
-                        h.mean(),
-                        h.p50(),
-                        h.p90(),
-                        h.p99(),
-                        h.max
-                    )
-                };
+                let (count, mean, max) = (h.count, h.mean(), h.max);
+                let (p50, p90, p99) = (h.p50(), h.p90(), h.p99());
+                let v = format!(
+                    "count {count}  mean {mean:.0}  p50 {p50}  p90 {p90}  p99 {p99}  max {max}"
+                );
                 (k.clone(), v)
             })
             .collect();
@@ -621,34 +615,33 @@ fn metrics_table(m: &cbes_obs::MetricsSnapshot) -> String {
     out
 }
 
+/// Every positional address and every repeated `--addr` of `verb`.
+fn endpoints<'a>(parsed: &'a Parsed, verb: &str) -> Result<Vec<&'a str>, CliError> {
+    let addrs = parsed.positional.iter().chain(parsed.get_all("addr"));
+    let addrs: Vec<&str> = addrs.map(String::as_str).collect();
+    if addrs.is_empty() {
+        let why = format!("`{verb}` needs at least one daemon address (positional or --addr)");
+        return Err(CliError::usage(why));
+    }
+    Ok(addrs)
+}
+
 /// `cbes metrics <addr>.. [--addr HOST:PORT]..` — fetch observability
 /// snapshots from one or more daemons (every positional address plus
 /// every repeated `--addr`), merge them into a single tier-wide report
 /// (counters and histograms add, gauges last-wins), and render it.
 pub fn metrics(parsed: &Parsed) -> Result<String, CliError> {
-    let mut addrs: Vec<&str> = parsed.positional.iter().map(String::as_str).collect();
-    addrs.extend(parsed.get_all("addr").iter().map(String::as_str));
-    if addrs.is_empty() {
-        return Err(CliError::usage(
-            "`metrics` needs at least one daemon address (positional or --addr)",
-        ));
-    }
+    let addrs = endpoints(parsed, "metrics")?;
     let format = parsed.get("format").unwrap_or("summary");
     if !matches!(format, "summary" | "json") {
         return Err(CliError::usage(format!(
             "bad --format `{format}` (want summary | json)"
         )));
     }
-    let mut merged: Option<cbes_obs::MetricsSnapshot> = None;
+    let mut snap = MetricsSnapshot::default();
     for addr in &addrs {
-        let mut client = connect(parsed, addr)?;
-        let snap = client.metrics().map_err(client_err)?;
-        match merged.as_mut() {
-            Some(m) => m.merge(&snap),
-            None => merged = Some(snap),
-        }
+        snap.merge(&connect(parsed, addr)?.metrics().map_err(client_err)?);
     }
-    let snap = merged.ok_or_else(|| CliError::usage("`metrics` needs a daemon address"))?;
     if format == "json" {
         Ok(snap.to_json() + "\n")
     } else if addrs.len() == 1 {
@@ -662,78 +655,56 @@ pub fn metrics(parsed: &Parsed) -> Result<String, CliError> {
     }
 }
 
-/// What `cbes top` remembers of one endpoint between frames: every
-/// column that is a rate or a window is the current cumulative snapshot
-/// minus something held here.
-#[derive(Default)]
-struct TopBaseline {
-    /// Cumulative requests served (or routed) at the previous frame.
-    served: u64,
-    /// Cumulative `overloaded` sheds at the previous frame.
-    shed: u64,
-    /// `(when polled, cumulative server.service_time_us)` of earlier
-    /// frames, oldest first, none older than [`TOP_LONG_WINDOW`].
-    service_time: VecDeque<(Instant, cbes_obs::HistogramSnapshot)>,
-}
+/// What `cbes top` holds of each endpoint, by address: the metrics
+/// snapshots of earlier frames, oldest first, none older than
+/// [`TOP_LONG_WINDOW`]. Every rate or window column is the current
+/// cumulative snapshot minus one of them.
+type TopTotals = std::collections::BTreeMap<String, VecDeque<(Instant, MetricsSnapshot)>>;
 
-/// [`TopBaseline`]s by endpoint address.
-type TopTotals = std::collections::BTreeMap<String, TopBaseline>;
-
-/// The `p50-10s` / `p99-10s` columns' window.
+/// The `p50-10s` / `p99-10s` and stage columns' window.
 const TOP_SHORT_WINDOW: Duration = Duration::from_secs(10);
 /// The `p99-60s` column's window, and how long a frame is kept.
 const TOP_LONG_WINDOW: Duration = Duration::from_secs(60);
 
 /// Render one `cbes top` frame, polled at `now`, from per-endpoint
 /// metrics snapshots: request and shed deltas against the previous
-/// frame's cumulative totals, service-time quantiles over the samples
-/// recorded since the newest held frame at least 10 s / 60 s old (else
-/// the oldest held; the first frame has no baseline, so every column is
-/// the lifetime total). An endpoint that did not answer this frame
-/// (`None`) renders as a `down` row rather than aborting the session,
-/// and its baseline is dropped so the first frame after it comes back
-/// starts fresh. Deltas clamp at zero (`saturating_sub`,
-/// `HistogramSnapshot::sub`): a restarted instance resets its
-/// instruments, and a session that spans the restart must show a quiet
-/// endpoint, not an underflowed rate.
+/// frame's snapshot; service-time quantiles, and then the p50 of each of
+/// the daemon's stages, over what was recorded since the newest held
+/// frame at least 10 s / 60 s old (else the oldest held; the first frame
+/// has no baseline, so every column is the lifetime total). An endpoint
+/// that did not answer this frame (`None`) renders as a `down` row
+/// rather than aborting the session, and its frames are dropped so the
+/// first frame after it comes back starts fresh. Deltas clamp at zero
+/// (`saturating_sub`, `HistogramSnapshot::sub`): a restarted instance
+/// resets its instruments, and a session that spans the restart must
+/// show a quiet endpoint, not an underflowed rate.
 fn top_frame(
-    rows: &[(String, Option<cbes_obs::MetricsSnapshot>)],
+    rows: &[(String, Option<MetricsSnapshot>)],
     prev: &mut TopTotals,
     now: Instant,
 ) -> String {
     use cbes_obs::names;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
+    let stages = STAGE_NAMES
+        .iter()
+        .filter(|name| name.starts_with("server."));
+    let mut out = format!(
         "{:<21} {:>7} {:>7} {:>10} {:>10} {:>10} {:>11} {:>7}",
         "endpoint", "req", "shed", "p50-10s us", "p99-10s us", "p99-60s us", "spans", "flight"
     );
+    for stage in stages.clone() {
+        let _ = write!(
+            out,
+            " {:>12}",
+            stage.trim_start_matches("server.").trim_end_matches("_us")
+        );
+    }
     for (addr, snap) in rows {
         let Some(m) = snap else {
             prev.remove(addr);
-            let _ = writeln!(
-                out,
-                "{addr:<21} {:>7} {:>7} {:>10} {:>10} {:>10} {:>11} {:>7}  (down)",
-                "-", "-", "-", "-", "-", "-", "-"
-            );
+            let _ = write!(out, "\n{addr:<21}  (down)");
             continue;
         };
-        let c = |key: &str| m.counters.get(key).copied().unwrap_or(0);
-        // A router's reply folds in its daemons', so `server.served`
-        // already counts every routed request once.
-        let served_total = c(names::SERVER_SERVED);
-        // Rate-cap sheds are counted in `server.overloaded` too.
-        let shed_total = c(names::SERVER_OVERLOADED);
-        let base = prev.entry(addr.clone()).or_default();
-        let served = served_total.saturating_sub(base.served);
-        let shed = shed_total.saturating_sub(base.shed);
-        (base.served, base.shed) = (served_total, shed_total);
-        let service_time = m
-            .histograms
-            .get(names::SERVER_SERVICE_TIME_US.as_str())
-            .cloned()
-            .unwrap_or_default();
-        let frames = &mut base.service_time;
+        let frames = prev.entry(addr.clone()).or_default();
         let age = |at: &Instant| now.saturating_duration_since(*at);
         while frames
             .front()
@@ -741,49 +712,63 @@ fn top_frame(
         {
             frames.pop_front();
         }
-        let since = |window: Duration| {
+        // Since the newest held frame at least `window` old, else the
+        // oldest; the whole lifetime on the first frame.
+        let window = |window: Duration, name: &str| {
             let held = frames.iter().rev().find(|(at, _)| age(at) >= window);
-            match held.or(frames.front()) {
-                Some((_, earlier)) => service_time.sub(earlier),
-                None => service_time.clone(),
-            }
+            let earlier = held
+                .or(frames.front())
+                .and_then(|(_, e)| e.histograms.get(name));
+            let total = m.histograms.get(name).cloned().unwrap_or_default();
+            earlier.map_or(total.clone(), |earlier| total.sub(earlier))
         };
-        let (short, long) = (since(TOP_SHORT_WINDOW), since(TOP_LONG_WINDOW));
-        let cell = |window: &cbes_obs::HistogramSnapshot, quantile: u64| {
-            if window.is_empty() {
-                "-".to_string()
-            } else {
-                quantile.to_string()
-            }
+        // A router's reply folds in its daemons', so `server.served`
+        // already counts every routed request once; rate-cap sheds are
+        // counted in `server.overloaded` too.
+        let delta = |name: &str| {
+            let count = |s: &MetricsSnapshot| s.counters.get(name).copied().unwrap_or(0);
+            count(m).saturating_sub(frames.back().map_or(0, |(_, last)| count(last)))
         };
-        let _ = writeln!(
-            out,
-            "{addr:<21} {served:>7} {shed:>7} {:>10} {:>10} {:>10} {:>11} {:>7}",
-            cell(&short, short.p50()),
-            cell(&short, short.p99()),
-            cell(&long, long.p99()),
-            format!("{}/{}", m.spans_buffered, m.spans_dropped),
-            c(names::FLIGHT_EVENTS),
+        let cell = |window: &cbes_obs::HistogramSnapshot, quantile: u64| match window.is_empty() {
+            true => "-".to_string(),
+            false => quantile.to_string(),
+        };
+        let service = names::SERVER_SERVICE_TIME_US.as_str();
+        let (ten, sixty) = (
+            window(TOP_SHORT_WINDOW, service),
+            window(TOP_LONG_WINDOW, service),
         );
-        frames.push_back((now, service_time));
+        let _ = write!(
+            out,
+            "\n{addr:<21} {:>7} {:>7} {:>10} {:>10} {:>10} {:>11} {:>7}",
+            delta(names::SERVER_SERVED),
+            delta(names::SERVER_OVERLOADED),
+            cell(&ten, ten.p50()),
+            cell(&ten, ten.p99()),
+            cell(&sixty, sixty.p99()),
+            format!("{}/{}", m.spans_buffered, m.spans_dropped),
+            m.counters
+                .get(names::FLIGHT_EVENTS.as_str())
+                .copied()
+                .unwrap_or(0),
+        );
+        for stage in stages.clone() {
+            let stage = window(TOP_SHORT_WINDOW, stage);
+            let _ = write!(out, " {:>12}", cell(&stage, stage.p50()));
+        }
+        frames.push_back((now, m.clone()));
     }
-    out
+    out + "\n"
 }
 
 /// `cbes top <addr>.. [--addr A].. [--iterations N] [--interval-ms N]`
 /// — a live tier view: every interval, poll each endpoint's cumulative
-/// metrics snapshot and render per-frame request/shed deltas and
-/// 10 s / 60 s latency quantiles by subtracting the snapshots of
-/// earlier frames. Intermediate frames stream to stdout; the final
+/// metrics snapshot and render per-frame request/shed deltas, 10 s /
+/// 60 s latency quantiles and 10 s stage medians by subtracting the
+/// snapshots of earlier frames. Intermediate frames stream to stdout; the final
 /// frame is the returned output.
 pub fn top(parsed: &Parsed) -> Result<String, CliError> {
-    let mut addrs: Vec<&str> = parsed.positional.iter().map(String::as_str).collect();
-    addrs.extend(parsed.get_all("addr").iter().map(String::as_str));
-    if addrs.is_empty() {
-        return Err(CliError::usage(
-            "`top` needs at least one daemon address (positional or --addr)",
-        ));
-    }
+    let addrs = endpoints(parsed, "top")?;
     let iterations = parsed.get_parsed("iterations", 5usize)?;
     if iterations == 0 {
         return Err(CliError::usage("--iterations must be at least 1"));
@@ -792,15 +777,13 @@ pub fn top(parsed: &Parsed) -> Result<String, CliError> {
     let mut last = String::new();
     let mut totals = TopTotals::new();
     for frame in 0..iterations {
-        let mut rows = Vec::new();
-        for addr in &addrs {
-            // A dead endpoint is a row, not a session abort: restarts
-            // mid-session are exactly when an operator watches `top`.
-            let snap = connect(parsed, addr)
-                .and_then(|mut c| c.metrics().map_err(client_err))
-                .ok();
-            rows.push((addr.to_string(), snap));
-        }
+        // A dead endpoint is a row, not a session abort: restarts
+        // mid-session are exactly when an operator watches `top`.
+        let poll = |addr: &str| connect(parsed, addr)?.metrics().map_err(client_err);
+        let rows: Vec<_> = addrs
+            .iter()
+            .map(|a| (a.to_string(), poll(a).ok()))
+            .collect();
         last = format!(
             "cbes top — frame {}/{iterations}, {} endpoint(s)\n{}",
             frame + 1,
@@ -1664,8 +1647,9 @@ mod tests {
         assert!(out.contains("\"server.queue_wait_us\""), "{out}");
 
         // A traced request leaves connected spans behind in the daemon's
-        // one ring: the action span and the evaluation beneath it, on the
-        // trace id the CLI's root span made current.
+        // one ring: the action span with the evaluation and the six stages
+        // of an inline frame beneath it, on the trace id the CLI's root
+        // span made current.
         let out = request(&parsed(&[
             "request",
             &addr,
@@ -1680,9 +1664,19 @@ mod tests {
         .unwrap();
         assert!(out.contains("epoch"), "{out}");
         let out = request(&parsed(&["request", &addr, "trace", "--trace-id", "7701"])).unwrap();
-        assert!(out.contains("2 span(s)"), "{out}");
+        assert!(out.contains("8 span(s)"), "{out}");
         assert!(out.contains("compare"), "{out}");
         assert!(out.contains("core.evaluate_mapping"), "{out}");
+        for stage in [
+            "reassembly",
+            "queue_wait",
+            "decode",
+            "service_time",
+            "encode",
+            "flush",
+        ] {
+            assert!(out.contains(&format!("    server.{stage}_us ")), "{out}");
+        }
         // Untraced requests never join a trace.
         let out = request(&parsed(&[
             "request",
@@ -1930,6 +1924,7 @@ mod tests {
         for v in [100, 207, 5000] {
             r.histogram(names::SERVER_SERVICE_TIME_US).record(v);
         }
+        r.histogram(names::SERVER_DECODE_US).record(9);
         let addr = "10.0.0.1:9077".to_string();
         let mut totals = TopTotals::new();
         let rows = vec![(addr.clone(), Some(r.snapshot()))];
@@ -1939,6 +1934,8 @@ mod tests {
         let row = top_row(&frame, &addr);
         assert_eq!(row[1..3], ["120", "5"], "{frame}");
         assert_eq!(row[3..6], ["207", "5000", "5000"], "{frame}");
+        // The daemon's stage medians follow, in stage order.
+        assert_eq!(row[8..], ["-", "-", "9", "207", "-", "-", "-"], "{frame}");
         // A router's reply carries its daemons' `server.served` and its
         // own `router.routed` for the same requests: counted once.
         let tier = cbes_obs::Registry::new();
@@ -1967,7 +1964,7 @@ mod tests {
             let rows = [(addr.clone(), Some(snap))];
             let frame = top_frame(&rows, &mut totals, t0 + Duration::from_secs(secs));
             let quantiles = top_row(&frame, &addr)[3..6].join(" ");
-            (quantiles, totals[&addr].service_time.len())
+            (quantiles, totals[&addr].len())
         };
         // One slow request before the session's first frame...
         service_time.record(1 << 20);

@@ -8,11 +8,15 @@
 //!   returns the permuted predictions, bit for bit;
 //! - more load never helps: less CPU on one node lowers no `R_i`, no
 //!   `C_i` and not `S_M`, and raises the `R_i` of every working rank
-//!   placed there; a busier NIC on one node lowers no `C_i`.
+//!   placed there; a busier NIC on one node lowers no `C_i`;
+//! - health only hurts: `Suspect` nodes lower no `R_i` and not `S_M` and
+//!   leave every `C_i` as it was, a mapping onto a `Down` node costs
+//!   `+∞`, and one that avoids it is the all-healthy prediction.
 
 use cbes_cluster::load::LoadState;
 use cbes_cluster::presets::two_switch_demo;
 use cbes_cluster::{Cluster, NodeId};
+use cbes_core::health::{HealthView, NodeHealth};
 use cbes_core::snapshot::Provider;
 use cbes_core::{CbesService, Evaluator, ForecastKind, Mapping, Prediction, SystemSnapshot};
 use cbes_netmodel::LatencyModel;
@@ -239,6 +243,61 @@ proptest! {
             for (rank, (a, b)) in was.per_proc.iter().zip(&is.per_proc).enumerate() {
                 prop_assert!(b.c >= a.c, "rank {}: C_i {} -> {}", rank, a.c, b.c);
                 prop_assert_eq!(b.r.to_bits(), a.r.to_bits(), "rank {}", rank);
+            }
+        }
+    }
+
+    /// Eq. 5 divides by a `Suspect` node's `ACPU` over a penalty of at
+    /// least one, and a `Down` node has none: marking nodes `Suspect`
+    /// lowers no `R_i` and not `S_M` and leaves every `C_i` bit for bit;
+    /// a mapping onto a `Down` node costs `+∞`, and one that avoids it is
+    /// the all-healthy prediction, bit for bit.
+    #[test]
+    fn health_only_hurts(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cluster = two_switch_demo();
+        let model = calibrated(&cluster, &mut rng);
+        let n = rng.random_range(1usize..10);
+        let app = profile(n, false, &mut rng);
+        let load = load(&cluster, &mut rng);
+        let (onto, clear) = (mapping(&cluster, n, &mut rng), mapping(&cluster, n, &mut rng));
+        let suspect: Vec<NodeHealth> = (0..cluster.len())
+            .map(|_| match rng.random_range(0..3) {
+                0 => NodeHealth::Suspect,
+                _ => NodeHealth::Healthy,
+            })
+            .collect();
+        let penalty = rng.random_range(1.0..4.0);
+        // `Down` where `onto` puts a rank; `clear` avoids it, if it can.
+        let down = onto.node(rng.random_range(0..n));
+        let mut downed = vec![NodeHealth::Healthy; cluster.len()];
+        downed[down.index()] = NodeHealth::Down;
+        let avoids = !clear.as_slice().contains(&down);
+        for calibrated_arm in [false, true] {
+            let views = [
+                HealthView::all_healthy(cluster.len()),
+                HealthView::new(suspect.clone(), penalty),
+                HealthView::new(downed.clone(), penalty),
+            ];
+            let [healthy, marked, with_down] = views.map(|health| {
+                let mut snap = match calibrated_arm {
+                    false => SystemSnapshot::no_load(&cluster, &cluster),
+                    true => SystemSnapshot::no_load(&cluster, &model),
+                };
+                snap.set_load(load.clone());
+                snap.set_health(health);
+                let evaluator = Evaluator::new(&app, &snap);
+                [&onto, &clear].map(|m| evaluator.predict(m))
+            });
+            let (was, is) = (&healthy[0], &marked[0]);
+            prop_assert!(is.time >= was.time, "S_M {} -> {}", was.time, is.time);
+            for (rank, (a, b)) in was.per_proc.iter().zip(&is.per_proc).enumerate() {
+                prop_assert!(b.r >= a.r, "rank {}: R_i {} -> {}", rank, a.r, b.r);
+                prop_assert_eq!(b.c.to_bits(), a.c.to_bits(), "rank {}", rank);
+            }
+            prop_assert_eq!(with_down[0].time, f64::INFINITY, "onto {:?}", down);
+            if avoids {
+                prop_assert_eq!(bits(&with_down[1]), bits(&healthy[1]), "clear of {:?}", down);
             }
         }
     }

@@ -49,4 +49,4 @@ pub use clock::Clock;
 pub use flight::{FlightEvent, FlightRecorder};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{MetricsSnapshot, Registry};
-pub use span::{current_trace, mint_trace_id, SpanGuard, SpanRecord, SpanRing};
+pub use span::{current_trace, mint_trace_id, next_span_id, SpanGuard, SpanRecord, SpanRing};

@@ -71,10 +71,20 @@ names! {
     pub const SERVER_DROPPED_CONNECTIONS: &Name = "server.dropped_connections";
     /// Request frames rejected for exceeding the size limit.
     pub const SERVER_OVERSIZED_FRAMES: &Name = "server.oversized_frames";
-    /// Admission-queue wait time, microseconds.
+    /// Stage: a frame's first byte received to the frame admitted, us.
+    pub const SERVER_REASSEMBLY_US: &Name = "server.reassembly_us";
+    /// Stage: admitted to picked up by a worker (zero inline), us.
     pub const SERVER_QUEUE_WAIT_US: &Name = "server.queue_wait_us";
-    /// Request service time (dequeue to reply), microseconds.
+    /// Stage: picked up to decoded and past the rate gate, us.
+    pub const SERVER_DECODE_US: &Name = "server.decode_us";
+    /// Stage: the request handled (`handle_request`), us.
     pub const SERVER_SERVICE_TIME_US: &Name = "server.service_time_us";
+    /// Stage: the reply encoded, us.
+    pub const SERVER_ENCODE_US: &Name = "server.encode_us";
+    /// Stage: a worker's reply on its way back to the reactor, us.
+    pub const SERVER_HAND_BACK_US: &Name = "server.hand_back_us";
+    /// Stage: completed to the reply's last byte written, us.
+    pub const SERVER_FLUSH_US: &Name = "server.flush_us";
     /// Current admission-queue depth.
     pub const SERVER_QUEUE_DEPTH: &Name = "server.queue_depth";
 
@@ -126,6 +136,12 @@ names! {
     pub const ROUTER_INSTANCES_SUSPECT: &Name = "router.instances.suspect";
     /// Instances currently `Down`.
     pub const ROUTER_INSTANCES_DOWN: &Name = "router.instances.down";
+    /// Stage: a forwarded frame's first byte received to forwarded, us.
+    pub const ROUTER_REASSEMBLY_US: &Name = "router.reassembly_us";
+    /// Stage: forwarded to answered (relayed reply, fold or give-up), us.
+    pub const ROUTER_UPSTREAM_US: &Name = "router.upstream_us";
+    /// Stage: answered to the reply's last byte written, us.
+    pub const ROUTER_FLUSH_US: &Name = "router.flush_us";
 
     // ---- core (CbesService) --------------------------------------------
 

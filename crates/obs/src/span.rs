@@ -27,7 +27,7 @@ use serde::Serialize;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 thread_local! {
@@ -56,8 +56,10 @@ fn process_mix(n: u64) -> u64 {
 
 /// Next span id: unique across *all* rings of the process (a router and
 /// its daemons in one process nest spans across rings), counting up from
-/// draw 0 below 2^63, so no id meets another process's parent id.
-fn next_span_id() -> u64 {
+/// draw 0 below 2^63, so no id meets another process's parent id. A span
+/// written later from stamps ([`SpanRing::record`]) takes its id here
+/// first, so what it parents can name it before it is written.
+pub fn next_span_id() -> u64 {
     static NEXT: OnceLock<AtomicU64> = OnceLock::new();
     let next = NEXT.get_or_init(|| AtomicU64::new((process_mix(0) >> 1).max(1)));
     next.fetch_add(1, Ordering::Relaxed)
@@ -138,19 +140,8 @@ impl SpanRing {
     /// parent link and trace id are inherited from the innermost live
     /// span on this thread.
     pub fn span(&self, name: &'static Name) -> SpanGuard<'_> {
-        let id = next_span_id();
-        let parent = CURRENT_SPAN.with(|c| c.replace(id));
-        let trace = CURRENT_TRACE.with(|c| c.get());
-        SpanGuard {
-            ring: Some(RingRef::Borrowed(self)),
-            name: name.as_str(),
-            id,
-            parent,
-            trace,
-            prev_span: parent,
-            prev_trace: trace,
-            start: self.clock.now(),
-        }
+        let (trace, parent) = (CURRENT_TRACE.with(Cell::get), CURRENT_SPAN.with(Cell::get));
+        self.span_rooted(name, trace, parent)
     }
 
     /// Open a span that *joins a remote trace*: its parent is
@@ -163,38 +154,13 @@ impl SpanRing {
         let prev_span = CURRENT_SPAN.with(|c| c.replace(id));
         let prev_trace = CURRENT_TRACE.with(|c| c.replace(trace));
         SpanGuard {
-            ring: Some(RingRef::Borrowed(self)),
-            name: name.as_str(),
+            ring: Some(self),
+            name,
             id,
             parent: parent_span,
             trace,
             prev_span,
             prev_trace,
-            start: self.clock.now(),
-        }
-    }
-
-    /// Open a span that is finished by a later event, not by the call
-    /// stack that began it (an event loop relays a frame in one
-    /// iteration and sees its reply in another). It joins `trace` under
-    /// `parent_span` like [`Self::span_rooted`] but never touches the
-    /// thread's span context, so other work on the thread does not nest
-    /// beneath it and the guard may be dropped in any order. The guard
-    /// shares the ring, so it outlives the borrow that opened it.
-    pub fn span_detached(
-        self: &Arc<Self>,
-        name: &'static Name,
-        trace: u64,
-        parent_span: u64,
-    ) -> SpanGuard<'static> {
-        SpanGuard {
-            ring: Some(RingRef::Shared(self.clone())),
-            name: name.as_str(),
-            id: next_span_id(),
-            parent: parent_span,
-            trace,
-            prev_span: DETACHED,
-            prev_trace: 0,
             start: self.clock.now(),
         }
     }
@@ -232,7 +198,20 @@ impl SpanRing {
             .collect()
     }
 
-    fn push(&self, record: SpanRecord) {
+    /// Add a finished span from clock readings in whole microseconds,
+    /// taken elsewhere (a request's stage records, from the stamps its
+    /// connection core took): spans that tile an interval sum to it.
+    pub fn record(&self, name: &'static Name, trace: u64, id: u64, parent: u64, at: [u64; 2]) {
+        let [start_us, end_us] = at;
+        let (name, dur_us) = (name.as_str(), end_us.saturating_sub(start_us));
+        let record = SpanRecord {
+            name,
+            trace,
+            id,
+            parent,
+            start_us,
+            dur_us,
+        };
         let mut inner = self.inner.lock();
         if inner.records.len() == self.capacity {
             inner.records.pop_front();
@@ -251,22 +230,11 @@ impl std::fmt::Debug for SpanRing {
     }
 }
 
-/// `prev_span` of a guard that never entered the thread's span context
-/// (span ids start below 2^63 and count up, so the value is never an id).
-const DETACHED: u64 = u64::MAX;
-
-/// The ring a guard records into: borrowed by a call-stack span, shared
-/// by a detached one.
-enum RingRef<'a> {
-    Borrowed(&'a SpanRing),
-    Shared(Arc<SpanRing>),
-}
-
 /// A live span; finishes (and records itself) on drop.
 pub struct SpanGuard<'a> {
     /// `None` once recorded.
-    ring: Option<RingRef<'a>>,
-    name: &'static str,
+    ring: Option<&'a SpanRing>,
+    name: &'static Name,
     id: u64,
     parent: u64,
     trace: u64,
@@ -287,37 +255,31 @@ impl SpanGuard<'_> {
         self.trace
     }
 
+    /// Finish the span now: its clock readings at open and at close.
+    pub fn finish(mut self) -> (Duration, Duration) {
+        (self.start, self.close())
+    }
+
     /// Finish the span now and record its own duration into `hist`, so an
     /// interval that is both a span and a histogram sample is timed once.
-    pub fn finish_into(mut self, hist: &Histogram) {
-        hist.record(self.close());
+    pub fn finish_into(self, hist: &Histogram) {
+        let (start, end) = self.finish();
+        hist.record((end.as_micros() as u64).saturating_sub(start.as_micros() as u64));
     }
 
     /// Leave the thread's span context, read the clock, push the record;
-    /// returns the duration in microseconds. Records once per guard: from
-    /// `finish_into` or from `drop`, whichever comes first.
-    fn close(&mut self) -> u64 {
+    /// returns the reading. Records once per guard: from `finish` or from
+    /// `drop`, whichever comes first.
+    fn close(&mut self) -> Duration {
         let Some(ring) = self.ring.take() else {
-            return 0;
+            return self.start;
         };
-        if self.prev_span != DETACHED {
-            CURRENT_SPAN.with(|c| c.set(self.prev_span));
-            CURRENT_TRACE.with(|c| c.set(self.prev_trace));
-        }
-        let ring: &SpanRing = match &ring {
-            RingRef::Borrowed(ring) => ring,
-            RingRef::Shared(ring) => ring,
-        };
-        let dur_us = ring.clock.now().saturating_sub(self.start).as_micros() as u64;
-        ring.push(SpanRecord {
-            name: self.name,
-            trace: self.trace,
-            id: self.id,
-            parent: self.parent,
-            start_us: self.start.as_micros() as u64,
-            dur_us,
-        });
-        dur_us
+        CURRENT_SPAN.with(|c| c.set(self.prev_span));
+        CURRENT_TRACE.with(|c| c.set(self.prev_trace));
+        let end = ring.clock.now();
+        let at = [self.start.as_micros() as u64, end.as_micros() as u64];
+        ring.record(self.name, self.trace, self.id, self.parent, at);
+        end
     }
 }
 
@@ -371,12 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn span_ids_count_up_from_a_random_base_that_stays_clear_of_detached() {
+    fn span_ids_count_up_from_a_random_base() {
         let ring = SpanRing::new(4);
         let (a, b) = (ring.span(&Name("a")).id(), ring.span(&Name("b")).id());
         assert!(b > a, "sequential within the process");
         assert!(a > 1 && a < 1 << 63, "a random base, not 1: {a}");
-        assert_ne!(a, DETACHED);
     }
 
     #[test]
@@ -480,26 +441,6 @@ mod tests {
         assert_eq!(root.parent, 5, "remote parent preserved");
         let child = &other.snapshot()[0];
         assert_eq!(child.trace, 77);
-    }
-
-    #[test]
-    fn detached_spans_join_a_trace_without_entering_the_thread_context() {
-        let ring = Arc::new(SpanRing::new(16));
-        let first = ring.span_detached(&Name("router.forward"), 77, 5);
-        let second = ring.span_detached(&Name("router.forward"), 78, 0);
-        assert_eq!(current_trace(), None, "the thread stays untraced");
-        {
-            let unrelated = ring.span(&Name("stats"));
-            assert_eq!((unrelated.trace(), unrelated.parent), (0, 0));
-        }
-        // Finished out of order, as replies arrive.
-        drop(first);
-        drop(second);
-        assert_eq!(current_trace(), None);
-        let spans = ring.snapshot();
-        assert_eq!(spans.len(), 3);
-        assert_eq!((spans[1].trace, spans[1].parent), (77, 5));
-        assert_eq!((spans[2].trace, spans[2].parent), (78, 0));
     }
 
     #[test]

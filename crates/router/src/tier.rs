@@ -22,11 +22,11 @@ use crate::membership::{Membership, MembershipConfig};
 use crate::ring::HashRing;
 use cbes_cluster::load::LoadState;
 use cbes_core::health::NodeHealth;
-use cbes_obs::{names, Counter};
+use cbes_obs::{names, next_span_id, Counter};
 use cbes_server::client::decode_reply;
 use cbes_server::net::{
     self, encode_line, Control, Core, Forward, Gathered, Handler, NetHandle, NetMetrics, Next,
-    Route, Scatter, Upstreams, Wake,
+    Route, Scatter, Stages, Upstreams, Wake,
 };
 use cbes_server::protocol::{
     decode_request, encode, error_kind, route_key_hash, split_id, ActionSpec, ForwardMode, Request,
@@ -190,7 +190,7 @@ impl Handler for Router {
     /// router's own state. A frame that does not decode is refused here
     /// too, unattributable (id 0) and as a strike against its
     /// connection.
-    fn execute(&self, line: &str) -> (Vec<u8>, bool) {
+    fn execute(&self, line: &str, stages: &mut Stages) -> (Vec<u8>, bool) {
         let envelope = match decode_request(line) {
             Ok(envelope) => envelope,
             Err(e) => {
@@ -198,12 +198,15 @@ impl Handler for Router {
                 return (encode_line(&ResponseEnvelope { id: 0, response }), true);
             }
         };
-        let _span = (envelope.trace_id != 0).then(|| {
-            self.membership.obs().spans().span_rooted(
+        let (trace, caller) = (envelope.trace_id, envelope.parent_span);
+        let _span = (trace != 0).then(|| {
+            let span = (self.membership.obs().spans()).span_rooted(
                 names::SPAN_ROUTER_FORWARD,
-                envelope.trace_id,
-                envelope.parent_span,
-            )
+                trace,
+                caller,
+            );
+            stages.join(trace, span.id(), caller);
+            span
         });
         let membership = &self.membership;
         let response = match &envelope.request {
@@ -257,9 +260,11 @@ impl Handler for Router {
     /// does not decode is left to `execute` to refuse, never forwarded,
     /// so no peer can spend a backend link's strike budget — and goes
     /// out as the bytes it came in, minus its id and, when traced, with
-    /// this hop's span as its parent. Only a frame not in the canonical
-    /// spelling is re-encoded.
-    fn forward(&self, line: &str) -> Option<Forward<Fold>> {
+    /// this hop's span as its parent: an id minted here, which the core
+    /// writes the span under from the frame's stamps once it is
+    /// answered. Only a frame not in the canonical spelling is
+    /// re-encoded.
+    fn forward(&self, line: &str, stages: &mut Stages) -> Option<Forward<Fold>> {
         let canonical = split_id(line).map(|(_, tail)| tail);
         // What is visibly answered locally is not parsed twice.
         let tag = canonical.and_then(|tail| tail.strip_prefix(",\"request\":"));
@@ -271,29 +276,17 @@ impl Handler for Router {
         }
         let mut envelope = decode_request(line).ok()?;
         let membership = &self.membership;
-        let caller = envelope.parent_span;
-        let span = (envelope.trace_id != 0).then(|| {
-            let hop = membership.obs().spans().span_detached(
-                names::SPAN_ROUTER_FORWARD,
-                envelope.trace_id,
-                caller,
-            );
-            envelope.parent_span = hop.id();
-            hop
-        });
+        let (trace, caller) = (envelope.trace_id, envelope.parent_span);
+        let hop = (trace != 0).then(next_span_id);
+        envelope.parent_span = hop.unwrap_or(caller);
         // How the encoder ends a traced frame, under a given parent.
-        let traced = |parent| {
-            format!(
-                ",\"trace_id\":{},\"parent_span\":{parent}}}",
-                envelope.trace_id
-            )
-        };
-        let tail = match (canonical, &span) {
+        let traced = |parent| format!(",\"trace_id\":{trace},\"parent_span\":{parent}}}");
+        let tail = match (canonical, hop) {
             (Some(tail), None) => Some(tail.to_string()),
             // Spelled the encoder's way: only the parent is rewritten.
             (Some(tail), Some(hop)) => tail
                 .strip_suffix(traced(caller).as_str())
-                .map(|body| body.to_string() + &traced(hop.id())),
+                .map(|body| body.to_string() + &traced(hop)),
             (None, _) => None,
         };
         let tail = match tail {
@@ -325,6 +318,9 @@ impl Handler for Router {
             (first, Fold::Observe(Box::new(sweep)))
         };
         use ForwardMode::{Broadcast, Hash, Local, Merge};
+        // A local row that reaches here is joined again by `execute`.
+        stages.join(envelope.trace_id, envelope.parent_span, caller);
+        let id = envelope.id;
         let (targets, state) = match envelope.request {
             Request::Compare { app, .. }
             | Request::BestOf { app, .. }
@@ -340,8 +336,7 @@ impl Handler for Router {
                     candidates,
                     primary,
                 };
-                let id = envelope.id;
-                return Some(Forward { id, span, route });
+                return Some(Forward { id, route });
             }
             Request::ObserveLoad { load } => observe(load, Vec::new()),
             Request::ObservePartial { load, silent } => observe(load, silent),
@@ -377,11 +372,7 @@ impl Handler for Router {
             targets,
             state,
         });
-        Some(Forward {
-            id: envelope.id,
-            span,
-            route,
-        })
+        Some(Forward { id, route })
     }
 
     fn relayed(&self, upstream: usize, primary: bool) {

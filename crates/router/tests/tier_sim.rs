@@ -10,8 +10,10 @@
 //! router while one daemon may misbehave (a [`Nemesis`]), and checks the
 //! tier's claims: every request is answered once, each lane of a
 //! connection in arrival order, no frame reaches an instance twice, a
-//! missed deadline is reported no sooner than it passes, and replies are
-//! as fresh as DESIGN §11's staleness bound says. A failure prints its
+//! missed deadline is reported no sooner than it passes, replies are as
+//! fresh as DESIGN §11's staleness bound says, and every frame's stages
+//! at the router tile the time between the driver's read of its first
+//! byte and the client's take of its reply's last. A failure prints its
 //! seed and op list, and `run_seed(seed, ..)` replays it exactly.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,7 +27,7 @@ use cbes_core::health::{HealthPolicy, NodeHealth};
 use cbes_core::mapping::Mapping;
 use cbes_core::monitor::ForecastKind;
 use cbes_core::CbesService;
-use cbes_obs::{Clock, Registry};
+use cbes_obs::{Clock, Registry, SpanRecord};
 use cbes_router::{HashRing, Membership, MembershipConfig, RouterServer};
 use cbes_server::net::Handler;
 use cbes_server::protocol::{encode, route_key_hash, split_id, Request, RequestEnvelope};
@@ -96,8 +98,8 @@ struct Tier<R: Handler, D: Handler> {
     sent: Vec<BTreeSet<u64>>,
     /// What each daemon answered: id → the epoch of its `Predictions`.
     predicted: Vec<BTreeMap<u64, u64>>,
-    /// Frame tails the router wrote on a link, with the id they went
-    /// under.
+    /// Frame tails the router wrote on a link, without their trace
+    /// context, with the id they went under.
     wired: BTreeMap<String, u64>,
     /// The router's clients: what each sent and read.
     clients: BTreeMap<u64, Client>,
@@ -275,7 +277,7 @@ impl<R: Handler, D: Handler> Tier<R, D> {
                 self.violations
                     .push(format!("frame {id} reached d{i} twice"));
             }
-            self.wired.insert(tail.to_string(), id);
+            self.wired.insert(untraced(tail).to_string(), id);
             if self.struck.get(&i) != Some(&Nemesis::Mute) {
                 let bytes = format!("{line}\n");
                 self.daemons[i]
@@ -403,12 +405,14 @@ impl<R: Handler, D: Handler> Tier<R, D> {
         token
     }
 
-    /// Queue `requests` from client `c`, numbered from `first`.
+    /// Queue `requests` from client `c`, numbered from `first`, each
+    /// in a trace of its own.
     fn send(&mut self, c: u64, first: u64, requests: &[Request]) {
         let client = self.clients.get_mut(&c).expect("a client");
         let mut bytes = Vec::new();
         for (id, request) in (first..).zip(requests) {
-            let line = encode(&RequestEnvelope::new(id, request.clone()));
+            let envelope = RequestEnvelope::traced(id, request.clone(), c << 32 | id, 0);
+            let line = encode(&envelope);
             let tail = split_id(&line).expect("canonical").1.to_string();
             bytes.extend_from_slice(line.as_bytes());
             bytes.push(b'\n');
@@ -435,6 +439,11 @@ impl<R: Handler, D: Handler> Tier<R, D> {
         let client = self.clients.get_mut(&c).expect("a client");
         client.replies.drain(..).map(|(_, reply)| reply).collect()
     }
+}
+
+/// A frame tail without the trace context the router rewrites.
+fn untraced(tail: &str) -> &str {
+    tail.split(",\"trace_id\"").next().unwrap_or(tail)
 }
 
 fn mapping(ids: &[u32]) -> Mapping {
@@ -641,7 +650,7 @@ impl<R: Handler, D: Handler> Tier<R, D> {
     /// Every instance that answered the compare with tail `tail` with
     /// epoch `epoch`.
     fn answered_with(&self, tail: &str, epoch: u64) -> Vec<usize> {
-        let Some(id) = self.wired.get(tail) else {
+        let Some(id) = self.wired.get(untraced(tail)) else {
             return Vec::new();
         };
         (0..DAEMONS)
@@ -748,6 +757,49 @@ impl<R: Handler, D: Handler> Tier<R, D> {
             }
             if let Some(f) = client.frames.iter().find(|f| !answered.contains(&f.id)) {
                 return Err(format!("client {token}: frame {} was never answered", f.id));
+            }
+            self.check_stages(token, client)?;
+        }
+        Ok(())
+    }
+
+    /// Every frame's stage records in the router's ring sum exactly to
+    /// when client `token` took its reply's last byte less when the
+    /// router read its first, both by the driver's clock, ending in one
+    /// flush; a forwarded frame's hop span is that interval too.
+    fn check_stages(&self, token: u64, client: &Client) -> Result<(), String> {
+        let peer = &self.router.peers[&token];
+        let spans = self.router.registry.spans();
+        for (line, end) in peer.inbox_lines() {
+            let id = split_id(&line).map_or(0, |(id, _)| id);
+            let k = client.frames.iter().position(|f| f.id == id);
+            let k = k.ok_or_else(|| format!("client {token}: a reply to no frame: {line}"))?;
+            let start = k.checked_sub(1).map_or(0, |j| client.frames[j].end);
+            let Some((read, took)) = peer.between(start, end) else {
+                return Err(format!(
+                    "client {token}: frame {id} was never read or taken"
+                ));
+            };
+            let want = (took.as_micros() - read.as_micros()) as u64;
+            let records = spans.of_trace(token << 32 | id);
+            // The span they hang under is the trace's root: the hop, or
+            // a local row's own span.
+            let (roots, leaves): (Vec<&SpanRecord>, Vec<_>) =
+                records.iter().partition(|r| r.parent == 0);
+            let names: Vec<&str> = leaves.iter().map(|r| r.name).collect();
+            let sum: u64 = leaves.iter().map(|r| r.dur_us).sum();
+            let flushes = names.iter().filter(|n| n.ends_with("flush_us")).count();
+            if sum != want || flushes != 1 || !names.last().is_some_and(|n| n.ends_with("flush_us"))
+            {
+                return Err(format!(
+                    "client {token}: frame {id}: stages {names:?} sum to {sum} us, read to taken is {want} us"
+                ));
+            }
+            let hops: Vec<u64> = roots.iter().map(|r| r.dur_us).collect();
+            if client.frames[k].kind != Kind::Membership && hops != [want] {
+                return Err(format!(
+                    "client {token}: frame {id}: hop spans {hops:?}, want {want} us"
+                ));
             }
         }
         Ok(())

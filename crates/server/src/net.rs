@@ -9,8 +9,9 @@
 //! frames, runs admission per complete line, keeps every upstream link
 //! with the [`Forward`]s on it, the heartbeat, each connection's reply
 //! ledger and the deadline table, and drains — taking events with `now`
-//! from the registry clock and returning [`Action`]s. It holds no
-//! socket, thread or clock. This file is the production driver: one
+//! from the registry clock and returning [`Action`]s, its [`Stages`]
+//! records stamped from those events. It holds no socket, thread or
+//! clock. This file is the production driver: one
 //! reactor thread over the [`crate::epoll`] shim that owns the listener,
 //! every socket, the wake pair and the worker pool, and carries the
 //! core's actions out. A seeded in-memory driver
@@ -65,14 +66,14 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cbes_obs::{names, Clock, Counter, Histogram, Registry, SpanGuard};
+use cbes_obs::{names, next_span_id, Clock, Counter, Histogram, Registry};
 use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::epoll::{PollEvent, Poller};
 use crate::protocol::{error_kind, response_bytes, Response, ResponseEnvelope};
 use crate::server::ServerConfig;
 
-pub use sansio::{Action, Core, Done, Gathered, Job, Miss};
+pub use sansio::{Action, Core, Done, Gathered, Job, Miss, Stage, Stages, STAGE_NAMES};
 use sansio::{Answer, Work};
 
 /// Reactor poll token of the listening socket.
@@ -82,7 +83,8 @@ const WAKE_TOKEN: u64 = 1;
 
 /// What the I/O layer serves: one request line in, one reply line out.
 /// Calls are monomorphised per handler; there is no `dyn` dispatch on
-/// the frame path.
+/// the frame path. Each call gets the frame's [`Stages`] record: a
+/// handler marks the stages it runs and joins the frame's trace there.
 pub trait Handler: Send + Sync + 'static {
     /// What a scatter carries to [`Self::gathered`] besides the replies:
     /// the handler's own state for the fold (`()` for one that never
@@ -95,13 +97,13 @@ pub trait Handler: Send + Sync + 'static {
     /// worker. Must be `None` for
     /// anything that can block on a disk or a peer, or whose cost the
     /// caller controls: decide from the decoded frame, not its bytes.
-    fn inline(&self, _line: &str) -> Option<(Vec<u8>, bool)> {
+    fn inline(&self, _line: &str, _stages: &mut Stages) -> Option<(Vec<u8>, bool)> {
         None
     }
 
     /// Execute one frame: the encoded reply line (newline included)
     /// and whether it counts as a malformed-frame strike.
-    fn execute(&self, line: &str) -> (Vec<u8>, bool);
+    fn execute(&self, line: &str, stages: &mut Stages) -> (Vec<u8>, bool);
 
     /// The backends the core may forward frames to — a [`Forward`] names
     /// them by position — and its timing. Read once at start.
@@ -112,7 +114,7 @@ pub trait Handler: Send + Sync + 'static {
     /// `Some` to forward `line` instead of executing it. Runs on the
     /// reactor thread for every frame, so it must not block; the
     /// default forwards nothing and compiles away.
-    fn forward(&self, _line: &str) -> Option<Forward<Self::Gather>> {
+    fn forward(&self, _line: &str, _stages: &mut Stages) -> Option<Forward<Self::Gather>> {
         None
     }
 
@@ -161,8 +163,6 @@ pub struct Upstreams {
 pub struct Forward<G> {
     /// The client's id, put back on its reply.
     pub id: u64,
-    /// Finished (dropped) when the frame is answered, however that is.
-    pub span: Option<SpanGuard<'static>>,
     /// Where it goes.
     pub route: Route<G>,
 }
@@ -216,7 +216,8 @@ pub fn encode_line(envelope: &ResponseEnvelope) -> Vec<u8> {
 /// several servers (or a router beside its daemons) in one process
 /// never mix counts. Handles are cached `Arc`s: the reactor and
 /// workers update them wait-free. The registry's clock is the layer's
-/// one source of time: deadlines, queue wait and the shed-spike second.
+/// one source of time: deadlines, every stage stamp and the shed-spike
+/// second.
 pub struct NetMetrics {
     registry: Arc<Registry>,
     /// Error replies of any kind (the handler adds its own).
@@ -233,8 +234,8 @@ pub struct NetMetrics {
     oversized_frames: Arc<Counter>,
     /// Reactor poll returns that carried at least one I/O event.
     loop_wakeups: Arc<Counter>,
-    /// Microseconds from admission to worker pickup.
-    pub(crate) queue_wait: Arc<Histogram>,
+    /// Each [`Stage`]'s name and histogram, in [`STAGE_NAMES`] order.
+    stages: [(&'static names::Name, Arc<Histogram>); 10],
     /// The shed-spike trigger's one-second window, `second << 32 |
     /// sheds in that second`; only a shed touches it.
     shed_tally: AtomicU64,
@@ -252,26 +253,26 @@ impl NetMetrics {
             dropped_connections: registry.counter(names::SERVER_DROPPED_CONNECTIONS),
             oversized_frames: registry.counter(names::SERVER_OVERSIZED_FRAMES),
             loop_wakeups: registry.counter(names::SERVER_LOOP_WAKEUPS),
-            queue_wait: registry.histogram(names::SERVER_QUEUE_WAIT_US),
+            stages: STAGE_NAMES.map(|name| (name, registry.histogram(name))),
             shed_tally: AtomicU64::new(0),
             registry: registry.clone(),
         })
     }
 
-    /// Count one `overloaded` shed and run the shed-spike flight
-    /// trigger: one event at the threshold crossing, and a (debounced)
-    /// dump asked for whenever this clock second's shed count sits at or
-    /// above the threshold. A shed may happen on the reactor, which
-    /// writes no file: the owner's sweep writes the dump
+    /// Count one `overloaded` shed at `now` and run the shed-spike
+    /// flight trigger: one event at the threshold crossing, and a
+    /// (debounced) dump asked for whenever this clock second's shed
+    /// count sits at or above the threshold. A shed may happen on the
+    /// reactor, which writes no file: the owner's sweep writes the dump
     /// ([`Registry::dump_deferred`]).
-    pub(crate) fn shed_overloaded(&self) {
+    pub(crate) fn shed_overloaded(&self, now: Duration) {
         self.overloaded.incr();
         self.errors.incr();
         let spike = shed_spike_threshold();
         if spike == 0 {
             return;
         }
-        let sec = self.registry.clock().now().as_secs();
+        let sec = now.as_secs();
         let bump = |tally: u64| {
             if tally >> 32 == sec {
                 tally + 1
@@ -289,6 +290,35 @@ impl NetMetrics {
         let crossing = recent == spike;
         let detail = crossing.then(|| format!("{recent} requests shed in the last second"));
         self.registry.anomaly("shed_spike", detail);
+    }
+
+    /// Record an answered frame whose reply's last byte went out at
+    /// `flushed`: each stage of `record` into its histogram and, when
+    /// the frame joined a trace, into the span ring as a leaf, beside
+    /// the hop span a forwarded frame's leaves hang under.
+    pub(crate) fn stages(&self, mut record: Stages, flushed: Duration) {
+        let last = match record.forwarded {
+            true => Stage::Relayed,
+            false => Stage::Flush,
+        };
+        record.mark(last, flushed);
+        let (trace, span, parent) = record.trace;
+        let spans = self.registry.spans();
+        // Each stage began where the last one ended.
+        let mut start = record.received;
+        for &(stage, end) in record.ends.iter().flatten() {
+            let start = std::mem::replace(&mut start, end);
+            if let Some((name, hist)) = self.stages.get(stage as usize) {
+                hist.record(end.saturating_sub(start));
+                if trace != 0 {
+                    spans.record(name, trace, next_span_id(), span, [start, end]);
+                }
+            }
+        }
+        if trace != 0 && record.forwarded {
+            let hop = [record.received, flushed.as_micros() as u64];
+            spans.record(names::SPAN_ROUTER_FORWARD, trace, span, parent, hop);
+        }
     }
 }
 
@@ -361,18 +391,16 @@ impl Control {
 
 impl<G> Job<G> {
     /// Run this job as a worker does. A frame leaves the backlog
-    /// ([`Control::queue_depth`]), its queue wait is recorded on the
+    /// ([`Control::queue_depth`]), its record stamps the pickup on the
     /// registry clock, and the handler executes it; a scatter's replies
     /// go to [`Handler::gathered`].
     pub fn run<H: Handler<Gather = G>>(self, handler: &H, control: &Control) -> Done<G> {
         let answer = match self.work {
-            Work::Frame(line) => {
+            Work::Frame(line, mut stages) => {
                 control.waiting.fetch_sub(1, Ordering::AcqRel);
-                let metrics = &control.metrics;
-                let waited = metrics.registry.clock().now().saturating_sub(self.admitted);
-                metrics.queue_wait.record_duration(waited);
-                let (reply, malformed) = handler.execute(&line);
-                Answer::Frame(reply, malformed)
+                stages.mark(Stage::QueueWait, control.metrics.registry.clock().now());
+                let (reply, malformed) = handler.execute(&line, &mut stages);
+                Answer::Frame(reply, malformed, stages)
             }
             Work::Fold(id, state, replies) => match handler.gathered(state, replies) {
                 Next::Reply(response) => {
@@ -790,18 +818,18 @@ pub(crate) mod tests {
         clock.advance(Duration::from_millis(3_100));
         let reactor = cbes_obs::lock::reactor();
         for _ in 1..SHED_SPIKE_DEFAULT {
-            m.shed_overloaded();
+            m.shed_overloaded(clock.now());
         }
         assert_eq!(flight.recorded(), 0, "below the threshold: no event");
         clock.advance(Duration::from_millis(800));
-        m.shed_overloaded();
+        m.shed_overloaded(clock.now());
         let events = flight.snapshot();
         assert_eq!(events.len(), 1, "the crossing is one event");
         assert_eq!(events[0].kind, "shed_spike");
         assert_eq!(events[0].detail, "8 requests shed in the last second");
         assert_eq!(events[0].at_us, 3_900_000);
         // Above the threshold the trigger only asks for the dump again.
-        m.shed_overloaded();
+        m.shed_overloaded(clock.now());
         assert_eq!(flight.recorded(), 1);
         // The reactor wrote nothing; the sweep writes one debounced dump.
         assert!(flight.dumped().is_empty());
@@ -811,7 +839,7 @@ pub(crate) mod tests {
         // A later second starts from one, wherever the last one ended.
         clock.advance(Duration::from_millis(100));
         for _ in 1..SHED_SPIKE_DEFAULT {
-            m.shed_overloaded();
+            m.shed_overloaded(clock.now());
         }
         assert_eq!(flight.recorded(), 1, "7 sheds in second 4 are no spike");
         assert!(registry.dump_deferred().is_none(), "and ask for no dump");

@@ -10,8 +10,10 @@
 //! state (reassembly, write buffer, the two-lane reply ledger, held runs,
 //! strikes), the [`PendingTable`] of deadlines, every upstream link with
 //! the relays and scatters on it, the heartbeat, admission and the
-//! drain; its next deadline is the driver's only timer. `net.rs` holds
-//! the epoll driver; `crates/server/tests/common/sim.rs` a seeded
+//! drain; its next deadline is the driver's only timer. Every admitted
+//! frame carries one [`Stages`] record from its first byte to its
+//! reply's last, stamped with those events' `now`. `net.rs` holds the
+//! epoll driver; `crates/server/tests/common/sim.rs` a seeded
 //! single-threaded one.
 
 use std::borrow::Cow;
@@ -22,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cbes_obs::SpanGuard;
+use cbes_obs::names::{self, Name};
 
 use super::{encode_line, Forward, Handler, NetMetrics, Route, Scatter};
 use crate::protocol::{error_kind, split_id, Response, ResponseEnvelope};
@@ -58,6 +60,72 @@ pub enum Action<G> {
     Dial(usize, String, Duration),
 }
 
+/// A stage of an admitted frame's way through the layer, in order. Each
+/// is recorded in the histogram its [`STAGE_NAMES`] entry names (the
+/// constant's doc says what it times) and, for a traced frame, as a leaf
+/// span of that name. A forwarded frame has the last three, whose
+/// `router.` names keep them apart from the daemons' in a tier-wide merge.
+#[derive(Clone, Copy, Debug)]
+pub enum Stage {
+    Reassembly,
+    QueueWait,
+    Decode,
+    Service,
+    Encode,
+    HandBack,
+    Flush,
+    Forwarded,
+    Upstream,
+    Relayed,
+}
+
+/// Each [`Stage`]'s histogram, in declaration order.
+pub const STAGE_NAMES: [&Name; 10] = [
+    names::SERVER_REASSEMBLY_US,
+    names::SERVER_QUEUE_WAIT_US,
+    names::SERVER_DECODE_US,
+    names::SERVER_SERVICE_TIME_US,
+    names::SERVER_ENCODE_US,
+    names::SERVER_HAND_BACK_US,
+    names::SERVER_FLUSH_US,
+    names::ROUTER_REASSEMBLY_US,
+    names::ROUTER_UPSTREAM_US,
+    names::ROUTER_FLUSH_US,
+];
+
+/// One admitted frame's stamp record: when its first byte was received
+/// and when each of its stages ended, on the registry clock. The core
+/// stamps its events' `now`, the thread that runs the handler the
+/// pickup, and the handler its decode, service and encode ends, so the
+/// stages tile the frame's time from received to flushed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Stages {
+    /// Every stamp is whole microseconds of the registry clock.
+    pub(super) received: u64,
+    /// Each stage and its end, in order; at most seven happen.
+    pub(super) ends: [Option<(Stage, u64)>; 7],
+    /// `(trace, span, parent)`, as [`Self::join`] set them.
+    pub(super) trace: (u64, u64, u64),
+    /// Forwarded rather than run: its stages are the `router.` ones.
+    pub(super) forwarded: bool,
+}
+
+impl Stages {
+    /// Stage `stage` ended at `at`; it began where the last one ended.
+    pub fn mark(&mut self, stage: Stage, at: Duration) {
+        if let Some(end) = self.ends.iter_mut().find(|end| end.is_none()) {
+            *end = Some((stage, at.as_micros() as u64));
+        }
+    }
+
+    /// Hang the stage records under span `span` of `trace` (0: none); a
+    /// forwarded frame's record writes that span too, from received to
+    /// flushed, under `parent`.
+    pub fn join(&mut self, trace: u64, span: u64, parent: u64) {
+        self.trace = (trace, span, parent);
+    }
+}
+
 /// Work for a worker, travelling from the core.
 pub struct Job<G> {
     /// The connection that sent the frame (0 for a fold).
@@ -65,16 +133,14 @@ pub struct Job<G> {
     /// The core's sequence number of the request; keys its deadline
     /// entry.
     pub(super) seq: u64,
-    /// When it was admitted; queue wait is measured from here to pickup.
-    pub(super) admitted: Duration,
     pub(super) work: Work<G>,
 }
 
 /// What a [`Job`] asks of the handler.
 pub(super) enum Work<G> {
-    /// Execute one admitted request line; the worker parses it off the
-    /// reactor thread.
-    Frame(String),
+    /// Execute one admitted request line, with its stamp record; the
+    /// worker parses it off the reactor thread.
+    Frame(String, Stages),
     /// Fold what one scatter gathered, for the client's id `.0`.
     Fold(u64, G, Vec<Gathered>),
 }
@@ -88,9 +154,9 @@ pub struct Done<G> {
 
 /// What a worker made of a [`Job`].
 pub(super) enum Answer<G> {
-    /// A frame's encoded reply line, newline included, and whether it is
-    /// a framing strike (`bad_request`).
-    Frame(Vec<u8>, bool),
+    /// A frame's encoded reply line, newline included, whether it is a
+    /// framing strike (`bad_request`), and its stamp record.
+    Frame(Vec<u8>, bool, Stages),
     /// A fold's reply line, or the next phase to scatter.
     Folded(Result<Vec<u8>, Scatter<G>>),
 }
@@ -174,13 +240,13 @@ fn shed(id: u64, kind: &str, message: &str, retry_after_ms: u64) -> Box<Response
 }
 
 /// One in-flight admitted request. The deadline lives in the table's
-/// heap; the entry itself only needs routing identity, and for a
-/// forwarded frame the hop's span, finished (dropped) when the request
-/// is answered, however that is.
+/// heap; the entry itself only needs routing identity and, for a
+/// forwarded frame, its stamp record (a run frame's travels with its
+/// job, and is put back here when the job is done).
 struct Pending {
     token: u64,
     id: u64,
-    _span: Option<Box<SpanGuard<'static>>>,
+    stages: Option<Stages>,
 }
 
 /// One phase of a forward: the frame written once on each target's link
@@ -297,8 +363,9 @@ impl PendingTable {
 
 /// One frame-reassembly outcome from a chunk of connection bytes.
 enum FrameEvent {
-    /// A complete line (newline stripped).
-    Line(Vec<u8>),
+    /// A complete line (newline stripped), and when its first byte was
+    /// received.
+    Line(Vec<u8>, Duration),
     /// A frame exceeded the length cap; its bytes are being discarded
     /// up to the next newline.
     Oversized,
@@ -309,6 +376,8 @@ enum FrameEvent {
 /// without bound.
 struct FrameBuf {
     rbuf: Vec<u8>,
+    /// When the frame being reassembled got its first byte.
+    first: Duration,
     /// Discarding an oversized frame's bytes until its newline.
     discarding: bool,
 }
@@ -317,20 +386,26 @@ impl FrameBuf {
     fn new() -> Self {
         FrameBuf {
             rbuf: Vec::new(),
+            first: Duration::ZERO,
             discarding: false,
         }
     }
 
-    /// Fold `chunk` into the buffer, emitting an event per completed
-    /// (or over-cap) frame, in wire order.
-    fn ingest(&mut self, mut chunk: &[u8], max_line_bytes: usize, out: &mut Vec<FrameEvent>) {
+    /// Fold `chunk`, received at `now`, into the buffer, emitting an
+    /// event per completed (or over-cap) frame, in wire order.
+    fn ingest(&mut self, mut chunk: &[u8], now: Duration, cap: usize, out: &mut Vec<FrameEvent>) {
+        if self.rbuf.is_empty() {
+            self.first = now;
+        }
         while let Some(i) = find_newline(chunk) {
             let head = chunk.get(..i).unwrap_or(&[]);
             chunk = chunk.get(i + 1..).unwrap_or(&[]);
+            // The next frame begins in this chunk.
+            let first = std::mem::replace(&mut self.first, now);
             if std::mem::take(&mut self.discarding) {
                 continue;
             }
-            if self.rbuf.len() + head.len() > max_line_bytes {
+            if self.rbuf.len() + head.len() > cap {
                 // The frame completed (newline seen), so no discard
                 // state is needed beyond dropping it.
                 self.rbuf.clear();
@@ -338,13 +413,13 @@ impl FrameBuf {
             } else {
                 let mut line = std::mem::take(&mut self.rbuf);
                 line.extend_from_slice(head);
-                out.push(FrameEvent::Line(line));
+                out.push(FrameEvent::Line(line, first));
             }
         }
         if self.discarding {
             return;
         }
-        if self.rbuf.len() + chunk.len() > max_line_bytes {
+        if self.rbuf.len() + chunk.len() > cap {
             self.rbuf.clear();
             self.discarding = true;
             out.push(FrameEvent::Oversized);
@@ -354,11 +429,11 @@ impl FrameBuf {
     }
 
     /// The unterminated tail at EOF, treated as a final frame.
-    fn take_residual(&mut self) -> Option<Vec<u8>> {
+    fn take_residual(&mut self) -> Option<FrameEvent> {
         if self.discarding || self.rbuf.is_empty() {
             return None;
         }
-        Some(std::mem::take(&mut self.rbuf))
+        Some(FrameEvent::Line(std::mem::take(&mut self.rbuf), self.first))
     }
 }
 
@@ -379,8 +454,8 @@ fn frame_text(line: &[u8]) -> Cow<'_, str> {
 }
 
 /// A frame's place in a reply ledger: its sequence number, then its
-/// reply line and strike bit once they are in.
-type Slot = (u64, Option<(Vec<u8>, bool)>);
+/// reply line, strike bit and stamp record once they are in.
+type Slot = (u64, Option<(Vec<u8>, bool, Option<Stages>)>);
 
 /// The reply-ledger lanes of a connection's worker-run and forwarded
 /// frames.
@@ -393,6 +468,9 @@ struct Conn<G> {
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written.
     wpos: usize,
+    /// The stamp records of replies in `wbuf`, each with the offset just
+    /// past its last byte: flushed once `wpos` reaches it.
+    flushing: VecDeque<(usize, Stages)>,
     /// Consecutive malformed frames; reset by any well-formed reply,
     /// fatal past the policy budget.
     strikes: u32,
@@ -423,6 +501,7 @@ impl<G> Conn<G> {
             frames: FrameBuf::new(),
             wbuf: Vec::new(),
             wpos: 0,
+            flushing: VecDeque::new(),
             strikes: 0,
             eof: false,
             closing: false,
@@ -609,19 +688,18 @@ impl<H: Handler> Core<H> {
         let upstream = conn.upstream;
         if chunk.is_empty() {
             conn.eof = true;
-            let residual = conn.frames.take_residual();
-            self.frames.extend(residual.map(FrameEvent::Line));
+            self.frames.extend(conn.frames.take_residual());
         } else {
             // An upstream's replies are its own to size; a client's
             // frames are capped.
             let cap = upstream.map_or(self.max_line_bytes, |_| usize::MAX);
-            conn.frames.ingest(chunk, cap, &mut self.frames);
+            conn.frames.ingest(chunk, now, cap, &mut self.frames);
         }
         let mut frames = std::mem::take(&mut self.frames);
         for frame in frames.drain(..) {
             match (frame, upstream) {
-                (FrameEvent::Line(line), None) => self.handle_line(token, &line, now),
-                (FrameEvent::Line(line), Some(i)) => self.upstream_line(i, &line, now),
+                (FrameEvent::Line(line, first), None) => self.handle_line(token, &line, first, now),
+                (FrameEvent::Line(line, _), Some(i)) => self.upstream_line(i, &line, now),
                 (FrameEvent::Oversized, None) => self.reply_frame_too_large(token),
                 (FrameEvent::Oversized, Some(_)) => {}
             }
@@ -640,14 +718,18 @@ impl<H: Handler> Core<H> {
     }
 
     /// `token`'s peer took `n` bytes of [`Self::output`] and would take
-    /// no more. Settles the connection: closed once the strike budget is
-    /// spent, or the peer is gone and everything is answered; otherwise
-    /// watched for what it needs next.
+    /// no more: every reply whose last byte that was is flushed, and its
+    /// stamp record recorded. Settles the connection: closed once the
+    /// strike budget is spent, or the peer is gone and everything is
+    /// answered; otherwise watched for what it needs next.
     pub fn wrote(&mut self, token: u64, n: usize, now: Duration) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         conn.wpos += n;
+        while let Some((_, stages)) = conn.flushing.pop_front_if(|(end, _)| *end <= conn.wpos) {
+            self.metrics.stages(stages, now);
+        }
         if conn.wpos >= conn.wbuf.len() {
             conn.wbuf.clear();
             conn.wpos = 0;
@@ -682,8 +764,8 @@ impl<H: Handler> Core<H> {
     /// next phase scattered.
     pub fn completed(&mut self, done: Done<H::Gather>, now: Duration) {
         self.in_pool = self.in_pool.saturating_sub(1);
-        let (reply, malformed) = match done.answer {
-            Answer::Frame(reply, malformed) => (reply, malformed),
+        let (reply, malformed, stages) = match done.answer {
+            Answer::Frame(reply, malformed, stages) => (reply, malformed, stages),
             Answer::Folded(Err(next)) => return self.scatter(done.seq, next, now),
             Answer::Folded(Ok(_)) if done.seq == HEARTBEAT => {
                 self.heartbeat_due = self.heartbeat.map(|every| now + every);
@@ -691,13 +773,14 @@ impl<H: Handler> Core<H> {
             }
             Answer::Folded(Ok(reply)) => {
                 if let Some(p) = self.pending.complete(done.seq) {
-                    self.answer_in_order(p.token, done.seq, reply, false);
+                    self.answer_in_order(p, done.seq, reply, false, now);
                 }
                 return;
             }
         };
-        if let Some(p) = self.pending.complete(done.seq) {
-            self.answer_in_order(p.token, done.seq, reply, malformed);
+        if let Some(mut p) = self.pending.complete(done.seq) {
+            p.stages = Some(stages);
+            self.answer_in_order(p, done.seq, reply, malformed, now);
         }
         let Some(conn) = self.conns.get_mut(&done.token) else {
             return;
@@ -751,7 +834,11 @@ impl<H: Handler> Core<H> {
                     format!("no reply within {:?}", self.request_timeout),
                 ),
             };
-            self.answer_in_order(p.token, seq, encode_line(&envelope), false);
+            // A run frame's handler never answered, so it has no record;
+            // a forwarded frame's upstream stage ends at the deadline.
+            let stages = p.stages.filter(|s| s.forwarded);
+            let p = Pending { stages, ..p };
+            self.answer_in_order(p, seq, encode_line(&envelope), false, now);
         }
         while let Some(&Reverse((at, id))) = self.phase_deadlines.peek() {
             if at > now {
@@ -775,32 +862,39 @@ impl<H: Handler> Core<H> {
 
     /// Route one complete frame: forwarded, run inline, or through
     /// admission to a worker.
-    fn handle_line(&mut self, token: u64, line: &[u8], now: Duration) {
+    fn handle_line(&mut self, token: u64, line: &[u8], received: Duration, now: Duration) {
         let text = frame_text(line);
         let trimmed = text.trim();
         if trimmed.is_empty() {
             return;
         }
+        let mut stages = Stages {
+            received: received.as_micros() as u64,
+            ..Stages::default()
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         if !self.draining {
-            if let Some(forward) = self.handler.forward(trimmed) {
-                return self.forward(token, seq, forward, now);
+            if let Some(forward) = self.handler.forward(trimmed, &mut stages) {
+                stages.forwarded = true;
+                stages.mark(Stage::Forwarded, now);
+                return self.forward(token, seq, forward, stages, now);
             }
+            stages.mark(Stage::Reassembly, now);
             // Inline fast path: when the pool is idle, a bounded-cost
             // request is cheaper to run right here than to bounce
             // through two thread handoffs (which dominate the round trip
-            // — the eval itself is microseconds).
+            // — the eval itself is microseconds). It is picked up as it
+            // is admitted.
             if self.pool_idle(token) {
-                if let Some((bytes, malformed)) = self.handler.inline(trimmed) {
-                    // The worker path records queue wait at pickup;
-                    // inline pickup is immediate, so the sample is zero.
-                    self.metrics.queue_wait.record_duration(Duration::ZERO);
-                    return self.queue_reply(token, &bytes, malformed);
+                let mut ran = stages;
+                ran.mark(Stage::QueueWait, now);
+                if let Some((bytes, malformed)) = self.handler.inline(trimmed, &mut ran) {
+                    return self.queue_reply(token, &bytes, malformed, Some(ran));
                 }
             }
         }
-        self.admit(token, seq, trimmed, now);
+        self.admit(token, seq, trimmed, stages, now);
     }
 
     /// Admission, one decision: shed `shutting_down` while draining and
@@ -810,20 +904,20 @@ impl<H: Handler> Core<H> {
     /// or, behind a frame of its own connection, is held: one
     /// connection's frames run one at a time, in order. Either reply
     /// echoes the peeked envelope id.
-    fn admit(&mut self, token: u64, seq: u64, line: &str, now: Duration) {
+    fn admit(&mut self, token: u64, seq: u64, line: &str, stages: Stages, now: Duration) {
         let id = peek_id(line);
         let refusal = if self.draining {
             self.metrics.errors.incr();
             Some((error_kind::SHUTTING_DOWN, "server is draining"))
         } else if self.waiting.load(Ordering::Acquire) >= self.capacity {
-            self.metrics.shed_overloaded();
+            self.metrics.shed_overloaded(now);
             Some((error_kind::OVERLOADED, "admission queue is full"))
         } else {
             None
         };
         if let Some((kind, message)) = refusal {
             let reply = shed(id, kind, message, self.shed_retry_after_ms);
-            return self.queue_reply(token, &encode_line(&reply), false);
+            return self.queue_reply(token, &encode_line(&reply), false, None);
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -832,8 +926,7 @@ impl<H: Handler> Core<H> {
         let job = Job {
             token,
             seq,
-            admitted: now,
-            work: Work::Frame(line.to_string()),
+            work: Work::Frame(line.to_string(), stages),
         };
         if conn.running > 0 {
             conn.held.push(job);
@@ -846,7 +939,7 @@ impl<H: Handler> Core<H> {
         let pending = Pending {
             token,
             id,
-            _span: None,
+            stages: None,
         };
         self.pending
             .insert(seq, pending, now + self.request_timeout);
@@ -865,25 +958,32 @@ impl<H: Handler> Core<H> {
     /// deadline and a slot in its connection's forwarded lane, then the
     /// relay's first attempt or the scatter's first phase. Past the
     /// in-flight bound it is shed instead.
-    fn forward(&mut self, token: u64, seq: u64, forward: Forward<H::Gather>, now: Duration) {
+    fn forward(
+        &mut self,
+        token: u64,
+        seq: u64,
+        forward: Forward<H::Gather>,
+        stages: Stages,
+        now: Duration,
+    ) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         if self.pending.len() >= self.capacity {
-            self.metrics.shed_overloaded();
+            self.metrics.shed_overloaded(now);
             let reply = shed(
                 forward.id,
                 error_kind::OVERLOADED,
                 "admission queue is full",
                 self.shed_retry_after_ms,
             );
-            return self.queue_reply(token, &encode_line(&reply), false);
+            return self.queue_reply(token, &encode_line(&reply), false, None);
         }
         conn.lanes[FORWARD_LANE].push_back((seq, None));
         let pending = Pending {
             token,
             id: forward.id,
-            _span: forward.span.map(Box::new),
+            stages: Some(stages),
         };
         self.pending
             .insert(seq, pending, now + self.request_timeout);
@@ -927,7 +1027,7 @@ impl<H: Handler> Core<H> {
             Some(refusal) => push_frame(&mut bytes, p.id, &refusal),
             None => bytes = self.handler.unroutable(p.id),
         }
-        self.answer_in_order(p.token, seq, bytes, false);
+        self.answer_in_order(p, seq, bytes, false, now);
     }
 
     fn scatter(&mut self, seq: u64, scatter: Scatter<H::Gather>, now: Duration) {
@@ -1036,7 +1136,6 @@ impl<H: Handler> Core<H> {
         self.actions.push_back(Action::Run(vec![Job {
             token: 0,
             seq: phase.seq,
-            admitted: now,
             work: Work::Fold(client, state, replies),
         }]));
     }
@@ -1083,14 +1182,23 @@ impl<H: Handler> Core<H> {
         self.handler.relayed(i, primary);
         let mut bytes = Vec::with_capacity(tail.len() + 32);
         push_frame(&mut bytes, p.id, tail);
-        self.answer_in_order(p.token, seq, bytes, false);
+        self.answer_in_order(p, seq, bytes, false, now);
     }
 
-    /// File the final reply to admitted frame `seq` in its slot of its
-    /// connection's ledger, the only way an admitted frame is answered,
-    /// and queue whatever is now at the front of that lane with its
-    /// reply in.
-    fn answer_in_order(&mut self, token: u64, seq: u64, bytes: Vec<u8>, malformed: bool) {
+    /// File the final reply to admitted frame `seq`, answered at `now`,
+    /// in its slot of its connection's ledger, the only way an admitted
+    /// frame is answered, and queue whatever is now at the front of that
+    /// lane with its reply in. Its record's hand-back (a forwarded
+    /// frame's upstream) stage ends here.
+    fn answer_in_order(&mut self, p: Pending, seq: u64, line: Vec<u8>, bad: bool, now: Duration) {
+        let (token, mut stages) = (p.token, p.stages);
+        if let Some(s) = &mut stages {
+            let answered = match s.forwarded {
+                true => Stage::Upstream,
+                false => Stage::HandBack,
+            };
+            s.mark(answered, now);
+        }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1101,11 +1209,11 @@ impl<H: Handler> Core<H> {
         let Some((lane, slot)) = found else {
             return;
         };
-        slot.1 = Some((bytes, malformed));
-        while let Some((_, Some((bytes, malformed)))) = (self.conns.get_mut(&token))
+        slot.1 = Some((line, bad, stages));
+        while let Some((_, Some((bytes, malformed, stages)))) = (self.conns.get_mut(&token))
             .and_then(|c| c.lanes.get_mut(lane)?.pop_front_if(|slot| slot.1.is_some()))
         {
-            self.queue_reply(token, &bytes, malformed);
+            self.queue_reply(token, &bytes, malformed, stages);
         }
         self.touched.push(token);
     }
@@ -1120,15 +1228,16 @@ impl<H: Handler> Core<H> {
                 format!("request line exceeds {} bytes", self.max_line_bytes),
             ),
         };
-        self.queue_reply(token, &encode_line(&envelope), true);
+        self.queue_reply(token, &encode_line(&envelope), true, None);
     }
 
-    /// Append a finished reply to the connection's write buffer and
-    /// apply the strike rule. Deliberately does not flush: every caller
-    /// runs inside a batch (a chunk's frames, a completion, a tick) that
-    /// flushes once at its end, so a pipelined client costs one write
-    /// per batch instead of one per reply.
-    fn queue_reply(&mut self, token: u64, bytes: &[u8], malformed: bool) {
+    /// Append a finished reply, and its stamp record if it answers an
+    /// admitted frame, to the connection's write buffer and apply the
+    /// strike rule. Deliberately does not flush: every caller runs inside
+    /// a batch (a chunk's frames, a completion, a tick) that flushes once
+    /// at its end, so a pipelined client costs one write per batch
+    /// instead of one per reply.
+    fn queue_reply(&mut self, token: u64, bytes: &[u8], malformed: bool, stages: Option<Stages>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1138,6 +1247,8 @@ impl<H: Handler> Core<H> {
             conn.strikes = 0;
         }
         conn.wbuf.extend_from_slice(bytes);
+        let end = conn.wbuf.len();
+        conn.flushing.extend(stages.map(|stages| (end, stages)));
         if conn.strikes >= self.max_consecutive_errors {
             self.metrics.dropped_connections.incr();
             conn.closing = true;
@@ -1223,7 +1334,7 @@ mod tests {
         let entry = |token, id| Pending {
             token,
             id,
-            _span: None,
+            stages: None,
         };
         t.insert(1, entry(100, 11), now + Duration::from_millis(10));
         t.insert(2, entry(100, 12), now + Duration::from_secs(60));
@@ -1270,13 +1381,13 @@ mod tests {
     fn frame_buf_reassembles_split_and_pipelined_frames() {
         let mut fb = FrameBuf::new();
         let mut out = Vec::new();
-        fb.ingest(b"{\"id\":1}\n{\"id\"", 1024, &mut out);
-        fb.ingest(b":2}\n{\"id\":3}", 1024, &mut out);
-        fb.ingest(b"\n", 1024, &mut out);
+        fb.ingest(b"{\"id\":1}\n{\"id\"", Duration::ZERO, 1024, &mut out);
+        fb.ingest(b":2}\n{\"id\":3}", Duration::ZERO, 1024, &mut out);
+        fb.ingest(b"\n", Duration::ZERO, 1024, &mut out);
         let lines: Vec<String> = out
             .iter()
             .map(|f| match f {
-                FrameEvent::Line(l) => String::from_utf8_lossy(l).to_string(),
+                FrameEvent::Line(l, _) => String::from_utf8_lossy(l).to_string(),
                 FrameEvent::Oversized => panic!("no oversized frames here"),
             })
             .collect();
@@ -1289,13 +1400,18 @@ mod tests {
         let mut fb = FrameBuf::new();
         let mut out = Vec::new();
         // A frame that never ends trips the cap mid-stream...
-        fb.ingest(&[b'x'; 2000], 1024, &mut out);
+        fb.ingest(&[b'x'; 2000], Duration::ZERO, 1024, &mut out);
         assert!(matches!(out.as_slice(), [FrameEvent::Oversized]));
         // ...its tail is discarded up to the newline, then service resumes.
         out.clear();
-        fb.ingest(b"tail of the huge frame\nok\n", 1024, &mut out);
+        fb.ingest(
+            b"tail of the huge frame\nok\n",
+            Duration::ZERO,
+            1024,
+            &mut out,
+        );
         match out.as_slice() {
-            [FrameEvent::Line(l)] => assert_eq!(l.as_slice(), b"ok"),
+            [FrameEvent::Line(l, _)] => assert_eq!(l.as_slice(), b"ok"),
             other => panic!("expected one line, got {} events", other.len()),
         }
         // A complete (newline-terminated) over-cap frame needs no
@@ -1304,10 +1420,10 @@ mod tests {
         let mut big = vec![b'y'; 2000];
         big.push(b'\n');
         big.extend_from_slice(b"{\"id\":9}\n");
-        fb.ingest(&big, 1024, &mut out);
+        fb.ingest(&big, Duration::ZERO, 1024, &mut out);
         assert!(matches!(
             out.as_slice(),
-            [FrameEvent::Oversized, FrameEvent::Line(_)]
+            [FrameEvent::Oversized, FrameEvent::Line(..)]
         ));
     }
 }

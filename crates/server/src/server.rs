@@ -17,10 +17,12 @@ use std::time::Duration;
 use cbes_cluster::NodeId;
 use cbes_core::CbesService;
 use cbes_obs::lock::{rank, Mutex};
-use cbes_obs::{names, Clock, Counter, Histogram, MetricsSnapshot, Registry};
+use cbes_obs::{names, Clock, Counter, MetricsSnapshot, Registry};
 use cbes_sched::{SaConfig, SaScheduler, ScheduleRequest, Scheduler};
 
-use crate::net::{self, encode_line, env_u64, Control, Core, Handler, NetHandle, NetMetrics, Wake};
+use crate::net::{
+    self, encode_line, env_u64, Control, Core, Handler, NetHandle, NetMetrics, Stage, Stages, Wake,
+};
 use crate::protocol::{
     decode_request, error_kind, route_key_hash, InstanceInfo, MembershipReport, Request,
     RequestEnvelope, Response, ResponseEnvelope, SpanSnapshot, StatsReport, ACTIONS,
@@ -188,8 +190,6 @@ struct ServerMetrics {
     rate_limited: Arc<Counter>,
     /// Candidate mappings evaluated through `Batch` requests.
     batch_candidates: Arc<Counter>,
-    /// Microseconds a worker spent computing the reply.
-    service_time: Arc<Histogram>,
     /// Served-request counters, one per row of [`ACTIONS`], in order.
     by_action: Vec<Arc<Counter>>,
     /// Clock second of the last once-per-second anomaly sweep
@@ -207,7 +207,6 @@ impl ServerMetrics {
             served: registry.counter(names::SERVER_SERVED),
             rate_limited: registry.counter(names::SERVER_RATE_LIMITED),
             batch_candidates: registry.counter(names::SERVER_BATCH_CANDIDATES),
-            service_time: registry.histogram(names::SERVER_SERVICE_TIME_US),
             by_action: ACTIONS
                 .iter()
                 .map(|spec| registry.counter(spec.counter))
@@ -379,7 +378,7 @@ fn precheck(
     if envelope.request.spec().eval {
         if let Err(wait) = rate.try_acquire() {
             metrics.rate_limited.incr();
-            metrics.net.shed_overloaded();
+            metrics.net.shed_overloaded(metrics.registry.clock().now());
             return Err(Box::new((
                 ResponseEnvelope {
                     id: envelope.id,
@@ -429,27 +428,34 @@ impl Handler for Daemon {
     /// that does not decode is refused on the spot. The frame on which
     /// the once-per-second sweep falls due queues, so a worker runs the
     /// sweep.
-    fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
+    fn inline(&self, line: &str, stages: &mut Stages) -> Option<(Vec<u8>, bool)> {
         if self.metrics.last_flight_check.load(Ordering::Relaxed) != self.second() {
             return None;
         }
         match decode_request(line) {
             Ok(envelope) if !envelope.request.spec().inline => None,
-            decoded => Some(self.serve(decoded)),
+            decoded => Some(self.serve(decoded, stages)),
         }
     }
 
-    fn execute(&self, line: &str) -> (Vec<u8>, bool) {
-        let reply = self.serve(decode_request(line));
+    fn execute(&self, line: &str, stages: &mut Stages) -> (Vec<u8>, bool) {
+        let reply = self.serve(decode_request(line), stages);
         self.flight_checks();
         reply
     }
 }
 
 impl Daemon {
-    /// Rate-gate, execute, and instrument one decoded frame.
-    fn serve(&self, decoded: Result<RequestEnvelope, serde_json::Error>) -> (Vec<u8>, bool) {
+    /// Rate-gate, execute, encode and instrument one decoded frame,
+    /// marking the decode, service and encode stages of one that runs.
+    fn serve(
+        &self,
+        decoded: Result<RequestEnvelope, serde_json::Error>,
+        stages: &mut Stages,
+    ) -> (Vec<u8>, bool) {
         let metrics = &self.metrics;
+        // A refusal marks no stage: no request ran, and its turn here
+        // falls in the next stage the core stamps.
         let envelope = match precheck(decoded, &self.rate, metrics) {
             Ok(env) => env,
             Err(reply) => return (encode_line(&reply.0), reply.1),
@@ -458,18 +464,20 @@ impl Daemon {
         let spec = envelope.request.spec();
         // A traced envelope joins the caller's trace: this request span
         // (and every child span it opens — core evaluation, scheduler)
-        // carries the remote trace id and links to the remote parent. Its
-        // duration is the request's service time.
-        let span = if envelope.trace_id != 0 {
-            metrics
-                .registry
-                .spans()
-                .span_rooted(spec.span, envelope.trace_id, envelope.parent_span)
-        } else {
-            metrics.registry.span(spec.span)
-        };
+        // carries the remote trace id and links to the remote parent, and
+        // the frame's stage records hang under it; an untraced one opens a
+        // root span. It opens as the decode stage ends and closes as the
+        // service stage does.
+        let (trace, parent) = (envelope.trace_id, envelope.parent_span);
+        let span = metrics
+            .registry
+            .spans()
+            .span_rooted(spec.span, trace, parent);
+        stages.join(trace, span.id(), parent);
         let response = self.handle_request(envelope.request);
-        span.finish_into(&metrics.service_time);
+        let (decoded, handled) = span.finish();
+        stages.mark(Stage::Decode, decoded);
+        stages.mark(Stage::Service, handled);
         if let Some(counter) = metrics.by_action.get(spec.action as usize) {
             counter.incr();
         }
@@ -477,7 +485,9 @@ impl Daemon {
             metrics.net.errors.incr();
         }
         metrics.served.incr();
-        (encode_line(&ResponseEnvelope { id, response }), false)
+        let line = encode_line(&ResponseEnvelope { id, response });
+        stages.mark(Stage::Encode, metrics.registry.clock().now());
+        (line, false)
     }
 
     /// The registry clock's second, which the sweep runs once in.
@@ -755,11 +765,12 @@ mod tests {
         daemon.metrics = ServerMetrics::new(Arc::new(Registry::with_clock(clock.clone())));
         // The frame on which a new second's sweep falls due queues, and
         // the worker that runs it sweeps.
-        assert!(daemon.inline(&stats_line(1)).is_some());
+        let stages = &mut Stages::default();
+        assert!(daemon.inline(&stats_line(1), stages).is_some());
         clock.advance(Duration::from_secs(1));
-        assert!(daemon.inline(&stats_line(2)).is_none());
-        daemon.execute(&stats_line(2));
-        assert!(daemon.inline(&stats_line(3)).is_some());
+        assert!(daemon.inline(&stats_line(2), stages).is_none());
+        daemon.execute(&stats_line(2), stages);
+        assert!(daemon.inline(&stats_line(3), stages).is_some());
         // A member the decoder ignores, spelled the way a cheap action's
         // frame begins, ahead of the request itself.
         let decoy = "{\"id\":1,\"x\":{\"request\":\"Stats\"},";
@@ -769,7 +780,7 @@ mod tests {
             let decoded = decode_request(&disguised).expect("unknown members are ignored");
             assert_eq!(decoded.request.spec(), spec);
             for frame in [&plain, &disguised] {
-                let ran = daemon.inline(frame).is_some();
+                let ran = daemon.inline(frame, stages).is_some();
                 assert_eq!(ran, spec.inline, "{}: {frame}", spec.name);
             }
         }
@@ -783,7 +794,9 @@ mod tests {
         let blocking = [Schedule, DumpFlight, Stage, Apply, Accept, Rollback, Status];
         assert_eq!(queued, blocking);
         // What does not decode is refused on the spot, as a strike.
-        let (_, malformed) = daemon.inline("{not json").expect("no worker needed");
+        let (_, malformed) = daemon
+            .inline("{not json", stages)
+            .expect("no worker needed");
         assert!(malformed);
     }
 
@@ -807,12 +820,19 @@ mod tests {
             d.service
                 .observe_load(&idle)
                 .expect("sweep covers every node");
-            d.execute(&stats_line(1));
+            d.execute(&stats_line(1), &mut Stages::default());
         };
         sweep(&daemon);
         sweep(&other);
         sweep(&other);
-        daemon.metrics.net.queue_wait.record(120);
+        // A frame's stages reach the histograms once its reply is out.
+        let mut record = Stages::default();
+        record.mark(Stage::QueueWait, Duration::from_micros(120));
+        record.mark(Stage::Service, Duration::from_micros(200));
+        daemon
+            .metrics
+            .net
+            .stages(record, Duration::from_micros(230));
         let snap = daemon.metrics.snapshot(2);
         let (counters, gauges, hists) = (&snap.counters, &snap.gauges, &snap.histograms);
         assert_eq!(counters[names::SERVER_SERVED.as_str()], 1);

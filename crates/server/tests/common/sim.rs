@@ -40,6 +40,12 @@ pub struct Peer {
     pub eof_delivered: bool,
     /// Bytes of its script the core has read.
     pub delivered: usize,
+    /// `(delivered, clock)` after each chunk the core read: when each
+    /// byte it sent arrived, by the driver's own account.
+    pub read_at: Vec<(usize, Duration)>,
+    /// `(inbox length, clock)` after each write to it: when it took
+    /// each byte.
+    pub took_at: Vec<(usize, Duration)>,
     /// `Some(i)`: the link to upstream `i`.
     pub upstream: Option<usize>,
 }
@@ -52,6 +58,27 @@ impl Peer {
             interest: (true, false),
             ..Peer::default()
         }
+    }
+
+    /// When the byte at `offset` of what it sent was read, and when it
+    /// took the byte just before `end` of what it was sent.
+    pub fn between(&self, offset: usize, end: usize) -> Option<(Duration, Duration)> {
+        let read = self.read_at.iter().find(|(upto, _)| *upto > offset)?;
+        let took = self.took_at.iter().find(|(upto, _)| *upto >= end)?;
+        Some((read.1, took.1))
+    }
+
+    /// Each complete line of its inbox with the offset just past it.
+    pub fn inbox_lines(&self) -> Vec<(String, usize)> {
+        let mut end = 0;
+        let lines = self.inbox.split_inclusive(|&b| b == b'\n');
+        lines
+            .filter(|line| line.ends_with(b"\n"))
+            .map(|line| {
+                end += line.len();
+                (String::from_utf8_lossy(line).trim_end().to_string(), end)
+            })
+            .collect()
     }
 
     /// The complete lines written to it since it last looked.
@@ -168,7 +195,10 @@ impl<H: Handler> Sim<H> {
         let n = out.len().min(peer.room);
         peer.inbox.extend_from_slice(&out[..n]);
         peer.room -= n;
-        let now = self.now();
+        let now = self.clock.now();
+        if n > 0 {
+            peer.took_at.push((peer.inbox.len(), now));
+        }
         self.core.wrote(token, n, now);
     }
 
@@ -199,6 +229,9 @@ impl<H: Handler> Sim<H> {
         let take = n.min(peer.outbox.len());
         let chunk: Vec<u8> = peer.outbox.drain(..take).collect();
         peer.delivered += take;
+        if take > 0 {
+            peer.read_at.push((peer.delivered, now));
+        }
         if chunk.is_empty() {
             peer.eof_delivered = true;
         }

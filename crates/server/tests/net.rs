@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbes_obs::Registry;
-use cbes_server::net::{self, Handler, NetHandle, NetMetrics};
+use cbes_server::net::{self, Handler, NetHandle, NetMetrics, Stages};
 use cbes_server::protocol::{error_kind, Response};
 use cbes_server::{ResponseEnvelope, ServerConfig};
 use crossbeam::channel::{self, Receiver, Sender};
@@ -58,11 +58,11 @@ thread_local! {
 impl Handler for Echo {
     type Gather = ();
 
-    fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
-        line.contains("inline").then(|| self.execute(line))
+    fn inline(&self, line: &str, stages: &mut Stages) -> Option<(Vec<u8>, bool)> {
+        line.contains("inline").then(|| self.execute(line, stages))
     }
 
-    fn execute(&self, line: &str) -> (Vec<u8>, bool) {
+    fn execute(&self, line: &str, _: &mut Stages) -> (Vec<u8>, bool) {
         for (word, gate) in [("hold", &self.release), ("gate", &self.gate)] {
             if line.contains(word) {
                 let _ = self.entered.send(());

@@ -5,16 +5,17 @@
 //! The first six tests are the deterministic twins of the socket tests
 //! in `tests/net.rs`. The property test drives 1,000 seeded schedules
 //! through the same driver and checks every connection's replies
-//! against a model of what it sent; a failure prints its seed and op
-//! list, and `run_seed(seed)` replays it exactly.
+//! against a model of what it sent, and every answered frame's stage
+//! records against the driver's own clock; a failure prints its seed
+//! and op list, and `run_seed(seed)` replays it exactly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cbes_obs::lock::{reactor, Mutex};
-use cbes_obs::{Clock, Registry};
-use cbes_server::net::{self, Control, Forward, Handler, NetMetrics, Route, Upstreams};
+use cbes_obs::{Clock, Registry, SpanRecord, SpanRing};
+use cbes_server::net::{self, Control, Forward, Handler, NetMetrics, Route, Stages, Upstreams};
 use cbes_server::protocol::split_id;
 use cbes_server::{ResponseEnvelope, ServerConfig};
 use rand::rngs::StdRng;
@@ -39,10 +40,17 @@ fn number_after(line: &str, key: &str) -> u64 {
     rest[..end].parse().unwrap_or(0)
 }
 
+/// The trace a test frame joins, from its client and id: its stage
+/// records are found by it.
+fn trace_of(line: &str) -> u64 {
+    number_after(line, "\"c\":") << 32 | number_after(line, "\"id\":")
+}
+
 /// A handler that answers a frame with its id and logs every execution.
 /// A line containing `inline` may run on the reactor, one containing
 /// `relay` (and leading with its id) is relayed to the upstreams, and
-/// one containing `pad` is answered at [`PADDED`] bytes.
+/// one containing `pad` is answered at [`PADDED`] bytes. Every frame
+/// joins its own trace, so its stage records are spans.
 struct Echo {
     /// `(client, frame id, ran inline)`, in execution order.
     log: Mutex<Vec<(u64, u64, bool)>, LOG_RANK>,
@@ -50,7 +58,8 @@ struct Echo {
 }
 
 impl Echo {
-    fn answer(&self, line: &str, inline: bool) -> (Vec<u8>, bool) {
+    fn answer(&self, line: &str, inline: bool, stages: &mut Stages) -> (Vec<u8>, bool) {
+        stages.join(trace_of(line), 1, 0);
         let id = number_after(line, "\"id\":");
         let client = number_after(line, "\"c\":");
         self.log.lock().push((client, id, inline));
@@ -70,12 +79,13 @@ impl Echo {
 impl Handler for Echo {
     type Gather = ();
 
-    fn inline(&self, line: &str) -> Option<(Vec<u8>, bool)> {
-        line.contains("inline").then(|| self.answer(line, true))
+    fn inline(&self, line: &str, stages: &mut Stages) -> Option<(Vec<u8>, bool)> {
+        line.contains("inline")
+            .then(|| self.answer(line, true, stages))
     }
 
-    fn execute(&self, line: &str) -> (Vec<u8>, bool) {
-        self.answer(line, false)
+    fn execute(&self, line: &str, stages: &mut Stages) -> (Vec<u8>, bool) {
+        self.answer(line, false, stages)
     }
 
     fn upstreams(&self) -> Upstreams {
@@ -86,7 +96,7 @@ impl Handler for Echo {
         }
     }
 
-    fn forward(&self, line: &str) -> Option<Forward<()>> {
+    fn forward(&self, line: &str, stages: &mut Stages) -> Option<Forward<()>> {
         if self.upstreams == 0 || !line.contains("relay") {
             return None;
         }
@@ -96,9 +106,9 @@ impl Handler for Echo {
             .map(|k| (primary + k) % self.upstreams)
             .collect();
         let tail = tail.to_string();
+        stages.join(trace_of(line), trace_of(line), 7);
         Some(Forward {
             id,
-            span: None,
             route: Route::Relay {
                 tail,
                 candidates,
@@ -676,7 +686,9 @@ fn run_seed(seed: u64, ops: &mut Vec<Op>) -> Result<Transcript, String> {
                 "client {c} frames ran out of arrival order: {order:?}"
             ));
         }
-        check_client(client, &sim.peers[&client.token], config.max_consecutive_errors)
+        let peer = &sim.peers[&client.token];
+        check_stages(client, peer, sim.registry.spans()).map_err(|e| format!("client {c}: {e}"))?;
+        check_client(client, peer, config.max_consecutive_errors)
             .map_err(|e| {
                 let peer = &sim.peers[&client.token];
                 let frames: Vec<_> = client.frames.iter().map(|f| (f.id, f.kind, f.end)).collect();
@@ -694,6 +706,62 @@ fn run_seed(seed: u64, ops: &mut Vec<Op>) -> Result<Transcript, String> {
         ops: ops.clone(),
         received,
     })
+}
+
+/// Hold every frame answered through its stages — any reply but a shed,
+/// a `frame_too_large` or a run frame's timeout — to the driver's clock: its stage
+/// records sum exactly to when the client took the reply's last byte
+/// less when the core read the frame's first, its last stage is its one
+/// flush, and a relayed frame's hop span is that interval too.
+fn check_stages(client: &Client, peer: &Peer, spans: &SpanRing) -> Result<(), String> {
+    for (line, end) in peer.inbox_lines() {
+        let id = id_of(&line);
+        let relayed = |id| {
+            client
+                .frames
+                .iter()
+                .any(|f| f.id == id && f.kind == Kind::Relay)
+        };
+        let unstaged = [
+            "overloaded",
+            "frame_too_large",
+            if relayed(id) { "" } else { "timeout" },
+        ];
+        let error =
+            (!line.contains("\"ran\":") && !line.contains("\"up\":")).then(|| error_of(&line));
+        let class = error.flatten().map(|(kind, message, _)| (kind, message));
+        if class.as_ref().is_some_and(|(kind, message)| {
+            unstaged.contains(&kind.as_str()) || message == "server is draining"
+        }) {
+            continue;
+        }
+        let Some(k) = client.frames.iter().position(|f| f.id == id) else {
+            return Err(format!("a reply to no frame: {line}"));
+        };
+        let start = k.checked_sub(1).map_or(0, |j| client.frames[j].end);
+        let Some((read, took)) = peer.between(start, end) else {
+            return Err(format!("frame {id}: the driver saw no read or write of it"));
+        };
+        let want = (took.as_micros() - read.as_micros()) as u64;
+        let records = spans.of_trace(client.c << 32 | id);
+        let (hop, leaves): (Vec<&SpanRecord>, Vec<_>) =
+            records.iter().partition(|r| r.name == "router.forward");
+        let sum: u64 = leaves.iter().map(|r| r.dur_us).sum();
+        let names: Vec<&str> = leaves.iter().map(|r| r.name).collect();
+        let flushes = names.iter().filter(|n| n.ends_with("flush_us")).count();
+        if sum != want || flushes != 1 || !names.last().is_some_and(|n| n.ends_with("flush_us")) {
+            return Err(format!(
+                "frame {id}: stages {names:?} sum to {sum} us, read to taken is {want} us"
+            ));
+        }
+        let relayed = client.frames[k].kind == Kind::Relay;
+        if relayed && hop.iter().map(|r| r.dur_us).collect::<Vec<_>>() != [want] {
+            return Err(format!(
+                "frame {id}: hop spans {hop:?}, read to taken is {want} us"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Hold one client's replies to its script.
